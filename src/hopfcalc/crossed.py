@@ -33,7 +33,7 @@ from hopfcalc.linalg import (
     kernel_image,
     tensor_index,
 )
-from hopfcalc.report import CheckReport
+from hopfcalc.report import CheckReport, witness
 
 Index = tuple
 
@@ -89,12 +89,6 @@ def cocycle_from_sigma(sigma, b: AlgebraPresentation, h: HopfData, window: int |
     return Cocycle(sigma=sigma, sigma_inv=lambda i, j: g(tensor_index(i, j)))
 
 
-def _pair_witness(*elements) -> str:
-    return " ; ".join(
-        e.to_text() if isinstance(e, FreeVector) else format_index(e) for e in elements
-    )
-
-
 def check_twisted_module_algebra(
     b: AlgebraPresentation,
     h: HopfData,
@@ -112,7 +106,7 @@ def check_twisted_module_algebra(
 
     def measure_unit(hi):
         lhs = m.act_vec(E(hi), b.unit)
-        return lhs == b.unit.scale(h.counit(hi)), format_index(hi)
+        return lhs == b.unit.scale(h.counit(hi)), (hi,)
 
     report.sweep("measure.unit", h_basis, measure_unit, windowed=windowed)
 
@@ -122,7 +116,7 @@ def check_twisted_module_algebra(
         rhs = FreeVector.zero()
         for c, (h1, h2) in h.sweedler(hi, 2):
             rhs = rhs + b.mult_vec(m.act(h1, bi), m.act(h2, bj)).scale(c)
-        return lhs == rhs, _pair_witness(hi, bi, bj)
+        return lhs == rhs, (hi, bi, bj)
 
     report.sweep(
         "measure.multiplicative",
@@ -132,7 +126,7 @@ def check_twisted_module_algebra(
     )
 
     def unit_acts(bi):
-        return m.act_vec(h.algebra.unit, E(bi)) == E(bi), format_index(bi)
+        return m.act_vec(h.algebra.unit, E(bi)) == E(bi), (bi,)
 
     report.sweep("measure.unit-action", b_basis, unit_acts, windowed=windowed)
 
@@ -145,7 +139,7 @@ def check_twisted_module_algebra(
                 middle = m.act_vec(h.algebra.mult(x2, y2), E(bi))
                 term = b.product(s.sigma(x1, y1), middle, s.sigma_inv(x3, y3))
                 rhs = rhs + term.scale(c1 * c2)
-        return lhs == rhs, _pair_witness(hi, hj, bi)
+        return lhs == rhs, (hi, hj, bi)
 
     report.sweep(
         "twisted-module",
@@ -171,7 +165,7 @@ def check_twisted_module_algebra(
                     s.sigma(x1, y1),
                     s.sigma_vec(h.algebra.mult(x2, y2), E(hk)),
                 ).scale(c1 * c2)
-        return lhs == rhs, _pair_witness(hi, hj, hk)
+        return lhs == rhs, (hi, hj, hk)
 
     report.sweep(
         "cocycle",
@@ -183,7 +177,7 @@ def check_twisted_module_algebra(
     def normalized(hi):
         want = b.unit.scale(h.counit(hi))
         ok = s.sigma_vec(E(hi), h.algebra.unit) == want and s.sigma_vec(h.algebra.unit, E(hi)) == want
-        return ok, format_index(hi)
+        return ok, (hi,)
 
     report.sweep("cocycle.normalized", h_basis, normalized, windowed=windowed)
 
@@ -196,7 +190,7 @@ def check_twisted_module_algebra(
                 left = left + b.mult_vec(s.sigma(x1, y1), s.sigma_inv(x2, y2)).scale(c1 * c2)
                 right = right + b.mult_vec(s.sigma_inv(x1, y1), s.sigma(x2, y2)).scale(c1 * c2)
         want = b.unit.scale(h.counit(hi) * h.counit(hj))
-        return left == want and right == want, _pair_witness(hi, hj)
+        return left == want and right == want, (hi, hj)
 
     report.sweep(
         "cocycle.convolution-inverse",
@@ -299,7 +293,7 @@ def build_crossed_product(
                     lhs = algebra.mult_vec(algebra.mult(i, j), E(k))
                     rhs = algebra.mult_vec(E(i), algebra.mult(j, k))
                     if not lhs == rhs:
-                        raise ValueError(f"crossed product not associative at {_pair_witness(i, j, k)}")
+                        raise ValueError(f"crossed product not associative at {witness(i, j, k)}")
     return CrossedProduct(base=b, hopf=h, measure=m, cocycle=s, algebra=algebra, comodule=comodule)
 
 
@@ -370,7 +364,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
             got = expressor.express(value)
             if isinstance(got, NoSolution):
                 raise ValueError(
-                    f"derived measure leaves the coinvariants at {_pair_witness(hi, bi)}"
+                    f"derived measure leaves the coinvariants at {witness(hi, bi)}"
                 )
             measure_cache[key] = got
         return got
@@ -390,7 +384,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
             got = expressor.express(value)
             if isinstance(got, NoSolution):
                 raise ValueError(
-                    f"derived cocycle value is not coinvariant at {_pair_witness(hi, hj)}"
+                    f"derived cocycle value is not coinvariant at {witness(hi, hj)}"
                 )
             sigma_cache[key] = got
         return got
@@ -404,7 +398,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
         rhs = FreeVector.zero()
         for c, (h1, h2) in h.sweedler(hx, 2):
             rhs = rhs + j(h1).tensor(E(h2)).scale(c)
-        return lhs == rhs, format_index(hx)
+        return lhs == rhs, (hx,)
 
     report.sweep("cleaving.colinear", h_basis_early, j_colinear, windowed=windowed_early)
 
@@ -443,13 +437,13 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     report.sweep(
         "theta.left-inverse",
         a_basis,
-        lambda ix: (theta_inv(theta(ix)) == E(ix), format_index(ix)),
+        lambda ix: (theta_inv(theta(ix)) == E(ix), (ix,)),
         windowed=windowed,
     )
     report.sweep(
         "theta.right-inverse",
         pair_basis,
-        lambda ix: (theta(theta_inv(ix)) == E(ix), format_index(ix)),
+        lambda ix: (theta(theta_inv(ix)) == E(ix), (ix,)),
         windowed=windowed,
     )
 
@@ -457,7 +451,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
         i, k = pair
         lhs = theta(a.algebra.mult(i, k))
         rhs = crossed.algebra.mult_vec(theta(i), theta(k))
-        return lhs == rhs, _pair_witness(i, k)
+        return lhs == rhs, (i, k)
 
     report.sweep(
         "theta.algebra-map",
@@ -472,7 +466,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
             _, a0, h1 = pair_ix
             lhs = lhs + theta(a0).tensor(E(h1)).scale(c)
         rhs = crossed.comodule.coaction_vec(theta(ix))
-        return lhs == rhs, format_index(ix)
+        return lhs == rhs, (ix,)
 
     report.sweep("theta.colinear", a_basis, theta_colinear, windowed=windowed)
     return crossed, theta, theta_inv, report
@@ -513,7 +507,7 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
         for pair_ix, c in section(a_ix).terms.items():
             _, b_ix, a2_ix = pair_ix
             total = total + a.algebra.mult_vec(embed(b_ix), E(a2_ix)).scale(c)
-        return total == E(a_ix), format_index(a_ix)
+        return total == E(a_ix), (a_ix,)
 
     report.sweep("section.splits-multiplication", a_basis, splits, windowed=windowed)
 
@@ -525,7 +519,7 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
             _, b2_ix, a2_ix = pair_ix
             moved = a.coinvariants.algebra.mult(b_ix, b2_ix)
             rhs = rhs + moved.tensor(E(a2_ix)).scale(c)
-        return lhs == rhs, _pair_witness(b_ix, a_ix)
+        return lhs == rhs, (b_ix, a_ix)
 
     report.sweep(
         "section.left-base-linear",
@@ -547,7 +541,7 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
             for pair2, c2 in section(a0).terms.items():
                 _, b_ix, a2_ix = pair2
                 rhs = rhs + E(("sc", b_ix, a2_ix, h1)).scale(c * c2)
-        return lhs == rhs, format_index(a_ix)
+        return lhs == rhs, (a_ix,)
 
     report.sweep("section.right-colinear", a_basis, colinear, windowed=windowed)
     return section, report
@@ -603,7 +597,7 @@ def check_hopf_galois(a: ComoduleAlgebra, coinv: CoinvariantFamily | None = None
     report.sweep(
         "hopf-galois.well-defined",
         relations.basis(),
-        lambda rel: (can(rel).is_zero(), rel.to_text()),
+        lambda rel: (can(rel).is_zero(), (rel,)),
     )
 
     def can_on_class(cls_ix):

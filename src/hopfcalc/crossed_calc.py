@@ -32,17 +32,11 @@ from hopfcalc.linalg import (
     intersection_dim,
     tensor_index,
 )
-from hopfcalc.report import CheckReport
+from hopfcalc.report import CheckReport, witness
 from hopfcalc.scalars import CycScalar
 
 Index = tuple
 E = FreeVector.basis
-
-
-def _w(*parts) -> str:
-    return " ; ".join(
-        p.to_text() if isinstance(p, FreeVector) else format_index(p) for p in parts
-    )
 
 
 def hor(b_form_vec: FreeVector, h_vec: FreeVector) -> FreeVector:
@@ -268,7 +262,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
         i, j = pair
         lhs = cf.d(cp.algebra.mult(i, j))
         rhs = cf.right_act_vec(cf.d(i), E(j)) + cf.left_act_vec(E(i), cf.d(j))
-        return lhs == rhs, _w(i, j)
+        return lhs == rhs, (i, j)
 
     report.sweep(
         "leibniz", ((i, j) for i in a_basis for j in a_basis), leibniz, windowed=windowed
@@ -281,7 +275,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
         first = cf.left_act_vec(E(bx).tensor(one_h), cf.d(tensor_index(by, hx)))
         second = cf.left_act_vec(b.mult(bx, by).tensor(one_h), cf.d(b.unit.tensor(E(hx))))
         expected = hor(cf.b_calc.left_act_vec(E(bx), cf.b_calc.d(by)), E(hx))
-        return first - second == expected, _w(bx, by, hx)
+        return first - second == expected, (bx, by, hx)
 
     report.sweep(
         "generation-horizontal",
@@ -299,7 +293,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
                 dval = cf.d(b.unit.tensor(E(y2)))
                 total = total + cf.left_act_vec(elt, dval).scale(c1 * c2)
         expected = ver(E(bx), cf.h_calc.left_act_vec(E(hx), cf.h_calc.d(hy)))
-        return total == expected, _w(bx, hx, hy)
+        return total == expected, (bx, hx, hy)
 
     report.sweep(
         "generation-vertical",
@@ -314,7 +308,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
         for p, c in cp.comodule.coaction(pair_ix).terms.items():
             _, a0, h1 = p
             rhs = rhs + cf.d(a0).tensor(E(h1)).scale(c)
-        return lhs == rhs, format_index(pair_ix)
+        return lhs == rhs, (pair_ix,)
 
     report.sweep("d-colinear", a_basis, d_colinear, windowed=windowed)
 
@@ -345,7 +339,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
             rhs = rhs + cf.h_calc.d(h2).map_indices(
                 lambda f: ("oH", tensor_index(bx, h1), f)
             ).scale(c)
-        return lhs == rhs, format_index(pair_ix)
+        return lhs == rhs, (pair_ix,)
 
     report.sweep("coaction-differentiable", a_basis, rho_differentiable, windowed=windowed)
 
@@ -374,7 +368,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
                     want = want + ver(
                         b.mult_vec(E(bp), cp.measure.act(x1, bx)), cf.h_calc.left_act(x2, hf)
                     ).scale(c)
-            return got == want, _w(pair_ix, form_ix)
+            return got == want, (pair_ix, form_ix)
 
         report.sweep(
             "smash-reduction",
@@ -445,7 +439,7 @@ def necessity_dsigma(
                 expected = expected + hor(
                     b_calc.d(cp.cocycle.sigma(x1, y1)), h.algebra.mult(x2, y2)
                 ).scale(c1 * c2)
-        return defect == expected, _w(hx, hy)
+        return defect == expected, (hx, hy)
 
     report.sweep(
         "necessity-defect-formula",
@@ -454,7 +448,7 @@ def necessity_dsigma(
         windowed=windowed,
     )
 
-    witness = None
+    found = None
     for hx in h_basis:
         for hy in h_basis:
             value = FreeVector.zero()
@@ -464,18 +458,18 @@ def necessity_dsigma(
                         b_calc.d(cp.cocycle.sigma(x1, y1)), h.algebra.mult(x2, y2)
                     ).scale(c1 * c2)
             if not value.is_zero():
-                witness = (hx, hy, value)
+                found = (hx, hy, value)
                 break
-        if witness:
+        if found:
             break
-    if witness is None:
+    if found is None:
         report.add(
             "necessity-witness",
             "window-verified" if windowed else "pass",
             witness="d_B of every cocycle value vanishes; the defect is vacuous",
         )
     else:
-        hx, hy, value = witness
+        hx, hy, value = found
         report.add(
             "necessity-witness",
             "window-verified" if windowed else "pass",
@@ -688,11 +682,11 @@ def build_higher_forms(
             lhs = b_dc.act_vec(E(hx), 1, b_dc.d(0, bx))
             rhs = b_dc.d_vec(0, cp.measure.act(hx, bx))
             if not lhs == rhs:
-                raise ValueError(f"hypothesis failed: graded action not d-equivariant at {_w(hx, bx)}")
+                raise ValueError(f"hypothesis failed: graded action not d-equivariant at {witness(hx, bx)}")
     for hx in h_basis:
         for hy in h_basis:
             if not b_dc.d_vec(0, s.sigma(hx, hy)).is_zero():
-                raise ValueError(f"hypothesis failed: d of a cocycle value at {_w(hx, hy)}")
+                raise ValueError(f"hypothesis failed: d of a cocycle value at {witness(hx, hy)}")
     for hx in h_basis:
         for deg1 in range(0, b_dc.max_degree + 1):
             for i in b_dc.basis(deg1, window):
@@ -706,7 +700,7 @@ def build_higher_forms(
                             ).scale(c)
                         if not lhs == rhs:
                             raise ValueError(
-                                f"hypothesis failed: graded action not multiplicative at {_w(hx, i, j)}"
+                                f"hypothesis failed: graded action not multiplicative at {witness(hx, i, j)}"
                             )
 
     def gix(bdeg, b_part, hdeg, h_part):
@@ -809,7 +803,7 @@ def check_graded_dc(dc: GradedDc, window: int | None = None, max_total: int = 2)
 
     def d_squared(item):
         deg, ix = item
-        return dc.d_vec(deg + 1, dc.d(deg, ix)).is_zero(), _w(ix)
+        return dc.d_vec(deg + 1, dc.d(deg, ix)).is_zero(), (ix,)
 
     report.sweep(
         "d-squared",
@@ -825,7 +819,7 @@ def check_graded_dc(dc: GradedDc, window: int | None = None, max_total: int = 2)
         rhs = dc.wedge_vec(deg1 + 1, dc.d(deg1, i), deg2, E(j)) + dc.wedge_vec(
             deg1, E(i), deg2 + 1, dc.d(deg2, j)
         ).scale(sign)
-        return lhs == rhs, _w(i, j)
+        return lhs == rhs, (i, j)
 
     report.sweep(
         "graded-leibniz",
@@ -845,7 +839,7 @@ def check_graded_dc(dc: GradedDc, window: int | None = None, max_total: int = 2)
         n1, i, n2, j, n3, k = item
         lhs = dc.wedge_vec(n1 + n2, dc.wedge(n1, i, n2, j), n3, E(k))
         rhs = dc.wedge_vec(n1, E(i), n2 + n3, dc.wedge(n2, j, n3, k))
-        return lhs == rhs, _w(i, j, k)
+        return lhs == rhs, (i, j, k)
 
     report.sweep(
         "wedge-assoc",
@@ -867,7 +861,7 @@ def check_graded_dc(dc: GradedDc, window: int | None = None, max_total: int = 2)
         deg, ix = item
         lhs = dc.wedge_vec(0, dc.algebra.unit, deg, E(ix))
         rhs = dc.wedge_vec(deg, E(ix), 0, dc.algebra.unit)
-        return lhs == E(ix) and rhs == E(ix), _w(ix)
+        return lhs == E(ix) and rhs == E(ix), (ix,)
 
     report.sweep(
         "wedge-unit",
@@ -898,7 +892,7 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
     def d_matches(pair_ix):
         lhs = to_graded(cf.d(pair_ix))
         rhs = dc.d(0, pair_to_graded(pair_ix))
-        return lhs == rhs, format_index(pair_ix)
+        return lhs == rhs, (pair_ix,)
 
     report.sweep("first-order.d", a_basis, d_matches, windowed=windowed)
 
@@ -908,7 +902,7 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
         pair_ix, form_ix = item
         lhs = to_graded(cf.left_act(pair_ix, form_ix))
         rhs = dc.wedge(0, pair_to_graded(pair_ix), 1, form_to_graded_ix(form_ix))
-        return lhs == rhs, _w(pair_ix, form_ix)
+        return lhs == rhs, (pair_ix, form_ix)
 
     report.sweep(
         "first-order.left-action",
@@ -921,7 +915,7 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
         pair_ix, form_ix = item
         lhs = to_graded(cf.right_act(form_ix, pair_ix))
         rhs = dc.wedge(1, form_to_graded_ix(form_ix), 0, pair_to_graded(pair_ix))
-        return lhs == rhs, _w(pair_ix, form_ix)
+        return lhs == rhs, (pair_ix, form_ix)
 
     report.sweep(
         "first-order.right-action",
@@ -936,7 +930,7 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
             _, f0, h1 = pair
             lhs = lhs + to_graded(E(f0)).tensor(E(h1)).scale(c)
         rhs = dc.right_coaction(1, form_to_graded_ix(form_ix))
-        return lhs == rhs, format_index(form_ix)
+        return lhs == rhs, (form_ix,)
 
     report.sweep("first-order.coaction", form_basis, coaction_matches, windowed=windowed)
     return report
@@ -1000,7 +994,7 @@ def classify_smash(
             rhs = a.algebra.mult_vec(j(hx), j(hy))
             if not lhs == rhs:
                 raise ValueError(
-                    f"not a trivial extension: the cleaving map is not an algebra morphism at {_w(hx, hy)}"
+                    f"not a trivial extension: the cleaving map is not an algebra morphism at {witness(hx, hy)}"
                 )
     if not j(h.algebra.unit) == a.algebra.unit:
         raise ValueError("not a trivial extension: the cleaving map is not unital")
@@ -1089,7 +1083,7 @@ def classify_smash(
             LinOp(lambda fx, sample=sample: a_calc.right_act_vec(E(fx), sample)), form_basis
         )
         if left_solver.kernel().dim or right_solver.kernel().dim:
-            torsion_ok, torsion_witness = False, sample.to_text()
+            torsion_ok, torsion_witness = False, witness(sample)
             break
     report.record("torsion-free", torsion_ok, witness=torsion_witness, sampled=True)
 
@@ -1159,7 +1153,7 @@ def classify_smash(
                 a.algebra.mult_vec(j(h1), embed(bx)), a_calc.d(j_inv(h2))
             )
             total = total + (left + right).scale(c)
-        return total.is_zero(), _w(hx, bx)
+        return total.is_zero(), (hx, bx)
 
     report.sweep(
         "classification-(3)",
@@ -1188,7 +1182,7 @@ def classify_smash(
     surj_ok, surj_witness = True, None
     for fx in form_basis:
         if isinstance(bij.solve(E(fx)), NoSolution):
-            surj_ok, surj_witness = False, format_index(fx)
+            surj_ok, surj_witness = False, witness(fx)
             break
     report.record(
         "comparison.bijective",
@@ -1200,7 +1194,7 @@ def classify_smash(
     def intertwines(pair_ix):
         lhs = theta_hat_inv(smash_cf.d(pair_ix))
         rhs = a_calc.d(theta_inv(pair_ix))
-        return lhs == rhs, format_index(pair_ix)
+        return lhs == rhs, (pair_ix,)
 
     report.sweep(
         "comparison.intertwines-d",
@@ -1215,7 +1209,7 @@ def classify_smash(
         rhs = a_calc.left_act_vec(theta_inv(pair_ix), theta_hat_inv(form_ix))
         lhs2 = theta_hat_inv(smash_cf.right_act(form_ix, pair_ix))
         rhs2 = a_calc.right_act_vec(theta_hat_inv(form_ix), theta_inv(pair_ix))
-        return lhs == rhs and lhs2 == rhs2, _w(pair_ix, form_ix)
+        return lhs == rhs and lhs2 == rhs2, (pair_ix, form_ix)
 
     report.sweep(
         "comparison.bimodule-map",

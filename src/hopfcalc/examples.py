@@ -674,7 +674,7 @@ def torus_suites(params: dict) -> list:
         def measure_matches(pair):
             k, l = pair
             got = inst.crossed.measure.act(("t", k), ("w", l))
-            return got == inst.closed_measure(k, l), f"t({k}) ; w({l})"
+            return got == inst.closed_measure(k, l), (("t", k), ("w", l))
 
         rep.sweep(
             "cleft.measure-closed-form",
@@ -689,7 +689,7 @@ def torus_suites(params: dict) -> list:
             embedded = FreeVector.zero()
             for w_ix, c in got.terms.items():
                 embedded = embedded + inst.torus.base_embed(w_ix).scale(c)
-            return embedded == inst.closed_sigma_in_total(k, s), f"t({k}) ; t({s})"
+            return embedded == inst.closed_sigma_in_total(k, s), (("t", k), ("t", s))
 
         rep.sweep(
             "cleft.sigma-closed-form",

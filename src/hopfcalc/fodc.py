@@ -108,12 +108,6 @@ def zero_fodc(algebra: AlgebraPresentation, name: str = "") -> Fodc:
     )
 
 
-def _w(*parts) -> str:
-    return " ; ".join(
-        p.to_text() if isinstance(p, FreeVector) else format_index(p) for p in parts
-    )
-
-
 def presentation_solver(f: Fodc, window: int | None = None) -> LinearSolver:
     """Solver expressing forms as combinations of a d(a') over window pairs."""
     a_basis = f.algebra.basis.enumerate(window)
@@ -165,7 +159,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
         a, b, beta = item
         lhs = f.left_act_vec(E(a), f.left_act(b, beta))
         rhs = f.left_act_vec(alg.mult(a, b), E(beta))
-        return lhs == rhs, _w(a, b, beta)
+        return lhs == rhs, (a, b, beta)
 
     report.sweep(
         "bimodule.left-assoc",
@@ -178,7 +172,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
         beta, a, b = item
         lhs = f.right_act_vec(f.right_act(beta, a), E(b))
         rhs = f.right_act_vec(E(beta), alg.mult(a, b))
-        return lhs == rhs, _w(beta, a, b)
+        return lhs == rhs, (beta, a, b)
 
     report.sweep(
         "bimodule.right-assoc",
@@ -191,7 +185,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
         a, beta, b = item
         lhs = f.right_act_vec(f.left_act(a, beta), E(b))
         rhs = f.left_act_vec(E(a), f.right_act(beta, b))
-        return lhs == rhs, _w(a, beta, b)
+        return lhs == rhs, (a, beta, b)
 
     report.sweep(
         "bimodule.compat",
@@ -205,7 +199,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
             f.left_act_vec(alg.unit, E(beta)) == E(beta)
             and f.right_act_vec(E(beta), alg.unit) == E(beta)
         )
-        return ok, format_index(beta)
+        return ok, (beta,)
 
     report.sweep("bimodule.unit", f_basis, unit_acts, windowed=windowed)
 
@@ -213,7 +207,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
         a, b = pair
         lhs = f.d(alg.mult(a, b))
         rhs = f.right_act_vec(f.d(a), E(b)) + f.left_act_vec(E(a), f.d(b))
-        return lhs == rhs, _w(a, b)
+        return lhs == rhs, (a, b)
 
     report.sweep(
         "leibniz", ((a, b) for a in a_basis for b in a_basis), leibniz, windowed=windowed
@@ -251,7 +245,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
             counit_part = FreeVector.zero()
             for pair_ix, c in f.right_coaction(beta).terms.items():
                 counit_part = counit_part + E(pair_ix[1]).scale(c * h.counit(pair_ix[2]))
-            return ok and counit_part == E(beta), format_index(beta)
+            return ok and counit_part == E(beta), (beta,)
 
         report.sweep("covariance.right-comodule", f_basis, rho_coassoc, windowed=windowed)
 
@@ -273,7 +267,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
                     for pa, ca in f.algebra_coaction(a).terms.items():
                         _, a0, a1 = pa
                         rhs2 = rhs2 + f.right_act(f0, a0).tensor(h.algebra.mult(f1, a1)).scale(cf * ca)
-                return lhs == rhs and lhs2 == rhs2, _w(a, beta)
+                return lhs == rhs and lhs2 == rhs2, (a, beta)
 
             report.sweep(
                 "covariance.actions-right",
@@ -288,7 +282,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
                 for pa, ca in f.algebra_coaction(a).terms.items():
                     _, a0, a1 = pa
                     rhs = rhs + f.d(a0).tensor(E(a1)).scale(ca)
-                return lhs == rhs, format_index(a)
+                return lhs == rhs, (a,)
 
             report.sweep("covariance.d-right-colinear", a_basis, d_colinear, windowed=windowed)
 
@@ -306,7 +300,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
                 counit_part = counit_part + E(fx).scale(c * h.counit(hx))
             lhs = lhs.map_indices(lambda ix: ("@3", ix[1][1], ix[1][2], ix[2]))
             rhs = rhs.map_indices(lambda ix: ("@3", ix[1], ix[2][1], ix[2][2]))
-            return lhs == rhs and counit_part == E(beta), format_index(beta)
+            return lhs == rhs and counit_part == E(beta), (beta,)
 
         report.sweep("covariance.left-comodule", f_basis, lambda_comodule, windowed=windowed)
 
@@ -328,7 +322,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
                     for pa, ca in f.algebra_left_coaction(a).terms.items():
                         _, am1, a0 = pa
                         rhs2 = rhs2 + h.algebra.mult(fm1, am1).tensor(f.right_act(f0, a0)).scale(cf * ca)
-                return lhs == rhs and lhs2 == rhs2, _w(a, beta)
+                return lhs == rhs and lhs2 == rhs2, (a, beta)
 
             report.sweep(
                 "covariance.actions-left",
@@ -343,7 +337,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
                 for pa, ca in f.algebra_left_coaction(a).terms.items():
                     _, am1, a0 = pa
                     rhs = rhs + E(am1).tensor(f.d(a0)).scale(ca)
-                return lhs == rhs, format_index(a)
+                return lhs == rhs, (a,)
 
             report.sweep("covariance.d-left-colinear", a_basis, d_left_colinear, windowed=windowed)
 
@@ -360,7 +354,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
                 rhs = rhs + E(fm1).tensor(f.right_coaction(f0)).scale(c)
             lhs = lhs.map_indices(lambda ix: ("@3", ix[1][1], ix[1][2], ix[2]))
             rhs = rhs.map_indices(lambda ix: ("@3", ix[1], ix[2][1], ix[2][2]))
-            return lhs == rhs, format_index(beta)
+            return lhs == rhs, (beta,)
 
         report.sweep("covariance.bicomodule", f_basis, bicomodule, windowed=windowed)
 
@@ -720,7 +714,7 @@ def check_sigma_twisted_module_calculus(
         rhs = FreeVector.zero()
         for c, (h1, h2) in h.sweedler(h_ix, 2):
             rhs = rhs + b_calc.left_act_vec(m.act(h1, a_ix), action.act_vec(E(h2), b_calc.d(b_ix))).scale(c)
-        return lhs == rhs, _w(h_ix, a_ix, b_ix)
+        return lhs == rhs, (h_ix, a_ix, b_ix)
 
     report.sweep(
         "comp",
@@ -733,7 +727,7 @@ def check_sigma_twisted_module_calculus(
         h_ix, b_ix = pair
         lhs = b_calc.d(m.act(h_ix, b_ix))
         rhs = action.act_vec(E(h_ix), b_calc.d(b_ix))
-        return lhs == rhs, _w(h_ix, b_ix)
+        return lhs == rhs, (h_ix, b_ix)
 
     report.sweep(
         "H-lin", ((hx, bx) for hx in h_basis for bx in b_basis), equivariant, windowed=windowed
@@ -742,7 +736,7 @@ def check_sigma_twisted_module_calculus(
     def d_sigma_zero(pair):
         h_ix, k_ix = pair
         value = b_calc.d(s.sigma(h_ix, k_ix))
-        return value.is_zero(), _w(h_ix, k_ix, b_calc.d(s.sigma(h_ix, k_ix)))
+        return value.is_zero(), (h_ix, k_ix, b_calc.d(s.sigma(h_ix, k_ix)))
 
     report.sweep(
         "dsigma", ((hx, kx) for hx in h_basis for kx in h_basis), d_sigma_zero, windowed=windowed
@@ -750,7 +744,7 @@ def check_sigma_twisted_module_calculus(
 
     def d_sigma_inv_zero(pair):
         h_ix, k_ix = pair
-        return b_calc.d(s.sigma_inv(h_ix, k_ix)).is_zero(), _w(h_ix, k_ix)
+        return b_calc.d(s.sigma_inv(h_ix, k_ix)).is_zero(), (h_ix, k_ix)
 
     report.sweep(
         "dsigma-inverse",
@@ -760,7 +754,7 @@ def check_sigma_twisted_module_calculus(
     )
 
     def bimodule_unit(f_ix):
-        return action.act_vec(h.algebra.unit, E(f_ix)) == E(f_ix), format_index(f_ix)
+        return action.act_vec(h.algebra.unit, E(f_ix)) == E(f_ix), (f_ix,)
 
     report.sweep("twisted-bimodule.unit", f_basis, bimodule_unit, windowed=windowed)
 
@@ -773,7 +767,7 @@ def check_sigma_twisted_module_calculus(
             rhs = rhs + b_calc.right_act_vec(
                 b_calc.left_act_vec(m.act(h1, a_ix), action.act(h2, f_ix)), m.act(h3, b_ix)
             ).scale(c)
-        return lhs == rhs, _w(h_ix, a_ix, f_ix, b_ix)
+        return lhs == rhs, (h_ix, a_ix, f_ix, b_ix)
 
     report.sweep(
         "twisted-bimodule.sandwich",
@@ -792,7 +786,7 @@ def check_sigma_twisted_module_calculus(
                 rhs = rhs + b_calc.right_act_vec(
                     b_calc.left_act_vec(s.sigma(x1, y1), middle), s.sigma_inv(x3, y3)
                 ).scale(c1 * c2)
-        return lhs == rhs, _w(h_ix, k_ix, f_ix)
+        return lhs == rhs, (h_ix, k_ix, f_ix)
 
     report.sweep(
         "twisted-bimodule.twist",
@@ -891,7 +885,7 @@ def sigma_forces_zero_differential(
                     span.add(padded)
 
     def forced(k_ix):
-        return span.contains(E(word(unit_ix, k_ix, unit_ix))), format_index(k_ix)
+        return span.contains(E(word(unit_ix, k_ix, unit_ix))), (k_ix,)
 
     report.sweep("sigma-forces-zero", window_basis, forced, windowed=True)
     return report

@@ -212,12 +212,6 @@ def _flatten_right(v: FreeVector) -> FreeVector:
     return v.map_indices(lambda ix: ("@3", ix[1], ix[2][1], ix[2][2]))
 
 
-def _pair_witness(*elements) -> str:
-    return " ; ".join(
-        e.to_text() if isinstance(e, FreeVector) else format_index(e) for e in elements
-    )
-
-
 def check_algebra_axioms(alg: AlgebraPresentation, report: CheckReport, window: int | None = None, prefix: str = ""):
     basis = alg.basis.enumerate(window)
     windowed = not alg.basis.is_finite
@@ -226,7 +220,7 @@ def check_algebra_axioms(alg: AlgebraPresentation, report: CheckReport, window: 
         i, j, k = triple
         left = alg.mult_vec(alg.mult(i, j), FreeVector.basis(k))
         right = alg.mult_vec(FreeVector.basis(i), alg.mult(j, k))
-        return left == right, _pair_witness(i, j, k)
+        return left == right, (i, j, k)
 
     report.sweep(
         prefix + "algebra.assoc",
@@ -238,7 +232,7 @@ def check_algebra_axioms(alg: AlgebraPresentation, report: CheckReport, window: 
     def unital(ix):
         e = FreeVector.basis(ix)
         ok = alg.mult_vec(alg.unit, e) == e and alg.mult_vec(e, alg.unit) == e
-        return ok, format_index(ix)
+        return ok, (ix,)
 
     report.sweep(prefix + "algebra.unit", basis, unital, windowed=windowed)
 
@@ -261,7 +255,7 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
             _, i, j = pair_ix
             lhs = lhs + h.comul(i).tensor(FreeVector.basis(j)).scale(c)
             rhs = rhs + FreeVector.basis(i).tensor(h.comul(j)).scale(c)
-        return _flatten_left(lhs) == _flatten_right(rhs), format_index(ix)
+        return _flatten_left(lhs) == _flatten_right(rhs), (ix,)
 
     report.sweep("coalgebra.coassoc", basis, coassoc, windowed=windowed)
 
@@ -273,7 +267,7 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
             left = left + FreeVector.basis(j).scale(c * h.counit(i))
             right = right + FreeVector.basis(i).scale(c * h.counit(j))
         e = FreeVector.basis(ix)
-        return left == e and right == e, format_index(ix)
+        return left == e and right == e, (ix,)
 
     report.sweep("coalgebra.counit", basis, counit_law, windowed=windowed)
 
@@ -283,7 +277,7 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
         i, j = pair
         lhs = h.comul_vec(alg.mult(i, j))
         rhs = square.mult_vec(h.comul(i), h.comul(j))
-        return lhs == rhs, _pair_witness(i, j)
+        return lhs == rhs, (i, j)
 
     report.sweep(
         "bialgebra.comul-mult",
@@ -299,7 +293,7 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
         i, j = pair
         lhs = h.counit_vec(alg.mult(i, j))
         rhs = h.counit(i) * h.counit(j)
-        return lhs == rhs, _pair_witness(i, j)
+        return lhs == rhs, (i, j)
 
     report.sweep(
         "bialgebra.counit-mult",
@@ -317,14 +311,14 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
             left = left + alg.mult_vec(h.antipode(i), FreeVector.basis(j)).scale(c)
             right = right + alg.mult_vec(FreeVector.basis(i), h.antipode(j)).scale(c)
         expected = alg.unit.scale(h.counit(ix))
-        return left == expected and right == expected, format_index(ix)
+        return left == expected and right == expected, (ix,)
 
     report.sweep("hopf.antipode", basis, antipode_axiom, windowed=windowed)
 
     def antipode_inverse(ix):
         e = FreeVector.basis(ix)
         ok = h.antipode_inv(h.antipode(e)) == e and h.antipode(h.antipode_inv(e)) == e
-        return ok, format_index(ix)
+        return ok, (ix,)
 
     report.sweep("hopf.antipode-inverse", basis, antipode_inverse, windowed=windowed)
     return report
@@ -343,7 +337,7 @@ def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> Che
             _, a, hh = pair_ix
             lhs = lhs + m.coaction(a).tensor(FreeVector.basis(hh)).scale(c)
             rhs = rhs + FreeVector.basis(a).tensor(h.comul(hh)).scale(c)
-        return _flatten_left(lhs) == _flatten_right(rhs), format_index(ix)
+        return _flatten_left(lhs) == _flatten_right(rhs), (ix,)
 
     report.sweep("comodule.coassoc", basis, coassoc, windowed=windowed)
 
@@ -352,7 +346,7 @@ def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> Che
         for pair_ix, c in m.coaction(ix).terms.items():
             _, a, hh = pair_ix
             out = out + FreeVector.basis(a).scale(c * h.counit(hh))
-        return out == FreeVector.basis(ix), format_index(ix)
+        return out == FreeVector.basis(ix), (ix,)
 
     report.sweep("comodule.counit", basis, counital, windowed=windowed)
 
@@ -362,7 +356,7 @@ def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> Che
         i, j = pair
         lhs = m.coaction_vec(alg.mult(i, j))
         rhs = mixed.mult_vec(m.coaction(i), m.coaction(j))
-        return lhs == rhs, _pair_witness(i, j)
+        return lhs == rhs, (i, j)
 
     report.sweep(
         "comodule.algebra-map",
@@ -380,7 +374,7 @@ def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> Che
         def coinvariant(b_ix):
             v = fam.embed(b_ix)
             ok = m.coaction_vec(v) == v.tensor(h.algebra.unit)
-            return ok, format_index(b_ix)
+            return ok, (b_ix,)
 
         report.sweep(
             "comodule.coinvariants",
@@ -401,7 +395,6 @@ def compute_coinvariants(m: ComoduleAlgebra, name: str = "") -> CoinvariantFamil
 
     kernel, _ = kernel_image(LinOp(defect), basis)
     vectors = kernel.basis()
-    solver = Subspace(vectors)
     labels = [("coinv", i) for i in range(len(vectors))]
     table = dict(zip(labels, vectors))
 
@@ -420,7 +413,8 @@ def compute_coinvariants(m: ComoduleAlgebra, name: str = "") -> CoinvariantFamil
     unit = solve_linear(LinOp(lambda ix: table[ix]), m.algebra.unit, labels)
     if isinstance(unit, NoSolution):
         raise ValueError("unit is not coinvariant")
-    assert solver.dim == len(vectors)
+    if Subspace(vectors).dim != len(vectors):
+        raise RuntimeError("coinvariant basis is not independent")
     algebra = AlgebraPresentation(
         name=name or f"{m.algebra.name}^co",
         basis=BasisFamily(indices=labels),

@@ -21,7 +21,6 @@ __all__ = [
     "LinOp",
     "Subspace",
     "NoSolution",
-    "vector_ops",
     "kernel_image",
     "solve_linear",
     "quotient_basis",
@@ -168,17 +167,6 @@ _ZERO = FreeVector.__new__(FreeVector)
 object.__setattr__(_ZERO, "terms", {})
 
 
-def vector_ops(v: FreeVector, w: FreeVector | None = None, c: CycScalar | None = None, op: str = "add") -> FreeVector:
-    """Dispatch over the basic vector operations by name."""
-    if op == "add":
-        return v + w
-    if op == "scale":
-        return v.scale(c)
-    if op == "tensor":
-        return v.tensor(w)
-    raise ValueError(f"unknown vector operation {op!r}")
-
-
 class LinOp:
     """A linear operator given by its action on basis indices."""
 
@@ -195,9 +183,6 @@ class LinOp:
             return out
         return self.action(arg)
 
-    def then(self, other: "LinOp") -> "LinOp":
-        return LinOp(lambda ix: other(self.action(ix)), name=f"{other.name}.{self.name}")
-
     def columns(self, domain: Iterable[Index]) -> list[FreeVector]:
         """Images of the domain basis, cached per domain tuple (the exact matrix)."""
         key = tuple(domain)
@@ -206,32 +191,25 @@ class LinOp:
         return self._matrix_cache[key]
 
     @staticmethod
-    def identity() -> "LinOp":
-        return LinOp(lambda ix: FreeVector.basis(ix), name="id")
-
-    @staticmethod
     def zero() -> "LinOp":
         return LinOp(lambda ix: FreeVector.zero(), name="0")
 
 
 class _Echelon:
-    """Reduced echelon rows with deterministic smallest-index pivots."""
+    """Reduced echelon rows with deterministic smallest-index pivots.
+
+    A row may carry a track: a vector that the caller keeps in step with
+    the row through every row operation, such as the domain combination
+    that a solver's image row comes from.  Inserts either all carry a
+    track or none do.
+    """
 
     def __init__(self):
         self.rows = {}  # pivot index -> monic FreeVector row
+        self.tracks = {}  # pivot index -> track of that row
 
-    def reduce(self, v: FreeVector) -> FreeVector:
-        while True:
-            hit = None
-            for ix in v.terms:
-                if ix in self.rows:
-                    hit = ix
-                    break
-            if hit is None:
-                return v
-            v = v - self.rows[hit].scale(v.terms[hit])
-
-    def reduce_tracked(self, v, track):
+    def reduce(self, v: FreeVector, track: Optional[FreeVector] = None):
+        """(v minus its components along the rows, track reduced alike)."""
         while True:
             hit = None
             for ix in v.terms:
@@ -242,20 +220,29 @@ class _Echelon:
                 return v, track
             c = v.terms[hit]
             v = v - self.rows[hit].scale(c)
-            track = track - self._tracks[hit].scale(c)
+            if track is not None:
+                track = track - self.tracks[hit].scale(c)
 
-    def insert(self, v: FreeVector) -> bool:
-        v = self.reduce(v)
+    def insert(self, v: FreeVector, track: Optional[FreeVector] = None) -> bool:
+        """Grow the rows by v; False if v was dependent."""
+        v, track = self.reduce(v, track)
         if v.is_zero():
             return False
         pivot = v.leading_index()
-        row = v.scale(v.terms[pivot].inverse())
+        inv = v.terms[pivot].inverse()
+        row = v.scale(inv)
+        if track is not None:
+            track = track.scale(inv)
         # keep reduced form: eliminate the new pivot from existing rows
         for p in list(self.rows):
             c = self.rows[p].terms.get(pivot)
             if c is not None:
                 self.rows[p] = self.rows[p] - row.scale(c)
+                if track is not None:
+                    self.tracks[p] = self.tracks[p] - track.scale(c)
         self.rows[pivot] = row
+        if track is not None:
+            self.tracks[pivot] = track
         return True
 
     @property
@@ -286,10 +273,10 @@ class Subspace:
         return sorted(self._ech.rows, key=index_sort_key)
 
     def contains(self, v: FreeVector) -> bool:
-        return self._ech.reduce(v).is_zero()
+        return self._ech.reduce(v)[0].is_zero()
 
     def reduce(self, v: FreeVector) -> FreeVector:
-        return self._ech.reduce(v)
+        return self._ech.reduce(v)[0]
 
     def add(self, v: FreeVector) -> bool:
         """Grow the span; True if v was independent."""
@@ -319,47 +306,31 @@ class NoSolution:
 NO_SOLUTION = NoSolution()
 
 
-def _eliminate_tracked(columns: list[FreeVector], domain: list[Index]):
-    """Echelon of the given columns while tracking domain combinations.
-
-    Returns (echelon, kernel_vectors); echelon rows carry tracks giving,
-    for each image row, a domain combination mapping onto it.
-    """
-    ech = _Echelon()
-    ech._tracks = {}
-    kernel = []
-    for ix, col in zip(domain, columns):
-        v, track = ech.reduce_tracked(col, FreeVector.basis(ix))
-        if v.is_zero():
-            kernel.append(track)
-            continue
-        pivot = v.leading_index()
-        inv = v.terms[pivot].inverse()
-        row, tr = v.scale(inv), track.scale(inv)
-        for p in list(ech.rows):
-            c = ech.rows[p].terms.get(pivot)
-            if c is not None:
-                ech.rows[p] = ech.rows[p] - row.scale(c)
-                ech._tracks[p] = ech._tracks[p] - tr.scale(c)
-        ech.rows[pivot] = row
-        ech._tracks[pivot] = tr
-    return ech, kernel
-
-
 class LinearSolver:
-    """One elimination of f on a fixed domain, reused across many solves."""
+    """One elimination of f on a fixed domain, reused across many solves.
+
+    Each echelon row tracks a domain combination that f maps onto it.
+    """
 
     def __init__(self, f: LinOp, domain: Iterable[Index]):
         self.f = f
         self.domain = sorted(domain, key=index_sort_key)
-        self._ech, self._kernel = _eliminate_tracked(f.columns(self.domain), self.domain)
+        self._ech = _Echelon()
+        self._kernel = []
+        for ix, col in zip(self.domain, f.columns(self.domain)):
+            residual, track = self._ech.reduce(col, FreeVector.basis(ix))
+            if residual.is_zero():
+                self._kernel.append(track)
+            else:
+                self._ech.insert(residual, track)
 
     def solve(self, target: FreeVector):
-        residual, track = self._ech.reduce_tracked(target, FreeVector.zero())
+        residual, track = self._ech.reduce(target, FreeVector.zero())
         if not residual.is_zero():
             return NO_SOLUTION
         solution = -track
-        assert self.f(solution) == target, "solver post-condition violated"
+        if self.f(solution) != target:
+            raise RuntimeError("solver post-condition violated")
         return solution
 
     def kernel(self) -> Subspace:
@@ -374,37 +345,27 @@ class LinearSolver:
 
 
 class TrackedSpan:
-    """Incrementally grown span with exact coordinates over inserted labels."""
+    """Incrementally grown span with exact coordinates over inserted labels.
+
+    Each echelon row tracks the label combination it is made of.
+    """
 
     def __init__(self):
         self._ech = _Echelon()
-        self._ech._tracks = {}
         self.labels: list[Index] = []
         self.vectors: dict[Index, FreeVector] = {}
 
     def add(self, label: Index, v: FreeVector) -> bool:
         """Insert v under the given label; False if v was dependent."""
-        got, track = self._ech.reduce_tracked(v, FreeVector.zero())
-        if got.is_zero():
+        if not self._ech.insert(v, FreeVector.basis(label)):
             return False
-        pivot = got.leading_index()
-        inv = got.terms[pivot].inverse()
-        row = got.scale(inv)
-        tr = (track + FreeVector.basis(label)).scale(inv)
-        for p in list(self._ech.rows):
-            c = self._ech.rows[p].terms.get(pivot)
-            if c is not None:
-                self._ech.rows[p] = self._ech.rows[p] - row.scale(c)
-                self._ech._tracks[p] = self._ech._tracks[p] - tr.scale(c)
-        self._ech.rows[pivot] = row
-        self._ech._tracks[pivot] = tr
         self.labels.append(label)
         self.vectors[label] = v
         return True
 
     def express(self, v: FreeVector):
         """Coordinates of v over the inserted labels, or NoSolution."""
-        residual, track = self._ech.reduce_tracked(v, FreeVector.zero())
+        residual, track = self._ech.reduce(v, FreeVector.zero())
         if not residual.is_zero():
             return NO_SOLUTION
         return -track
@@ -460,26 +421,11 @@ class QuotientSpace:
         self.sub = sub
         self.cls_tag = cls_tag
         self._rep_ech = _Echelon()
-        self._rep_ech._tracks = {}
         self.representatives = []
         for v in space_vectors:
             reduced = sub.reduce(v)
-            pos = len(self.representatives)
-            got, track = self._rep_ech.reduce_tracked(reduced, FreeVector.zero())
-            if got.is_zero():
-                continue
-            pivot = got.leading_index()
-            inv = got.terms[pivot].inverse()
-            row = got.scale(inv)
-            tr = (track + FreeVector.basis((cls_tag, pos))).scale(inv)
-            for p in list(self._rep_ech.rows):
-                c = self._rep_ech.rows[p].terms.get(pivot)
-                if c is not None:
-                    self._rep_ech.rows[p] = self._rep_ech.rows[p] - row.scale(c)
-                    self._rep_ech._tracks[p] = self._rep_ech._tracks[p] - tr.scale(c)
-            self._rep_ech.rows[pivot] = row
-            self._rep_ech._tracks[pivot] = tr
-            self.representatives.append(reduced)
+            if self._rep_ech.insert(reduced, FreeVector.basis((cls_tag, len(self.representatives)))):
+                self.representatives.append(reduced)
 
     @property
     def dim(self) -> int:
@@ -491,7 +437,7 @@ class QuotientSpace:
     def project(self, v: FreeVector) -> FreeVector:
         """Class of v as a combination of class indices; v must lie in the space."""
         reduced = self.sub.reduce(v)
-        residual, track = self._rep_ech.reduce_tracked(reduced, FreeVector.zero())
+        residual, track = self._rep_ech.reduce(reduced, FreeVector.zero())
         if not residual.is_zero():
             raise ValueError("vector outside the presented space")
         return -track
@@ -509,21 +455,3 @@ def intersection_dim(u: Subspace, v: Subspace) -> int:
     for row in v.basis():
         combined.add(row)
     return u.dim + v.dim - combined.dim
-
-
-def matrix_strings(f: LinOp, domain: Iterable[Index]) -> tuple[list[Index], list[list[str]]]:
-    """Exact matrix of f on the domain as scalar strings, row-major over
-    the sorted codomain indices (for report JSON)."""
-    domain = sorted(domain, key=index_sort_key)
-    columns = f.columns(domain)
-    codomain = sorted({ix for col in columns for ix in col.terms}, key=index_sort_key)
-    rows = [[col.coeff(out_ix).to_text() for col in columns] for out_ix in codomain]
-    return codomain, rows
-
-
-def z_window(window: int) -> list[int]:
-    return list(range(-window, window + 1))
-
-
-def z2_window(window: int) -> list[tuple[int, int]]:
-    return [(m, n) for m in z_window(window) for n in z_window(window)]

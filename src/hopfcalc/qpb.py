@@ -24,17 +24,11 @@ from hopfcalc.linalg import (
     format_index,
     tensor_index,
 )
-from hopfcalc.report import CheckReport
+from hopfcalc.report import CheckReport, witness
 from hopfcalc.scalars import CycScalar
 
 Index = tuple
 E = FreeVector.basis
-
-
-def _w(*parts) -> str:
-    return " ; ".join(
-        p.to_text() if isinstance(p, FreeVector) else format_index(p) for p in parts
-    )
 
 
 @dataclass
@@ -194,7 +188,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     def gp_identity(item):
         bx, hf = item
         v = ver(E(bx), E(hf))
-        return g_vec(p_vec(v)) == v, _w(bx, hf)
+        return g_vec(p_vec(v)) == v, (bx, hf)
 
     report.sweep(
         "vertical.g-after-p",
@@ -208,7 +202,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     def pg_identity(item):
         pair_ix, label = item
         v = E(tensor_index(pair_ix, label))
-        return p_vec(g_vec(v)) == v, _w(pair_ix, label)
+        return p_vec(g_vec(v)) == v, (pair_ix, label)
 
     report.sweep(
         "vertical.p-after-g",
@@ -228,7 +222,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
             moved = cf.crossed.algebra.mult(pair_ix, inner_pair)
             for jx, cj in moved.terms.items():
                 rhs = rhs + E(tensor_index(jx, label)).scale(c * cj)
-        return lhs == rhs, _w(pair_ix, form_ix)
+        return lhs == rhs, (pair_ix, form_ix)
 
     report.sweep(
         "vertical.left-linear",
@@ -257,7 +251,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
                         rhs = rhs + E(
                             tensor_index(tensor_index(tensor_index(bx, h1), lab), t_ix)
                         ).scale(c * c2 * c3 * ct)
-        return lhs.map_indices(_flatten_target) == rhs.map_indices(_flatten_target), format_index(form_ix)
+        return lhs.map_indices(_flatten_target) == rhs.map_indices(_flatten_target), (form_ix,)
 
     report.sweep("vertical.right-colinear", form_basis, colinear, windowed=windowed)
     return vd
@@ -274,7 +268,7 @@ def _coinvariant_coaction(cf: CrossedFodc, coinv: CoinvariantForms, report: Chec
     """Right coaction restricted to the coinvariant forms, expressed over
     the coinvariant labels; records a check that they are stable."""
     table = {}
-    ok, witness = True, None
+    ok, unstable = True, None
     for label in coinv.labels:
         out = FreeVector.zero()
         for pair, c in cf.h_calc.rho_vec(coinv.vectors[label]).terms.items():
@@ -295,11 +289,11 @@ def _coinvariant_coaction(cf: CrossedFodc, coinv: CoinvariantForms, report: Chec
             for lab, cc in coeffs.terms.items():
                 expressed = expressed + E(tensor_index(lab, h1)).scale(cc)
         if not stable:
-            ok, witness = False, format_index(label)
+            ok, unstable = False, witness(label)
             table[label] = FreeVector.zero()
         else:
             table[label] = expressed
-    report.record("vertical.coinvariants-rho-stable", ok, witness=witness, windowed=windowed)
+    report.record("vertical.coinvariants-rho-stable", ok, witness=unstable, windowed=windowed)
     return table
 
 
@@ -321,12 +315,12 @@ def check_atiyah_exact(
     solver = LinearSolver(LinOp(lambda ix: vd.ver(E(ix))), form_basis)
     kernel = solver.kernel()
     hor_indices = set(cf.horizontal_window(window))
-    ker_in_hor, witness = True, None
+    ker_in_hor, outside = True, None
     for vec in kernel.basis():
         if any(ix not in hor_indices and ix[0] != "hor" for ix in vec.support()):
-            ker_in_hor, witness = False, vec.to_text()
+            ker_in_hor, outside = False, witness(vec)
             break
-    report.record("atiyah.kernel-in-horizontal", ker_in_hor, witness=witness, windowed=windowed)
+    report.record("atiyah.kernel-in-horizontal", ker_in_hor, witness=outside, windowed=windowed)
     hor_in_ker = all(vd.ver(E(ix)).is_zero() for ix in cf.horizontal_window(window))
     report.record("atiyah.horizontal-in-kernel", hor_in_ker, windowed=windowed)
     if not windowed:
@@ -340,7 +334,7 @@ def check_atiyah_exact(
     target = vd.target_basis(window)
 
     def onto(ix):
-        return vd.ver(vd.g(E(ix))) == E(ix), format_index(ix)
+        return vd.ver(vd.g(E(ix))) == E(ix), (ix,)
 
     report.sweep("atiyah.surjective-via-section", target, onto, windowed=windowed)
 
@@ -430,7 +424,7 @@ def check_atiyah_exact(
                 out = FreeVector.zero()
                 for gixx, c in g_n(ix).terms.items():
                     out = out + ver_n(gixx).scale(c)
-                return out == E(ix), format_index(ix)
+                return out == E(ix), (ix,)
 
             report.sweep(f"atiyah.degree-{degree}.surjective", target_n, onto_n, windowed=windowed)
     return report
@@ -463,7 +457,7 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
     a_basis = cf.crossed.algebra.basis.enumerate(window)
 
     def splitting(ix):
-        return vd.ver(c_map(E(ix))) == E(ix), format_index(ix)
+        return vd.ver(c_map(E(ix))) == E(ix), (ix,)
 
     report.sweep("connection.splits-ver", target, splitting, windowed=windowed)
 
@@ -475,7 +469,7 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
             moved = moved + E(tensor_index(jx, label)).scale(cj)
         lhs = c_map(moved)
         rhs = cf.left_act_vec(E(pair_ix), c_map(E(t_ix)))
-        return lhs == rhs, _w(pair_ix, t_ix)
+        return lhs == rhs, (pair_ix, t_ix)
 
     report.sweep(
         "connection.left-linear",
@@ -498,7 +492,7 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
                 for t_ix2, ct in h.algebra.mult(h2, h3).terms.items():
                     for f_ix, cfm in inner.terms.items():
                         rhs = rhs + E(("vt2", f_ix, t_ix2)).scale(c2 * c3 * ct * cfm)
-        return lhs == rhs, format_index(t_ix)
+        return lhs == rhs, (t_ix,)
 
     report.sweep("connection.right-colinear", target, colinear, windowed=windowed)
 
@@ -510,7 +504,7 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
         d_val = cf.d(tensor_index(bx, hx))
         got = d_val - c_map(vd.ver(d_val))
         expected = hor(cf.b_calc.d(bx), E(hx))
-        return got == expected, _w(bx, hx)
+        return got == expected, (bx, hx)
 
     report.sweep(
         "connection.strong",
@@ -534,7 +528,7 @@ def check_connection(vd: VerticalData, connection: Connection, window: int | Non
     report.sweep(
         "connection.splits-ver",
         target,
-        lambda ix: (vd.ver(connection.c(E(ix))) == E(ix), format_index(ix)),
+        lambda ix: (vd.ver(connection.c(E(ix))) == E(ix), (ix,)),
         windowed=windowed,
     )
 
@@ -546,7 +540,7 @@ def check_connection(vd: VerticalData, connection: Connection, window: int | Non
             moved = moved + E(tensor_index(jx, label)).scale(cj)
         lhs = connection.c(moved)
         rhs = cf.left_act_vec(E(pair_ix), connection.c(E(t_ix)))
-        return lhs == rhs, _w(pair_ix, t_ix)
+        return lhs == rhs, (pair_ix, t_ix)
 
     report.sweep(
         "connection.left-linear",
@@ -562,7 +556,7 @@ def check_connection(vd: VerticalData, connection: Connection, window: int | Non
         pi = connection.c(v)
         idempotent = connection.c(vd.ver(pi)) == pi
         horizontal_killed = pi.is_zero() if v.is_zero() else True
-        return idempotent and horizontal_killed, format_index(form_ix)
+        return idempotent and horizontal_killed, (form_ix,)
 
     report.sweep("connection.projector", form_basis, projector, windowed=windowed)
 
@@ -749,7 +743,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         b_ix, e_label = item
         lhs = nabla_vec(b_act_left(b_ix, e_label))
         rhs = to_balanced(cf.b_calc.d(b_ix), E(e_label)) + balanced_left_act(b_ix, nabla(e_label))
-        return lhs == rhs, _w(b_ix, e_label)
+        return lhs == rhs, (b_ix, e_label)
 
     report.sweep(
         "derivative.left-leibniz",
@@ -764,7 +758,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         for f_ix, c in cf.b_calc.d(b_ix).terms.items():
             sigma_part = sigma_part + sigma_e(e_label, f_ix).scale(c)
         rhs = sigma_part + balanced_right_act(nabla(e_label), b_ix)
-        return lhs == rhs, _w(e_label, b_ix)
+        return lhs == rhs, (e_label, b_ix)
 
     report.sweep(
         "derivative.right-leibniz",
@@ -784,7 +778,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         for f2, c2 in cf.b_calc.right_act(f_ix, b_ix).terms.items():
             rhs2 = rhs2 + sigma_e(e_label, f2).scale(c2)
         ok2 = lhs2 == rhs2
-        return ok1 and ok2, _w(b_ix, e_label, f_ix)
+        return ok1 and ok2, (b_ix, e_label, f_ix)
 
     report.sweep(
         "derivative.sigma-bimodule",
@@ -800,7 +794,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         rhs = FreeVector.zero()
         for f2, c2 in cf.b_calc.left_act(b_ix, f_ix).terms.items():
             rhs = rhs + sigma_e(e_label, f2).scale(c2)
-        return lhs == rhs, _w(e_label, b_ix, f_ix)
+        return lhs == rhs, (e_label, b_ix, f_ix)
 
     report.sweep(
         "derivative.sigma-balanced",
@@ -815,7 +809,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         direct = FreeVector.zero()
         for f_ix, c in cf.b_calc.d(b_ix).terms.items():
             direct = direct + sigma_e(e_label, f_ix).scale(c)
-        return rebuilt == direct, _w(e_label, b_ix)
+        return rebuilt == direct, (e_label, b_ix)
 
     report.sweep(
         "derivative.sigma-unique",
@@ -832,19 +826,19 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
             horizontal = d_val - vd.g(vd.ver(d_val))
             for f_ix, cfm in horizontal.terms.items():
                 if f_ix[0] != "hor":
-                    return None, format_index(e_label)
+                    return None, (e_label,)
                 _, bf, hx = f_ix
                 section = e_span.express(E(tensor_index(tensor_index(_unit_b_index(cp), hx), v_ix)))
                 if isinstance(section, NoSolution):
-                    return None, format_index(e_label)
+                    return None, (e_label,)
                 out = out + to_balanced(E(bf), section).scale(c * cfm)
         return out, None
 
     def connection_route(e_label):
-        got, witness = via_connection(e_label)
+        got, parts = via_connection(e_label)
         if got is None:
-            return False, witness
-        return got == nabla(e_label), format_index(e_label)
+            return False, parts
+        return got == nabla(e_label), (e_label,)
 
     report.sweep("derivative.via-connection", e_labels, connection_route)
     return data
@@ -938,7 +932,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
     def dual_pairing(item):
         tan, coh = item
         want = CycScalar.one() if tan[1] == coh[1] else CycScalar.zero()
-        return tangent.pair(tan, coh) == want, _w(tan, coh)
+        return tangent.pair(tan, coh) == want, (tan, coh)
 
     report.sweep(
         "tangent.dual-pairing",
@@ -957,7 +951,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
         for pair_ix, c in coaction_raw[coh].terms.items():
             _, lab, h_ix = pair_ix
             rhs = rhs + h.antipode_inv(h_ix).scale(c * tangent.pair(tan, lab))
-        return lhs == rhs, _w(tan, coh)
+        return lhs == rhs, (tan, coh)
 
     report.sweep(
         "tangent.coaction-defining-equation",
@@ -982,7 +976,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
 
     def vanishes_horizontally(item):
         tan, hor_ix = item
-        return fields[tan](E(hor_ix)).is_zero(), _w(tan, hor_ix)
+        return fields[tan](E(hor_ix)).is_zero(), (tan, hor_ix)
 
     report.sweep(
         "field.vertical",
@@ -998,7 +992,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
         lifted = ver(cf.crossed.base.unit, coinv.lift(E(coh)))
         got = fields[tan](lifted)
         want = E(unit_pair).scale(tangent.pair(tan, coh))
-        return got == want, _w(tan, coh)
+        return got == want, (tan, coh)
 
     report.sweep(
         "field.normalization",
@@ -1013,7 +1007,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
         tan, pair_ix, form_ix = item
         lhs = fields[tan](cf.left_act(pair_ix, form_ix))
         rhs = cf.crossed.algebra.mult_vec(E(pair_ix), fields[tan](E(form_ix)))
-        return lhs == rhs, _w(tan, pair_ix, form_ix)
+        return lhs == rhs, (tan, pair_ix, form_ix)
 
     report.sweep(
         "field.left-linear",
@@ -1031,7 +1025,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
         for ix, c in vd.ver(E(form_ix)).terms.items():
             _, pair_ix, label = ix
             rebuilt = rebuilt + E(pair_ix).scale(c * tangent.pair(tan, label))
-        return direct == rebuilt, _w(tan, form_ix)
+        return direct == rebuilt, (tan, form_ix)
 
     report.sweep(
         "field.unique",
@@ -1089,7 +1083,7 @@ def connection_form_bijection(
                 if ix[0] == "ver":
                     got = got + E(ix).scale(c)
             want = ver(cf.crossed.base.unit, vd.coinv.lift(E(("coh", tan[1]))))
-            return got == want, format_index(tan)
+            return got == want, (tan,)
 
         report.sweep(f"{tag}.vertical-projection", tangent.labels, ver_projection)
 
@@ -1125,7 +1119,7 @@ def connection_form_bijection(
         target = vd.target_basis(window)
 
         def roundtrip(ix):
-            return back.c(E(ix)) == connection.c(E(ix)), format_index(ix)
+            return back.c(E(ix)) == connection.c(E(ix)), (ix,)
 
         report.sweep("roundtrip.connection", target, roundtrip, windowed=windowed)
         return phi, report
@@ -1140,7 +1134,7 @@ def connection_form_bijection(
     phi2 = to_form(back.c)
 
     def roundtrip_form(tan):
-        return phi2.coeffs[tan] == form.coeffs[tan], format_index(tan)
+        return phi2.coeffs[tan] == form.coeffs[tan], (tan,)
 
     report.sweep("roundtrip.form", tangent.labels, roundtrip_form)
     return back, report

@@ -5,12 +5,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from hopfcalc.linalg import FreeVector, format_index
+
 PASS = "pass"
 FAIL = "fail"
 WINDOWED = "window-verified"
 SAMPLED = "sampled"
 
 _STATUSES = {PASS, FAIL, WINDOWED, SAMPLED}
+
+
+def witness(*parts) -> str:
+    """Witness text: vectors as linear combinations, anything else as an
+    index, separated by ``" ; "``."""
+    return " ; ".join(
+        p.to_text() if isinstance(p, FreeVector) else format_index(p) for p in parts
+    )
 
 
 @dataclass
@@ -44,11 +54,12 @@ class CheckReport:
         return self.add(identity, WINDOWED if windowed else PASS, witness)
 
     def sweep(self, identity: str, items, test, windowed: bool = False, sampled: bool = False):
-        """Run test over items; first failure becomes the witness."""
+        """Run test over items; test returns (ok, witness parts), and the
+        parts of the first failure are formatted into the witness."""
         for item in items:
-            ok, witness = test(item)
+            ok, parts = test(item)
             if not ok:
-                return self.add(identity, FAIL, witness)
+                return self.add(identity, FAIL, witness(*parts))
         return self.record(identity, True, windowed=windowed, sampled=sampled)
 
     def extend(self, other: "CheckReport", prefix: str = ""):

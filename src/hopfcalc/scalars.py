@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-__all__ = ["CycScalar", "root_of_unity", "scalar_arith", "parse_scalar"]
+__all__ = ["CycScalar", "root_of_unity", "parse_scalar"]
 
 
 def _poly_trim(p):
@@ -58,7 +58,8 @@ def cyclotomic_polynomial(order: int) -> tuple[Fraction, ...]:
     for d in range(1, order):
         if order % d == 0:
             q, r = _poly_divmod(p, list(cyclotomic_polynomial(d)))
-            assert not r, "cyclotomic division must be exact"
+            if r:
+                raise ArithmeticError("cyclotomic division must be exact")
             p = q
     return tuple(p)
 
@@ -307,19 +308,6 @@ def multiplicative_order(s: CycScalar, bound: int | None = None) -> int | None:
             return k
         acc = acc * s
     return None
-
-
-def scalar_arith(a: CycScalar, b: CycScalar, op: str) -> CycScalar:
-    """Field operation dispatch; div raises ZeroDivisionError on b = 0."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown scalar operation {op!r}")
 
 
 _TERM_RE = re.compile(
