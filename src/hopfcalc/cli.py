@@ -92,6 +92,9 @@ def run(argv=None) -> int:
     example = args.example
 
     if args.command == "cohomology":
+        if args.max_degree < 0:
+            sys.stderr.write(f"error: --max-degree must be at least 0, got {args.max_degree}\n")
+            return 2
         try:
             dims, window = cohomology_dims(example, params)
         except ValueError as err:

@@ -100,13 +100,6 @@ class CrossedFodc:
             for hx in self.crossed.hopf.algebra.basis.enumerate(window)
         ]
 
-    def vertical_window(self, window: int | None) -> list[Index]:
-        return [
-            ("ver", bx, hf)
-            for bx in self.crossed.base.basis.enumerate(window)
-            for hf in self.h_calc.forms.enumerate(window)
-        ]
-
 
 def _memo2(fn):
     cache = {}
@@ -476,14 +469,6 @@ def necessity_dsigma(
             witness=f"Leibniz fails at ({format_index(hx)}, {format_index(hy)}): defect {value.to_text()}",
         )
     return report
-
-
-def necessity_witness_pair(report: CheckReport):
-    """The (h, h') pair named by the necessity check, if one was found."""
-    check = report.get("necessity-witness")
-    if check.witness and check.witness.startswith("Leibniz fails at "):
-        return check.witness
-    return None
 
 
 # ---------------------------------------------------------------------------

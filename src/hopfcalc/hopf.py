@@ -152,9 +152,6 @@ class HopfData:
                 acc[tup] = prod if prev is None else prev + prod
         return [(c, t) for t, c in acc.items() if not c.is_zero()]
 
-    def is_group_like(self, ix: Index) -> bool:
-        return self.comul(ix) == FreeVector.basis(tensor_index(ix, ix))
-
 
 @dataclass
 class CoinvariantFamily:
@@ -163,12 +160,6 @@ class CoinvariantFamily:
     algebra: AlgebraPresentation
     embed: Callable[[Index], FreeVector]
     declared: bool = True
-
-    def embed_vec(self, v: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for ix, c in v.terms.items():
-            out = out + self.embed(ix).scale(c)
-        return out
 
 
 @dataclass

@@ -877,12 +877,6 @@ class TangentSpace:
             else CycScalar.zero()
         )
 
-    def evaluate(self, tan_label: Index, coeffs: FreeVector) -> CycScalar:
-        total = CycScalar.zero()
-        for label, c in coeffs.terms.items():
-            total = total + self.pair(tan_label, label) * c
-        return total
-
 
 def tangent_and_fields(vd: VerticalData, window: int | None = None):
     """Dual basis of the coinvariant forms with its induced coaction, and

@@ -184,3 +184,28 @@ def test_cohomology_torus_windowed(capsys):
     # (the q-integer [n] vanishes only at n = 0 on this window)
     assert payload["dims"] == {"H0": 7, "H1": 7, "H2": 0}
     assert payload["window"] == 3
+
+
+def test_zero_denominator_in_hopf_file_is_a_usage_error(tmp_path, capsys):
+    text = render_structure_constants(build_cyclic_group_algebra(4))
+    text = text.replace("MUL 3 3 -> 2 : 1", "MUL 3 3 -> 2 : 1/0")
+    assert "1/0" in text
+    path = tmp_path / "zero-denominator.hopf"
+    path.write_text(text)
+    code, out, err = invoke(capsys, ["verify", "user-hopf", "--file", str(path)])
+    assert code == 2
+    assert "'1/0'" in err
+    assert "Traceback" not in err
+
+
+def test_negative_max_degree_is_a_usage_error(capsys, monkeypatch):
+    import hopfcalc.cli
+
+    def no_build(*args):
+        raise AssertionError("an instance was built for an invalid --max-degree")
+
+    monkeypatch.setattr(hopfcalc.cli, "cohomology_dims", no_build)
+    code, out, err = invoke(capsys, ["cohomology", "radford", "--max-degree", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "--max-degree" in err

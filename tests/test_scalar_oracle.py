@@ -1,0 +1,95 @@
+"""Differential test of hopfcalc.scalars against the frozen scalar_oracle.
+
+Every closed-form path of the scalar layer (rational operands, monomials
+c*zeta^k) must give the same order, the same reduced coefficients (all
+Fractions) and the same text as the dense implementation it replaced.
+Operands are biased towards the shapes those paths select on.
+"""
+
+from fractions import Fraction
+
+import scalar_oracle as oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfcalc.scalars import CycScalar
+
+ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
+# pairs whose orders do not divide each other, plus the common embeddings
+ORDER_PAIRS = [(3, 4), (4, 3), (4, 6), (6, 4), (2, 3), (8, 12), (1, 4), (4, 8), (4, 4)]
+KINDS = ["unit", "unit", "rational", "monomial", "monomial", "dense", "number"]
+
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def operand(draw, order):
+    """(new, old) pair of equal values, or a plain number used as both."""
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "number":
+        value = draw(st.one_of(st.sampled_from([0, 1, -1, 2]), fractions))
+        return value, value
+    if kind == "unit":
+        value = oracle.CycScalar.from_rational(draw(st.sampled_from([1, -1])), order)
+    elif kind == "rational":
+        value = oracle.CycScalar.from_rational(draw(fractions), order)
+    elif kind == "monomial":
+        power = draw(st.integers(min_value=0, max_value=order - 1))
+        value = draw(fractions) * oracle.root_of_unity(order, power)
+    else:
+        deg = len(oracle.cyclotomic_polynomial(order)) - 1
+        value = oracle.CycScalar(order, draw(st.lists(fractions, min_size=deg, max_size=deg)))
+    return CycScalar(value.order, value.coeffs), value
+
+
+@st.composite
+def operand_pair(draw):
+    any_pair = st.tuples(st.sampled_from(ORDERS), st.sampled_from(ORDERS))
+    order_a, order_b = draw(st.one_of(st.sampled_from(ORDER_PAIRS), any_pair))
+    a = draw(operand(order_a))
+    if isinstance(a[0], (int, Fraction)):
+        a = (CycScalar.from_rational(a[0], order_a), oracle.CycScalar.from_rational(a[1], order_a))
+    return a, draw(operand(order_b))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def assert_same(new, old):
+    if old is ZeroDivisionError or isinstance(old, bool):
+        assert new == old
+        return
+    assert isinstance(new, CycScalar)
+    assert new.order == old.order
+    assert new.coeffs == old.coeffs
+    assert all(type(c) is Fraction for c in new.coeffs)
+    assert new.to_text() == old.to_text()
+
+
+BINARY = [
+    lambda x, y: x + y,
+    lambda x, y: x - y,
+    lambda x, y: x * y,
+    lambda x, y: x / y,
+    lambda x, y: x == y,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pair(), st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3]))
+def test_scalars_match_the_frozen_oracle(pair, exponent, step):
+    (a, a_old), (b, b_old) = pair
+    for op in BINARY:
+        assert_same(outcome(op, a, b), outcome(op, a_old, b_old))
+        assert_same(outcome(op, b, a), outcome(op, b_old, a_old))
+    for x, x_old in ((a, a_old), (b, b_old)):
+        if not isinstance(x, CycScalar):
+            continue
+        assert_same(outcome(x.inverse), outcome(x_old.inverse))
+        assert_same(outcome(pow, x, exponent), outcome(pow, x_old, exponent))
+        assert_same(x.to_order(x.order * step), x_old.to_order(x_old.order * step))
+        assert x.to_text() == x_old.to_text()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hopfcalc.scalars import (
     CycScalar,
+    _root,
     cyclotomic_polynomial,
     multiplicative_order,
     parse_scalar,
@@ -63,6 +64,13 @@ def test_roots_have_expected_order():
         for k, c in enumerate(phi):
             value = value + CycScalar.from_rational(c, m) * root_of_unity(m, k)
         assert value.is_zero()
+
+
+def test_root_of_unity_memo_is_bounded_by_the_order():
+    _root.cache_clear()
+    for k in range(-1000, 1001):
+        assert root_of_unity(8, k) == root_of_unity(8, k % 8)
+    assert _root.cache_info().currsize <= 8
 
 
 def test_multiplicative_order():
