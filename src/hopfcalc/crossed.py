@@ -31,6 +31,7 @@ from hopfcalc.linalg import (
     Subspace,
     format_index,
     kernel_image,
+    memoise_fields,
     tensor_index,
 )
 from hopfcalc.report import CheckReport, witness
@@ -41,6 +42,9 @@ Index = tuple
 @dataclass
 class Measure:
     act: Callable[[Index, Index], FreeVector]  # (H-basis, B-basis) -> B
+
+    def __post_init__(self):
+        memoise_fields(self, "act")
 
     def act_vec(self, hv: FreeVector, bv: FreeVector) -> FreeVector:
         out = FreeVector.zero()
@@ -54,6 +58,9 @@ class Measure:
 class Cocycle:
     sigma: Callable[[Index, Index], FreeVector]  # (H, H) -> B
     sigma_inv: Callable[[Index, Index], FreeVector]
+
+    def __post_init__(self):
+        memoise_fields(self, "sigma", "sigma_inv")
 
     def sigma_vec(self, hv: FreeVector, kv: FreeVector) -> FreeVector:
         out = FreeVector.zero()
@@ -82,11 +89,14 @@ def cocycle_from_sigma(sigma, b: AlgebraPresentation, h: HopfData, window: int |
     sq = tensor_square_coalgebra(h)
     h_basis = h.algebra.basis.enumerate(window)
     c_basis = [tensor_index(i, j) for i in h_basis for j in h_basis]
-    f = LinOp(lambda pair: sigma(pair[1], pair[2]), name="sigma")
+    # built first, so that the inversion below fills the memoised sigma;
+    # sigma_inv is only called after g is bound
+    cocycle = Cocycle(sigma=sigma, sigma_inv=lambda i, j: g(tensor_index(i, j)))
+    f = LinOp(lambda pair: cocycle.sigma(pair[1], pair[2]), name="sigma")
     g = convolution_inverse(f, sq, c_basis, b, window=window)
     if isinstance(g, NotInvertible):
         raise ValueError(f"cocycle is not convolution invertible at {g.element}")
-    return Cocycle(sigma=sigma, sigma_inv=lambda i, j: g(tensor_index(i, j)))
+    return cocycle
 
 
 def check_twisted_module_algebra(
@@ -352,41 +362,23 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     report = CheckReport(example=a.algebra.name, suite="cleft-to-crossed")
     E = FreeVector.basis
 
-    measure_cache: dict = {}
-
     def measure_act(hi, bi):
-        key = (hi, bi)
-        got = measure_cache.get(key)
-        if got is None:
-            value = FreeVector.zero()
-            for c, (h1, h2) in h.sweedler(hi, 2):
-                value = value + a.algebra.product(j(h1), embed(bi), j_inv(h2)).scale(c)
-            got = expressor.express(value)
-            if isinstance(got, NoSolution):
-                raise ValueError(
-                    f"derived measure leaves the coinvariants at {witness(hi, bi)}"
-                )
-            measure_cache[key] = got
+        value = FreeVector.zero()
+        for c, (h1, h2) in h.sweedler(hi, 2):
+            value = value + a.algebra.product(j(h1), embed(bi), j_inv(h2)).scale(c)
+        got = expressor.express(value)
+        if isinstance(got, NoSolution):
+            raise ValueError(f"derived measure leaves the coinvariants at {witness(hi, bi)}")
         return got
 
-    sigma_cache: dict = {}
-
     def sigma(hi, hj):
-        key = (hi, hj)
-        got = sigma_cache.get(key)
-        if got is None:
-            value = FreeVector.zero()
-            for c1, (h1, h2) in h.sweedler(hi, 2):
-                for c2, (k1, k2) in h.sweedler(hj, 2):
-                    value = value + a.algebra.product(
-                        j(h1), j(k1), j_inv(h.algebra.mult(h2, k2))
-                    ).scale(c1 * c2)
-            got = expressor.express(value)
-            if isinstance(got, NoSolution):
-                raise ValueError(
-                    f"derived cocycle value is not coinvariant at {witness(hi, hj)}"
-                )
-            sigma_cache[key] = got
+        value = FreeVector.zero()
+        for c1, (h1, h2) in h.sweedler(hi, 2):
+            for c2, (k1, k2) in h.sweedler(hj, 2):
+                value = value + a.algebra.product(j(h1), j(k1), j_inv(h.algebra.mult(h2, k2))).scale(c1 * c2)
+        got = expressor.express(value)
+        if isinstance(got, NoSolution):
+            raise ValueError(f"derived cocycle value is not coinvariant at {witness(hi, hj)}")
         return got
 
     h_basis_early = h.algebra.basis.enumerate(window)
@@ -403,7 +395,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     report.sweep("cleaving.colinear", h_basis_early, j_colinear, windowed=windowed_early)
 
     measure = Measure(act=measure_act)
-    cocycle = cocycle_from_sigma(lambda i, k: sigma(i, k), b, h, window=window)
+    cocycle = cocycle_from_sigma(sigma, b, h, window=window)
     crossed = build_crossed_product(b, h, measure, cocycle, window=window, name=f"{b.name}#s{h.name}")
 
     theta_cache: dict = {}

@@ -30,6 +30,7 @@ from hopfcalc.linalg import (
     TrackedSpan,
     format_index,
     intersection_dim,
+    memoise_fields,
     tensor_index,
 )
 from hopfcalc.report import CheckReport, witness
@@ -73,6 +74,9 @@ class CrossedFodc:
     right_coaction: Callable[[Index], FreeVector]
     d: LinOp
 
+    def __post_init__(self):
+        memoise_fields(self, "left_act", "right_act", "right_coaction")
+
     def left_act_vec(self, av: FreeVector, fv: FreeVector) -> FreeVector:
         out = FreeVector.zero()
         for a, ca in av.terms.items():
@@ -101,20 +105,6 @@ class CrossedFodc:
         ]
 
 
-def _memo2(fn):
-    cache = {}
-
-    def wrapped(i, j):
-        key = (i, j)
-        got = cache.get(key)
-        if got is None:
-            got = fn(i, j)
-            cache[key] = got
-        return got
-
-    return wrapped
-
-
 def _assemble(cp: CrossedProduct, b_calc: Fodc, h_calc: Fodc, action: TwistedCalculusAction):
     """The four structure maps of the crossed product calculus, built from
     the defining displays; hypotheses are checked by the public builders."""
@@ -123,7 +113,6 @@ def _assemble(cp: CrossedProduct, b_calc: Fodc, h_calc: Fodc, action: TwistedCal
     m = cp.measure
     s = cp.cocycle
 
-    @_memo2
     def left_act(pair_ix, form_ix):
         _, bp, hp = pair_ix
         out = FreeVector.zero()
@@ -143,7 +132,6 @@ def _assemble(cp: CrossedProduct, b_calc: Fodc, h_calc: Fodc, action: TwistedCal
                 out = out + ver(bpart, h_calc.left_act(x3, g0)).scale(c1 * cl)
         return out
 
-    @_memo2
     def right_act(form_ix, pair_ix):
         _, bp, hp = pair_ix
         out = FreeVector.zero()
@@ -495,6 +483,9 @@ class GradedDc:
     action: Optional[Callable[[Index, int, Index], FreeVector]] = None
     name: str = ""
 
+    def __post_init__(self):
+        memoise_fields(self, "wedge", "d", "right_coaction", "left_coaction", "action")
+
     def wedge_vec(self, deg1: int, v1: FreeVector, deg2: int, v2: FreeVector) -> FreeVector:
         out = FreeVector.zero()
         for i, ci in v1.terms.items():
@@ -711,13 +702,7 @@ def build_higher_forms(
         _, bdeg, bp, hp = ix
         return bdeg, bp, deg - bdeg, hp
 
-    wedge_cache: dict = {}
-
     def wedge(deg1, ix1, deg2, ix2):
-        key = (deg1, ix1, deg2, ix2)
-        got = wedge_cache.get(key)
-        if got is not None:
-            return got
         bdeg1, bp1, hdeg1, hp1 = split(deg1, ix1)
         bdeg2, bp2, hdeg2, hp2 = split(deg2, ix2)
         sign = CycScalar.from_rational((-1) ** (hdeg1 * bdeg2))
@@ -737,15 +722,9 @@ def build_higher_forms(
                 for bp, cb in bpart.terms.items():
                     for hp, ch in hpart.terms.items():
                         out = out + E(gix(out_bdeg, bp, out_hdeg, hp)).scale(c * c2 * cb * ch * sign)
-        wedge_cache[key] = out
         return out
 
-    d_cache: dict = {}
-
     def d(deg, ix):
-        got = d_cache.get((deg, ix))
-        if got is not None:
-            return got
         bdeg, bp, hdeg, hp = split(deg, ix)
         out = FreeVector.zero()
         for bq, cb in b_dc.d(bdeg, bp).terms.items():
@@ -753,7 +732,6 @@ def build_higher_forms(
         sign = CycScalar.from_rational((-1) ** bdeg)
         for hq, ch in h_dc.d(hdeg, hp).terms.items():
             out = out + E(gix(bdeg, bp, hdeg + 1, hq)).scale(ch * sign)
-        d_cache[(deg, ix)] = out
         return out
 
     def right_coaction(deg, ix):

@@ -29,6 +29,7 @@ from hopfcalc.linalg import (
     Subspace,
     format_index,
     kernel_image,
+    memoise_fields,
     tensor_index,
 )
 from hopfcalc.report import CheckReport
@@ -52,6 +53,10 @@ class Fodc:
     algebra_left_coaction: Optional[Callable[[Index], FreeVector]] = None
     name: str = ""
     covariance_note: str = ""
+
+    def __post_init__(self):
+        memoise_fields(self, "left_act", "right_act", "right_coaction", "left_coaction",
+                       "algebra_coaction", "algebra_left_coaction")
 
     @property
     def bicovariant(self) -> bool:
@@ -637,6 +642,9 @@ class TwistedCalculusAction:
 
     act: Callable[[Index, Index], FreeVector]
 
+    def __post_init__(self):
+        memoise_fields(self, "act")
+
     def act_vec(self, hv: FreeVector, fv: FreeVector) -> FreeVector:
         out = FreeVector.zero()
         for hx, ch in hv.terms.items():
@@ -689,21 +697,16 @@ def check_sigma_twisted_module_calculus(
                         f"{kappa.to_text()} maps to {image.to_text()} under {format_index(h_ix)}"
                     )
 
-        action_cache: dict = {}
-
         def act(h_ix, f_ix):
-            got = action_cache.get((h_ix, f_ix))
-            if got is None:
-                pres = solver.solve(E(f_ix))
-                if isinstance(pres, NoSolution):
-                    raise ValueError(
-                        f"form {format_index(f_ix)} has no presentation a d(a') on the window"
-                    )
-                got = FreeVector.zero()
-                for pr_ix, c in pres.terms.items():
-                    _, a_ix, b_ix = pr_ix
-                    got = got + twisted_of_pair(h_ix, a_ix, b_ix).scale(c)
-                action_cache[(h_ix, f_ix)] = got
+            pres = solver.solve(E(f_ix))
+            if isinstance(pres, NoSolution):
+                raise ValueError(
+                    f"form {format_index(f_ix)} has no presentation a d(a') on the window"
+                )
+            got = FreeVector.zero()
+            for pr_ix, c in pres.terms.items():
+                _, a_ix, b_ix = pr_ix
+                got = got + twisted_of_pair(h_ix, a_ix, b_ix).scale(c)
             return got
 
         action = TwistedCalculusAction(act=act)

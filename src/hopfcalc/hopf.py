@@ -21,6 +21,7 @@ from hopfcalc.linalg import (
     format_index,
     index_sort_key,
     kernel_image,
+    memoise_fields,
     solve_linear,
     tensor_index,
 )
@@ -58,6 +59,9 @@ class AlgebraPresentation:
     mult: Callable[[Index, Index], FreeVector]
     unit: FreeVector
     scalar_order: int = 1
+
+    def __post_init__(self):
+        memoise_fields(self, "mult")
 
     def mult_vec(self, v: FreeVector, w: FreeVector) -> FreeVector:
         out = FreeVector.zero()
@@ -108,6 +112,9 @@ class HopfData:
     antipode_inv: LinOp
     name: str = ""
     _sweedler_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        memoise_fields(self, "comul", "counit")
 
     def comul_vec(self, v: FreeVector) -> FreeVector:
         out = FreeVector.zero()
@@ -168,6 +175,9 @@ class ComoduleAlgebra:
     hopf: HopfData
     coaction: Callable[[Index], FreeVector]
     coinvariants: Optional[CoinvariantFamily] = None
+
+    def __post_init__(self):
+        memoise_fields(self, "coaction")
 
     def coaction_vec(self, v: FreeVector) -> FreeVector:
         out = FreeVector.zero()
@@ -716,19 +726,13 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
         x: FreeVector.basis(tensor_index(ix(0, 0), x), one)
         + FreeVector.basis(tensor_index(x, ix(r, 0)), one),
     }
-    comul_cache = {}
-
     def comul(i):
-        got = comul_cache.get(i)
-        if got is not None:
-            return got
         _, l, mm = i
         out = square.unit
         for _ in range(l):
             out = square.mult_vec(out, comul_gen[a])
         for _ in range(mm):
             out = square.mult_vec(out, comul_gen[x])
-        comul_cache[i] = out
         return out
 
     def counit(i):
@@ -893,45 +897,65 @@ def parse_structure_constants(text: str) -> HopfData:
     Header: ``HOPF <name>``, ``DIM <d>``, ``SCALAR_ORDER <M>``; then one
     line per nonzero constant: ``MUL i j -> k : <scalar>``,
     ``COMUL i -> j k : <scalar>``, ``COUNIT i : <scalar>``,
-    ``ANTIPODE i -> j : <scalar>``.  Unknown directives are errors.
+    ``ANTIPODE i -> j : <scalar>``.  Unknown directives, DIM or
+    SCALAR_ORDER below 1, indices outside ``0..DIM-1``, repeated entries
+    and coefficients outside Q(zeta_SCALAR_ORDER) are errors naming the line.
     The unit and the inverse antipode are solved for, not declared.
     """
     name, dim, so = None, None, None
     mul, comul_t, counit_t, antipode_t = {}, {}, {}, {}
+    entries = []  # (line number, basis positions, coefficient)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         word = line.split(None, 1)[0]
+        if word not in ("HOPF", "DIM", "SCALAR_ORDER", "MUL", "COMUL", "COUNIT", "ANTIPODE"):
+            raise ValueError(f"line {lineno}: unknown directive {word!r}")
         try:
             if word == "HOPF":
                 name = line.split(None, 1)[1]
-            elif word == "DIM":
-                dim = int(line.split(None, 1)[1])
-            elif word == "SCALAR_ORDER":
-                so = int(line.split(None, 1)[1])
-            elif word == "MUL":
+                continue
+            if word in ("DIM", "SCALAR_ORDER"):
+                value = int(line.split(None, 1)[1])
+                if value < 1:
+                    raise ValueError(f"{word} must be at least 1, got {value}")
+                dim, so = (value, so) if word == "DIM" else (dim, value)
+                continue
+            if word == "MUL":
                 m = _ARROW_LINE.match(line)
                 i, j = (int(p) for p in m.group(2).split())
-                k = int(m.group(3))
-                mul.setdefault((i, j), {})[k] = parse_scalar(m.group(4))
+                row, key = mul.setdefault((i, j), {}), int(m.group(3))
+                positions = (i, j, key)
             elif word == "COMUL":
                 m = _ARROW_LINE.match(line)
                 i = int(m.group(2))
                 j, k = (int(p) for p in m.group(3).split())
-                comul_t.setdefault(i, {})[(j, k)] = parse_scalar(m.group(4))
+                row, key = comul_t.setdefault(i, {}), (j, k)
+                positions = (i, j, k)
             elif word == "COUNIT":
                 m = _PLAIN_LINE.match(line)
-                counit_t[int(m.group(2))] = parse_scalar(m.group(3))
-            elif word == "ANTIPODE":
-                m = _ARROW_LINE.match(line)
-                antipode_t.setdefault(int(m.group(2)), {})[int(m.group(3))] = parse_scalar(m.group(4))
+                row, key = counit_t, int(m.group(2))
+                positions = (key,)
             else:
-                raise ValueError(f"line {lineno}: unknown directive {word!r}")
-        except (AttributeError, IndexError, TypeError) as exc:
-            raise ValueError(f"line {lineno}: malformed {word} line: {raw!r}") from exc
+                m = _ARROW_LINE.match(line)
+                i = int(m.group(2))
+                row, key = antipode_t.setdefault(i, {}), int(m.group(3))
+                positions = (i, key)
+            if key in row:
+                raise ValueError(f"repeated {word} entry {' '.join(map(str, positions))}")
+            row[key] = parse_scalar(m.groups()[-1])
+            entries.append((lineno, positions, row[key]))
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: malformed {word} line {line!r}: {exc}") from exc
     if name is None or dim is None or so is None:
         raise ValueError("missing header (HOPF / DIM / SCALAR_ORDER)")
+    for lineno, positions, c in entries:
+        for p in positions:
+            if not 0 <= p < dim:
+                raise ValueError(f"line {lineno}: basis index {p} outside 0..{dim - 1}")
+        if so % c.order and any(c.coeffs[1:]):
+            raise ValueError(f"line {lineno}: coefficient {c.to_text()} is not in Q(zeta_{so})")
 
     def ix(i):
         return ("u", i)

@@ -26,6 +26,7 @@ __all__ = [
     "quotient_basis",
     "QuotientSpace",
     "tensor_index",
+    "memoise_fields",
 ]
 
 Index = tuple
@@ -79,8 +80,9 @@ class FreeVector:
 
     @staticmethod
     def basis(ix, coeff: CycScalar | int = 1) -> "FreeVector":
-        c = coeff if isinstance(coeff, CycScalar) else CycScalar.from_rational(coeff)
-        return FreeVector({ix: c})
+        if not isinstance(coeff, CycScalar):
+            coeff = CycScalar.one() if coeff == 1 else CycScalar.from_rational(coeff)
+        return FreeVector({ix: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -115,7 +117,9 @@ class FreeVector:
         return out
 
     def __neg__(self) -> "FreeVector":
-        return self.scale(CycScalar.from_rational(-1))
+        out = FreeVector.__new__(FreeVector)
+        object.__setattr__(out, "terms", {ix: -c for ix, c in self.terms.items()})
+        return out
 
     def __sub__(self, other: "FreeVector") -> "FreeVector":
         return self + (-other)
@@ -165,6 +169,32 @@ class FreeVector:
 
 _ZERO = FreeVector.__new__(FreeVector)
 object.__setattr__(_ZERO, "terms", {})
+
+
+def _memoise(fn):
+    """fn with its value kept per argument tuple; None and memos pass through.
+
+    A structure map on basis indices is a fixed table, so each entry is
+    computed once.  A call that raises stores nothing.
+    """
+    if fn is None or hasattr(fn, "memo"):
+        return fn
+    memo = {}
+
+    def memoised(*args):
+        got = memo.get(args)
+        if got is None:
+            got = memo[args] = fn(*args)
+        return got
+
+    memoised.memo = memo
+    return memoised
+
+
+def memoise_fields(obj, *names) -> None:
+    """Memoise the named structure-map fields of obj in place."""
+    for name in names:
+        setattr(obj, name, _memoise(getattr(obj, name)))
 
 
 class LinOp:

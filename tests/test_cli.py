@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -209,3 +210,37 @@ def test_negative_max_degree_is_a_usage_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "--max-degree" in err
+
+
+
+C4_HOPF = pathlib.Path(__file__).resolve().parents[1] / "sample-data" / "c4.hopf"
+
+
+@pytest.mark.parametrize(
+    "line, text, message",
+    [
+        (2, "DIM -3", "DIM must be at least 1"),
+        (3, "SCALAR_ORDER 0", "SCALAR_ORDER must be at least 1"),
+        (5, "MUL 0 9 -> 7 : 1", "basis index 9 outside 0..3"),
+        (30, "ANTIPODE 3 -> -1 : 1", "basis index -1 outside 0..3"),
+        (6, "MUL 0 1 -> 1 : 2", "repeated MUL entry 0 1 1"),
+        (32, "COMUL 3 -> 3 3 : 1", "repeated COMUL entry 3 3 3"),
+        (32, "COUNIT 0 : 1", "repeated COUNIT entry 0"),
+        (32, "ANTIPODE 1 -> 3 : 1", "repeated ANTIPODE entry 1 3"),
+        (26, "COUNIT 2 : z3", "not in Q(zeta_1)"),
+        (2, "DIM four", "malformed DIM line"),
+        (20, "COMUL 0 -> 0 0 0 : 1", "malformed COMUL line"),
+    ],
+)
+def test_malformed_hopf_file_is_a_usage_error_naming_the_line(tmp_path, capsys, line, text, message):
+    # the sample file (31 lines) with one line replaced, or with line 32 appended
+    lines = C4_HOPF.read_text().splitlines()
+    lines[line - 1 : line] = [text]
+    path = tmp_path / "bad.hopf"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = invoke(capsys, ["verify", "user-hopf", "--file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert f"line {line}: " in err
+    assert message in err
+    assert "Traceback" not in err

@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from typing import Callable, Optional
+
 import pytest
 
 from hopfcalc.linalg import (
@@ -9,6 +12,7 @@ from hopfcalc.linalg import (
     Subspace,
     intersection_dim,
     kernel_image,
+    memoise_fields,
     quotient_basis,
     solve_linear,
     tensor_index,
@@ -42,6 +46,74 @@ def test_tensor_bilinear():
         tensor_index(("e", 1), ("f", 0))
     ).scale(2 * root_of_unity(4))
     assert expanded == manual
+
+
+def test_basis_and_negation_build_no_fresh_rational(monkeypatch):
+    v = E(("e", 0)) + E(("e", 1)).scale(root_of_unity(4)) + E(("e", 2)).scale(CycScalar.from_rational(3))
+    expected = v.scale(CycScalar.from_rational(-1))
+    one = CycScalar.one()
+    with monkeypatch.context() as m:
+        m.setattr(CycScalar, "from_rational", staticmethod(lambda *args: pytest.fail("fresh rational")))
+        unit = E(("e", 5))
+        neg = -v
+    assert unit.coeff(("e", 5)) is one
+    assert neg == expected
+    assert [(ix, c.order, c.coeffs) for ix, c in neg.items()] == [
+        (ix, c.order, c.coeffs) for ix, c in expected.items()
+    ]
+
+
+@dataclass
+class _Maps:
+    act: Callable[[tuple, tuple], FreeVector]
+    coact: Optional[Callable[[tuple], FreeVector]] = None
+
+    def __post_init__(self):
+        memoise_fields(self, "act", "coact")
+
+
+def test_memoised_map_runs_once_per_argument_tuple():
+    calls = []
+
+    def act(h, b):
+        calls.append((h, b))
+        return E(("b", h[1] + 2 * b[1]))
+
+    maps = _Maps(act=act)
+    pairs = [(h, b) for h in B3 for b in B3]
+    for _ in range(3):
+        for h, b in pairs:
+            assert maps.act(h, b) == E(("b", h[1] + 2 * b[1]))
+    assert calls == pairs
+    assert _Maps(act=maps.act).act is maps.act
+
+
+def test_memoised_map_does_not_keep_a_raised_call():
+    calls = []
+
+    def act(h, b):
+        calls.append((h, b))
+        if b[1] == 0:
+            raise ValueError("no value at e0")
+        return E(b)
+
+    maps = _Maps(act=act)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no value"):
+            maps.act(B3[1], B3[0])
+    assert maps.act(B3[1], B3[2]) == E(B3[2])
+    assert calls == [(B3[1], B3[0]), (B3[1], B3[0]), (B3[1], B3[2])]
+
+
+def test_memoised_none_field_stays_none():
+    assert _Maps(act=lambda h, b: E(b)).coact is None
+
+
+def test_reassigned_map_field_takes_effect():
+    maps = _Maps(act=lambda h, b: E(b))
+    assert maps.act(B3[0], B3[1]) == E(B3[1])
+    maps.act = lambda h, b: FreeVector.zero()
+    assert maps.act(B3[0], B3[1]).is_zero()
 
 
 def test_zero_map_kernel_full():
