@@ -90,11 +90,15 @@ def run(argv=None) -> int:
 
     params = _params_of(args)
     example = args.example
+    try:
+        if args.command == "cohomology" and args.max_degree < 0:
+            raise ValueError(f"--max-degree must be at least 0, got {args.max_degree}")
+        EXAMPLES[example]["validate"](params)
+    except ValueError as err:
+        sys.stderr.write(f"error: params: {err}\n")
+        return 2
 
     if args.command == "cohomology":
-        if args.max_degree < 0:
-            sys.stderr.write(f"error: --max-degree must be at least 0, got {args.max_degree}\n")
-            return 2
         try:
             dims, window = cohomology_dims(example, params)
         except ValueError as err:

@@ -29,8 +29,11 @@ from hopfcalc.linalg import (
     NoSolution,
     QuotientSpace,
     Subspace,
+    combine,
     format_index,
     kernel_image,
+    linear,
+    memoise,
     memoise_fields,
     tensor_index,
 )
@@ -47,11 +50,7 @@ class Measure:
         memoise_fields(self, "act")
 
     def act_vec(self, hv: FreeVector, bv: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for hi, ch in hv.terms.items():
-            for bi, cb in bv.terms.items():
-                out = out + self.act(hi, bi).scale(ch * cb)
-        return out
+        return linear(self.act, hv, bv)
 
 
 @dataclass
@@ -63,18 +62,10 @@ class Cocycle:
         memoise_fields(self, "sigma", "sigma_inv")
 
     def sigma_vec(self, hv: FreeVector, kv: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for hi, ch in hv.terms.items():
-            for ki, ck in kv.terms.items():
-                out = out + self.sigma(hi, ki).scale(ch * ck)
-        return out
+        return linear(self.sigma, hv, kv)
 
     def sigma_inv_vec(self, hv: FreeVector, kv: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for hi, ch in hv.terms.items():
-            for ki, ck in kv.terms.items():
-                out = out + self.sigma_inv(hi, ki).scale(ch * ck)
-        return out
+        return linear(self.sigma_inv, hv, kv)
 
 
 def trivial_cocycle(b: AlgebraPresentation, h: HopfData) -> Cocycle:
@@ -123,9 +114,7 @@ def check_twisted_module_algebra(
     def measure_mult(triple):
         hi, bi, bj = triple
         lhs = m.act_vec(E(hi), b.mult(bi, bj))
-        rhs = FreeVector.zero()
-        for c, (h1, h2) in h.sweedler(hi, 2):
-            rhs = rhs + b.mult_vec(m.act(h1, bi), m.act(h2, bj)).scale(c)
+        rhs = combine((b.mult_vec(m.act(h1, bi), m.act(h2, bj)), c) for c, (h1, h2) in h.sweedler(hi, 2))
         return lhs == rhs, (hi, bi, bj)
 
     report.sweep(
@@ -143,12 +132,11 @@ def check_twisted_module_algebra(
     def twisted_assoc(triple):
         hi, hj, bi = triple
         lhs = m.act_vec(E(hi), m.act(hj, bi))
-        rhs = FreeVector.zero()
-        for c1, (x1, x2, x3) in h.sweedler(hi, 3):
-            for c2, (y1, y2, y3) in h.sweedler(hj, 3):
-                middle = m.act_vec(h.algebra.mult(x2, y2), E(bi))
-                term = b.product(s.sigma(x1, y1), middle, s.sigma_inv(x3, y3))
-                rhs = rhs + term.scale(c1 * c2)
+        rhs = combine(
+            (b.product(s.sigma(x1, y1), m.act_vec(h.algebra.mult(x2, y2), E(bi)), s.sigma_inv(x3, y3)), c1 * c2)
+            for c1, (x1, x2, x3) in h.sweedler(hi, 3)
+            for c2, (y1, y2, y3) in h.sweedler(hj, 3)
+        )
         return lhs == rhs, (hi, hj, bi)
 
     report.sweep(
@@ -160,21 +148,17 @@ def check_twisted_module_algebra(
 
     def cocycle_law(triple):
         hi, hj, hk = triple
-        lhs = FreeVector.zero()
-        for c1, (x1, x2) in h.sweedler(hi, 2):
-            for c2, (y1, y2) in h.sweedler(hj, 2):
-                for c3, (z1, z2) in h.sweedler(hk, 2):
-                    lhs = lhs + b.mult_vec(
-                        m.act_vec(E(x1), s.sigma(y1, z1)),
-                        s.sigma_vec(E(x2), h.algebra.mult(y2, z2)),
-                    ).scale(c1 * c2 * c3)
-        rhs = FreeVector.zero()
-        for c1, (x1, x2) in h.sweedler(hi, 2):
-            for c2, (y1, y2) in h.sweedler(hj, 2):
-                rhs = rhs + b.mult_vec(
-                    s.sigma(x1, y1),
-                    s.sigma_vec(h.algebra.mult(x2, y2), E(hk)),
-                ).scale(c1 * c2)
+        lhs = combine(
+            (b.mult_vec(m.act_vec(E(x1), s.sigma(y1, z1)), s.sigma_vec(E(x2), h.algebra.mult(y2, z2))), c1 * c2 * c3)
+            for c1, (x1, x2) in h.sweedler(hi, 2)
+            for c2, (y1, y2) in h.sweedler(hj, 2)
+            for c3, (z1, z2) in h.sweedler(hk, 2)
+        )
+        rhs = combine(
+            (b.mult_vec(s.sigma(x1, y1), s.sigma_vec(h.algebra.mult(x2, y2), E(hk))), c1 * c2)
+            for c1, (x1, x2) in h.sweedler(hi, 2)
+            for c2, (y1, y2) in h.sweedler(hj, 2)
+        )
         return lhs == rhs, (hi, hj, hk)
 
     report.sweep(
@@ -193,12 +177,9 @@ def check_twisted_module_algebra(
 
     def convolution(pair):
         hi, hj = pair
-        left = FreeVector.zero()
-        right = FreeVector.zero()
-        for c1, (x1, x2) in h.sweedler(hi, 2):
-            for c2, (y1, y2) in h.sweedler(hj, 2):
-                left = left + b.mult_vec(s.sigma(x1, y1), s.sigma_inv(x2, y2)).scale(c1 * c2)
-                right = right + b.mult_vec(s.sigma_inv(x1, y1), s.sigma(x2, y2)).scale(c1 * c2)
+        legs = [(c1 * c2, x1, x2, y1, y2) for c1, (x1, x2) in h.sweedler(hi, 2) for c2, (y1, y2) in h.sweedler(hj, 2)]
+        left = combine((b.mult_vec(s.sigma(x1, y1), s.sigma_inv(x2, y2)), c) for c, x1, x2, y1, y2 in legs)
+        right = combine((b.mult_vec(s.sigma_inv(x1, y1), s.sigma(x2, y2)), c) for c, x1, x2, y1, y2 in legs)
         want = b.unit.scale(h.counit(hi) * h.counit(hj))
         return left == want and right == want, (hi, hj)
 
@@ -226,9 +207,6 @@ class CrossedProduct:
     def include_base(self, bv: FreeVector) -> FreeVector:
         return bv.tensor(self.hopf.algebra.unit)
 
-    def mult_vec(self, v, w):
-        return self.algebra.mult_vec(v, w)
-
 
 def build_crossed_product(
     b: AlgebraPresentation,
@@ -250,13 +228,11 @@ def build_crossed_product(
 
     def mult(i, j):
         (_, bi, hi), (_, bj, hj) = i, j
-        out = FreeVector.zero()
-        for c1, (h1, h2, h3) in h.sweedler(hi, 3):
-            for c2, (k1, k2) in h.sweedler(hj, 2):
-                left = b.product(E(bi), m.act(h1, bj), s.sigma(h2, k1))
-                right = h.algebra.mult(h3, k2)
-                out = out + left.tensor(right).scale(c1 * c2)
-        return out
+        return combine(
+            (b.product(E(bi), m.act(h1, bj), s.sigma(h2, k1)).tensor(h.algebra.mult(h3, k2)), c1 * c2)
+            for c1, (h1, h2, h3) in h.sweedler(hi, 3)
+            for c2, (k1, k2) in h.sweedler(hj, 2)
+        )
 
     if b.basis.is_finite and h.algebra.basis.is_finite:
         basis = BasisFamily(
@@ -280,11 +256,7 @@ def build_crossed_product(
 
     def coaction(i):
         _, bi, hi = i
-        out = FreeVector.zero()
-        for pair_ix, c in h.comul(hi).terms.items():
-            _, h1, h2 = pair_ix
-            out = out + FreeVector.basis(tensor_index(tensor_index(bi, h1), h2)).scale(c)
-        return out
+        return combine((E(tensor_index(tensor_index(bi, h1), h2)), c) for (_, h1, h2), c in h.comul(hi).terms.items())
 
     coinv = CoinvariantFamily(
         algebra=b,
@@ -363,19 +335,18 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     E = FreeVector.basis
 
     def measure_act(hi, bi):
-        value = FreeVector.zero()
-        for c, (h1, h2) in h.sweedler(hi, 2):
-            value = value + a.algebra.product(j(h1), embed(bi), j_inv(h2)).scale(c)
+        value = combine((a.algebra.product(j(h1), embed(bi), j_inv(h2)), c) for c, (h1, h2) in h.sweedler(hi, 2))
         got = expressor.express(value)
         if isinstance(got, NoSolution):
             raise ValueError(f"derived measure leaves the coinvariants at {witness(hi, bi)}")
         return got
 
     def sigma(hi, hj):
-        value = FreeVector.zero()
-        for c1, (h1, h2) in h.sweedler(hi, 2):
-            for c2, (k1, k2) in h.sweedler(hj, 2):
-                value = value + a.algebra.product(j(h1), j(k1), j_inv(h.algebra.mult(h2, k2))).scale(c1 * c2)
+        value = combine(
+            (a.algebra.product(j(h1), j(k1), j_inv(h.algebra.mult(h2, k2))), c1 * c2)
+            for c1, (h1, h2) in h.sweedler(hi, 2)
+            for c2, (k1, k2) in h.sweedler(hj, 2)
+        )
         got = expressor.express(value)
         if isinstance(got, NoSolution):
             raise ValueError(f"derived cocycle value is not coinvariant at {witness(hi, hj)}")
@@ -387,9 +358,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
 
     def j_colinear(hx):
         lhs = a.coaction_vec(j(hx))
-        rhs = FreeVector.zero()
-        for c, (h1, h2) in h.sweedler(hx, 2):
-            rhs = rhs + j(h1).tensor(E(h2)).scale(c)
+        rhs = combine((j(h1).tensor(E(h2)), c) for c, (h1, h2) in h.sweedler(hx, 2))
         return lhs == rhs, (hx,)
 
     report.sweep("cleaving.colinear", h_basis_early, j_colinear, windowed=windowed_early)
@@ -398,12 +367,8 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     cocycle = cocycle_from_sigma(sigma, b, h, window=window)
     crossed = build_crossed_product(b, h, measure, cocycle, window=window, name=f"{b.name}#s{h.name}")
 
-    theta_cache: dict = {}
-
+    @memoise
     def theta_ix(a_ix):
-        got = theta_cache.get(a_ix)
-        if got is not None:
-            return got
         out = FreeVector.zero()
         for c, (a0, a1, a2) in a.coaction_terms(a_ix, 2):
             left = a.algebra.mult_vec(E(a0), j_inv(a1))
@@ -411,7 +376,6 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
             if isinstance(expressed, NoSolution):
                 raise ValueError(f"theta leaves the base at {format_index(a_ix)}")
             out = out + expressed.tensor(E(a2)).scale(c)
-        theta_cache[a_ix] = out
         return out
 
     theta = LinOp(theta_ix, name="theta")
@@ -453,10 +417,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     )
 
     def theta_colinear(ix):
-        lhs = FreeVector.zero()
-        for pair_ix, c in a.coaction(ix).terms.items():
-            _, a0, h1 = pair_ix
-            lhs = lhs + theta(a0).tensor(E(h1)).scale(c)
+        lhs = combine((theta(a0).tensor(E(h1)), c) for (_, a0, h1), c in a.coaction(ix).terms.items())
         rhs = crossed.comodule.coaction_vec(theta(ix))
         return lhs == rhs, (ix,)
 
@@ -495,10 +456,9 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
     b_basis = a.coinvariants.algebra.basis.enumerate(window)
 
     def splits(a_ix):
-        total = FreeVector.zero()
-        for pair_ix, c in section(a_ix).terms.items():
-            _, b_ix, a2_ix = pair_ix
-            total = total + a.algebra.mult_vec(embed(b_ix), E(a2_ix)).scale(c)
+        total = combine(
+            (a.algebra.mult_vec(embed(b_ix), E(a2_ix)), c) for (_, b_ix, a2_ix), c in section(a_ix).terms.items()
+        )
         return total == E(a_ix), (a_ix,)
 
     report.sweep("section.splits-multiplication", a_basis, splits, windowed=windowed)
@@ -506,11 +466,10 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
     def base_linear(item):
         b_ix, a_ix = item
         lhs = section(a.algebra.mult_vec(embed(b_ix), E(a_ix)))
-        rhs = FreeVector.zero()
-        for pair_ix, c in section(a_ix).terms.items():
-            _, b2_ix, a2_ix = pair_ix
-            moved = a.coinvariants.algebra.mult(b_ix, b2_ix)
-            rhs = rhs + moved.tensor(E(a2_ix)).scale(c)
+        rhs = combine(
+            (a.coinvariants.algebra.mult(b_ix, b2_ix).tensor(E(a2_ix)), c)
+            for (_, b2_ix, a2_ix), c in section(a_ix).terms.items()
+        )
         return lhs == rhs, (b_ix, a_ix)
 
     report.sweep(
@@ -521,18 +480,16 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
     )
 
     def colinear(a_ix):
-        lhs = FreeVector.zero()
-        for pair_ix, c in section(a_ix).terms.items():
-            _, b_ix, a2_ix = pair_ix
-            for pair2, c2 in a.coaction(a2_ix).terms.items():
-                _, a0, h1 = pair2
-                lhs = lhs + E(("sc", b_ix, a0, h1)).scale(c * c2)
-        rhs = FreeVector.zero()
-        for pair_ix, c in a.coaction(a_ix).terms.items():
-            _, a0, h1 = pair_ix
-            for pair2, c2 in section(a0).terms.items():
-                _, b_ix, a2_ix = pair2
-                rhs = rhs + E(("sc", b_ix, a2_ix, h1)).scale(c * c2)
+        lhs = combine(
+            (E(("sc", b_ix, a0, h1)), c * c2)
+            for (_, b_ix, a2_ix), c in section(a_ix).terms.items()
+            for (_, a0, h1), c2 in a.coaction(a2_ix).terms.items()
+        )
+        rhs = combine(
+            (E(("sc", b_ix, a2_ix, h1)), c * c2)
+            for (_, a0, h1), c in a.coaction(a_ix).terms.items()
+            for (_, b_ix, a2_ix), c2 in section(a0).terms.items()
+        )
         return lhs == rhs, (a_ix,)
 
     report.sweep("section.right-colinear", a_basis, colinear, windowed=windowed)
@@ -578,10 +535,7 @@ def check_hopf_galois(a: ComoduleAlgebra, coinv: CoinvariantFamily | None = None
 
     def can_raw(pair_ix):
         _, i, k = pair_ix
-        out = FreeVector.zero()
-        for c, (k0, k1) in a.coaction_terms(k, 1):
-            out = out + a.algebra.mult(i, k0).tensor(E(k1)).scale(c)
-        return out
+        return combine((a.algebra.mult(i, k0).tensor(E(k1)), c) for c, (k0, k1) in a.coaction_terms(k, 1))
 
     can = LinOp(can_raw, name="can")
 

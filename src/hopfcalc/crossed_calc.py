@@ -28,8 +28,11 @@ from hopfcalc.linalg import (
     NoSolution,
     Subspace,
     TrackedSpan,
+    combine,
     format_index,
     intersection_dim,
+    linear,
+    memoise,
     memoise_fields,
     tensor_index,
 )
@@ -41,25 +44,15 @@ E = FreeVector.basis
 
 
 def hor(b_form_vec: FreeVector, h_vec: FreeVector) -> FreeVector:
-    out = {}
-    for bf, cb in b_form_vec.terms.items():
-        for hx, ch in h_vec.terms.items():
-            key = ("hor", bf, hx)
-            c = cb * ch
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-    return FreeVector(out)
+    return FreeVector(
+        {("hor", bf, hx): cb * ch for bf, cb in b_form_vec.terms.items() for hx, ch in h_vec.terms.items()}
+    )
 
 
 def ver(b_vec: FreeVector, h_form_vec: FreeVector) -> FreeVector:
-    out = {}
-    for bx, cb in b_vec.terms.items():
-        for hf, ch in h_form_vec.terms.items():
-            key = ("ver", bx, hf)
-            c = cb * ch
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-    return FreeVector(out)
+    return FreeVector(
+        {("ver", bx, hf): cb * ch for bx, cb in b_vec.terms.items() for hf, ch in h_form_vec.terms.items()}
+    )
 
 
 @dataclass
@@ -78,24 +71,13 @@ class CrossedFodc:
         memoise_fields(self, "left_act", "right_act", "right_coaction")
 
     def left_act_vec(self, av: FreeVector, fv: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for a, ca in av.terms.items():
-            for f, cf in fv.terms.items():
-                out = out + self.left_act(a, f).scale(ca * cf)
-        return out
+        return linear(self.left_act, av, fv)
 
     def right_act_vec(self, fv: FreeVector, av: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for f, cf in fv.terms.items():
-            for a, ca in av.terms.items():
-                out = out + self.right_act(f, a).scale(cf * ca)
-        return out
+        return linear(self.right_act, fv, av)
 
     def rho_vec(self, fv: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for f, c in fv.terms.items():
-            out = out + self.right_coaction(f).scale(c)
-        return out
+        return linear(self.right_coaction, fv)
 
     def horizontal_window(self, window: int | None) -> list[Index]:
         return [
@@ -115,41 +97,47 @@ def _assemble(cp: CrossedProduct, b_calc: Fodc, h_calc: Fodc, action: TwistedCal
 
     def left_act(pair_ix, form_ix):
         _, bp, hp = pair_ix
-        out = FreeVector.zero()
         if form_ix[0] == "hor":
             _, bf, hx = form_ix
-            for c1, (x1, x2, x3) in h.sweedler(hp, 3):
-                for c2, (y1, y2) in h.sweedler(hx, 2):
-                    bpart = b_calc.right_act_vec(
-                        b_calc.left_act_vec(E(bp), action.act(x1, bf)), s.sigma(x2, y1)
-                    )
-                    out = out + hor(bpart, h.algebra.mult(x3, y2)).scale(c1 * c2)
-            return out
+            return combine(
+                (
+                    hor(
+                        b_calc.right_act_vec(b_calc.left_act_vec(E(bp), action.act(x1, bf)), s.sigma(x2, y1)),
+                        h.algebra.mult(x3, y2),
+                    ),
+                    c1 * c2,
+                )
+                for c1, (x1, x2, x3) in h.sweedler(hp, 3)
+                for c2, (y1, y2) in h.sweedler(hx, 2)
+            )
         _, bx, hf = form_ix
-        for c1, (x1, x2, x3) in h.sweedler(hp, 3):
-            for cl, (g_m1, g0) in h_calc.lambda_terms(hf, 1):
-                bpart = b.product(E(bp), m.act(x1, bx), s.sigma(x2, g_m1))
-                out = out + ver(bpart, h_calc.left_act(x3, g0)).scale(c1 * cl)
-        return out
+        return combine(
+            (ver(b.product(E(bp), m.act(x1, bx), s.sigma(x2, g_m1)), h_calc.left_act(x3, g0)), c1 * cl)
+            for c1, (x1, x2, x3) in h.sweedler(hp, 3)
+            for cl, (g_m1, g0) in h_calc.lambda_terms(hf, 1)
+        )
 
     def right_act(form_ix, pair_ix):
         _, bp, hp = pair_ix
-        out = FreeVector.zero()
         if form_ix[0] == "hor":
             _, bf, hx = form_ix
-            for c1, (x1, x2, x3) in h.sweedler(hx, 3):
-                for c2, (y1, y2) in h.sweedler(hp, 2):
-                    bpart = b_calc.right_act_vec(
-                        b_calc.right_act_vec(E(bf), m.act(x1, bp)), s.sigma(x2, y1)
-                    )
-                    out = out + hor(bpart, h.algebra.mult(x3, y2)).scale(c1 * c2)
-            return out
+            return combine(
+                (
+                    hor(
+                        b_calc.right_act_vec(b_calc.right_act_vec(E(bf), m.act(x1, bp)), s.sigma(x2, y1)),
+                        h.algebra.mult(x3, y2),
+                    ),
+                    c1 * c2,
+                )
+                for c1, (x1, x2, x3) in h.sweedler(hx, 3)
+                for c2, (y1, y2) in h.sweedler(hp, 2)
+            )
         _, bx, hf = form_ix
-        for cl, (g_m2, g_m1, g0) in h_calc.lambda_terms(hf, 2):
-            for c2, (y1, y2) in h.sweedler(hp, 2):
-                bpart = b.product(E(bx), m.act(g_m2, bp), s.sigma(g_m1, y1))
-                out = out + ver(bpart, h_calc.right_act(g0, y2)).scale(cl * c2)
-        return out
+        return combine(
+            (ver(b.product(E(bx), m.act(g_m2, bp), s.sigma(g_m1, y1)), h_calc.right_act(g0, y2)), cl * c2)
+            for cl, (g_m2, g_m1, g0) in h_calc.lambda_terms(hf, 2)
+            for c2, (y1, y2) in h.sweedler(hp, 2)
+        )
 
     def d_ix(pair_ix):
         _, bp, hp = pair_ix
@@ -158,16 +146,11 @@ def _assemble(cp: CrossedProduct, b_calc: Fodc, h_calc: Fodc, action: TwistedCal
     def right_coaction(form_ix):
         if form_ix[0] == "hor":
             _, bf, hx = form_ix
-            out = FreeVector.zero()
-            for c, (h1, h2) in h.sweedler(hx, 2):
-                out = out + E(tensor_index(("hor", bf, h1), h2)).scale(c)
-            return out
+            return combine((E(tensor_index(("hor", bf, h1), h2)), c) for c, (h1, h2) in h.sweedler(hx, 2))
         _, bx, hf = form_ix
-        out = FreeVector.zero()
-        for pair, c in h_calc.right_coaction(hf).terms.items():
-            _, f0, f1 = pair
-            out = out + E(tensor_index(("ver", bx, f0), f1)).scale(c)
-        return out
+        return combine(
+            (E(tensor_index(("ver", bx, f0), f1)), c) for (_, f0, f1), c in h_calc.right_coaction(hf).terms.items()
+        )
 
     return left_act, right_act, d_ix, right_coaction
 
@@ -267,12 +250,16 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
 
     def ver_generation(item):
         bx, hx, hy = item
-        total = FreeVector.zero()
-        for c1, (x1, x2) in h.sweedler(hx, 2):
-            for c2, (y1, y2) in h.sweedler(hy, 2):
-                elt = b.mult_vec(E(bx), cp.cocycle.sigma_inv(x1, y1)).tensor(E(x2))
-                dval = cf.d(b.unit.tensor(E(y2)))
-                total = total + cf.left_act_vec(elt, dval).scale(c1 * c2)
+        total = combine(
+            (
+                cf.left_act_vec(
+                    b.mult_vec(E(bx), cp.cocycle.sigma_inv(x1, y1)).tensor(E(x2)), cf.d(b.unit.tensor(E(y2)))
+                ),
+                c1 * c2,
+            )
+            for c1, (x1, x2) in h.sweedler(hx, 2)
+            for c2, (y1, y2) in h.sweedler(hy, 2)
+        )
         expected = ver(E(bx), cf.h_calc.left_act_vec(E(hx), cf.h_calc.d(hy)))
         return total == expected, (bx, hx, hy)
 
@@ -285,41 +272,39 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
 
     def d_colinear(pair_ix):
         lhs = cf.rho_vec(cf.d(pair_ix))
-        rhs = FreeVector.zero()
-        for p, c in cp.comodule.coaction(pair_ix).terms.items():
-            _, a0, h1 = p
-            rhs = rhs + cf.d(a0).tensor(E(h1)).scale(c)
+        rhs = combine((cf.d(a0).tensor(E(h1)), c) for (_, a0, h1), c in cp.comodule.coaction(pair_ix).terms.items())
         return lhs == rhs, (pair_ix,)
 
     report.sweep("d-colinear", a_basis, d_colinear, windowed=windowed)
 
+    def rho_hat_terms(form_ix):
+        """(index, coefficient) terms of rho_hat at one basis form."""
+        if form_ix[0] == "hor":
+            _, bf, hx = form_ix
+            return [(("oA", ("hor", bf, h1), h2), c) for c, (h1, h2) in h.sweedler(hx, 2)]
+        _, bx, hf = form_ix
+        rho = [(("oA", ("ver", bx, f0), f1), c) for (_, f0, f1), c in cf.h_calc.right_coaction(hf).terms.items()]
+        lam = [(("oH", tensor_index(bx, hm1), f0), c) for c, (hm1, f0) in cf.h_calc.lambda_terms(hf, 1)]
+        return rho + lam
+
     def rho_hat(form_vec: FreeVector) -> FreeVector:
         """Differential of the coaction: values in
         Omega^1(A) (x) H  (+)  A (x) Omega^1(H), tagged oA / oH."""
-        out = FreeVector.zero()
-        for form_ix, c in form_vec.terms.items():
-            if form_ix[0] == "hor":
-                _, bf, hx = form_ix
-                for c2, (h1, h2) in h.sweedler(hx, 2):
-                    out = out + E(("oA", ("hor", bf, h1), h2)).scale(c * c2)
-            else:
-                _, bx, hf = form_ix
-                for pair, c2 in cf.h_calc.right_coaction(hf).terms.items():
-                    _, f0, f1 = pair
-                    out = out + E(("oA", ("ver", bx, f0), f1)).scale(c * c2)
-                for c2, (hm1, f0) in cf.h_calc.lambda_terms(hf, 1):
-                    out = out + E(("oH", tensor_index(bx, hm1), f0)).scale(c * c2)
-        return out
+        return combine(
+            (E(key), c * c2) for form_ix, c in form_vec.terms.items() for key, c2 in rho_hat_terms(form_ix)
+        )
 
     def rho_differentiable(pair_ix):
         lhs = rho_hat(cf.d(pair_ix))
         _, bx, hx = pair_ix
-        rhs = FreeVector.zero()
-        for c, (h1, h2) in h.sweedler(hx, 2):
-            rhs = rhs + cf.d(tensor_index(bx, h1)).map_indices(lambda f: ("oA", f, h2)).scale(c)
-            rhs = rhs + cf.h_calc.d(h2).map_indices(
-                lambda f: ("oH", tensor_index(bx, h1), f)
-            ).scale(c)
+        rhs = combine(
+            (part, c)
+            for c, (h1, h2) in h.sweedler(hx, 2)
+            for part in (
+                cf.d(tensor_index(bx, h1)).map_indices(lambda f: ("oA", f, h2)),
+                cf.h_calc.d(h2).map_indices(lambda f: ("oH", tensor_index(bx, h1), f)),
+            )
+        )
         return lhs == rhs, (pair_ix,)
 
     report.sweep("coaction-differentiable", a_basis, rho_differentiable, windowed=windowed)
@@ -335,20 +320,18 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
             pair_ix, form_ix = item
             _, bp, hp = pair_ix
             got = cf.left_act(pair_ix, form_ix)
-            want = FreeVector.zero()
             if form_ix[0] == "hor":
                 _, bf, hx = form_ix
-                for c, (x1, x2) in h.sweedler(hp, 2):
-                    want = want + hor(
-                        cf.b_calc.left_act_vec(E(bp), cf.b_action.act(x1, bf)),
-                        h.algebra.mult(x2, hx),
-                    ).scale(c)
+                want = combine(
+                    (hor(cf.b_calc.left_act_vec(E(bp), cf.b_action.act(x1, bf)), h.algebra.mult(x2, hx)), c)
+                    for c, (x1, x2) in h.sweedler(hp, 2)
+                )
             else:
                 _, bx, hf = form_ix
-                for c, (x1, x2) in h.sweedler(hp, 2):
-                    want = want + ver(
-                        b.mult_vec(E(bp), cp.measure.act(x1, bx)), cf.h_calc.left_act(x2, hf)
-                    ).scale(c)
+                want = combine(
+                    (ver(b.mult_vec(E(bp), cp.measure.act(x1, bx)), cf.h_calc.left_act(x2, hf)), c)
+                    for c, (x1, x2) in h.sweedler(hp, 2)
+                )
             return got == want, (pair_ix, form_ix)
 
         report.sweep(
@@ -376,24 +359,11 @@ def leibniz_defect(
     crossed differential; nonzero exactly where d_B hits a cocycle value."""
     h = cp.hopf
     left_act, right_act, d_ix, _ = _assemble(cp, b_calc, h_calc, action)
-
-    def d_vec(v):
-        out = FreeVector.zero()
-        for ix, c in v.terms.items():
-            out = out + d_ix(ix).scale(c)
-        return out
-
     jx = cp.base.unit.tensor(E(hx))
     jy = cp.base.unit.tensor(E(hy))
-    first = FreeVector.zero()
-    for f, cf in d_vec(jx).terms.items():
-        for a, ca in jy.terms.items():
-            first = first + right_act(f, a).scale(cf * ca)
-    second = FreeVector.zero()
-    for a, ca in jx.terms.items():
-        for f, cf in d_vec(jy).terms.items():
-            second = second + left_act(a, f).scale(ca * cf)
-    return d_vec(cp.algebra.mult_vec(jx, jy)) - first - second
+    first = linear(right_act, linear(d_ix, jx), jy)
+    second = linear(left_act, jx, linear(d_ix, jy))
+    return linear(d_ix, cp.algebra.mult_vec(jx, jy)) - first - second
 
 
 def necessity_dsigma(
@@ -411,16 +381,16 @@ def necessity_dsigma(
     h_basis = h.algebra.basis.enumerate(window)
     windowed = not h.algebra.basis.is_finite
 
+    def expected_defect(hx, hy):
+        return combine(
+            (hor(b_calc.d(cp.cocycle.sigma(x1, y1)), h.algebra.mult(x2, y2)), c1 * c2)
+            for c1, (x1, x2) in h.sweedler(hx, 2)
+            for c2, (y1, y2) in h.sweedler(hy, 2)
+        )
+
     def defect_formula(pair):
         hx, hy = pair
-        defect = leibniz_defect(cp, b_calc, action, h_calc, hx, hy)
-        expected = FreeVector.zero()
-        for c1, (x1, x2) in h.sweedler(hx, 2):
-            for c2, (y1, y2) in h.sweedler(hy, 2):
-                expected = expected + hor(
-                    b_calc.d(cp.cocycle.sigma(x1, y1)), h.algebra.mult(x2, y2)
-                ).scale(c1 * c2)
-        return defect == expected, (hx, hy)
+        return leibniz_defect(cp, b_calc, action, h_calc, hx, hy) == expected_defect(hx, hy), (hx, hy)
 
     report.sweep(
         "necessity-defect-formula",
@@ -432,12 +402,7 @@ def necessity_dsigma(
     found = None
     for hx in h_basis:
         for hy in h_basis:
-            value = FreeVector.zero()
-            for c1, (x1, x2) in h.sweedler(hx, 2):
-                for c2, (y1, y2) in h.sweedler(hy, 2):
-                    value = value + hor(
-                        b_calc.d(cp.cocycle.sigma(x1, y1)), h.algebra.mult(x2, y2)
-                    ).scale(c1 * c2)
+            value = expected_defect(hx, hy)
             if not value.is_zero():
                 found = (hx, hy, value)
                 break
@@ -487,17 +452,10 @@ class GradedDc:
         memoise_fields(self, "wedge", "d", "right_coaction", "left_coaction", "action")
 
     def wedge_vec(self, deg1: int, v1: FreeVector, deg2: int, v2: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for i, ci in v1.terms.items():
-            for j, cj in v2.terms.items():
-                out = out + self.wedge(deg1, i, deg2, j).scale(ci * cj)
-        return out
+        return linear(lambda i, j: self.wedge(deg1, i, deg2, j), v1, v2)
 
     def d_vec(self, deg: int, v: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for ix, c in v.terms.items():
-            out = out + self.d(deg, ix).scale(c)
-        return out
+        return linear(lambda ix: self.d(deg, ix), v)
 
     def lambda_terms(self, deg: int, ix: Index, legs: int):
         out = []
@@ -511,11 +469,7 @@ class GradedDc:
         return out
 
     def act_vec(self, hv: FreeVector, deg: int, v: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for hx, ch in hv.terms.items():
-            for ix, c in v.terms.items():
-                out = out + self.action(hx, deg, ix).scale(ch * c)
-        return out
+        return linear(lambda hx, ix: self.action(hx, deg, ix), hv, v)
 
 
 @dataclass
@@ -524,6 +478,31 @@ class NotTruncatable:
 
     def __repr__(self):
         return f"NotTruncatable({self.witness})"
+
+
+def _degree_one_maps(f: Fodc):
+    """basis, wedge and d of the graded data of f with no forms above degree one."""
+
+    def basis(deg, w=None):
+        if deg == 0:
+            return f.algebra.basis.enumerate(w)
+        if deg == 1:
+            return f.forms.enumerate(w)
+        return []
+
+    def wedge(deg1, i, deg2, j):
+        if deg1 == 0 and deg2 == 0:
+            return f.algebra.mult(i, j)
+        if deg1 == 0 and deg2 == 1:
+            return f.left_act(i, j)
+        if deg1 == 1 and deg2 == 0:
+            return f.right_act(i, j)
+        return FreeVector.zero()
+
+    def d(deg, ix):
+        return f.d(ix) if deg == 0 else FreeVector.zero()
+
+    return basis, wedge, d
 
 
 def truncate_dc_degree2(f: Fodc, window: int | None = None):
@@ -550,24 +529,7 @@ def truncate_dc_degree2(f: Fodc, window: int | None = None):
             if not total.is_zero():
                 return NotTruncatable(witness=f"cross terms at ({format_index(g1)}, {format_index(g2)}): {total.to_text()}")
 
-    def basis(deg, w=None):
-        if deg == 0:
-            return f.algebra.basis.enumerate(w)
-        if deg == 1:
-            return f.forms.enumerate(w)
-        return []
-
-    def wedge(deg1, i, deg2, j):
-        if deg1 == 0 and deg2 == 0:
-            return f.algebra.mult(i, j)
-        if deg1 == 0 and deg2 == 1:
-            return f.left_act(i, j)
-        if deg1 == 1 and deg2 == 0:
-            return f.right_act(i, j)
-        return FreeVector.zero()
-
-    def d(deg, ix):
-        return f.d(ix) if deg == 0 else FreeVector.zero()
+    basis, wedge, d = _degree_one_maps(f)
 
     def right_coaction(deg, ix):
         if deg == 0:
@@ -595,25 +557,7 @@ def truncate_dc_degree2(f: Fodc, window: int | None = None):
 def truncate_twisted_base(f: Fodc, measure, action: TwistedCalculusAction) -> GradedDc:
     """Degree-2 truncation of the base calculus with the graded module
     action: the measure in degree zero, the derived form action in one."""
-
-    def basis(deg, w=None):
-        if deg == 0:
-            return f.algebra.basis.enumerate(w)
-        if deg == 1:
-            return f.forms.enumerate(w)
-        return []
-
-    def wedge(deg1, i, deg2, j):
-        if deg1 == 0 and deg2 == 0:
-            return f.algebra.mult(i, j)
-        if deg1 == 0 and deg2 == 1:
-            return f.left_act(i, j)
-        if deg1 == 1 and deg2 == 0:
-            return f.right_act(i, j)
-        return FreeVector.zero()
-
-    def d(deg, ix):
-        return f.d(ix) if deg == 0 else FreeVector.zero()
+    basis, wedge, d = _degree_one_maps(f)
 
     def act(h_ix, deg, ix):
         return measure.act(h_ix, ix) if deg == 0 else action.act(h_ix, ix)
@@ -669,11 +613,10 @@ def build_higher_forms(
                 for deg2 in range(0, b_dc.max_degree + 1 - deg1):
                     for j in b_dc.basis(deg2, window):
                         lhs = b_dc.act_vec(E(hx), deg1 + deg2, b_dc.wedge(deg1, i, deg2, j))
-                        rhs = FreeVector.zero()
-                        for c, (x1, x2) in h.sweedler(hx, 2):
-                            rhs = rhs + b_dc.wedge_vec(
-                                deg1, b_dc.action(x1, deg1, i), deg2, b_dc.action(x2, deg2, j)
-                            ).scale(c)
+                        rhs = combine(
+                            (b_dc.wedge_vec(deg1, b_dc.action(x1, deg1, i), deg2, b_dc.action(x2, deg2, j)), c)
+                            for c, (x1, x2) in h.sweedler(hx, 2)
+                        )
                         if not lhs == rhs:
                             raise ValueError(
                                 f"hypothesis failed: graded action not multiplicative at {witness(hx, i, j)}"
@@ -706,41 +649,33 @@ def build_higher_forms(
         bdeg1, bp1, hdeg1, hp1 = split(deg1, ix1)
         bdeg2, bp2, hdeg2, hp2 = split(deg2, ix2)
         sign = CycScalar.from_rational((-1) ** (hdeg1 * bdeg2))
-        out = FreeVector.zero()
-        out_bdeg = bdeg1 + bdeg2
-        out_hdeg = hdeg1 + hdeg2
-        for c, (g_m2, g_m1, g0) in h_dc.lambda_terms(hdeg1, hp1, 2):
-            for c2, (k_m1, k0) in h_dc.lambda_terms(hdeg2, hp2, 1):
-                moved = b_dc.act_vec(E(g_m2), bdeg2, E(bp2))
-                bpart = b_dc.wedge_vec(
-                    bdeg1,
-                    E(bp1),
-                    bdeg2,
-                    b_dc.wedge_vec(bdeg2, moved, 0, s.sigma(g_m1, k_m1)),
-                )
-                hpart = h_dc.wedge(hdeg1, g0, hdeg2, k0)
-                for bp, cb in bpart.terms.items():
-                    for hp, ch in hpart.terms.items():
-                        out = out + E(gix(out_bdeg, bp, out_hdeg, hp)).scale(c * c2 * cb * ch * sign)
-        return out
+
+        def bpart(g_m2, g_m1, k_m1):
+            moved = b_dc.act_vec(E(g_m2), bdeg2, E(bp2))
+            return b_dc.wedge_vec(bdeg1, E(bp1), bdeg2, b_dc.wedge_vec(bdeg2, moved, 0, s.sigma(g_m1, k_m1)))
+
+        return combine(
+            (E(gix(bdeg1 + bdeg2, bp, hdeg1 + hdeg2, hp)), c * c2 * cb * ch * sign)
+            for c, (g_m2, g_m1, g0) in h_dc.lambda_terms(hdeg1, hp1, 2)
+            for c2, (k_m1, k0) in h_dc.lambda_terms(hdeg2, hp2, 1)
+            for bp, cb in bpart(g_m2, g_m1, k_m1).terms.items()
+            for hp, ch in h_dc.wedge(hdeg1, g0, hdeg2, k0).terms.items()
+        )
 
     def d(deg, ix):
         bdeg, bp, hdeg, hp = split(deg, ix)
-        out = FreeVector.zero()
-        for bq, cb in b_dc.d(bdeg, bp).terms.items():
-            out = out + E(gix(bdeg + 1, bq, hdeg, hp)).scale(cb)
         sign = CycScalar.from_rational((-1) ** bdeg)
-        for hq, ch in h_dc.d(hdeg, hp).terms.items():
-            out = out + E(gix(bdeg, bp, hdeg + 1, hq)).scale(ch * sign)
-        return out
+        return combine(
+            [(E(gix(bdeg + 1, bq, hdeg, hp)), cb) for bq, cb in b_dc.d(bdeg, bp).terms.items()]
+            + [(E(gix(bdeg, bp, hdeg + 1, hq)), ch * sign) for hq, ch in h_dc.d(hdeg, hp).terms.items()]
+        )
 
     def right_coaction(deg, ix):
         bdeg, bp, hdeg, hp = split(deg, ix)
-        out = FreeVector.zero()
-        for pair, c in h_dc.right_coaction(hdeg, hp).terms.items():
-            _, h0, h1 = pair
-            out = out + E(tensor_index(gix(bdeg, bp, hdeg, h0), h1)).scale(c)
-        return out
+        return combine(
+            (E(tensor_index(gix(bdeg, bp, hdeg, h0), h1)), c)
+            for (_, h0, h1), c in h_dc.right_coaction(hdeg, hp).terms.items()
+        )
 
     return GradedDc(
         algebra=cp.algebra,
@@ -888,10 +823,8 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
     )
 
     def coaction_matches(form_ix):
-        lhs = FreeVector.zero()
-        for pair, c in cf.right_coaction(form_ix).terms.items():
-            _, f0, h1 = pair
-            lhs = lhs + to_graded(E(f0)).tensor(E(h1)).scale(c)
+        pairs = cf.right_coaction(form_ix).terms.items()
+        lhs = combine((to_graded(E(f0)).tensor(E(h1)), c) for (_, f0, h1), c in pairs)
         rhs = dc.right_coaction(1, form_to_graded_ix(form_ix))
         return lhs == rhs, (form_ix,)
 
@@ -1058,28 +991,20 @@ def classify_smash(
         return a_calc.left_act_vec(j(hx), a_calc.d(j(hy)))
 
     cond1_ok, cond1_witness = True, None
+    def j_hat_of(presentation):
+        return combine((j_hat_pair(hx, hy), c) for (_, hx, hy), c in presentation.terms.items())
+
     for kappa in h_pres.kernel().basis():
-        image = FreeVector.zero()
-        for pr, c in kappa.terms.items():
-            _, hx, hy = pr
-            image = image + j_hat_pair(hx, hy).scale(c)
-        if not image.is_zero():
+        if not j_hat_of(kappa).is_zero():
             cond1_ok, cond1_witness = False, f"j not differentiable on {kappa.to_text()}"
             break
-    j_hat_cache: dict = {}
 
+    @memoise
     def j_hat(h_form_ix):
-        got = j_hat_cache.get(h_form_ix)
-        if got is None:
-            pres = h_pres.solve(E(h_form_ix))
-            if isinstance(pres, NoSolution):
-                raise ValueError(f"structure form {format_index(h_form_ix)} has no presentation")
-            got = FreeVector.zero()
-            for pr, c in pres.terms.items():
-                _, hx, hy = pr
-                got = got + j_hat_pair(hx, hy).scale(c)
-            j_hat_cache[h_form_ix] = got
-        return got
+        pres = h_pres.solve(E(h_form_ix))
+        if isinstance(pres, NoSolution):
+            raise ValueError(f"structure form {format_index(h_form_ix)} has no presentation")
+        return j_hat_of(pres)
 
     if cond1_ok:
         inj = LinearSolver(LinOp(lambda fx: j_hat(fx)), h_form_basis)
@@ -1107,15 +1032,14 @@ def classify_smash(
     # (3) antisymmetry of the differentials of j and its inverse
     def cond3(pair):
         hx, bx = pair
-        total = FreeVector.zero()
-        for c, (h1, h2) in h.sweedler(hx, 2):
-            left = a_calc.right_act_vec(
-                a_calc.right_act_vec(a_calc.d(j(h1)), embed(bx)), j_inv(h2)
+        total = combine(
+            (
+                a_calc.right_act_vec(a_calc.right_act_vec(a_calc.d(j(h1)), embed(bx)), j_inv(h2))
+                + a_calc.left_act_vec(a.algebra.mult_vec(j(h1), embed(bx)), a_calc.d(j_inv(h2))),
+                c,
             )
-            right = a_calc.left_act_vec(
-                a.algebra.mult_vec(j(h1), embed(bx)), a_calc.d(j_inv(h2))
-            )
-            total = total + (left + right).scale(c)
+            for c, (h1, h2) in h.sweedler(hx, 2)
+        )
         return total.is_zero(), (hx, bx)
 
     report.sweep(

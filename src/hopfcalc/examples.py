@@ -28,9 +28,11 @@ from hopfcalc.hopf import (
     build_laurent_hopf,
     build_radford,
     build_torus_comodule,
+    check_radford_root,
+    check_radford_shape,
     TorusData,
 )
-from hopfcalc.linalg import FreeVector, LinOp, tensor_index
+from hopfcalc.linalg import FreeVector, LinOp, combine, linear, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
@@ -70,16 +72,20 @@ def radford_instance(r: int = 2, n: int = 2, q: CycScalar | None = None) -> Radf
     crossed = build_crossed_product(data.h1, group, measure, cocycle, name=f"H1#k[C{r}]")
 
     def to_full(v: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for pair_ix, c in v.terms.items():
-            _, b_ix, g_ix = pair_ix
-            word = data.hopf.algebra.mult_vec(data.h1_embed(b_ix), E(("ax", g_ix[1], 0)))
-            out = out + word.scale(c)
-        return out
+        return combine(
+            (data.hopf.algebra.mult_vec(data.h1_embed(b_ix), E(("ax", g_ix[1], 0))), c)
+            for (_, b_ix, g_ix), c in v.terms.items()
+        )
 
     return RadfordInstance(
         data=data, group=group, measure=measure, cocycle=cocycle, crossed=crossed, to_full=to_full
     )
+
+
+def check_packaged_n(n: int) -> None:
+    """Only the n = 2 member of the Radford family carries the packaged calculi."""
+    if n != 2:
+        raise ValueError(f"the packaged calculi need nilpotency order n = 2, got n = {n}")
 
 
 def radford_base_calculus(inst: RadfordInstance) -> "Fodc":
@@ -92,8 +98,7 @@ def radford_base_calculus(inst: RadfordInstance) -> "Fodc":
     from hopfcalc.fodc import Fodc
     from hopfcalc.linalg import LinOp
 
-    if inst.data.n != 2:
-        raise ValueError("the packaged base calculus needs nilpotency order n = 2")
+    check_packaged_n(inst.data.n)
     b = inst.data.h1
     q, r, n = inst.data.q, inst.data.r, inst.data.n
 
@@ -180,8 +185,7 @@ def radford_injected_calculus(inst: RadfordInstance):
     from hopfcalc.hopf import BasisFamily as BF
     from hopfcalc.linalg import LinOp
 
-    if inst.data.n != 2:
-        raise ValueError("the injected calculus needs nilpotency order n = 2")
+    check_packaged_n(inst.data.n)
     b = inst.data.h1
     q, r, n, m_total = inst.data.q, inst.data.r, inst.data.n, inst.data.m
 
@@ -685,10 +689,7 @@ def torus_suites(params: dict) -> list:
 
         def sigma_matches(pair):
             k, s = pair
-            got = inst.crossed.cocycle.sigma(("t", k), ("t", s))
-            embedded = FreeVector.zero()
-            for w_ix, c in got.terms.items():
-                embedded = embedded + inst.torus.base_embed(w_ix).scale(c)
+            embedded = linear(inst.torus.base_embed, inst.crossed.cocycle.sigma(("t", k), ("t", s)))
             return embedded == inst.closed_sigma_in_total(k, s), (("t", k), ("t", s))
 
         rep.sweep(
@@ -864,29 +865,28 @@ def smash_demo_suites(params: dict) -> list:
     ]
 
 
+def _read_param_file(params: dict, key: str) -> str:
+    path = params[key]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as err:
+        raise ValueError(f"--{key.replace('_', '-')} {path}: {err.strerror}") from err
+
+
 def user_hopf_suites(params: dict) -> list:
+    """Both files are read and checked here, before any suite runs."""
     from hopfcalc.fodc import IdealCalculusSpec, check_fodc, parse_ideal_generators, woronowicz_from_ideal
     from hopfcalc.hopf import check_hopf_axioms, parse_structure_constants
 
-    path = params.get("file")
-    if not path:
-        raise ValueError("the user-hopf example needs --file with structure constants")
-    state: dict = {}
-
-    def hopf():
-        if "h" not in state:
-            with open(path, "r", encoding="utf-8") as handle:
-                state["h"] = parse_structure_constants(handle.read())
-        return state["h"]
-
-    suites = [("hopf-axioms", lambda: check_hopf_axioms(hopf()))]
-    ideal_path = params.get("ideal_file")
-    if ideal_path:
+    hopf = parse_structure_constants(_read_param_file(params, "file"))
+    suites = [("hopf-axioms", lambda: check_hopf_axioms(hopf))]
+    if params.get("ideal_file"):
+        text = _read_param_file(params, "ideal_file")
+        gens = parse_ideal_generators(text, hopf)
 
         def quotient_calculus():
-            with open(ideal_path, "r", encoding="utf-8") as handle:
-                gens = parse_ideal_generators(handle.read())
-            calc = woronowicz_from_ideal(IdealCalculusSpec(hopf=hopf(), ideal_gens=gens))
+            calc = woronowicz_from_ideal(IdealCalculusSpec(hopf=hopf, ideal_gens=gens))
             report = check_fodc(calc)
             report.record(
                 "covariance.bicovariant",
@@ -899,6 +899,48 @@ def user_hopf_suites(params: dict) -> list:
     return suites
 
 
+# ---------------------------------------------------------------------------
+# parameter validation, run before any instance is built
+# ---------------------------------------------------------------------------
+
+
+def _at_least(params: dict, key: str, low: int) -> None:
+    if params[key] < low:
+        raise ValueError(f"--{key} must be at least {low}, got {params[key]}")
+
+
+def _blame(flag: str, check: Callable, *args):
+    """check(*args), with its refusal re-raised as a refusal of flag."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        raise ValueError(f"{flag}: {err}") from None
+
+
+def validate_radford(params: dict) -> None:
+    _blame("--n", check_packaged_n, params["n"])
+    m = _blame("--r", check_radford_shape, params["r"], params["n"])
+    _blame("--q-power", lambda k: check_radford_root(root_of_unity(m, k), m), params["q_power"])
+
+
+def validate_torus(params: dict) -> None:
+    _blame("--M", root_of_unity, params["M"])
+    # window 1 is too small for the cleft derivation to stay in the coinvariants
+    _at_least(params, "window", 2)
+
+
+def validate_smash_demo(params: dict) -> None:
+    from hopfcalc.fodc import check_deformation_parameter
+
+    _blame("--M", lambda k: check_deformation_parameter(root_of_unity(k)), params["M"])
+    _at_least(params, "window", 2)
+
+
+def validate_user_hopf(params: dict) -> None:
+    if not params.get("file"):
+        raise ValueError("--file is required: the user-hopf example reads its structure constants from it")
+
+
 def cohomology_dims(example: str, params: dict) -> tuple[list[int], int | None]:
     """De Rham dimensions for the registered graded calculi."""
     from hopfcalc.crossed_calc import de_rham_cohomology
@@ -908,9 +950,9 @@ def cohomology_dims(example: str, params: dict) -> tuple[list[int], int | None]:
         inst = group_c2_instance(params.get("ideal", "zero"))
         return de_rham_cohomology(inst.graded, max_degree), None
     if example == "radford":
-        rc = radford_calculus_instance(
-            params.get("r", 2), params.get("n", 2), ideal=params.get("ideal", "zero")
-        )
+        r, n = params.get("r", 2), params.get("n", 2)
+        q = root_of_unity(r * n, params.get("q_power", 1))
+        rc = radford_calculus_instance(r, n, q, ideal=params.get("ideal", "zero"))
         if rc.higher is None:
             raise ValueError(
                 "no degree-two-trivial prolongation for this structure calculus: "
@@ -929,26 +971,31 @@ EXAMPLES = {
         "description": "crossed product of the nilpotent component of the Radford family by its cyclic quotient, with the full calculus and bundle suite",
         "params": {"r": "int (default 2)", "n": "int (must be 2 for the calculus suites)", "q-power": "int (default 1)", "ideal": "zero|full", "seed": "int"},
         "suites": radford_suites,
+        "validate": validate_radford,
     },
     "torus": {
         "description": "noncommutative torus at a rational angle as a cleft extension of Laurent polynomials",
         "params": {"M": "int angle denominator (default 8)", "window": "int (default 4)", "seed": "int"},
         "suites": torus_suites,
+        "validate": validate_torus,
     },
     "group-c2": {
         "description": "group algebra of order two with the quotient calculus of a chosen ideal",
         "params": {"ideal": "zero|full", "max-degree": "int"},
         "suites": group_c2_suites,
+        "validate": lambda params: None,
     },
     "smash-demo": {
         "description": "commutative two-torus as a genuine tensor product, classified as a smash product calculus",
         "params": {"M": "int deformation order (default 8)", "window": "int (default 2)", "seed": "int"},
         "suites": smash_demo_suites,
+        "validate": validate_smash_demo,
     },
     "user-hopf": {
         "description": "axiom check of user-supplied structure constants, plus the quotient calculus of user-supplied ideal generators",
         "params": {"file": "path to a structure-constant file", "ideal-file": "optional path with one ideal generator per line"},
         "suites": user_hopf_suites,
+        "validate": validate_user_hopf,
     },
 }
 

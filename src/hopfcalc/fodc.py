@@ -27,8 +27,10 @@ from hopfcalc.linalg import (
     NoSolution,
     QuotientSpace,
     Subspace,
+    combine,
     format_index,
     kernel_image,
+    linear,
     memoise_fields,
     tensor_index,
 )
@@ -63,18 +65,10 @@ class Fodc:
         return self.right_coaction is not None and self.left_coaction is not None
 
     def left_act_vec(self, av: FreeVector, fv: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for a, ca in av.terms.items():
-            for f, cf in fv.terms.items():
-                out = out + self.left_act(a, f).scale(ca * cf)
-        return out
+        return linear(self.left_act, av, fv)
 
     def right_act_vec(self, fv: FreeVector, av: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for f, cf in fv.terms.items():
-            for a, ca in av.terms.items():
-                out = out + self.right_act(f, a).scale(cf * ca)
-        return out
+        return linear(self.right_act, fv, av)
 
     def lambda_terms(self, form_ix: Index, h_legs: int):
         """Iterated left coaction: (coeff, (h_1, ..., h_legs, form)) tuples."""
@@ -89,16 +83,10 @@ class Fodc:
         return out
 
     def rho_vec(self, fv: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for f, c in fv.terms.items():
-            out = out + self.right_coaction(f).scale(c)
-        return out
+        return linear(self.right_coaction, fv)
 
     def lambda_vec(self, fv: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for f, c in fv.terms.items():
-            out = out + self.left_coaction(f).scale(c)
-        return out
+        return linear(self.left_coaction, fv)
 
 
 def zero_fodc(algebra: AlgebraPresentation, name: str = "") -> Fodc:
@@ -238,18 +226,13 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
         h = f.hopf
 
         def rho_coassoc(beta):
-            lhs = FreeVector.zero()
-            rhs = FreeVector.zero()
-            for pair_ix, c in f.right_coaction(beta).terms.items():
-                _, fx, hx = pair_ix
-                lhs = lhs + f.right_coaction(fx).tensor(E(hx)).scale(c)
-                rhs = rhs + E(fx).tensor(h.comul(hx)).scale(c)
+            pairs = f.right_coaction(beta).terms.items()
+            lhs = combine((f.right_coaction(fx).tensor(E(hx)), c) for (_, fx, hx), c in pairs)
+            rhs = combine((E(fx).tensor(h.comul(hx)), c) for (_, fx, hx), c in pairs)
             lhs = lhs.map_indices(lambda ix: ("@3", ix[1][1], ix[1][2], ix[2]))
             rhs = rhs.map_indices(lambda ix: ("@3", ix[1], ix[2][1], ix[2][2]))
             ok = lhs == rhs
-            counit_part = FreeVector.zero()
-            for pair_ix, c in f.right_coaction(beta).terms.items():
-                counit_part = counit_part + E(pair_ix[1]).scale(c * h.counit(pair_ix[2]))
+            counit_part = combine((E(fx), c * h.counit(hx)) for (_, fx, hx), c in pairs)
             return ok and counit_part == E(beta), (beta,)
 
         report.sweep("covariance.right-comodule", f_basis, rho_coassoc, windowed=windowed)
@@ -259,19 +242,19 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
             def actions_colinear(item):
                 a, beta = item
                 lhs = f.rho_vec(f.left_act(a, beta))
-                rhs = FreeVector.zero()
-                for pa, ca in f.algebra_coaction(a).terms.items():
-                    _, a0, a1 = pa
-                    for pf, cf in f.right_coaction(beta).terms.items():
-                        _, f0, f1 = pf
-                        rhs = rhs + f.left_act(a0, f0).tensor(h.algebra.mult(a1, f1)).scale(ca * cf)
+                a_pairs = f.algebra_coaction(a).terms.items()
+                f_pairs = f.right_coaction(beta).terms.items()
+                rhs = combine(
+                    (f.left_act(a0, f0).tensor(h.algebra.mult(a1, f1)), ca * cf)
+                    for (_, a0, a1), ca in a_pairs
+                    for (_, f0, f1), cf in f_pairs
+                )
                 lhs2 = f.rho_vec(f.right_act(beta, a))
-                rhs2 = FreeVector.zero()
-                for pf, cf in f.right_coaction(beta).terms.items():
-                    _, f0, f1 = pf
-                    for pa, ca in f.algebra_coaction(a).terms.items():
-                        _, a0, a1 = pa
-                        rhs2 = rhs2 + f.right_act(f0, a0).tensor(h.algebra.mult(f1, a1)).scale(cf * ca)
+                rhs2 = combine(
+                    (f.right_act(f0, a0).tensor(h.algebra.mult(f1, a1)), cf * ca)
+                    for (_, f0, f1), cf in f_pairs
+                    for (_, a0, a1), ca in a_pairs
+                )
                 return lhs == rhs and lhs2 == rhs2, (a, beta)
 
             report.sweep(
@@ -283,10 +266,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
 
             def d_colinear(a):
                 lhs = f.rho_vec(f.d(a))
-                rhs = FreeVector.zero()
-                for pa, ca in f.algebra_coaction(a).terms.items():
-                    _, a0, a1 = pa
-                    rhs = rhs + f.d(a0).tensor(E(a1)).scale(ca)
+                rhs = combine((f.d(a0).tensor(E(a1)), ca) for (_, a0, a1), ca in f.algebra_coaction(a).terms.items())
                 return lhs == rhs, (a,)
 
             report.sweep("covariance.d-right-colinear", a_basis, d_colinear, windowed=windowed)
@@ -295,14 +275,10 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
         h = f.hopf
 
         def lambda_comodule(beta):
-            lhs = FreeVector.zero()
-            rhs = FreeVector.zero()
-            counit_part = FreeVector.zero()
-            for pair_ix, c in f.left_coaction(beta).terms.items():
-                _, hx, fx = pair_ix
-                lhs = lhs + h.comul(hx).tensor(E(fx)).scale(c)
-                rhs = rhs + E(hx).tensor(f.left_coaction(fx)).scale(c)
-                counit_part = counit_part + E(fx).scale(c * h.counit(hx))
+            pairs = f.left_coaction(beta).terms.items()
+            lhs = combine((h.comul(hx).tensor(E(fx)), c) for (_, hx, fx), c in pairs)
+            rhs = combine((E(hx).tensor(f.left_coaction(fx)), c) for (_, hx, fx), c in pairs)
+            counit_part = combine((E(fx), c * h.counit(hx)) for (_, hx, fx), c in pairs)
             lhs = lhs.map_indices(lambda ix: ("@3", ix[1][1], ix[1][2], ix[2]))
             rhs = rhs.map_indices(lambda ix: ("@3", ix[1], ix[2][1], ix[2][2]))
             return lhs == rhs and counit_part == E(beta), (beta,)
@@ -314,19 +290,19 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
             def actions_left_colinear(item):
                 a, beta = item
                 lhs = f.lambda_vec(f.left_act(a, beta))
-                rhs = FreeVector.zero()
-                for pa, ca in f.algebra_left_coaction(a).terms.items():
-                    _, am1, a0 = pa
-                    for pf, cf in f.left_coaction(beta).terms.items():
-                        _, fm1, f0 = pf
-                        rhs = rhs + h.algebra.mult(am1, fm1).tensor(f.left_act(a0, f0)).scale(ca * cf)
+                a_pairs = f.algebra_left_coaction(a).terms.items()
+                f_pairs = f.left_coaction(beta).terms.items()
+                rhs = combine(
+                    (h.algebra.mult(am1, fm1).tensor(f.left_act(a0, f0)), ca * cf)
+                    for (_, am1, a0), ca in a_pairs
+                    for (_, fm1, f0), cf in f_pairs
+                )
                 lhs2 = f.lambda_vec(f.right_act(beta, a))
-                rhs2 = FreeVector.zero()
-                for pf, cf in f.left_coaction(beta).terms.items():
-                    _, fm1, f0 = pf
-                    for pa, ca in f.algebra_left_coaction(a).terms.items():
-                        _, am1, a0 = pa
-                        rhs2 = rhs2 + h.algebra.mult(fm1, am1).tensor(f.right_act(f0, a0)).scale(cf * ca)
+                rhs2 = combine(
+                    (h.algebra.mult(fm1, am1).tensor(f.right_act(f0, a0)), cf * ca)
+                    for (_, fm1, f0), cf in f_pairs
+                    for (_, am1, a0), ca in a_pairs
+                )
                 return lhs == rhs and lhs2 == rhs2, (a, beta)
 
             report.sweep(
@@ -338,10 +314,8 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
 
             def d_left_colinear(a):
                 lhs = f.lambda_vec(f.d(a))
-                rhs = FreeVector.zero()
-                for pa, ca in f.algebra_left_coaction(a).terms.items():
-                    _, am1, a0 = pa
-                    rhs = rhs + E(am1).tensor(f.d(a0)).scale(ca)
+                pairs = f.algebra_left_coaction(a).terms.items()
+                rhs = combine((E(am1).tensor(f.d(a0)), ca) for (_, am1, a0), ca in pairs)
                 return lhs == rhs, (a,)
 
             report.sweep("covariance.d-left-colinear", a_basis, d_left_colinear, windowed=windowed)
@@ -349,14 +323,9 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
     if f.bicovariant:
 
         def bicomodule(beta):
-            lhs = FreeVector.zero()  # (lambda (x) id) rho
-            for pair_ix, c in f.right_coaction(beta).terms.items():
-                _, f0, f1 = pair_ix
-                lhs = lhs + f.left_coaction(f0).tensor(E(f1)).scale(c)
-            rhs = FreeVector.zero()  # (id (x) rho) lambda
-            for pair_ix, c in f.left_coaction(beta).terms.items():
-                _, fm1, f0 = pair_ix
-                rhs = rhs + E(fm1).tensor(f.right_coaction(f0)).scale(c)
+            rho, lam = f.right_coaction(beta).terms.items(), f.left_coaction(beta).terms.items()
+            lhs = combine((f.left_coaction(f0).tensor(E(f1)), c) for (_, f0, f1), c in rho)  # (lambda (x) id) rho
+            rhs = combine((E(fm1).tensor(f.right_coaction(f0)), c) for (_, fm1, f0), c in lam)  # (id (x) rho) lambda
             lhs = lhs.map_indices(lambda ix: ("@3", ix[1][1], ix[1][2], ix[2]))
             rhs = rhs.map_indices(lambda ix: ("@3", ix[1], ix[2][1], ix[2][2]))
             return lhs == rhs, (beta,)
@@ -377,17 +346,25 @@ class IdealCalculusSpec:
     ideal_gens: list
 
 
-def parse_ideal_generators(text: str, index_fn=None) -> list:
+def parse_ideal_generators(text: str, hopf: HopfData) -> list:
     """One generator per line in the basis-combination grammar, e.g.
-    ``1*0 - 1*1`` or ``(1/2 + 3*z4^1)*2``; blank lines and # comments skipped."""
+    ``1*0 - 1*1`` or ``(1/2 + 3*z4^1)*2``, over positions in the basis of
+    hopf; blank lines and # comments skipped.
+
+    A malformed term, a position outside the basis and a coefficient
+    outside the scalar field of hopf are errors naming the line."""
     from hopfcalc.hopf import parse_basis_combination
 
+    basis = hopf.algebra.basis.enumerate()
     out = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        out.append(parse_basis_combination(line, index_fn))
+        try:
+            out.append(parse_basis_combination(line, basis, hopf.algebra.scalar_order))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     return out
 
 
@@ -437,24 +414,20 @@ def woronowicz_from_ideal(spec: IdealCalculusSpec) -> Fodc:
     form_basis = [("w1", p, hx) for p in range(dim_q) for hx in basis]
 
     def d_ix(a_ix):
-        out = FreeVector.zero()
-        for c, (h1, h2) in h.sweedler(a_ix, 2):
-            cls = reduce_to_class(E(h1))
-            for (_, p), cp in cls.terms.items():
-                out = out + E(("w1", p, h2)).scale(c * cp)
-        return out
+        return combine(
+            (E(("w1", p, h2)), c * cp)
+            for c, (h1, h2) in h.sweedler(a_ix, 2)
+            for (_, p), cp in reduce_to_class(E(h1)).terms.items()
+        )
 
     def left_act(a_ix, form_ix):
         _, p, hx = form_ix
-        out = FreeVector.zero()
-        for c, (a1, a2) in h.sweedler(a_ix, 2):
-            moved = alg.mult_vec(E(a1), quotient.representatives[p])
-            cls = quotient.project(moved)
-            tail = alg.mult(a2, hx)
-            for (_, pp), cp in cls.terms.items():
-                for t_ix, ct in tail.terms.items():
-                    out = out + E(("w1", pp, t_ix)).scale(c * cp * ct)
-        return out
+        return combine(
+            (E(("w1", pp, t_ix)), c * cp * ct)
+            for c, (a1, a2) in h.sweedler(a_ix, 2)
+            for (_, pp), cp in quotient.project(alg.mult_vec(E(a1), quotient.representatives[p])).terms.items()
+            for t_ix, ct in alg.mult(a2, hx).terms.items()
+        )
 
     def right_act(form_ix, a_ix):
         _, p, hx = form_ix
@@ -462,19 +435,15 @@ def woronowicz_from_ideal(spec: IdealCalculusSpec) -> Fodc:
 
     def right_coaction(form_ix):
         _, p, hx = form_ix
-        out = FreeVector.zero()
-        for c, (h1, h2) in h.sweedler(hx, 2):
-            out = out + E(tensor_index(("w1", p, h1), h2)).scale(c)
-        return out
+        return combine((E(tensor_index(("w1", p, h1), h2)), c) for c, (h1, h2) in h.sweedler(hx, 2))
 
     # adjoint stability of the ideal decides bicovariance
     ad_stable = True
     witness = None
     for row in ideal.basis():
-        image = FreeVector.zero()
-        for c, (v1, v2, v3) in h.sweedler_vec(row, 3):
-            left = alg.mult_vec(E(v1), h.antipode(v3))
-            image = image + left.tensor(E(v2)).scale(c)
+        image = combine(
+            (alg.mult_vec(E(v1), h.antipode(v3)).tensor(E(v2)), c) for c, (v1, v2, v3) in h.sweedler_vec(row, 3)
+        )
         by_left: dict = {}
         for pair_ix, c in image.terms.items():
             _, lx, rx = pair_ix
@@ -494,15 +463,16 @@ def woronowicz_from_ideal(spec: IdealCalculusSpec) -> Fodc:
 
         def left_coaction(form_ix):
             _, p, hx = form_ix
-            out = FreeVector.zero()
-            for c, (g1, g2, g3) in h.sweedler_vec(quotient.representatives[p], 3):
-                head = alg.mult_vec(E(g1), h.antipode(g3))
-                cls = reduce_to_class(E(g2))
-                for c2, (h1, h2) in h.sweedler(hx, 2):
-                    lead = alg.mult_vec(head, E(h1))
-                    for (_, pp), cp in cls.terms.items():
-                        out = out + lead.tensor(E(("w1", pp, h2))).scale(c * c2 * cp)
-            return out
+            heads = [
+                (c, alg.mult_vec(E(g1), h.antipode(g3)), reduce_to_class(E(g2)))
+                for c, (g1, g2, g3) in h.sweedler_vec(quotient.representatives[p], 3)
+            ]
+            return combine(
+                (alg.mult_vec(head, E(h1)).tensor(E(("w1", pp, h2))), c * c2 * cp)
+                for c, head, cls in heads
+                for c2, (h1, h2) in h.sweedler(hx, 2)
+                for (_, pp), cp in cls.terms.items()
+            )
 
     else:
         note = f"right-covariant-only: adjoint coaction leaves H (x) I at {witness.to_text()}"
@@ -528,13 +498,18 @@ def woronowicz_from_ideal(spec: IdealCalculusSpec) -> Fodc:
 # ---------------------------------------------------------------------------
 
 
-def build_laurent_q_calculus(q: CycScalar, hopf: HopfData | None = None) -> Fodc:
-    """Bicovariant calculus on k[t,t^-1]: dt t^n = q^n t^n dt, with the
-    differential given by the scaled difference quotient."""
+def check_deformation_parameter(q: CycScalar) -> None:
+    """q in `build_laurent_q_calculus` must be a root of unity of order >= 3."""
     if q.is_zero() or q.is_one() or (q == CycScalar.from_rational(-1)):
         raise ValueError("deformation parameter must be a root of unity of order >= 3")
     if multiplicative_order(q) is None:
         raise ValueError("deformation parameter must be a root of unity")
+
+
+def build_laurent_q_calculus(q: CycScalar, hopf: HopfData | None = None) -> Fodc:
+    """Bicovariant calculus on k[t,t^-1]: dt t^n = q^n t^n dt, with the
+    differential given by the scaled difference quotient."""
+    check_deformation_parameter(q)
     from hopfcalc.hopf import build_laurent_hopf
 
     h = hopf or build_laurent_hopf(scalar_order=q.order)
@@ -604,18 +579,10 @@ def universal_fodc(a: AlgebraPresentation, name: str = "") -> Fodc:
         return sol
 
     def left_act(a_ix, f_ix):
-        moved = FreeVector.zero()
-        for pair_ix, c in table[f_ix].terms.items():
-            _, x, y = pair_ix
-            moved = moved + a.mult(a_ix, x).tensor(E(y)).scale(c)
-        return express(moved)
+        return express(combine((a.mult(a_ix, x).tensor(E(y)), c) for (_, x, y), c in table[f_ix].terms.items()))
 
     def right_act(f_ix, a_ix):
-        moved = FreeVector.zero()
-        for pair_ix, c in table[f_ix].terms.items():
-            _, x, y = pair_ix
-            moved = moved + E(x).tensor(a.mult(y, a_ix)).scale(c)
-        return express(moved)
+        return express(combine((E(x).tensor(a.mult(y, a_ix)), c) for (_, x, y), c in table[f_ix].terms.items()))
 
     def d_ix(a_ix):
         value = a.unit.tensor(E(a_ix)) - E(a_ix).tensor(a.unit)
@@ -646,11 +613,7 @@ class TwistedCalculusAction:
         memoise_fields(self, "act")
 
     def act_vec(self, hv: FreeVector, fv: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for hx, ch in hv.terms.items():
-            for fx, cf in fv.terms.items():
-                out = out + self.act(hx, fx).scale(ch * cf)
-        return out
+        return linear(self.act, hv, fv)
 
 
 def check_sigma_twisted_module_calculus(
@@ -677,20 +640,20 @@ def check_sigma_twisted_module_calculus(
     windowed = not (b.basis.is_finite and h.algebra.basis.is_finite and b_calc.forms.is_finite)
 
     def twisted_of_pair(h_ix, a_ix, b_ix):
-        out = FreeVector.zero()
-        for c, (h1, h2) in h.sweedler(h_ix, 2):
-            out = out + b_calc.left_act_vec(m.act(h1, a_ix), b_calc.d(m.act(h2, b_ix))).scale(c)
-        return out
+        return combine(
+            (b_calc.left_act_vec(m.act(h1, a_ix), b_calc.d(m.act(h2, b_ix))), c) for c, (h1, h2) in h.sweedler(h_ix, 2)
+        )
+
+    def twisted_of(h_ix, presentation):
+        """h acting on a presentation, a sum of a d(b) over its ("pr", a, b) indices."""
+        return combine((twisted_of_pair(h_ix, a_ix, b_ix), c) for (_, a_ix, b_ix), c in presentation.terms.items())
 
     if action is None:
         solver = PresentationSolver(b_calc, window)
 
         for kappa in solver.kernel().basis():
             for h_ix in h_basis:
-                image = FreeVector.zero()
-                for pr_ix, c in kappa.terms.items():
-                    _, a_ix, b_ix = pr_ix
-                    image = image + twisted_of_pair(h_ix, a_ix, b_ix).scale(c)
+                image = twisted_of(h_ix, kappa)
                 if not image.is_zero():
                     raise ValueError(
                         "derived action is not well-defined: the vanishing presentation "
@@ -703,20 +666,17 @@ def check_sigma_twisted_module_calculus(
                 raise ValueError(
                     f"form {format_index(f_ix)} has no presentation a d(a') on the window"
                 )
-            got = FreeVector.zero()
-            for pr_ix, c in pres.terms.items():
-                _, a_ix, b_ix = pr_ix
-                got = got + twisted_of_pair(h_ix, a_ix, b_ix).scale(c)
-            return got
+            return twisted_of(h_ix, pres)
 
         action = TwistedCalculusAction(act=act)
 
     def compatible(item):
         h_ix, a_ix, b_ix = item
         lhs = action.act_vec(E(h_ix), b_calc.left_act_vec(E(a_ix), b_calc.d(b_ix)))
-        rhs = FreeVector.zero()
-        for c, (h1, h2) in h.sweedler(h_ix, 2):
-            rhs = rhs + b_calc.left_act_vec(m.act(h1, a_ix), action.act_vec(E(h2), b_calc.d(b_ix))).scale(c)
+        rhs = combine(
+            (b_calc.left_act_vec(m.act(h1, a_ix), action.act_vec(E(h2), b_calc.d(b_ix))), c)
+            for c, (h1, h2) in h.sweedler(h_ix, 2)
+        )
         return lhs == rhs, (h_ix, a_ix, b_ix)
 
     report.sweep(
@@ -765,11 +725,10 @@ def check_sigma_twisted_module_calculus(
         h_ix, a_ix, f_ix, b_ix = item
         inner = b_calc.right_act_vec(b_calc.left_act(a_ix, f_ix), E(b_ix))
         lhs = action.act_vec(E(h_ix), inner)
-        rhs = FreeVector.zero()
-        for c, (h1, h2, h3) in h.sweedler(h_ix, 3):
-            rhs = rhs + b_calc.right_act_vec(
-                b_calc.left_act_vec(m.act(h1, a_ix), action.act(h2, f_ix)), m.act(h3, b_ix)
-            ).scale(c)
+        rhs = combine(
+            (b_calc.right_act_vec(b_calc.left_act_vec(m.act(h1, a_ix), action.act(h2, f_ix)), m.act(h3, b_ix)), c)
+            for c, (h1, h2, h3) in h.sweedler(h_ix, 3)
+        )
         return lhs == rhs, (h_ix, a_ix, f_ix, b_ix)
 
     report.sweep(
@@ -782,13 +741,17 @@ def check_sigma_twisted_module_calculus(
     def bimodule_twist(item):
         h_ix, k_ix, f_ix = item
         lhs = action.act_vec(E(h_ix), action.act(k_ix, f_ix))
-        rhs = FreeVector.zero()
-        for c1, (x1, x2, x3) in h.sweedler(h_ix, 3):
-            for c2, (y1, y2, y3) in h.sweedler(k_ix, 3):
-                middle = action.act_vec(h.algebra.mult(x2, y2), E(f_ix))
-                rhs = rhs + b_calc.right_act_vec(
-                    b_calc.left_act_vec(s.sigma(x1, y1), middle), s.sigma_inv(x3, y3)
-                ).scale(c1 * c2)
+        rhs = combine(
+            (
+                b_calc.right_act_vec(
+                    b_calc.left_act_vec(s.sigma(x1, y1), action.act_vec(h.algebra.mult(x2, y2), E(f_ix))),
+                    s.sigma_inv(x3, y3),
+                ),
+                c1 * c2,
+            )
+            for c1, (x1, x2, x3) in h.sweedler(h_ix, 3)
+            for c2, (y1, y2, y3) in h.sweedler(k_ix, 3)
+        )
         return lhs == rhs, (h_ix, k_ix, f_ix)
 
     report.sweep(

@@ -10,7 +10,7 @@ on a window otherwise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from hopfcalc.linalg import (
@@ -18,9 +18,12 @@ from hopfcalc.linalg import (
     LinOp,
     Subspace,
     NoSolution,
+    combine,
     format_index,
     index_sort_key,
     kernel_image,
+    linear,
+    memoise,
     memoise_fields,
     solve_linear,
     tensor_index,
@@ -29,6 +32,7 @@ from hopfcalc.report import CheckReport
 from hopfcalc.scalars import CycScalar, multiplicative_order, parse_scalar
 
 Index = tuple
+E = FreeVector.basis
 
 
 class BasisFamily:
@@ -64,11 +68,7 @@ class AlgebraPresentation:
         memoise_fields(self, "mult")
 
     def mult_vec(self, v: FreeVector, w: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for i, ci in v.terms.items():
-            for j, cj in w.terms.items():
-                out = out + self.mult(i, j).scale(ci * cj)
-        return out
+        return linear(self.mult, v, w)
 
     def product(self, *vectors: FreeVector) -> FreeVector:
         out = self.unit
@@ -111,16 +111,12 @@ class HopfData:
     antipode: LinOp
     antipode_inv: LinOp
     name: str = ""
-    _sweedler_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        memoise_fields(self, "comul", "counit")
+        memoise_fields(self, "comul", "counit", "sweedler")
 
     def comul_vec(self, v: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for ix, c in v.terms.items():
-            out = out + self.comul(ix).scale(c)
-        return out
+        return linear(self.comul, v)
 
     def counit_vec(self, v: FreeVector) -> CycScalar:
         out = CycScalar.zero(self.algebra.scalar_order)
@@ -130,10 +126,6 @@ class HopfData:
 
     def sweedler(self, ix: Index, legs: int):
         """Iterated comultiplication of a basis element as flat leg tuples."""
-        key = (ix, legs)
-        cached = self._sweedler_cache.get(key)
-        if cached is not None:
-            return cached
         one = CycScalar.one(self.algebra.scalar_order)
         terms = {(ix,): one}
         for _ in range(legs - 1):
@@ -146,9 +138,7 @@ class HopfData:
                     prod = c * c2
                     nxt[key2] = prod if prev is None else prev + prod
             terms = {t: c for t, c in nxt.items() if not c.is_zero()}
-        out = [(c, t) for t, c in terms.items()]
-        self._sweedler_cache[key] = out
-        return out
+        return [(c, t) for t, c in terms.items()]
 
     def sweedler_vec(self, v: FreeVector, legs: int):
         acc = {}
@@ -180,10 +170,7 @@ class ComoduleAlgebra:
         memoise_fields(self, "coaction")
 
     def coaction_vec(self, v: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for ix, c in v.terms.items():
-            out = out + self.coaction(ix).scale(c)
-        return out
+        return linear(self.coaction, v)
 
     def coaction_terms(self, ix: Index, h_legs: int):
         """rho iterated: (coeff, (a_index, h_1, ..., h_legs)) tuples."""
@@ -250,23 +237,17 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
 
     def coassoc(ix):
         # (comul (x) id) and (id (x) comul) applied to comul(ix)
-        lhs = FreeVector.zero()
-        rhs = FreeVector.zero()
-        for pair_ix, c in h.comul(ix).terms.items():
-            _, i, j = pair_ix
-            lhs = lhs + h.comul(i).tensor(FreeVector.basis(j)).scale(c)
-            rhs = rhs + FreeVector.basis(i).tensor(h.comul(j)).scale(c)
+        pairs = h.comul(ix).terms.items()
+        lhs = combine((h.comul(i).tensor(E(j)), c) for (_, i, j), c in pairs)
+        rhs = combine((E(i).tensor(h.comul(j)), c) for (_, i, j), c in pairs)
         return _flatten_left(lhs) == _flatten_right(rhs), (ix,)
 
     report.sweep("coalgebra.coassoc", basis, coassoc, windowed=windowed)
 
     def counit_law(ix):
-        left = FreeVector.zero()
-        right = FreeVector.zero()
-        for pair_ix, c in h.comul(ix).terms.items():
-            _, i, j = pair_ix
-            left = left + FreeVector.basis(j).scale(c * h.counit(i))
-            right = right + FreeVector.basis(i).scale(c * h.counit(j))
+        pairs = h.comul(ix).terms.items()
+        left = combine((E(j), c * h.counit(i)) for (_, i, j), c in pairs)
+        right = combine((E(i), c * h.counit(j)) for (_, i, j), c in pairs)
         e = FreeVector.basis(ix)
         return left == e and right == e, (ix,)
 
@@ -305,12 +286,9 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
     report.record("bialgebra.counit-unit", h.counit_vec(alg.unit) == one)
 
     def antipode_axiom(ix):
-        left = FreeVector.zero()
-        right = FreeVector.zero()
-        for pair_ix, c in h.comul(ix).terms.items():
-            _, i, j = pair_ix
-            left = left + alg.mult_vec(h.antipode(i), FreeVector.basis(j)).scale(c)
-            right = right + alg.mult_vec(FreeVector.basis(i), h.antipode(j)).scale(c)
+        pairs = h.comul(ix).terms.items()
+        left = combine((alg.mult_vec(h.antipode(i), E(j)), c) for (_, i, j), c in pairs)
+        right = combine((alg.mult_vec(E(i), h.antipode(j)), c) for (_, i, j), c in pairs)
         expected = alg.unit.scale(h.counit(ix))
         return left == expected and right == expected, (ix,)
 
@@ -332,21 +310,15 @@ def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> Che
     windowed = not alg.basis.is_finite
 
     def coassoc(ix):
-        lhs = FreeVector.zero()  # (rho (x) id) rho
-        rhs = FreeVector.zero()  # (id (x) comul) rho
-        for pair_ix, c in m.coaction(ix).terms.items():
-            _, a, hh = pair_ix
-            lhs = lhs + m.coaction(a).tensor(FreeVector.basis(hh)).scale(c)
-            rhs = rhs + FreeVector.basis(a).tensor(h.comul(hh)).scale(c)
+        pairs = m.coaction(ix).terms.items()
+        lhs = combine((m.coaction(a).tensor(E(hh)), c) for (_, a, hh), c in pairs)  # (rho (x) id) rho
+        rhs = combine((E(a).tensor(h.comul(hh)), c) for (_, a, hh), c in pairs)  # (id (x) comul) rho
         return _flatten_left(lhs) == _flatten_right(rhs), (ix,)
 
     report.sweep("comodule.coassoc", basis, coassoc, windowed=windowed)
 
     def counital(ix):
-        out = FreeVector.zero()
-        for pair_ix, c in m.coaction(ix).terms.items():
-            _, a, hh = pair_ix
-            out = out + FreeVector.basis(a).scale(c * h.counit(hh))
+        out = combine((E(a), c * h.counit(hh)) for (_, a, hh), c in m.coaction(ix).terms.items())
         return out == FreeVector.basis(ix), (ix,)
 
     report.sweep("comodule.counit", basis, counital, windowed=windowed)
@@ -442,13 +414,11 @@ def tensor_square_coalgebra(h: HopfData) -> CoalgebraData:
 
     def comul(pair_ix):
         _, i, j = pair_ix
-        out = FreeVector.zero()
-        for p1, c1 in h.comul(i).terms.items():
-            for p2, c2 in h.comul(j).terms.items():
-                left = tensor_index(p1[1], p2[1])
-                right = tensor_index(p1[2], p2[2])
-                out = out + FreeVector.basis(tensor_index(left, right)).scale(c1 * c2)
-        return out
+        return linear(
+            lambda p1, p2: E(tensor_index(tensor_index(p1[1], p2[1]), tensor_index(p1[2], p2[2]))),
+            h.comul(i),
+            h.comul(j),
+        )
 
     return CoalgebraData(comul=comul, counit=lambda ix: h.counit(ix[1]) * h.counit(ix[2]))
 
@@ -560,20 +530,13 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
                     return NotInvertible(ci)
             return NotInvertible(None)
         for ci in c_basis:
-            acc = FreeVector.zero()
-            for (_, cj, ak), c in sol.terms.items():
-                if cj == ci:
-                    acc = acc + FreeVector.basis(ak).scale(c)
-            values[ci] = acc
+            values[ci] = combine((E(ak), c) for (_, cj, ak), c in sol.terms.items() if cj == ci)
         g = LinOp(lambda ix: values[ix], name=f"{f.name}^-1")
 
     # verify both convolution identities on every checked basis element
     for ci in c_basis:
-        left = FreeVector.zero()
-        right = FreeVector.zero()
-        for coeff, (c1, c2) in pairs[ci]:
-            left = left + algebra.mult_vec(f(c1), g(c2)).scale(coeff)
-            right = right + algebra.mult_vec(g(c1), f(c2)).scale(coeff)
+        left = combine((algebra.mult_vec(f(c1), g(c2)), coeff) for coeff, (c1, c2) in pairs[ci])
+        right = combine((algebra.mult_vec(g(c1), f(c2)), coeff) for coeff, (c1, c2) in pairs[ci])
         expected = algebra.unit.scale(coa.counit(ci))
         if not (left == expected and right == expected):
             return NotInvertible(ci)
@@ -687,6 +650,20 @@ class RadfordData:
     q: CycScalar
 
 
+def check_radford_shape(r: int, n: int) -> int:
+    """The order r*n that q must have in `build_radford`; r and n must be positive."""
+    if r < 1 or n < 1:
+        raise ValueError(f"r and n must be positive, got r = {r}, n = {n}")
+    return r * n
+
+
+def check_radford_root(q: CycScalar, m: int) -> None:
+    """q in `build_radford` must be a primitive root of unity of order m."""
+    order = multiplicative_order(q, bound=4 * m + 4)
+    if order != m:
+        raise ValueError(f"q must be a primitive root of unity of order {m}, got order {order}")
+
+
 def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
     """Hopf algebra on generators a, x with a^(rn)=1, x^n=0, xa=q ax.
 
@@ -694,12 +671,8 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
     the antipode axiom on the generators, extended anti-multiplicatively
     and then verified by `check_hopf_axioms` in the test-suite.
     """
-    if r < 1 or n < 1:
-        raise ValueError("r and n must be positive")
-    m = r * n
-    order = multiplicative_order(q, bound=4 * m + 4)
-    if order != m:
-        raise ValueError(f"q must be a primitive root of unity of order {m}, got order {order}")
+    m = check_radford_shape(r, n)
+    check_radford_root(q, m)
     so = max(q.order, 1)
     one = CycScalar.one(so)
 
@@ -750,19 +723,14 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
     if isinstance(s_x, NoSolution):  # pragma: no cover
         raise ValueError("antipode axiom has no solution at x")
 
-    antipode_cache = {}
-
+    @memoise
     def antipode_ix(i):
-        got = antipode_cache.get(i)
-        if got is not None:
-            return got
         _, l, mm = i
         out = algebra.unit
         for _ in range(mm):
             out = algebra.mult_vec(out, s_x)
         for _ in range(l):
             out = algebra.mult_vec(out, s_a)
-        antipode_cache[i] = out
         return out
 
     antipode = LinOp(antipode_ix, name="S")
@@ -887,6 +855,11 @@ def build_torus_comodule(theta_root: CycScalar) -> TorusData:
 # structure-constant text format
 # ---------------------------------------------------------------------------
 
+def _in_field(c: CycScalar, scalar_order: int) -> bool:
+    """Whether c is written in Q(zeta_scalar_order): its order divides it, or c is rational."""
+    return not scalar_order % c.order or not any(c.coeffs[1:])
+
+
 _ARROW_LINE = re.compile(r"^\s*(\S+)\s+(.*?)\s*->\s*(.*?)\s*:\s*(.*)$")
 _PLAIN_LINE = re.compile(r"^\s*(\S+)\s+(.*?)\s*:\s*(.*)$")
 
@@ -954,7 +927,7 @@ def parse_structure_constants(text: str) -> HopfData:
         for p in positions:
             if not 0 <= p < dim:
                 raise ValueError(f"line {lineno}: basis index {p} outside 0..{dim - 1}")
-        if so % c.order and any(c.coeffs[1:]):
+        if not _in_field(c, so):
             raise ValueError(f"line {lineno}: coefficient {c.to_text()} is not in Q(zeta_{so})")
 
     def ix(i):
@@ -1041,14 +1014,14 @@ def render_structure_constants(h: HopfData) -> str:
 _VEC_TERM = re.compile(r"^\s*(?:\(\s*(?P<paren>[^()]*)\s*\)|(?P<atom>[^*\s]+))\s*(?:\*\s*(?P<idx>\d+))?\s*$")
 
 
-def parse_basis_combination(text: str, index_fn=None):
-    """Parse ``(scalar) * i + ... `` combinations over integer basis positions.
+def parse_basis_combination(text: str, basis: list, scalar_order: int):
+    """Parse ``(scalar) * i + ... `` combinations over integer positions in basis.
 
     Bare ``i`` means coefficient 1; scalars with internal +/- must be
-    parenthesized.  index_fn maps the integer position to a basis index.
+    parenthesized.  A position outside ``0..len(basis)-1`` and a
+    coefficient outside Q(zeta_scalar_order) are errors.
     """
-    index_fn = index_fn or (lambda i: ("u", i))
-    out = FreeVector.zero()
+    terms = []
     sign = 1
     depth = 0
     chunk = ""
@@ -1082,5 +1055,9 @@ def parse_basis_combination(text: str, index_fn=None):
         else:
             coeff = CycScalar.one()
             ixn = int(m.group("atom"))
-        out = out + FreeVector.basis(index_fn(ixn)).scale(coeff * sgn if sgn < 0 else coeff)
-    return out
+        if not 0 <= ixn < len(basis):
+            raise ValueError(f"basis index {ixn} outside 0..{len(basis) - 1} in term {part.strip()!r}")
+        if not _in_field(coeff, scalar_order):
+            raise ValueError(f"coefficient {coeff.to_text()} is not in Q(zeta_{scalar_order})")
+        terms.append((E(basis[ixn]), coeff * sgn if sgn < 0 else coeff))
+    return combine(terms)

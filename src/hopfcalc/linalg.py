@@ -26,6 +26,9 @@ __all__ = [
     "quotient_basis",
     "QuotientSpace",
     "tensor_index",
+    "combine",
+    "linear",
+    "memoise",
     "memoise_fields",
 ]
 
@@ -82,7 +85,7 @@ class FreeVector:
     def basis(ix, coeff: CycScalar | int = 1) -> "FreeVector":
         if not isinstance(coeff, CycScalar):
             coeff = CycScalar.one() if coeff == 1 else CycScalar.from_rational(coeff)
-        return FreeVector({ix: coeff})
+        return _ZERO if coeff.is_zero() else _wrap({ix: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -105,21 +108,11 @@ class FreeVector:
         if not self.terms:
             return other
         data = dict(self.terms)
-        for ix, c in other.terms.items():
-            prev = data.get(ix)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                data.pop(ix, None)
-            else:
-                data[ix] = s
-        out = FreeVector.__new__(FreeVector)
-        object.__setattr__(out, "terms", data)
-        return out
+        _add_into(data, other.terms, None)
+        return _wrap(data)
 
     def __neg__(self) -> "FreeVector":
-        out = FreeVector.__new__(FreeVector)
-        object.__setattr__(out, "terms", {ix: -c for ix, c in self.terms.items()})
-        return out
+        return _wrap({ix: -c for ix, c in self.terms.items()})
 
     def __sub__(self, other: "FreeVector") -> "FreeVector":
         return self + (-other)
@@ -167,11 +160,74 @@ class FreeVector:
         return " + ".join(parts)
 
 
-_ZERO = FreeVector.__new__(FreeVector)
-object.__setattr__(_ZERO, "terms", {})
+def _wrap(data: dict) -> FreeVector:
+    """A vector on data as it is: its entries must be nonzero."""
+    out = FreeVector.__new__(FreeVector)
+    object.__setattr__(out, "terms", data)
+    return out
 
 
-def _memoise(fn):
+_ZERO = _wrap({})
+
+
+def _add_into(data: dict, terms: dict, c: Optional[CycScalar]) -> None:
+    """Add terms, each times c unless c is None, into data in place.
+
+    A sum that reaches zero is deleted, so an index that comes back is
+    re-inserted at the end, as `+` on vectors does.
+    """
+    for ix, x in terms.items():
+        if c is not None:
+            x = x * c
+        prev = data.get(ix)
+        if prev is not None:
+            x = prev + x
+            if x.is_zero():
+                del data[ix]
+                continue
+        data[ix] = x
+
+
+def combine(pairs: Iterable[tuple[FreeVector, CycScalar]]) -> FreeVector:
+    """The sum of v.scale(c) over the (v, c) pairs.
+
+    The result has the same terms, in the same order and with the same
+    scalars, as adding the scaled vectors one by one with `+`: the first
+    addend with coefficient one is taken as it is and copied before any
+    write, a coefficient of one is not multiplied, and each product is
+    formed as `x * c`.  Only the running sum is not copied at every step.
+    """
+    first, data = _ZERO, None
+    for v, c in pairs:
+        if not v.terms or c.is_zero():
+            continue
+        if c.is_one():
+            if data is None:
+                if not first.terms:
+                    first = v
+                    continue
+                data = dict(first.terms)
+            _add_into(data, v.terms, None)
+        else:
+            if data is None:
+                data = dict(first.terms)
+            _add_into(data, v.terms, c)
+    return first if data is None else _wrap(data)
+
+
+def linear(fn: Callable[..., FreeVector], v: FreeVector, w: Optional[FreeVector] = None) -> FreeVector:
+    """The linear extension of fn, a map on basis indices, at v, or its bilinear one at (v, w).
+
+    fn(i, j) is weighted by ci * cj and summed by `combine` in the order of
+    nested loops over the vectors' terms, v outermost.
+    """
+    if w is None:
+        return combine((fn(ix), c) for ix, c in v.terms.items())
+    right = w.terms.items()
+    return combine((fn(i, j), ci * cj) for i, ci in v.terms.items() for j, cj in right)
+
+
+def memoise(fn):
     """fn with its value kept per argument tuple; None and memos pass through.
 
     A structure map on basis indices is a fixed table, so each entry is
@@ -192,9 +248,9 @@ def _memoise(fn):
 
 
 def memoise_fields(obj, *names) -> None:
-    """Memoise the named structure-map fields of obj in place."""
+    """Memoise the named structure maps of obj in place: fields, or methods such as `HopfData.sweedler`."""
     for name in names:
-        setattr(obj, name, _memoise(getattr(obj, name)))
+        setattr(obj, name, memoise(getattr(obj, name)))
 
 
 class LinOp:
@@ -207,10 +263,7 @@ class LinOp:
 
     def __call__(self, arg) -> FreeVector:
         if isinstance(arg, FreeVector):
-            out = FreeVector.zero()
-            for ix, c in arg.terms.items():
-                out = out + self.action(ix).scale(c)
-            return out
+            return linear(self.action, arg)
         return self.action(arg)
 
     def columns(self, domain: Iterable[Index]) -> list[FreeVector]:
@@ -474,10 +527,7 @@ class QuotientSpace:
 
     def lift(self, class_vector: FreeVector) -> FreeVector:
         """A representative vector for a combination of class indices."""
-        out = FreeVector.zero()
-        for (_, pos), c in class_vector.terms.items():
-            out = out + self.representatives[pos].scale(c)
-        return out
+        return linear(lambda cls: self.representatives[cls[1]], class_vector)
 
 
 def intersection_dim(u: Subspace, v: Subspace) -> int:

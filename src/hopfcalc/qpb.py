@@ -21,7 +21,9 @@ from hopfcalc.linalg import (
     QuotientSpace,
     Subspace,
     TrackedSpan,
+    combine,
     format_index,
+    linear,
     tensor_index,
 )
 from hopfcalc.report import CheckReport, witness
@@ -49,10 +51,7 @@ class CoinvariantForms:
         return len(self.labels)
 
     def lift(self, coeffs: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for label, c in coeffs.terms.items():
-            out = out + self.vectors[label].scale(c)
-        return out
+        return linear(lambda label: self.vectors[label], coeffs)
 
     def express(self, form_vec: FreeVector):
         return self.span.express(form_vec)
@@ -84,9 +83,9 @@ def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantFor
         vectors[label] = vec
 
     def maurer_cartan(h_vec: FreeVector) -> FreeVector:
-        value = FreeVector.zero()
-        for c, (h1, h2) in h.sweedler_vec(h_vec, 2):
-            value = value + h_calc.left_act_vec(h.antipode(h1), h_calc.d(h2)).scale(c)
+        value = combine(
+            (h_calc.left_act_vec(h.antipode(h1), h_calc.d(h2)), c) for c, (h1, h2) in h.sweedler_vec(h_vec, 2)
+        )
         got = span.express(value)
         if isinstance(got, NoSolution):
             raise ValueError(f"Cartan-Maurer value left the coinvariants: {value.to_text()}")
@@ -172,13 +171,10 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
         return p_vec(vertical_part)
 
     def g_vec(target_vec: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for ix, c in target_vec.terms.items():
-            _, pair_ix, label = ix
-            _, bx, hx = pair_ix
-            moved = cf.h_calc.left_act_vec(E(hx), coinv.vectors[label])
-            out = out + ver(E(bx), moved).scale(c)
-        return out
+        return combine(
+            (ver(E(bx), cf.h_calc.left_act_vec(E(hx), coinv.vectors[label])), c)
+            for (_, (_, bx, hx), label), c in target_vec.terms.items()
+        )
 
     vd = VerticalData(cf=cf, coinv=coinv, ver=ver_map, p=p_vec, g=g_vec, report=report)
 
@@ -216,12 +212,11 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     def left_linear(item):
         pair_ix, form_ix = item
         lhs = ver_map(cf.left_act(pair_ix, form_ix))
-        rhs = FreeVector.zero()
-        for ix, c in ver_map(E(form_ix)).terms.items():
-            _, inner_pair, label = ix
-            moved = cf.crossed.algebra.mult(pair_ix, inner_pair)
-            for jx, cj in moved.terms.items():
-                rhs = rhs + E(tensor_index(jx, label)).scale(c * cj)
+        rhs = combine(
+            (E(tensor_index(jx, label)), c * cj)
+            for (_, inner_pair, label), c in ver_map(E(form_ix)).terms.items()
+            for jx, cj in cf.crossed.algebra.mult(pair_ix, inner_pair).terms.items()
+        )
         return lhs == rhs, (pair_ix, form_ix)
 
     report.sweep(
@@ -235,22 +230,15 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     coh_coaction = _coinvariant_coaction(cf, coinv, report, windowed)
 
     def colinear(form_ix):
-        lhs = FreeVector.zero()  # (ver (x) id) rho'
-        for pair, c in cf.right_coaction(form_ix).terms.items():
-            _, f0, h1 = pair
-            lhs = lhs + ver_map(E(f0)).tensor(E(h1)).scale(c)
-        rhs = FreeVector.zero()  # diagonal coaction applied to ver
-        for ix, c in ver_map(E(form_ix)).terms.items():
-            _, pair_ix, label = ix
-            _, bx, hx = pair_ix
-            for c2, (h1, h2) in h.sweedler(hx, 2):
-                for pair2, c3 in coh_coaction[label].terms.items():
-                    _, lab, h3 = pair2
-                    tail = h.algebra.mult(h2, h3)
-                    for t_ix, ct in tail.terms.items():
-                        rhs = rhs + E(
-                            tensor_index(tensor_index(tensor_index(bx, h1), lab), t_ix)
-                        ).scale(c * c2 * c3 * ct)
+        # (ver (x) id) rho' against the diagonal coaction applied to ver
+        lhs = combine((ver_map(E(f0)).tensor(E(h1)), c) for (_, f0, h1), c in cf.right_coaction(form_ix).terms.items())
+        rhs = combine(
+            (E(tensor_index(tensor_index(tensor_index(bx, h1), lab), t_ix)), c * c2 * c3 * ct)
+            for (_, (_, bx, hx), label), c in ver_map(E(form_ix)).terms.items()
+            for c2, (h1, h2) in h.sweedler(hx, 2)
+            for (_, lab, h3), c3 in coh_coaction[label].terms.items()
+            for t_ix, ct in h.algebra.mult(h2, h3).terms.items()
+        )
         return lhs.map_indices(_flatten_target) == rhs.map_indices(_flatten_target), (form_ix,)
 
     report.sweep("vertical.right-colinear", form_basis, colinear, windowed=windowed)
@@ -264,16 +252,21 @@ def _flatten_target(ix):
     return ix
 
 
+def _left_multiple(cf: CrossedFodc, pair_ix, t_ix) -> FreeVector:
+    """The product of pair_ix with a target basis element (pair (x) label)."""
+    _, inner_pair, label = t_ix
+    moved = cf.crossed.algebra.mult(pair_ix, inner_pair)
+    return combine((E(tensor_index(jx, label)), cj) for jx, cj in moved.terms.items())
+
+
 def _coinvariant_coaction(cf: CrossedFodc, coinv: CoinvariantForms, report: CheckReport, windowed: bool):
     """Right coaction restricted to the coinvariant forms, expressed over
     the coinvariant labels; records a check that they are stable."""
     table = {}
     ok, unstable = True, None
     for label in coinv.labels:
-        out = FreeVector.zero()
-        for pair, c in cf.h_calc.rho_vec(coinv.vectors[label]).terms.items():
-            _, f0, h1 = pair
-            out = out + E(f0).tensor(E(h1)).scale(c)
+        pairs = cf.h_calc.rho_vec(coinv.vectors[label]).terms.items()
+        out = combine((E(f0).tensor(E(h1)), c) for (_, f0, h1), c in pairs)
         expressed = FreeVector.zero()
         stable = True
         by_h = {}
@@ -387,10 +380,7 @@ def check_atiyah_exact(
             one_h = h.algebra.unit
             lower = higher.basis(degree - 1, window)
             for bf in b_forms:
-                base_form = None
-                for u_ix, cu in one_h.terms.items():
-                    piece = E(("gf", 1, bf, u_ix)).scale(cu)
-                    base_form = piece if base_form is None else base_form + piece
+                base_form = combine((E(("gf", 1, bf, u_ix)), cu) for u_ix, cu in one_h.terms.items())
                 for low in lower:
                     wedge_span.add(higher.wedge_vec(1, base_form, degree - 1, E(low)))
 
@@ -415,16 +405,10 @@ def check_atiyah_exact(
                 _, pair_ix, label = ix
                 _, bx, hx = pair_ix
                 moved = h_graded.wedge_vec(0, E(hx), degree, coh_span.vectors[label])
-                out = FreeVector.zero()
-                for hp, ch in moved.terms.items():
-                    out = out + E(("gf", 0, bx, hp)).scale(ch)
-                return out
+                return combine((E(("gf", 0, bx, hp)), ch) for hp, ch in moved.terms.items())
 
             def onto_n(ix):
-                out = FreeVector.zero()
-                for gixx, c in g_n(ix).terms.items():
-                    out = out + ver_n(gixx).scale(c)
-                return out == E(ix), (ix,)
+                return linear(ver_n, g_n(ix)) == E(ix), (ix,)
 
             report.sweep(f"atiyah.degree-{degree}.surjective", target_n, onto_n, windowed=windowed)
     return report
@@ -463,11 +447,7 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
 
     def left_linear(item):
         pair_ix, t_ix = item
-        _, inner_pair, label = t_ix
-        moved = FreeVector.zero()
-        for jx, cj in cf.crossed.algebra.mult(pair_ix, inner_pair).terms.items():
-            moved = moved + E(tensor_index(jx, label)).scale(cj)
-        lhs = c_map(moved)
+        lhs = c_map(_left_multiple(cf, pair_ix, t_ix))
         rhs = cf.left_act_vec(E(pair_ix), c_map(E(t_ix)))
         return lhs == rhs, (pair_ix, t_ix)
 
@@ -484,14 +464,14 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
         _, pair_ix, label = t_ix
         _, bx, hx = pair_ix
         lhs = cf.rho_vec(c_map(E(t_ix))).map_indices(lambda ix: ("vt2", ix[1], ix[2]))
-        rhs = FreeVector.zero()
-        for c2, (h1, h2) in h.sweedler(hx, 2):
-            for pair2, c3 in coh_coaction[label].terms.items():
-                _, lab, h3 = pair2
-                inner = c_map(E(tensor_index(tensor_index(bx, h1), lab)))
-                for t_ix2, ct in h.algebra.mult(h2, h3).terms.items():
-                    for f_ix, cfm in inner.terms.items():
-                        rhs = rhs + E(("vt2", f_ix, t_ix2)).scale(c2 * c3 * ct * cfm)
+        rhs = combine(
+            (E(("vt2", f_ix, t_ix2)), c2 * c3 * ct * cfm)
+            for c2, (h1, h2) in h.sweedler(hx, 2)
+            for (_, lab, h3), c3 in coh_coaction[label].terms.items()
+            for inner in [c_map(E(tensor_index(tensor_index(bx, h1), lab)))]
+            for t_ix2, ct in h.algebra.mult(h2, h3).terms.items()
+            for f_ix, cfm in inner.terms.items()
+        )
         return lhs == rhs, (t_ix,)
 
     report.sweep("connection.right-colinear", target, colinear, windowed=windowed)
@@ -534,11 +514,7 @@ def check_connection(vd: VerticalData, connection: Connection, window: int | Non
 
     def left_linear(item):
         pair_ix, t_ix = item
-        _, inner_pair, label = t_ix
-        moved = FreeVector.zero()
-        for jx, cj in cf.crossed.algebra.mult(pair_ix, inner_pair).terms.items():
-            moved = moved + E(tensor_index(jx, label)).scale(cj)
-        lhs = connection.c(moved)
+        lhs = connection.c(_left_multiple(cf, pair_ix, t_ix))
         rhs = cf.left_act_vec(E(pair_ix), connection.c(E(t_ix)))
         return lhs == rhs, (pair_ix, t_ix)
 
@@ -609,15 +585,13 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     def coaction_defect(ix):
         _, pair_ix, v_ix = ix
         _, bx, hx = pair_ix
-        out = FreeVector.zero()
-        for c1, (h1, h2) in h.sweedler(hx, 2):
-            for pv, c2 in v_comodule.coaction(v_ix).terms.items():
-                _, v0, v1 = pv
-                tail = h.algebra.mult(h2, v1)
-                for t_ix, ct in tail.terms.items():
-                    out = out + E(("e", bx, h1, v0, t_ix)).scale(c1 * c2 * ct)
-        out = out - E(("e", bx, hx, v_ix, _unit_index(h)))
-        return out
+        out = combine(
+            (E(("e", bx, h1, v0, t_ix)), c1 * c2 * ct)
+            for c1, (h1, h2) in h.sweedler(hx, 2)
+            for (_, v0, v1), c2 in v_comodule.coaction(v_ix).terms.items()
+            for t_ix, ct in h.algebra.mult(h2, v1).terms.items()
+        )
+        return out - E(("e", bx, hx, v_ix, _unit_index(h)))
 
     kernel = LinearSolver(LinOp(coaction_defect), pair_v).kernel()
     e_vectors_list = kernel.basis()
@@ -629,24 +603,22 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
 
     # left and right B-actions on E
     def b_act_left(b_ix, e_label):
-        out = FreeVector.zero()
-        for ix, c in e_vectors[e_label].terms.items():
-            _, pair_ix, v_ix = ix
-            moved = cp.algebra.mult_vec(E(b_ix).tensor(h.algebra.unit), E(pair_ix))
-            for jx, cj in moved.terms.items():
-                out = out + E(tensor_index(jx, v_ix)).scale(c * cj)
+        out = combine(
+            (E(tensor_index(jx, v_ix)), c * cj)
+            for (_, pair_ix, v_ix), c in e_vectors[e_label].terms.items()
+            for jx, cj in cp.algebra.mult_vec(E(b_ix).tensor(h.algebra.unit), E(pair_ix)).terms.items()
+        )
         got = e_span.express(out)
         if isinstance(got, NoSolution):
             raise ValueError("coinvariants not closed under the left base action")
         return got
 
     def b_act_right(e_label, b_ix):
-        out = FreeVector.zero()
-        for ix, c in e_vectors[e_label].terms.items():
-            _, pair_ix, v_ix = ix
-            moved = cp.algebra.mult_vec(E(pair_ix), E(b_ix).tensor(h.algebra.unit))
-            for jx, cj in moved.terms.items():
-                out = out + E(tensor_index(jx, v_ix)).scale(c * cj)
+        out = combine(
+            (E(tensor_index(jx, v_ix)), c * cj)
+            for (_, pair_ix, v_ix), c in e_vectors[e_label].terms.items()
+            for jx, cj in cp.algebra.mult_vec(E(pair_ix), E(b_ix).tensor(h.algebra.unit)).terms.items()
+        )
         got = e_span.express(out)
         if isinstance(got, NoSolution):
             raise ValueError("coinvariants not closed under the right base action")
@@ -661,21 +633,13 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         for bx in b_basis:
             moved_form = cf.b_calc.right_act(bf, bx)
             for el in e_labels:
-                left = FreeVector.zero()
-                for f2, c2 in moved_form.terms.items():
-                    left = left + E(tensor_index(f2, el)).scale(c2)
-                right = FreeVector.zero()
-                for el2, c2 in b_act_left(bx, el).terms.items():
-                    right = right + E(tensor_index(bf, el2)).scale(c2)
+                left = combine((E(tensor_index(f2, el)), c2) for f2, c2 in moved_form.terms.items())
+                right = combine((E(tensor_index(bf, el2)), c2) for el2, c2 in b_act_left(bx, el).terms.items())
                 relations.add(left - right)
     balanced = QuotientSpace(big, relations, cls_tag="bcls")
 
     def to_balanced(form_vec: FreeVector, e_coeffs: FreeVector) -> FreeVector:
-        raw = FreeVector.zero()
-        for f_ix, cfm in form_vec.terms.items():
-            for el, ce in e_coeffs.terms.items():
-                raw = raw + E(tensor_index(f_ix, el)).scale(cfm * ce)
-        return balanced.project(raw)
+        return balanced.project(linear(lambda f_ix, el: E(tensor_index(f_ix, el)), form_vec, e_coeffs))
 
     def nabla(e_label):
         out = FreeVector.zero()
@@ -715,29 +679,31 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     )
 
     def balanced_left_act(b_ix, cls_vec: FreeVector) -> FreeVector:
-        raw = balanced.lift(cls_vec)
-        out = FreeVector.zero()
-        for ix, c in raw.terms.items():
-            _, f_ix, el = ix
-            moved = cf.b_calc.left_act(b_ix, f_ix)
-            for f2, c2 in moved.terms.items():
-                out = out + E(tensor_index(f2, el)).scale(c * c2)
-        return balanced.project(out)
+        return balanced.project(
+            combine(
+                (E(tensor_index(f2, el)), c * c2)
+                for (_, f_ix, el), c in balanced.lift(cls_vec).terms.items()
+                for f2, c2 in cf.b_calc.left_act(b_ix, f_ix).terms.items()
+            )
+        )
 
     def balanced_right_act(cls_vec: FreeVector, b_ix) -> FreeVector:
-        raw = balanced.lift(cls_vec)
-        out = FreeVector.zero()
-        for ix, c in raw.terms.items():
-            _, f_ix, el = ix
-            for el2, c2 in b_act_right(el, b_ix).terms.items():
-                out = out + E(tensor_index(f_ix, el2)).scale(c * c2)
-        return balanced.project(out)
+        return balanced.project(
+            combine(
+                (E(tensor_index(f_ix, el2)), c * c2)
+                for (_, f_ix, el), c in balanced.lift(cls_vec).terms.items()
+                for el2, c2 in b_act_right(el, b_ix).terms.items()
+            )
+        )
 
     def nabla_vec(coeffs: FreeVector) -> FreeVector:
-        out = FreeVector.zero()
-        for el, c in coeffs.terms.items():
-            out = out + nabla(el).scale(c)
-        return out
+        return linear(nabla, coeffs)
+
+    def sigma_e_vec(e_coeffs: FreeVector, f_ix) -> FreeVector:
+        return linear(lambda el: sigma_e(el, f_ix), e_coeffs)
+
+    def sigma_e_of(e_label, form_vec: FreeVector) -> FreeVector:
+        return linear(lambda f_ix: sigma_e(e_label, f_ix), form_vec)
 
     def left_leibniz(item):
         b_ix, e_label = item
@@ -754,10 +720,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     def right_leibniz(item):
         e_label, b_ix = item
         lhs = nabla_vec(b_act_right(e_label, b_ix))
-        sigma_part = FreeVector.zero()
-        for f_ix, c in cf.b_calc.d(b_ix).terms.items():
-            sigma_part = sigma_part + sigma_e(e_label, f_ix).scale(c)
-        rhs = sigma_part + balanced_right_act(nabla(e_label), b_ix)
+        rhs = sigma_e_of(e_label, cf.b_calc.d(b_ix)) + balanced_right_act(nabla(e_label), b_ix)
         return lhs == rhs, (e_label, b_ix)
 
     report.sweep(
@@ -769,15 +732,9 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     def sigma_bimodule(item):
         b_ix, e_label, f_ix = item
         lhs = balanced_left_act(b_ix, sigma_e(e_label, f_ix))
-        rhs = FreeVector.zero()
-        for el2, c2 in b_act_left(b_ix, e_label).terms.items():
-            rhs = rhs + sigma_e(el2, f_ix).scale(c2)
-        ok1 = lhs == rhs
+        ok1 = lhs == sigma_e_vec(b_act_left(b_ix, e_label), f_ix)
         lhs2 = balanced_right_act(sigma_e(e_label, f_ix), b_ix)
-        rhs2 = FreeVector.zero()
-        for f2, c2 in cf.b_calc.right_act(f_ix, b_ix).terms.items():
-            rhs2 = rhs2 + sigma_e(e_label, f2).scale(c2)
-        ok2 = lhs2 == rhs2
+        ok2 = lhs2 == sigma_e_of(e_label, cf.b_calc.right_act(f_ix, b_ix))
         return ok1 and ok2, (b_ix, e_label, f_ix)
 
     report.sweep(
@@ -788,12 +745,8 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
 
     def sigma_balance(item):
         e_label, b_ix, f_ix = item
-        lhs = FreeVector.zero()
-        for el2, c2 in b_act_right(e_label, b_ix).terms.items():
-            lhs = lhs + sigma_e(el2, f_ix).scale(c2)
-        rhs = FreeVector.zero()
-        for f2, c2 in cf.b_calc.left_act(b_ix, f_ix).terms.items():
-            rhs = rhs + sigma_e(e_label, f2).scale(c2)
+        lhs = sigma_e_vec(b_act_right(e_label, b_ix), f_ix)
+        rhs = sigma_e_of(e_label, cf.b_calc.left_act(b_ix, f_ix))
         return lhs == rhs, (e_label, b_ix, f_ix)
 
     report.sweep(
@@ -806,9 +759,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     def sigma_unique(item):
         e_label, b_ix = item
         rebuilt = nabla_vec(b_act_right(e_label, b_ix)) - balanced_right_act(nabla(e_label), b_ix)
-        direct = FreeVector.zero()
-        for f_ix, c in cf.b_calc.d(b_ix).terms.items():
-            direct = direct + sigma_e(e_label, f_ix).scale(c)
+        direct = sigma_e_of(e_label, cf.b_calc.d(b_ix))
         return rebuilt == direct, (e_label, b_ix)
 
     report.sweep(
@@ -900,26 +851,19 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
     labels = [("tan", i) for i in range(coinv.dim)]
 
     coaction_raw = _coinvariant_coaction(cf, coinv, report, windowed)
-    # matrix M with rho(x^i) = sum_k x^k (x) M[i][k]
-    matrix = {}
-    for label in coinv.labels:
-        row = {}
-        for pair_ix, c in coaction_raw[label].terms.items():
-            _, lab, h_ix = pair_ix
-            row.setdefault(lab, FreeVector.zero())
-            row[lab] = row[lab] + E(h_ix).scale(c)
-        matrix[label] = row
 
-    tangent_coaction = {}
-    for j, tan in enumerate(labels):
-        out = FreeVector.zero()
-        for i, coh in enumerate(coinv.labels):
-            entry = matrix[coh].get(("coh", j))
-            if entry is None:
-                continue
-            for h_ix, c in h.antipode_inv(entry).terms.items():
-                out = out + E(tensor_index(("tan", i), h_ix)).scale(c)
-        tangent_coaction[tan] = out
+    def matrix(i_label, k_label):
+        """M[i][k] in rho(x^i) = sum_k x^k (x) M[i][k]."""
+        return combine((E(h_ix), c) for (_, lab, h_ix), c in coaction_raw[i_label].terms.items() if lab == k_label)
+
+    tangent_coaction = {
+        tan: combine(
+            (E(tensor_index(("tan", i), h_ix)), c)
+            for i, coh in enumerate(coinv.labels)
+            for h_ix, c in h.antipode_inv(matrix(coh, ("coh", j))).terms.items()
+        )
+        for j, tan in enumerate(labels)
+    }
 
     tangent = TangentSpace(labels=labels, coinv=coinv, coaction=tangent_coaction, report=report)
 
@@ -937,14 +881,12 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
     def coaction_defining_equation(item):
         tan, coh = item
         # alpha_0(gamma) alpha_1 == alpha(gamma_0) S^-1(gamma_1)
-        lhs = FreeVector.zero()
-        for pair_ix, c in tangent_coaction[tan].terms.items():
-            _, tan0, h_ix = pair_ix
-            lhs = lhs + E(h_ix).scale(c * tangent.pair(tan0, coh))
-        rhs = FreeVector.zero()
-        for pair_ix, c in coaction_raw[coh].terms.items():
-            _, lab, h_ix = pair_ix
-            rhs = rhs + h.antipode_inv(h_ix).scale(c * tangent.pair(tan, lab))
+        lhs = combine(
+            (E(h_ix), c * tangent.pair(tan0, coh)) for (_, tan0, h_ix), c in tangent_coaction[tan].terms.items()
+        )
+        rhs = combine(
+            (h.antipode_inv(h_ix), c * tangent.pair(tan, lab)) for (_, lab, h_ix), c in coaction_raw[coh].terms.items()
+        )
         return lhs == rhs, (tan, coh)
 
     report.sweep(
@@ -954,17 +896,14 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
         windowed=windowed,
     )
 
-    def field(tan_label):
-        def apply(form_vec: FreeVector) -> FreeVector:
-            out = FreeVector.zero()
-            for ix, c in vd.ver(form_vec).terms.items():
-                _, pair_ix, label = ix
-                out = out + E(pair_ix).scale(c * tangent.pair(tan_label, label))
-            return out
+    def contract(tan_label, form_vec: FreeVector) -> FreeVector:
+        """The vertical part of form_vec paired with one tangent vector."""
+        return combine(
+            (E(pair_ix), c * tangent.pair(tan_label, label))
+            for (_, pair_ix, label), c in vd.ver(form_vec).terms.items()
+        )
 
-        return apply
-
-    fields = {tan: field(tan) for tan in labels}
+    fields = {tan: (lambda form_vec, tan=tan: contract(tan, form_vec)) for tan in labels}
 
     hor_basis = cf.horizontal_window(window)
 
@@ -1015,10 +954,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
     def unique(item):
         tan, form_ix = item
         direct = fields[tan](E(form_ix))
-        rebuilt = FreeVector.zero()
-        for ix, c in vd.ver(E(form_ix)).terms.items():
-            _, pair_ix, label = ix
-            rebuilt = rebuilt + E(pair_ix).scale(c * tangent.pair(tan, label))
+        rebuilt = contract(tan, E(form_ix))
         return direct == rebuilt, (tan, form_ix)
 
     report.sweep(
@@ -1072,10 +1008,7 @@ def connection_form_bijection(
 
     def verify_form(phi: ConnectionForm, tag: str):
         def ver_projection(tan):
-            got = FreeVector.zero()
-            for ix, c in phi.coeffs[tan].terms.items():
-                if ix[0] == "ver":
-                    got = got + E(ix).scale(c)
+            got = combine((E(ix), c) for ix, c in phi.coeffs[tan].terms.items() if ix[0] == "ver")
             want = ver(cf.crossed.base.unit, vd.coinv.lift(E(("coh", tan[1]))))
             return got == want, (tan,)
 
@@ -1084,19 +1017,17 @@ def connection_form_bijection(
         # coinvariance: sum_j x_j0 (x) phi_j0 (x) x_j1 phi_j1 equals
         # sum_j x_j (x) phi_j (x) 1; the tangent leg mixes components,
         # so both sides are assembled in full
-        lhs_total = FreeVector.zero()
-        for tan in tangent.labels:
-            for pair_ix, c in tangent.coaction[tan].terms.items():
-                _, tan0, h1 = pair_ix
-                for pf, c2 in cf.rho_vec(phi.coeffs[tan]).terms.items():
-                    _, f0, h2 = pf
-                    for t_ix, ct in h.algebra.mult(h1, h2).terms.items():
-                        lhs_total = lhs_total + E(("cfw", tan0, f0, t_ix)).scale(c * c2 * ct)
-        rhs_total = FreeVector.zero()
+        lhs_total = combine(
+            (E(("cfw", tan0, f0, t_ix)), c * c2 * ct)
+            for tan in tangent.labels
+            for (_, tan0, h1), c in tangent.coaction[tan].terms.items()
+            for (_, f0, h2), c2 in cf.rho_vec(phi.coeffs[tan]).terms.items()
+            for t_ix, ct in h.algebra.mult(h1, h2).terms.items()
+        )
         unit_ix = _unit_index(h)
-        for tan in tangent.labels:
-            for f_ix, c in phi.coeffs[tan].terms.items():
-                rhs_total = rhs_total + E(("cfw", tan, f_ix, unit_ix)).scale(c)
+        rhs_total = combine(
+            (E(("cfw", tan, f_ix, unit_ix)), c) for tan in tangent.labels for f_ix, c in phi.coeffs[tan].terms.items()
+        )
         report.record(f"{tag}.coinvariant", lhs_total == rhs_total, windowed=windowed)
 
     if connection is not None:

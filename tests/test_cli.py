@@ -244,3 +244,130 @@ def test_malformed_hopf_file_is_a_usage_error_naming_the_line(tmp_path, capsys, 
     assert f"line {line}: " in err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "line, text, message",
+    [
+        (1, "1*0 - 1*9", "basis index 9 outside 0..3"),
+        (2, "1*-1", "bad vector term"),
+        (3, "(z3)*1 - 1*0", "not in Q(zeta_1)"),
+        (1, "1*2 - 1*0 +", "bad vector term"),
+    ],
+)
+def test_malformed_ideal_file_is_a_usage_error_naming_the_line(tmp_path, capsys, monkeypatch, line, text, message):
+    import hopfcalc.hopf
+
+    def no_suite(*args):
+        raise AssertionError("a suite ran on an invalid ideal file")
+
+    monkeypatch.setattr(hopfcalc.hopf, "check_hopf_axioms", no_suite)
+    lines = ["# generators", "1*2 - 1*0", "1*3 - 1*1"]
+    lines[line - 1] = text
+    path = tmp_path / "bad-ideal.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = invoke(capsys, ["verify", "user-hopf", "--file", str(C4_HOPF), "--ideal-file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert f"line {line}: " in err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "radford", "--n", "3"], "--n"),
+        (["verify", "radford", "--q-power", "2"], "--q-power"),
+        (["verify", "radford", "--r", "0"], "--r"),
+        (["verify", "torus", "--window", "0"], "--window"),
+        (["verify", "torus", "--window", "-1"], "--window"),
+        (["verify", "torus", "--M", "0"], "--M"),
+        (["verify", "smash-demo", "--window", "0"], "--window"),
+        (["verify", "smash-demo", "--M", "2"], "--M"),
+        (["verify", "user-hopf"], "--file"),
+        (["cohomology", "radford", "--n", "3"], "--n"),
+        (["cohomology", "torus", "--window", "1"], "--window"),
+    ],
+)
+def test_invalid_parameters_are_refused_before_any_instance(capsys, monkeypatch, argv, flag):
+    import hopfcalc.cli
+    from hopfcalc.examples import EXAMPLES
+
+    def no_build(*args):
+        raise AssertionError("an instance was built for invalid parameters")
+
+    monkeypatch.setattr(hopfcalc.cli, "cohomology_dims", no_build)
+    monkeypatch.setitem(EXAMPLES[argv[1]], "suites", no_build)
+    code, out, err = invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: params: ")
+    assert flag in err
+    assert "suite" not in err and f"{argv[1]}:" not in err
+
+
+def test_every_registered_example_has_a_parameter_validator():
+    from hopfcalc.examples import EXAMPLES
+
+    assert all(callable(spec.get("validate")) for spec in EXAMPLES.values())
+
+
+def test_radford_validator_refuses_exactly_what_the_builder_refuses():
+    from hopfcalc.examples import validate_radford
+    from hopfcalc.hopf import build_radford
+    from hopfcalc.scalars import root_of_unity
+
+    for r in range(1, 4):
+        for k in range(-2, 7):
+            params = {"r": r, "n": 2, "q_power": k}
+            try:
+                build_radford(r, 2, root_of_unity(2 * r, k))
+                built = True
+            except ValueError:
+                built = False
+            try:
+                validate_radford(params)
+                accepted = True
+            except ValueError as err:
+                accepted = False
+                assert str(err).startswith("--q-power: ")
+            assert accepted == built, params
+
+
+def test_smash_demo_validator_refuses_exactly_what_the_builder_refuses():
+    from hopfcalc.examples import validate_smash_demo
+    from hopfcalc.fodc import build_laurent_q_calculus
+    from hopfcalc.scalars import root_of_unity
+
+    for m in range(1, 7):
+        try:
+            build_laurent_q_calculus(root_of_unity(m))
+            built = True
+        except ValueError:
+            built = False
+        try:
+            validate_smash_demo({"M": m, "window": 2})
+            accepted = True
+        except ValueError as err:
+            accepted = False
+            assert str(err).startswith("--M: ")
+        assert accepted == built, m
+
+
+def test_cohomology_builds_radford_with_the_given_q_power(capsys, monkeypatch):
+    import hopfcalc.examples
+    from hopfcalc.scalars import root_of_unity
+
+    seen = []
+    build = hopfcalc.examples.radford_calculus_instance
+
+    def recording(r, n, q=None, ideal="zero"):
+        seen.append(q)
+        return build(r, n, q, ideal)
+
+    monkeypatch.setattr(hopfcalc.examples, "radford_calculus_instance", recording)
+    code, out, err = invoke(capsys, ["cohomology", "radford", "--q-power", "3"])
+    assert code == 0
+    assert seen == [root_of_unity(4, 3)]
+    assert '"q_power":3' in out

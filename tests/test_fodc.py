@@ -252,7 +252,7 @@ def test_parse_ideal_generators_feeds_the_quotient():
     from hopfcalc.fodc import parse_ideal_generators
 
     h = build_cyclic_group_algebra(2)
-    gens = parse_ideal_generators("# the full augmentation ideal\n1*1 - 1*0\n", index_fn=lambda i: ("g", i))
+    gens = parse_ideal_generators("# the full augmentation ideal\n1*1 - 1*0\n", h)
     calc = woronowicz_from_ideal(IdealCalculusSpec(hopf=h, ideal_gens=gens))
     assert calc.forms.enumerate() == []
 

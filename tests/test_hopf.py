@@ -212,8 +212,35 @@ def test_structure_constants_unknown_directive():
 
 
 def test_parse_basis_combination():
-    v = parse_basis_combination("1*0 - 1*1")
+    basis = [("u", i) for i in range(4)]
+    v = parse_basis_combination("1*0 - 1*1", basis, 1)
     assert v == E(("u", 0)) - E(("u", 1))
-    w = parse_basis_combination("(1/2 + 3*z4^1)*2 + 3")
+    w = parse_basis_combination("(1/2 + 3*z4^1)*2 + 3", basis, 4)
     expected = E(("u", 2)).scale(CycScalar.from_rational(1) / 2 + 3 * root_of_unity(4)) + E(("u", 3))
     assert w == expected
+    with pytest.raises(ValueError, match="basis index 4 outside 0..3"):
+        parse_basis_combination("1*0 - 1*4", basis, 4)
+    with pytest.raises(ValueError, match=r"not in Q\(zeta_4\)"):
+        parse_basis_combination("(z3)*1", basis, 4)
+    assert parse_basis_combination("(z2)*1 + (1/3)*2", basis, 1) == E(("u", 2)).scale(
+        CycScalar.from_rational(1) / 3
+    ) - E(("u", 1))
+
+
+def test_sweedler_computes_each_index_and_leg_count_once(monkeypatch):
+    from hopfcalc.hopf import HopfData
+
+    calls = []
+    unmemoised = HopfData.sweedler
+
+    def counted(self, ix, legs):
+        calls.append((ix, legs))
+        return unmemoised(self, ix, legs)
+
+    monkeypatch.setattr(HopfData, "sweedler", counted)
+    h = build_radford(2, 2, root_of_unity(4)).hopf
+    keys = [(ix, legs) for ix in h.algebra.basis.enumerate() for legs in (2, 3)]
+    for _ in range(3):
+        for ix, legs in keys:
+            assert h.sweedler(ix, legs) is h.sweedler(ix, legs)
+    assert calls == keys

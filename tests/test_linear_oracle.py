@@ -1,0 +1,124 @@
+"""Differential test of linalg.combine and linalg.linear against linear_oracle.
+
+The kernel must give what repeated `out = out + v.scale(c)` gave: the same
+terms in the same dict order, each coefficient with the same order and
+coeffs, from the same scalar products and sums operand for operand, and it
+must leave every input vector as it was.  Scalars mix the orders 1, 2, 4
+and 8, and coefficients are biased to 0, 1 and -1.
+"""
+
+from contextlib import contextmanager
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from linear_oracle import reference_combine, reference_linear
+
+from hopfcalc.linalg import FreeVector, combine, linear
+from hopfcalc.scalars import CycScalar, root_of_unity
+
+ORDERS = [1, 2, 4, 8]
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def scalars(draw):
+    order = draw(st.sampled_from(ORDERS))
+    kind = draw(st.sampled_from(["zero", "one", "minus-one", "rational", "monomial", "dense"]))
+    if kind in ("zero", "one", "minus-one"):
+        return CycScalar.from_rational({"zero": 0, "one": 1, "minus-one": -1}[kind], order)
+    if kind == "rational":
+        return CycScalar.from_rational(draw(fractions), order)
+    if kind == "monomial":
+        return draw(fractions) * root_of_unity(order, draw(st.integers(0, order - 1)))
+    total = CycScalar.zero(order)
+    for k in range(order):
+        total = total + draw(fractions) * root_of_unity(order, k)
+    return total
+
+
+def vectors():
+    # few indices, so that sums collide
+    return st.dictionaries(st.integers(0, 3), scalars(), max_size=4).map(FreeVector)
+
+
+@st.composite
+def pairs(draw):
+    pool = draw(st.lists(vectors(), min_size=1, max_size=3))
+    coeffs = draw(st.lists(scalars(), min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        v, c = draw(st.sampled_from(pool)), draw(st.sampled_from(coeffs))
+        out.append((v, c))
+        if draw(st.booleans()):
+            # cancel the addend, and maybe bring it back at the end of the dict
+            out.append((v, -c))
+            if draw(st.booleans()):
+                out.append((v, c))
+    return out
+
+
+def _shape(terms):
+    return [(ix, c.order, c.coeffs) for ix, c in terms.items()]
+
+
+@contextmanager
+def _scalar_trace():
+    """Every CycScalar product and sum, as (operation, left, right) values."""
+    trace = {"*": [], "+": []}
+    originals = {"*": CycScalar.__mul__, "+": CycScalar.__add__}
+
+    def traced(op):
+        def run(a, b):
+            trace[op].append((a.order, a.coeffs, getattr(b, "order", None), getattr(b, "coeffs", b)))
+            return originals[op](a, b)
+
+        return run
+
+    CycScalar.__mul__, CycScalar.__add__ = traced("*"), traced("+")
+    try:
+        yield trace
+    finally:
+        CycScalar.__mul__, CycScalar.__add__ = originals["*"], originals["+"]
+
+
+def _agrees(run_kernel, run_reference, inputs):
+    before = [_shape(v.terms) for v in inputs]
+    with _scalar_trace() as kernel_ops:
+        got = run_kernel()
+    with _scalar_trace() as reference_ops:
+        want = run_reference()
+    assert _shape(got.terms) == _shape(want.terms)
+    assert kernel_ops == reference_ops
+    # the first addend is taken by reference, so no later add may write into it
+    assert [_shape(v.terms) for v in inputs] == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs())
+def test_combine_matches_repeated_addition(items):
+    _agrees(lambda: combine(items), lambda: reference_combine(items), [v for v, _ in items])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(vectors(), min_size=1, max_size=2), st.lists(vectors(), min_size=1, max_size=4))
+def test_linear_matches_the_nested_loops(args, images):
+    def fn(*ixs):
+        return images[sum((k + 1) * ix for k, ix in enumerate(ixs)) % len(images)]
+
+    _agrees(lambda: linear(fn, *args), lambda: reference_linear(fn, *args), args + images)
+
+
+def test_a_cancelled_index_comes_back_at_the_end():
+    one, two = CycScalar.one(), CycScalar.from_rational(2)
+    v = FreeVector({0: one, 1: one})
+    items = [(v, one), (FreeVector({0: one}), -one), (FreeVector({0: one}), two)]
+    got = combine(items)
+    assert _shape(got.terms) == _shape(reference_combine(items).terms)
+    assert list(got.terms) == [1, 0]
+    assert list(v.terms) == [0, 1] and v.terms[0] is one
+
+
+def test_a_lone_addend_with_coefficient_one_is_returned_as_it_is():
+    v = FreeVector({0: root_of_unity(8)})
+    assert combine([(FreeVector.zero(), CycScalar.from_rational(3)), (v, CycScalar.one(4))]) is v
+    assert combine([]).is_zero()

@@ -116,3 +116,79 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
                     checked[type(obj)].add(name)
         stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
     assert checked == {cls: set(names) for cls, names in index_maps.items()}
+
+
+def _is_scaled_accumulation(node) -> bool:
+    """`x = x + <...>.scale(...)` or `x += <...>.scale(...)`."""
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        target, value = node.targets[0], node.value
+        if not (isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add)):
+            return False
+        if ast.unparse(value.left) != ast.unparse(target):
+            return False
+        added = value.right
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+        added = node.value
+    else:
+        return False
+    return isinstance(added, ast.Call) and isinstance(added.func, ast.Attribute) and added.func.attr == "scale"
+
+
+def _stops_early(loop) -> bool:
+    """Whether the loop can leave part-way: a return, raise, break or continue of its own."""
+    stack = list(ast.iter_child_nodes(loop))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Return, ast.Raise, ast.Break, ast.Continue)):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _hand_rolled_sums(node, loops=()):
+    """Line numbers of scaled accumulations that `linalg.combine`/`linear` should do."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        loops = ()
+    if _is_scaled_accumulation(node) and not any(_stops_early(loop) for loop in loops):
+        yield node.lineno
+    if isinstance(node, ast.For):
+        loops = loops + (node,)
+    for child in ast.iter_child_nodes(node):
+        yield from _hand_rolled_sums(child, loops)
+
+
+def test_no_hand_rolled_linear_extension_outside_linalg():
+    # a sum of scaled vectors goes through linalg.combine / linalg.linear; a loop
+    # that can stop part-way (a search, a refusal) may still build its own
+    found = [
+        f"{path.name}:{line}"
+        for path, tree in _modules()
+        if path.name != "linalg.py"
+        for line in _hand_rolled_sums(tree)
+    ]
+    assert found == []
+
+
+def test_hand_rolled_sum_scan_sees_every_form():
+    text = (
+        "def f(vs, cs, row, k):\n"
+        "    out = FreeVector.zero()\n"
+        "    for v, c in zip(vs, cs):\n"
+        "        out = out + v.scale(c)\n"
+        "        row[k] = row[k] + v.scale(c)\n"
+        "        out += v.scale(c)\n"
+        "    for v in vs:\n"
+        "        for c in cs:\n"
+        "            if c.is_zero():\n"
+        "                break\n"
+        "            out = out + v.scale(c)\n"
+        "    for v in vs:\n"
+        "        def g(w):\n"
+        "            return w\n"
+        "        out = out + g(v).scale(cs[0])\n"
+        "    out = out + vs[0].scale(cs[0])\n"
+        "    other = out + vs[0].scale(cs[0])\n"
+        "    return out\n"
+    )
+    assert list(_hand_rolled_sums(ast.parse(text))) == [4, 5, 6, 15, 16]
