@@ -18,7 +18,6 @@ from hopfcalc.hopf import (
     CoinvariantFamily,
     ComoduleAlgebra,
     HopfData,
-    NotInvertible,
     convolution_inverse,
     tensor_square_coalgebra,
 )
@@ -26,11 +25,9 @@ from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
     LinOp,
-    NoSolution,
     QuotientSpace,
     Subspace,
     combine,
-    format_index,
     kernel_image,
     linear,
     memoise,
@@ -64,9 +61,6 @@ class Cocycle:
     def sigma_vec(self, hv: FreeVector, kv: FreeVector) -> FreeVector:
         return linear(self.sigma, hv, kv)
 
-    def sigma_inv_vec(self, hv: FreeVector, kv: FreeVector) -> FreeVector:
-        return linear(self.sigma_inv, hv, kv)
-
 
 def trivial_cocycle(b: AlgebraPresentation, h: HopfData) -> Cocycle:
     def sigma(hi, ki):
@@ -85,8 +79,6 @@ def cocycle_from_sigma(sigma, b: AlgebraPresentation, h: HopfData, window: int |
     cocycle = Cocycle(sigma=sigma, sigma_inv=lambda i, j: g(tensor_index(i, j)))
     f = LinOp(lambda pair: cocycle.sigma(pair[1], pair[2]), name="sigma")
     g = convolution_inverse(f, sq, c_basis, b, window=window)
-    if isinstance(g, NotInvertible):
-        raise ValueError(f"cocycle is not convolution invertible at {g.element}")
     return cocycle
 
 
@@ -204,9 +196,6 @@ class CrossedProduct:
     def pair(self, b_ix, h_ix) -> Index:
         return tensor_index(b_ix, h_ix)
 
-    def include_base(self, bv: FreeVector) -> FreeVector:
-        return bv.tensor(self.hopf.algebra.unit)
-
 
 def build_crossed_product(
     b: AlgebraPresentation,
@@ -288,34 +277,42 @@ class CleftData:
     def ensure_inverse(self, window: int | None = None) -> LinOp:
         if self.cleaving_inv is None:
             h = self.total.hopf
-            got = convolution_inverse(
+            self.cleaving_inv = convolution_inverse(
                 self.cleaving,
                 CoalgebraData(comul=h.comul, counit=h.counit),
                 h.algebra.basis.enumerate(window),
                 self.total.algebra,
                 window=window,
             )
-            if isinstance(got, NotInvertible):
-                raise ValueError(f"cleaving map is not convolution invertible at {got.element}")
-            self.cleaving_inv = got
         return self.cleaving_inv
 
 
-class _BaseExpressor:
-    """Expresses coinvariant elements of A over the declared base presentation."""
+def _base_expressor(fam: CoinvariantFamily, window: int | None) -> Callable[[FreeVector], FreeVector]:
+    """Coordinates of a coinvariant element of A over the declared base presentation."""
+    if fam.algebra.basis.is_finite:
+        domain = fam.algebra.basis.enumerate()
+    else:
+        if window is None:
+            raise ValueError("windowed base presentation needs a window")
+        domain = fam.algebra.basis.enumerate(3 * window)
+    return LinearSolver(LinOp(lambda ix: fam.embed(ix), name="embed"), domain).solve
 
-    def __init__(self, fam: CoinvariantFamily, window: int | None):
-        self.fam = fam
-        if fam.algebra.basis.is_finite:
-            domain = fam.algebra.basis.enumerate()
-        else:
-            if window is None:
-                raise ValueError("windowed base presentation needs a window")
-            domain = fam.algebra.basis.enumerate(3 * window)
-        self.solver = LinearSolver(LinOp(lambda ix: fam.embed(ix), name="embed"), domain)
 
-    def express(self, value: FreeVector):
-        return self.solver.solve(value)
+def _split_ix(
+    a: ComoduleAlgebra,
+    j_inv: LinOp,
+    express: Callable[[FreeVector], FreeVector],
+    right: Callable[[Index], FreeVector],
+) -> Callable[[Index], FreeVector]:
+    """a -> a_0 j^-1(a_1) (x) right(a_2), with the left leg expressed over the base."""
+
+    def split_ix(a_ix):
+        return combine(
+            (express(a.algebra.mult_vec(FreeVector.basis(a0), j_inv(a1))).tensor(right(a2)), c)
+            for c, (a0, a1, a2) in a.coaction_terms(a_ix, 2)
+        )
+
+    return split_ix
 
 
 def cleft_to_crossed(cleft: CleftData, window: int | None = None):
@@ -330,27 +327,23 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     j_inv = cleft.ensure_inverse(window)
     b = a.coinvariants.algebra
     embed = a.coinvariants.embed
-    expressor = _BaseExpressor(a.coinvariants, window)
+    express = _base_expressor(a.coinvariants, window)
     report = CheckReport(example=a.algebra.name, suite="cleft-to-crossed")
     E = FreeVector.basis
 
     def measure_act(hi, bi):
-        value = combine((a.algebra.product(j(h1), embed(bi), j_inv(h2)), c) for c, (h1, h2) in h.sweedler(hi, 2))
-        got = expressor.express(value)
-        if isinstance(got, NoSolution):
-            raise ValueError(f"derived measure leaves the coinvariants at {witness(hi, bi)}")
-        return got
+        return express(
+            combine((a.algebra.product(j(h1), embed(bi), j_inv(h2)), c) for c, (h1, h2) in h.sweedler(hi, 2))
+        )
 
     def sigma(hi, hj):
-        value = combine(
-            (a.algebra.product(j(h1), j(k1), j_inv(h.algebra.mult(h2, k2))), c1 * c2)
-            for c1, (h1, h2) in h.sweedler(hi, 2)
-            for c2, (k1, k2) in h.sweedler(hj, 2)
+        return express(
+            combine(
+                (a.algebra.product(j(h1), j(k1), j_inv(h.algebra.mult(h2, k2))), c1 * c2)
+                for c1, (h1, h2) in h.sweedler(hi, 2)
+                for c2, (k1, k2) in h.sweedler(hj, 2)
+            )
         )
-        got = expressor.express(value)
-        if isinstance(got, NoSolution):
-            raise ValueError(f"derived cocycle value is not coinvariant at {witness(hi, hj)}")
-        return got
 
     h_basis_early = h.algebra.basis.enumerate(window)
     windowed_early = not h.algebra.basis.is_finite
@@ -367,18 +360,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     cocycle = cocycle_from_sigma(sigma, b, h, window=window)
     crossed = build_crossed_product(b, h, measure, cocycle, window=window, name=f"{b.name}#s{h.name}")
 
-    @memoise
-    def theta_ix(a_ix):
-        out = FreeVector.zero()
-        for c, (a0, a1, a2) in a.coaction_terms(a_ix, 2):
-            left = a.algebra.mult_vec(E(a0), j_inv(a1))
-            expressed = expressor.express(left)
-            if isinstance(expressed, NoSolution):
-                raise ValueError(f"theta leaves the base at {format_index(a_ix)}")
-            out = out + expressed.tensor(E(a2)).scale(c)
-        return out
-
-    theta = LinOp(theta_ix, name="theta")
+    theta = LinOp(memoise(_split_ix(a, j_inv, express, E)), name="theta")
 
     def theta_inv_ix(pair_ix):
         _, bi, hi = pair_ix
@@ -436,22 +418,10 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
     j = cleft.cleaving
     j_inv = cleft.ensure_inverse(window)
     embed = a.coinvariants.embed
-    expressor = _BaseExpressor(a.coinvariants, window)
     report = CheckReport(example=a.algebra.name, suite="equivariant-section")
     E = FreeVector.basis
     windowed = not a.algebra.basis.is_finite
-
-    def section_ix(a_ix):
-        out = FreeVector.zero()
-        for c, (a0, a1, a2) in a.coaction_terms(a_ix, 2):
-            left = a.algebra.mult_vec(E(a0), j_inv(a1))
-            expressed = expressor.express(left)
-            if isinstance(expressed, NoSolution):
-                raise ValueError(f"section leaves the base at {format_index(a_ix)}")
-            out = out + expressed.tensor(j(a2)).scale(c)
-        return out
-
-    section = LinOp(section_ix, name="s")
+    section = LinOp(_split_ix(a, j_inv, _base_expressor(a.coinvariants, window), j), name="s")
     a_basis = a.algebra.basis.enumerate(window)
     b_basis = a.coinvariants.algebra.basis.enumerate(window)
 

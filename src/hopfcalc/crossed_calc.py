@@ -472,12 +472,12 @@ class GradedDc:
         return linear(lambda hx, ix: self.action(hx, deg, ix), hv, v)
 
 
-@dataclass
-class NotTruncatable:
-    witness: str
+class NotTruncatable(ValueError):
+    """Raised by truncate_dc_degree2; witness names the cross terms that survive."""
 
-    def __repr__(self):
-        return f"NotTruncatable({self.witness})"
+    def __init__(self, witness: str):
+        super().__init__(f"calculus is not truncatable at degree two: {witness}")
+        self.witness = witness
 
 
 def _degree_one_maps(f: Fodc):
@@ -508,26 +508,26 @@ def _degree_one_maps(f: Fodc):
 def truncate_dc_degree2(f: Fodc, window: int | None = None):
     """Graded data with vanishing forms above degree one, for a bicovariant
     calculus.  The coproduct stays differentiable exactly when the two
-    cross terms of its degree-two component cancel; otherwise the value is
-    NotTruncatable with a witness pair."""
+    cross terms of its degree-two component cancel; otherwise NotTruncatable
+    is raised with a witness pair."""
     if f.right_coaction is None or f.left_coaction is None:
         raise ValueError("degree-2 truncation needs a bicovariant calculus")
     forms = f.forms.enumerate(window)
     for g1 in forms:
         for g2 in forms:
-            total = FreeVector.zero()
-            for pr, c in f.right_coaction(g1).terms.items():
-                _, f0, h1 = pr
-                for pl, c2 in f.left_coaction(g2).terms.items():
-                    _, hm1, f0b = pl
-                    total = total + f.right_act(f0, hm1).tensor(f.left_act(h1, f0b)).scale(c * c2)
-            for pl, c in f.left_coaction(g1).terms.items():
-                _, hm1, f0 = pl
-                for pr, c2 in f.right_coaction(g2).terms.items():
-                    _, f0b, h1 = pr
-                    total = total - f.left_act(hm1, f0b).tensor(f.right_act(f0, h1)).scale(c * c2)
+            right_left = [
+                (f.right_act(f0, hm1).tensor(f.left_act(h1, f0b)), c * c2)
+                for (_, f0, h1), c in f.right_coaction(g1).terms.items()
+                for (_, hm1, f0b), c2 in f.left_coaction(g2).terms.items()
+            ]
+            left_right = [
+                (f.left_act(hm1, f0b).tensor(f.right_act(f0, h1)), -(c * c2))
+                for (_, hm1, f0), c in f.left_coaction(g1).terms.items()
+                for (_, f0b, h1), c2 in f.right_coaction(g2).terms.items()
+            ]
+            total = combine(right_left + left_right)
             if not total.is_zero():
-                return NotTruncatable(witness=f"cross terms at ({format_index(g1)}, {format_index(g2)}): {total.to_text()}")
+                raise NotTruncatable(f"cross terms at ({format_index(g1)}, {format_index(g2)}): {total.to_text()}")
 
     basis, wedge, d = _degree_one_maps(f)
 
@@ -926,13 +926,13 @@ def classify_smash(
     grow_to(1 if finite_base else (window or 1))
 
     def express_pb(v: FreeVector, what: str):
-        got = pb.express(v)
-        while isinstance(got, NoSolution) and not finite_base and grown[0] < max_shell:
+        while True:
+            try:
+                return pb.express(v)
+            except NoSolution:
+                if finite_base or grown[0] >= max_shell:
+                    raise ValueError(f"pullback forms are not closed under {what}") from None
             grow_to(grown[0] + 1)
-            got = pb.express(v)
-        if isinstance(got, NoSolution):
-            raise ValueError(f"pullback forms are not closed under {what}")
-        return got
 
     def pb_window(w=None):
         if finite_base:
@@ -1001,10 +1001,7 @@ def classify_smash(
 
     @memoise
     def j_hat(h_form_ix):
-        pres = h_pres.solve(E(h_form_ix))
-        if isinstance(pres, NoSolution):
-            raise ValueError(f"structure form {format_index(h_form_ix)} has no presentation")
-        return j_hat_of(pres)
+        return j_hat_of(h_pres.solve(E(h_form_ix)))
 
     if cond1_ok:
         inj = LinearSolver(LinOp(lambda fx: j_hat(fx)), h_form_basis)
@@ -1068,7 +1065,9 @@ def classify_smash(
     injective = bij.kernel().dim == 0
     surj_ok, surj_witness = True, None
     for fx in form_basis:
-        if isinstance(bij.solve(E(fx)), NoSolution):
+        try:
+            bij.solve(E(fx))
+        except NoSolution:
             surj_ok, surj_witness = False, witness(fx)
             break
     report.record(

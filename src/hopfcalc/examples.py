@@ -246,7 +246,7 @@ def group_c2_instance(ideal: str = "zero") -> GroupC2Instance:
     """Woronowicz-style calculus on the order-two group algebra with the
     zero or the full augmentation ideal, truncated above degree one."""
     from hopfcalc.fodc import IdealCalculusSpec, woronowicz_from_ideal
-    from hopfcalc.crossed_calc import NotTruncatable, truncate_dc_degree2
+    from hopfcalc.crossed_calc import truncate_dc_degree2
 
     h = build_cyclic_group_algebra(2)
     if ideal == "zero":
@@ -256,10 +256,7 @@ def group_c2_instance(ideal: str = "zero") -> GroupC2Instance:
     else:
         raise ValueError(f"unknown ideal choice {ideal!r} (expected zero or full)")
     calc = woronowicz_from_ideal(IdealCalculusSpec(hopf=h, ideal_gens=gens))
-    graded = truncate_dc_degree2(calc)
-    if isinstance(graded, NotTruncatable):
-        raise ValueError(f"group calculus unexpectedly not truncatable: {graded.witness}")
-    return GroupC2Instance(hopf=h, calc=calc, graded=graded)
+    return GroupC2Instance(hopf=h, calc=calc, graded=truncate_dc_degree2(calc))
 
 
 @dataclass
@@ -296,8 +293,9 @@ def radford_calculus_instance(r: int = 2, n: int = 2, q: CycScalar | None = None
         raise ValueError(f"structure calculus not bicovariant: {h_calc.covariance_note}")
     b_calc = radford_base_calculus(inst)
     cf = build_crossed_fodc(inst.crossed, b_calc, h_calc)
-    truncated = truncate_dc_degree2(h_calc)
-    if isinstance(truncated, NotTruncatable):
+    try:
+        truncated = truncate_dc_degree2(h_calc)
+    except NotTruncatable as obstruction:
         # honest outcome: the structure calculus admits no prolongation with
         # vanishing degree two and a differentiable coproduct
         return RadfordCalculusInstance(
@@ -308,7 +306,7 @@ def radford_calculus_instance(r: int = 2, n: int = 2, q: CycScalar | None = None
             b_graded=None,
             h_graded=None,
             higher=None,
-            truncation_witness=truncated.witness,
+            truncation_witness=obstruction.witness,
         )
     b_graded = truncate_twisted_base(b_calc, inst.measure, cf.b_action)
     higher = build_higher_forms(inst.crossed, b_graded, truncated)
@@ -336,7 +334,6 @@ class TorusCalculusInstance:
 
 def torus_calculus_instance(theta_order: int = 8, window: int = 4, q: CycScalar | None = None) -> TorusCalculusInstance:
     from hopfcalc.crossed_calc import (
-        NotTruncatable,
         build_crossed_fodc,
         build_higher_forms,
         truncate_dc_degree2,
@@ -354,8 +351,6 @@ def torus_calculus_instance(theta_order: int = 8, window: int = 4, q: CycScalar 
     b_calc = zero_fodc(inst.crossed.base)
     cf = build_crossed_fodc(inst.crossed, b_calc, h_calc, window=window)
     h_graded = truncate_dc_degree2(h_calc, window=window)
-    if isinstance(h_graded, NotTruncatable):
-        raise ValueError(f"structure calculus not truncatable: {h_graded.witness}")
     b_graded = truncate_twisted_base(b_calc, inst.crossed.measure, cf.b_action)
     higher = build_higher_forms(inst.crossed, b_graded, h_graded, window=window)
     return TorusCalculusInstance(

@@ -129,13 +129,15 @@ class PresentationSolver:
     def kernel(self):
         return self.solver.kernel()
 
-    def solve(self, v: FreeVector):
-        got = self.solver.solve(v)
-        while isinstance(got, NoSolution) and self.windowed and self.window < self.cap:
+    def solve(self, v: FreeVector) -> FreeVector:
+        while True:
+            try:
+                return self.solver.solve(v)
+            except NoSolution:
+                if not (self.windowed and self.window < self.cap):
+                    raise
             self.window = min(self.window + self.base_window, self.cap)
             self.solver = presentation_solver(self.f, self.window)
-            got = self.solver.solve(v)
-        return got
 
 
 def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
@@ -210,7 +212,9 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
         solver = presentation_solver(f, window)
         missing = None
         for beta in f_basis:
-            if isinstance(solver.solve(E(beta)), NoSolution):
+            try:
+                solver.solve(E(beta))
+            except NoSolution:
                 missing = beta
                 break
         report.record(
@@ -570,13 +574,7 @@ def universal_fodc(a: AlgebraPresentation, name: str = "") -> Fodc:
     vectors = kernel.basis()
     labels = [("u1", i) for i in range(len(vectors))]
     table = dict(zip(labels, vectors))
-    include = LinearSolver(LinOp(lambda ix: table[ix], name="incl"), labels)
-
-    def express(v: FreeVector) -> FreeVector:
-        sol = include.solve(v)
-        if isinstance(sol, NoSolution):  # pragma: no cover - kernel is an ideal
-            raise ValueError("universal form left the kernel of multiplication")
-        return sol
+    express = LinearSolver(LinOp(lambda ix: table[ix], name="incl"), labels).solve
 
     def left_act(a_ix, f_ix):
         return express(combine((a.mult(a_ix, x).tensor(E(y)), c) for (_, x, y), c in table[f_ix].terms.items()))
@@ -661,12 +659,7 @@ def check_sigma_twisted_module_calculus(
                     )
 
         def act(h_ix, f_ix):
-            pres = solver.solve(E(f_ix))
-            if isinstance(pres, NoSolution):
-                raise ValueError(
-                    f"form {format_index(f_ix)} has no presentation a d(a') on the window"
-                )
-            return twisted_of(h_ix, pres)
+            return twisted_of(h_ix, solver.solve(E(f_ix)))
 
         action = TwistedCalculusAction(act=act)
 

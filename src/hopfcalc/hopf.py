@@ -375,17 +375,9 @@ def compute_coinvariants(m: ComoduleAlgebra, name: str = "") -> CoinvariantFamil
         return table[b_ix]
 
     def mult(i, j):
-        product = m.algebra.mult_vec(table[i], table[j])
-        sol = solve_linear(
-            LinOp(lambda ix: table[ix]), product, labels
-        )
-        if isinstance(sol, NoSolution):
-            raise ValueError("coinvariants are not closed under multiplication")
-        return sol
+        return solve_linear(LinOp(lambda ix: table[ix]), m.algebra.mult_vec(table[i], table[j]), labels)
 
     unit = solve_linear(LinOp(lambda ix: table[ix]), m.algebra.unit, labels)
-    if isinstance(unit, NoSolution):
-        raise ValueError("unit is not coinvariant")
     if Subspace(vectors).dim != len(vectors):
         raise RuntimeError("coinvariant basis is not independent")
     algebra = AlgebraPresentation(
@@ -423,13 +415,13 @@ def tensor_square_coalgebra(h: HopfData) -> CoalgebraData:
     return CoalgebraData(comul=comul, counit=lambda ix: h.counit(ix[1]) * h.counit(ix[2]))
 
 
-@dataclass
-class NotInvertible:
-    element: Index | None
+class NotInvertible(ValueError):
+    """Raised by convolution_inverse; element is the unsolvable basis element, or None for the joint system."""
 
-    def __repr__(self):
-        where = format_index(self.element) if self.element is not None else "joint system"
-        return f"NotInvertible({where})"
+    def __init__(self, element: Index | None):
+        where = format_index(element) if element is not None else "joint system"
+        super().__init__(f"no convolution inverse at {where}")
+        self.element = element
 
 
 def _coalgebra_pairs(coa: CoalgebraData, ix):
@@ -441,7 +433,7 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
 
     Group-like bases are inverted pointwise (valid on any window);
     otherwise one global linear system is solved and verified.
-    Returns a LinOp or NotInvertible carrying an unsolvable element.
+    Raises NotInvertible carrying an unsolvable element.
     """
     c_basis = list(c_basis)
     a_basis = algebra.basis.enumerate(window)
@@ -451,44 +443,29 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
         for ix in c_basis
     )
 
-    values = {}
     if group_like:
         # pointwise inversion works for any index, so the returned map is
         # total: off-window values are solved on demand on a grown window
+        @memoise
         def invert_at(ix):
             fv = f(ix)
             grown = window
             while True:
                 domain = algebra.basis.enumerate(grown)
-                sol = solve_linear(
-                    LinOp(lambda j, fv=fv: algebra.mult_vec(fv, FreeVector.basis(j))),
-                    algebra.unit,
-                    domain,
-                )
-                if not isinstance(sol, NoSolution):
-                    if not algebra.mult_vec(sol, fv) == algebra.unit:
-                        return NotInvertible(ix)
-                    return sol
-                if grown is None or grown >= 4 * (window or 1):
-                    return NotInvertible(ix)
-                grown += window
+                try:
+                    sol = solve_linear(LinOp(lambda j: algebra.mult_vec(fv, FreeVector.basis(j))), algebra.unit, domain)
+                    break
+                except NoSolution:
+                    if grown is None or grown >= 4 * (window or 1):
+                        raise NotInvertible(ix) from None
+                    grown += window
+            if not algebra.mult_vec(sol, fv) == algebra.unit:
+                raise NotInvertible(ix)
+            return sol
 
         for ix in c_basis:
-            got = invert_at(ix)
-            if isinstance(got, NotInvertible):
-                return got
-            values[ix] = got
-
-        def lazy_value(ix):
-            cached = values.get(ix)
-            if cached is None:
-                cached = invert_at(ix)
-                if isinstance(cached, NotInvertible):
-                    raise ValueError(f"no convolution inverse at {format_index(ix)}")
-                values[ix] = cached
-            return cached
-
-        g = LinOp(lazy_value, name=f"{f.name}^-1")
+            invert_at(ix)
+        g = LinOp(invert_at, name=f"{f.name}^-1")
     else:
         unknowns = [("u", ci, ai) for ci in c_basis for ai in a_basis]
 
@@ -512,25 +489,22 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
             unit = algebra.unit.scale(eps)
             target = target + unit.map_indices(lambda a: ("L", ci, a))
             target = target + unit.map_indices(lambda a: ("R", ci, a))
-        sol = solve_linear(LinOp(column), target, unknowns)
-        if isinstance(sol, NoSolution):
+        try:
+            sol = solve_linear(LinOp(column), target, unknowns)
+        except NoSolution:
             # attribute the failure to a single basis element when possible
             for ci in c_basis:
-                local = [u for u in unknowns]
-                local_target = FreeVector(
-                    {ix: c for ix, c in target.terms.items() if ix[1] == ci}
-                )
+                local_target = FreeVector({ix: c for ix, c in target.terms.items() if ix[1] == ci})
 
                 def local_column(u_ix):
-                    return FreeVector(
-                        {ix: c for ix, c in column(u_ix).terms.items() if ix[1] == ci}
-                    )
+                    return FreeVector({ix: c for ix, c in column(u_ix).terms.items() if ix[1] == ci})
 
-                if isinstance(solve_linear(LinOp(local_column), local_target, local), NoSolution):
-                    return NotInvertible(ci)
-            return NotInvertible(None)
-        for ci in c_basis:
-            values[ci] = combine((E(ak), c) for (_, cj, ak), c in sol.terms.items() if cj == ci)
+                try:
+                    solve_linear(LinOp(local_column), local_target, unknowns)
+                except NoSolution:
+                    raise NotInvertible(ci) from None
+            raise NotInvertible(None) from None
+        values = {ci: combine((E(ak), c) for (_, cj, ak), c in sol.terms.items() if cj == ci) for ci in c_basis}
         g = LinOp(lambda ix: values[ix], name=f"{f.name}^-1")
 
     # verify both convolution identities on every checked basis element
@@ -539,7 +513,7 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
         right = combine((algebra.mult_vec(g(c1), f(c2)), coeff) for coeff, (c1, c2) in pairs[ci])
         expected = algebra.unit.scale(coa.counit(ci))
         if not (left == expected and right == expected):
-            return NotInvertible(ci)
+            raise NotInvertible(ci)
     return g
 
 
@@ -716,12 +690,7 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
         return LinOp(lambda i: algebra.mult_vec(FreeVector.basis(i), v))
 
     s_a = solve_linear(right_mult_by(FreeVector.basis(a)), algebra.unit, basis_ix)
-    if isinstance(s_a, NoSolution):  # pragma: no cover - a is invertible by the relations
-        raise ValueError("generator a is not invertible")
-    a_r = FreeVector.basis(ix(r, 0))
-    s_x = solve_linear(right_mult_by(a_r), -FreeVector.basis(x), basis_ix)
-    if isinstance(s_x, NoSolution):  # pragma: no cover
-        raise ValueError("antipode axiom has no solution at x")
+    s_x = solve_linear(right_mult_by(FreeVector.basis(ix(r, 0))), -FreeVector.basis(x), basis_ix)
 
     @memoise
     def antipode_ix(i):
@@ -734,12 +703,7 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
         return out
 
     antipode = LinOp(antipode_ix, name="S")
-    inv_values = {}
-    for i in basis_ix:
-        sol = solve_linear(antipode, FreeVector.basis(i), basis_ix)
-        if isinstance(sol, NoSolution):
-            raise ValueError("antipode is not invertible")
-        inv_values[i] = sol
+    inv_values = {i: solve_linear(antipode, FreeVector.basis(i), basis_ix) for i in basis_ix}
     antipode_inv = LinOp(lambda i: inv_values[i], name="S^-1")
 
     hopf = HopfData(
@@ -966,19 +930,18 @@ def parse_structure_constants(text: str) -> HopfData:
     for b in basis_ix:
         target = target + FreeVector.basis(("L", b, b), CycScalar.one(so))
         target = target + FreeVector.basis(("R", b, b), CycScalar.one(so))
-    unit = solve_linear(LinOp(unit_column), target, basis_ix)
-    if isinstance(unit, NoSolution):
-        raise ValueError("multiplication table has no unit element")
+    try:
+        unit = solve_linear(LinOp(unit_column), target, basis_ix)
+    except NoSolution:
+        raise ValueError("multiplication table has no unit element") from None
 
     algebra = AlgebraPresentation(
         name=name, basis=BasisFamily(indices=basis_ix), mult=mult, unit=unit, scalar_order=so
     )
-    inv_values = {}
-    for b in basis_ix:
-        sol = solve_linear(antipode, FreeVector.basis(b), basis_ix)
-        if isinstance(sol, NoSolution):
-            raise ValueError("declared antipode is not invertible")
-        inv_values[b] = sol
+    try:
+        inv_values = {b: solve_linear(antipode, FreeVector.basis(b), basis_ix) for b in basis_ix}
+    except NoSolution:
+        raise ValueError("declared antipode is not invertible") from None
     return HopfData(
         algebra=algebra,
         comul=comul,

@@ -23,7 +23,6 @@ __all__ = [
     "NoSolution",
     "kernel_image",
     "solve_linear",
-    "quotient_basis",
     "QuotientSpace",
     "tensor_index",
     "combine",
@@ -352,9 +351,6 @@ class Subspace:
     def basis(self) -> list[FreeVector]:
         return self._ech.basis()
 
-    def pivots(self) -> list[Index]:
-        return sorted(self._ech.rows, key=index_sort_key)
-
     def contains(self, v: FreeVector) -> bool:
         return self._ech.reduce(v)[0].is_zero()
 
@@ -379,14 +375,16 @@ class Subspace:
     __hash__ = None
 
 
-class NoSolution:
-    """Returned by solve_linear when the system is inconsistent."""
+class NoSolution(ValueError):
+    """Raised when a target lies outside the image of a map or the span of a family."""
 
-    def __repr__(self):
-        return "NoSolution"
+    def __init__(self, target: FreeVector, where: str):
+        super().__init__(target, where)
+        self.target = target
+        self.where = where
 
-
-NO_SOLUTION = NoSolution()
+    def __str__(self):
+        return f"no solution: {self.target.to_text()} is not in the {self.where}"
 
 
 class LinearSolver:
@@ -407,10 +405,11 @@ class LinearSolver:
             else:
                 self._ech.insert(residual, track)
 
-    def solve(self, target: FreeVector):
+    def solve(self, target: FreeVector) -> FreeVector:
+        """Some v on the domain with f(v) = target; NoSolution if there is none."""
         residual, track = self._ech.reduce(target, FreeVector.zero())
         if not residual.is_zero():
-            return NO_SOLUTION
+            raise NoSolution(target, f"image of {self.f.name or 'the map'}")
         solution = -track
         if self.f(solution) != target:
             raise RuntimeError("solver post-condition violated")
@@ -446,11 +445,11 @@ class TrackedSpan:
         self.vectors[label] = v
         return True
 
-    def express(self, v: FreeVector):
-        """Coordinates of v over the inserted labels, or NoSolution."""
+    def express(self, v: FreeVector) -> FreeVector:
+        """Coordinates of v over the inserted labels; NoSolution outside their span."""
         residual, track = self._ech.reduce(v, FreeVector.zero())
         if not residual.is_zero():
-            return NO_SOLUTION
+            raise NoSolution(v, f"span of {self.dim} labelled vectors")
         return -track
 
     @property
@@ -464,32 +463,9 @@ def kernel_image(f: LinOp, domain: Iterable[Index]) -> tuple[Subspace, Subspace]
     return solver.kernel(), solver.image()
 
 
-def solve_linear(f: LinOp, target: FreeVector, domain: Iterable[Index]):
-    """Some exact solution of f(v) = target with v supported on domain, or NoSolution."""
+def solve_linear(f: LinOp, target: FreeVector, domain: Iterable[Index]) -> FreeVector:
+    """Some exact solution of f(v) = target with v supported on domain; NoSolution if there is none."""
     return LinearSolver(f, domain).solve(target)
-
-
-def quotient_basis(ambient: Iterable[Index], sub: Subspace) -> tuple[list[Index], LinOp]:
-    """Representatives and idempotent projection for span(ambient)/sub.
-
-    Representatives are the non-pivot ambient indices; project maps each
-    ambient index onto the representative span along sub.
-    """
-    ambient = sorted(ambient, key=index_sort_key)
-    ambient_set = set(ambient)
-    for row in sub.basis():
-        for ix in row.support():
-            if ix not in ambient_set:
-                raise ValueError(f"subspace leaves the ambient span at {format_index(ix)}")
-    pivots = set(sub.pivots())
-    representatives = [ix for ix in ambient if ix not in pivots]
-
-    def project_ix(ix):
-        if ix not in ambient_set:
-            raise KeyError(f"index {format_index(ix)} outside the ambient basis")
-        return sub.reduce(FreeVector.basis(ix))
-
-    return representatives, LinOp(project_ix, name="project")
 
 
 class QuotientSpace:

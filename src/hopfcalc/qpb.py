@@ -22,7 +22,6 @@ from hopfcalc.linalg import (
     Subspace,
     TrackedSpan,
     combine,
-    format_index,
     linear,
     tensor_index,
 )
@@ -83,13 +82,9 @@ def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantFor
         vectors[label] = vec
 
     def maurer_cartan(h_vec: FreeVector) -> FreeVector:
-        value = combine(
-            (h_calc.left_act_vec(h.antipode(h1), h_calc.d(h2)), c) for c, (h1, h2) in h.sweedler_vec(h_vec, 2)
+        return span.express(
+            combine((h_calc.left_act_vec(h.antipode(h1), h_calc.d(h2)), c) for c, (h1, h2) in h.sweedler_vec(h_vec, 2))
         )
-        got = span.express(value)
-        if isinstance(got, NoSolution):
-            raise ValueError(f"Cartan-Maurer value left the coinvariants: {value.to_text()}")
-        return got
 
     coinv = CoinvariantForms(
         h_calc=h_calc,
@@ -110,11 +105,10 @@ def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantFor
         if shifted.is_zero():
             continue
         try:
-            got = maurer_cartan(shifted)
-        except ValueError as err:
-            mc_ok, mc_witness = False, str(err)
+            image.add(maurer_cartan(shifted))
+        except NoSolution as err:
+            mc_ok, mc_witness = False, f"Cartan-Maurer value left the coinvariants: {err.target.to_text()}"
             break
-        image.add(got)
     report.record("maurer-cartan.lands-coinvariant", mc_ok, witness=mc_witness, windowed=windowed)
     if mc_ok:
         report.record(
@@ -150,19 +144,12 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
 
     def p_vec(ver_vec: FreeVector) -> FreeVector:
         """b (x) gamma -> (b (x) gamma_-2) (x) [S(gamma_-1) gamma_0]."""
-        out = FreeVector.zero()
-        for form_ix, c in ver_vec.terms.items():
-            _, bx, hf = form_ix
-            for cl, (g_m2, g_m1, g0) in cf.h_calc.lambda_terms(hf, 2):
-                moved = cf.h_calc.left_act_vec(h.antipode(g_m1), E(g0))
-                coeffs = coinv.express(moved)
-                if isinstance(coeffs, NoSolution):
-                    raise ValueError(
-                        f"vertical value not expressible over the coinvariant forms at {format_index(form_ix)}"
-                    )
-                for label, cc in coeffs.terms.items():
-                    out = out + E(tensor_index(tensor_index(bx, g_m2), label)).scale(c * cl * cc)
-        return out
+        return combine(
+            (E(tensor_index(tensor_index(bx, g_m2), label)), c * cl * cc)
+            for (_, bx, hf), c in ver_vec.terms.items()
+            for cl, (g_m2, g_m1, g0) in cf.h_calc.lambda_terms(hf, 2)
+            for label, cc in coinv.express(cf.h_calc.left_act_vec(h.antipode(g_m1), E(g0))).terms.items()
+        )
 
     def ver_map(form_vec: FreeVector) -> FreeVector:
         vertical_part = FreeVector(
@@ -265,27 +252,18 @@ def _coinvariant_coaction(cf: CrossedFodc, coinv: CoinvariantForms, report: Chec
     table = {}
     ok, unstable = True, None
     for label in coinv.labels:
-        pairs = cf.h_calc.rho_vec(coinv.vectors[label]).terms.items()
-        out = combine((E(f0).tensor(E(h1)), c) for (_, f0, h1), c in pairs)
-        expressed = FreeVector.zero()
-        stable = True
         by_h = {}
-        for pair_ix, c in out.terms.items():
-            _, f0, h1 = pair_ix
-            by_h.setdefault(h1, []).append((f0, c))
-        for h1, entries in by_h.items():
-            component = FreeVector({f0: c for f0, c in entries})
-            coeffs = coinv.express(component)
-            if isinstance(coeffs, NoSolution):
-                stable = False
-                break
-            for lab, cc in coeffs.terms.items():
-                expressed = expressed + E(tensor_index(lab, h1)).scale(cc)
-        if not stable:
+        for (_, f0, h1), c in cf.h_calc.rho_vec(coinv.vectors[label]).terms.items():
+            by_h.setdefault(h1, {})[f0] = c
+        try:
+            table[label] = combine(
+                (E(tensor_index(lab, h1)), cc)
+                for h1, component in by_h.items()
+                for lab, cc in coinv.express(FreeVector(component)).terms.items()
+            )
+        except NoSolution:
             ok, unstable = False, witness(label)
             table[label] = FreeVector.zero()
-        else:
-            table[label] = expressed
     report.record("vertical.coinvariants-rho-stable", ok, witness=unstable, windowed=windowed)
     return table
 
@@ -356,17 +334,12 @@ def check_atiyah_exact(
                 _, bdeg, bp, hp = gix
                 if bdeg != 0:
                     return FreeVector.zero()
-                out = FreeVector.zero()
-                for c, (g_m2, g_m1, g0) in h_graded.lambda_terms(degree, hp, 2):
-                    moved = h_graded.wedge_vec(
-                        0, h.antipode(g_m1), degree, E(g0)
-                    )
-                    coeffs = coh_span.express(moved)
-                    if isinstance(coeffs, NoSolution):
-                        raise ValueError("higher vertical value not coinvariant")
-                    for label, cc in coeffs.terms.items():
-                        out = out + E(tensor_index(tensor_index(bp, g_m2), label)).scale(c * cc)
-                return out
+                return combine(
+                    (E(tensor_index(tensor_index(bp, g_m2), label)), c * cc)
+                    for c, (g_m2, g_m1, g0) in h_graded.lambda_terms(degree, hp, 2)
+                    for moved in [h_graded.wedge_vec(0, h.antipode(g_m1), degree, E(g0))]
+                    for label, cc in coh_span.express(moved).terms.items()
+                )
 
             if basis_n:
                 solver_n = LinearSolver(LinOp(ver_n), basis_n)
@@ -608,10 +581,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
             for (_, pair_ix, v_ix), c in e_vectors[e_label].terms.items()
             for jx, cj in cp.algebra.mult_vec(E(b_ix).tensor(h.algebra.unit), E(pair_ix)).terms.items()
         )
-        got = e_span.express(out)
-        if isinstance(got, NoSolution):
-            raise ValueError("coinvariants not closed under the left base action")
-        return got
+        return e_span.express(out)
 
     def b_act_right(e_label, b_ix):
         out = combine(
@@ -619,10 +589,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
             for (_, pair_ix, v_ix), c in e_vectors[e_label].terms.items()
             for jx, cj in cp.algebra.mult_vec(E(pair_ix), E(b_ix).tensor(h.algebra.unit)).terms.items()
         )
-        got = e_span.express(out)
-        if isinstance(got, NoSolution):
-            raise ValueError("coinvariants not closed under the right base action")
-        return got
+        return e_span.express(out)
 
     # balanced tensor Omega^1(B) (x)_B E
     b_forms = cf.b_calc.forms.enumerate()
@@ -641,33 +608,22 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     def to_balanced(form_vec: FreeVector, e_coeffs: FreeVector) -> FreeVector:
         return balanced.project(linear(lambda f_ix, el: E(tensor_index(f_ix, el)), form_vec, e_coeffs))
 
+    def unit_section(hx, v_ix):
+        """Coordinates of 1 (x) hx (x) v_ix over the associated bundle basis."""
+        return e_span.express(E(tensor_index(tensor_index(_unit_b_index(cp), hx), v_ix)))
+
     def nabla(e_label):
-        out = FreeVector.zero()
-        for ix, c in e_vectors[e_label].terms.items():
-            _, pair_ix, v_ix = ix
-            _, bx, hx = pair_ix
-            section = e_span.express(E(tensor_index(tensor_index(_unit_b_index(cp), hx), v_ix)))
-            if isinstance(section, NoSolution):
-                raise ValueError(
-                    "associated bundle is not spanned by unit-based coinvariants; "
-                    f"cannot split {format_index(ix)}"
-                )
-            out = out + to_balanced(cf.b_calc.d(bx), section).scale(c)
-        return out
+        return combine(
+            (to_balanced(cf.b_calc.d(bx), unit_section(hx, v_ix)), c)
+            for (_, (_, bx, hx), v_ix), c in e_vectors[e_label].terms.items()
+        )
 
     def sigma_e(e_label, b_form_ix):
-        out = FreeVector.zero()
-        for ix, c in e_vectors[e_label].terms.items():
-            _, pair_ix, v_ix = ix
-            _, bx, hx = pair_ix
-            for c1, (h1, h2) in h.sweedler(hx, 2):
-                acted = cf.b_action.act(h1, b_form_ix)
-                form_part = cf.b_calc.left_act_vec(E(bx), acted)
-                section = e_span.express(E(tensor_index(tensor_index(_unit_b_index(cp), h2), v_ix)))
-                if isinstance(section, NoSolution):
-                    raise ValueError("associated bundle is not spanned by unit-based coinvariants")
-                out = out + to_balanced(form_part, section).scale(c * c1)
-        return out
+        return combine(
+            (to_balanced(cf.b_calc.left_act_vec(E(bx), cf.b_action.act(h1, b_form_ix)), unit_section(h2, v_ix)), c * c1)
+            for (_, (_, bx, hx), v_ix), c in e_vectors[e_label].terms.items()
+            for c1, (h1, h2) in h.sweedler(hx, 2)
+        )
 
     data = CovariantDerivativeData(
         e_labels=e_labels,
@@ -769,26 +725,19 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     )
 
     # the connection route gives the same derivative
-    def via_connection(e_label):
-        out = FreeVector.zero()
-        for ix, c in e_vectors[e_label].terms.items():
-            _, pair_ix, v_ix = ix
-            d_val = cf.d(pair_ix)
-            horizontal = d_val - vd.g(vd.ver(d_val))
-            for f_ix, cfm in horizontal.terms.items():
-                if f_ix[0] != "hor":
-                    return None, (e_label,)
-                _, bf, hx = f_ix
-                section = e_span.express(E(tensor_index(tensor_index(_unit_b_index(cp), hx), v_ix)))
-                if isinstance(section, NoSolution):
-                    return None, (e_label,)
-                out = out + to_balanced(E(bf), section).scale(c * cfm)
-        return out, None
-
     def connection_route(e_label):
-        got, parts = via_connection(e_label)
-        if got is None:
-            return False, parts
+        horizontal = [
+            (f_ix, v_ix, c * cfm)
+            for (_, pair_ix, v_ix), c in e_vectors[e_label].terms.items()
+            for d_val in [cf.d(pair_ix)]
+            for f_ix, cfm in (d_val - vd.g(vd.ver(d_val))).terms.items()
+        ]
+        if any(f_ix[0] != "hor" for f_ix, _, _ in horizontal):
+            return False, (e_label,)
+        try:
+            got = combine((to_balanced(E(bf), unit_section(hx, v_ix)), c) for (_, bf, hx), v_ix, c in horizontal)
+        except NoSolution:
+            return False, (e_label,)
         return got == nabla(e_label), (e_label,)
 
     report.sweep("derivative.via-connection", e_labels, connection_route)
@@ -949,20 +898,15 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
         windowed=windowed,
     )
 
-    # uniqueness: reconstruct the field from left-linearity and the
-    # normalization through the vertical decomposition
-    def unique(item):
-        tan, form_ix = item
-        direct = fields[tan](E(form_ix))
-        rebuilt = contract(tan, E(form_ix))
-        return direct == rebuilt, (tan, form_ix)
-
-    report.sweep(
-        "field.unique",
-        ((t, f) for t in labels for f in form_basis),
-        unique,
-        windowed=windowed,
-    )
+    # uniqueness: a left-linear field is fixed by its values on the lifted
+    # coinvariant forms and vanishes on the horizontal ones, so these two
+    # families must span the forms as a left module
+    spanned = Subspace(E(hor_ix) for hor_ix in hor_basis)
+    for coh in coinv.labels:
+        lifted = ver(cf.crossed.base.unit, coinv.lift(E(coh)))
+        for pair_ix in a_basis:
+            spanned.add(cf.left_act_vec(E(pair_ix), lifted))
+    report.sweep("field.unique", form_basis, lambda fx: (spanned.contains(E(fx)), (fx,)), windowed=windowed)
     return tangent, fields, report
 
 
@@ -994,15 +938,13 @@ def connection_form_bijection(
 
     def to_connection(phi: ConnectionForm) -> Connection:
         def c_map(target_vec: FreeVector) -> FreeVector:
-            out = FreeVector.zero()
-            for ix, c in target_vec.terms.items():
-                _, pair_ix, label = ix
-                for tan in tangent.labels:
-                    weight = tangent.pair(tan, label)
-                    if weight.is_zero():
-                        continue
-                    out = out + cf.left_act_vec(E(pair_ix), phi.coeffs[tan]).scale(c * weight)
-            return out
+            return combine(
+                (cf.left_act_vec(E(pair_ix), phi.coeffs[tan]), c * weight)
+                for (_, pair_ix, label), c in target_vec.terms.items()
+                for tan in tangent.labels
+                for weight in [tangent.pair(tan, label)]
+                if not weight.is_zero()
+            )
 
         return Connection(c=c_map, name="from-form")
 

@@ -17,13 +17,12 @@ from hopfcalc.hopf import (
     CoalgebraData,
     CoinvariantFamily,
     ComoduleAlgebra,
-    NotInvertible,
     build_cyclic_group_algebra,
     check_comodule_algebra,
     compute_coinvariants,
     convolution_inverse,
 )
-from hopfcalc.linalg import FreeVector, LinOp, tensor_index
+from hopfcalc.linalg import FreeVector, LinOp, linear, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
@@ -148,13 +147,12 @@ def test_canonical_cleaving_inverse_formula():
     got = convolution_inverse(
         j, CoalgebraData(comul=h.comul, counit=h.counit), h.algebra.basis.enumerate(), crossed_alg
     )
-    assert not isinstance(got, NotInvertible)
     for g_ix in h.algebra.basis.enumerate():
         expected = FreeVector.zero()
         for c, (h1, h2, h3) in h.sweedler(g_ix, 3):
             s_h1 = h.antipode(h1)
             s_h2 = h.antipode(h2)
-            inv_part = inst.cocycle.sigma_inv_vec(s_h2, E(h3))
+            inv_part = linear(inst.cocycle.sigma_inv, s_h2, E(h3))
             expected = expected + inv_part.tensor(s_h1).scale(c)
         assert got(g_ix) == expected
 
@@ -236,11 +234,11 @@ def test_canonical_cleaving_reproduces_the_input_measure(torus_calc_shared):
             j_val = crossed.base.unit.tensor(E(("t", k)))
             j_inv_val = FreeVector.zero()
             for c, (h1, h2, h3) in h.sweedler(("t", k), 3):
-                inv_part = crossed.cocycle.sigma_inv_vec(h.antipode(h2), E(h3))
+                inv_part = linear(crossed.cocycle.sigma_inv, h.antipode(h2), E(h3))
                 j_inv_val = j_inv_val + inv_part.tensor(h.antipode(h1)).scale(c)
-            embedded = crossed.include_base(E(("w", l)))
+            embedded = E(("w", l)).tensor(h.algebra.unit)
             derived = crossed.algebra.mult_vec(crossed.algebra.mult_vec(j_val, embedded), j_inv_val)
-            expected = crossed.include_base(crossed.measure.act(("t", k), ("w", l)))
+            expected = crossed.measure.act(("t", k), ("w", l)).tensor(h.algebra.unit)
             assert derived == expected
 
 
@@ -252,7 +250,7 @@ def test_canonical_cleaving_reproduces_the_input_cocycle(torus_calc_shared):
     def canonical_j_inv(hx):
         out = FreeVector.zero()
         for c, (h1, h2, h3) in h.sweedler(hx, 3):
-            inv_part = crossed.cocycle.sigma_inv_vec(h.antipode(h2), E(h3))
+            inv_part = linear(crossed.cocycle.sigma_inv, h.antipode(h2), E(h3))
             out = out + inv_part.tensor(h.antipode(h1)).scale(c)
         return out
 
@@ -263,7 +261,7 @@ def test_canonical_cleaving_reproduces_the_input_cocycle(torus_calc_shared):
             derived = crossed.algebra.mult_vec(
                 crossed.algebra.mult_vec(j_k, j_s), canonical_j_inv(("t", k + s))
             )
-            expected = crossed.include_base(crossed.cocycle.sigma(("t", k), ("t", s)))
+            expected = crossed.cocycle.sigma(("t", k), ("t", s)).tensor(h.algebra.unit)
             assert derived == expected
 
 

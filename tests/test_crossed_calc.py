@@ -199,13 +199,11 @@ def test_necessity_vacuous_for_cocycle_killing_differential(radford_calc):
 
 
 def test_truncation_obstruction_vanishes_for_laurent_calculus(torus_calc):
-    got = truncate_dc_degree2(torus_calc.h_calc, window=2)
-    assert not isinstance(got, NotTruncatable)
+    assert truncate_dc_degree2(torus_calc.h_calc, window=2).max_degree == 1
 
 
 def test_truncation_obstruction_vanishes_for_group_calculus():
-    inst = group_c2_instance("zero")
-    assert not isinstance(inst.graded, NotTruncatable)
+    assert group_c2_instance("zero").graded.max_degree == 1
 
 
 def test_zero_calculus_is_truncatable():
@@ -216,8 +214,7 @@ def test_zero_calculus_is_truncatable():
     calc.left_coaction = lambda f: FreeVector.zero()
     calc.algebra_coaction = h.comul
     calc.algebra_left_coaction = h.comul
-    got = truncate_dc_degree2(calc)
-    assert not isinstance(got, NotTruncatable)
+    assert truncate_dc_degree2(calc).max_degree == 1
 
 
 def test_higher_forms_pass_graded_checks(radford_calc):
@@ -385,6 +382,15 @@ def test_wedge_sign_is_pinned_by_graded_leibniz(radford_calc):
     assert report.get("graded-leibniz").status == "fail"
     assert report.get("d-squared").status == "pass"
     assert report.get("wedge-assoc").status == "pass"
+
+
+def test_truncation_raises_with_the_witness_the_instance_records():
+    rc3 = radford_calculus_instance(3, 2)
+    with pytest.raises(NotTruncatable) as raised:
+        truncate_dc_degree2(rc3.h_calc)
+    assert raised.value.witness == rc3.truncation_witness
+    assert rc3.truncation_witness in str(raised.value)
+    assert issubclass(NotTruncatable, ValueError)
 
 
 def test_three_fold_quotient_is_not_degree_two_truncatable():

@@ -24,6 +24,9 @@ INVOCATIONS = {
     "verify-group-c2-full": "verify group-c2 --ideal full",
     "cohomology-group-c2": "cohomology group-c2 --ideal zero --max-degree 1",
     "verify-user-hopf": "verify user-hopf --file sample-data/c4.hopf --ideal-file sample-data/c4-ideal.txt",
+    "verify-torus": "verify torus --M 8 --window 2",
+    "verify-smash-demo": "verify smash-demo --window 2",
+    "cohomology-torus": "cohomology torus --window 2",
 }
 
 

@@ -112,7 +112,6 @@ def test_convolution_inverse_on_group_algebra_is_group_inverse():
     h = build_cyclic_group_algebra(4)
     identity = LinOp(lambda ix: E(ix))
     g = convolution_inverse(identity, coalgebra_of(h), h.algebra.basis.enumerate(), h.algebra)
-    assert not isinstance(g, NotInvertible)
     for k in range(4):
         assert g(("g", k)) == E(("g", (-k) % 4))
 
@@ -120,16 +119,16 @@ def test_convolution_inverse_on_group_algebra_is_group_inverse():
 def test_convolution_inverse_zero_map_not_invertible():
     h = build_cyclic_group_algebra(2)
     zero = LinOp(lambda ix: FreeVector.zero())
-    out = convolution_inverse(zero, coalgebra_of(h), h.algebra.basis.enumerate(), h.algebra)
-    assert isinstance(out, NotInvertible)
-    assert out.element is not None
+    with pytest.raises(NotInvertible) as raised:
+        convolution_inverse(zero, coalgebra_of(h), h.algebra.basis.enumerate(), h.algebra)
+    assert raised.value.element == ("g", 0)
+    assert issubclass(NotInvertible, ValueError)
 
 
 def test_convolution_inverse_general_solver_on_radford():
     data = build_radford(2, 2, root_of_unity(4))
     h = data.hopf
     s = convolution_inverse(LinOp(lambda ix: E(ix)), coalgebra_of(h), h.algebra.basis.enumerate(), h.algebra)
-    assert not isinstance(s, NotInvertible)
     # the convolution inverse of the identity is the antipode
     for ix in h.algebra.basis.enumerate():
         assert s(ix) == h.antipode(ix)
@@ -176,7 +175,6 @@ def test_torus_cleaving_inverse_via_solver():
         torus.comodule.algebra,
         window=4,
     )
-    assert not isinstance(g, NotInvertible)
     assert g(("t", 1)) == E(("uv", -1, 0))  # u^-1
     for n in range(-4, 5):
         assert g(("t", n)) == torus.cleaving_inv(("t", n))

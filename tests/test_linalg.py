@@ -4,16 +4,15 @@ from typing import Callable, Optional
 import pytest
 
 from hopfcalc.linalg import (
-    NO_SOLUTION,
     FreeVector,
     LinOp,
     NoSolution,
     QuotientSpace,
     Subspace,
+    TrackedSpan,
     intersection_dim,
     kernel_image,
     memoise_fields,
-    quotient_basis,
     solve_linear,
     tensor_index,
 )
@@ -151,45 +150,25 @@ def test_solve_identity():
 
 
 def test_solve_zero_map_has_no_solution():
-    out = solve_linear(LinOp.zero(), E(("t", 0)), B3)
-    assert isinstance(out, NoSolution)
-    assert out is NO_SOLUTION
+    with pytest.raises(NoSolution) as raised:
+        solve_linear(LinOp.zero(), E(("t", 0)), B3)
+    assert raised.value.target == E(("t", 0))
+    assert str(raised.value) == "no solution: (1)*t(0) is not in the image of 0"
+    assert issubclass(NoSolution, ValueError)
+
+
+def test_express_outside_the_span_raises():
+    span = TrackedSpan()
+    span.add(("l", 0), E(("e", 0)))
+    assert span.express(E(("e", 0)).scale(CycScalar.from_rational(3))) == E(("l", 0), 3)
+    with pytest.raises(NoSolution, match=r"\(1\)\*e\(1\) is not in the span of 1 labelled vectors"):
+        span.express(E(("e", 1)))
 
 
 def test_solution_verified_by_reapplication():
     f = LinOp(lambda ix: E(("t", 0)).scale(CycScalar.from_rational(ix[1] + 1)))
     sol = solve_linear(f, E(("t", 0)).scale(CycScalar.from_rational(5)), B3)
     assert f(sol) == E(("t", 0)).scale(CycScalar.from_rational(5))
-
-
-def test_quotient_by_zero_subspace():
-    reps, project = quotient_basis(B3, Subspace())
-    assert reps == B3
-    for ix in B3:
-        assert project(ix) == E(ix)
-
-
-def test_quotient_by_full_space():
-    reps, project = quotient_basis(B3, Subspace([E(ix) for ix in B3]))
-    assert reps == []
-    for ix in B3:
-        assert project(ix).is_zero()
-
-
-def test_quotient_projection_idempotent_and_kills_sub():
-    sub = Subspace([E(("e", 0)) - E(("e", 1))])
-    reps, project = quotient_basis(B3, sub)
-    assert len(reps) == 2
-    for ix in B3:
-        assert project(project(ix)) == project(ix)
-    for g in sub.basis():
-        assert project(g).is_zero()
-
-
-def test_quotient_requires_containment():
-    sub = Subspace([E(("x", 9))])
-    with pytest.raises(ValueError):
-        quotient_basis(B3, sub)
 
 
 def test_quotient_space_with_vector_ambient():

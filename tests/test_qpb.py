@@ -140,6 +140,21 @@ def test_tangent_space_and_fields(radford):
     assert only(lifted) == E(tensor_index(("h1", 0, 0), ("g", 0)))
 
 
+def test_field_uniqueness_fails_without_the_lifted_coinvariant_forms(radford):
+    # with no coinvariant labels only the horizontal forms remain, and they
+    # span 8 of the 16 forms, so a field is no longer fixed by its values
+    import dataclasses
+
+    _, vd = radford
+    bare = dataclasses.replace(vd, coinv=dataclasses.replace(vd.coinv, labels=[], vectors={}))
+    _, _, report = tangent_and_fields(bare)
+    assert report.get("field.unique").status == "fail"
+    assert report.get("field.unique").witness is not None
+    assert report.checks[-1].identity == "field.unique"
+    _, _, full = tangent_and_fields(vd)
+    assert full.get("field.unique").status == "pass"
+
+
 def test_tangent_space_refused_when_coinvariants_grow(torus):
     tc, vd = torus
     from hopfcalc.qpb import VerticalData

@@ -146,16 +146,23 @@ def _stops_early(loop) -> bool:
     return False
 
 
-def _hand_rolled_sums(node, loops=()):
-    """Line numbers of scaled accumulations that `linalg.combine`/`linear` should do."""
+def _scaled_accumulations(node, loops=(), scope=()):
+    """(line, enclosing function path, whether an enclosing loop can stop part-way)
+    of each scaled accumulation."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         loops = ()
-    if _is_scaled_accumulation(node) and not any(_stops_early(loop) for loop in loops):
-        yield node.lineno
+        scope = scope + (getattr(node, "name", "<lambda>"),)
+    if _is_scaled_accumulation(node):
+        yield node.lineno, ".".join(scope), any(_stops_early(loop) for loop in loops)
     if isinstance(node, ast.For):
         loops = loops + (node,)
     for child in ast.iter_child_nodes(node):
-        yield from _hand_rolled_sums(child, loops)
+        yield from _scaled_accumulations(child, loops, scope)
+
+
+def _hand_rolled_sums(node):
+    """Line numbers of scaled accumulations that `linalg.combine`/`linear` should do."""
+    return [line for line, _, early in _scaled_accumulations(node) if not early]
 
 
 def test_no_hand_rolled_linear_extension_outside_linalg():
@@ -192,3 +199,64 @@ def test_hand_rolled_sum_scan_sees_every_form():
         "    return out\n"
     )
     assert list(_hand_rolled_sums(ast.parse(text))) == [4, 5, 6, 15, 16]
+    assert [(line, scope) for line, scope, early in _scaled_accumulations(ast.parse(text)) if early] == [(11, "f")]
+
+
+def test_only_the_forced_zero_refusals_build_their_own_sums():
+    # a loop that stops part-way may build its own sum; the only ones left are
+    # the two off-window refusals of the forced-zero derivation
+    exempt = [
+        (path.name, scope)
+        for path, tree in _modules()
+        if path.name != "linalg.py"
+        for _, scope, early in _scaled_accumulations(tree)
+        if early
+    ]
+    assert exempt == [
+        ("fodc.py", "sigma_forces_zero_differential.d_of_vector"),
+        ("fodc.py", "sigma_forces_zero_differential.pad"),
+    ]
+
+
+_FAILURES = {"NoSolution", "NotInvertible", "NotTruncatable"}
+
+
+def _sentinel_uses(tree):
+    """Lines that test a value against a failure class, or name the old NO_SOLUTION value."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            kinds = {
+                sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(node.args[1])
+                if isinstance(sub, (ast.Name, ast.Attribute))
+            }
+            if kinds & _FAILURES:
+                yield node.lineno
+        if (isinstance(node, ast.Name) and node.id == "NO_SOLUTION") or (
+            isinstance(node, ast.alias) and node.name == "NO_SOLUTION"
+        ):
+            yield node.lineno
+
+
+def test_failures_are_raised_not_returned():
+    # a failed solve, convolution inverse or truncation is an exception, never a value to test
+    paths = sorted(SRC.glob("*.py")) + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{line}"
+        for path in paths
+        for line in _sentinel_uses(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+
+
+def test_sentinel_scan_sees_every_form():
+    text = (
+        "from hopfcalc.linalg import NO_SOLUTION\n"
+        "def f(x):\n"
+        "    a = isinstance(x, NoSolution)\n"
+        "    b = isinstance(x, (int, hopf.NotInvertible))\n"
+        "    c = isinstance(x, NotTruncatable | None)\n"
+        "    d = x is NO_SOLUTION\n"
+        "    e = isinstance(x, ValueError)\n"
+    )
+    assert sorted(_sentinel_uses(ast.parse(text))) == [1, 3, 4, 5, 6]
