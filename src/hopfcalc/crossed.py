@@ -30,7 +30,6 @@ from hopfcalc.linalg import (
     combine,
     kernel_image,
     linear,
-    memoise,
     memoise_fields,
     tensor_index,
 )
@@ -360,7 +359,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     cocycle = cocycle_from_sigma(sigma, b, h, window=window)
     crossed = build_crossed_product(b, h, measure, cocycle, window=window, name=f"{b.name}#s{h.name}")
 
-    theta = LinOp(memoise(_split_ix(a, j_inv, express, E)), name="theta")
+    theta = LinOp(_split_ix(a, j_inv, express, E), name="theta")
 
     def theta_inv_ix(pair_ix):
         _, bi, hi = pair_ix

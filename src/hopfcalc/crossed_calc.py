@@ -645,20 +645,21 @@ def build_higher_forms(
         _, bdeg, bp, hp = ix
         return bdeg, bp, deg - bdeg, hp
 
+    @memoise
+    def bpart(bdeg1, bp1, bdeg2, bp2, g_m2, g_m1, k_m1):
+        """bp1 wedge (g_m2 . bp2) wedge sigma(g_m1, k_m1) in the base forms."""
+        moved = b_dc.act_vec(E(g_m2), bdeg2, E(bp2))
+        return b_dc.wedge_vec(bdeg1, E(bp1), bdeg2, b_dc.wedge_vec(bdeg2, moved, 0, s.sigma(g_m1, k_m1)))
+
     def wedge(deg1, ix1, deg2, ix2):
         bdeg1, bp1, hdeg1, hp1 = split(deg1, ix1)
         bdeg2, bp2, hdeg2, hp2 = split(deg2, ix2)
         sign = CycScalar.from_rational((-1) ** (hdeg1 * bdeg2))
-
-        def bpart(g_m2, g_m1, k_m1):
-            moved = b_dc.act_vec(E(g_m2), bdeg2, E(bp2))
-            return b_dc.wedge_vec(bdeg1, E(bp1), bdeg2, b_dc.wedge_vec(bdeg2, moved, 0, s.sigma(g_m1, k_m1)))
-
         return combine(
             (E(gix(bdeg1 + bdeg2, bp, hdeg1 + hdeg2, hp)), c * c2 * cb * ch * sign)
             for c, (g_m2, g_m1, g0) in h_dc.lambda_terms(hdeg1, hp1, 2)
             for c2, (k_m1, k0) in h_dc.lambda_terms(hdeg2, hp2, 1)
-            for bp, cb in bpart(g_m2, g_m1, k_m1).terms.items()
+            for bp, cb in bpart(bdeg1, bp1, bdeg2, bp2, g_m2, g_m1, k_m1).terms.items()
             for hp, ch in h_dc.wedge(hdeg1, g0, hdeg2, k0).terms.items()
         )
 
@@ -1004,7 +1005,7 @@ def classify_smash(
         return j_hat_of(h_pres.solve(E(h_form_ix)))
 
     if cond1_ok:
-        inj = LinearSolver(LinOp(lambda fx: j_hat(fx)), h_form_basis)
+        inj = LinearSolver(LinOp(j_hat), h_form_basis)
         if inj.kernel().dim:
             cond1_ok, cond1_witness = False, "differential of the cleaving map has a kernel"
     report.record("classification-(1)", cond1_ok, witness=cond1_witness, windowed=windowed)

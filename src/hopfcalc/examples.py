@@ -561,13 +561,18 @@ def radford_suites(params: dict) -> list:
             rep.extend(check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded, max_degree=2))
         return rep
 
+    def canonical():
+        if "conn" not in state:
+            state["conn"] = canonical_connection(vdata())
+        return state["conn"]
+
     def connection():
-        _, rep = canonical_connection(vdata())
+        _, rep = canonical()
         return rep
 
     def bijection():
         vd = vdata()
-        conn, _ = canonical_connection(vd)
+        conn, _ = canonical()
         tangent, _, trep = tangent_and_fields(vd)
         phi, rep1 = connection_form_bijection(vd, tangent, connection=conn)
         _, rep2 = connection_form_bijection(vd, tangent, form=phi)

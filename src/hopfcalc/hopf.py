@@ -23,7 +23,6 @@ from hopfcalc.linalg import (
     index_sort_key,
     kernel_image,
     linear,
-    memoise,
     memoise_fields,
     solve_linear,
     tensor_index,
@@ -446,7 +445,6 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
     if group_like:
         # pointwise inversion works for any index, so the returned map is
         # total: off-window values are solved on demand on a grown window
-        @memoise
         def invert_at(ix):
             fv = f(ix)
             grown = window
@@ -463,9 +461,9 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
                 raise NotInvertible(ix)
             return sol
 
-        for ix in c_basis:
-            invert_at(ix)
         g = LinOp(invert_at, name=f"{f.name}^-1")
+        for ix in c_basis:
+            g(ix)
     else:
         unknowns = [("u", ci, ai) for ci in c_basis for ai in a_basis]
 
@@ -692,7 +690,6 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
     s_a = solve_linear(right_mult_by(FreeVector.basis(a)), algebra.unit, basis_ix)
     s_x = solve_linear(right_mult_by(FreeVector.basis(ix(r, 0))), -FreeVector.basis(x), basis_ix)
 
-    @memoise
     def antipode_ix(i):
         _, l, mm = i
         out = algebra.unit

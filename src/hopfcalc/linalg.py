@@ -218,10 +218,19 @@ def linear(fn: Callable[..., FreeVector], v: FreeVector, w: Optional[FreeVector]
     """The linear extension of fn, a map on basis indices, at v, or its bilinear one at (v, w).
 
     fn(i, j) is weighted by ci * cj and summed by `combine` in the order of
-    nested loops over the vectors' terms, v outermost.
+    nested loops over the vectors' terms, v outermost.  A single term is
+    returned as fn(...).scale(c), which has the same terms, order and
+    scalars as `combine` of one pair.
     """
     if w is None:
+        if len(v.terms) == 1:
+            (ix, c), = v.terms.items()
+            return fn(ix).scale(c)
         return combine((fn(ix), c) for ix, c in v.terms.items())
+    if len(v.terms) == 1 and len(w.terms) == 1:
+        (i, ci), = v.terms.items()
+        (j, cj), = w.terms.items()
+        return fn(i, j).scale(ci * cj)
     right = w.terms.items()
     return combine((fn(i, j), ci * cj) for i, ci in v.terms.items() for j, cj in right)
 
@@ -230,7 +239,9 @@ def memoise(fn):
     """fn with its value kept per argument tuple; None and memos pass through.
 
     A structure map on basis indices is a fixed table, so each entry is
-    computed once.  A call that raises stores nothing.
+    computed once.  A call that raises stores nothing.  Dataclass fields
+    are memoised by `memoise_fields`, and every `LinOp` memoises its
+    action, so a map handed to either needs no wrapper of its own.
     """
     if fn is None or hasattr(fn, "memo"):
         return fn
@@ -253,10 +264,14 @@ def memoise_fields(obj, *names) -> None:
 
 
 class LinOp:
-    """A linear operator given by its action on basis indices."""
+    """A linear operator given by its action on basis indices.
+
+    The action is memoised (`memoise`), so each basis image is computed
+    once, whether it is reached through op(ix), op(vector) or `columns`.
+    """
 
     def __init__(self, action: Callable[[Index], FreeVector], name: str = ""):
-        self.action = action
+        self.action = memoise(action)
         self.name = name
         self._matrix_cache = {}
 

@@ -9,6 +9,7 @@ connections and connection 1-forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from hopfcalc.crossed_calc import CrossedFodc, GradedDc, hor, ver
@@ -23,6 +24,8 @@ from hopfcalc.linalg import (
     TrackedSpan,
     combine,
     linear,
+    memoise,
+    memoise_fields,
     tensor_index,
 )
 from hopfcalc.report import CheckReport, witness
@@ -133,6 +136,23 @@ class VerticalData:
         pairs = self.cf.crossed.algebra.basis.enumerate(window)
         return [tensor_index(a, c) for a in pairs for c in self.coinv.labels]
 
+    @cached_property
+    def _rho_on_coinvariants(self):
+        return _coinvariant_coaction(self.coinv)
+
+    def record_rho_stable(self, report: CheckReport) -> dict:
+        """Record in report that the coinvariant forms are stable under the
+        right coaction; returns that coaction over the coinvariant labels,
+        computed once per instance."""
+        table, unstable = self._rho_on_coinvariants
+        report.record(
+            "vertical.coinvariants-rho-stable",
+            unstable is None,
+            witness=unstable,
+            windowed=not self.cf.crossed.algebra.basis.is_finite,
+        )
+        return table
+
 
 def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     """ver = p after the vertical projection; p and g are verified to be
@@ -142,26 +162,32 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     report = CheckReport(example=cf.crossed.algebra.name, suite="vertical-map")
     windowed = not cf.crossed.algebra.basis.is_finite
 
-    def p_vec(ver_vec: FreeVector) -> FreeVector:
+    @memoise
+    def p_ix(ver_ix):
         """b (x) gamma -> (b (x) gamma_-2) (x) [S(gamma_-1) gamma_0]."""
+        _, bx, hf = ver_ix
         return combine(
-            (E(tensor_index(tensor_index(bx, g_m2), label)), c * cl * cc)
-            for (_, bx, hf), c in ver_vec.terms.items()
+            (E(tensor_index(tensor_index(bx, g_m2), label)), cl * cc)
             for cl, (g_m2, g_m1, g0) in cf.h_calc.lambda_terms(hf, 2)
             for label, cc in coinv.express(cf.h_calc.left_act_vec(h.antipode(g_m1), E(g0))).terms.items()
         )
 
+    def ver_ix(form_ix):
+        return p_ix(form_ix) if form_ix[0] == "ver" else FreeVector.zero()
+
+    @memoise
+    def g_ix(t_ix):
+        _, (_, bx, hx), label = t_ix
+        return ver(E(bx), cf.h_calc.left_act_vec(E(hx), coinv.vectors[label]))
+
+    def p_vec(ver_vec: FreeVector) -> FreeVector:
+        return linear(p_ix, ver_vec)
+
     def ver_map(form_vec: FreeVector) -> FreeVector:
-        vertical_part = FreeVector(
-            {ix: c for ix, c in form_vec.terms.items() if ix[0] == "ver"}
-        )
-        return p_vec(vertical_part)
+        return linear(ver_ix, form_vec)
 
     def g_vec(target_vec: FreeVector) -> FreeVector:
-        return combine(
-            (ver(E(bx), cf.h_calc.left_act_vec(E(hx), coinv.vectors[label])), c)
-            for (_, (_, bx, hx), label), c in target_vec.terms.items()
-        )
+        return linear(g_ix, target_vec)
 
     vd = VerticalData(cf=cf, coinv=coinv, ver=ver_map, p=p_vec, g=g_vec, report=report)
 
@@ -214,7 +240,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     )
 
     # right colinearity: the target carries the diagonal coaction
-    coh_coaction = _coinvariant_coaction(cf, coinv, report, windowed)
+    coh_coaction = vd.record_rho_stable(report)
 
     def colinear(form_ix):
         # (ver (x) id) rho' against the diagonal coaction applied to ver
@@ -246,14 +272,15 @@ def _left_multiple(cf: CrossedFodc, pair_ix, t_ix) -> FreeVector:
     return combine((E(tensor_index(jx, label)), cj) for jx, cj in moved.terms.items())
 
 
-def _coinvariant_coaction(cf: CrossedFodc, coinv: CoinvariantForms, report: CheckReport, windowed: bool):
+def _coinvariant_coaction(coinv: CoinvariantForms):
     """Right coaction restricted to the coinvariant forms, expressed over
-    the coinvariant labels; records a check that they are stable."""
+    the coinvariant labels, and the witness of the last label whose
+    coaction leaves them (None when they are stable)."""
     table = {}
-    ok, unstable = True, None
+    unstable = None
     for label in coinv.labels:
         by_h = {}
-        for (_, f0, h1), c in cf.h_calc.rho_vec(coinv.vectors[label]).terms.items():
+        for (_, f0, h1), c in coinv.h_calc.rho_vec(coinv.vectors[label]).terms.items():
             by_h.setdefault(h1, {})[f0] = c
         try:
             table[label] = combine(
@@ -262,10 +289,9 @@ def _coinvariant_coaction(cf: CrossedFodc, coinv: CoinvariantForms, report: Chec
                 for lab, cc in coinv.express(FreeVector(component)).terms.items()
             )
         except NoSolution:
-            ok, unstable = False, witness(label)
+            unstable = witness(label)
             table[label] = FreeVector.zero()
-    report.record("vertical.coinvariants-rho-stable", ok, witness=unstable, windowed=windowed)
-    return table
+    return table, unstable
 
 
 def check_atiyah_exact(
@@ -431,7 +457,7 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
         windowed=windowed,
     )
 
-    coh_coaction = _coinvariant_coaction(cf, vd.coinv, report, windowed)
+    coh_coaction = vd.record_rho_stable(report)
 
     def colinear(t_ix):
         _, pair_ix, label = t_ix
@@ -542,6 +568,9 @@ class CovariantDerivativeData:
     balanced: QuotientSpace
     report: CheckReport
 
+    def __post_init__(self):
+        memoise_fields(self, "nabla", "sigma_e")
+
 
 def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | None = None) -> CovariantDerivativeData:
     """Associated bundle E = (A (x) V)^coH with its covariant derivative
@@ -575,6 +604,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         e_span.add(label, vec)
 
     # left and right B-actions on E
+    @memoise
     def b_act_left(b_ix, e_label):
         out = combine(
             (E(tensor_index(jx, v_ix)), c * cj)
@@ -583,6 +613,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         )
         return e_span.express(out)
 
+    @memoise
     def b_act_right(e_label, b_ix):
         out = combine(
             (E(tensor_index(jx, v_ix)), c * cj)
@@ -605,9 +636,14 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
                 relations.add(left - right)
     balanced = QuotientSpace(big, relations, cls_tag="bcls")
 
-    def to_balanced(form_vec: FreeVector, e_coeffs: FreeVector) -> FreeVector:
-        return balanced.project(linear(lambda f_ix, el: E(tensor_index(f_ix, el)), form_vec, e_coeffs))
+    @memoise
+    def balanced_class(f_ix, el):
+        return balanced.project(E(tensor_index(f_ix, el)))
 
+    def to_balanced(form_vec: FreeVector, e_coeffs: FreeVector) -> FreeVector:
+        return linear(balanced_class, form_vec, e_coeffs)
+
+    @memoise
     def unit_section(hx, v_ix):
         """Coordinates of 1 (x) hx (x) v_ix over the associated bundle basis."""
         return e_span.express(E(tensor_index(tensor_index(_unit_b_index(cp), hx), v_ix)))
@@ -633,6 +669,8 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         balanced=balanced,
         report=report,
     )
+    # the checks below read the memoised maps
+    nabla, sigma_e = data.nabla, data.sigma_e
 
     def balanced_left_act(b_ix, cls_vec: FreeVector) -> FreeVector:
         return balanced.project(
@@ -799,7 +837,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
     windowed = not cf.crossed.algebra.basis.is_finite
     labels = [("tan", i) for i in range(coinv.dim)]
 
-    coaction_raw = _coinvariant_coaction(cf, coinv, report, windowed)
+    coaction_raw = vd.record_rho_stable(report)
 
     def matrix(i_label, k_label):
         """M[i][k] in rho(x^i) = sum_k x^k (x) M[i][k]."""

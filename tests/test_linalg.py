@@ -10,8 +10,10 @@ from hopfcalc.linalg import (
     QuotientSpace,
     Subspace,
     TrackedSpan,
+    combine,
     intersection_dim,
     kernel_image,
+    linear,
     memoise_fields,
     solve_linear,
     tensor_index,
@@ -142,6 +144,55 @@ def test_matrix_cache_consistency():
     v = E(B3[0]) + E(B3[2]).scale(CycScalar.from_rational(3))
     via_cols = cols[0] + cols[2].scale(CycScalar.from_rational(3))
     assert f(v) == via_cols
+
+
+def test_linop_action_runs_once_per_index():
+    def image(ix):
+        return E(("t", ix[1])).scale(root_of_unity(4, ix[1]))
+
+    calls = []
+
+    def action(ix):
+        calls.append(ix)
+        return image(ix)
+
+    f = LinOp(action)
+    v = E(B3[0]) + E(B3[2]).scale(CycScalar.from_rational(3))
+    for _ in range(2):
+        assert f(B3[1]) == image(B3[1])
+        assert f(v) == linear(image, v)
+        assert f.columns(B3) == [image(ix) for ix in B3]
+    assert calls == [B3[1], B3[0], B3[2]]
+    assert LinOp(f.action).action is f.action
+
+
+def _shape(v):
+    return [(ix, c.order, c.coeffs) for ix, c in v.terms.items()]
+
+
+def test_linear_single_term_with_coefficient_one_returns_the_image():
+    image = E(("t", 0)).scale(root_of_unity(8)) + E(("t", 1))
+    assert linear(lambda ix: image, E(B3[0])) is image
+    assert linear(lambda ix: image, E(B3[0], CycScalar.one(4))) is image
+    assert linear(lambda i, j: image, E(B3[0]), E(B3[1])) is image
+    i4 = root_of_unity(4)
+    assert linear(lambda i, j: image, E(B3[0], i4), E(B3[1], -i4)) is image
+
+
+@pytest.mark.parametrize(
+    "c, image",
+    [
+        (root_of_unity(4), E(("t", 1)).scale(root_of_unity(8)) + E(("t", 0)).scale(CycScalar.from_rational(2))),
+        (CycScalar.from_rational(-1, 8), E(("t", 0)).scale(root_of_unity(4)) + E(("t", 2))),
+        (CycScalar.from_rational(3), FreeVector.zero()),
+    ],
+)
+def test_linear_single_term_matches_the_general_path(c, image):
+    got = linear(lambda ix: image, E(B3[1], c))
+    assert _shape(got) == _shape(combine([(image, c)]))
+    ci, cj = root_of_unity(8, 3), c
+    got = linear(lambda i, j: image, E(B3[0], ci), E(B3[2], cj))
+    assert _shape(got) == _shape(combine([(image, ci * cj)]))
 
 
 def test_solve_identity():

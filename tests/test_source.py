@@ -75,11 +75,14 @@ _INDEX_MAP = re.compile(r"Callable\[\[([^\]]*)\]")
 
 
 def test_every_structure_map_field_is_memoised(radford_calc_shared):
-    # every field that maps basis indices must come back memoised from a built instance
+    # every field that maps basis indices, and the action of every LinOp,
+    # must come back memoised from a built instance
     from hopfcalc.crossed import Cocycle, Measure
     from hopfcalc.crossed_calc import CrossedFodc, GradedDc
     from hopfcalc.fodc import Fodc, TwistedCalculusAction
     from hopfcalc.hopf import AlgebraPresentation, ComoduleAlgebra, HopfData
+    from hopfcalc.linalg import FreeVector, LinOp, tensor_index
+    from hopfcalc.qpb import CovariantDerivativeData, VComodule, covariant_derivative, vertical_map
 
     classes = (
         AlgebraPresentation,
@@ -91,6 +94,7 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
         Cocycle,
         TwistedCalculusAction,
         GradedDc,
+        CovariantDerivativeData,
     )
     index_maps = {
         cls: [
@@ -102,9 +106,19 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
     }
     assert all(index_maps.values())
 
-    seen, stack, checked = set(), [radford_calc_shared], {cls: set() for cls in classes}
+    v_comodule = VComodule(
+        labels=[("v", 0), ("v", 1)],
+        coaction=lambda vx: FreeVector.basis(tensor_index(vx, ("g", 1 - vx[1]))),
+    )
+    derivative = covariant_derivative(vertical_map(radford_calc_shared.cf), v_comodule)
+    seen, stack, checked = set(), [radford_calc_shared, derivative], {cls: set() for cls in classes}
+    ops = set()
     while stack:
         obj = stack.pop()
+        if isinstance(obj, LinOp):
+            assert isinstance(getattr(obj.action, "memo", None), dict), f"LinOp {obj.name}"
+            ops.add(obj.name)
+            continue
         if id(obj) in seen or not dataclasses.is_dataclass(obj):
             continue
         seen.add(id(obj))
@@ -116,6 +130,7 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
                     checked[type(obj)].add(name)
         stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
     assert checked == {cls: set(names) for cls, names in index_maps.items()}
+    assert ops == {"S", "S^-1", "d", "d#", "d_B"}
 
 
 def _is_scaled_accumulation(node) -> bool:
