@@ -32,7 +32,7 @@ from hopfcalc.hopf import (
     check_radford_shape,
     TorusData,
 )
-from hopfcalc.linalg import FreeVector, LinOp, combine, linear, tensor_index
+from hopfcalc.linalg import FreeVector, LinOp, combine, linear, memoise, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
@@ -88,6 +88,33 @@ def check_packaged_n(n: int) -> None:
         raise ValueError(f"the packaged calculi need nilpotency order n = 2, got n = {n}")
 
 
+def _rank_one_calculus(inst: RadfordInstance, tag: str, twist, d_ix, d_name: str, name: str) -> "Fodc":
+    """A free rank-one left module over the base on forms (tag, l, m), one
+    per basis element a^(lr) x^m, with right action b . w = w twist(b)."""
+    from hopfcalc.fodc import Fodc
+
+    check_packaged_n(inst.data.n)
+    b = inst.data.h1
+
+    def relabel(bv):
+        return bv.map_indices(lambda ix: (tag, ix[1], ix[2]))
+
+    def left_act(b_ix, f_ix):
+        return relabel(b.mult_vec(E(b_ix), E(("h1", f_ix[1], f_ix[2]))))
+
+    def right_act(f_ix, b_ix):
+        return relabel(b.mult_vec(E(("h1", f_ix[1], f_ix[2])), twist(b_ix)))
+
+    return Fodc(
+        algebra=b,
+        forms=BasisFamily(indices=[(tag, l, mm) for _, l, mm in b.basis.indices]),
+        left_act=left_act,
+        right_act=right_act,
+        d=LinOp(d_ix, name=d_name),
+        name=f"{name}({b.name})",
+    )
+
+
 def radford_base_calculus(inst: RadfordInstance) -> "Fodc":
     """Calculus on the indecomposable component: a free rank-one left
     module on the differential of the nilpotent generator, with
@@ -95,50 +122,56 @@ def radford_base_calculus(inst: RadfordInstance) -> "Fodc":
 
     Only the n = 2 member of the family carries this packaged calculus.
     """
-    from hopfcalc.fodc import Fodc
-    from hopfcalc.linalg import LinOp
-
-    check_packaged_n(inst.data.n)
-    b = inst.data.h1
-    q, r, n = inst.data.q, inst.data.r, inst.data.n
-
-    def om(l, mm):
-        return ("om", l % n, mm)
-
-    form_ix = [om(l, mm) for l in range(n) for mm in range(n)]
+    q, r = inst.data.q, inst.data.r
 
     def twist(b_ix):
         # dx b = twist(b) dx: diagonal with factor q^(l r) (-1)^m on a^(lr) x^m
         _, l, mm = b_ix
-        return E(("h1", l, mm), (q ** (l * r)) * CycScalar.from_rational((-1) ** mm))
-
-    def relabel(bv):
-        return bv.map_indices(lambda ix: ("om", ix[1], ix[2]))
-
-    def left_act(b_ix, f_ix):
-        w = E(("h1", f_ix[1], f_ix[2]))
-        return relabel(b.mult_vec(E(b_ix), w))
-
-    def right_act(f_ix, b_ix):
-        w = E(("h1", f_ix[1], f_ix[2]))
-        return relabel(b.mult_vec(w, twist(b_ix)))
+        return E(b_ix, (q ** (l * r)) * CycScalar.from_rational((-1) ** mm))
 
     def d_ix(b_ix):
         _, l, mm = b_ix
         if mm == 0:
             return FreeVector.zero()
-        return E(om(l, 0))
+        return E(("om", l, 0))
 
-    from hopfcalc.hopf import BasisFamily as BF
+    return _rank_one_calculus(inst, "om", twist, d_ix, "d_B", "base-calculus")
 
-    return Fodc(
-        algebra=b,
-        forms=BF(indices=form_ix),
-        left_act=left_act,
-        right_act=right_act,
-        d=LinOp(d_ix, name="d_B"),
-        name=f"base-calculus({b.name})",
-    )
+
+def radford_injected_calculus(inst: RadfordInstance):
+    """A calculus on the base with a twisted bimodule action whose
+    differential does NOT kill the cocycle values: a free rank-one module
+    on a generator that is the differential of a^r.
+
+    Returns (Fodc, TwistedCalculusAction); used to demonstrate that the
+    cocycle-vanishing condition is necessary."""
+    from hopfcalc.fodc import TwistedCalculusAction
+
+    q, m_total = inst.data.q, inst.data.m
+
+    def twist(b_ix):
+        # omega b = twist(b) omega, the sign character (-1)^(l+m)
+        _, l, mm = b_ix
+        return E(b_ix, CycScalar.from_rational((-1) ** (l + mm)))
+
+    def d_ix(b_ix):
+        _, l, mm = b_ix
+        if l == 0:
+            return FreeVector.zero()
+        if mm == 0:
+            return E(("omx", 0, 0))  # d(a^r) = omega
+        return E(("omx", 0, 1), CycScalar.from_rational(-1))  # d(a^r x) = -x omega
+
+    calc = _rank_one_calculus(inst, "omx", twist, d_ix, "d_inj", "injected-calculus")
+
+    def act(g_ix, f_ix):
+        # g^i . (b omega) = q^i (g^i . b) omega, diagonal on the monomial basis
+        i = g_ix[1]
+        _, l, mm = f_ix
+        coeff = (q ** i) * (q ** (mm * (m_total - i)))
+        return E(f_ix, coeff)
+
+    return calc, TwistedCalculusAction(act=act)
 
 
 @dataclass
@@ -174,72 +207,21 @@ class TorusInstance:
         return E(("uv", s, s), th ** (s * kp))
 
 
-def radford_injected_calculus(inst: RadfordInstance):
-    """A calculus on the base with a twisted bimodule action whose
-    differential does NOT kill the cocycle values: a free rank-one module
-    on a generator that is the differential of a^r.
-
-    Returns (Fodc, TwistedCalculusAction); used to demonstrate that the
-    cocycle-vanishing condition is necessary."""
-    from hopfcalc.fodc import Fodc, TwistedCalculusAction
-    from hopfcalc.hopf import BasisFamily as BF
-    from hopfcalc.linalg import LinOp
-
-    check_packaged_n(inst.data.n)
-    b = inst.data.h1
-    q, r, n, m_total = inst.data.q, inst.data.r, inst.data.n, inst.data.m
-
-    def omx(l, mm):
-        return ("omx", l % n, mm)
-
-    form_ix = [omx(l, mm) for l in range(n) for mm in range(n)]
-
-    def relabel(bv):
-        return bv.map_indices(lambda ix: ("omx", ix[1], ix[2]))
-
-    def twist(b_ix):
-        # omega b = twist(b) omega, the sign character (-1)^(l+m)
-        _, l, mm = b_ix
-        return E(("h1", l, mm), CycScalar.from_rational((-1) ** (l + mm)))
-
-    def left_act(b_ix, f_ix):
-        return relabel(b.mult_vec(E(b_ix), E(("h1", f_ix[1], f_ix[2]))))
-
-    def right_act(f_ix, b_ix):
-        return relabel(b.mult_vec(E(("h1", f_ix[1], f_ix[2])), twist(b_ix)))
-
-    def d_ix(b_ix):
-        _, l, mm = b_ix
-        if l == 0:
-            return FreeVector.zero()
-        if mm == 0:
-            return E(omx(0, 0))  # d(a^r) = omega
-        return E(omx(0, 1), CycScalar.from_rational(-1))  # d(a^r x) = -x omega
-
-    calc = Fodc(
-        algebra=b,
-        forms=BF(indices=form_ix),
-        left_act=left_act,
-        right_act=right_act,
-        d=LinOp(d_ix, name="d_inj"),
-        name=f"injected-calculus({b.name})",
-    )
-
-    def act(g_ix, f_ix):
-        # g^i . (b omega) = q^i (g^i . b) omega, diagonal on the monomial basis
-        i = g_ix[1]
-        _, l, mm = f_ix
-        coeff = (q ** i) * (q ** (mm * (m_total - i)))
-        return E(f_ix, coeff)
-
-    return calc, TwistedCalculusAction(act=act)
-
-
 @dataclass
 class GroupC2Instance:
     hopf: HopfData
     calc: "Fodc"
     graded: "GradedDc"      # degree <= 1 truncation
+
+
+def augmentation_ideal(ideal: str, order: int) -> list[FreeVector]:
+    """Generators of the zero ideal, or of the full augmentation ideal
+    g^i - 1 of the cyclic group algebra of the given order."""
+    if ideal == "zero":
+        return []
+    if ideal == "full":
+        return [E(("g", i)) - E(("g", 0)) for i in range(1, order)]
+    raise ValueError(f"unknown ideal choice {ideal!r} (expected zero or full)")
 
 
 def group_c2_instance(ideal: str = "zero") -> GroupC2Instance:
@@ -249,13 +231,7 @@ def group_c2_instance(ideal: str = "zero") -> GroupC2Instance:
     from hopfcalc.crossed_calc import truncate_dc_degree2
 
     h = build_cyclic_group_algebra(2)
-    if ideal == "zero":
-        gens = []
-    elif ideal == "full":
-        gens = [E(("g", 1)) - E(("g", 0))]
-    else:
-        raise ValueError(f"unknown ideal choice {ideal!r} (expected zero or full)")
-    calc = woronowicz_from_ideal(IdealCalculusSpec(hopf=h, ideal_gens=gens))
+    calc = woronowicz_from_ideal(IdealCalculusSpec(hopf=h, ideal_gens=augmentation_ideal(ideal, 2)))
     return GroupC2Instance(hopf=h, calc=calc, graded=truncate_dc_degree2(calc))
 
 
@@ -279,45 +255,33 @@ def radford_calculus_instance(r: int = 2, n: int = 2, q: CycScalar | None = None
         truncate_dc_degree2,
         truncate_twisted_base,
     )
-    from hopfcalc.fodc import IdealCalculusSpec, check_sigma_twisted_module_calculus, woronowicz_from_ideal
+    from hopfcalc.fodc import IdealCalculusSpec, woronowicz_from_ideal
 
     inst = radford_instance(r, n, q)
-    if ideal == "zero":
-        gens = []
-    elif ideal == "full":
-        gens = [E(("g", i)) - E(("g", 0)) for i in range(1, r)]
-    else:
-        raise ValueError(f"unknown ideal choice {ideal!r} (expected zero or full)")
-    h_calc = woronowicz_from_ideal(IdealCalculusSpec(hopf=inst.group, ideal_gens=gens))
+    h_calc = woronowicz_from_ideal(IdealCalculusSpec(hopf=inst.group, ideal_gens=augmentation_ideal(ideal, r)))
     if h_calc.left_coaction is None:
         raise ValueError(f"structure calculus not bicovariant: {h_calc.covariance_note}")
     b_calc = radford_base_calculus(inst)
     cf = build_crossed_fodc(inst.crossed, b_calc, h_calc)
+    b_graded = h_graded = higher = witness = None
     try:
-        truncated = truncate_dc_degree2(h_calc)
+        h_graded = truncate_dc_degree2(h_calc)
     except NotTruncatable as obstruction:
         # honest outcome: the structure calculus admits no prolongation with
         # vanishing degree two and a differentiable coproduct
-        return RadfordCalculusInstance(
-            instance=inst,
-            b_calc=b_calc,
-            h_calc=h_calc,
-            cf=cf,
-            b_graded=None,
-            h_graded=None,
-            higher=None,
-            truncation_witness=obstruction.witness,
-        )
-    b_graded = truncate_twisted_base(b_calc, inst.measure, cf.b_action)
-    higher = build_higher_forms(inst.crossed, b_graded, truncated)
+        witness = obstruction.witness
+    else:
+        b_graded = truncate_twisted_base(b_calc, inst.measure, cf.b_action)
+        higher = build_higher_forms(inst.crossed, b_graded, h_graded)
     return RadfordCalculusInstance(
         instance=inst,
         b_calc=b_calc,
         h_calc=h_calc,
         cf=cf,
         b_graded=b_graded,
-        h_graded=truncated,
+        h_graded=h_graded,
         higher=higher,
+        truncation_witness=witness,
     )
 
 
@@ -374,7 +338,6 @@ def smash_demo_instance(q_order: int = 8) -> SmashDemoInstance:
     and the one-parameter calculus on the structure Hopf algebra.  The
     cleaving map is an algebra morphism, so this is a trivial extension."""
     from hopfcalc.fodc import Fodc, build_laurent_q_calculus
-    from hopfcalc.linalg import LinOp
 
     q = root_of_unity(q_order)
     so = q.order
@@ -463,9 +426,25 @@ def smash_demo_instance(q_order: int = 8) -> SmashDemoInstance:
 # ---------------------------------------------------------------------------
 
 
+def _radford_calc(params: dict) -> RadfordCalculusInstance:
+    """The radford instance of the CLI params; its suites and its `graded` entry both build here."""
+    r = params["r"]
+    q = root_of_unity(r * params["n"], params["q_power"])
+    return radford_calculus_instance(r, params["n"], q, ideal=params["ideal"])
+
+
+def _radford_graded(params: dict):
+    rc = _radford_calc(params)
+    if rc.higher is None:
+        raise ValueError(
+            "no degree-two-trivial prolongation for this structure calculus: " + (rc.truncation_witness or "")
+        )
+    return rc.higher, None
+
+
 def radford_suites(params: dict) -> list:
     """(suite-name, thunk) pairs for the Radford family example."""
-    from hopfcalc.crossed import check_hopf_galois, check_twisted_module_algebra, equivariant_section, CleftData
+    from hopfcalc.crossed import check_hopf_galois, check_twisted_module_algebra, equivariant_section
     from hopfcalc.crossed_calc import (
         check_graded_dc,
         compare_first_order,
@@ -474,7 +453,6 @@ def radford_suites(params: dict) -> list:
     )
     from hopfcalc.fodc import check_fodc, check_sigma_twisted_module_calculus
     from hopfcalc.hopf import check_comodule_algebra, check_hopf_axioms
-    from hopfcalc.linalg import LinOp
     from hopfcalc.qpb import (
         VComodule,
         canonical_connection,
@@ -486,20 +464,9 @@ def radford_suites(params: dict) -> list:
     )
     from hopfcalc.report import CheckReport
 
-    r, n = params["r"], params["n"]
-    q = root_of_unity(r * n, params.get("q_power", 1))
-    ideal = params.get("ideal", "zero")
-    state: dict = {}
-
-    def calc():
-        if "rc" not in state:
-            state["rc"] = radford_calculus_instance(r, n, q, ideal=ideal)
-        return state["rc"]
-
-    def vdata():
-        if "vd" not in state:
-            state["vd"] = vertical_map(calc().cf)
-        return state["vd"]
+    calc = memoise(lambda: _radford_calc(params))
+    vdata = memoise(lambda: vertical_map(calc().cf))
+    canonical = memoise(lambda: canonical_connection(vdata()))
 
     def hopf_axioms():
         rc = calc()
@@ -561,11 +528,6 @@ def radford_suites(params: dict) -> list:
             rep.extend(check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded, max_degree=2))
         return rep
 
-    def canonical():
-        if "conn" not in state:
-            state["conn"] = canonical_connection(vdata())
-        return state["conn"]
-
     def connection():
         _, rep = canonical()
         return rep
@@ -584,7 +546,7 @@ def radford_suites(params: dict) -> list:
 
     def derivative():
         vd = vdata()
-        group_dim = r
+        group_dim = params["r"]
         v = VComodule(
             labels=[("v", 0), ("v", 1)],
             coaction=lambda vx: FreeVector.basis(
@@ -642,25 +604,13 @@ def torus_suites(params: dict) -> list:
         check_fodc,
         sigma_forces_zero_differential,
     )
-    from hopfcalc.hopf import BasisFamily as BF
     from hopfcalc.hopf import check_comodule_algebra, check_hopf_axioms
-    from hopfcalc.linalg import LinOp
     from hopfcalc.qpb import canonical_connection, check_atiyah_exact, vertical_map
     from hopfcalc.report import CheckReport
 
-    theta_order = params.get("M", 8)
-    window = params.get("window", 4)
-    state: dict = {}
-
-    def calc():
-        if "tc" not in state:
-            state["tc"] = torus_calculus_instance(theta_order, window)
-        return state["tc"]
-
-    def vdata():
-        if "vd" not in state:
-            state["vd"] = vertical_map(calc().cf, window=window)
-        return state["vd"]
+    window = params["window"]
+    calc = memoise(lambda: torus_calculus_instance(params["M"], window))
+    vdata = memoise(lambda: vertical_map(calc().cf, window=window))
 
     def hopf_axioms():
         tc = calc()
@@ -756,7 +706,7 @@ def torus_suites(params: dict) -> list:
 
         classical = Fodc(
             algebra=inst.crossed.base,
-            forms=BF(window_fn=lambda w: [("dw", k) for k in range(-w, w + 1)]),
+            forms=BasisFamily(window_fn=lambda w: [("dw", k) for k in range(-w, w + 1)]),
             left_act=lambda a, f: FreeVector.basis(("dw", a[1] + f[1])),
             right_act=lambda f, a: FreeVector.basis(("dw", a[1] + f[1])),
             d=LinOp(dd, name="d_cl"),
@@ -820,13 +770,7 @@ def group_c2_suites(params: dict) -> list:
     from hopfcalc.fodc import check_fodc
     from hopfcalc.hopf import check_hopf_axioms
 
-    ideal = params.get("ideal", "zero")
-    state: dict = {}
-
-    def inst():
-        if "g" not in state:
-            state["g"] = group_c2_instance(ideal)
-        return state["g"]
+    inst = memoise(lambda: group_c2_instance(params["ideal"]))
 
     return [
         ("hopf-axioms", lambda: check_hopf_axioms(inst().hopf)),
@@ -840,15 +784,8 @@ def smash_demo_suites(params: dict) -> list:
     from hopfcalc.fodc import check_fodc
     from hopfcalc.hopf import check_comodule_algebra
 
-    window = params.get("window", 2)
-    seed = params.get("seed", 0)
-    q_order = params.get("M", 8)
-    state: dict = {}
-
-    def inst():
-        if "d" not in state:
-            state["d"] = smash_demo_instance(q_order)
-        return state["d"]
+    window = params["window"]
+    inst = memoise(lambda: smash_demo_instance(params["M"]))
 
     def fodc_suite():
         rep = check_fodc(inst().a_calc, window=2)
@@ -860,7 +797,7 @@ def smash_demo_suites(params: dict) -> list:
         ("fodc", fodc_suite),
         (
             "classification",
-            lambda: classify_smash(inst().a_calc, inst().h_calc, inst().cleft, window=window, seed=seed).report,
+            lambda: classify_smash(inst().a_calc, inst().h_calc, inst().cleft, window=window, seed=params["seed"]).report,
         ),
     ]
 
@@ -942,52 +879,41 @@ def validate_user_hopf(params: dict) -> None:
 
 
 def cohomology_dims(example: str, params: dict) -> tuple[list[int], int | None]:
-    """De Rham dimensions for the registered graded calculi."""
+    """De Rham dimensions of the example's graded calculus, on its window if any."""
     from hopfcalc.crossed_calc import de_rham_cohomology
 
-    max_degree = params.get("max_degree", 2)
-    if example == "group-c2":
-        inst = group_c2_instance(params.get("ideal", "zero"))
-        return de_rham_cohomology(inst.graded, max_degree), None
-    if example == "radford":
-        r, n = params.get("r", 2), params.get("n", 2)
-        q = root_of_unity(r * n, params.get("q_power", 1))
-        rc = radford_calculus_instance(r, n, q, ideal=params.get("ideal", "zero"))
-        if rc.higher is None:
-            raise ValueError(
-                "no degree-two-trivial prolongation for this structure calculus: "
-                + (rc.truncation_witness or "")
-            )
-        return de_rham_cohomology(rc.higher, max_degree), None
-    if example == "torus":
-        window = params.get("window", 4)
-        tc = torus_calculus_instance(params.get("M", 8), window)
-        return de_rham_cohomology(tc.higher, max_degree, window=window), window
-    raise ValueError(f"no cohomology runner for example {example!r}")
+    graded = EXAMPLES[example].get("graded")
+    if graded is None:
+        raise ValueError(f"no cohomology runner for example {example!r}")
+    dc, window = graded(params)
+    return de_rham_cohomology(dc, params["max_degree"], window=window), window
 
 
 EXAMPLES = {
     "radford": {
         "description": "crossed product of the nilpotent component of the Radford family by its cyclic quotient, with the full calculus and bundle suite",
-        "params": {"r": "int (default 2)", "n": "int (must be 2 for the calculus suites)", "q-power": "int (default 1)", "ideal": "zero|full", "seed": "int"},
+        "params": {"r": "int (default 2)", "n": "int (must be 2 for the calculus suites)", "q-power": "int (default 1)", "ideal": "zero|full"},
         "suites": radford_suites,
+        "graded": _radford_graded,
         "validate": validate_radford,
     },
     "torus": {
         "description": "noncommutative torus at a rational angle as a cleft extension of Laurent polynomials",
-        "params": {"M": "int angle denominator (default 8)", "window": "int (default 4)", "seed": "int"},
+        "params": {"M": "int angle denominator (default 8)", "window": "int (default 4)"},
         "suites": torus_suites,
+        "graded": lambda params: (torus_calculus_instance(params["M"], params["window"]).higher, params["window"]),
         "validate": validate_torus,
     },
     "group-c2": {
         "description": "group algebra of order two with the quotient calculus of a chosen ideal",
         "params": {"ideal": "zero|full", "max-degree": "int"},
         "suites": group_c2_suites,
+        "graded": lambda params: (group_c2_instance(params["ideal"]).graded, None),
         "validate": lambda params: None,
     },
     "smash-demo": {
         "description": "commutative two-torus as a genuine tensor product, classified as a smash product calculus",
-        "params": {"M": "int deformation order (default 8)", "window": "int (default 2)", "seed": "int"},
+        "params": {"M": "int deformation order (default 8)", "window": "int (default 4)", "seed": "int"},
         "suites": smash_demo_suites,
         "validate": validate_smash_demo,
     },

@@ -431,13 +431,50 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
     h = cf.crossed.hopf
     report = CheckReport(example=cf.crossed.algebra.name, suite="canonical-connection")
     windowed = not cf.crossed.algebra.basis.is_finite
+    connection = Connection(c=vd.g, name="canonical")
+    target = _check_splitting(report, vd, vd.g, window)
+    coh_coaction = vd.record_rho_stable(report)
 
-    def c_map(target_vec: FreeVector) -> FreeVector:
-        return vd.g(target_vec)
+    def colinear(t_ix):
+        _, pair_ix, label = t_ix
+        _, bx, hx = pair_ix
+        lhs = cf.rho_vec(vd.g(E(t_ix))).map_indices(lambda ix: ("vt2", ix[1], ix[2]))
+        rhs = combine(
+            (E(("vt2", f_ix, t_ix2)), c2 * c3 * ct * cfm)
+            for c2, (h1, h2) in h.sweedler(hx, 2)
+            for (_, lab, h3), c3 in coh_coaction[label].terms.items()
+            for inner in [vd.g(E(tensor_index(tensor_index(bx, h1), lab)))]
+            for t_ix2, ct in h.algebra.mult(h2, h3).terms.items()
+            for f_ix, cfm in inner.terms.items()
+        )
+        return lhs == rhs, (t_ix,)
 
-    connection = Connection(c=c_map, name="canonical")
+    report.sweep("connection.right-colinear", target, colinear, windowed=windowed)
+
+    b_basis = cf.crossed.base.basis.enumerate(window)
+    h_basis = h.algebra.basis.enumerate(window)
+
+    def strong(item):
+        bx, hx = item
+        d_val = cf.d(tensor_index(bx, hx))
+        got = d_val - vd.g(vd.ver(d_val))
+        expected = hor(cf.b_calc.d(bx), E(hx))
+        return got == expected, (bx, hx)
+
+    report.sweep(
+        "connection.strong",
+        ((bx, hx) for bx in b_basis for hx in h_basis),
+        strong,
+        windowed=windowed,
+    )
+    return connection, report
+
+
+def _check_splitting(report: CheckReport, vd: VerticalData, c_map, window: int | None) -> list[Index]:
+    """Record that c_map splits ver and is left-linear; returns the target basis."""
+    cf = vd.cf
+    windowed = not cf.crossed.algebra.basis.is_finite
     target = vd.target_basis(window)
-    a_basis = cf.crossed.algebra.basis.enumerate(window)
 
     def splitting(ix):
         return vd.ver(c_map(E(ix))) == E(ix), (ix,)
@@ -452,77 +489,20 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
 
     report.sweep(
         "connection.left-linear",
-        ((p, t) for p in a_basis for t in target),
+        ((p, t) for p in cf.crossed.algebra.basis.enumerate(window) for t in target),
         left_linear,
         windowed=windowed,
     )
-
-    coh_coaction = vd.record_rho_stable(report)
-
-    def colinear(t_ix):
-        _, pair_ix, label = t_ix
-        _, bx, hx = pair_ix
-        lhs = cf.rho_vec(c_map(E(t_ix))).map_indices(lambda ix: ("vt2", ix[1], ix[2]))
-        rhs = combine(
-            (E(("vt2", f_ix, t_ix2)), c2 * c3 * ct * cfm)
-            for c2, (h1, h2) in h.sweedler(hx, 2)
-            for (_, lab, h3), c3 in coh_coaction[label].terms.items()
-            for inner in [c_map(E(tensor_index(tensor_index(bx, h1), lab)))]
-            for t_ix2, ct in h.algebra.mult(h2, h3).terms.items()
-            for f_ix, cfm in inner.terms.items()
-        )
-        return lhs == rhs, (t_ix,)
-
-    report.sweep("connection.right-colinear", target, colinear, windowed=windowed)
-
-    b_basis = cf.crossed.base.basis.enumerate(window)
-    h_basis = h.algebra.basis.enumerate(window)
-
-    def strong(item):
-        bx, hx = item
-        d_val = cf.d(tensor_index(bx, hx))
-        got = d_val - c_map(vd.ver(d_val))
-        expected = hor(cf.b_calc.d(bx), E(hx))
-        return got == expected, (bx, hx)
-
-    report.sweep(
-        "connection.strong",
-        ((bx, hx) for bx in b_basis for hx in h_basis),
-        strong,
-        windowed=windowed,
-    )
-    return connection, report
+    return target
 
 
 def check_connection(vd: VerticalData, connection: Connection, window: int | None = None) -> CheckReport:
     """A supplied connection: splitting, left-linearity and colinearity;
     also the induced idempotent with horizontal kernel."""
     cf = vd.cf
-    h = cf.crossed.hopf
     report = CheckReport(example=cf.crossed.algebra.name, suite="connection-check")
     windowed = not cf.crossed.algebra.basis.is_finite
-    target = vd.target_basis(window)
-    a_basis = cf.crossed.algebra.basis.enumerate(window)
-
-    report.sweep(
-        "connection.splits-ver",
-        target,
-        lambda ix: (vd.ver(connection.c(E(ix))) == E(ix), (ix,)),
-        windowed=windowed,
-    )
-
-    def left_linear(item):
-        pair_ix, t_ix = item
-        lhs = connection.c(_left_multiple(cf, pair_ix, t_ix))
-        rhs = cf.left_act_vec(E(pair_ix), connection.c(E(t_ix)))
-        return lhs == rhs, (pair_ix, t_ix)
-
-    report.sweep(
-        "connection.left-linear",
-        ((p, t) for p in a_basis for t in target),
-        left_linear,
-        windowed=windowed,
-    )
+    _check_splitting(report, vd, connection.c, window)
 
     form_basis = cf.forms.enumerate(window)
 

@@ -6,6 +6,8 @@ import pytest
 from hopfcalc.cli import run
 from hopfcalc.hopf import build_cyclic_group_algebra, render_structure_constants
 
+C4_HOPF = pathlib.Path(__file__).resolve().parents[1] / "sample-data" / "c4.hopf"
+
 
 def invoke(capsys, argv):
     code = run(argv)
@@ -21,6 +23,24 @@ def test_list_examples_contains_registry(capsys):
     for name in ("radford", "torus", "group-c2", "smash-demo"):
         assert name in names
     assert payload["schema"] == 1
+
+
+def test_advertised_defaults_are_the_cli_defaults(capsys):
+    # list-examples shows "(default N)"; the parser is what fills params
+    import re
+
+    from hopfcalc.cli import _parser
+
+    code, out, err = invoke(capsys, ["list-examples"])
+    assert code == 0
+    shown = 0
+    for example in json.loads(out)["examples"]:
+        defaults = vars(_parser().parse_args(["cohomology", example["name"]]))
+        for key, text in example["params"].items():
+            for value in re.findall(r"\(default (\S+)\)", text):
+                assert value == str(defaults[key.replace("-", "_")]), (example["name"], key)
+                shown += 1
+    assert shown >= 6
 
 
 def test_unknown_example_is_a_usage_error(capsys):
@@ -73,6 +93,20 @@ def test_cohomology_radford(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["dims"] == {"H0": 2, "H1": 4, "H2": 2, "H3": 0}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "smash-demo"],
+        ["cohomology", "user-hopf", "--file", str(C4_HOPF)],
+    ],
+)
+def test_cohomology_without_a_graded_calculus_is_refused(capsys, argv):
+    code, out, err = invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "no cohomology runner for example" in err
 
 
 def test_user_hopf_roundtrip(tmp_path, capsys):
@@ -210,10 +244,6 @@ def test_negative_max_degree_is_a_usage_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "--max-degree" in err
-
-
-
-C4_HOPF = pathlib.Path(__file__).resolve().parents[1] / "sample-data" / "c4.hopf"
 
 
 @pytest.mark.parametrize(
@@ -371,3 +401,30 @@ def test_cohomology_builds_radford_with_the_given_q_power(capsys, monkeypatch):
     assert code == 0
     assert seen == [root_of_unity(4, 3)]
     assert '"q_power":3' in out
+
+
+@pytest.mark.parametrize(
+    "argv, builder",
+    [
+        (["verify", "radford"], "radford_calculus_instance"),
+        (["cohomology", "radford"], "radford_calculus_instance"),
+        (["verify", "group-c2", "--ideal", "full"], "group_c2_instance"),
+        (["cohomology", "group-c2"], "group_c2_instance"),
+        (["verify", "torus", "--window", "2"], "torus_calculus_instance"),
+        (["cohomology", "torus", "--window", "2"], "torus_calculus_instance"),
+    ],
+)
+def test_each_run_builds_its_instance_once(capsys, monkeypatch, argv, builder):
+    import hopfcalc.examples
+
+    calls = []
+    build = getattr(hopfcalc.examples, builder)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(hopfcalc.examples, builder, counting)
+    code, out, err = invoke(capsys, argv)
+    assert code == 0
+    assert len(calls) == 1

@@ -275,3 +275,37 @@ def test_sentinel_scan_sees_every_form():
         "    e = isinstance(x, ValueError)\n"
     )
     assert sorted(_sentinel_uses(ast.parse(text))) == [1, 3, 4, 5, 6]
+
+
+def _params_defaults(tree):
+    """Lines that read a param with a default of their own: `params.get(key, default)`."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "params"
+            and len(node.args) + len(node.keywords) > 1
+        ):
+            yield node.lineno
+
+
+def test_examples_read_params_without_second_defaults():
+    # the CLI fills every param an example reads, so a default of its own
+    # can only disagree with the CLI's; `params.get(key)` stays for the
+    # optional file paths
+    path = SRC / "examples.py"
+    assert list(_params_defaults(ast.parse(path.read_text(encoding="utf-8"), str(path)))) == []
+
+
+def test_params_default_scan_sees_every_form():
+    text = (
+        "def f(params):\n"
+        "    a = params.get('window', 2)\n"
+        "    b = params.get('file')\n"
+        "    c = params.get('seed', default=0)\n"
+        "    d = other.get('window', 2)\n"
+        "    e = params['window']\n"
+    )
+    assert list(_params_defaults(ast.parse(text))) == [2, 4]
