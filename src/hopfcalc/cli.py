@@ -15,6 +15,7 @@ from hopfcalc.examples import EXAMPLES, cohomology_dims
 from hopfcalc.report import FAIL, render_json
 
 SCHEMA = 1
+MAX_DEGREE = 2
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -26,8 +27,8 @@ def _parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-examples", help="registry names and parameter schemas")
 
-    def add_common(p):
-        p.add_argument("example", choices=sorted(EXAMPLES))
+    def add_common(p, examples):
+        p.add_argument("example", choices=sorted(examples))
         p.add_argument("--r", type=int, default=2)
         p.add_argument("--n", type=int, default=2)
         p.add_argument("--q-power", dest="q_power", type=int, default=1)
@@ -39,12 +40,12 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--ideal-file", dest="ideal_file", type=str, default=None)
 
     verify = sub.add_parser("verify", help="run the verification suites of an example")
-    add_common(verify)
+    add_common(verify, EXAMPLES)
     verify.add_argument("--suite", type=str, default=None, help="run a single named suite")
 
     cohomology = sub.add_parser("cohomology", help="exact de Rham dimensions of an example")
-    add_common(cohomology)
-    cohomology.add_argument("--max-degree", dest="max_degree", type=int, default=2)
+    add_common(cohomology, [name for name, spec in EXAMPLES.items() if "graded" in spec])
+    cohomology.add_argument("--max-degree", dest="max_degree", type=int, default=MAX_DEGREE)
     return parser
 
 
@@ -80,7 +81,11 @@ def run(argv=None) -> int:
             "schema": SCHEMA,
             "command": "list-examples",
             "examples": [
-                {"name": name, "description": spec["description"], "params": spec["params"]}
+                {
+                    "name": name,
+                    "description": spec["description"],
+                    "params": spec["params"] | ({"max-degree": f"int (default {MAX_DEGREE})"} if "graded" in spec else {}),
+                }
                 for name, spec in sorted(EXAMPLES.items())
             ],
         }

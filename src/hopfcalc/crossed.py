@@ -28,7 +28,6 @@ from hopfcalc.linalg import (
     QuotientSpace,
     Subspace,
     combine,
-    kernel_image,
     linear,
     memoise_fields,
     tensor_index,
@@ -518,9 +517,8 @@ def check_hopf_galois(a: ComoduleAlgebra, coinv: CoinvariantFamily | None = None
     def can_on_class(cls_ix):
         return can(balanced.representatives[cls_ix[1]])
 
-    _, image = kernel_image(LinOp(can_on_class), balanced.class_indices())
+    rank = LinearSolver(LinOp(can_on_class), balanced.class_indices()).rank
     target_dim = len(a_basis) * len(h_basis)
-    rank = image.dim
     report.record(
         "hopf-galois.bijective",
         rank == balanced.dim == target_dim,

@@ -882,10 +882,7 @@ def cohomology_dims(example: str, params: dict) -> tuple[list[int], int | None]:
     """De Rham dimensions of the example's graded calculus, on its window if any."""
     from hopfcalc.crossed_calc import de_rham_cohomology
 
-    graded = EXAMPLES[example].get("graded")
-    if graded is None:
-        raise ValueError(f"no cohomology runner for example {example!r}")
-    dc, window = graded(params)
+    dc, window = EXAMPLES[example]["graded"](params)
     return de_rham_cohomology(dc, params["max_degree"], window=window), window
 
 
@@ -906,7 +903,7 @@ EXAMPLES = {
     },
     "group-c2": {
         "description": "group algebra of order two with the quotient calculus of a chosen ideal",
-        "params": {"ideal": "zero|full", "max-degree": "int"},
+        "params": {"ideal": "zero|full"},
         "suites": group_c2_suites,
         "graded": lambda params: (group_c2_instance(params["ideal"]).graded, None),
         "validate": lambda params: None,

@@ -27,9 +27,9 @@ from hopfcalc.linalg import (
     NoSolution,
     QuotientSpace,
     Subspace,
+    TrackedSpan,
     combine,
     format_index,
-    kernel_image,
     linear,
     memoise_fields,
     tensor_index,
@@ -570,25 +570,23 @@ def universal_fodc(a: AlgebraPresentation, name: str = "") -> Fodc:
     basis = a.basis.enumerate()
     pair_domain = [tensor_index(i, j) for i in basis for j in basis]
     mult_op = LinOp(lambda p: a.mult(p[1], p[2]), name="m")
-    kernel, _ = kernel_image(mult_op, pair_domain)
-    vectors = kernel.basis()
-    labels = [("u1", i) for i in range(len(vectors))]
-    table = dict(zip(labels, vectors))
-    express = LinearSolver(LinOp(lambda ix: table[ix], name="incl"), labels).solve
+    kernel = LinearSolver(mult_op, pair_domain).kernel()
+    span = TrackedSpan((("u1", i), v) for i, v in enumerate(kernel.basis()))
 
     def left_act(a_ix, f_ix):
-        return express(combine((a.mult(a_ix, x).tensor(E(y)), c) for (_, x, y), c in table[f_ix].terms.items()))
+        terms = span.vectors[f_ix].terms.items()
+        return span.express(combine((a.mult(a_ix, x).tensor(E(y)), c) for (_, x, y), c in terms))
 
     def right_act(f_ix, a_ix):
-        return express(combine((E(x).tensor(a.mult(y, a_ix)), c) for (_, x, y), c in table[f_ix].terms.items()))
+        terms = span.vectors[f_ix].terms.items()
+        return span.express(combine((E(x).tensor(a.mult(y, a_ix)), c) for (_, x, y), c in terms))
 
     def d_ix(a_ix):
-        value = a.unit.tensor(E(a_ix)) - E(a_ix).tensor(a.unit)
-        return express(value)
+        return span.express(a.unit.tensor(E(a_ix)) - E(a_ix).tensor(a.unit))
 
     return Fodc(
         algebra=a,
-        forms=BasisFamily(indices=labels),
+        forms=BasisFamily(indices=span.labels),
         left_act=left_act,
         right_act=right_act,
         d=LinOp(d_ix, name="d_u"),

@@ -15,16 +15,15 @@ from typing import Callable, Optional
 
 from hopfcalc.linalg import (
     FreeVector,
+    LinearSolver,
     LinOp,
-    Subspace,
     NoSolution,
+    TrackedSpan,
     combine,
     format_index,
     index_sort_key,
-    kernel_image,
     linear,
     memoise_fields,
-    solve_linear,
     tensor_index,
 )
 from hopfcalc.report import CheckReport
@@ -365,28 +364,22 @@ def compute_coinvariants(m: ComoduleAlgebra, name: str = "") -> CoinvariantFamil
     def defect(ix):
         return m.coaction(ix) - FreeVector.basis(ix).tensor(unit_h)
 
-    kernel, _ = kernel_image(LinOp(defect), basis)
-    vectors = kernel.basis()
-    labels = [("coinv", i) for i in range(len(vectors))]
-    table = dict(zip(labels, vectors))
-
-    def embed(b_ix):
-        return table[b_ix]
+    vectors = LinearSolver(LinOp(defect), basis).kernel().basis()
+    span = TrackedSpan((("coinv", i), v) for i, v in enumerate(vectors))
+    if span.dim != len(vectors):
+        raise RuntimeError("coinvariant basis is not independent")
 
     def mult(i, j):
-        return solve_linear(LinOp(lambda ix: table[ix]), m.algebra.mult_vec(table[i], table[j]), labels)
+        return span.express(m.algebra.mult_vec(span.vectors[i], span.vectors[j]))
 
-    unit = solve_linear(LinOp(lambda ix: table[ix]), m.algebra.unit, labels)
-    if Subspace(vectors).dim != len(vectors):
-        raise RuntimeError("coinvariant basis is not independent")
     algebra = AlgebraPresentation(
         name=name or f"{m.algebra.name}^co",
-        basis=BasisFamily(indices=labels),
+        basis=BasisFamily(indices=span.labels),
         mult=mult,
-        unit=unit,
+        unit=span.express(m.algebra.unit),
         scalar_order=m.algebra.scalar_order,
     )
-    return CoinvariantFamily(algebra=algebra, embed=embed, declared=False)
+    return CoinvariantFamily(algebra=algebra, embed=span.vectors.__getitem__, declared=False)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +444,7 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
             while True:
                 domain = algebra.basis.enumerate(grown)
                 try:
-                    sol = solve_linear(LinOp(lambda j: algebra.mult_vec(fv, FreeVector.basis(j))), algebra.unit, domain)
+                    sol = LinearSolver(LinOp(lambda j: algebra.mult_vec(fv, FreeVector.basis(j))), domain).solve(algebra.unit)
                     break
                 except NoSolution:
                     if grown is None or grown >= 4 * (window or 1):
@@ -469,26 +462,23 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
 
         def column(u_ix):
             _, cj, ak = u_ix
-            out = FreeVector.zero()
             unit_vec = FreeVector.basis(ak)
-            for ci in c_basis:
-                for coeff, (c1, c2) in pairs[ci]:
-                    if c2 == cj:
-                        prod = algebra.mult_vec(f(c1), unit_vec).scale(coeff)
-                        out = out + prod.map_indices(lambda a: ("L", ci, a))
-                    if c1 == cj:
-                        prod = algebra.mult_vec(unit_vec, f(c2)).scale(coeff)
-                        out = out + prod.map_indices(lambda a: ("R", ci, a))
-            return out
 
-        target = FreeVector.zero()
-        for ci in c_basis:
-            eps = coa.counit(ci)
-            unit = algebra.unit.scale(eps)
-            target = target + unit.map_indices(lambda a: ("L", ci, a))
-            target = target + unit.map_indices(lambda a: ("R", ci, a))
+            def parts():
+                for ci in c_basis:
+                    for coeff, (c1, c2) in pairs[ci]:
+                        if c2 == cj:
+                            yield algebra.mult_vec(f(c1), unit_vec).map_indices(lambda a: ("L", ci, a)), coeff
+                        if c1 == cj:
+                            yield algebra.mult_vec(unit_vec, f(c2)).map_indices(lambda a: ("R", ci, a)), coeff
+
+            return combine(parts())
+
+        target = combine(
+            (algebra.unit.map_indices(lambda a: (side, ci, a)), coa.counit(ci)) for ci in c_basis for side in ("L", "R")
+        )
         try:
-            sol = solve_linear(LinOp(column), target, unknowns)
+            sol = LinearSolver(LinOp(column), unknowns).solve(target)
         except NoSolution:
             # attribute the failure to a single basis element when possible
             for ci in c_basis:
@@ -498,7 +488,7 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
                     return FreeVector({ix: c for ix, c in column(u_ix).terms.items() if ix[1] == ci})
 
                 try:
-                    solve_linear(LinOp(local_column), local_target, unknowns)
+                    LinearSolver(LinOp(local_column), unknowns).solve(local_target)
                 except NoSolution:
                     raise NotInvertible(ci) from None
             raise NotInvertible(None) from None
@@ -687,8 +677,8 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
     def right_mult_by(v):
         return LinOp(lambda i: algebra.mult_vec(FreeVector.basis(i), v))
 
-    s_a = solve_linear(right_mult_by(FreeVector.basis(a)), algebra.unit, basis_ix)
-    s_x = solve_linear(right_mult_by(FreeVector.basis(ix(r, 0))), -FreeVector.basis(x), basis_ix)
+    s_a = LinearSolver(right_mult_by(FreeVector.basis(a)), basis_ix).solve(algebra.unit)
+    s_x = LinearSolver(right_mult_by(FreeVector.basis(ix(r, 0))), basis_ix).solve(-FreeVector.basis(x))
 
     def antipode_ix(i):
         _, l, mm = i
@@ -700,7 +690,8 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
         return out
 
     antipode = LinOp(antipode_ix, name="S")
-    inv_values = {i: solve_linear(antipode, FreeVector.basis(i), basis_ix) for i in basis_ix}
+    inverse = LinearSolver(antipode, basis_ix)
+    inv_values = {i: inverse.solve(FreeVector.basis(i)) for i in basis_ix}
     antipode_inv = LinOp(lambda i: inv_values[i], name="S^-1")
 
     hopf = HopfData(
@@ -915,20 +906,18 @@ def parse_structure_constants(text: str) -> HopfData:
     antipode = LinOp(antipode_ix, name="S")
 
     # solve for the unit: u with u*e_i = e_i*u = e_i for every i
-    def unit_column(u_ix):
-        out = FreeVector.zero()
-        for b in basis_ix:
-            left = mult(u_ix, b).map_indices(lambda t: ("L", b, t))
-            right = mult(b, u_ix).map_indices(lambda t: ("R", b, t))
-            out = out + left + right
-        return out
+    one = CycScalar.one(so)
 
-    target = FreeVector.zero()
-    for b in basis_ix:
-        target = target + FreeVector.basis(("L", b, b), CycScalar.one(so))
-        target = target + FreeVector.basis(("R", b, b), CycScalar.one(so))
+    def unit_column(u_ix):
+        return combine(
+            (product.map_indices(lambda t: (side, b, t)), one)
+            for b in basis_ix
+            for side, product in (("L", mult(u_ix, b)), ("R", mult(b, u_ix)))
+        )
+
+    target = combine((E((side, b, b), one), one) for b in basis_ix for side in ("L", "R"))
     try:
-        unit = solve_linear(LinOp(unit_column), target, basis_ix)
+        unit = LinearSolver(LinOp(unit_column), basis_ix).solve(target)
     except NoSolution:
         raise ValueError("multiplication table has no unit element") from None
 
@@ -936,7 +925,8 @@ def parse_structure_constants(text: str) -> HopfData:
         name=name, basis=BasisFamily(indices=basis_ix), mult=mult, unit=unit, scalar_order=so
     )
     try:
-        inv_values = {b: solve_linear(antipode, FreeVector.basis(b), basis_ix) for b in basis_ix}
+        inverse = LinearSolver(antipode, basis_ix)
+        inv_values = {b: inverse.solve(FreeVector.basis(b)) for b in basis_ix}
     except NoSolution:
         raise ValueError("declared antipode is not invertible") from None
     return HopfData(

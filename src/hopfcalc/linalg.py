@@ -21,10 +21,13 @@ __all__ = [
     "LinOp",
     "Subspace",
     "NoSolution",
-    "kernel_image",
-    "solve_linear",
+    "TrackedSpan",
+    "LinearSolver",
     "QuotientSpace",
     "tensor_index",
+    "format_index",
+    "index_sort_key",
+    "intersection_dim",
     "combine",
     "linear",
     "memoise",
@@ -267,25 +270,18 @@ class LinOp:
     """A linear operator given by its action on basis indices.
 
     The action is memoised (`memoise`), so each basis image is computed
-    once, whether it is reached through op(ix), op(vector) or `columns`.
+    once, whether it is reached through op(ix), op(vector) or a
+    `LinearSolver`.
     """
 
     def __init__(self, action: Callable[[Index], FreeVector], name: str = ""):
         self.action = memoise(action)
         self.name = name
-        self._matrix_cache = {}
 
     def __call__(self, arg) -> FreeVector:
         if isinstance(arg, FreeVector):
             return linear(self.action, arg)
         return self.action(arg)
-
-    def columns(self, domain: Iterable[Index]) -> list[FreeVector]:
-        """Images of the domain basis, cached per domain tuple (the exact matrix)."""
-        key = tuple(domain)
-        if key not in self._matrix_cache:
-            self._matrix_cache[key] = [self.action(ix) for ix in key]
-        return self._matrix_cache[key]
 
     @staticmethod
     def zero() -> "LinOp":
@@ -402,33 +398,44 @@ class NoSolution(ValueError):
         return f"no solution: {self.target.to_text()} is not in the {self.where}"
 
 
-class LinearSolver:
-    """One elimination of f on a fixed domain, reused across many solves.
+class TrackedSpan:
+    """Span of labelled vectors with exact coordinates over the labels.
 
-    Each echelon row tracks a domain combination that f maps onto it.
+    Built from (label, vector) pairs and grown by `add`.  Each echelon row
+    tracks the label combination it is made of, and a vector that reduces
+    to zero leaves the label combination it reduced to in `kernel()`.
+    `labels` and `vectors` hold the independent vectors in insertion order.
     """
 
-    def __init__(self, f: LinOp, domain: Iterable[Index]):
-        self.f = f
-        self.domain = sorted(domain, key=index_sort_key)
+    def __init__(self, pairs: Iterable[tuple[Index, FreeVector]] = ()):
         self._ech = _Echelon()
         self._kernel = []
-        for ix, col in zip(self.domain, f.columns(self.domain)):
-            residual, track = self._ech.reduce(col, FreeVector.basis(ix))
-            if residual.is_zero():
-                self._kernel.append(track)
-            else:
-                self._ech.insert(residual, track)
+        self.labels: list[Index] = []
+        self.vectors: dict[Index, FreeVector] = {}
+        for label, v in pairs:
+            self.add(label, v)
 
-    def solve(self, target: FreeVector) -> FreeVector:
-        """Some v on the domain with f(v) = target; NoSolution if there is none."""
-        residual, track = self._ech.reduce(target, FreeVector.zero())
+    def add(self, label: Index, v: FreeVector) -> bool:
+        """Insert v under the given label; False if v was dependent."""
+        residual, track = self._ech.reduce(v, FreeVector.basis(label))
+        if residual.is_zero():
+            self._kernel.append(track)
+            return False
+        self._ech.insert(residual, track)
+        self.labels.append(label)
+        self.vectors[label] = v
+        return True
+
+    def express(self, v: FreeVector) -> FreeVector:
+        """Coordinates of v over the labels; NoSolution outside their span."""
+        residual, track = self._ech.reduce(v, FreeVector.zero())
         if not residual.is_zero():
-            raise NoSolution(target, f"image of {self.f.name or 'the map'}")
-        solution = -track
-        if self.f(solution) != target:
-            raise RuntimeError("solver post-condition violated")
-        return solution
+            raise NoSolution(v, self._where())
+        return -track
+
+    def lift(self, coeffs: FreeVector) -> FreeVector:
+        """The vector with the given coordinates over the labels."""
+        return linear(self.vectors.__getitem__, coeffs)
 
     def kernel(self) -> Subspace:
         return Subspace(self._kernel)
@@ -437,50 +444,34 @@ class LinearSolver:
         return Subspace(self._ech.basis())
 
     @property
-    def rank(self) -> int:
+    def dim(self) -> int:
         return self._ech.dim
 
+    def _where(self) -> str:
+        return f"span of {self.dim} labelled vectors"
 
-class TrackedSpan:
-    """Incrementally grown span with exact coordinates over inserted labels.
 
-    Each echelon row tracks the label combination it is made of.
-    """
+class LinearSolver(TrackedSpan):
+    """The span of f's columns labelled by its sorted domain: one
+    elimination of f, reused across many solves."""
 
-    def __init__(self):
-        self._ech = _Echelon()
-        self.labels: list[Index] = []
-        self.vectors: dict[Index, FreeVector] = {}
+    def __init__(self, f: LinOp, domain: Iterable[Index]):
+        self.f = f
+        super().__init__((ix, f.action(ix)) for ix in sorted(domain, key=index_sort_key))
 
-    def add(self, label: Index, v: FreeVector) -> bool:
-        """Insert v under the given label; False if v was dependent."""
-        if not self._ech.insert(v, FreeVector.basis(label)):
-            return False
-        self.labels.append(label)
-        self.vectors[label] = v
-        return True
-
-    def express(self, v: FreeVector) -> FreeVector:
-        """Coordinates of v over the inserted labels; NoSolution outside their span."""
-        residual, track = self._ech.reduce(v, FreeVector.zero())
-        if not residual.is_zero():
-            raise NoSolution(v, f"span of {self.dim} labelled vectors")
-        return -track
+    def solve(self, target: FreeVector) -> FreeVector:
+        """Some v on the domain with f(v) = target; NoSolution if there is none."""
+        solution = self.express(target)
+        if self.f(solution) != target:
+            raise RuntimeError("solver post-condition violated")
+        return solution
 
     @property
-    def dim(self) -> int:
-        return len(self.labels)
+    def rank(self) -> int:
+        return self.dim
 
-
-def kernel_image(f: LinOp, domain: Iterable[Index]) -> tuple[Subspace, Subspace]:
-    """Exact kernel and image of f restricted to the span of the domain basis."""
-    solver = LinearSolver(f, domain)
-    return solver.kernel(), solver.image()
-
-
-def solve_linear(f: LinOp, target: FreeVector, domain: Iterable[Index]) -> FreeVector:
-    """Some exact solution of f(v) = target with v supported on domain; NoSolution if there is none."""
-    return LinearSolver(f, domain).solve(target)
+    def _where(self) -> str:
+        return f"image of {self.f.name or 'the map'}"
 
 
 class QuotientSpace:

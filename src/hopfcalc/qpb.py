@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 from hopfcalc.crossed_calc import CrossedFodc, GradedDc, hor, ver
 from hopfcalc.fodc import Fodc
@@ -35,28 +35,23 @@ Index = tuple
 E = FreeVector.basis
 
 
-@dataclass
-class CoinvariantForms:
-    """Left-coinvariant 1-forms of a bicovariant calculus, with the
-    surjection from the augmentation ideal."""
+class CoinvariantForms(TrackedSpan):
+    """Left-coinvariant 1-forms of a bicovariant calculus, labelled
+    ("coh", i), with the surjection from the augmentation ideal; `report`
+    receives the checks of `coinvariant_forms`."""
 
-    h_calc: Fodc
-    labels: list[Index]
-    vectors: dict[Index, FreeVector]
-    span: TrackedSpan
-    maurer_cartan: Callable[[FreeVector], FreeVector]
-    report: CheckReport
-    windowed: bool
+    def __init__(self, h_calc: Fodc, forms: Iterable[FreeVector] = (), windowed: bool = False):
+        super().__init__((("coh", i), v) for i, v in enumerate(forms))
+        self.h_calc = h_calc
+        self.windowed = windowed
+        self.report = CheckReport(example=h_calc.name, suite="coinvariant-forms")
 
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    def lift(self, coeffs: FreeVector) -> FreeVector:
-        return linear(lambda label: self.vectors[label], coeffs)
-
-    def express(self, form_vec: FreeVector):
-        return self.span.express(form_vec)
+    def maurer_cartan(self, h_vec: FreeVector) -> FreeVector:
+        """h -> S(h_1) d(h_2), over the coinvariant labels."""
+        h, calc = self.h_calc.hopf, self.h_calc
+        return self.express(
+            combine((calc.left_act_vec(h.antipode(h1), calc.d(h2)), c) for c, (h1, h2) in h.sweedler_vec(h_vec, 2))
+        )
 
 
 def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantForms:
@@ -65,39 +60,15 @@ def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantFor
     if h_calc.left_coaction is None:
         raise ValueError("coinvariant forms need a left coaction")
     h = h_calc.hopf
-    report = CheckReport(example=h_calc.name, suite="coinvariant-forms")
-    f_basis = h_calc.forms.enumerate(window)
     windowed = not h_calc.forms.is_finite
     unit_h = h.algebra.unit
 
     def defect(f_ix):
         return h_calc.left_coaction(f_ix) - unit_h.tensor(E(f_ix))
 
-    solver = LinearSolver(LinOp(defect), f_basis)
-    kernel = solver.kernel().basis()
-    span = TrackedSpan()
-    labels = []
-    vectors = {}
-    for i, vec in enumerate(kernel):
-        label = ("coh", i)
-        span.add(label, vec)
-        labels.append(label)
-        vectors[label] = vec
-
-    def maurer_cartan(h_vec: FreeVector) -> FreeVector:
-        return span.express(
-            combine((h_calc.left_act_vec(h.antipode(h1), h_calc.d(h2)), c) for c, (h1, h2) in h.sweedler_vec(h_vec, 2))
-        )
-
-    coinv = CoinvariantForms(
-        h_calc=h_calc,
-        labels=labels,
-        vectors=vectors,
-        span=span,
-        maurer_cartan=maurer_cartan,
-        report=report,
-        windowed=windowed,
-    )
+    kernel = LinearSolver(LinOp(defect), h_calc.forms.enumerate(window)).kernel()
+    coinv = CoinvariantForms(h_calc, kernel.basis(), windowed)
+    report = coinv.report
 
     # the Cartan-Maurer form lands in the coinvariants and spans them
     h_basis = h.algebra.basis.enumerate(window)
@@ -108,7 +79,7 @@ def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantFor
         if shifted.is_zero():
             continue
         try:
-            image.add(maurer_cartan(shifted))
+            image.add(coinv.maurer_cartan(shifted))
         except NoSolution as err:
             mc_ok, mc_witness = False, f"Cartan-Maurer value left the coinvariants: {err.target.to_text()}"
             break
@@ -116,8 +87,8 @@ def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantFor
     if mc_ok:
         report.record(
             "maurer-cartan.surjective",
-            image.dim == len(labels),
-            witness=f"image rank {image.dim} of {len(labels)}",
+            image.dim == coinv.dim,
+            witness=f"image rank {image.dim} of {coinv.dim}",
             windowed=windowed,
         )
     return coinv
@@ -337,24 +308,16 @@ def check_atiyah_exact(
 
     if higher is not None and h_graded is not None:
         h = cf.crossed.hopf
+        unit_h = h.algebra.unit
         for degree in range(2, max_degree + 1):
             basis_n = higher.basis(degree, window)
-            h_forms_n = h_graded.basis(degree, window)
+
             # left-coinvariant degree-n structure forms
-            if h_forms_n:
-                unit_h = h.algebra.unit
+            def defect(ixf, degree=degree):
+                return h_graded.left_coaction(degree, ixf) - unit_h.tensor(E(ixf))
 
-                def defect(ixf, degree=degree):
-                    return h_graded.left_coaction(degree, ixf) - unit_h.tensor(E(ixf))
-
-                coh_n = LinearSolver(LinOp(defect), h_forms_n).kernel()
-            else:
-                coh_n = Subspace()
-
-            coh_vectors = coh_n.basis()
-            coh_span = TrackedSpan()
-            for i, vec in enumerate(coh_vectors):
-                coh_span.add(("cohn", i), vec)
+            coh_n = LinearSolver(LinOp(defect), h_graded.basis(degree, window)).kernel()
+            coh_span = TrackedSpan((("cohn", i), v) for i, v in enumerate(coh_n.basis()))
 
             def ver_n(gix, degree=degree):
                 _, bdeg, bp, hp = gix
@@ -367,11 +330,7 @@ def check_atiyah_exact(
                     for label, cc in coh_span.express(moved).terms.items()
                 )
 
-            if basis_n:
-                solver_n = LinearSolver(LinOp(ver_n), basis_n)
-                kernel_n = solver_n.kernel()
-            else:
-                kernel_n = Subspace()
+            kernel_n = LinearSolver(LinOp(ver_n), basis_n).kernel()
 
             # horizontal part at degree n: Omega^1(B) wedge Omega^(n-1)
             wedge_span = Subspace()
@@ -395,9 +354,7 @@ def check_atiyah_exact(
             )
 
             target_n = [
-                tensor_index(a, ("cohn", i))
-                for a in cf.crossed.algebra.basis.enumerate(window)
-                for i in range(len(coh_vectors))
+                tensor_index(a, label) for a in cf.crossed.algebra.basis.enumerate(window) for label in coh_span.labels
             ]
 
             def g_n(ix, degree=degree):
@@ -541,8 +498,7 @@ class VComodule:
 
 @dataclass
 class CovariantDerivativeData:
-    e_labels: list[Index]
-    e_vectors: dict
+    e_span: TrackedSpan                      # the bundle E, labelled ("ebas", i)
     nabla: Callable[[Index], FreeVector]     # E label -> balanced classes
     sigma_e: Callable[[Index, Index], FreeVector]
     balanced: QuotientSpace
@@ -576,19 +532,14 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         return out - E(("e", bx, hx, v_ix, _unit_index(h)))
 
     kernel = LinearSolver(LinOp(coaction_defect), pair_v).kernel()
-    e_vectors_list = kernel.basis()
-    e_labels = [("ebas", i) for i in range(len(e_vectors_list))]
-    e_vectors = dict(zip(e_labels, e_vectors_list))
-    e_span = TrackedSpan()
-    for label, vec in e_vectors.items():
-        e_span.add(label, vec)
+    e_span = TrackedSpan((("ebas", i), v) for i, v in enumerate(kernel.basis()))
 
     # left and right B-actions on E
     @memoise
     def b_act_left(b_ix, e_label):
         out = combine(
             (E(tensor_index(jx, v_ix)), c * cj)
-            for (_, pair_ix, v_ix), c in e_vectors[e_label].terms.items()
+            for (_, pair_ix, v_ix), c in e_span.vectors[e_label].terms.items()
             for jx, cj in cp.algebra.mult_vec(E(b_ix).tensor(h.algebra.unit), E(pair_ix)).terms.items()
         )
         return e_span.express(out)
@@ -597,7 +548,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     def b_act_right(e_label, b_ix):
         out = combine(
             (E(tensor_index(jx, v_ix)), c * cj)
-            for (_, pair_ix, v_ix), c in e_vectors[e_label].terms.items()
+            for (_, pair_ix, v_ix), c in e_span.vectors[e_label].terms.items()
             for jx, cj in cp.algebra.mult_vec(E(pair_ix), E(b_ix).tensor(h.algebra.unit)).terms.items()
         )
         return e_span.express(out)
@@ -605,12 +556,12 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     # balanced tensor Omega^1(B) (x)_B E
     b_forms = cf.b_calc.forms.enumerate()
     b_basis = cp.base.basis.enumerate()
-    big = [E(tensor_index(bf, el)) for bf in b_forms for el in e_labels]
+    big = [E(tensor_index(bf, el)) for bf in b_forms for el in e_span.labels]
     relations = Subspace()
     for bf in b_forms:
         for bx in b_basis:
             moved_form = cf.b_calc.right_act(bf, bx)
-            for el in e_labels:
+            for el in e_span.labels:
                 left = combine((E(tensor_index(f2, el)), c2) for f2, c2 in moved_form.terms.items())
                 right = combine((E(tensor_index(bf, el2)), c2) for el2, c2 in b_act_left(bx, el).terms.items())
                 relations.add(left - right)
@@ -631,19 +582,18 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     def nabla(e_label):
         return combine(
             (to_balanced(cf.b_calc.d(bx), unit_section(hx, v_ix)), c)
-            for (_, (_, bx, hx), v_ix), c in e_vectors[e_label].terms.items()
+            for (_, (_, bx, hx), v_ix), c in e_span.vectors[e_label].terms.items()
         )
 
     def sigma_e(e_label, b_form_ix):
         return combine(
             (to_balanced(cf.b_calc.left_act_vec(E(bx), cf.b_action.act(h1, b_form_ix)), unit_section(h2, v_ix)), c * c1)
-            for (_, (_, bx, hx), v_ix), c in e_vectors[e_label].terms.items()
+            for (_, (_, bx, hx), v_ix), c in e_span.vectors[e_label].terms.items()
             for c1, (h1, h2) in h.sweedler(hx, 2)
         )
 
     data = CovariantDerivativeData(
-        e_labels=e_labels,
-        e_vectors=e_vectors,
+        e_span=e_span,
         nabla=nabla,
         sigma_e=sigma_e,
         balanced=balanced,
@@ -687,7 +637,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
 
     report.sweep(
         "derivative.left-leibniz",
-        ((bx, el) for bx in b_basis for el in e_labels),
+        ((bx, el) for bx in b_basis for el in e_span.labels),
         left_leibniz,
     )
 
@@ -699,7 +649,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
 
     report.sweep(
         "derivative.right-leibniz",
-        ((el, bx) for el in e_labels for bx in b_basis),
+        ((el, bx) for el in e_span.labels for bx in b_basis),
         right_leibniz,
     )
 
@@ -713,7 +663,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
 
     report.sweep(
         "derivative.sigma-bimodule",
-        ((bx, el, fx) for bx in b_basis for el in e_labels for fx in b_forms),
+        ((bx, el, fx) for bx in b_basis for el in e_span.labels for fx in b_forms),
         sigma_bimodule,
     )
 
@@ -725,7 +675,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
 
     report.sweep(
         "derivative.sigma-balanced",
-        ((el, bx, fx) for el in e_labels for bx in b_basis for fx in b_forms),
+        ((el, bx, fx) for el in e_span.labels for bx in b_basis for fx in b_forms),
         sigma_balance,
     )
 
@@ -738,7 +688,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
 
     report.sweep(
         "derivative.sigma-unique",
-        ((el, bx) for el in e_labels for bx in b_basis),
+        ((el, bx) for el in e_span.labels for bx in b_basis),
         sigma_unique,
     )
 
@@ -746,7 +696,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     def connection_route(e_label):
         horizontal = [
             (f_ix, v_ix, c * cfm)
-            for (_, pair_ix, v_ix), c in e_vectors[e_label].terms.items()
+            for (_, pair_ix, v_ix), c in e_span.vectors[e_label].terms.items()
             for d_val in [cf.d(pair_ix)]
             for f_ix, cfm in (d_val - vd.g(vd.ver(d_val))).terms.items()
         ]
@@ -758,7 +708,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
             return False, (e_label,)
         return got == nabla(e_label), (e_label,)
 
-    report.sweep("derivative.via-connection", e_labels, connection_route)
+    report.sweep("derivative.via-connection", e_span.labels, connection_route)
     return data
 
 

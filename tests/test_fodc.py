@@ -19,7 +19,7 @@ from hopfcalc.hopf import (
     build_cyclic_group_algebra,
     build_radford,
 )
-from hopfcalc.linalg import FreeVector, LinOp, kernel_image, tensor_index
+from hopfcalc.linalg import FreeVector, LinearSolver, LinOp, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
@@ -66,7 +66,8 @@ def test_ideal_generator_outside_augmentation_ideal_is_an_error():
 def test_c2_differential_kernel_dimension():
     # frozen oracle: eliminating the 2x2 matrix of d by hand leaves rank 1
     h, calc = c2_universal_ideal_calculus()
-    kernel, image = kernel_image(calc.d, h.algebra.basis.enumerate())
+    solver = LinearSolver(calc.d, h.algebra.basis.enumerate())
+    kernel, image = solver.kernel(), solver.image()
     assert kernel.dim == 1 and image.dim == 1
     assert kernel.contains(h.algebra.unit)
 

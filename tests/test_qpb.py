@@ -11,6 +11,7 @@ from hopfcalc.fodc import Fodc, build_laurent_q_calculus, zero_fodc
 from hopfcalc.hopf import BasisFamily
 from hopfcalc.linalg import FreeVector, Subspace, tensor_index
 from hopfcalc.qpb import (
+    CoinvariantForms,
     Connection,
     VComodule,
     canonical_connection,
@@ -146,7 +147,7 @@ def test_field_uniqueness_fails_without_the_lifted_coinvariant_forms(radford):
     import dataclasses
 
     _, vd = radford
-    bare = dataclasses.replace(vd, coinv=dataclasses.replace(vd.coinv, labels=[], vectors={}))
+    bare = dataclasses.replace(vd, coinv=CoinvariantForms(vd.coinv.h_calc))
     _, _, report = tangent_and_fields(bare)
     assert report.get("field.unique").status == "fail"
     assert report.get("field.unique").witness is not None
@@ -208,7 +209,7 @@ def test_covariant_derivative_two_dimensional_comodule(radford):
     )
     data = covariant_derivative(vd, V)
     assert data.report.ok
-    assert len(data.e_labels) == 8
+    assert len(data.e_span.labels) == 8
     for name in (
         "derivative.left-leibniz",
         "derivative.right-leibniz",
@@ -227,7 +228,7 @@ def test_covariant_derivative_zero_base_calculus_gives_zero(radford):
     V = VComodule(labels=[("v", 0)], coaction=lambda v: E(tensor_index(v, ("g", 0))))
     data = covariant_derivative(vd0, V)
     assert data.report.ok
-    for el in data.e_labels:
+    for el in data.e_span.labels:
         assert data.nabla(el).is_zero()
 
 

@@ -134,7 +134,7 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
 
 
 def _is_scaled_accumulation(node) -> bool:
-    """`x = x + <...>.scale(...)` or `x += <...>.scale(...)`."""
+    """`x = x + <...>.scale(...)` or `x += <...>.scale(...)`, or the same with `.map_indices(...)`."""
     if isinstance(node, ast.Assign) and len(node.targets) == 1:
         target, value = node.targets[0], node.value
         if not (isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add)):
@@ -146,7 +146,11 @@ def _is_scaled_accumulation(node) -> bool:
         added = node.value
     else:
         return False
-    return isinstance(added, ast.Call) and isinstance(added.func, ast.Attribute) and added.func.attr == "scale"
+    return (
+        isinstance(added, ast.Call)
+        and isinstance(added.func, ast.Attribute)
+        and added.func.attr in ("scale", "map_indices")
+    )
 
 
 def _stops_early(loop) -> bool:
@@ -200,6 +204,7 @@ def test_hand_rolled_sum_scan_sees_every_form():
         "        out = out + v.scale(c)\n"
         "        row[k] = row[k] + v.scale(c)\n"
         "        out += v.scale(c)\n"
+        "        out = out + v.map_indices(str)\n"
         "    for v in vs:\n"
         "        for c in cs:\n"
         "            if c.is_zero():\n"
@@ -213,8 +218,8 @@ def test_hand_rolled_sum_scan_sees_every_form():
         "    other = out + vs[0].scale(cs[0])\n"
         "    return out\n"
     )
-    assert list(_hand_rolled_sums(ast.parse(text))) == [4, 5, 6, 15, 16]
-    assert [(line, scope) for line, scope, early in _scaled_accumulations(ast.parse(text)) if early] == [(11, "f")]
+    assert list(_hand_rolled_sums(ast.parse(text))) == [4, 5, 6, 7, 16, 17]
+    assert [(line, scope) for line, scope, early in _scaled_accumulations(ast.parse(text)) if early] == [(12, "f")]
 
 
 def test_only_the_forced_zero_refusals_build_their_own_sums():
@@ -309,3 +314,40 @@ def test_params_default_scan_sees_every_form():
         "    e = params['window']\n"
     )
     assert list(_params_defaults(ast.parse(text))) == [2, 4]
+
+
+def _public_names(tree) -> tuple[list, set]:
+    """A module's `__all__` entries and the names it binds at top level."""
+    exported, defined = [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined.add(target.id)
+                    if target.id == "__all__":
+                        exported = ast.literal_eval(node.value)
+    return exported, defined
+
+
+def test_all_names_what_other_modules_import():
+    # every name taken from linalg or scalars is public there, and every
+    # public name of a module is defined in it
+    trees = dict(_modules())
+    modules = {f"hopfcalc.{path.stem}": _public_names(tree) for path, tree in trees.items()}
+    missing = [
+        f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("hopfcalc.linalg", "hopfcalc.scalars")
+        for alias in node.names
+        if alias.name not in modules[node.module][0]
+    ]
+    assert missing == []
+    undefined = [f"{name}.{entry}" for name, (exported, defined) in modules.items() for entry in exported if entry not in defined]
+    assert undefined == []
+    assert modules["hopfcalc.linalg"][0] and modules["hopfcalc.scalars"][0]
