@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from hopfcalc.examples import EXAMPLES, cohomology_dims
+from hopfcalc.examples import EXAMPLES, NoGradedCalculus, cohomology_dims
 from hopfcalc.report import FAIL, render_json
 
 SCHEMA = 1
@@ -104,18 +104,19 @@ def run(argv=None) -> int:
         return 2
 
     if args.command == "cohomology":
+        payload = {"schema": SCHEMA, "command": "cohomology", "example": example, "params": params}
         try:
             dims, window = cohomology_dims(example, params)
+        except NoGradedCalculus as obstructed:
+            # no graded calculus to take cohomology of: reported, as verify reports it
+            payload["obstruction"] = str(obstructed)
+            sys.stdout.write(render_json(payload))
+            sys.stderr.write(f"cohomology: {obstructed}\n")
+            return 0
         except ValueError as err:
             sys.stderr.write(f"error: {err}\n")
             return 2
-        payload = {
-            "schema": SCHEMA,
-            "command": "cohomology",
-            "example": example,
-            "params": params,
-            "dims": {f"H{i}": d for i, d in enumerate(dims)},
-        }
+        payload["dims"] = {f"H{i}": d for i, d in enumerate(dims)}
         if window is not None:
             payload["window"] = window
             payload["note"] = "dimensions computed on the stated window only"

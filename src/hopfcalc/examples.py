@@ -246,6 +246,11 @@ class RadfordCalculusInstance:
     higher: "GradedDc | None"           # graded forms on the crossed product
     truncation_witness: str | None = None
 
+    @property
+    def obstruction(self) -> str:
+        """What verify records when there is no `higher`, and cohomology reports in place of dims."""
+        return f"no degree-two-trivial prolongation: {self.truncation_witness}"
+
 
 def radford_calculus_instance(r: int = 2, n: int = 2, q: CycScalar | None = None, ideal: str = "zero") -> RadfordCalculusInstance:
     from hopfcalc.crossed_calc import (
@@ -433,12 +438,15 @@ def _radford_calc(params: dict) -> RadfordCalculusInstance:
     return radford_calculus_instance(r, params["n"], q, ideal=params["ideal"])
 
 
+class NoGradedCalculus(ValueError):
+    """Raised by a `graded` entry whose params admit no graded calculus: a
+    mathematical outcome, not a usage error.  The message is the witness."""
+
+
 def _radford_graded(params: dict):
     rc = _radford_calc(params)
     if rc.higher is None:
-        raise ValueError(
-            "no degree-two-trivial prolongation for this structure calculus: " + (rc.truncation_witness or "")
-        )
+        raise NoGradedCalculus(rc.obstruction)
     return rc.higher, None
 
 
@@ -506,11 +514,7 @@ def radford_suites(params: dict) -> list:
         rc = calc()
         if rc.higher is None:
             rep = CheckReport(example="radford", suite="higher-forms")
-            rep.record(
-                "truncation-obstruction",
-                True,
-                witness=f"no degree-two-trivial prolongation: {rc.truncation_witness}",
-            )
+            rep.record("truncation-obstruction", True, witness=rc.obstruction)
             return rep
         rep = check_graded_dc(rc.higher, max_total=2)
         rep.extend(compare_first_order(rc.cf, rc.higher), prefix="")

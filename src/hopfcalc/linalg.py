@@ -84,9 +84,12 @@ class FreeVector:
         return _ZERO
 
     @staticmethod
-    def basis(ix, coeff: CycScalar | int = 1) -> "FreeVector":
+    def basis(ix, coeff: CycScalar | int | None = None) -> "FreeVector":
+        """coeff * ix; with no coeff, ix with the cached order-1 one."""
+        if coeff is None:
+            return _wrap({ix: _ONE})
         if not isinstance(coeff, CycScalar):
-            coeff = CycScalar.one() if coeff == 1 else CycScalar.from_rational(coeff)
+            coeff = _ONE if coeff == 1 else CycScalar.from_rational(coeff)
         return _ZERO if coeff.is_zero() else _wrap({ix: coeff})
 
     def is_zero(self) -> bool:
@@ -120,11 +123,14 @@ class FreeVector:
         return self + (-other)
 
     def scale(self, c: CycScalar) -> "FreeVector":
-        if c.is_zero() or not self.terms:
+        if not self.terms:
             return _ZERO
-        if c.is_one():
+        if c is _ONE or c.is_one():
             return self
-        return FreeVector({ix: v * c for ix, v in self.terms.items()})
+        if c.is_zero():
+            return _ZERO
+        # a product of nonzero elements of a field is nonzero
+        return _wrap({ix: v * c for ix, v in self.terms.items()})
 
     def tensor(self, other: "FreeVector") -> "FreeVector":
         data = {}
@@ -142,9 +148,11 @@ class FreeVector:
         return FreeVector(data)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FreeVector):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
+        if self.terms.keys() != other.terms.keys():
             return False
         return all(c == other.terms[ix] for ix, c in self.terms.items())
 
@@ -170,6 +178,7 @@ def _wrap(data: dict) -> FreeVector:
 
 
 _ZERO = _wrap({})
+_ONE = CycScalar.one()
 
 
 def _add_into(data: dict, terms: dict, c: Optional[CycScalar]) -> None:
@@ -223,8 +232,10 @@ def linear(fn: Callable[..., FreeVector], v: FreeVector, w: Optional[FreeVector]
     fn(i, j) is weighted by ci * cj and summed by `combine` in the order of
     nested loops over the vectors' terms, v outermost.  A single term is
     returned as fn(...).scale(c), which has the same terms, order and
-    scalars as `combine` of one pair.
+    scalars as `combine` of one pair; no term gives the zero vector.
     """
+    if not v.terms or (w is not None and not w.terms):
+        return _ZERO
     if w is None:
         if len(v.terms) == 1:
             (ix, c), = v.terms.items()

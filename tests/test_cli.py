@@ -6,6 +6,7 @@ import pytest
 from hopfcalc.cli import run
 from hopfcalc.examples import EXAMPLES
 from hopfcalc.hopf import build_cyclic_group_algebra, render_structure_constants
+from hopfcalc.report import render_json
 
 C4_HOPF = pathlib.Path(__file__).resolve().parents[1] / "sample-data" / "c4.hopf"
 
@@ -96,6 +97,23 @@ def test_cohomology_radford(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["dims"] == {"H0": 2, "H1": 4, "H2": 2, "H3": 0}
+
+
+def test_cohomology_without_a_prolongation_reports_the_obstruction(capsys):
+    # radford --r 3 has no degree-two-trivial prolongation: a mathematical
+    # outcome, reported with the witness that verify records, not a usage error
+    code, out, err = invoke(capsys, ["verify", "radford", "--r", "3", "--suite", "higher-forms"])
+    assert code == 0
+    (check,) = json.loads(out)["reports"][0]["checks"]
+    assert (check["identity"], check["status"]) == ("truncation-obstruction", "pass")
+    code, out, err = invoke(capsys, ["cohomology", "radford", "--r", "3"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["obstruction"] == check["witness"]
+    assert payload["obstruction"].startswith("no degree-two-trivial prolongation: cross terms at ")
+    assert "dims" not in payload and "window" not in payload
+    assert out == render_json(payload)
+    assert "error" not in err
 
 
 @pytest.mark.parametrize(

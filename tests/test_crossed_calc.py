@@ -384,6 +384,70 @@ def test_wedge_sign_is_pinned_by_graded_leibniz(radford_calc):
     assert report.get("wedge-assoc").status == "pass"
 
 
+def _graded_verdicts(good, **maps):
+    """(identity, status, witness) of check_graded_dc on good with some maps replaced."""
+    import dataclasses
+
+    report = check_graded_dc(dataclasses.replace(good, **maps), max_total=2)
+    return [(c.identity, c.status, c.witness) for c in report.checks]
+
+
+# Each sweep stops at its first failing item, so the witnesses below pin the
+# order in which the sweeps enumerate their items, not only that they fail.
+
+
+def test_corrupted_degree_two_wedge_entry_fails_associativity(radford_calc):
+    good = radford_calc.higher
+    i, j = ("gf", 1, ("om", 0, 0), ("g", 0)), ("gf", 0, ("h1", 0, 0), ("w1", 0, ("g", 1)))
+    assert not good.wedge(1, i, 1, j).is_zero()
+
+    def wedge(deg1, ix1, deg2, ix2):
+        out = good.wedge(deg1, ix1, deg2, ix2)
+        return out.scale(CycScalar.from_rational(2)) if (deg1, ix1, deg2, ix2) == (1, i, 1, j) else out
+
+    assert _graded_verdicts(good, wedge=wedge) == [
+        ("d-squared", "pass", None),
+        ("graded-leibniz", "fail", "(h1(0,1) (x) g(0)) ; gf(0,h1(0,0),w1(0,g(1)))"),
+        ("wedge-assoc", "fail", "(h1(0,0) (x) g(1)) ; gf(1,om(0,0),g(0)) ; gf(0,h1(0,0),w1(0,g(1)))"),
+        ("wedge-unit", "pass", None),
+    ]
+
+
+def test_corrupted_differential_fails_d_squared(radford_calc):
+    good = radford_calc.higher
+    a = ("@", ("h1", 0, 1), ("g", 1))
+
+    def d(deg, ix):
+        # drop the base-degree-one term of d(a), keeping its structure term
+        out = good.d(deg, ix)
+        return FreeVector({k: c for k, c in out.terms.items() if k[1] == 0}) if (deg, ix) == (0, a) else out
+
+    assert len(good.d(0, a).terms) == 2
+    assert _graded_verdicts(good, d=d) == [
+        ("d-squared", "fail", "(h1(0,1) (x) g(1))"),
+        ("graded-leibniz", "fail", "(h1(0,0) (x) g(1)) ; (h1(0,1) (x) g(0))"),
+        ("wedge-assoc", "pass", None),
+        ("wedge-unit", "pass", None),
+    ]
+
+
+def test_corrupted_degree_zero_product_fails_wedge_unit(radford_calc):
+    good = radford_calc.higher
+    unit, a = ("@", ("h1", 0, 0), ("g", 0)), ("@", ("h1", 0, 1), ("g", 1))
+    assert good.algebra.unit == E(unit)
+
+    def wedge(deg1, ix1, deg2, ix2):
+        out = good.wedge(deg1, ix1, deg2, ix2)
+        return out.scale(CycScalar.from_rational(2)) if (deg1, ix1, deg2, ix2) == (0, unit, 0, a) else out
+
+    assert _graded_verdicts(good, wedge=wedge) == [
+        ("d-squared", "pass", None),
+        ("graded-leibniz", "fail", "(h1(0,0) (x) g(0)) ; (h1(0,1) (x) g(1))"),
+        ("wedge-assoc", "fail", "(h1(0,0) (x) g(0)) ; (h1(0,0) (x) g(0)) ; (h1(0,1) (x) g(1))"),
+        ("wedge-unit", "fail", "(h1(0,1) (x) g(1))"),
+    ]
+
+
 def test_truncation_raises_with_the_witness_the_instance_records():
     rc3 = radford_calculus_instance(3, 2)
     with pytest.raises(NotTruncatable) as raised:

@@ -63,6 +63,24 @@ def test_basis_and_negation_build_no_fresh_rational(monkeypatch):
     ]
 
 
+def test_basis_vectors_hold_the_order_one_one():
+    one = CycScalar.one()
+    for v in (E(("e", 0)), E(("e", 0), 1)):
+        assert list(v.terms) == [("e", 0)]
+        assert v.terms[("e", 0)] is one
+        assert (one.order, one.coeffs) == (1, (1,))
+    assert E(("e", 0), 0).is_zero() and E(("e", 0), CycScalar.zero(4)).is_zero()
+
+
+def test_equality_compares_key_sets_and_ignores_insertion_order():
+    one, i4 = CycScalar.one(), root_of_unity(4)
+    assert FreeVector({0: one, 1: i4}) != FreeVector({0: one, 2: i4})
+    assert not FreeVector({0: one, 1: i4}) == FreeVector({2: one, 1: i4})
+    assert FreeVector({0: one, 1: i4}) == FreeVector({1: i4, 0: one})
+    assert FreeVector({0: one}) == FreeVector({0: CycScalar.one(8)})
+    assert FreeVector({0: one}) != FreeVector({0: one, 1: one})
+
+
 @dataclass
 class _Maps:
     act: Callable[[tuple, tuple], FreeVector]

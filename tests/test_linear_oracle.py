@@ -9,6 +9,8 @@ and 8, and coefficients are biased to 0, 1 and -1.
 
 from contextlib import contextmanager
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from linear_oracle import reference_combine, reference_linear
@@ -21,8 +23,8 @@ fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def scalars(draw):
-    order = draw(st.sampled_from(ORDERS))
+def scalars(draw, orders=ORDERS):
+    order = draw(st.sampled_from(orders))
     kind = draw(st.sampled_from(["zero", "one", "minus-one", "rational", "monomial", "dense"]))
     if kind in ("zero", "one", "minus-one"):
         return CycScalar.from_rational({"zero": 0, "one": 1, "minus-one": -1}[kind], order)
@@ -36,9 +38,9 @@ def scalars(draw):
     return total
 
 
-def vectors():
+def vectors(orders=ORDERS):
     # few indices, so that sums collide
-    return st.dictionaries(st.integers(0, 3), scalars(), max_size=4).map(FreeVector)
+    return st.dictionaries(st.integers(0, 3), scalars(orders), max_size=4).map(FreeVector)
 
 
 @st.composite
@@ -122,3 +124,22 @@ def test_a_lone_addend_with_coefficient_one_is_returned_as_it_is():
     v = FreeVector({0: root_of_unity(8)})
     assert combine([(FreeVector.zero(), CycScalar.from_rational(3)), (v, CycScalar.one(4))]) is v
     assert combine([]).is_zero()
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_basis_argument_is_the_same_as_fixing_the_index(order, data):
+    # the graded sweeps evaluate a bilinear map at a basis index k in place of
+    # wrapping k with FreeVector.basis: both give the same terms, in the same
+    # order, with the same scalars, whatever the field of v's coefficients
+    v = data.draw(vectors([order]))
+    k = data.draw(st.integers(0, 3))
+    images = data.draw(st.lists(vectors(), min_size=1, max_size=4))
+
+    def fn(i, j):
+        return images[(i + 2 * j) % len(images)]
+
+    e = FreeVector.basis(k)
+    assert _shape(linear(lambda t: fn(t, k), v).terms) == _shape(linear(fn, v, e).terms)
+    assert _shape(linear(lambda t: fn(k, t), v).terms) == _shape(linear(fn, e, v).terms)

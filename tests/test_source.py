@@ -351,3 +351,66 @@ def test_all_names_what_other_modules_import():
     undefined = [f"{name}.{entry}" for name, (exported, defined) in modules.items() for entry in exported if entry not in defined]
     assert undefined == []
     assert modules["hopfcalc.linalg"][0] and modules["hopfcalc.scalars"][0]
+
+
+_EXTENSIONS = {"wedge_vec", "d_vec", "act_vec", "linear"}
+_GRADED_SWEEPS = {"check_graded_dc", "build_higher_forms"}
+
+
+def _is_basis_call(node) -> bool:
+    """`E(...)` or `FreeVector.basis(...)`."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "E") or (
+        isinstance(func, ast.Attribute) and func.attr == "basis" and ast.unparse(func.value) == "FreeVector"
+    )
+
+
+def _wrapped_basis_arguments(tree, functions=_GRADED_SWEEPS):
+    """Lines, inside the named top-level functions, where a linear extension
+    gets an argument built from a basis vector; a lambda's body is its own."""
+    for top in tree.body:
+        if not (isinstance(top, ast.FunctionDef) and top.name in functions):
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name not in _EXTENSIONS:
+                continue
+            stack = list(node.args) + [kw.value for kw in node.keywords]
+            while stack:
+                arg = stack.pop()
+                if _is_basis_call(arg):
+                    yield arg.lineno
+                elif not isinstance(arg, ast.Lambda):
+                    stack.extend(ast.iter_child_nodes(arg))
+
+
+def test_graded_sweeps_evaluate_the_maps_at_basis_indices():
+    # wrapping an index as a basis vector only for the linear extension to
+    # unwrap it again costs a vector and a scalar product per item; the
+    # sweeps over basis triples call the memoised map at the index instead
+    path = SRC / "crossed_calc.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} >= _GRADED_SWEEPS
+    assert list(_wrapped_basis_arguments(tree)) == []
+
+
+def test_wrapped_basis_scan_sees_every_form():
+    text = (
+        "def check_graded_dc(dc, i, j, k, v):\n"
+        "    a = dc.wedge_vec(1, dc.wedge(1, i, 1, j), 1, E(k))\n"
+        "    b = linear(lambda t: dc.wedge(1, i, 1, t), v)\n"
+        "    c = dc.act_vec(FreeVector.basis(i), 1, v)\n"
+        "    d = dc.d_vec(1, E(i).scale(2))\n"
+        "    e = linear(lambda t: E(t), v)\n"
+        "    f = combine([(E(i), 1)])\n"
+        "    def inner(x):\n"
+        "        return dc.wedge_vec(0, v, 1, v2=E(x))\n"
+        "    return a == E(k)\n"
+        "def elsewhere(dc, k, v):\n"
+        "    return dc.wedge_vec(1, v, 1, E(k))\n"
+    )
+    assert sorted(_wrapped_basis_arguments(ast.parse(text))) == [2, 4, 5, 9]
