@@ -35,6 +35,9 @@ from hopfcalc.linalg import (
 from hopfcalc.report import CheckReport, witness
 
 Index = tuple
+E = FreeVector.basis
+# the window on which `build_crossed_product` probes associativity of an infinite basis
+_VERIFY_WINDOW = 2
 
 
 @dataclass
@@ -44,9 +47,6 @@ class Measure:
     def __post_init__(self):
         memoise_fields(self, "act")
 
-    def act_vec(self, hv: FreeVector, bv: FreeVector) -> FreeVector:
-        return linear(self.act, hv, bv)
-
 
 @dataclass
 class Cocycle:
@@ -55,9 +55,6 @@ class Cocycle:
 
     def __post_init__(self):
         memoise_fields(self, "sigma", "sigma_inv")
-
-    def sigma_vec(self, hv: FreeVector, kv: FreeVector) -> FreeVector:
-        return linear(self.sigma, hv, kv)
 
 
 def trivial_cocycle(b: AlgebraPresentation, h: HopfData) -> Cocycle:
@@ -93,18 +90,17 @@ def check_twisted_module_algebra(
     b_basis = b.basis.enumerate(window)
     h_basis = h.algebra.basis.enumerate(window)
     windowed = not (b.basis.is_finite and h.algebra.basis.is_finite)
-    E = FreeVector.basis
 
     def measure_unit(hi):
-        lhs = m.act_vec(E(hi), b.unit)
+        lhs = linear(m.act, hi, b.unit)
         return lhs == b.unit.scale(h.counit(hi)), (hi,)
 
     report.sweep("measure.unit", h_basis, measure_unit, windowed=windowed)
 
     def measure_mult(triple):
         hi, bi, bj = triple
-        lhs = m.act_vec(E(hi), b.mult(bi, bj))
-        rhs = combine((b.mult_vec(m.act(h1, bi), m.act(h2, bj)), c) for c, (h1, h2) in h.sweedler(hi, 2))
+        lhs = linear(m.act, hi, b.mult(bi, bj))
+        rhs = combine((linear(b.mult, m.act(h1, bi), m.act(h2, bj)), c) for c, (h1, h2) in h.sweedler(hi, 2))
         return lhs == rhs, (hi, bi, bj)
 
     report.sweep(
@@ -115,15 +111,15 @@ def check_twisted_module_algebra(
     )
 
     def unit_acts(bi):
-        return m.act_vec(h.algebra.unit, E(bi)) == E(bi), (bi,)
+        return linear(m.act, h.algebra.unit, bi) == E(bi), (bi,)
 
     report.sweep("measure.unit-action", b_basis, unit_acts, windowed=windowed)
 
     def twisted_assoc(triple):
         hi, hj, bi = triple
-        lhs = m.act_vec(E(hi), m.act(hj, bi))
+        lhs = linear(m.act, hi, m.act(hj, bi))
         rhs = combine(
-            (b.product(s.sigma(x1, y1), m.act_vec(h.algebra.mult(x2, y2), E(bi)), s.sigma_inv(x3, y3)), c1 * c2)
+            (b.product(s.sigma(x1, y1), linear(m.act, h.algebra.mult(x2, y2), bi), s.sigma_inv(x3, y3)), c1 * c2)
             for c1, (x1, x2, x3) in h.sweedler(hi, 3)
             for c2, (y1, y2, y3) in h.sweedler(hj, 3)
         )
@@ -139,13 +135,16 @@ def check_twisted_module_algebra(
     def cocycle_law(triple):
         hi, hj, hk = triple
         lhs = combine(
-            (b.mult_vec(m.act_vec(E(x1), s.sigma(y1, z1)), s.sigma_vec(E(x2), h.algebra.mult(y2, z2))), c1 * c2 * c3)
+            (
+                linear(b.mult, linear(m.act, x1, s.sigma(y1, z1)), linear(s.sigma, x2, h.algebra.mult(y2, z2))),
+                c1 * c2 * c3,
+            )
             for c1, (x1, x2) in h.sweedler(hi, 2)
             for c2, (y1, y2) in h.sweedler(hj, 2)
             for c3, (z1, z2) in h.sweedler(hk, 2)
         )
         rhs = combine(
-            (b.mult_vec(s.sigma(x1, y1), s.sigma_vec(h.algebra.mult(x2, y2), E(hk))), c1 * c2)
+            (linear(b.mult, s.sigma(x1, y1), linear(s.sigma, h.algebra.mult(x2, y2), hk)), c1 * c2)
             for c1, (x1, x2) in h.sweedler(hi, 2)
             for c2, (y1, y2) in h.sweedler(hj, 2)
         )
@@ -160,7 +159,7 @@ def check_twisted_module_algebra(
 
     def normalized(hi):
         want = b.unit.scale(h.counit(hi))
-        ok = s.sigma_vec(E(hi), h.algebra.unit) == want and s.sigma_vec(h.algebra.unit, E(hi)) == want
+        ok = linear(s.sigma, hi, h.algebra.unit) == want and linear(s.sigma, h.algebra.unit, hi) == want
         return ok, (hi,)
 
     report.sweep("cocycle.normalized", h_basis, normalized, windowed=windowed)
@@ -168,8 +167,8 @@ def check_twisted_module_algebra(
     def convolution(pair):
         hi, hj = pair
         legs = [(c1 * c2, x1, x2, y1, y2) for c1, (x1, x2) in h.sweedler(hi, 2) for c2, (y1, y2) in h.sweedler(hj, 2)]
-        left = combine((b.mult_vec(s.sigma(x1, y1), s.sigma_inv(x2, y2)), c) for c, x1, x2, y1, y2 in legs)
-        right = combine((b.mult_vec(s.sigma_inv(x1, y1), s.sigma(x2, y2)), c) for c, x1, x2, y1, y2 in legs)
+        left = combine((linear(b.mult, s.sigma(x1, y1), s.sigma_inv(x2, y2)), c) for c, x1, x2, y1, y2 in legs)
+        right = combine((linear(b.mult, s.sigma_inv(x1, y1), s.sigma(x2, y2)), c) for c, x1, x2, y1, y2 in legs)
         want = b.unit.scale(h.counit(hi) * h.counit(hj))
         return left == want and right == want, (hi, hj)
 
@@ -201,7 +200,6 @@ def build_crossed_product(
     m: Measure,
     s: Cocycle,
     window: int | None = None,
-    verify_window: int | None = 2,
     name: str = "",
 ) -> CrossedProduct:
     """Crossed product algebra on pair indices; the twisted-module and
@@ -211,12 +209,11 @@ def build_crossed_product(
         failed = pre.failed[0]
         raise ValueError(f"crossed product hypothesis failed: {failed.identity} at {failed.witness}")
 
-    E = FreeVector.basis
 
     def mult(i, j):
         (_, bi, hi), (_, bj, hj) = i, j
         return combine(
-            (b.product(E(bi), m.act(h1, bj), s.sigma(h2, k1)).tensor(h.algebra.mult(h3, k2)), c1 * c2)
+            (b.product(bi, m.act(h1, bj), s.sigma(h2, k1)).tensor(h.algebra.mult(h3, k2)), c1 * c2)
             for c1, (h1, h2, h3) in h.sweedler(hi, 3)
             for c2, (k1, k2) in h.sweedler(hj, 2)
         )
@@ -252,17 +249,14 @@ def build_crossed_product(
     )
     comodule = ComoduleAlgebra(algebra=algebra, hopf=h, coaction=coaction, coinvariants=coinv)
 
-    if verify_window is not None:
-        probe = algebra.basis.enumerate(None if algebra.basis.is_finite else verify_window)
-        if len(probe) > 12:
-            probe = probe[:: max(1, len(probe) // 12)]
-        for i in probe:
-            for j in probe:
-                for k in probe:
-                    lhs = algebra.mult_vec(algebra.mult(i, j), E(k))
-                    rhs = algebra.mult_vec(E(i), algebra.mult(j, k))
-                    if not lhs == rhs:
-                        raise ValueError(f"crossed product not associative at {witness(i, j, k)}")
+    probe = algebra.basis.enumerate(None if algebra.basis.is_finite else _VERIFY_WINDOW)
+    if len(probe) > 12:
+        probe = probe[:: max(1, len(probe) // 12)]
+    for i in probe:
+        for j in probe:
+            for k in probe:
+                if not linear(algebra.mult, algebra.mult(i, j), k) == linear(algebra.mult, i, algebra.mult(j, k)):
+                    raise ValueError(f"crossed product not associative at {witness(i, j, k)}")
     return CrossedProduct(base=b, hopf=h, measure=m, cocycle=s, algebra=algebra, comodule=comodule)
 
 
@@ -306,7 +300,7 @@ def _split_ix(
 
     def split_ix(a_ix):
         return combine(
-            (express(a.algebra.mult_vec(FreeVector.basis(a0), j_inv(a1))).tensor(right(a2)), c)
+            (express(linear(a.algebra.mult, a0, j_inv(a1))).tensor(right(a2)), c)
             for c, (a0, a1, a2) in a.coaction_terms(a_ix, 2)
         )
 
@@ -327,7 +321,6 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     embed = a.coinvariants.embed
     express = _base_expressor(a.coinvariants, window)
     report = CheckReport(example=a.algebra.name, suite="cleft-to-crossed")
-    E = FreeVector.basis
 
     def measure_act(hi, bi):
         return express(
@@ -348,7 +341,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     report.record("cleaving.unital", j(h.algebra.unit) == a.algebra.unit)
 
     def j_colinear(hx):
-        lhs = a.coaction_vec(j(hx))
+        lhs = linear(a.coaction, j(hx))
         rhs = combine((j(h1).tensor(E(h2)), c) for c, (h1, h2) in h.sweedler(hx, 2))
         return lhs == rhs, (hx,)
 
@@ -362,7 +355,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
 
     def theta_inv_ix(pair_ix):
         _, bi, hi = pair_ix
-        return a.algebra.mult_vec(embed(bi), j(hi))
+        return linear(a.algebra.mult, embed(bi), j(hi))
 
     theta_inv = LinOp(theta_inv_ix, name="theta^-1")
 
@@ -386,7 +379,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     def theta_multiplicative(pair):
         i, k = pair
         lhs = theta(a.algebra.mult(i, k))
-        rhs = crossed.algebra.mult_vec(theta(i), theta(k))
+        rhs = linear(crossed.algebra.mult, theta(i), theta(k))
         return lhs == rhs, (i, k)
 
     report.sweep(
@@ -398,7 +391,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
 
     def theta_colinear(ix):
         lhs = combine((theta(a0).tensor(E(h1)), c) for (_, a0, h1), c in a.coaction(ix).terms.items())
-        rhs = crossed.comodule.coaction_vec(theta(ix))
+        rhs = linear(crossed.comodule.coaction, theta(ix))
         return lhs == rhs, (ix,)
 
     report.sweep("theta.colinear", a_basis, theta_colinear, windowed=windowed)
@@ -417,7 +410,6 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
     j_inv = cleft.ensure_inverse(window)
     embed = a.coinvariants.embed
     report = CheckReport(example=a.algebra.name, suite="equivariant-section")
-    E = FreeVector.basis
     windowed = not a.algebra.basis.is_finite
     section = LinOp(_split_ix(a, j_inv, _base_expressor(a.coinvariants, window), j), name="s")
     a_basis = a.algebra.basis.enumerate(window)
@@ -425,7 +417,7 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
 
     def splits(a_ix):
         total = combine(
-            (a.algebra.mult_vec(embed(b_ix), E(a2_ix)), c) for (_, b_ix, a2_ix), c in section(a_ix).terms.items()
+            (linear(a.algebra.mult, embed(b_ix), a2_ix), c) for (_, b_ix, a2_ix), c in section(a_ix).terms.items()
         )
         return total == E(a_ix), (a_ix,)
 
@@ -433,7 +425,7 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
 
     def base_linear(item):
         b_ix, a_ix = item
-        lhs = section(a.algebra.mult_vec(embed(b_ix), E(a_ix)))
+        lhs = section(linear(a.algebra.mult, embed(b_ix), a_ix))
         rhs = combine(
             (a.coinvariants.algebra.mult(b_ix, b2_ix).tensor(E(a2_ix)), c)
             for (_, b2_ix, a2_ix), c in section(a_ix).terms.items()
@@ -485,7 +477,6 @@ def check_hopf_galois(a: ComoduleAlgebra, coinv: CoinvariantFamily | None = None
     if coinv is None:
         raise ValueError("no coinvariant data supplied")
     report = CheckReport(example=a.algebra.name, suite="hopf-galois")
-    E = FreeVector.basis
     a_basis = a.algebra.basis.enumerate()
     h_basis = a.hopf.algebra.basis.enumerate()
     b_vectors = [coinv.embed(ix) for ix in coinv.algebra.basis.enumerate()]
@@ -493,9 +484,9 @@ def check_hopf_galois(a: ComoduleAlgebra, coinv: CoinvariantFamily | None = None
     relations = Subspace()
     for bv in b_vectors:
         for i in a_basis:
-            left_mult = a.algebra.mult_vec(E(i), bv)
+            left_mult = linear(a.algebra.mult, i, bv)
             for k in a_basis:
-                right_mult = a.algebra.mult_vec(bv, E(k))
+                right_mult = linear(a.algebra.mult, bv, k)
                 rel = left_mult.tensor(E(k)) - E(i).tensor(right_mult)
                 relations.add(rel)
     big = [E(tensor_index(i, k)) for i in a_basis for k in a_basis]

@@ -72,15 +72,6 @@ class CrossedFodc:
     def __post_init__(self):
         memoise_fields(self, "left_act", "right_act", "right_coaction")
 
-    def left_act_vec(self, av: FreeVector, fv: FreeVector) -> FreeVector:
-        return linear(self.left_act, av, fv)
-
-    def right_act_vec(self, fv: FreeVector, av: FreeVector) -> FreeVector:
-        return linear(self.right_act, fv, av)
-
-    def rho_vec(self, fv: FreeVector) -> FreeVector:
-        return linear(self.right_coaction, fv)
-
     def horizontal_window(self, window: int | None) -> list[Index]:
         return [
             ("hor", bf, hx)
@@ -104,7 +95,7 @@ def _assemble(cp: CrossedProduct, b_calc: Fodc, h_calc: Fodc, action: TwistedCal
             return combine(
                 (
                     hor(
-                        b_calc.right_act_vec(b_calc.left_act_vec(E(bp), action.act(x1, bf)), s.sigma(x2, y1)),
+                        linear(b_calc.right_act, linear(b_calc.left_act, bp, action.act(x1, bf)), s.sigma(x2, y1)),
                         h.algebra.mult(x3, y2),
                     ),
                     c1 * c2,
@@ -114,7 +105,7 @@ def _assemble(cp: CrossedProduct, b_calc: Fodc, h_calc: Fodc, action: TwistedCal
             )
         _, bx, hf = form_ix
         return combine(
-            (ver(b.product(E(bp), m.act(x1, bx), s.sigma(x2, g_m1)), h_calc.left_act(x3, g0)), c1 * cl)
+            (ver(b.product(bp, m.act(x1, bx), s.sigma(x2, g_m1)), h_calc.left_act(x3, g0)), c1 * cl)
             for c1, (x1, x2, x3) in h.sweedler(hp, 3)
             for cl, (g_m1, g0) in h_calc.lambda_terms(hf, 1)
         )
@@ -126,7 +117,7 @@ def _assemble(cp: CrossedProduct, b_calc: Fodc, h_calc: Fodc, action: TwistedCal
             return combine(
                 (
                     hor(
-                        b_calc.right_act_vec(b_calc.right_act_vec(E(bf), m.act(x1, bp)), s.sigma(x2, y1)),
+                        linear(b_calc.right_act, linear(b_calc.right_act, bf, m.act(x1, bp)), s.sigma(x2, y1)),
                         h.algebra.mult(x3, y2),
                     ),
                     c1 * c2,
@@ -136,7 +127,7 @@ def _assemble(cp: CrossedProduct, b_calc: Fodc, h_calc: Fodc, action: TwistedCal
             )
         _, bx, hf = form_ix
         return combine(
-            (ver(b.product(E(bx), m.act(g_m2, bp), s.sigma(g_m1, y1)), h_calc.right_act(g0, y2)), cl * c2)
+            (ver(b.product(bx, m.act(g_m2, bp), s.sigma(g_m1, y1)), h_calc.right_act(g0, y2)), cl * c2)
             for cl, (g_m2, g_m1, g0) in h_calc.lambda_terms(hf, 2)
             for c2, (y1, y2) in h.sweedler(hp, 2)
         )
@@ -227,7 +218,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
     def leibniz(pair):
         i, j = pair
         lhs = cf.d(cp.algebra.mult(i, j))
-        rhs = cf.right_act_vec(cf.d(i), E(j)) + cf.left_act_vec(E(i), cf.d(j))
+        rhs = linear(cf.right_act, cf.d(i), j) + linear(cf.left_act, i, cf.d(j))
         return lhs == rhs, (i, j)
 
     report.sweep(
@@ -235,12 +226,13 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
     )
 
     one_h = h.algebra.unit
+    embed = cp.comodule.coinvariants.embed
 
     def hor_generation(item):
         bx, by, hx = item
-        first = cf.left_act_vec(E(bx).tensor(one_h), cf.d(tensor_index(by, hx)))
-        second = cf.left_act_vec(b.mult(bx, by).tensor(one_h), cf.d(b.unit.tensor(E(hx))))
-        expected = hor(cf.b_calc.left_act_vec(E(bx), cf.b_calc.d(by)), E(hx))
+        first = linear(cf.left_act, embed(bx), cf.d(tensor_index(by, hx)))
+        second = linear(cf.left_act, b.mult(bx, by).tensor(one_h), cf.d(b.unit.tensor(E(hx))))
+        expected = hor(linear(cf.b_calc.left_act, bx, cf.b_calc.d(by)), E(hx))
         return first - second == expected, (bx, by, hx)
 
     report.sweep(
@@ -254,15 +246,17 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
         bx, hx, hy = item
         total = combine(
             (
-                cf.left_act_vec(
-                    b.mult_vec(E(bx), cp.cocycle.sigma_inv(x1, y1)).tensor(E(x2)), cf.d(b.unit.tensor(E(y2)))
+                linear(
+                    cf.left_act,
+                    linear(b.mult, bx, cp.cocycle.sigma_inv(x1, y1)).tensor(E(x2)),
+                    cf.d(b.unit.tensor(E(y2))),
                 ),
                 c1 * c2,
             )
             for c1, (x1, x2) in h.sweedler(hx, 2)
             for c2, (y1, y2) in h.sweedler(hy, 2)
         )
-        expected = ver(E(bx), cf.h_calc.left_act_vec(E(hx), cf.h_calc.d(hy)))
+        expected = ver(E(bx), linear(cf.h_calc.left_act, hx, cf.h_calc.d(hy)))
         return total == expected, (bx, hx, hy)
 
     report.sweep(
@@ -273,7 +267,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
     )
 
     def d_colinear(pair_ix):
-        lhs = cf.rho_vec(cf.d(pair_ix))
+        lhs = linear(cf.right_coaction, cf.d(pair_ix))
         rhs = combine((cf.d(a0).tensor(E(h1)), c) for (_, a0, h1), c in cp.comodule.coaction(pair_ix).terms.items())
         return lhs == rhs, (pair_ix,)
 
@@ -325,13 +319,13 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
             if form_ix[0] == "hor":
                 _, bf, hx = form_ix
                 want = combine(
-                    (hor(cf.b_calc.left_act_vec(E(bp), cf.b_action.act(x1, bf)), h.algebra.mult(x2, hx)), c)
+                    (hor(linear(cf.b_calc.left_act, bp, cf.b_action.act(x1, bf)), h.algebra.mult(x2, hx)), c)
                     for c, (x1, x2) in h.sweedler(hp, 2)
                 )
             else:
                 _, bx, hf = form_ix
                 want = combine(
-                    (ver(b.mult_vec(E(bp), cp.measure.act(x1, bx)), cf.h_calc.left_act(x2, hf)), c)
+                    (ver(linear(b.mult, bp, cp.measure.act(x1, bx)), cf.h_calc.left_act(x2, hf)), c)
                     for c, (x1, x2) in h.sweedler(hp, 2)
                 )
             return got == want, (pair_ix, form_ix)
@@ -365,7 +359,7 @@ def leibniz_defect(
     jy = cp.base.unit.tensor(E(hy))
     first = linear(right_act, linear(d_ix, jx), jy)
     second = linear(left_act, jx, linear(d_ix, jy))
-    return linear(d_ix, cp.algebra.mult_vec(jx, jy)) - first - second
+    return linear(d_ix, linear(cp.algebra.mult, jx, jy)) - first - second
 
 
 def necessity_dsigma(
@@ -452,12 +446,6 @@ class GradedDc:
 
     def __post_init__(self):
         memoise_fields(self, "wedge", "d", "right_coaction", "left_coaction", "action")
-
-    def wedge_vec(self, deg1: int, v1: FreeVector, deg2: int, v2: FreeVector) -> FreeVector:
-        return linear(lambda i, j: self.wedge(deg1, i, deg2, j), v1, v2)
-
-    def d_vec(self, deg: int, v: FreeVector) -> FreeVector:
-        return linear(lambda ix: self.d(deg, ix), v)
 
     def lambda_terms(self, deg: int, ix: Index, legs: int):
         out = []
@@ -577,7 +565,6 @@ def build_higher_forms(
     b_dc: GradedDc,
     h_dc: GradedDc,
     window: int | None = None,
-    max_degree: int | None = None,
 ) -> GradedDc:
     """Higher order crossed product forms: the graded sum of base and
     structure components with the twisted wedge and the signed sum
@@ -590,7 +577,6 @@ def build_higher_forms(
         raise ValueError("hypothesis failed: base graded data carries no module action")
     if h_dc.left_coaction is None or h_dc.right_coaction is None:
         raise ValueError("hypothesis failed: structure graded data is not bicovariant")
-    max_degree = max_degree if max_degree is not None else b_dc.max_degree + h_dc.max_degree
 
     h_basis = h.algebra.basis.enumerate(window)
     b_basis = b.basis.enumerate(window)
@@ -598,22 +584,22 @@ def build_higher_forms(
     # graded twisted-module hypotheses on the base data
     for hx in h_basis:
         for bx in b_basis:
-            lhs = linear(lambda t: b_dc.action(hx, 1, t), b_dc.d(0, bx))
-            rhs = b_dc.d_vec(0, cp.measure.act(hx, bx))
+            lhs = linear(b_dc.action, hx, 1, b_dc.d(0, bx))
+            rhs = linear(b_dc.d, 0, cp.measure.act(hx, bx))
             if not lhs == rhs:
                 raise ValueError(f"hypothesis failed: graded action not d-equivariant at {witness(hx, bx)}")
     for hx in h_basis:
         for hy in h_basis:
-            if not b_dc.d_vec(0, s.sigma(hx, hy)).is_zero():
+            if not linear(b_dc.d, 0, s.sigma(hx, hy)).is_zero():
                 raise ValueError(f"hypothesis failed: d of a cocycle value at {witness(hx, hy)}")
     for hx in h_basis:
         for deg1 in range(0, b_dc.max_degree + 1):
             for i in b_dc.basis(deg1, window):
                 for deg2 in range(0, b_dc.max_degree + 1 - deg1):
                     for j in b_dc.basis(deg2, window):
-                        lhs = linear(lambda t: b_dc.action(hx, deg1 + deg2, t), b_dc.wedge(deg1, i, deg2, j))
+                        lhs = linear(b_dc.action, hx, deg1 + deg2, b_dc.wedge(deg1, i, deg2, j))
                         rhs = combine(
-                            (b_dc.wedge_vec(deg1, b_dc.action(x1, deg1, i), deg2, b_dc.action(x2, deg2, j)), c)
+                            (linear(b_dc.wedge, deg1, b_dc.action(x1, deg1, i), deg2, b_dc.action(x2, deg2, j)), c)
                             for c, (x1, x2) in h.sweedler(hx, 2)
                         )
                         if not lhs == rhs:
@@ -647,8 +633,8 @@ def build_higher_forms(
     @memoise
     def bpart(bdeg1, bp1, bdeg2, bp2, g_m2, g_m1, k_m1):
         """bp1 wedge (g_m2 . bp2) wedge sigma(g_m1, k_m1) in the base forms."""
-        moved = b_dc.wedge_vec(bdeg2, b_dc.action(g_m2, bdeg2, bp2), 0, s.sigma(g_m1, k_m1))
-        return linear(lambda t: b_dc.wedge(bdeg1, bp1, bdeg2, t), moved)
+        moved = linear(b_dc.wedge, bdeg2, b_dc.action(g_m2, bdeg2, bp2), 0, s.sigma(g_m1, k_m1))
+        return linear(b_dc.wedge, bdeg1, bp1, bdeg2, moved)
 
     def wedge(deg1, ix1, deg2, ix2):
         bdeg1, bp1, hdeg1, hp1 = split(deg1, ix1)
@@ -679,7 +665,7 @@ def build_higher_forms(
 
     return GradedDc(
         algebra=cp.algebra,
-        max_degree=max_degree,
+        max_degree=b_dc.max_degree + h_dc.max_degree,
         basis=basis,
         wedge=wedge,
         d=d,
@@ -690,19 +676,20 @@ def build_higher_forms(
     )
 
 
-def check_graded_dc(dc: GradedDc, window: int | None = None, max_total: int = 2) -> CheckReport:
+def check_graded_dc(dc: GradedDc, window: int | None = None) -> CheckReport:
     """d squared, graded Leibniz, wedge associativity and the unit on all
-    basis elements of total degree at most max_total.  Each side is the
-    memoised map at a basis index, extended linearly over the other slot."""
+    basis elements of total degree at most two.  Each side is the memoised
+    map at a basis index, extended linearly over the other slot."""
     report = CheckReport(example=dc.name or dc.algebra.name, suite="graded-dc")
     windowed = not dc.algebra.basis.is_finite
 
+    max_total = 2
     degrees = list(range(0, max_total + 1))
     bases = {n: dc.basis(n, window) for n in degrees}
 
     def d_squared(item):
         deg, ix = item
-        return dc.d_vec(deg + 1, dc.d(deg, ix)).is_zero(), (ix,)
+        return linear(dc.d, deg + 1, dc.d(deg, ix)).is_zero(), (ix,)
 
     report.sweep(
         "d-squared",
@@ -713,9 +700,9 @@ def check_graded_dc(dc: GradedDc, window: int | None = None, max_total: int = 2)
 
     def graded_leibniz(item):
         deg1, i, deg2, j = item
-        lhs = dc.d_vec(deg1 + deg2, dc.wedge(deg1, i, deg2, j))
-        rhs = linear(lambda t: dc.wedge(deg1 + 1, t, deg2, j), dc.d(deg1, i)) + linear(
-            lambda t: dc.wedge(deg1, i, deg2 + 1, t), dc.d(deg2, j)
+        lhs = linear(dc.d, deg1 + deg2, dc.wedge(deg1, i, deg2, j))
+        rhs = linear(dc.wedge, deg1 + 1, dc.d(deg1, i), deg2, j) + linear(
+            dc.wedge, deg1, i, deg2 + 1, dc.d(deg2, j)
         ).scale(_SIGN[deg1 % 2])
         return lhs == rhs, (i, j)
 
@@ -735,8 +722,8 @@ def check_graded_dc(dc: GradedDc, window: int | None = None, max_total: int = 2)
 
     def assoc(item):
         n1, i, n2, j, n3, k = item
-        lhs = linear(lambda t: dc.wedge(n1 + n2, t, n3, k), dc.wedge(n1, i, n2, j))
-        rhs = linear(lambda t: dc.wedge(n1, i, n2 + n3, t), dc.wedge(n2, j, n3, k))
+        lhs = linear(dc.wedge, n1 + n2, dc.wedge(n1, i, n2, j), n3, k)
+        rhs = linear(dc.wedge, n1, i, n2 + n3, dc.wedge(n2, j, n3, k))
         return lhs == rhs, (i, j, k)
 
     report.sweep(
@@ -757,8 +744,8 @@ def check_graded_dc(dc: GradedDc, window: int | None = None, max_total: int = 2)
 
     def unit_neutral(item):
         deg, ix = item
-        lhs = linear(lambda t: dc.wedge(0, t, deg, ix), dc.algebra.unit)
-        rhs = linear(lambda t: dc.wedge(deg, ix, 0, t), dc.algebra.unit)
+        lhs = linear(dc.wedge, 0, dc.algebra.unit, deg, ix)
+        rhs = linear(dc.wedge, deg, ix, 0, dc.algebra.unit)
         return lhs == rhs == E(ix), (ix,)
 
     report.sweep(
@@ -784,12 +771,9 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
     def to_graded(form_vec: FreeVector) -> FreeVector:
         return form_vec.map_indices(form_to_graded_ix)
 
-    def pair_to_graded(pair_ix):
-        return pair_ix  # degree zero of the graded data is the algebra itself
-
     def d_matches(pair_ix):
         lhs = to_graded(cf.d(pair_ix))
-        rhs = dc.d(0, pair_to_graded(pair_ix))
+        rhs = dc.d(0, pair_ix)  # degree zero of the graded data is the algebra itself
         return lhs == rhs, (pair_ix,)
 
     report.sweep("first-order.d", a_basis, d_matches, windowed=windowed)
@@ -799,7 +783,7 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
     def left_matches(item):
         pair_ix, form_ix = item
         lhs = to_graded(cf.left_act(pair_ix, form_ix))
-        rhs = dc.wedge(0, pair_to_graded(pair_ix), 1, form_to_graded_ix(form_ix))
+        rhs = dc.wedge(0, pair_ix, 1, form_to_graded_ix(form_ix))
         return lhs == rhs, (pair_ix, form_ix)
 
     report.sweep(
@@ -812,7 +796,7 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
     def right_matches(item):
         pair_ix, form_ix = item
         lhs = to_graded(cf.right_act(form_ix, pair_ix))
-        rhs = dc.wedge(1, form_to_graded_ix(form_ix), 0, pair_to_graded(pair_ix))
+        rhs = dc.wedge(1, form_to_graded_ix(form_ix), 0, pair_ix)
         return lhs == rhs, (pair_ix, form_ix)
 
     report.sweep(
@@ -887,7 +871,7 @@ def classify_smash(
     for hx in h_basis:
         for hy in h_basis:
             lhs = j(h.algebra.mult(hx, hy))
-            rhs = a.algebra.mult_vec(j(hx), j(hy))
+            rhs = linear(a.algebra.mult, j(hx), j(hy))
             if not lhs == rhs:
                 raise ValueError(
                     f"not a trivial extension: the cleaving map is not an algebra morphism at {witness(hx, hy)}"
@@ -916,7 +900,7 @@ def classify_smash(
             shell_basis = b.basis.enumerate(None if finite_base else current)
             for bx in shell_basis:
                 for by in shell_basis:
-                    v = a_calc.left_act_vec(embed(bx), a_calc.d(embed(by)))
+                    v = linear(a_calc.left_act, embed(bx), a_calc.d(embed(by)))
                     if not v.is_zero():
                         pb.add(("pb", pb.dim), v)
             shell_counts[current] = pb.dim
@@ -942,10 +926,10 @@ def classify_smash(
         return list(pb.labels[: shell_counts[min(grown[0], w or window or 1)]])
 
     def b_fodc_left(b_ix, pb_ix):
-        return express_pb(a_calc.left_act_vec(embed(b_ix), pb.vectors[pb_ix]), "the left action")
+        return express_pb(linear(a_calc.left_act, embed(b_ix), pb.vectors[pb_ix]), "the left action")
 
     def b_fodc_right(pb_ix, b_ix):
-        return express_pb(a_calc.right_act_vec(pb.vectors[pb_ix], embed(b_ix)), "the right action")
+        return express_pb(linear(a_calc.right_act, pb.vectors[pb_ix], embed(b_ix)), "the right action")
 
     def b_fodc_d(b_ix):
         return express_pb(a_calc.d(embed(b_ix)), "the differential")
@@ -973,10 +957,10 @@ def classify_smash(
         if sample.is_zero():
             continue
         left_solver = LinearSolver(
-            LinOp(lambda fx, sample=sample: a_calc.left_act_vec(sample, E(fx))), form_basis
+            LinOp(lambda fx, sample=sample: linear(a_calc.left_act, sample, fx)), form_basis
         )
         right_solver = LinearSolver(
-            LinOp(lambda fx, sample=sample: a_calc.right_act_vec(E(fx), sample)), form_basis
+            LinOp(lambda fx, sample=sample: linear(a_calc.right_act, fx, sample)), form_basis
         )
         if left_solver.kernel().dim or right_solver.kernel().dim:
             torsion_ok, torsion_witness = False, witness(sample)
@@ -988,7 +972,7 @@ def classify_smash(
     h_pres = PresentationSolver(h_calc, window)
 
     def j_hat_pair(hx, hy):
-        return a_calc.left_act_vec(j(hx), a_calc.d(j(hy)))
+        return linear(a_calc.left_act, j(hx), a_calc.d(j(hy)))
 
     cond1_ok, cond1_witness = True, None
     def j_hat_of(presentation):
@@ -1013,11 +997,11 @@ def classify_smash(
     block_hor = Subspace()
     for pb_ix in pb_window():
         for hx in h_basis:
-            block_hor.add(a_calc.right_act_vec(pb.vectors[pb_ix], j(hx)))
+            block_hor.add(linear(a_calc.right_act, pb.vectors[pb_ix], j(hx)))
     block_ver = Subspace()
     for bx in b_basis:
         for fx in h_form_basis:
-            block_ver.add(a_calc.left_act_vec(embed(bx), j_hat(fx)))
+            block_ver.add(linear(a_calc.left_act, embed(bx), j_hat(fx)))
     overlap = intersection_dim(block_hor, block_ver)
     report.record(
         "classification-(2)",
@@ -1031,8 +1015,8 @@ def classify_smash(
         hx, bx = pair
         total = combine(
             (
-                a_calc.right_act_vec(a_calc.right_act_vec(a_calc.d(j(h1)), embed(bx)), j_inv(h2))
-                + a_calc.left_act_vec(a.algebra.mult_vec(j(h1), embed(bx)), a_calc.d(j_inv(h2))),
+                linear(a_calc.right_act, linear(a_calc.right_act, a_calc.d(j(h1)), embed(bx)), j_inv(h2))
+                + linear(a_calc.left_act, linear(a.algebra.mult, j(h1), embed(bx)), a_calc.d(j_inv(h2))),
                 c,
             )
             for c, (h1, h2) in h.sweedler(hx, 2)
@@ -1054,9 +1038,9 @@ def classify_smash(
     def theta_hat_inv_ix(form_ix):
         if form_ix[0] == "hor":
             _, pb_ix, hx = form_ix
-            return a_calc.right_act_vec(pb.vectors[pb_ix], j(hx))
+            return linear(a_calc.right_act, pb.vectors[pb_ix], j(hx))
         _, bx, fx = form_ix
-        return a_calc.left_act_vec(embed(bx), j_hat(fx))
+        return linear(a_calc.left_act, embed(bx), j_hat(fx))
 
     theta_hat_inv = LinOp(theta_hat_inv_ix, name="theta_hat^-1")
     smash_forms = smash_cf.forms.enumerate(window)
@@ -1092,9 +1076,9 @@ def classify_smash(
     def bimodule_map(item):
         pair_ix, form_ix = item
         lhs = theta_hat_inv(smash_cf.left_act(pair_ix, form_ix))
-        rhs = a_calc.left_act_vec(theta_inv(pair_ix), theta_hat_inv(form_ix))
+        rhs = linear(a_calc.left_act, theta_inv(pair_ix), theta_hat_inv(form_ix))
         lhs2 = theta_hat_inv(smash_cf.right_act(form_ix, pair_ix))
-        rhs2 = a_calc.right_act_vec(theta_hat_inv(form_ix), theta_inv(pair_ix))
+        rhs2 = linear(a_calc.right_act, theta_hat_inv(form_ix), theta_inv(pair_ix))
         return lhs == rhs and lhs2 == rhs2, (pair_ix, form_ix)
 
     report.sweep(

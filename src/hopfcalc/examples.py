@@ -73,7 +73,7 @@ def radford_instance(r: int = 2, n: int = 2, q: CycScalar | None = None) -> Radf
 
     def to_full(v: FreeVector) -> FreeVector:
         return combine(
-            (data.hopf.algebra.mult_vec(data.h1_embed(b_ix), E(("ax", g_ix[1], 0))), c)
+            (linear(data.hopf.algebra.mult, data.h1_embed(b_ix), ("ax", g_ix[1], 0)), c)
             for (_, b_ix, g_ix), c in v.terms.items()
         )
 
@@ -100,10 +100,10 @@ def _rank_one_calculus(inst: RadfordInstance, tag: str, twist, d_ix, d_name: str
         return bv.map_indices(lambda ix: (tag, ix[1], ix[2]))
 
     def left_act(b_ix, f_ix):
-        return relabel(b.mult_vec(E(b_ix), E(("h1", f_ix[1], f_ix[2]))))
+        return relabel(b.mult(b_ix, ("h1", f_ix[1], f_ix[2])))
 
     def right_act(f_ix, b_ix):
-        return relabel(b.mult_vec(E(("h1", f_ix[1], f_ix[2])), twist(b_ix)))
+        return relabel(linear(b.mult, ("h1", f_ix[1], f_ix[2]), twist(b_ix)))
 
     return Fodc(
         algebra=b,
@@ -516,7 +516,7 @@ def radford_suites(params: dict) -> list:
             rep = CheckReport(example="radford", suite="higher-forms")
             rep.record("truncation-obstruction", True, witness=rc.obstruction)
             return rep
-        rep = check_graded_dc(rc.higher, max_total=2)
+        rep = check_graded_dc(rc.higher)
         rep.extend(compare_first_order(rc.cf, rc.higher), prefix="")
         return rep
 
@@ -529,7 +529,7 @@ def radford_suites(params: dict) -> list:
         if rc.higher is None:
             rep.extend(check_atiyah_exact(vd))
         else:
-            rep.extend(check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded, max_degree=2))
+            rep.extend(check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded))
         return rep
 
     def connection():
@@ -682,7 +682,7 @@ def torus_suites(params: dict) -> list:
         tc = calc()
         # associativity sweeps are cubic in the window size; one shell is
         # already 9^3 base triples
-        rep = check_graded_dc(tc.higher, window=1, max_total=2)
+        rep = check_graded_dc(tc.higher, window=1)
         rep.extend(compare_first_order(tc.cf, tc.higher, window=2))
         return rep
 
@@ -779,7 +779,7 @@ def group_c2_suites(params: dict) -> list:
     return [
         ("hopf-axioms", lambda: check_hopf_axioms(inst().hopf)),
         ("fodc", lambda: check_fodc(inst().calc)),
-        ("graded", lambda: check_graded_dc(inst().graded, max_total=2)),
+        ("graded", lambda: check_graded_dc(inst().graded)),
     ]
 
 

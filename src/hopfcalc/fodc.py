@@ -64,12 +64,6 @@ class Fodc:
     def bicovariant(self) -> bool:
         return self.right_coaction is not None and self.left_coaction is not None
 
-    def left_act_vec(self, av: FreeVector, fv: FreeVector) -> FreeVector:
-        return linear(self.left_act, av, fv)
-
-    def right_act_vec(self, fv: FreeVector, av: FreeVector) -> FreeVector:
-        return linear(self.right_act, fv, av)
-
     def lambda_terms(self, form_ix: Index, h_legs: int):
         """Iterated left coaction: (coeff, (h_1, ..., h_legs, form)) tuples."""
         out = []
@@ -81,12 +75,6 @@ class Fodc:
                 for c2, tup in self.hopf.sweedler(h_ix, h_legs):
                     out.append((c * c2, tup + (f_ix,)))
         return out
-
-    def rho_vec(self, fv: FreeVector) -> FreeVector:
-        return linear(self.right_coaction, fv)
-
-    def lambda_vec(self, fv: FreeVector) -> FreeVector:
-        return linear(self.left_coaction, fv)
 
 
 def zero_fodc(algebra: AlgebraPresentation, name: str = "") -> Fodc:
@@ -108,7 +96,7 @@ def presentation_solver(f: Fodc, window: int | None = None) -> LinearSolver:
 
     def present(pr_ix):
         _, a, b = pr_ix
-        return f.left_act_vec(E(a), f.d(b))
+        return linear(f.left_act, a, f.d(b))
 
     return LinearSolver(LinOp(present, name="present"), domain)
 
@@ -118,11 +106,11 @@ class PresentationSolver:
     can leave any fixed window, so failed presentations retry on an
     enlarged window (up to three times the requested one)."""
 
-    def __init__(self, f: Fodc, window: int | None = None, growth: int = 3):
+    def __init__(self, f: Fodc, window: int | None = None):
         self.f = f
         self.base_window = window
         self.windowed = not (f.algebra.basis.is_finite and f.forms.is_finite)
-        self.cap = growth * window if (self.windowed and window) else None
+        self.cap = 3 * window if (self.windowed and window) else None
         self.window = window
         self.solver = presentation_solver(f, window)
 
@@ -152,8 +140,8 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
 
     def left_assoc(item):
         a, b, beta = item
-        lhs = f.left_act_vec(E(a), f.left_act(b, beta))
-        rhs = f.left_act_vec(alg.mult(a, b), E(beta))
+        lhs = linear(f.left_act, a, f.left_act(b, beta))
+        rhs = linear(f.left_act, alg.mult(a, b), beta)
         return lhs == rhs, (a, b, beta)
 
     report.sweep(
@@ -165,8 +153,8 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
 
     def right_assoc(item):
         beta, a, b = item
-        lhs = f.right_act_vec(f.right_act(beta, a), E(b))
-        rhs = f.right_act_vec(E(beta), alg.mult(a, b))
+        lhs = linear(f.right_act, f.right_act(beta, a), b)
+        rhs = linear(f.right_act, beta, alg.mult(a, b))
         return lhs == rhs, (beta, a, b)
 
     report.sweep(
@@ -178,8 +166,8 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
 
     def compat(item):
         a, beta, b = item
-        lhs = f.right_act_vec(f.left_act(a, beta), E(b))
-        rhs = f.left_act_vec(E(a), f.right_act(beta, b))
+        lhs = linear(f.right_act, f.left_act(a, beta), b)
+        rhs = linear(f.left_act, a, f.right_act(beta, b))
         return lhs == rhs, (a, beta, b)
 
     report.sweep(
@@ -191,8 +179,8 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
 
     def unit_acts(beta):
         ok = (
-            f.left_act_vec(alg.unit, E(beta)) == E(beta)
-            and f.right_act_vec(E(beta), alg.unit) == E(beta)
+            linear(f.left_act, alg.unit, beta) == E(beta)
+            and linear(f.right_act, beta, alg.unit) == E(beta)
         )
         return ok, (beta,)
 
@@ -201,7 +189,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
     def leibniz(pair):
         a, b = pair
         lhs = f.d(alg.mult(a, b))
-        rhs = f.right_act_vec(f.d(a), E(b)) + f.left_act_vec(E(a), f.d(b))
+        rhs = linear(f.right_act, f.d(a), b) + linear(f.left_act, a, f.d(b))
         return lhs == rhs, (a, b)
 
     report.sweep(
@@ -245,7 +233,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
 
             def actions_colinear(item):
                 a, beta = item
-                lhs = f.rho_vec(f.left_act(a, beta))
+                lhs = linear(f.right_coaction, f.left_act(a, beta))
                 a_pairs = f.algebra_coaction(a).terms.items()
                 f_pairs = f.right_coaction(beta).terms.items()
                 rhs = combine(
@@ -253,7 +241,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
                     for (_, a0, a1), ca in a_pairs
                     for (_, f0, f1), cf in f_pairs
                 )
-                lhs2 = f.rho_vec(f.right_act(beta, a))
+                lhs2 = linear(f.right_coaction, f.right_act(beta, a))
                 rhs2 = combine(
                     (f.right_act(f0, a0).tensor(h.algebra.mult(f1, a1)), cf * ca)
                     for (_, f0, f1), cf in f_pairs
@@ -269,7 +257,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
             )
 
             def d_colinear(a):
-                lhs = f.rho_vec(f.d(a))
+                lhs = linear(f.right_coaction, f.d(a))
                 rhs = combine((f.d(a0).tensor(E(a1)), ca) for (_, a0, a1), ca in f.algebra_coaction(a).terms.items())
                 return lhs == rhs, (a,)
 
@@ -293,7 +281,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
 
             def actions_left_colinear(item):
                 a, beta = item
-                lhs = f.lambda_vec(f.left_act(a, beta))
+                lhs = linear(f.left_coaction, f.left_act(a, beta))
                 a_pairs = f.algebra_left_coaction(a).terms.items()
                 f_pairs = f.left_coaction(beta).terms.items()
                 rhs = combine(
@@ -301,7 +289,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
                     for (_, am1, a0), ca in a_pairs
                     for (_, fm1, f0), cf in f_pairs
                 )
-                lhs2 = f.lambda_vec(f.right_act(beta, a))
+                lhs2 = linear(f.left_coaction, f.right_act(beta, a))
                 rhs2 = combine(
                     (h.algebra.mult(fm1, am1).tensor(f.right_act(f0, a0)), cf * ca)
                     for (_, fm1, f0), cf in f_pairs
@@ -317,7 +305,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
             )
 
             def d_left_colinear(a):
-                lhs = f.lambda_vec(f.d(a))
+                lhs = linear(f.left_coaction, f.d(a))
                 pairs = f.algebra_left_coaction(a).terms.items()
                 rhs = combine((E(am1).tensor(f.d(a0)), ca) for (_, am1, a0), ca in pairs)
                 return lhs == rhs, (a,)
@@ -401,7 +389,7 @@ def woronowicz_from_ideal(spec: IdealCalculusSpec) -> Fodc:
         changed = False
         for b_ix in basis:
             for row in list(ideal.basis()):
-                if ideal.add(alg.mult_vec(E(b_ix), row)):
+                if ideal.add(linear(alg.mult, b_ix, row)):
                     changed = True
 
     # the shifted basis elements e - eps(e) 1 span ker(eps); feeding them to
@@ -429,7 +417,7 @@ def woronowicz_from_ideal(spec: IdealCalculusSpec) -> Fodc:
         return combine(
             (E(("w1", pp, t_ix)), c * cp * ct)
             for c, (a1, a2) in h.sweedler(a_ix, 2)
-            for (_, pp), cp in quotient.project(alg.mult_vec(E(a1), quotient.representatives[p])).terms.items()
+            for (_, pp), cp in quotient.project(linear(alg.mult, a1, quotient.representatives[p])).terms.items()
             for t_ix, ct in alg.mult(a2, hx).terms.items()
         )
 
@@ -446,7 +434,7 @@ def woronowicz_from_ideal(spec: IdealCalculusSpec) -> Fodc:
     witness = None
     for row in ideal.basis():
         image = combine(
-            (alg.mult_vec(E(v1), h.antipode(v3)).tensor(E(v2)), c) for c, (v1, v2, v3) in h.sweedler_vec(row, 3)
+            (linear(alg.mult, v1, h.antipode(v3)).tensor(E(v2)), c) for c, (v1, v2, v3) in h.sweedler_vec(row, 3)
         )
         by_left: dict = {}
         for pair_ix, c in image.terms.items():
@@ -468,11 +456,11 @@ def woronowicz_from_ideal(spec: IdealCalculusSpec) -> Fodc:
         def left_coaction(form_ix):
             _, p, hx = form_ix
             heads = [
-                (c, alg.mult_vec(E(g1), h.antipode(g3)), reduce_to_class(E(g2)))
+                (c, linear(alg.mult, g1, h.antipode(g3)), reduce_to_class(E(g2)))
                 for c, (g1, g2, g3) in h.sweedler_vec(quotient.representatives[p], 3)
             ]
             return combine(
-                (alg.mult_vec(head, E(h1)).tensor(E(("w1", pp, h2))), c * c2 * cp)
+                (linear(alg.mult, head, h1).tensor(E(("w1", pp, h2))), c * c2 * cp)
                 for c, head, cls in heads
                 for c2, (h1, h2) in h.sweedler(hx, 2)
                 for (_, pp), cp in cls.terms.items()
@@ -608,9 +596,6 @@ class TwistedCalculusAction:
     def __post_init__(self):
         memoise_fields(self, "act")
 
-    def act_vec(self, hv: FreeVector, fv: FreeVector) -> FreeVector:
-        return linear(self.act, hv, fv)
-
 
 def check_sigma_twisted_module_calculus(
     b_calc: Fodc,
@@ -637,7 +622,8 @@ def check_sigma_twisted_module_calculus(
 
     def twisted_of_pair(h_ix, a_ix, b_ix):
         return combine(
-            (b_calc.left_act_vec(m.act(h1, a_ix), b_calc.d(m.act(h2, b_ix))), c) for c, (h1, h2) in h.sweedler(h_ix, 2)
+            (linear(b_calc.left_act, m.act(h1, a_ix), b_calc.d(m.act(h2, b_ix))), c)
+            for c, (h1, h2) in h.sweedler(h_ix, 2)
         )
 
     def twisted_of(h_ix, presentation):
@@ -663,9 +649,9 @@ def check_sigma_twisted_module_calculus(
 
     def compatible(item):
         h_ix, a_ix, b_ix = item
-        lhs = action.act_vec(E(h_ix), b_calc.left_act_vec(E(a_ix), b_calc.d(b_ix)))
+        lhs = linear(action.act, h_ix, linear(b_calc.left_act, a_ix, b_calc.d(b_ix)))
         rhs = combine(
-            (b_calc.left_act_vec(m.act(h1, a_ix), action.act_vec(E(h2), b_calc.d(b_ix))), c)
+            (linear(b_calc.left_act, m.act(h1, a_ix), linear(action.act, h2, b_calc.d(b_ix))), c)
             for c, (h1, h2) in h.sweedler(h_ix, 2)
         )
         return lhs == rhs, (h_ix, a_ix, b_ix)
@@ -680,7 +666,7 @@ def check_sigma_twisted_module_calculus(
     def equivariant(pair):
         h_ix, b_ix = pair
         lhs = b_calc.d(m.act(h_ix, b_ix))
-        rhs = action.act_vec(E(h_ix), b_calc.d(b_ix))
+        rhs = linear(action.act, h_ix, b_calc.d(b_ix))
         return lhs == rhs, (h_ix, b_ix)
 
     report.sweep(
@@ -690,7 +676,7 @@ def check_sigma_twisted_module_calculus(
     def d_sigma_zero(pair):
         h_ix, k_ix = pair
         value = b_calc.d(s.sigma(h_ix, k_ix))
-        return value.is_zero(), (h_ix, k_ix, b_calc.d(s.sigma(h_ix, k_ix)))
+        return value.is_zero(), (h_ix, k_ix, value)
 
     report.sweep(
         "dsigma", ((hx, kx) for hx in h_basis for kx in h_basis), d_sigma_zero, windowed=windowed
@@ -708,16 +694,23 @@ def check_sigma_twisted_module_calculus(
     )
 
     def bimodule_unit(f_ix):
-        return action.act_vec(h.algebra.unit, E(f_ix)) == E(f_ix), (f_ix,)
+        return linear(action.act, h.algebra.unit, f_ix) == E(f_ix), (f_ix,)
 
     report.sweep("twisted-bimodule.unit", f_basis, bimodule_unit, windowed=windowed)
 
     def bimodule_sandwich(item):
         h_ix, a_ix, f_ix, b_ix = item
-        inner = b_calc.right_act_vec(b_calc.left_act(a_ix, f_ix), E(b_ix))
-        lhs = action.act_vec(E(h_ix), inner)
+        inner = linear(b_calc.right_act, b_calc.left_act(a_ix, f_ix), b_ix)
+        lhs = linear(action.act, h_ix, inner)
         rhs = combine(
-            (b_calc.right_act_vec(b_calc.left_act_vec(m.act(h1, a_ix), action.act(h2, f_ix)), m.act(h3, b_ix)), c)
+            (
+                linear(
+                    b_calc.right_act,
+                    linear(b_calc.left_act, m.act(h1, a_ix), action.act(h2, f_ix)),
+                    m.act(h3, b_ix),
+                ),
+                c,
+            )
             for c, (h1, h2, h3) in h.sweedler(h_ix, 3)
         )
         return lhs == rhs, (h_ix, a_ix, f_ix, b_ix)
@@ -731,11 +724,12 @@ def check_sigma_twisted_module_calculus(
 
     def bimodule_twist(item):
         h_ix, k_ix, f_ix = item
-        lhs = action.act_vec(E(h_ix), action.act(k_ix, f_ix))
+        lhs = linear(action.act, h_ix, action.act(k_ix, f_ix))
         rhs = combine(
             (
-                b_calc.right_act_vec(
-                    b_calc.left_act_vec(s.sigma(x1, y1), action.act_vec(h.algebra.mult(x2, y2), E(f_ix))),
+                linear(
+                    b_calc.right_act,
+                    linear(b_calc.left_act, s.sigma(x1, y1), linear(action.act, h.algebra.mult(x2, y2), f_ix)),
                     s.sigma_inv(x3, y3),
                 ),
                 c1 * c2,
@@ -758,8 +752,6 @@ def sigma_forces_zero_differential(
     b: AlgebraPresentation,
     sigma_values,
     window: int,
-    d_window: int | None = None,
-    word_window: int | None = None,
 ) -> CheckReport:
     """Execute the forced-zero argument: in the free B-bimodule on formal
     differentials D_k of the basis, the Leibniz relations together with
@@ -767,46 +759,37 @@ def sigma_forces_zero_differential(
     calculus with d of every cocycle value zero kills the whole base.
 
     The algebra unit must be a basis element.  All relation instances
-    and their one-sided B-multiples that stay inside the word window are
-    eliminated exactly; membership of each D_k is then decided by rank.
+    and their one-sided B-multiples whose words stay inside twice the
+    window are eliminated exactly; membership of each D_k is then decided
+    by rank.
     """
     report = CheckReport(example=b.name, suite="forced-zero")
-    d_window = d_window if d_window is not None else 2 * window
-    word_window = word_window if word_window is not None else 2 * window
     if len(b.unit.terms) != 1 or not next(iter(b.unit.terms.values())).is_one():
         raise ValueError("forced-zero derivation needs a monomial unit")
     unit_ix = next(iter(b.unit.terms))
 
-    d_basis = b.basis.enumerate(d_window)
-    d_set = set(d_basis)
-    word_basis = set(b.basis.enumerate(word_window))
+    word_basis = set(b.basis.enumerate(2 * window))
 
     def word(i, k, j):
         return ("bw", i, k, j)
 
     def d_of_vector(v: FreeVector):
         """Formal differential of an algebra element, or None off-window."""
-        out = FreeVector.zero()
-        for ix, c in v.terms.items():
-            if ix not in d_set:
-                return None
-            out = out + E(word(unit_ix, ix, unit_ix)).scale(c)
-        return out
+        if not word_basis.issuperset(v.terms):
+            return None
+        return combine((E(word(unit_ix, ix, unit_ix)), c) for ix, c in v.terms.items())
 
     def pad(rel: FreeVector, p, q):
         """e_p . rel . e_q expanded in words, or None if it leaves the window."""
-        out = FreeVector.zero()
-        for (_, i, k, j), c in rel.terms.items():
-            left = b.mult(p, i)
-            right = b.mult(j, q)
-            for li, cl in left.terms.items():
-                if li not in word_basis:
-                    return None
-                for rj, cr in right.terms.items():
-                    if rj not in word_basis:
-                        return None
-                    out = out + E(word(li, k, rj)).scale(c * cl * cr)
-        return out
+        parts = [(c, b.mult(p, i), k, b.mult(j, q)) for (_, i, k, j), c in rel.terms.items()]
+        if any(left.terms and not word_basis.issuperset({*left.terms, *right.terms}) for _, left, _, right in parts):
+            return None
+        return combine(
+            (E(word(li, k, rj)), c * cl * cr)
+            for c, left, k, right in parts
+            for li, cl in left.terms.items()
+            for rj, cr in right.terms.items()
+        )
 
     relations = []
     window_basis = b.basis.enumerate(window)

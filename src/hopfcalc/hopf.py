@@ -65,13 +65,11 @@ class AlgebraPresentation:
     def __post_init__(self):
         memoise_fields(self, "mult")
 
-    def mult_vec(self, v: FreeVector, w: FreeVector) -> FreeVector:
-        return linear(self.mult, v, w)
-
-    def product(self, *vectors: FreeVector) -> FreeVector:
+    def product(self, *factors) -> FreeVector:
+        """The product of the factors, each a vector or a basis index."""
         out = self.unit
-        for v in vectors:
-            out = self.mult_vec(out, v)
+        for factor in factors:
+            out = linear(self.mult, out, factor)
         return out
 
 
@@ -112,9 +110,6 @@ class HopfData:
 
     def __post_init__(self):
         memoise_fields(self, "comul", "counit", "sweedler")
-
-    def comul_vec(self, v: FreeVector) -> FreeVector:
-        return linear(self.comul, v)
 
     def counit_vec(self, v: FreeVector) -> CycScalar:
         out = CycScalar.zero(self.algebra.scalar_order)
@@ -167,9 +162,6 @@ class ComoduleAlgebra:
     def __post_init__(self):
         memoise_fields(self, "coaction")
 
-    def coaction_vec(self, v: FreeVector) -> FreeVector:
-        return linear(self.coaction, v)
-
     def coaction_terms(self, ix: Index, h_legs: int):
         """rho iterated: (coeff, (a_index, h_1, ..., h_legs)) tuples."""
         out = []
@@ -204,8 +196,8 @@ def check_algebra_axioms(alg: AlgebraPresentation, report: CheckReport, window: 
 
     def assoc(triple):
         i, j, k = triple
-        left = alg.mult_vec(alg.mult(i, j), FreeVector.basis(k))
-        right = alg.mult_vec(FreeVector.basis(i), alg.mult(j, k))
+        left = linear(alg.mult, alg.mult(i, j), k)
+        right = linear(alg.mult, i, alg.mult(j, k))
         return left == right, (i, j, k)
 
     report.sweep(
@@ -217,7 +209,7 @@ def check_algebra_axioms(alg: AlgebraPresentation, report: CheckReport, window: 
 
     def unital(ix):
         e = FreeVector.basis(ix)
-        ok = alg.mult_vec(alg.unit, e) == e and alg.mult_vec(e, alg.unit) == e
+        ok = linear(alg.mult, alg.unit, ix) == e and linear(alg.mult, ix, alg.unit) == e
         return ok, (ix,)
 
     report.sweep(prefix + "algebra.unit", basis, unital, windowed=windowed)
@@ -255,8 +247,8 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
 
     def comul_is_algebra_map(pair):
         i, j = pair
-        lhs = h.comul_vec(alg.mult(i, j))
-        rhs = square.mult_vec(h.comul(i), h.comul(j))
+        lhs = linear(h.comul, alg.mult(i, j))
+        rhs = linear(square.mult, h.comul(i), h.comul(j))
         return lhs == rhs, (i, j)
 
     report.sweep(
@@ -266,7 +258,7 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
         windowed=windowed,
     )
     report.record(
-        "bialgebra.comul-unit", h.comul_vec(alg.unit) == alg.unit.tensor(alg.unit)
+        "bialgebra.comul-unit", linear(h.comul, alg.unit) == alg.unit.tensor(alg.unit)
     )
 
     def counit_is_algebra_map(pair):
@@ -285,8 +277,8 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
 
     def antipode_axiom(ix):
         pairs = h.comul(ix).terms.items()
-        left = combine((alg.mult_vec(h.antipode(i), E(j)), c) for (_, i, j), c in pairs)
-        right = combine((alg.mult_vec(E(i), h.antipode(j)), c) for (_, i, j), c in pairs)
+        left = combine((linear(alg.mult, h.antipode(i), j), c) for (_, i, j), c in pairs)
+        right = combine((linear(alg.mult, i, h.antipode(j)), c) for (_, i, j), c in pairs)
         expected = alg.unit.scale(h.counit(ix))
         return left == expected and right == expected, (ix,)
 
@@ -325,8 +317,8 @@ def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> Che
 
     def algebra_map(pair):
         i, j = pair
-        lhs = m.coaction_vec(alg.mult(i, j))
-        rhs = mixed.mult_vec(m.coaction(i), m.coaction(j))
+        lhs = linear(m.coaction, alg.mult(i, j))
+        rhs = linear(mixed.mult, m.coaction(i), m.coaction(j))
         return lhs == rhs, (i, j)
 
     report.sweep(
@@ -336,7 +328,7 @@ def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> Che
         windowed=windowed,
     )
     report.record(
-        "comodule.unit", m.coaction_vec(alg.unit) == alg.unit.tensor(h.algebra.unit)
+        "comodule.unit", linear(m.coaction, alg.unit) == alg.unit.tensor(h.algebra.unit)
     )
 
     if m.coinvariants is not None:
@@ -344,7 +336,7 @@ def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> Che
 
         def coinvariant(b_ix):
             v = fam.embed(b_ix)
-            ok = m.coaction_vec(v) == v.tensor(h.algebra.unit)
+            ok = linear(m.coaction, v) == v.tensor(h.algebra.unit)
             return ok, (b_ix,)
 
         report.sweep(
@@ -370,7 +362,7 @@ def compute_coinvariants(m: ComoduleAlgebra, name: str = "") -> CoinvariantFamil
         raise RuntimeError("coinvariant basis is not independent")
 
     def mult(i, j):
-        return span.express(m.algebra.mult_vec(span.vectors[i], span.vectors[j]))
+        return span.express(linear(m.algebra.mult, span.vectors[i], span.vectors[j]))
 
     algebra = AlgebraPresentation(
         name=name or f"{m.algebra.name}^co",
@@ -398,10 +390,10 @@ def tensor_square_coalgebra(h: HopfData) -> CoalgebraData:
 
     def comul(pair_ix):
         _, i, j = pair_ix
-        return linear(
-            lambda p1, p2: E(tensor_index(tensor_index(p1[1], p2[1]), tensor_index(p1[2], p2[2]))),
-            h.comul(i),
-            h.comul(j),
+        return combine(
+            (E(tensor_index(tensor_index(i1, j1), tensor_index(i2, j2))), ci * cj)
+            for (_, i1, i2), ci in h.comul(i).terms.items()
+            for (_, j1, j2), cj in h.comul(j).terms.items()
         )
 
     return CoalgebraData(comul=comul, counit=lambda ix: h.counit(ix[1]) * h.counit(ix[2]))
@@ -444,13 +436,13 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
             while True:
                 domain = algebra.basis.enumerate(grown)
                 try:
-                    sol = LinearSolver(LinOp(lambda j: algebra.mult_vec(fv, FreeVector.basis(j))), domain).solve(algebra.unit)
+                    sol = LinearSolver(LinOp(lambda j: linear(algebra.mult, fv, j)), domain).solve(algebra.unit)
                     break
                 except NoSolution:
                     if grown is None or grown >= 4 * (window or 1):
                         raise NotInvertible(ix) from None
                     grown += window
-            if not algebra.mult_vec(sol, fv) == algebra.unit:
+            if not linear(algebra.mult, sol, fv) == algebra.unit:
                 raise NotInvertible(ix)
             return sol
 
@@ -462,15 +454,14 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
 
         def column(u_ix):
             _, cj, ak = u_ix
-            unit_vec = FreeVector.basis(ak)
 
             def parts():
                 for ci in c_basis:
                     for coeff, (c1, c2) in pairs[ci]:
                         if c2 == cj:
-                            yield algebra.mult_vec(f(c1), unit_vec).map_indices(lambda a: ("L", ci, a)), coeff
+                            yield linear(algebra.mult, f(c1), ak).map_indices(lambda a: ("L", ci, a)), coeff
                         if c1 == cj:
-                            yield algebra.mult_vec(unit_vec, f(c2)).map_indices(lambda a: ("R", ci, a)), coeff
+                            yield linear(algebra.mult, ak, f(c2)).map_indices(lambda a: ("R", ci, a)), coeff
 
             return combine(parts())
 
@@ -497,8 +488,8 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
 
     # verify both convolution identities on every checked basis element
     for ci in c_basis:
-        left = combine((algebra.mult_vec(f(c1), g(c2)), coeff) for coeff, (c1, c2) in pairs[ci])
-        right = combine((algebra.mult_vec(g(c1), f(c2)), coeff) for coeff, (c1, c2) in pairs[ci])
+        left = combine((linear(algebra.mult, f(c1), g(c2)), coeff) for coeff, (c1, c2) in pairs[ci])
+        right = combine((linear(algebra.mult, g(c1), f(c2)), coeff) for coeff, (c1, c2) in pairs[ci])
         expected = algebra.unit.scale(coa.counit(ci))
         if not (left == expected and right == expected):
             raise NotInvertible(ci)
@@ -665,28 +656,28 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
         _, l, mm = i
         out = square.unit
         for _ in range(l):
-            out = square.mult_vec(out, comul_gen[a])
+            out = linear(square.mult, out, comul_gen[a])
         for _ in range(mm):
-            out = square.mult_vec(out, comul_gen[x])
+            out = linear(square.mult, out, comul_gen[x])
         return out
 
     def counit(i):
         return one if i[2] == 0 else CycScalar.zero(so)
 
     # solve the antipode axiom on the generators
-    def right_mult_by(v):
-        return LinOp(lambda i: algebra.mult_vec(FreeVector.basis(i), v))
+    def right_mult_by(jx):
+        return LinOp(lambda i: algebra.mult(i, jx))
 
-    s_a = LinearSolver(right_mult_by(FreeVector.basis(a)), basis_ix).solve(algebra.unit)
-    s_x = LinearSolver(right_mult_by(FreeVector.basis(ix(r, 0))), basis_ix).solve(-FreeVector.basis(x))
+    s_a = LinearSolver(right_mult_by(a), basis_ix).solve(algebra.unit)
+    s_x = LinearSolver(right_mult_by(ix(r, 0)), basis_ix).solve(-FreeVector.basis(x))
 
     def antipode_ix(i):
         _, l, mm = i
         out = algebra.unit
         for _ in range(mm):
-            out = algebra.mult_vec(out, s_x)
+            out = linear(algebra.mult, out, s_x)
         for _ in range(l):
-            out = algebra.mult_vec(out, s_a)
+            out = linear(algebra.mult, out, s_a)
         return out
 
     antipode = LinOp(antipode_ix, name="S")

@@ -12,6 +12,7 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Iterable, Optional
 
 from hopfcalc.scalars import CycScalar
@@ -223,28 +224,46 @@ def combine(pairs: Iterable[tuple[FreeVector, CycScalar]]) -> FreeVector:
     return first if data is None else _wrap(data)
 
 
-def linear(fn: Callable[..., FreeVector], v: FreeVector, w: Optional[FreeVector] = None) -> FreeVector:
-    """The linear extension of fn, a map on basis indices, at v, or its bilinear one at (v, w).
+def linear(fn: Callable[..., FreeVector], *args) -> FreeVector:
+    """The extension of fn, a map on basis indices, that is linear in each vector argument.
 
-    fn(i, j) is weighted by ci * cj and summed by `combine` in the order of
-    nested loops over the vectors' terms, v outermost.  A single term is
-    returned as fn(...).scale(c), which has the same terms, order and
-    scalars as `combine` of one pair; no term gives the zero vector, which
+    Each FreeVector argument is a slot that runs over its terms; every other
+    argument, such as an index or a degree, is passed to fn as it is.  The
+    images are taken in the order of nested loops over the slots, the
+    leftmost outermost, each weighted by the product of its slot
+    coefficients taken left to right, and summed by `combine`.  With no
+    vector argument this is fn(*args).  With one, a single term is returned
+    as fn(...).scale(c), which has the same terms, order and scalars as
+    `combine` of one pair, and no term gives the zero vector at once, which
     over a quarter of the calls in a radford verification meet.
     """
-    if not v.terms or (w is not None and not w.terms):
+    k = None
+    for i, a in enumerate(args):
+        if type(a) is FreeVector:
+            if k is not None:
+                slots = [j for j, b in enumerate(args) if type(b) is FreeVector]
+                picks = product(*(args[j].terms.items() for j in slots))
+                return combine(_images(fn, list(args), slots, picks))
+            k = i
+    if k is None:
+        return fn(*args)
+    terms = args[k].terms
+    if not terms:
         return _ZERO
-    if w is None:
-        if len(v.terms) == 1:
-            (ix, c), = v.terms.items()
-            return fn(ix).scale(c)
-        return combine((fn(ix), c) for ix, c in v.terms.items())
-    if len(v.terms) == 1 and len(w.terms) == 1:
-        (i, ci), = v.terms.items()
-        (j, cj), = w.terms.items()
-        return fn(i, j).scale(ci * cj)
-    right = w.terms.items()
-    return combine((fn(i, j), ci * cj) for i, ci in v.terms.items() for j, cj in right)
+    cells = list(args)
+    if len(terms) == 1:
+        (cells[k], c), = terms.items()
+        return fn(*cells).scale(c)
+    return combine((fn(*cells), c) for cells[k], c in terms.items())
+
+
+def _images(fn, cells, slots, picks):
+    """(fn with each pick of terms put in its slots, the product of the picked coefficients)."""
+    for pick in picks:
+        c = None
+        for k, (cells[k], ck) in zip(slots, pick):
+            c = ck if c is None else c * ck
+        yield fn(*cells), c
 
 
 def memoise(fn):
@@ -359,9 +378,8 @@ class Subspace:
     """Span of finitely many vectors, held in reduced echelon form."""
 
     def __init__(self, generators: Iterable[FreeVector] = ()):
-        self.generators = list(generators)
         self._ech = _Echelon()
-        for g in self.generators:
+        for g in generators:
             self._ech.insert(g)
 
     @property
@@ -379,10 +397,7 @@ class Subspace:
 
     def add(self, v: FreeVector) -> bool:
         """Grow the span; True if v was independent."""
-        grew = self._ech.insert(v)
-        if grew:
-            self.generators.append(v)
-        return grew
+        return self._ech.insert(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis())
@@ -518,7 +533,7 @@ class QuotientSpace:
 
     def lift(self, class_vector: FreeVector) -> FreeVector:
         """A representative vector for a combination of class indices."""
-        return linear(lambda cls: self.representatives[cls[1]], class_vector)
+        return combine((self.representatives[i], c) for (_, i), c in class_vector.terms.items())
 
 
 def intersection_dim(u: Subspace, v: Subspace) -> int:

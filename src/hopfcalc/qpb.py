@@ -50,7 +50,7 @@ class CoinvariantForms(TrackedSpan):
         """h -> S(h_1) d(h_2), over the coinvariant labels."""
         h, calc = self.h_calc.hopf, self.h_calc
         return self.express(
-            combine((calc.left_act_vec(h.antipode(h1), calc.d(h2)), c) for c, (h1, h2) in h.sweedler_vec(h_vec, 2))
+            combine((linear(calc.left_act, h.antipode(h1), calc.d(h2)), c) for c, (h1, h2) in h.sweedler_vec(h_vec, 2))
         )
 
 
@@ -98,9 +98,9 @@ def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantFor
 class VerticalData:
     cf: CrossedFodc
     coinv: CoinvariantForms
-    ver: Callable[[FreeVector], FreeVector]
-    p: Callable[[FreeVector], FreeVector]
-    g: Callable[[FreeVector], FreeVector]
+    ver: LinOp
+    p: LinOp
+    g: LinOp
     report: CheckReport
 
     def target_basis(self, window: int | None = None) -> list[Index]:
@@ -133,34 +133,22 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     report = CheckReport(example=cf.crossed.algebra.name, suite="vertical-map")
     windowed = not cf.crossed.algebra.basis.is_finite
 
-    @memoise
     def p_ix(ver_ix):
         """b (x) gamma -> (b (x) gamma_-2) (x) [S(gamma_-1) gamma_0]."""
         _, bx, hf = ver_ix
         return combine(
             (E(tensor_index(tensor_index(bx, g_m2), label)), cl * cc)
             for cl, (g_m2, g_m1, g0) in cf.h_calc.lambda_terms(hf, 2)
-            for label, cc in coinv.express(cf.h_calc.left_act_vec(h.antipode(g_m1), E(g0))).terms.items()
+            for label, cc in coinv.express(linear(cf.h_calc.left_act, h.antipode(g_m1), g0)).terms.items()
         )
 
-    def ver_ix(form_ix):
-        return p_ix(form_ix) if form_ix[0] == "ver" else FreeVector.zero()
-
-    @memoise
     def g_ix(t_ix):
         _, (_, bx, hx), label = t_ix
-        return ver(E(bx), cf.h_calc.left_act_vec(E(hx), coinv.vectors[label]))
+        return ver(E(bx), linear(cf.h_calc.left_act, hx, coinv.vectors[label]))
 
-    def p_vec(ver_vec: FreeVector) -> FreeVector:
-        return linear(p_ix, ver_vec)
-
-    def ver_map(form_vec: FreeVector) -> FreeVector:
-        return linear(ver_ix, form_vec)
-
-    def g_vec(target_vec: FreeVector) -> FreeVector:
-        return linear(g_ix, target_vec)
-
-    vd = VerticalData(cf=cf, coinv=coinv, ver=ver_map, p=p_vec, g=g_vec, report=report)
+    p, g = LinOp(p_ix, name="p"), LinOp(g_ix, name="g")
+    ver_map = LinOp(lambda form_ix: p(form_ix) if form_ix[0] == "ver" else FreeVector.zero(), name="ver")
+    vd = VerticalData(cf=cf, coinv=coinv, ver=ver_map, p=p, g=g, report=report)
 
     b_basis = cf.crossed.base.basis.enumerate(window)
     h_forms = cf.h_calc.forms.enumerate(window)
@@ -168,7 +156,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     def gp_identity(item):
         bx, hf = item
         v = ver(E(bx), E(hf))
-        return g_vec(p_vec(v)) == v, (bx, hf)
+        return g(p(v)) == v, (bx, hf)
 
     report.sweep(
         "vertical.g-after-p",
@@ -182,7 +170,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     def pg_identity(item):
         pair_ix, label = item
         v = E(tensor_index(pair_ix, label))
-        return p_vec(g_vec(v)) == v, (pair_ix, label)
+        return p(g(v)) == v, (pair_ix, label)
 
     report.sweep(
         "vertical.p-after-g",
@@ -198,7 +186,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
         lhs = ver_map(cf.left_act(pair_ix, form_ix))
         rhs = combine(
             (E(tensor_index(jx, label)), c * cj)
-            for (_, inner_pair, label), c in ver_map(E(form_ix)).terms.items()
+            for (_, inner_pair, label), c in ver_map(form_ix).terms.items()
             for jx, cj in cf.crossed.algebra.mult(pair_ix, inner_pair).terms.items()
         )
         return lhs == rhs, (pair_ix, form_ix)
@@ -215,10 +203,10 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
 
     def colinear(form_ix):
         # (ver (x) id) rho' against the diagonal coaction applied to ver
-        lhs = combine((ver_map(E(f0)).tensor(E(h1)), c) for (_, f0, h1), c in cf.right_coaction(form_ix).terms.items())
+        lhs = combine((ver_map(f0).tensor(E(h1)), c) for (_, f0, h1), c in cf.right_coaction(form_ix).terms.items())
         rhs = combine(
             (E(tensor_index(tensor_index(tensor_index(bx, h1), lab), t_ix)), c * c2 * c3 * ct)
-            for (_, (_, bx, hx), label), c in ver_map(E(form_ix)).terms.items()
+            for (_, (_, bx, hx), label), c in ver_map(form_ix).terms.items()
             for c2, (h1, h2) in h.sweedler(hx, 2)
             for (_, lab, h3), c3 in coh_coaction[label].terms.items()
             for t_ix, ct in h.algebra.mult(h2, h3).terms.items()
@@ -251,7 +239,7 @@ def _coinvariant_coaction(coinv: CoinvariantForms):
     unstable = None
     for label in coinv.labels:
         by_h = {}
-        for (_, f0, h1), c in coinv.h_calc.rho_vec(coinv.vectors[label]).terms.items():
+        for (_, f0, h1), c in linear(coinv.h_calc.right_coaction, coinv.vectors[label]).terms.items():
             by_h.setdefault(h1, {})[f0] = c
         try:
             table[label] = combine(
@@ -269,18 +257,17 @@ def check_atiyah_exact(
     vd: VerticalData,
     higher: GradedDc | None = None,
     h_graded: GradedDc | None = None,
-    max_degree: int = 1,
     window: int | None = None,
 ) -> CheckReport:
     """Exactness of the vertical sequence: kernel of ver equals the
     horizontal forms and ver is surjective (through the section g); with
-    graded data the same is done for the degree-n vertical maps."""
+    graded data the same is done for the degree-2 vertical map."""
     cf = vd.cf
     report = CheckReport(example=cf.crossed.algebra.name, suite="atiyah")
     windowed = not cf.crossed.algebra.basis.is_finite
     form_basis = cf.forms.enumerate(window)
 
-    solver = LinearSolver(LinOp(lambda ix: vd.ver(E(ix))), form_basis)
+    solver = LinearSolver(vd.ver, form_basis)
     kernel = solver.kernel()
     hor_indices = set(cf.horizontal_window(window))
     ker_in_hor, outside = True, None
@@ -289,7 +276,7 @@ def check_atiyah_exact(
             ker_in_hor, outside = False, witness(vec)
             break
     report.record("atiyah.kernel-in-horizontal", ker_in_hor, witness=outside, windowed=windowed)
-    hor_in_ker = all(vd.ver(E(ix)).is_zero() for ix in cf.horizontal_window(window))
+    hor_in_ker = all(vd.ver(ix).is_zero() for ix in cf.horizontal_window(window))
     report.record("atiyah.horizontal-in-kernel", hor_in_ker, windowed=windowed)
     if not windowed:
         expected = len(cf.horizontal_window(None))
@@ -302,71 +289,69 @@ def check_atiyah_exact(
     target = vd.target_basis(window)
 
     def onto(ix):
-        return vd.ver(vd.g(E(ix))) == E(ix), (ix,)
+        return vd.ver(vd.g(ix)) == E(ix), (ix,)
 
     report.sweep("atiyah.surjective-via-section", target, onto, windowed=windowed)
 
-    if higher is not None and h_graded is not None:
-        h = cf.crossed.hopf
-        unit_h = h.algebra.unit
-        for degree in range(2, max_degree + 1):
-            basis_n = higher.basis(degree, window)
+    if higher is None or h_graded is None:
+        return report
+    h = cf.crossed.hopf
+    unit_h = h.algebra.unit
+    degree = 2
+    basis_n = higher.basis(degree, window)
 
-            # left-coinvariant degree-n structure forms
-            def defect(ixf, degree=degree):
-                return h_graded.left_coaction(degree, ixf) - unit_h.tensor(E(ixf))
+    # left-coinvariant degree-n structure forms
+    def defect(ixf):
+        return h_graded.left_coaction(degree, ixf) - unit_h.tensor(E(ixf))
 
-            coh_n = LinearSolver(LinOp(defect), h_graded.basis(degree, window)).kernel()
-            coh_span = TrackedSpan((("cohn", i), v) for i, v in enumerate(coh_n.basis()))
+    coh_n = LinearSolver(LinOp(defect), h_graded.basis(degree, window)).kernel()
+    coh_span = TrackedSpan((("cohn", i), v) for i, v in enumerate(coh_n.basis()))
 
-            def ver_n(gix, degree=degree):
-                _, bdeg, bp, hp = gix
-                if bdeg != 0:
-                    return FreeVector.zero()
-                return combine(
-                    (E(tensor_index(tensor_index(bp, g_m2), label)), c * cc)
-                    for c, (g_m2, g_m1, g0) in h_graded.lambda_terms(degree, hp, 2)
-                    for moved in [h_graded.wedge_vec(0, h.antipode(g_m1), degree, E(g0))]
-                    for label, cc in coh_span.express(moved).terms.items()
-                )
+    def ver_n(gix):
+        _, bdeg, bp, hp = gix
+        if bdeg != 0:
+            return FreeVector.zero()
+        return combine(
+            (E(tensor_index(tensor_index(bp, g_m2), label)), c * cc)
+            for c, (g_m2, g_m1, g0) in h_graded.lambda_terms(degree, hp, 2)
+            for label, cc in coh_span.express(linear(h_graded.wedge, 0, h.antipode(g_m1), degree, g0)).terms.items()
+        )
 
-            kernel_n = LinearSolver(LinOp(ver_n), basis_n).kernel()
+    kernel_n = LinearSolver(LinOp(ver_n), basis_n).kernel()
 
-            # horizontal part at degree n: Omega^1(B) wedge Omega^(n-1)
-            wedge_span = Subspace()
-            b_forms = vd.cf.b_calc.forms.enumerate(window)
-            one_h = h.algebra.unit
-            lower = higher.basis(degree - 1, window)
-            for bf in b_forms:
-                base_form = combine((E(("gf", 1, bf, u_ix)), cu) for u_ix, cu in one_h.terms.items())
-                for low in lower:
-                    wedge_span.add(higher.wedge_vec(1, base_form, degree - 1, E(low)))
+    # horizontal part at degree n: Omega^1(B) wedge Omega^(n-1)
+    wedge_span = Subspace()
+    lower = higher.basis(degree - 1, window)
+    for bf in vd.cf.b_calc.forms.enumerate(window):
+        base_form = combine((E(("gf", 1, bf, u_ix)), cu) for u_ix, cu in unit_h.terms.items())
+        for low in lower:
+            wedge_span.add(linear(higher.wedge, 1, base_form, degree - 1, low))
 
-            ker_vs_wedge = kernel_n == wedge_span if not windowed else (
-                all(wedge_span.contains(v) for v in kernel_n.basis())
-                and all(kernel_n.contains(v) for v in wedge_span.basis())
-            )
-            report.record(
-                f"atiyah.degree-{degree}.kernel-is-wedge",
-                ker_vs_wedge,
-                witness=f"kernel dim {kernel_n.dim}, wedge dim {wedge_span.dim}",
-                windowed=windowed,
-            )
+    ker_vs_wedge = kernel_n == wedge_span if not windowed else (
+        all(wedge_span.contains(v) for v in kernel_n.basis())
+        and all(kernel_n.contains(v) for v in wedge_span.basis())
+    )
+    report.record(
+        f"atiyah.degree-{degree}.kernel-is-wedge",
+        ker_vs_wedge,
+        witness=f"kernel dim {kernel_n.dim}, wedge dim {wedge_span.dim}",
+        windowed=windowed,
+    )
 
-            target_n = [
-                tensor_index(a, label) for a in cf.crossed.algebra.basis.enumerate(window) for label in coh_span.labels
-            ]
+    target_n = [
+        tensor_index(a, label) for a in cf.crossed.algebra.basis.enumerate(window) for label in coh_span.labels
+    ]
 
-            def g_n(ix, degree=degree):
-                _, pair_ix, label = ix
-                _, bx, hx = pair_ix
-                moved = h_graded.wedge_vec(0, E(hx), degree, coh_span.vectors[label])
-                return combine((E(("gf", 0, bx, hp)), ch) for hp, ch in moved.terms.items())
+    def g_n(ix):
+        _, pair_ix, label = ix
+        _, bx, hx = pair_ix
+        moved = linear(h_graded.wedge, 0, hx, degree, coh_span.vectors[label])
+        return combine((E(("gf", 0, bx, hp)), ch) for hp, ch in moved.terms.items())
 
-            def onto_n(ix):
-                return linear(ver_n, g_n(ix)) == E(ix), (ix,)
+    def onto_n(ix):
+        return linear(ver_n, g_n(ix)) == E(ix), (ix,)
 
-            report.sweep(f"atiyah.degree-{degree}.surjective", target_n, onto_n, windowed=windowed)
+    report.sweep(f"atiyah.degree-{degree}.surjective", target_n, onto_n, windowed=windowed)
     return report
 
 
@@ -395,12 +380,12 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
     def colinear(t_ix):
         _, pair_ix, label = t_ix
         _, bx, hx = pair_ix
-        lhs = cf.rho_vec(vd.g(E(t_ix))).map_indices(lambda ix: ("vt2", ix[1], ix[2]))
+        lhs = linear(cf.right_coaction, vd.g(t_ix)).map_indices(lambda ix: ("vt2", ix[1], ix[2]))
         rhs = combine(
             (E(("vt2", f_ix, t_ix2)), c2 * c3 * ct * cfm)
             for c2, (h1, h2) in h.sweedler(hx, 2)
             for (_, lab, h3), c3 in coh_coaction[label].terms.items()
-            for inner in [vd.g(E(tensor_index(tensor_index(bx, h1), lab)))]
+            for inner in [vd.g(tensor_index(tensor_index(bx, h1), lab))]
             for t_ix2, ct in h.algebra.mult(h2, h3).terms.items()
             for f_ix, cfm in inner.terms.items()
         )
@@ -441,7 +426,7 @@ def _check_splitting(report: CheckReport, vd: VerticalData, c_map, window: int |
     def left_linear(item):
         pair_ix, t_ix = item
         lhs = c_map(_left_multiple(cf, pair_ix, t_ix))
-        rhs = cf.left_act_vec(E(pair_ix), c_map(E(t_ix)))
+        rhs = linear(cf.left_act, pair_ix, c_map(E(t_ix)))
         return lhs == rhs, (pair_ix, t_ix)
 
     report.sweep(
@@ -464,7 +449,7 @@ def check_connection(vd: VerticalData, connection: Connection, window: int | Non
     form_basis = cf.forms.enumerate(window)
 
     def projector(form_ix):
-        v = vd.ver(E(form_ix))
+        v = vd.ver(form_ix)
         pi = connection.c(v)
         idempotent = connection.c(vd.ver(pi)) == pi
         horizontal_killed = pi.is_zero() if v.is_zero() else True
@@ -474,7 +459,7 @@ def check_connection(vd: VerticalData, connection: Connection, window: int | Non
 
     if not windowed:
         solver = LinearSolver(
-            LinOp(lambda ix: connection.c(vd.ver(E(ix)))), form_basis
+            LinOp(lambda ix: connection.c(vd.ver(ix))), form_basis
         )
         hor_dim = len(cf.horizontal_window(window))
         report.record(
@@ -517,6 +502,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     if not cp.algebra.basis.is_finite:
         raise ValueError("associated bundles are computed for finite-dimensional total algebras")
     report = CheckReport(example=cp.algebra.name, suite="covariant-derivative")
+    embed = cp.comodule.coinvariants.embed
     a_basis = cp.algebra.basis.enumerate()
     pair_v = [tensor_index(a, v) for a in a_basis for v in v_comodule.labels]
 
@@ -540,7 +526,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         out = combine(
             (E(tensor_index(jx, v_ix)), c * cj)
             for (_, pair_ix, v_ix), c in e_span.vectors[e_label].terms.items()
-            for jx, cj in cp.algebra.mult_vec(E(b_ix).tensor(h.algebra.unit), E(pair_ix)).terms.items()
+            for jx, cj in linear(cp.algebra.mult, embed(b_ix), pair_ix).terms.items()
         )
         return e_span.express(out)
 
@@ -549,7 +535,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         out = combine(
             (E(tensor_index(jx, v_ix)), c * cj)
             for (_, pair_ix, v_ix), c in e_span.vectors[e_label].terms.items()
-            for jx, cj in cp.algebra.mult_vec(E(pair_ix), E(b_ix).tensor(h.algebra.unit)).terms.items()
+            for jx, cj in linear(cp.algebra.mult, pair_ix, embed(b_ix)).terms.items()
         )
         return e_span.express(out)
 
@@ -571,9 +557,6 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     def balanced_class(f_ix, el):
         return balanced.project(E(tensor_index(f_ix, el)))
 
-    def to_balanced(form_vec: FreeVector, e_coeffs: FreeVector) -> FreeVector:
-        return linear(balanced_class, form_vec, e_coeffs)
-
     @memoise
     def unit_section(hx, v_ix):
         """Coordinates of 1 (x) hx (x) v_ix over the associated bundle basis."""
@@ -581,13 +564,20 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
 
     def nabla(e_label):
         return combine(
-            (to_balanced(cf.b_calc.d(bx), unit_section(hx, v_ix)), c)
+            (linear(balanced_class, cf.b_calc.d(bx), unit_section(hx, v_ix)), c)
             for (_, (_, bx, hx), v_ix), c in e_span.vectors[e_label].terms.items()
         )
 
     def sigma_e(e_label, b_form_ix):
         return combine(
-            (to_balanced(cf.b_calc.left_act_vec(E(bx), cf.b_action.act(h1, b_form_ix)), unit_section(h2, v_ix)), c * c1)
+            (
+                linear(
+                    balanced_class,
+                    linear(cf.b_calc.left_act, bx, cf.b_action.act(h1, b_form_ix)),
+                    unit_section(h2, v_ix),
+                ),
+                c * c1,
+            )
             for (_, (_, bx, hx), v_ix), c in e_span.vectors[e_label].terms.items()
             for c1, (h1, h2) in h.sweedler(hx, 2)
         )
@@ -620,19 +610,10 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
             )
         )
 
-    def nabla_vec(coeffs: FreeVector) -> FreeVector:
-        return linear(nabla, coeffs)
-
-    def sigma_e_vec(e_coeffs: FreeVector, f_ix) -> FreeVector:
-        return linear(lambda el: sigma_e(el, f_ix), e_coeffs)
-
-    def sigma_e_of(e_label, form_vec: FreeVector) -> FreeVector:
-        return linear(lambda f_ix: sigma_e(e_label, f_ix), form_vec)
-
     def left_leibniz(item):
         b_ix, e_label = item
-        lhs = nabla_vec(b_act_left(b_ix, e_label))
-        rhs = to_balanced(cf.b_calc.d(b_ix), E(e_label)) + balanced_left_act(b_ix, nabla(e_label))
+        lhs = linear(nabla, b_act_left(b_ix, e_label))
+        rhs = linear(balanced_class, cf.b_calc.d(b_ix), e_label) + balanced_left_act(b_ix, nabla(e_label))
         return lhs == rhs, (b_ix, e_label)
 
     report.sweep(
@@ -643,8 +624,8 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
 
     def right_leibniz(item):
         e_label, b_ix = item
-        lhs = nabla_vec(b_act_right(e_label, b_ix))
-        rhs = sigma_e_of(e_label, cf.b_calc.d(b_ix)) + balanced_right_act(nabla(e_label), b_ix)
+        lhs = linear(nabla, b_act_right(e_label, b_ix))
+        rhs = linear(sigma_e, e_label, cf.b_calc.d(b_ix)) + balanced_right_act(nabla(e_label), b_ix)
         return lhs == rhs, (e_label, b_ix)
 
     report.sweep(
@@ -656,9 +637,9 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     def sigma_bimodule(item):
         b_ix, e_label, f_ix = item
         lhs = balanced_left_act(b_ix, sigma_e(e_label, f_ix))
-        ok1 = lhs == sigma_e_vec(b_act_left(b_ix, e_label), f_ix)
+        ok1 = lhs == linear(sigma_e, b_act_left(b_ix, e_label), f_ix)
         lhs2 = balanced_right_act(sigma_e(e_label, f_ix), b_ix)
-        ok2 = lhs2 == sigma_e_of(e_label, cf.b_calc.right_act(f_ix, b_ix))
+        ok2 = lhs2 == linear(sigma_e, e_label, cf.b_calc.right_act(f_ix, b_ix))
         return ok1 and ok2, (b_ix, e_label, f_ix)
 
     report.sweep(
@@ -669,8 +650,8 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
 
     def sigma_balance(item):
         e_label, b_ix, f_ix = item
-        lhs = sigma_e_vec(b_act_right(e_label, b_ix), f_ix)
-        rhs = sigma_e_of(e_label, cf.b_calc.left_act(b_ix, f_ix))
+        lhs = linear(sigma_e, b_act_right(e_label, b_ix), f_ix)
+        rhs = linear(sigma_e, e_label, cf.b_calc.left_act(b_ix, f_ix))
         return lhs == rhs, (e_label, b_ix, f_ix)
 
     report.sweep(
@@ -682,8 +663,8 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     # uniqueness: sigma rebuilt from the right Leibniz law matches the formula
     def sigma_unique(item):
         e_label, b_ix = item
-        rebuilt = nabla_vec(b_act_right(e_label, b_ix)) - balanced_right_act(nabla(e_label), b_ix)
-        direct = sigma_e_of(e_label, cf.b_calc.d(b_ix))
+        rebuilt = linear(nabla, b_act_right(e_label, b_ix)) - balanced_right_act(nabla(e_label), b_ix)
+        direct = linear(sigma_e, e_label, cf.b_calc.d(b_ix))
         return rebuilt == direct, (e_label, b_ix)
 
     report.sweep(
@@ -703,7 +684,9 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         if any(f_ix[0] != "hor" for f_ix, _, _ in horizontal):
             return False, (e_label,)
         try:
-            got = combine((to_balanced(E(bf), unit_section(hx, v_ix)), c) for (_, bf, hx), v_ix, c in horizontal)
+            got = combine(
+                (linear(balanced_class, bf, unit_section(hx, v_ix)), c) for (_, bf, hx), v_ix, c in horizontal
+            )
         except NoSolution:
             return False, (e_label,)
         return got == nabla(e_label), (e_label,)
@@ -856,7 +839,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
     def left_linear(item):
         tan, pair_ix, form_ix = item
         lhs = fields[tan](cf.left_act(pair_ix, form_ix))
-        rhs = cf.crossed.algebra.mult_vec(E(pair_ix), fields[tan](E(form_ix)))
+        rhs = linear(cf.crossed.algebra.mult, pair_ix, fields[tan](E(form_ix)))
         return lhs == rhs, (tan, pair_ix, form_ix)
 
     report.sweep(
@@ -873,7 +856,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
     for coh in coinv.labels:
         lifted = ver(cf.crossed.base.unit, coinv.lift(E(coh)))
         for pair_ix in a_basis:
-            spanned.add(cf.left_act_vec(E(pair_ix), lifted))
+            spanned.add(linear(cf.left_act, pair_ix, lifted))
     report.sweep("field.unique", form_basis, lambda fx: (spanned.contains(E(fx)), (fx,)), windowed=windowed)
     return tangent, fields, report
 
@@ -907,7 +890,7 @@ def connection_form_bijection(
     def to_connection(phi: ConnectionForm) -> Connection:
         def c_map(target_vec: FreeVector) -> FreeVector:
             return combine(
-                (cf.left_act_vec(E(pair_ix), phi.coeffs[tan]), c * weight)
+                (linear(cf.left_act, pair_ix, phi.coeffs[tan]), c * weight)
                 for (_, pair_ix, label), c in target_vec.terms.items()
                 for tan in tangent.labels
                 for weight in [tangent.pair(tan, label)]
@@ -931,7 +914,7 @@ def connection_form_bijection(
             (E(("cfw", tan0, f0, t_ix)), c * c2 * ct)
             for tan in tangent.labels
             for (_, tan0, h1), c in tangent.coaction[tan].terms.items()
-            for (_, f0, h2), c2 in cf.rho_vec(phi.coeffs[tan]).terms.items()
+            for (_, f0, h2), c2 in linear(cf.right_coaction, phi.coeffs[tan]).terms.items()
             for t_ix, ct in h.algebra.mult(h1, h2).terms.items()
         )
         unit_ix = _unit_index(h)

@@ -53,14 +53,14 @@ class CheckReport:
             return self.add(identity, SAMPLED, witness)
         return self.add(identity, WINDOWED if windowed else PASS, witness)
 
-    def sweep(self, identity: str, items, test, windowed: bool = False, sampled: bool = False):
+    def sweep(self, identity: str, items, test, windowed: bool = False):
         """Run test over items; test returns (ok, witness parts), and the
         parts of the first failure are formatted into the witness."""
         for item in items:
             ok, parts = test(item)
             if not ok:
                 return self.add(identity, FAIL, witness(*parts))
-        return self.record(identity, True, windowed=windowed, sampled=sampled)
+        return self.record(identity, True, windowed=windowed)
 
     def extend(self, other: "CheckReport", prefix: str = ""):
         for check in other.checks:

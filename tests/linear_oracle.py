@@ -49,15 +49,25 @@ def reference_combine(pairs):
     return out
 
 
-def reference_linear(fn, *vectors):
-    """The loops of the pre-kernel `*_vec` bodies (`comul_vec`, `mult_vec`, ...)."""
+def reference_linear(fn, *args):
+    """The nested loops of the pre-kernel `*_vec` bodies (`comul_vec`,
+    `mult_vec`, ...), run over every vector argument, the leftmost
+    outermost, with every other argument passed to fn as it is.  Each image
+    is scaled by the product of its coefficients taken left to right."""
     out = OracleVector({})
-    if len(vectors) == 1:
-        for ix, c in vectors[0].terms.items():
-            out = out + OracleVector(fn(ix).terms).scale(c)
-        return out
-    v, w = vectors
-    for i, ci in v.terms.items():
-        for j, cj in w.terms.items():
-            out = out + OracleVector(fn(i, j).terms).scale(ci * cj)
+
+    def walk(picked, coeffs, rest):
+        nonlocal out
+        if not rest:
+            c = coeffs[0]
+            for ck in coeffs[1:]:
+                c = c * ck
+            out = out + OracleVector(fn(*picked).terms).scale(c)
+        elif hasattr(rest[0], "terms"):
+            for ix, c in rest[0].terms.items():
+                walk(picked + (ix,), coeffs + (c,), rest[1:])
+        else:
+            walk(picked + (rest[0],), coeffs, rest[1:])
+
+    walk((), (), args)
     return out

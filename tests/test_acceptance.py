@@ -141,7 +141,7 @@ def test_criterion_02_torus_closed_forms_and_forced_zero(torus):
 
 def test_criterion_03_atiyah_exactness(radford, torus):
     rc, vd = radford
-    report = check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded, max_degree=2)
+    report = check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded)
     assert report.ok
     assert report.get("atiyah.kernel-rank").witness == "kernel dim 8, horizontal dim 8"
     assert report.get("atiyah.degree-2.kernel-is-wedge").status == "pass"
@@ -240,7 +240,7 @@ def test_criterion_08_necessity_witnesses(radford, torus):
 
 def test_criterion_09_higher_forms(radford):
     rc, _ = radford
-    report = check_graded_dc(rc.higher, max_total=2)
+    report = check_graded_dc(rc.higher)
     assert report.ok
     for name in ("d-squared", "graded-leibniz", "wedge-assoc"):
         assert report.get(name).status == "pass"

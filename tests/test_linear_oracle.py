@@ -101,13 +101,38 @@ def test_combine_matches_repeated_addition(items):
     _agrees(lambda: combine(items), lambda: reference_combine(items), [v for v, _ in items])
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(vectors(), min_size=1, max_size=2), st.lists(vectors(), min_size=1, max_size=4))
+@st.composite
+def mixed_arguments(draw):
+    """One to four arguments, each a vector or a fixed int index, at least
+    one a vector; or the (degree, vector, degree, vector) shape of a wedge."""
+    if draw(st.booleans()):
+        return [draw(st.integers(0, 3)), draw(vectors()), draw(st.integers(0, 3)), draw(vectors())]
+    args = draw(st.lists(st.one_of(vectors(), st.integers(0, 3)), min_size=1, max_size=4))
+    if not any(isinstance(a, FreeVector) for a in args):
+        args[draw(st.integers(0, len(args) - 1))] = draw(vectors())
+    return args
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_arguments(), st.lists(vectors(), min_size=1, max_size=4))
 def test_linear_matches_the_nested_loops(args, images):
     def fn(*ixs):
         return images[sum((k + 1) * ix for k, ix in enumerate(ixs)) % len(images)]
 
-    _agrees(lambda: linear(fn, *args), lambda: reference_linear(fn, *args), args + images)
+    vector_args = [a for a in args if isinstance(a, FreeVector)]
+    _agrees(lambda: linear(fn, *args), lambda: reference_linear(fn, *args), vector_args + images)
+
+
+def test_a_call_without_vector_arguments_is_the_map_itself():
+    image = FreeVector({0: root_of_unity(4)})
+    calls = []
+
+    def fn(*args):
+        calls.append(args)
+        return image
+
+    assert linear(fn, 1, ("w", 2), "deg") is image
+    assert calls == [(1, ("w", 2), "deg")]
 
 
 def test_a_cancelled_index_comes_back_at_the_end():
@@ -130,9 +155,9 @@ def test_a_lone_addend_with_coefficient_one_is_returned_as_it_is():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_a_basis_argument_is_the_same_as_fixing_the_index(order, data):
-    # the graded sweeps evaluate a bilinear map at a basis index k in place of
-    # wrapping k with FreeVector.basis: both give the same terms, in the same
-    # order, with the same scalars, whatever the field of v's coefficients
+    # an index argument k is passed through to the map, and gives the same
+    # terms, in the same order, with the same scalars, as wrapping k with
+    # FreeVector.basis, whatever the field of v's coefficients
     v = data.draw(vectors([order]))
     k = data.draw(st.integers(0, 3))
     images = data.draw(st.lists(vectors(), min_size=1, max_size=4))
@@ -141,5 +166,5 @@ def test_a_basis_argument_is_the_same_as_fixing_the_index(order, data):
         return images[(i + 2 * j) % len(images)]
 
     e = FreeVector.basis(k)
-    assert _shape(linear(lambda t: fn(t, k), v).terms) == _shape(linear(fn, v, e).terms)
-    assert _shape(linear(lambda t: fn(k, t), v).terms) == _shape(linear(fn, e, v).terms)
+    assert _shape(linear(fn, v, k).terms) == _shape(linear(fn, v, e).terms)
+    assert _shape(linear(fn, k, v).terms) == _shape(linear(fn, e, v).terms)

@@ -90,7 +90,7 @@ def test_vertical_map_torus_shifts_the_grade(torus):
 
 def test_atiyah_exactness_radford_exact_ranks(radford):
     rc, vd = radford
-    report = check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded, max_degree=2)
+    report = check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded)
     assert report.ok
     assert "kernel dim 8, horizontal dim 8" in report.get("atiyah.kernel-rank").witness
     assert report.get("atiyah.degree-2.kernel-is-wedge").status == "pass"
@@ -306,6 +306,6 @@ def test_atiyah_degree_two_on_torus_window(torus):
     # the truncated structure calculus has no degree-two forms, so the
     # degree-two vertical sequence is the vacuous exact one on the window
     tc, vd = torus
-    report = check_atiyah_exact(vd, higher=tc.higher, h_graded=tc.h_graded, max_degree=2, window=2)
+    report = check_atiyah_exact(vd, higher=tc.higher, h_graded=tc.h_graded, window=2)
     assert report.ok
     assert "kernel dim 0, wedge dim 0" in report.get("atiyah.degree-2.kernel-is-wedge").witness

@@ -223,8 +223,9 @@ def test_hand_rolled_sum_scan_sees_every_form():
 
 
 def test_only_the_forced_zero_refusals_build_their_own_sums():
-    # a loop that stops part-way may build its own sum; the only ones left are
-    # the two off-window refusals of the forced-zero derivation
+    # a loop that stops part-way may build its own sum; the last two, the
+    # off-window refusals of the forced-zero derivation, now decide the
+    # refusal first and sum with `combine`, so none is left
     exempt = [
         (path.name, scope)
         for path, tree in _modules()
@@ -232,10 +233,7 @@ def test_only_the_forced_zero_refusals_build_their_own_sums():
         for _, scope, early in _scaled_accumulations(tree)
         if early
     ]
-    assert exempt == [
-        ("fodc.py", "sigma_forces_zero_differential.d_of_vector"),
-        ("fodc.py", "sigma_forces_zero_differential.pad"),
-    ]
+    assert exempt == []
 
 
 _FAILURES = {"NoSolution", "NotInvertible", "NotTruncatable"}
@@ -353,10 +351,6 @@ def test_all_names_what_other_modules_import():
     assert modules["hopfcalc.linalg"][0] and modules["hopfcalc.scalars"][0]
 
 
-_EXTENSIONS = {"wedge_vec", "d_vec", "act_vec", "linear"}
-_GRADED_SWEEPS = {"check_graded_dc", "build_higher_forms"}
-
-
 def _is_basis_call(node) -> bool:
     """`E(...)` or `FreeVector.basis(...)`."""
     if not isinstance(node, ast.Call):
@@ -367,50 +361,98 @@ def _is_basis_call(node) -> bool:
     )
 
 
-def _wrapped_basis_arguments(tree, functions=_GRADED_SWEEPS):
-    """Lines, inside the named top-level functions, where a linear extension
-    gets an argument built from a basis vector; a lambda's body is its own."""
-    for top in tree.body:
-        if not (isinstance(top, ast.FunctionDef) and top.name in functions):
-            continue
-        for node in ast.walk(top):
-            if not isinstance(node, ast.Call):
-                continue
-            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-            if name not in _EXTENSIONS:
-                continue
-            stack = list(node.args) + [kw.value for kw in node.keywords]
-            while stack:
-                arg = stack.pop()
-                if _is_basis_call(arg):
-                    yield arg.lineno
-                elif not isinstance(arg, ast.Lambda):
-                    stack.extend(ast.iter_child_nodes(arg))
+def _linear_calls(tree):
+    """Every call of `linear` or `linalg.linear`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "linear":
+                yield node
 
 
-def test_graded_sweeps_evaluate_the_maps_at_basis_indices():
-    # wrapping an index as a basis vector only for the linear extension to
-    # unwrap it again costs a vector and a scalar product per item; the
-    # sweeps over basis triples call the memoised map at the index instead
-    path = SRC / "crossed_calc.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    assert {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} >= _GRADED_SWEEPS
-    assert list(_wrapped_basis_arguments(tree)) == []
+def _wrapped_basis_arguments(tree):
+    """Lines where `linear` gets an argument built from a basis vector: a
+    basis call, or a method, operator or subscript applied to one.  The
+    arguments of another call and the body of a lambda are their own."""
+    for node in _linear_calls(tree):
+        stack = list(node.args) + [kw.value for kw in node.keywords]
+        while stack:
+            arg = stack.pop()
+            if _is_basis_call(arg):
+                yield arg.lineno
+            elif isinstance(arg, ast.Call):
+                stack.append(arg.func)
+            elif not isinstance(arg, ast.Lambda):
+                stack.extend(ast.iter_child_nodes(arg))
+
+
+def test_linear_extensions_take_basis_indices():
+    # `linear` passes an index argument through to the map, so wrapping an
+    # index as a basis vector only for the extension to unwrap it again
+    # costs a vector and a scalar product per call
+    found = [f"{path.name}:{line}" for path, tree in _modules() for line in _wrapped_basis_arguments(tree)]
+    assert found == []
 
 
 def test_wrapped_basis_scan_sees_every_form():
     text = (
         "def check_graded_dc(dc, i, j, k, v):\n"
-        "    a = dc.wedge_vec(1, dc.wedge(1, i, 1, j), 1, E(k))\n"
+        "    a = linear(dc.wedge, 1, dc.wedge(1, i, 1, j), 1, E(k))\n"
         "    b = linear(lambda t: dc.wedge(1, i, 1, t), v)\n"
-        "    c = dc.act_vec(FreeVector.basis(i), 1, v)\n"
-        "    d = dc.d_vec(1, E(i).scale(2))\n"
+        "    c = linear(dc.act, FreeVector.basis(i), 1, v)\n"
+        "    d = linalg.linear(dc.d, 1, E(i).scale(2))\n"
         "    e = linear(lambda t: E(t), v)\n"
         "    f = combine([(E(i), 1)])\n"
         "    def inner(x):\n"
-        "        return dc.wedge_vec(0, v, 1, v2=E(x))\n"
+        "        return linear(dc.wedge, 0, v, 1, v2=E(x))\n"
+        "    g = linear(dc.d, 1, dc.d(0, E(i)))\n"
+        "    h = linear(dc.wedge, 0, E(i) + v, 1, k)\n"
         "    return a == E(k)\n"
         "def elsewhere(dc, k, v):\n"
-        "    return dc.wedge_vec(1, v, 1, E(k))\n"
+        "    return linear(dc.wedge, 1, v, 1, E(k))\n"
     )
-    assert sorted(_wrapped_basis_arguments(ast.parse(text))) == [2, 4, 5, 9]
+    assert sorted(_wrapped_basis_arguments(ast.parse(text))) == [2, 4, 5, 9, 11, 14]
+
+
+# HopfData.counit_vec returns a scalar and sweedler_vec leg tuples, which
+# `linear` cannot produce
+_KEPT_VECTOR_FORMS = {"counit_vec", "sweedler_vec"}
+
+
+def _twins_and_adapters(tree):
+    """Lines that define a `*_vec` twin of a structure map, or that hand
+    `linear` a lambda as the map."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.endswith("_vec") and node.name not in _KEPT_VECTOR_FORMS:
+                yield node.lineno
+    for node in _linear_calls(tree):
+        if node.args and isinstance(node.args[0], ast.Lambda):
+            yield node.lineno
+
+
+def test_structure_maps_are_extended_by_linear_alone():
+    # a map on basis indices reaches vectors through `linear(fn, *args)`,
+    # which passes fixed indices through, so it needs neither a vector twin
+    # nor a lambda that fixes its other arguments
+    found = [f"{path.name}:{line}" for path, tree in _modules() for line in _twins_and_adapters(tree)]
+    assert found == []
+
+
+def test_twin_and_adapter_scan_sees_every_form():
+    text = (
+        "class GradedDc:\n"
+        "    def wedge_vec(self, deg1, v1, deg2, v2):\n"
+        "        return linear(lambda i, j: self.wedge(deg1, i, deg2, j), v1, v2)\n"
+        "    def counit_vec(self, v):\n"
+        "        return v\n"
+        "def f(dc, v, k):\n"
+        "    def p_vec(w):\n"
+        "        return linear(p_ix, w)\n"
+        "    a = linalg.linear(lambda t: dc.d(1, t), v)\n"
+        "    b = linear(dc.wedge, 1, v, 1, k)\n"
+        "    c = LinOp(lambda t: linear(dc.d, 1, t))\n"
+        "    return linear(dc.d, 1, combine((lambda t: t)(v)))\n"
+    )
+    assert sorted(_twins_and_adapters(ast.parse(text))) == [2, 3, 7, 9]
