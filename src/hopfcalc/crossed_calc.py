@@ -36,7 +36,7 @@ from hopfcalc.linalg import (
     memoise_fields,
     tensor_index,
 )
-from hopfcalc.report import CheckReport, witness
+from hopfcalc.report import FAIL, SAMPLED, CheckReport, witness
 from hopfcalc.scalars import CycScalar
 
 Index = tuple
@@ -167,34 +167,16 @@ def build_crossed_fodc(
 
     left_act, right_act, d_ix, right_coaction = _assemble(cp, b_calc, h_calc, action)
 
-    if b_calc.forms.is_finite and cp.algebra.basis.is_finite and h_calc.forms.is_finite:
-        forms = BasisFamily(
-            indices=[
-                ("hor", bf, hx)
-                for bf in b_calc.forms.indices
-                for hx in cp.hopf.algebra.basis.indices
-            ]
-            + [("ver", bx, hf) for bx in cp.base.basis.indices for hf in h_calc.forms.indices]
-        )
-    else:
-        forms = BasisFamily(
-            window_fn=lambda w: [
-                ("hor", bf, hx)
-                for bf in b_calc.forms.enumerate(w)
-                for hx in cp.hopf.algebra.basis.enumerate(w)
-            ]
-            + [
-                ("ver", bx, hf)
-                for bx in cp.base.basis.enumerate(w)
-                for hf in h_calc.forms.enumerate(w)
-            ]
-        )
+    def forms(w):
+        hor_part = [("hor", bf, hx) for bf in b_calc.forms.enumerate(w) for hx in cp.hopf.algebra.basis.enumerate(w)]
+        return hor_part + [("ver", bx, hf) for bx in cp.base.basis.enumerate(w) for hf in h_calc.forms.enumerate(w)]
+
     return CrossedFodc(
         crossed=cp,
         b_calc=b_calc,
         h_calc=h_calc,
         b_action=action,
-        forms=forms,
+        forms=BasisFamily.spanned(forms, b_calc.forms, cp.hopf.algebra.basis, cp.base.basis, h_calc.forms),
         left_act=left_act,
         right_act=right_act,
         right_coaction=right_coaction,
@@ -206,14 +188,13 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
     """Leibniz, the two generation identities, colinearity of the
     differential and differentiability of the coaction, plus the smash
     reduction when the cocycle is trivial."""
-    report = CheckReport(example=cf.crossed.algebra.name, suite="crossed-fodc")
     cp = cf.crossed
+    report = CheckReport(example=cp.algebra.name, suite="crossed-fodc", windowed=not cp.algebra.basis.is_finite)
     h = cp.hopf
     b = cp.base
     a_basis = cp.algebra.basis.enumerate(window)
     b_basis = b.basis.enumerate(window)
     h_basis = h.algebra.basis.enumerate(window)
-    windowed = not cp.algebra.basis.is_finite
 
     def leibniz(pair):
         i, j = pair
@@ -221,9 +202,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
         rhs = linear(cf.right_act, cf.d(i), j) + linear(cf.left_act, i, cf.d(j))
         return lhs == rhs, (i, j)
 
-    report.sweep(
-        "leibniz", ((i, j) for i in a_basis for j in a_basis), leibniz, windowed=windowed
-    )
+    report.sweep("leibniz", ((i, j) for i in a_basis for j in a_basis), leibniz)
 
     one_h = h.algebra.unit
     embed = cp.comodule.coinvariants.embed
@@ -239,7 +218,6 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
         "generation-horizontal",
         ((bx, by, hx) for bx in b_basis for by in b_basis for hx in h_basis),
         hor_generation,
-        windowed=windowed,
     )
 
     def ver_generation(item):
@@ -263,7 +241,6 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
         "generation-vertical",
         ((bx, hx, hy) for bx in b_basis for hx in h_basis for hy in h_basis),
         ver_generation,
-        windowed=windowed,
     )
 
     def d_colinear(pair_ix):
@@ -271,7 +248,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
         rhs = combine((cf.d(a0).tensor(E(h1)), c) for (_, a0, h1), c in cp.comodule.coaction(pair_ix).terms.items())
         return lhs == rhs, (pair_ix,)
 
-    report.sweep("d-colinear", a_basis, d_colinear, windowed=windowed)
+    report.sweep("d-colinear", a_basis, d_colinear)
 
     def rho_hat_terms(form_ix):
         """(index, coefficient) terms of rho_hat at one basis form."""
@@ -303,7 +280,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
         )
         return lhs == rhs, (pair_ix,)
 
-    report.sweep("coaction-differentiable", a_basis, rho_differentiable, windowed=windowed)
+    report.sweep("coaction-differentiable", a_basis, rho_differentiable)
 
     trivial = all(
         cp.cocycle.sigma(hx, hy) == b.unit.scale(h.counit(hx) * h.counit(hy))
@@ -338,7 +315,6 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
                 for form_ix in cf.forms.enumerate(window)
             ),
             smash_left,
-            windowed=windowed,
         )
     return report
 
@@ -372,10 +348,9 @@ def necessity_dsigma(
     """Evaluate the Leibniz defect of the would-be differential on pairs
     of cleaving values: it equals d_B(sigma(h1 (x) h'1)) (x) h2 h'2, so any
     nonzero differential of a cocycle value is a concrete Leibniz failure."""
-    report = CheckReport(example=cp.algebra.name, suite="necessity-dsigma")
     h = cp.hopf
+    report = CheckReport(example=cp.algebra.name, suite="necessity-dsigma", windowed=not h.algebra.basis.is_finite)
     h_basis = h.algebra.basis.enumerate(window)
-    windowed = not h.algebra.basis.is_finite
 
     def expected_defect(hx, hy):
         return combine(
@@ -388,35 +363,14 @@ def necessity_dsigma(
         hx, hy = pair
         return leibniz_defect(cp, b_calc, action, h_calc, hx, hy) == expected_defect(hx, hy), (hx, hy)
 
-    report.sweep(
-        "necessity-defect-formula",
-        ((hx, hy) for hx in h_basis for hy in h_basis),
-        defect_formula,
-        windowed=windowed,
-    )
+    report.sweep("necessity-defect-formula", ((hx, hy) for hx in h_basis for hy in h_basis), defect_formula)
 
-    found = None
-    for hx in h_basis:
-        for hy in h_basis:
-            value = expected_defect(hx, hy)
-            if not value.is_zero():
-                found = (hx, hy, value)
-                break
-        if found:
+    found = "d_B of every cocycle value vanishes; the defect is vacuous"
+    for hx, hy, value in ((hx, hy, expected_defect(hx, hy)) for hx in h_basis for hy in h_basis):
+        if not value.is_zero():
+            found = f"Leibniz fails at ({format_index(hx)}, {format_index(hy)}): defect {value.to_text()}"
             break
-    if found is None:
-        report.add(
-            "necessity-witness",
-            "window-verified" if windowed else "pass",
-            witness="d_B of every cocycle value vanishes; the defect is vacuous",
-        )
-    else:
-        hx, hy, value = found
-        report.add(
-            "necessity-witness",
-            "window-verified" if windowed else "pass",
-            witness=f"Leibniz fails at ({format_index(hx)}, {format_index(hy)}): defect {value.to_text()}",
-        )
+    report.record("necessity-witness", True, witness=found)
     return report
 
 
@@ -448,15 +402,8 @@ class GradedDc:
         memoise_fields(self, "wedge", "d", "right_coaction", "left_coaction", "action")
 
     def lambda_terms(self, deg: int, ix: Index, legs: int):
-        out = []
-        for pair, c in self.left_coaction(deg, ix).terms.items():
-            _, h_ix, f_ix = pair
-            if legs == 1:
-                out.append((c, (h_ix, f_ix)))
-            else:
-                for c2, tup in self.hopf.sweedler(h_ix, legs):
-                    out.append((c * c2, tup + (f_ix,)))
-        return out
+        """Iterated left coaction in degree deg: (coeff, (h_1, ..., h_legs, form)) tuples."""
+        return self.hopf.coaction_legs(self.left_coaction(deg, ix), legs, left=True)
 
 
 class NotTruncatable(ValueError):
@@ -680,8 +627,9 @@ def check_graded_dc(dc: GradedDc, window: int | None = None) -> CheckReport:
     """d squared, graded Leibniz, wedge associativity and the unit on all
     basis elements of total degree at most two.  Each side is the memoised
     map at a basis index, extended linearly over the other slot."""
-    report = CheckReport(example=dc.name or dc.algebra.name, suite="graded-dc")
-    windowed = not dc.algebra.basis.is_finite
+    report = CheckReport(
+        example=dc.name or dc.algebra.name, suite="graded-dc", windowed=not dc.algebra.basis.is_finite
+    )
 
     max_total = 2
     degrees = list(range(0, max_total + 1))
@@ -691,12 +639,7 @@ def check_graded_dc(dc: GradedDc, window: int | None = None) -> CheckReport:
         deg, ix = item
         return linear(dc.d, deg + 1, dc.d(deg, ix)).is_zero(), (ix,)
 
-    report.sweep(
-        "d-squared",
-        ((n, ix) for n in degrees for ix in bases[n]),
-        d_squared,
-        windowed=windowed,
-    )
+    report.sweep("d-squared", ((n, ix) for n in degrees for ix in bases[n]), d_squared)
 
     def graded_leibniz(item):
         deg1, i, deg2, j = item
@@ -717,7 +660,6 @@ def check_graded_dc(dc: GradedDc, window: int | None = None) -> CheckReport:
             for j in bases[n2]
         ),
         graded_leibniz,
-        windowed=windowed,
     )
 
     def assoc(item):
@@ -739,7 +681,6 @@ def check_graded_dc(dc: GradedDc, window: int | None = None) -> CheckReport:
             for k in bases[n3]
         ),
         assoc,
-        windowed=windowed,
     )
 
     def unit_neutral(item):
@@ -748,22 +689,16 @@ def check_graded_dc(dc: GradedDc, window: int | None = None) -> CheckReport:
         rhs = linear(dc.wedge, deg, ix, 0, dc.algebra.unit)
         return lhs == rhs == E(ix), (ix,)
 
-    report.sweep(
-        "wedge-unit",
-        ((n, ix) for n in degrees for ix in bases[n]),
-        unit_neutral,
-        windowed=windowed,
-    )
+    report.sweep("wedge-unit", ((n, ix) for n in degrees for ix in bases[n]), unit_neutral)
     return report
 
 
 def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None) -> CheckReport:
     """Degree-0/1 part of the graded construction against the first order
     construction, map for map."""
-    report = CheckReport(example=dc.name, suite="first-order-comparison")
     cp = cf.crossed
+    report = CheckReport(example=dc.name, suite="first-order-comparison", windowed=not cp.algebra.basis.is_finite)
     a_basis = cp.algebra.basis.enumerate(window)
-    windowed = not cp.algebra.basis.is_finite
 
     def form_to_graded_ix(ix):
         return ("gf", 1, ix[1], ix[2]) if ix[0] == "hor" else ("gf", 0, ix[1], ix[2])
@@ -776,7 +711,7 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
         rhs = dc.d(0, pair_ix)  # degree zero of the graded data is the algebra itself
         return lhs == rhs, (pair_ix,)
 
-    report.sweep("first-order.d", a_basis, d_matches, windowed=windowed)
+    report.sweep("first-order.d", a_basis, d_matches)
 
     form_basis = cf.forms.enumerate(window)
 
@@ -786,12 +721,7 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
         rhs = dc.wedge(0, pair_ix, 1, form_to_graded_ix(form_ix))
         return lhs == rhs, (pair_ix, form_ix)
 
-    report.sweep(
-        "first-order.left-action",
-        ((p, f) for p in a_basis for f in form_basis),
-        left_matches,
-        windowed=windowed,
-    )
+    report.sweep("first-order.left-action", ((p, f) for p in a_basis for f in form_basis), left_matches)
 
     def right_matches(item):
         pair_ix, form_ix = item
@@ -799,12 +729,7 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
         rhs = dc.wedge(1, form_to_graded_ix(form_ix), 0, pair_ix)
         return lhs == rhs, (pair_ix, form_ix)
 
-    report.sweep(
-        "first-order.right-action",
-        ((p, f) for p in a_basis for f in form_basis),
-        right_matches,
-        windowed=windowed,
-    )
+    report.sweep("first-order.right-action", ((p, f) for p in a_basis for f in form_basis), right_matches)
 
     def coaction_matches(form_ix):
         pairs = cf.right_coaction(form_ix).terms.items()
@@ -812,7 +737,7 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
         rhs = dc.right_coaction(1, form_to_graded_ix(form_ix))
         return lhs == rhs, (form_ix,)
 
-    report.sweep("first-order.coaction", form_basis, coaction_matches, windowed=windowed)
+    report.sweep("first-order.coaction", form_basis, coaction_matches)
     return report
 
 
@@ -859,12 +784,11 @@ def classify_smash(
     and checked to intertwine the differentials."""
     a = cleft.total
     h = a.hopf
-    report = CheckReport(example=a.algebra.name, suite="smash-classification")
+    report = CheckReport(example=a.algebra.name, suite="smash-classification", windowed=not a.algebra.basis.is_finite)
     rng = random.Random(seed)
 
     h_basis = h.algebra.basis.enumerate(window)
     a_basis = a.algebra.basis.enumerate(window)
-    windowed = not a.algebra.basis.is_finite
     j = cleft.cleaving
     j_inv = cleft.ensure_inverse(window)
 
@@ -936,7 +860,7 @@ def classify_smash(
 
     b_fodc = Fodc(
         algebra=b,
-        forms=BasisFamily(indices=pb_window()) if finite_base else BasisFamily(window_fn=pb_window),
+        forms=BasisFamily.spanned(pb_window, b.basis),
         left_act=b_fodc_left,
         right_act=b_fodc_right,
         d=LinOp(b_fodc_d, name="d_B"),
@@ -965,7 +889,7 @@ def classify_smash(
         if left_solver.kernel().dim or right_solver.kernel().dim:
             torsion_ok, torsion_witness = False, witness(sample)
             break
-    report.record("torsion-free", torsion_ok, witness=torsion_witness, sampled=True)
+    report.add("torsion-free", SAMPLED if torsion_ok else FAIL, torsion_witness)
 
     # (1) the cleaving map is differentiable with injective differential
     h_form_basis = h_calc.forms.enumerate(window)
@@ -991,7 +915,7 @@ def classify_smash(
         inj = LinearSolver(LinOp(j_hat), h_form_basis)
         if inj.kernel().dim:
             cond1_ok, cond1_witness = False, "differential of the cleaving map has a kernel"
-    report.record("classification-(1)", cond1_ok, witness=cond1_witness, windowed=windowed)
+    report.record("classification-(1)", cond1_ok, witness=cond1_witness)
 
     # (2) the two candidate blocks intersect trivially
     block_hor = Subspace()
@@ -1007,7 +931,6 @@ def classify_smash(
         "classification-(2)",
         overlap == 0,
         witness=None if overlap == 0 else f"blocks intersect in dimension {overlap}",
-        windowed=windowed,
     )
 
     # (3) antisymmetry of the differentials of j and its inverse
@@ -1023,12 +946,7 @@ def classify_smash(
         )
         return total.is_zero(), (hx, bx)
 
-    report.sweep(
-        "classification-(3)",
-        ((hx, bx) for hx in h_basis for bx in b_basis),
-        cond3,
-        windowed=windowed,
-    )
+    report.sweep("classification-(3)", ((hx, bx) for hx in h_basis for bx in b_basis), cond3)
 
     if not report.ok:
         return SmashClassification(report=report)
@@ -1058,7 +976,6 @@ def classify_smash(
         "comparison.bijective",
         injective and surj_ok,
         witness=surj_witness if not surj_ok else (None if injective else "kernel found"),
-        windowed=windowed,
     )
 
     def intertwines(pair_ix):
@@ -1066,12 +983,7 @@ def classify_smash(
         rhs = a_calc.d(theta_inv(pair_ix))
         return lhs == rhs, (pair_ix,)
 
-    report.sweep(
-        "comparison.intertwines-d",
-        crossed.algebra.basis.enumerate(window),
-        intertwines,
-        windowed=windowed,
-    )
+    report.sweep("comparison.intertwines-d", crossed.algebra.basis.enumerate(window), intertwines)
 
     def bimodule_map(item):
         pair_ix, form_ix = item
@@ -1089,6 +1001,5 @@ def classify_smash(
             for f in smash_forms
         ),
         bimodule_map,
-        windowed=windowed,
     )
     return SmashClassification(report=report, theta_hat_inv=theta_hat_inv)

@@ -626,7 +626,7 @@ def torus_suites(params: dict) -> list:
     def cleft_derivation():
         tc = calc()
         inst = tc.instance
-        rep = CheckReport(example="torus", suite="cleft-derivation")
+        rep = CheckReport(example="torus", suite="cleft-derivation", windowed=True)
         rep.extend(inst.derivation_report)
 
         def measure_matches(pair):
@@ -638,7 +638,6 @@ def torus_suites(params: dict) -> list:
             "cleft.measure-closed-form",
             ((k, l) for k in range(-window, window + 1) for l in range(-window, window + 1)),
             measure_matches,
-            windowed=True,
         )
 
         def sigma_matches(pair):
@@ -650,7 +649,6 @@ def torus_suites(params: dict) -> list:
             "cleft.sigma-closed-form",
             ((k, s) for k in range(-window, window + 1) for s in range(-window, window + 1)),
             sigma_matches,
-            windowed=True,
         )
         return rep
 
@@ -727,13 +725,12 @@ def torus_suites(params: dict) -> list:
             "necessity-witness-at-unit-windings",
             defect == hor(FreeVector.basis(("dw", 0)), FreeVector.basis(("t", 0))),
             witness=defect.to_text(),
-            windowed=True,
         )
         return rep
 
     def refusal():
         tc = calc()
-        rep = CheckReport(example="torus", suite="classification-refusal")
+        rep = CheckReport(example="torus", suite="classification-refusal", windowed=True)
         try:
             # the refusal fires on the cleaving map before any calculus is touched
             classify_smash(None, tc.h_calc, tc.instance.cleft, window=2)
@@ -742,7 +739,6 @@ def torus_suites(params: dict) -> list:
                 "classification.refuses-non-trivial-extension",
                 "not a trivial extension" in str(err),
                 witness=str(err),
-                windowed=True,
             )
             return rep
         rep.record("classification.refuses-non-trivial-extension", False, witness="no refusal")

@@ -29,6 +29,8 @@ from hopfcalc.linalg import (
     Subspace,
     TrackedSpan,
     combine,
+    flatten_left,
+    flatten_right,
     format_index,
     linear,
     memoise_fields,
@@ -66,15 +68,7 @@ class Fodc:
 
     def lambda_terms(self, form_ix: Index, h_legs: int):
         """Iterated left coaction: (coeff, (h_1, ..., h_legs, form)) tuples."""
-        out = []
-        for pair_ix, c in self.left_coaction(form_ix).terms.items():
-            _, h_ix, f_ix = pair_ix
-            if h_legs == 1:
-                out.append((c, (h_ix, f_ix)))
-            else:
-                for c2, tup in self.hopf.sweedler(h_ix, h_legs):
-                    out.append((c * c2, tup + (f_ix,)))
-        return out
+        return self.hopf.coaction_legs(self.left_coaction(form_ix), h_legs, left=True)
 
 
 def zero_fodc(algebra: AlgebraPresentation, name: str = "") -> Fodc:
@@ -132,11 +126,12 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
     """Bimodule laws, Leibniz, surjectivity with witness, and (when
     coactions are present) colinearity of the differential and covariance
     of the actions."""
-    report = CheckReport(example=f.name or f.algebra.name, suite="fodc")
     alg = f.algebra
+    report = CheckReport(
+        example=f.name or alg.name, suite="fodc", windowed=not (alg.basis.is_finite and f.forms.is_finite)
+    )
     a_basis = alg.basis.enumerate(window)
     f_basis = f.forms.enumerate(window)
-    windowed = not (alg.basis.is_finite and f.forms.is_finite)
 
     def left_assoc(item):
         a, b, beta = item
@@ -148,7 +143,6 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
         "bimodule.left-assoc",
         ((a, b, beta) for a in a_basis for b in a_basis for beta in f_basis),
         left_assoc,
-        windowed=windowed,
     )
 
     def right_assoc(item):
@@ -161,7 +155,6 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
         "bimodule.right-assoc",
         ((beta, a, b) for beta in f_basis for a in a_basis for b in a_basis),
         right_assoc,
-        windowed=windowed,
     )
 
     def compat(item):
@@ -174,7 +167,6 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
         "bimodule.compat",
         ((a, beta, b) for a in a_basis for beta in f_basis for b in a_basis),
         compat,
-        windowed=windowed,
     )
 
     def unit_acts(beta):
@@ -184,7 +176,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
         )
         return ok, (beta,)
 
-    report.sweep("bimodule.unit", f_basis, unit_acts, windowed=windowed)
+    report.sweep("bimodule.unit", f_basis, unit_acts)
 
     def leibniz(pair):
         a, b = pair
@@ -192,9 +184,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
         rhs = linear(f.right_act, f.d(a), b) + linear(f.left_act, a, f.d(b))
         return lhs == rhs, (a, b)
 
-    report.sweep(
-        "leibniz", ((a, b) for a in a_basis for b in a_basis), leibniz, windowed=windowed
-    )
+    report.sweep("leibniz", ((a, b) for a in a_basis for b in a_basis), leibniz)
 
     if f_basis:
         solver = presentation_solver(f, window)
@@ -209,10 +199,9 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
             "surjectivity",
             missing is None,
             witness=None if missing is None else f"form {format_index(missing)} unreachable",
-            windowed=windowed,
         )
     else:
-        report.record("surjectivity", True, windowed=windowed)
+        report.record("surjectivity", True)
 
     if f.right_coaction is not None:
         h = f.hopf
@@ -221,13 +210,10 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
             pairs = f.right_coaction(beta).terms.items()
             lhs = combine((f.right_coaction(fx).tensor(E(hx)), c) for (_, fx, hx), c in pairs)
             rhs = combine((E(fx).tensor(h.comul(hx)), c) for (_, fx, hx), c in pairs)
-            lhs = lhs.map_indices(lambda ix: ("@3", ix[1][1], ix[1][2], ix[2]))
-            rhs = rhs.map_indices(lambda ix: ("@3", ix[1], ix[2][1], ix[2][2]))
-            ok = lhs == rhs
             counit_part = combine((E(fx), c * h.counit(hx)) for (_, fx, hx), c in pairs)
-            return ok and counit_part == E(beta), (beta,)
+            return flatten_left(lhs) == flatten_right(rhs) and counit_part == E(beta), (beta,)
 
-        report.sweep("covariance.right-comodule", f_basis, rho_coassoc, windowed=windowed)
+        report.sweep("covariance.right-comodule", f_basis, rho_coassoc)
 
         if f.algebra_coaction is not None:
 
@@ -253,7 +239,6 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
                 "covariance.actions-right",
                 ((a, beta) for a in a_basis for beta in f_basis),
                 actions_colinear,
-                windowed=windowed,
             )
 
             def d_colinear(a):
@@ -261,7 +246,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
                 rhs = combine((f.d(a0).tensor(E(a1)), ca) for (_, a0, a1), ca in f.algebra_coaction(a).terms.items())
                 return lhs == rhs, (a,)
 
-            report.sweep("covariance.d-right-colinear", a_basis, d_colinear, windowed=windowed)
+            report.sweep("covariance.d-right-colinear", a_basis, d_colinear)
 
     if f.left_coaction is not None:
         h = f.hopf
@@ -271,11 +256,9 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
             lhs = combine((h.comul(hx).tensor(E(fx)), c) for (_, hx, fx), c in pairs)
             rhs = combine((E(hx).tensor(f.left_coaction(fx)), c) for (_, hx, fx), c in pairs)
             counit_part = combine((E(fx), c * h.counit(hx)) for (_, hx, fx), c in pairs)
-            lhs = lhs.map_indices(lambda ix: ("@3", ix[1][1], ix[1][2], ix[2]))
-            rhs = rhs.map_indices(lambda ix: ("@3", ix[1], ix[2][1], ix[2][2]))
-            return lhs == rhs and counit_part == E(beta), (beta,)
+            return flatten_left(lhs) == flatten_right(rhs) and counit_part == E(beta), (beta,)
 
-        report.sweep("covariance.left-comodule", f_basis, lambda_comodule, windowed=windowed)
+        report.sweep("covariance.left-comodule", f_basis, lambda_comodule)
 
         if f.algebra_left_coaction is not None:
 
@@ -301,7 +284,6 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
                 "covariance.actions-left",
                 ((a, beta) for a in a_basis for beta in f_basis),
                 actions_left_colinear,
-                windowed=windowed,
             )
 
             def d_left_colinear(a):
@@ -310,7 +292,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
                 rhs = combine((E(am1).tensor(f.d(a0)), ca) for (_, am1, a0), ca in pairs)
                 return lhs == rhs, (a,)
 
-            report.sweep("covariance.d-left-colinear", a_basis, d_left_colinear, windowed=windowed)
+            report.sweep("covariance.d-left-colinear", a_basis, d_left_colinear)
 
     if f.bicovariant:
 
@@ -318,11 +300,9 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
             rho, lam = f.right_coaction(beta).terms.items(), f.left_coaction(beta).terms.items()
             lhs = combine((f.left_coaction(f0).tensor(E(f1)), c) for (_, f0, f1), c in rho)  # (lambda (x) id) rho
             rhs = combine((E(fm1).tensor(f.right_coaction(f0)), c) for (_, fm1, f0), c in lam)  # (id (x) rho) lambda
-            lhs = lhs.map_indices(lambda ix: ("@3", ix[1][1], ix[1][2], ix[2]))
-            rhs = rhs.map_indices(lambda ix: ("@3", ix[1], ix[2][1], ix[2][2]))
-            return lhs == rhs, (beta,)
+            return flatten_left(lhs) == flatten_right(rhs), (beta,)
 
-        report.sweep("covariance.bicomodule", f_basis, bicomodule, windowed=windowed)
+        report.sweep("covariance.bicomodule", f_basis, bicomodule)
 
     return report
 
@@ -613,12 +593,15 @@ def check_sigma_twisted_module_calculus(
     A well-definedness failure is an error carrying two conflicting
     presentations; everything else lands in the report.  A pre-built
     action may be supplied instead (used by the necessity analysis)."""
-    report = CheckReport(example=b_calc.name or b_calc.algebra.name, suite="twisted-module-calculus")
     b = b_calc.algebra
+    report = CheckReport(
+        example=b_calc.name or b.name,
+        suite="twisted-module-calculus",
+        windowed=not (b.basis.is_finite and h.algebra.basis.is_finite and b_calc.forms.is_finite),
+    )
     b_basis = b.basis.enumerate(window)
     h_basis = h.algebra.basis.enumerate(window)
     f_basis = b_calc.forms.enumerate(window)
-    windowed = not (b.basis.is_finite and h.algebra.basis.is_finite and b_calc.forms.is_finite)
 
     def twisted_of_pair(h_ix, a_ix, b_ix):
         return combine(
@@ -656,12 +639,7 @@ def check_sigma_twisted_module_calculus(
         )
         return lhs == rhs, (h_ix, a_ix, b_ix)
 
-    report.sweep(
-        "comp",
-        ((hx, ax, bx) for hx in h_basis for ax in b_basis for bx in b_basis),
-        compatible,
-        windowed=windowed,
-    )
+    report.sweep("comp", ((hx, ax, bx) for hx in h_basis for ax in b_basis for bx in b_basis), compatible)
 
     def equivariant(pair):
         h_ix, b_ix = pair
@@ -669,34 +647,25 @@ def check_sigma_twisted_module_calculus(
         rhs = linear(action.act, h_ix, b_calc.d(b_ix))
         return lhs == rhs, (h_ix, b_ix)
 
-    report.sweep(
-        "H-lin", ((hx, bx) for hx in h_basis for bx in b_basis), equivariant, windowed=windowed
-    )
+    report.sweep("H-lin", ((hx, bx) for hx in h_basis for bx in b_basis), equivariant)
 
     def d_sigma_zero(pair):
         h_ix, k_ix = pair
         value = b_calc.d(s.sigma(h_ix, k_ix))
         return value.is_zero(), (h_ix, k_ix, value)
 
-    report.sweep(
-        "dsigma", ((hx, kx) for hx in h_basis for kx in h_basis), d_sigma_zero, windowed=windowed
-    )
+    report.sweep("dsigma", ((hx, kx) for hx in h_basis for kx in h_basis), d_sigma_zero)
 
     def d_sigma_inv_zero(pair):
         h_ix, k_ix = pair
         return b_calc.d(s.sigma_inv(h_ix, k_ix)).is_zero(), (h_ix, k_ix)
 
-    report.sweep(
-        "dsigma-inverse",
-        ((hx, kx) for hx in h_basis for kx in h_basis),
-        d_sigma_inv_zero,
-        windowed=windowed,
-    )
+    report.sweep("dsigma-inverse", ((hx, kx) for hx in h_basis for kx in h_basis), d_sigma_inv_zero)
 
     def bimodule_unit(f_ix):
         return linear(action.act, h.algebra.unit, f_ix) == E(f_ix), (f_ix,)
 
-    report.sweep("twisted-bimodule.unit", f_basis, bimodule_unit, windowed=windowed)
+    report.sweep("twisted-bimodule.unit", f_basis, bimodule_unit)
 
     def bimodule_sandwich(item):
         h_ix, a_ix, f_ix, b_ix = item
@@ -719,7 +688,6 @@ def check_sigma_twisted_module_calculus(
         "twisted-bimodule.sandwich",
         ((hx, ax, fx, bx) for hx in h_basis for ax in b_basis for fx in f_basis for bx in b_basis),
         bimodule_sandwich,
-        windowed=windowed,
     )
 
     def bimodule_twist(item):
@@ -743,7 +711,6 @@ def check_sigma_twisted_module_calculus(
         "twisted-bimodule.twist",
         ((hx, kx, fx) for hx in h_basis for kx in h_basis for fx in f_basis),
         bimodule_twist,
-        windowed=windowed,
     )
     return action, report
 
@@ -763,7 +730,7 @@ def sigma_forces_zero_differential(
     window are eliminated exactly; membership of each D_k is then decided
     by rank.
     """
-    report = CheckReport(example=b.name, suite="forced-zero")
+    report = CheckReport(example=b.name, suite="forced-zero", windowed=True)
     if len(b.unit.terms) != 1 or not next(iter(b.unit.terms.values())).is_one():
         raise ValueError("forced-zero derivation needs a monomial unit")
     unit_ix = next(iter(b.unit.terms))
@@ -827,5 +794,5 @@ def sigma_forces_zero_differential(
     def forced(k_ix):
         return span.contains(E(word(unit_ix, k_ix, unit_ix))), (k_ix,)
 
-    report.sweep("sigma-forces-zero", window_basis, forced, windowed=True)
+    report.sweep("sigma-forces-zero", window_basis, forced)
     return report

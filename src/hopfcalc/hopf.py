@@ -20,13 +20,15 @@ from hopfcalc.linalg import (
     NoSolution,
     TrackedSpan,
     combine,
+    flatten_left,
+    flatten_right,
     format_index,
     index_sort_key,
     linear,
     memoise_fields,
     tensor_index,
 )
-from hopfcalc.report import CheckReport
+from hopfcalc.report import FAIL, PASS, CheckReport
 from hopfcalc.scalars import CycScalar, multiplicative_order, parse_scalar
 
 Index = tuple
@@ -52,6 +54,14 @@ class BasisFamily:
         if window is None:
             raise ValueError("infinite basis needs an explicit window")
         return sorted(self.window_fn(window), key=index_sort_key)
+
+    @classmethod
+    def spanned(cls, fn, *parts: BasisFamily) -> BasisFamily:
+        """The family fn(w) lists from the window w of each part: finite, as
+        fn(None), when every part is finite, and a window family otherwise."""
+        if all(part.is_finite for part in parts):
+            return cls(indices=fn(None))
+        return cls(window_fn=fn)
 
 
 @dataclass
@@ -80,19 +90,12 @@ def tensor_algebra(left: AlgebraPresentation, right: AlgebraPresentation, name: 
         (_, il, ir), (_, jl, jr) = i, j
         return left.mult(il, jl).tensor(right.mult(ir, jr))
 
-    if left.basis.is_finite and right.basis.is_finite:
-        basis = BasisFamily(
-            indices=[tensor_index(i, j) for i in left.basis.indices for j in right.basis.indices]
-        )
-    else:
-        basis = BasisFamily(
-            window_fn=lambda w: [
-                tensor_index(i, j) for i in left.basis.enumerate(w) for j in right.basis.enumerate(w)
-            ]
-        )
+    def pairs(w):
+        return [tensor_index(i, j) for i in left.basis.enumerate(w) for j in right.basis.enumerate(w)]
+
     return AlgebraPresentation(
         name=name or f"{left.name}(x){right.name}",
-        basis=basis,
+        basis=BasisFamily.spanned(pairs, left.basis, right.basis),
         mult=mult,
         unit=left.unit.tensor(right.unit),
         scalar_order=max(left.scalar_order, right.scalar_order),
@@ -133,6 +136,22 @@ class HopfData:
             terms = {t: c for t, c in nxt.items() if not c.is_zero()}
         return [(c, t) for t, c in terms.items()]
 
+    def coaction_legs(self, value: FreeVector, legs: int, left: bool = False):
+        """(coeff, legs) terms of a coaction value with its H factor split
+        into `legs` Sweedler legs: (x, h_1, ..., h_legs) for a right
+        coaction value X (x) H, (h_1, ..., h_legs, x) for a left one H (x) X."""
+        out = []
+        for (_, first, second), c in value.terms.items():
+            if legs == 1:
+                out.append((c, (first, second)))
+            elif left:
+                for c2, tup in self.sweedler(first, legs):
+                    out.append((c * c2, tup + (second,)))
+            else:
+                for c2, tup in self.sweedler(second, legs):
+                    out.append((c * c2, (first,) + tup))
+        return out
+
     def sweedler_vec(self, v: FreeVector, legs: int):
         acc = {}
         for ix, c in v.terms.items():
@@ -164,15 +183,7 @@ class ComoduleAlgebra:
 
     def coaction_terms(self, ix: Index, h_legs: int):
         """rho iterated: (coeff, (a_index, h_1, ..., h_legs)) tuples."""
-        out = []
-        for pair_ix, c in self.coaction(ix).terms.items():
-            _, a_ix, h_ix = pair_ix
-            if h_legs == 1:
-                out.append((c, (a_ix, h_ix)))
-            else:
-                for c2, tup in self.hopf.sweedler(h_ix, h_legs):
-                    out.append((c * c2, (a_ix,) + tup))
-        return out
+        return self.hopf.coaction_legs(self.coaction(ix), h_legs)
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +191,8 @@ class ComoduleAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _flatten_left(v: FreeVector) -> FreeVector:
-    # ((i (x) j) (x) k)  ->  3-tuple
-    return v.map_indices(lambda ix: ("@3", ix[1][1], ix[1][2], ix[2]))
-
-
-def _flatten_right(v: FreeVector) -> FreeVector:
-    # (i (x) (j (x) k))  ->  3-tuple
-    return v.map_indices(lambda ix: ("@3", ix[1], ix[2][1], ix[2][2]))
-
-
 def check_algebra_axioms(alg: AlgebraPresentation, report: CheckReport, window: int | None = None, prefix: str = ""):
     basis = alg.basis.enumerate(window)
-    windowed = not alg.basis.is_finite
 
     def assoc(triple):
         i, j, k = triple
@@ -200,27 +200,21 @@ def check_algebra_axioms(alg: AlgebraPresentation, report: CheckReport, window: 
         right = linear(alg.mult, i, alg.mult(j, k))
         return left == right, (i, j, k)
 
-    report.sweep(
-        prefix + "algebra.assoc",
-        ((i, j, k) for i in basis for j in basis for k in basis),
-        assoc,
-        windowed=windowed,
-    )
+    report.sweep(prefix + "algebra.assoc", ((i, j, k) for i in basis for j in basis for k in basis), assoc)
 
     def unital(ix):
         e = FreeVector.basis(ix)
         ok = linear(alg.mult, alg.unit, ix) == e and linear(alg.mult, ix, alg.unit) == e
         return ok, (ix,)
 
-    report.sweep(prefix + "algebra.unit", basis, unital, windowed=windowed)
+    report.sweep(prefix + "algebra.unit", basis, unital)
 
 
 def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
     """Per-axiom pass/fail with a witness basis element on failure."""
-    report = CheckReport(example=h.name or h.algebra.name, suite="hopf-axioms")
     alg = h.algebra
+    report = CheckReport(example=h.name or alg.name, suite="hopf-axioms", windowed=not alg.basis.is_finite)
     basis = alg.basis.enumerate(window)
-    windowed = not alg.basis.is_finite
     one = CycScalar.one(alg.scalar_order)
 
     check_algebra_axioms(alg, report, window)
@@ -230,9 +224,9 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
         pairs = h.comul(ix).terms.items()
         lhs = combine((h.comul(i).tensor(E(j)), c) for (_, i, j), c in pairs)
         rhs = combine((E(i).tensor(h.comul(j)), c) for (_, i, j), c in pairs)
-        return _flatten_left(lhs) == _flatten_right(rhs), (ix,)
+        return flatten_left(lhs) == flatten_right(rhs), (ix,)
 
-    report.sweep("coalgebra.coassoc", basis, coassoc, windowed=windowed)
+    report.sweep("coalgebra.coassoc", basis, coassoc)
 
     def counit_law(ix):
         pairs = h.comul(ix).terms.items()
@@ -241,7 +235,7 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
         e = FreeVector.basis(ix)
         return left == e and right == e, (ix,)
 
-    report.sweep("coalgebra.counit", basis, counit_law, windowed=windowed)
+    report.sweep("coalgebra.counit", basis, counit_law)
 
     square = tensor_algebra(alg, alg)
 
@@ -251,15 +245,10 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
         rhs = linear(square.mult, h.comul(i), h.comul(j))
         return lhs == rhs, (i, j)
 
-    report.sweep(
-        "bialgebra.comul-mult",
-        ((i, j) for i in basis for j in basis),
-        comul_is_algebra_map,
-        windowed=windowed,
-    )
-    report.record(
-        "bialgebra.comul-unit", linear(h.comul, alg.unit) == alg.unit.tensor(alg.unit)
-    )
+    report.sweep("bialgebra.comul-mult", ((i, j) for i in basis for j in basis), comul_is_algebra_map)
+    # the unit identities evaluate at the unit alone, so they are exact on any basis
+    comul_unit = linear(h.comul, alg.unit) == alg.unit.tensor(alg.unit)
+    report.add("bialgebra.comul-unit", PASS if comul_unit else FAIL)
 
     def counit_is_algebra_map(pair):
         i, j = pair
@@ -267,13 +256,8 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
         rhs = h.counit(i) * h.counit(j)
         return lhs == rhs, (i, j)
 
-    report.sweep(
-        "bialgebra.counit-mult",
-        ((i, j) for i in basis for j in basis),
-        counit_is_algebra_map,
-        windowed=windowed,
-    )
-    report.record("bialgebra.counit-unit", h.counit_vec(alg.unit) == one)
+    report.sweep("bialgebra.counit-mult", ((i, j) for i in basis for j in basis), counit_is_algebra_map)
+    report.add("bialgebra.counit-unit", PASS if h.counit_vec(alg.unit) == one else FAIL)
 
     def antipode_axiom(ix):
         pairs = h.comul(ix).terms.items()
@@ -282,36 +266,35 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
         expected = alg.unit.scale(h.counit(ix))
         return left == expected and right == expected, (ix,)
 
-    report.sweep("hopf.antipode", basis, antipode_axiom, windowed=windowed)
+    report.sweep("hopf.antipode", basis, antipode_axiom)
 
     def antipode_inverse(ix):
         e = FreeVector.basis(ix)
         ok = h.antipode_inv(h.antipode(e)) == e and h.antipode(h.antipode_inv(e)) == e
         return ok, (ix,)
 
-    report.sweep("hopf.antipode-inverse", basis, antipode_inverse, windowed=windowed)
+    report.sweep("hopf.antipode-inverse", basis, antipode_inverse)
     return report
 
 
 def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> CheckReport:
-    report = CheckReport(example=m.algebra.name, suite="comodule-algebra")
     alg, h = m.algebra, m.hopf
+    report = CheckReport(example=alg.name, suite="comodule-algebra", windowed=not alg.basis.is_finite)
     basis = alg.basis.enumerate(window)
-    windowed = not alg.basis.is_finite
 
     def coassoc(ix):
         pairs = m.coaction(ix).terms.items()
         lhs = combine((m.coaction(a).tensor(E(hh)), c) for (_, a, hh), c in pairs)  # (rho (x) id) rho
         rhs = combine((E(a).tensor(h.comul(hh)), c) for (_, a, hh), c in pairs)  # (id (x) comul) rho
-        return _flatten_left(lhs) == _flatten_right(rhs), (ix,)
+        return flatten_left(lhs) == flatten_right(rhs), (ix,)
 
-    report.sweep("comodule.coassoc", basis, coassoc, windowed=windowed)
+    report.sweep("comodule.coassoc", basis, coassoc)
 
     def counital(ix):
         out = combine((E(a), c * h.counit(hh)) for (_, a, hh), c in m.coaction(ix).terms.items())
         return out == FreeVector.basis(ix), (ix,)
 
-    report.sweep("comodule.counit", basis, counital, windowed=windowed)
+    report.sweep("comodule.counit", basis, counital)
 
     mixed = tensor_algebra(alg, h.algebra)
 
@@ -321,15 +304,10 @@ def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> Che
         rhs = linear(mixed.mult, m.coaction(i), m.coaction(j))
         return lhs == rhs, (i, j)
 
-    report.sweep(
-        "comodule.algebra-map",
-        ((i, j) for i in basis for j in basis),
-        algebra_map,
-        windowed=windowed,
-    )
-    report.record(
-        "comodule.unit", linear(m.coaction, alg.unit) == alg.unit.tensor(h.algebra.unit)
-    )
+    report.sweep("comodule.algebra-map", ((i, j) for i in basis for j in basis), algebra_map)
+    # exact on any basis: the coaction is evaluated at the unit alone
+    unital = linear(m.coaction, alg.unit) == alg.unit.tensor(h.algebra.unit)
+    report.add("comodule.unit", PASS if unital else FAIL)
 
     if m.coinvariants is not None:
         fam = m.coinvariants
@@ -339,12 +317,7 @@ def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> Che
             ok = linear(m.coaction, v) == v.tensor(h.algebra.unit)
             return ok, (b_ix,)
 
-        report.sweep(
-            "comodule.coinvariants",
-            fam.algebra.basis.enumerate(window),
-            coinvariant,
-            windowed=not fam.algebra.basis.is_finite,
-        )
+        report.sweep("comodule.coinvariants", fam.algebra.basis.enumerate(window), coinvariant)
     return report
 
 

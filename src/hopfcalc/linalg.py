@@ -26,6 +26,8 @@ __all__ = [
     "LinearSolver",
     "QuotientSpace",
     "tensor_index",
+    "flatten_left",
+    "flatten_right",
     "format_index",
     "index_sort_key",
     "intersection_dim",
@@ -51,6 +53,16 @@ def index_sort_key(ix):
 
 def tensor_index(left, right) -> Index:
     return ("@", left, right)
+
+
+def flatten_left(v: FreeVector) -> FreeVector:
+    """((i (x) j) (x) k) indices as flat ("@3", i, j, k) triples."""
+    return v.map_indices(lambda ix: ("@3", ix[1][1], ix[1][2], ix[2]))
+
+
+def flatten_right(v: FreeVector) -> FreeVector:
+    """(i (x) (j (x) k)) indices as flat ("@3", i, j, k) triples."""
+    return v.map_indices(lambda ix: ("@3", ix[1], ix[2][1], ix[2][2]))
 
 
 def format_index(ix) -> str:

@@ -40,11 +40,12 @@ class CoinvariantForms(TrackedSpan):
     ("coh", i), with the surjection from the augmentation ideal; `report`
     receives the checks of `coinvariant_forms`."""
 
-    def __init__(self, h_calc: Fodc, forms: Iterable[FreeVector] = (), windowed: bool = False):
+    def __init__(self, h_calc: Fodc, forms: Iterable[FreeVector] = ()):
         super().__init__((("coh", i), v) for i, v in enumerate(forms))
         self.h_calc = h_calc
-        self.windowed = windowed
-        self.report = CheckReport(example=h_calc.name, suite="coinvariant-forms")
+        self.report = CheckReport(
+            example=h_calc.name, suite="coinvariant-forms", windowed=not h_calc.forms.is_finite
+        )
 
     def maurer_cartan(self, h_vec: FreeVector) -> FreeVector:
         """h -> S(h_1) d(h_2), over the coinvariant labels."""
@@ -54,20 +55,24 @@ class CoinvariantForms(TrackedSpan):
         )
 
 
+def _bundle_report(cf: CrossedFodc, suite: str) -> CheckReport:
+    """A report on the bundle of cf: windowed when its total algebra is infinite."""
+    return CheckReport(example=cf.crossed.algebra.name, suite=suite, windowed=not cf.crossed.algebra.basis.is_finite)
+
+
 def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantForms:
     """Kernel of (lambda - unit (x) id) on the form window, plus the map
     h -> S(h_1) d(h_2), verified to land in it and to span it."""
     if h_calc.left_coaction is None:
         raise ValueError("coinvariant forms need a left coaction")
     h = h_calc.hopf
-    windowed = not h_calc.forms.is_finite
     unit_h = h.algebra.unit
 
     def defect(f_ix):
         return h_calc.left_coaction(f_ix) - unit_h.tensor(E(f_ix))
 
     kernel = LinearSolver(LinOp(defect), h_calc.forms.enumerate(window)).kernel()
-    coinv = CoinvariantForms(h_calc, kernel.basis(), windowed)
+    coinv = CoinvariantForms(h_calc, kernel.basis())
     report = coinv.report
 
     # the Cartan-Maurer form lands in the coinvariants and spans them
@@ -83,13 +88,12 @@ def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantFor
         except NoSolution as err:
             mc_ok, mc_witness = False, f"Cartan-Maurer value left the coinvariants: {err.target.to_text()}"
             break
-    report.record("maurer-cartan.lands-coinvariant", mc_ok, witness=mc_witness, windowed=windowed)
+    report.record("maurer-cartan.lands-coinvariant", mc_ok, witness=mc_witness)
     if mc_ok:
         report.record(
             "maurer-cartan.surjective",
             image.dim == coinv.dim,
             witness=f"image rank {image.dim} of {coinv.dim}",
-            windowed=windowed,
         )
     return coinv
 
@@ -116,12 +120,7 @@ class VerticalData:
         right coaction; returns that coaction over the coinvariant labels,
         computed once per instance."""
         table, unstable = self._rho_on_coinvariants
-        report.record(
-            "vertical.coinvariants-rho-stable",
-            unstable is None,
-            witness=unstable,
-            windowed=not self.cf.crossed.algebra.basis.is_finite,
-        )
+        report.record("vertical.coinvariants-rho-stable", unstable is None, witness=unstable)
         return table
 
 
@@ -130,8 +129,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     mutually inverse and ver to be left-linear and right colinear."""
     coinv = coinvariant_forms(cf.h_calc, window)
     h = cf.crossed.hopf
-    report = CheckReport(example=cf.crossed.algebra.name, suite="vertical-map")
-    windowed = not cf.crossed.algebra.basis.is_finite
+    report = _bundle_report(cf, "vertical-map")
 
     def p_ix(ver_ix):
         """b (x) gamma -> (b (x) gamma_-2) (x) [S(gamma_-1) gamma_0]."""
@@ -158,12 +156,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
         v = ver(E(bx), E(hf))
         return g(p(v)) == v, (bx, hf)
 
-    report.sweep(
-        "vertical.g-after-p",
-        ((bx, hf) for bx in b_basis for hf in h_forms),
-        gp_identity,
-        windowed=windowed,
-    )
+    report.sweep("vertical.g-after-p", ((bx, hf) for bx in b_basis for hf in h_forms), gp_identity)
 
     a_basis = cf.crossed.algebra.basis.enumerate(window)
 
@@ -176,7 +169,6 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
         "vertical.p-after-g",
         ((pair_ix, label) for pair_ix in a_basis for label in coinv.labels),
         pg_identity,
-        windowed=windowed,
     )
 
     form_basis = cf.forms.enumerate(window)
@@ -195,7 +187,6 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
         "vertical.left-linear",
         ((pair_ix, form_ix) for pair_ix in a_basis for form_ix in form_basis),
         left_linear,
-        windowed=windowed,
     )
 
     # right colinearity: the target carries the diagonal coaction
@@ -213,7 +204,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
         )
         return lhs.map_indices(_flatten_target) == rhs.map_indices(_flatten_target), (form_ix,)
 
-    report.sweep("vertical.right-colinear", form_basis, colinear, windowed=windowed)
+    report.sweep("vertical.right-colinear", form_basis, colinear)
     return vd
 
 
@@ -263,8 +254,7 @@ def check_atiyah_exact(
     horizontal forms and ver is surjective (through the section g); with
     graded data the same is done for the degree-2 vertical map."""
     cf = vd.cf
-    report = CheckReport(example=cf.crossed.algebra.name, suite="atiyah")
-    windowed = not cf.crossed.algebra.basis.is_finite
+    report = _bundle_report(cf, "atiyah")
     form_basis = cf.forms.enumerate(window)
 
     solver = LinearSolver(vd.ver, form_basis)
@@ -275,10 +265,10 @@ def check_atiyah_exact(
         if any(ix not in hor_indices and ix[0] != "hor" for ix in vec.support()):
             ker_in_hor, outside = False, witness(vec)
             break
-    report.record("atiyah.kernel-in-horizontal", ker_in_hor, witness=outside, windowed=windowed)
+    report.record("atiyah.kernel-in-horizontal", ker_in_hor, witness=outside)
     hor_in_ker = all(vd.ver(ix).is_zero() for ix in cf.horizontal_window(window))
-    report.record("atiyah.horizontal-in-kernel", hor_in_ker, windowed=windowed)
-    if not windowed:
+    report.record("atiyah.horizontal-in-kernel", hor_in_ker)
+    if not report.windowed:
         expected = len(cf.horizontal_window(None))
         report.record(
             "atiyah.kernel-rank",
@@ -291,7 +281,7 @@ def check_atiyah_exact(
     def onto(ix):
         return vd.ver(vd.g(ix)) == E(ix), (ix,)
 
-    report.sweep("atiyah.surjective-via-section", target, onto, windowed=windowed)
+    report.sweep("atiyah.surjective-via-section", target, onto)
 
     if higher is None or h_graded is None:
         return report
@@ -327,15 +317,10 @@ def check_atiyah_exact(
         for low in lower:
             wedge_span.add(linear(higher.wedge, 1, base_form, degree - 1, low))
 
-    ker_vs_wedge = kernel_n == wedge_span if not windowed else (
-        all(wedge_span.contains(v) for v in kernel_n.basis())
-        and all(kernel_n.contains(v) for v in wedge_span.basis())
-    )
     report.record(
         f"atiyah.degree-{degree}.kernel-is-wedge",
-        ker_vs_wedge,
+        kernel_n == wedge_span,
         witness=f"kernel dim {kernel_n.dim}, wedge dim {wedge_span.dim}",
-        windowed=windowed,
     )
 
     target_n = [
@@ -351,7 +336,7 @@ def check_atiyah_exact(
     def onto_n(ix):
         return linear(ver_n, g_n(ix)) == E(ix), (ix,)
 
-    report.sweep(f"atiyah.degree-{degree}.surjective", target_n, onto_n, windowed=windowed)
+    report.sweep(f"atiyah.degree-{degree}.surjective", target_n, onto_n)
     return report
 
 
@@ -371,8 +356,7 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
     verified left-linear, right colinear, a splitting, and strong."""
     cf = vd.cf
     h = cf.crossed.hopf
-    report = CheckReport(example=cf.crossed.algebra.name, suite="canonical-connection")
-    windowed = not cf.crossed.algebra.basis.is_finite
+    report = _bundle_report(cf, "canonical-connection")
     connection = Connection(c=vd.g, name="canonical")
     target = _check_splitting(report, vd, vd.g, window)
     coh_coaction = vd.record_rho_stable(report)
@@ -391,7 +375,7 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
         )
         return lhs == rhs, (t_ix,)
 
-    report.sweep("connection.right-colinear", target, colinear, windowed=windowed)
+    report.sweep("connection.right-colinear", target, colinear)
 
     b_basis = cf.crossed.base.basis.enumerate(window)
     h_basis = h.algebra.basis.enumerate(window)
@@ -403,25 +387,19 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
         expected = hor(cf.b_calc.d(bx), E(hx))
         return got == expected, (bx, hx)
 
-    report.sweep(
-        "connection.strong",
-        ((bx, hx) for bx in b_basis for hx in h_basis),
-        strong,
-        windowed=windowed,
-    )
+    report.sweep("connection.strong", ((bx, hx) for bx in b_basis for hx in h_basis), strong)
     return connection, report
 
 
 def _check_splitting(report: CheckReport, vd: VerticalData, c_map, window: int | None) -> list[Index]:
     """Record that c_map splits ver and is left-linear; returns the target basis."""
     cf = vd.cf
-    windowed = not cf.crossed.algebra.basis.is_finite
     target = vd.target_basis(window)
 
     def splitting(ix):
         return vd.ver(c_map(E(ix))) == E(ix), (ix,)
 
-    report.sweep("connection.splits-ver", target, splitting, windowed=windowed)
+    report.sweep("connection.splits-ver", target, splitting)
 
     def left_linear(item):
         pair_ix, t_ix = item
@@ -433,7 +411,6 @@ def _check_splitting(report: CheckReport, vd: VerticalData, c_map, window: int |
         "connection.left-linear",
         ((p, t) for p in cf.crossed.algebra.basis.enumerate(window) for t in target),
         left_linear,
-        windowed=windowed,
     )
     return target
 
@@ -442,8 +419,7 @@ def check_connection(vd: VerticalData, connection: Connection, window: int | Non
     """A supplied connection: splitting, left-linearity and colinearity;
     also the induced idempotent with horizontal kernel."""
     cf = vd.cf
-    report = CheckReport(example=cf.crossed.algebra.name, suite="connection-check")
-    windowed = not cf.crossed.algebra.basis.is_finite
+    report = _bundle_report(cf, "connection-check")
     _check_splitting(report, vd, connection.c, window)
 
     form_basis = cf.forms.enumerate(window)
@@ -455,9 +431,9 @@ def check_connection(vd: VerticalData, connection: Connection, window: int | Non
         horizontal_killed = pi.is_zero() if v.is_zero() else True
         return idempotent and horizontal_killed, (form_ix,)
 
-    report.sweep("connection.projector", form_basis, projector, windowed=windowed)
+    report.sweep("connection.projector", form_basis, projector)
 
-    if not windowed:
+    if not report.windowed:
         solver = LinearSolver(
             LinOp(lambda ix: connection.c(vd.ver(ix))), form_basis
         )
@@ -501,7 +477,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     h = cp.hopf
     if not cp.algebra.basis.is_finite:
         raise ValueError("associated bundles are computed for finite-dimensional total algebras")
-    report = CheckReport(example=cp.algebra.name, suite="covariant-derivative")
+    report = _bundle_report(cf, "covariant-derivative")
     embed = cp.comodule.coinvariants.embed
     a_basis = cp.algebra.basis.enumerate()
     pair_v = [tensor_index(a, v) for a in a_basis for v in v_comodule.labels]
@@ -735,7 +711,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
     cf = vd.cf
     h = cf.crossed.hopf
     coinv = vd.coinv
-    if coinv.windowed:
+    if coinv.report.windowed:
         if window is None:
             raise ValueError("windowed coinvariant forms need a window")
         # refuse when the coinvariant space is still growing with the window:
@@ -746,8 +722,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
                 "coinvariant forms grow with the window "
                 f"({coinv.dim} -> {probe.dim}); tangent space refused"
             )
-    report = CheckReport(example=cf.crossed.algebra.name, suite="tangent-space")
-    windowed = not cf.crossed.algebra.basis.is_finite
+    report = _bundle_report(cf, "tangent-space")
     labels = [("tan", i) for i in range(coinv.dim)]
 
     coaction_raw = vd.record_rho_stable(report)
@@ -793,7 +768,6 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
         "tangent.coaction-defining-equation",
         ((t, c) for t in labels for c in coinv.labels),
         coaction_defining_equation,
-        windowed=windowed,
     )
 
     def contract(tan_label, form_vec: FreeVector) -> FreeVector:
@@ -811,12 +785,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
         tan, hor_ix = item
         return fields[tan](E(hor_ix)).is_zero(), (tan, hor_ix)
 
-    report.sweep(
-        "field.vertical",
-        ((t, hx) for t in labels for hx in hor_basis),
-        vanishes_horizontally,
-        windowed=windowed,
-    )
+    report.sweep("field.vertical", ((t, hx) for t in labels for hx in hor_basis), vanishes_horizontally)
 
     unit_pair = tensor_index(_unit_b_index(cf.crossed), _unit_index(h))
 
@@ -846,7 +815,6 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
         "field.left-linear",
         ((t, p, f) for t in labels for p in a_basis for f in form_basis),
         left_linear,
-        windowed=windowed,
     )
 
     # uniqueness: a left-linear field is fixed by its values on the lifted
@@ -857,7 +825,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
         lifted = ver(cf.crossed.base.unit, coinv.lift(E(coh)))
         for pair_ix in a_basis:
             spanned.add(linear(cf.left_act, pair_ix, lifted))
-    report.sweep("field.unique", form_basis, lambda fx: (spanned.contains(E(fx)), (fx,)), windowed=windowed)
+    report.sweep("field.unique", form_basis, lambda fx: (spanned.contains(E(fx)), (fx,)))
     return tangent, fields, report
 
 
@@ -877,8 +845,7 @@ def connection_form_bijection(
         raise ValueError("give exactly one of connection / form")
     cf = vd.cf
     h = cf.crossed.hopf
-    report = CheckReport(example=cf.crossed.algebra.name, suite="connection-form-bijection")
-    windowed = not cf.crossed.algebra.basis.is_finite
+    report = _bundle_report(cf, "connection-form-bijection")
     unit_pair = tensor_index(_unit_b_index(cf.crossed), _unit_index(h))
 
     def to_form(c_map) -> ConnectionForm:
@@ -921,7 +888,7 @@ def connection_form_bijection(
         rhs_total = combine(
             (E(("cfw", tan, f_ix, unit_ix)), c) for tan in tangent.labels for f_ix, c in phi.coeffs[tan].terms.items()
         )
-        report.record(f"{tag}.coinvariant", lhs_total == rhs_total, windowed=windowed)
+        report.record(f"{tag}.coinvariant", lhs_total == rhs_total)
 
     if connection is not None:
         check = check_connection(vd, connection, window)
@@ -939,7 +906,7 @@ def connection_form_bijection(
         def roundtrip(ix):
             return back.c(E(ix)) == connection.c(E(ix)), (ix,)
 
-        report.sweep("roundtrip.connection", target, roundtrip, windowed=windowed)
+        report.sweep("roundtrip.connection", target, roundtrip)
         return phi, report
 
     verify_form(form, "input-form")

@@ -35,9 +35,13 @@ class Check:
 
 @dataclass
 class CheckReport:
+    """Checks of one suite.  A windowed suite checks an infinite basis on a
+    window only, so each identity it passes is window-verified, not proved."""
+
     example: str = ""
     suite: str = ""
     checks: list[Check] = field(default_factory=list)
+    windowed: bool = False
 
     def add(self, identity: str, status: str, witness: str | None = None) -> Check:
         if status not in _STATUSES:
@@ -46,21 +50,20 @@ class CheckReport:
         self.checks.append(check)
         return check
 
-    def record(self, identity: str, ok: bool, witness: str | None = None, windowed: bool = False, sampled: bool = False):
+    def record(self, identity: str, ok: bool, witness: str | None = None):
+        """Fail, or pass with the report's verdict: window-verified when windowed."""
         if not ok:
             return self.add(identity, FAIL, witness)
-        if sampled:
-            return self.add(identity, SAMPLED, witness)
-        return self.add(identity, WINDOWED if windowed else PASS, witness)
+        return self.add(identity, WINDOWED if self.windowed else PASS, witness)
 
-    def sweep(self, identity: str, items, test, windowed: bool = False):
+    def sweep(self, identity: str, items, test):
         """Run test over items; test returns (ok, witness parts), and the
         parts of the first failure are formatted into the witness."""
         for item in items:
             ok, parts = test(item)
             if not ok:
                 return self.add(identity, FAIL, witness(*parts))
-        return self.record(identity, True, windowed=windowed)
+        return self.record(identity, True)
 
     def extend(self, other: "CheckReport", prefix: str = ""):
         for check in other.checks:

@@ -240,3 +240,49 @@ def test_sweedler_computes_each_index_and_leg_count_once(monkeypatch):
         for ix, legs in keys:
             assert h.sweedler(ix, legs) is h.sweedler(ix, legs)
     assert calls == keys
+
+
+def test_spanned_family_is_finite_on_finite_parts():
+    left = build_cyclic_group_algebra(2).algebra.basis
+    right = build_cyclic_group_algebra(3).algebra.basis
+
+    def pairs(w):
+        return [tensor_index(i, j) for i in left.enumerate(w) for j in right.enumerate(w)]
+
+    family = BasisFamily.spanned(pairs, left, right)
+    assert family.is_finite
+    assert family.indices == BasisFamily(indices=[tensor_index(i, j) for i in left.indices for j in right.indices]).indices
+    assert family.enumerate() == family.enumerate(5) == family.indices
+
+
+def test_spanned_family_keeps_the_window_enumeration_of_infinite_parts():
+    finite = build_cyclic_group_algebra(2).algebra.basis
+    laurent = build_laurent_hopf().algebra.basis
+
+    def pairs(w):
+        return [tensor_index(i, j) for i in finite.enumerate(w) for j in laurent.enumerate(w)]
+
+    family = BasisFamily.spanned(pairs, finite, laurent)
+    assert not family.is_finite
+    assert family.enumerate(2) == BasisFamily(window_fn=pairs).enumerate(2)
+    assert len(family.enumerate(2)) == 2 * 5
+    with pytest.raises(ValueError):
+        family.enumerate()
+
+
+def test_coaction_legs_split_the_h_factor_in_order():
+    data = build_radford(2, 2, root_of_unity(4))
+    h = data.hopf
+    for ix in h.algebra.basis.enumerate():
+        value = h.comul(ix)
+        for legs in (1, 2, 3):
+            right, left = [], []
+            for (_, first, second), c in value.terms.items():
+                if legs == 1:
+                    right.append((c, (first, second)))
+                    left.append((c, (first, second)))
+                    continue
+                right.extend((c * c2, (first,) + tup) for c2, tup in h.sweedler(second, legs))
+                left.extend((c * c2, tup + (second,)) for c2, tup in h.sweedler(first, legs))
+            assert h.coaction_legs(value, legs) == right
+            assert h.coaction_legs(value, legs, left=True) == left

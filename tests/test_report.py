@@ -1,6 +1,6 @@
 from hopfcalc import report
 from hopfcalc.linalg import FreeVector, format_index
-from hopfcalc.report import FAIL, PASS, CheckReport
+from hopfcalc.report import FAIL, PASS, SAMPLED, WINDOWED, CheckReport
 from hopfcalc.scalars import root_of_unity
 
 E = FreeVector.basis
@@ -43,3 +43,36 @@ def test_failing_sweep_keeps_first_failure_witness(monkeypatch):
     assert check.status == FAIL
     assert check.witness == joined(parts_of(2))
     assert check.witness == "t(2) ; (1)*(a(0) (x) b(2)) + (-1)*e(2) ; 2"
+
+
+def test_windowed_report_stamps_passing_checks_window_verified():
+    rep = CheckReport(windowed=True)
+    swept = rep.sweep("swept", range(6), lambda k: (True, parts_of(k)))
+    recorded = rep.record("recorded", True, witness="dims agree")
+    assert (swept.status, swept.witness) == (WINDOWED, None)
+    assert (recorded.status, recorded.witness) == (WINDOWED, "dims agree")
+
+
+def test_windowed_report_still_fails_with_the_first_witness():
+    rep = CheckReport(windowed=True)
+    swept = rep.sweep("swept", range(6), lambda k: (k not in (3, 5), parts_of(k)))
+    recorded = rep.record("recorded", False, witness="rank 2 of 3")
+    assert (swept.status, swept.witness) == (FAIL, joined(parts_of(3)))
+    assert (recorded.status, recorded.witness) == (FAIL, "rank 2 of 3")
+    assert rep.failed == [swept, recorded]
+
+
+def test_add_keeps_the_status_it_is_given():
+    rep = CheckReport(windowed=True)
+    assert rep.add("exact-at-unit", PASS).status == PASS
+    assert rep.add("sampled", SAMPLED, None).status == SAMPLED
+    assert [c.status for c in rep.checks] == [PASS, SAMPLED]
+
+
+def test_unwindowed_report_stamps_pass_and_writes_no_window_flag():
+    rep = CheckReport(example="ex", suite="s")
+    assert rep.sweep("swept", range(3), lambda k: (True, parts_of(k))).status == PASS
+    assert rep.record("recorded", True).status == PASS
+    windowed = CheckReport(example="ex", suite="s", windowed=True)
+    windowed.record("recorded", True)
+    assert set(rep.as_dict()) == set(windowed.as_dict()) == {"example", "suite", "checks"}

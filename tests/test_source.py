@@ -456,3 +456,51 @@ def test_twin_and_adapter_scan_sees_every_form():
         "    return linear(dc.d, 1, combine((lambda t: t)(v)))\n"
     )
     assert sorted(_twins_and_adapters(ast.parse(text))) == [2, 3, 7, 9]
+
+
+def _verdict_overrides(tree):
+    """Lines of local `windowed` flags, of `sweep`/`record` calls that pass
+    their own `windowed=` or `sampled=`, and of string literals that spell
+    a check status."""
+    from hopfcalc.report import FAIL, PASS, SAMPLED, WINDOWED
+
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("sweep", "record")
+            and any(kw.arg in ("windowed", "sampled") for kw in node.keywords)
+        ):
+            yield node.lineno
+        if isinstance(node, ast.Name) and node.id.startswith("windowed"):
+            yield node.lineno
+        if isinstance(node, ast.Constant) and node.value in (PASS, FAIL, WINDOWED, SAMPLED):
+            yield node.lineno
+
+
+def test_reports_alone_decide_the_window_verdict():
+    # a report knows whether its suite runs on a window and stamps every
+    # passing sweep and record itself; only report.py spells the statuses
+    found = [
+        f"{path.name}:{line}"
+        for path, tree in _modules()
+        if path.name != "report.py"
+        for line in _verdict_overrides(tree)
+    ]
+    assert found == []
+
+
+def test_verdict_scan_sees_every_form():
+    text = (
+        "def f(report, items, test, ok, basis):\n"
+        "    windowed = not basis.is_finite\n"
+        "    report.sweep('a', items, test, windowed=windowed)\n"
+        "    report.record('b', ok, witness=None, windowed=True)\n"
+        "    rep.record('c', ok, sampled=True)\n"
+        "    report.add('d', 'window-verified' if report.windowed else 'pass')\n"
+        "    report.add('e', 'sampled', None)\n"
+        "    report.add('f', FAIL)\n"
+        "    report = CheckReport(suite='g', windowed=report.windowed)\n"
+        "    return f'{ok} passes', 'fail'\n"
+    )
+    assert sorted(_verdict_overrides(ast.parse(text))) == [2, 3, 3, 4, 5, 6, 6, 7, 10]
