@@ -3,7 +3,9 @@ cohomology, emitting one canonical JSON document on stdout and a short
 human summary on stderr.
 
 Exit status: 0 when no check failed, 1 on check failures, 2 on usage
-errors.
+errors.  An error names its stage: `error: params:` for refused
+parameters, `error: build:` when the instance cannot be built, and
+`error: suite:<name>:` when a suite cannot run.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def run(argv=None) -> int:
             sys.stderr.write(f"cohomology: {obstructed}\n")
             return 0
         except ValueError as err:
-            sys.stderr.write(f"error: {err}\n")
+            sys.stderr.write(f"error: build: {err}\n")
             return 2
         payload["dims"] = {f"H{i}": d for i, d in enumerate(dims)}
         if window is not None:
@@ -133,7 +135,7 @@ def run(argv=None) -> int:
     try:
         suites = EXAMPLES[example]["suites"](params)
     except ValueError as err:
-        sys.stderr.write(f"error: {err}\n")
+        sys.stderr.write(f"error: build: {err}\n")
         return 2
     wanted = getattr(args, "suite", None)
     if wanted is not None:
@@ -148,7 +150,7 @@ def run(argv=None) -> int:
         try:
             report = fn()
         except ValueError as err:
-            sys.stderr.write(f"error: suite {name} could not run: {err}\n")
+            sys.stderr.write(f"error: suite:{name}: {err}\n")
             return 2
         report.example = example
         report.suite = name

@@ -352,6 +352,7 @@ def necessity_dsigma(
     report = CheckReport(example=cp.algebra.name, suite="necessity-dsigma", windowed=not h.algebra.basis.is_finite)
     h_basis = h.algebra.basis.enumerate(window)
 
+    @memoise
     def expected_defect(hx, hy):
         return combine(
             (hor(b_calc.d(cp.cocycle.sigma(x1, y1)), h.algebra.mult(x2, y2)), c1 * c2)

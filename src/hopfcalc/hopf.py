@@ -773,7 +773,7 @@ def build_torus_comodule(theta_root: CycScalar) -> TorusData:
 
 def _in_field(c: CycScalar, scalar_order: int) -> bool:
     """Whether c is written in Q(zeta_scalar_order): its order divides it, or c is rational."""
-    return not scalar_order % c.order or not any(c.coeffs[1:])
+    return not scalar_order % c.order or c.is_rational()
 
 
 _ARROW_LINE = re.compile(r"^\s*(\S+)\s+(.*?)\s*->\s*(.*?)\s*:\s*(.*)$")

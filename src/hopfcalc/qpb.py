@@ -348,7 +348,7 @@ class Connection:
 
 @dataclass
 class ConnectionForm:
-    coeffs: dict  # tangent label -> form vector in Omega^1(B # H)
+    components: dict  # tangent label -> form vector in Omega^1(B # H)
 
 
 def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[Connection, CheckReport]:
@@ -849,15 +849,15 @@ def connection_form_bijection(
     unit_pair = tensor_index(_unit_b_index(cf.crossed), _unit_index(h))
 
     def to_form(c_map) -> ConnectionForm:
-        coeffs = {}
+        components = {}
         for i, tan in enumerate(tangent.labels):
-            coeffs[tan] = c_map(E(tensor_index(unit_pair, ("coh", i))))
-        return ConnectionForm(coeffs=coeffs)
+            components[tan] = c_map(E(tensor_index(unit_pair, ("coh", i))))
+        return ConnectionForm(components=components)
 
     def to_connection(phi: ConnectionForm) -> Connection:
         def c_map(target_vec: FreeVector) -> FreeVector:
             return combine(
-                (linear(cf.left_act, pair_ix, phi.coeffs[tan]), c * weight)
+                (linear(cf.left_act, pair_ix, phi.components[tan]), c * weight)
                 for (_, pair_ix, label), c in target_vec.terms.items()
                 for tan in tangent.labels
                 for weight in [tangent.pair(tan, label)]
@@ -868,7 +868,7 @@ def connection_form_bijection(
 
     def verify_form(phi: ConnectionForm, tag: str):
         def ver_projection(tan):
-            got = combine((E(ix), c) for ix, c in phi.coeffs[tan].terms.items() if ix[0] == "ver")
+            got = combine((E(ix), c) for ix, c in phi.components[tan].terms.items() if ix[0] == "ver")
             want = ver(cf.crossed.base.unit, vd.coinv.lift(E(("coh", tan[1]))))
             return got == want, (tan,)
 
@@ -881,12 +881,12 @@ def connection_form_bijection(
             (E(("cfw", tan0, f0, t_ix)), c * c2 * ct)
             for tan in tangent.labels
             for (_, tan0, h1), c in tangent.coaction[tan].terms.items()
-            for (_, f0, h2), c2 in linear(cf.right_coaction, phi.coeffs[tan]).terms.items()
+            for (_, f0, h2), c2 in linear(cf.right_coaction, phi.components[tan]).terms.items()
             for t_ix, ct in h.algebra.mult(h1, h2).terms.items()
         )
         unit_ix = _unit_index(h)
         rhs_total = combine(
-            (E(("cfw", tan, f_ix, unit_ix)), c) for tan in tangent.labels for f_ix, c in phi.coeffs[tan].terms.items()
+            (E(("cfw", tan, f_ix, unit_ix)), c) for tan in tangent.labels for f_ix, c in phi.components[tan].terms.items()
         )
         report.record(f"{tag}.coinvariant", lhs_total == rhs_total)
 
@@ -919,7 +919,7 @@ def connection_form_bijection(
     phi2 = to_form(back.c)
 
     def roundtrip_form(tan):
-        return phi2.coeffs[tan] == form.coeffs[tan], (tan,)
+        return phi2.components[tan] == form.components[tan], (tan,)
 
     report.sweep("roundtrip.form", tangent.labels, roundtrip_form)
     return back, report

@@ -1,9 +1,19 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_M).
 
 A scalar is a polynomial in a fixed primitive M-th root of unity,
-reduced modulo the M-th cyclotomic polynomial.  All coefficients are
-rationals, so every comparison in the package is bit-exact.  Mixed-order
-operands are coerced into Q(zeta_lcm) first.
+reduced modulo the M-th cyclotomic polynomial, so every comparison in the
+package is bit-exact.  Mixed-order operands are coerced into Q(zeta_lcm)
+first.
+
+The coefficients are stored as FLINT's fmpq_poly stores them: integer
+numerators `coeffs` over one denominator `den`.  The form is canonical
+(den >= 1, gcd(den, *coeffs) == 1, and zero is all zeros over 1), so
+equal values at one order have equal fields.  Phi_M is monic with integer
+coefficients, so reduction and the power table stay in the integers.
+When both operands have den == 1, which is nearly every scalar the
+examples build, +, -, * and the closed forms below are integer arithmetic
+with no gcd; only an operand with den > 1, an inverse or a division
+reduces by a gcd.
 
 Most scalars in practice are rationals or monomials c*zeta^k, and those
 take closed forms (as in GAP's sparse cyclotomics):
@@ -13,16 +23,18 @@ take closed forms (as in GAP's sparse cyclotomics):
 - the inverse of c*zeta^k is (1/c)*zeta^(-k), and its n-th power is
   c^n*zeta^(k*n).
 Every other case takes the dense path: lcm coercion, convolution folded
-through the power table, and extended Euclid for inverses.  The result
-order is the lcm of the operand orders on every path.
+through the power table, and a fraction-free extended Euclid for
+inverses.  The result order is the lcm of the operand orders on every
+path.  Operands may also be ints or Fraction values, read through
+.numerator and .denominator.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add, neg, sub
 
 __all__ = ["CycScalar", "root_of_unity", "parse_scalar", "multiplicative_order"]
 
@@ -33,42 +45,37 @@ def _poly_trim(p):
     return p
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] += ca * cb
-    return _poly_trim(out)
-
-
-def _poly_divmod(num, den):
-    """Euclidean division in Q[x]; den need not be monic."""
+def _poly_pseudo_divmod(num, den):
+    """(m, q, r) over Z with m * num == q * den + r and deg r < deg den."""
     num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    inv_lead = 1 / den[-1]
+    q = [0] * max(len(num) - len(den) + 1, 0)
+    lead, m = den[-1], 1
     while len(num) >= len(den) and _poly_trim(num):
         shift = len(num) - len(den)
-        c = num[-1] * inv_lead
-        q[shift] = c
+        c = num[-1]
+        if c % lead:
+            num = [lead * x for x in num]
+            q = [lead * x for x in q]
+            m *= lead
+        else:
+            c //= lead
+        q[shift] += c
         for i, d in enumerate(den):
             num[shift + i] -= c * d
         _poly_trim(num)
-    return _poly_trim(q), num
+    return m, _poly_trim(q), num
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(order: int) -> tuple[Fraction, ...]:
-    """Coefficients (low to high) of the cyclotomic polynomial Phi_order."""
+def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
+    """Integer coefficients (low to high) of the cyclotomic polynomial Phi_order."""
     if order < 1:
         raise ValueError("order must be a positive integer")
     # x^order - 1 divided by Phi_d over all proper divisors d of order
-    p = [Fraction(-1)] + [Fraction(0)] * (order - 1) + [Fraction(1)]
+    p = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            q, r = _poly_divmod(p, list(cyclotomic_polynomial(d)))
+            _, q, r = _poly_pseudo_divmod(p, cyclotomic_polynomial(d))
             if r:
                 raise ArithmeticError("cyclotomic division must be exact")
             p = q
@@ -82,46 +89,48 @@ def _phi_degree(order: int) -> int:
 
 @lru_cache(maxsize=None)
 def _power_table(order: int) -> tuple:
-    """Reduced coefficient tuples of zeta^k for k up to 2(deg-1)."""
+    """Reduced integer coefficient tuples of zeta^k for k up to 2(deg-1)."""
     deg = _phi_degree(order)
-    rows = []
-    for k in range(max(2 * deg - 1, 1)):
-        rows.append(_reduce_mod_phi(order, [Fraction(0)] * k + [Fraction(1)]))
-    return tuple(rows)
+    return tuple(_reduce_mod_phi(order, [0] * k + [1]) for k in range(max(2 * deg - 1, 1)))
 
 
 @lru_cache(maxsize=None)
 def _zero_tail(order: int) -> tuple:
     """The zero coefficients of zeta^1 .. zeta^(deg-1) in Q(zeta_order)."""
-    return (Fraction(0),) * (_phi_degree(order) - 1)
+    return (0,) * (_phi_degree(order) - 1)
 
 
-def _reduce_mod_phi(order, poly):
+def _reduce_mod_phi(order, poly) -> tuple:
+    """An integer polynomial reduced modulo the monic Phi_order."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
     poly = list(poly)
     while len(poly) > deg:
-        c = poly[-1]
-        shift = len(poly) - 1 - deg
+        c = poly.pop()
         if c:
-            for i in range(deg + 1):
+            shift = len(poly) - deg
+            for i in range(deg):
                 poly[shift + i] -= c * phi[i]
-        poly.pop()
-    poly += [Fraction(0)] * (deg - len(poly))
+    poly += [0] * (deg - len(poly))
     return tuple(poly)
 
 
 class CycScalar:
-    """An element of Q(zeta_M), canonically reduced mod Phi_M."""
+    """An element of Q(zeta_M): integer numerators `coeffs` over `den`, reduced mod Phi_M."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "den")
 
     def __init__(self, order: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != _phi_degree(order):
-            coeffs = _reduce_mod_phi(order, coeffs)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        """coeffs are ints or rationals with .numerator and .denominator, low power first."""
+        pairs = [(c.numerator, c.denominator) for c in coeffs]
+        den = lcm(*[d for _, d in pairs])
+        nums = [n * (den // d) for n, d in pairs]
+        if len(nums) != _phi_degree(order):
+            nums = _reduce_mod_phi(order, nums)
+        nums, den = _canonical(nums, den)
+        _set_order(self, order)
+        _set_coeffs(self, nums)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycScalar is immutable")
@@ -130,7 +139,8 @@ class CycScalar:
 
     @staticmethod
     def from_rational(value, order: int = 1) -> "CycScalar":
-        return _make(order, (_fraction(value),) + _zero_tail(order))
+        """value (an int or a Fraction, so already in lowest terms) at order."""
+        return _make(order, (value.numerator,) + _zero_tail(order), value.denominator)
 
     @staticmethod
     def zero(order: int = 1) -> "CycScalar":
@@ -149,23 +159,20 @@ class CycScalar:
         if order % self.order != 0:
             raise ValueError(f"cannot embed order {self.order} into order {order}")
         step = order // self.order
-        poly = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1 or 1)
+        poly = [0] * ((len(self.coeffs) - 1) * step + 1)
         for k, c in enumerate(self.coeffs):
-            if c:
-                poly[k * step] += c
-        return CycScalar(order, _reduce_mod_phi(order, poly))
+            poly[k * step] = c
+        return _normal(order, _reduce_mod_phi(order, poly), self.den)
 
     def _common(self, other):
         if not isinstance(other, CycScalar):
             return self, CycScalar.from_rational(other, self.order)
         if self.order == other.order:
             return self, other
-        c = _rational(other, self.order)
-        if c is not None:
-            return self, CycScalar.from_rational(c, self.order)
-        c = _rational(self, other.order)
-        if c is not None:
-            return CycScalar.from_rational(c, other.order), other
+        if _rational_in(other, self.order):
+            return self, _make(self.order, (other.coeffs[0],) + _zero_tail(self.order), other.den)
+        if _rational_in(self, other.order):
+            return _make(other.order, (self.coeffs[0],) + _zero_tail(other.order), self.den), other
         m = self.order * other.order // gcd(self.order, other.order)
         return self.to_order(m), other.to_order(m)
 
@@ -175,84 +182,92 @@ class CycScalar:
         return not any(self.coeffs)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.coeffs[0] == 1 and self.den == 1 and _rational_in(self, self.order)
+
+    def is_rational(self) -> bool:
+        """Whether the value lies in Q, whatever its order."""
+        return _rational_in(self, self.order)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         a, b = self._common(other)
-        return _make(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _normal(a.order, tuple(map(add, a.coeffs, b.coeffs)), a.den)
+        return _normal(a.order, tuple([x * b.den + y * a.den for x, y in zip(a.coeffs, b.coeffs)]), a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.order, tuple(-x if x else x for x in self.coeffs))
+        return _make(self.order, tuple(map(neg, self.coeffs)), self.den)
 
     def __sub__(self, other):
         a, b = self._common(other)
-        return _make(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _normal(a.order, tuple(map(sub, a.coeffs, b.coeffs)), a.den)
+        return _normal(a.order, tuple([x * b.den - y * a.den for x, y in zip(a.coeffs, b.coeffs)]), a.den * b.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, CycScalar):
-            return _scale(self, _fraction(other))
-        c = _rational(other, self.order)
-        if c is not None:
-            return _scale(self, c)
-        c = _rational(self, other.order)
-        if c is not None:
-            return _scale(other, c)
+            return _scale(self, other.numerator, other.denominator)
+        if _rational_in(other, self.order):
+            return _scale(self, other.coeffs[0], other.den)
+        if _rational_in(self, other.order):
+            return _scale(other, self.coeffs[0], self.den)
         a, b = self._common(other)
         table = _power_table(a.order)
-        mono_a, mono_b = _monomial(a.coeffs), _monomial(b.coeffs)
-        if mono_a and mono_b:
-            (i, ca), (j, cb) = mono_a, mono_b
-            return _make(a.order, _times(ca * cb, table[i + j]))
+        den = a.den * b.den
+        i, j = _monomial(a.coeffs), _monomial(b.coeffs)
+        if i >= 0 and j >= 0:
+            c = a.coeffs[i] * b.coeffs[j]
+            return _normal(a.order, tuple([c * x for x in table[i + j]]), den)
         # dense convolution folded through the precomputed power table
         deg = len(a.coeffs)
-        acc = [Fraction(0)] * (2 * deg - 1)
+        acc = [0] * (2 * deg - 1)
         for i, ca in enumerate(a.coeffs):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b.coeffs):
-                if cb:
-                    acc[i + j] += ca * cb
-        out = list(acc[:deg])
+            if ca:
+                for j, cb in enumerate(b.coeffs):
+                    if cb:
+                        acc[i + j] += ca * cb
+        out = acc[:deg]
         for k in range(deg, 2 * deg - 1):
             ck = acc[k]
             if ck:
-                row = table[k]
-                for i, r in enumerate(row):
+                for i, r in enumerate(table[k]):
                     if r:
                         out[i] += ck * r
-        return _make(a.order, tuple(out))
+        return _normal(a.order, tuple(out), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
-        mono = _monomial(self.coeffs)
-        if mono:
-            k, c = mono
-            return _scale(root_of_unity(self.order, -k), 1 / c)
-        # extended Euclid in Q[x] against Phi (irreducible over Q)
+        k = _monomial(self.coeffs)
+        if k >= 0:
+            n, d = self.den, self.coeffs[k]
+            if d < 0:
+                n, d = -n, -d
+            return _scale(root_of_unity(self.order, -k), n, d)
+        # extended Euclid over Z against Phi (irreducible over Q), with
+        # pseudo-division; the invariant is s * coeffs == r mod Phi
         r0, r1 = list(cyclotomic_polynomial(self.order)), _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
+        s0, s1 = [], [1]
         while r1:
-            q, r = _poly_divmod(r0, r1)
-            s = [Fraction(0)] * max(len(s0), len(q) + len(s1) - 1 if s1 and q else len(s0), 1)
-            qs1 = _poly_mul(q, s1)
-            for i, c in enumerate(s0):
-                s[i] += c
-            for i, c in enumerate(qs1):
-                s[i] -= c
-            r0, r1, s0, s1 = r1, r, s1, _poly_trim(s)
-        # r0 = gcd (a nonzero constant), s0 * self = r0 mod Phi
-        c = 1 / r0[0]
-        return CycScalar(self.order, _reduce_mod_phi(self.order, [x * c for x in s0]))
+            m, q, r = _poly_pseudo_divmod(r0, r1)
+            s = [m * x for x in s0] + [0] * max(len(q) + len(s1) - 1 - len(s0), 0)
+            for i, cq in enumerate(q):
+                if cq:
+                    for j, cs in enumerate(s1):
+                        s[i + j] -= cq * cs
+            g = gcd(*r, *s) or 1
+            r0, r1, s0, s1 = r1, [x // g for x in r], s1, _poly_trim([x // g for x in s])
+        # r0 is a nonzero constant c and s0 * coeffs == c mod Phi, so the
+        # inverse of coeffs / den is den * s0 / c
+        return _normal(self.order, _reduce_mod_phi(self.order, [self.den * x for x in s0]), r0[0])
 
     def __truediv__(self, other):
         if not isinstance(other, CycScalar):
@@ -265,10 +280,9 @@ class CycScalar:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        mono = _monomial(self.coeffs)
-        if mono:
-            k, c = mono
-            return _scale(root_of_unity(self.order, k * exponent), c**exponent)
+        k = _monomial(self.coeffs)
+        if k >= 0:
+            return _scale(root_of_unity(self.order, k * exponent), self.coeffs[k] ** exponent, self.den**exponent)
         result = CycScalar.one(self.order)
         base = self
         while exponent:
@@ -279,10 +293,10 @@ class CycScalar:
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, (CycScalar, int, Fraction)):
+        if not isinstance(other, CycScalar) and not hasattr(other, "denominator"):
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.coeffs == b.coeffs and a.den == b.den
 
     __hash__ = None  # equality coerces across orders; do not hash
 
@@ -292,64 +306,80 @@ class CycScalar:
         return f"CycScalar({self.to_text()!r})"
 
     def to_text(self) -> str:
-        """Polynomial text form, e.g. '1/2 + 3*z4^1'; round-trips via parse_scalar."""
+        """Polynomial text form, e.g. '1/2 + 3*z4^1'; round-trips via parse_scalar.
+
+        Each coefficient prints as str(Fraction) does: 'p' or 'p/q' in lowest terms."""
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, n in enumerate(self.coeffs):
+            if not n:
                 continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*z{self.order}^{k}")
+            d = self.den
+            if d != 1:
+                g = gcd(n, d)
+                n, d = n // g, d // g
+            c = str(n) if d == 1 else f"{n}/{d}"
+            parts.append(c if k == 0 else f"{c}*z{self.order}^{k}")
         if not parts:
             return "0"
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
 
 
-def _make(order, coeffs: tuple) -> CycScalar:
-    """Internal constructor for already-reduced coefficient tuples."""
-    out = CycScalar.__new__(CycScalar)
-    object.__setattr__(out, "order", order)
-    object.__setattr__(out, "coeffs", coeffs)
+_set_order = CycScalar.order.__set__
+_set_coeffs = CycScalar.coeffs.__set__
+_set_den = CycScalar.den.__set__
+_new = object.__new__
+
+
+def _make(order, coeffs: tuple, den: int = 1) -> CycScalar:
+    """Internal constructor for canonical numerators over den."""
+    out = _new(CycScalar)
+    _set_order(out, order)
+    _set_coeffs(out, coeffs)
+    _set_den(out, den)
     return out
 
 
-def _fraction(value) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
+def _canonical(nums, den: int) -> tuple:
+    """(numerators, denominator) of nums / den in lowest terms with a positive denominator."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        return tuple([x // g for x in nums]), den // g
+    return tuple(nums), den
 
 
-def _rational(s: CycScalar, order: int):
-    """The value of s if s is rational and embeds in Q(zeta_order), else None."""
-    if order % s.order or any(s.coeffs[1:]):
-        return None
-    return s.coeffs[0]
+def _normal(order, nums: tuple, den: int) -> CycScalar:
+    """nums / den in canonical form, for any nonzero den; no gcd when den is 1."""
+    return _make(order, nums, 1) if den == 1 else _make(order, *_canonical(nums, den))
 
 
-def _monomial(coeffs: tuple):
-    """(k, c) if c*zeta^k is the only nonzero term of coeffs, else None."""
-    found = None
+def _rational_in(s: CycScalar, order: int) -> bool:
+    """Whether s is rational (every coefficient past the first is zero) and embeds in Q(zeta_order)."""
+    c = s.coeffs
+    return not order % s.order and c.count(0) - (c[0] == 0) == len(c) - 1
+
+
+def _monomial(coeffs: tuple) -> int:
+    """k if c*zeta^k is the only nonzero term of coeffs, else -1."""
+    if len(coeffs) - coeffs.count(0) != 1:
+        return -1
     for k, c in enumerate(coeffs):
         if c:
-            if found:
-                return None
-            found = (k, c)
-    return found
+            return k
 
 
-def _times(c: Fraction, coeffs: tuple) -> tuple:
-    return tuple(c * x if x else x for x in coeffs)
-
-
-def _scale(s: CycScalar, c: Fraction) -> CycScalar:
-    """c * s for a rational c, with no new scalar when c is 1."""
-    if c == 1:
-        return s
-    if c == -1:
-        return -s
-    if not c:
-        return _cached_const(s.order, 0)
-    return _make(s.order, _times(c, s.coeffs))
+def _scale(s: CycScalar, n: int, d: int) -> CycScalar:
+    """(n / d) * s for a rational n / d in lowest terms, with no new scalar when it is 1."""
+    if d == 1:
+        if n == 1:
+            return s
+        if n == -1:
+            return -s
+        if not n:
+            return _cached_const(s.order, 0)
+    return _normal(s.order, tuple([n * x for x in s.coeffs]), d * s.den)
 
 
 @lru_cache(maxsize=None)
@@ -367,8 +397,7 @@ def root_of_unity(order: int, power: int = 1) -> CycScalar:
 @lru_cache(maxsize=None)
 def _root(order: int, power: int) -> CycScalar:
     """Memo of root_of_unity: at most `order` entries per order."""
-    poly = [Fraction(0)] * power + [Fraction(1)]
-    return CycScalar(order, _reduce_mod_phi(order, poly))
+    return CycScalar(order, _reduce_mod_phi(order, [0] * power + [1]))
 
 
 def multiplicative_order(s: CycScalar, bound: int | None = None) -> int | None:
@@ -383,7 +412,7 @@ def multiplicative_order(s: CycScalar, bound: int | None = None) -> int | None:
 
 
 _TERM_RE = re.compile(
-    r"^\s*(?:(?P<rat>-?\d+(?:/\d+)?)\s*(?:\*\s*(?P<zr>z(?P<mr>\d+)(?:\^(?P<kr>-?\d+))?))?"
+    r"^\s*(?:(?P<p>-?\d+)(?:/(?P<q>\d+))?\s*(?:\*\s*(?P<zr>z(?P<mr>\d+)(?:\^(?P<kr>-?\d+))?))?"
     r"|(?P<z>z(?P<m>\d+)(?:\^(?P<k>-?\d+))?))\s*$"
 )
 
@@ -418,14 +447,12 @@ def parse_scalar(text: str) -> CycScalar:
             order, k = int(m.group("m")), int(m.group("k") or 1)
             value = root_of_unity(order, k)
         else:
-            try:
-                coeff = Fraction(m.group("rat"))
-            except ZeroDivisionError:
-                raise ValueError(f"bad scalar term {chunk.strip()!r}: zero denominator") from None
+            q = int(m.group("q") or 1)
+            if not q:
+                raise ValueError(f"bad scalar term {chunk.strip()!r}: zero denominator")
+            value = _normal(1, (int(m.group("p")),), q)
             if m.group("zr"):
                 order, k = int(m.group("mr")), int(m.group("kr") or 1)
-                value = coeff * root_of_unity(order, k)
-            else:
-                value = CycScalar.from_rational(coeff)
+                value = value * root_of_unity(order, k)
         total = total + sgn * value
     return total

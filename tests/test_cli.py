@@ -358,6 +358,56 @@ def test_invalid_parameters_are_refused_before_any_instance(capsys, monkeypatch,
     assert "suite" not in err and f"{argv[1]}:" not in err
 
 
+def test_a_user_file_that_cannot_be_built_names_the_build_stage(tmp_path, capsys):
+    lines = C4_HOPF.read_text().splitlines()
+    lines[25] = "COUNIT 2 : z3"
+    path = tmp_path / "bad.hopf"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = invoke(capsys, ["verify", "user-hopf", "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: build: line 26: ")
+
+
+def test_a_graded_calculus_that_cannot_be_built_names_the_build_stage(capsys, monkeypatch):
+    def refuse(params):
+        raise ValueError("no graded calculus here")
+
+    monkeypatch.setitem(EXAMPLES["group-c2"], "graded", refuse)
+    code, out, err = invoke(capsys, ["cohomology", "group-c2"])
+    assert (code, out, err) == (2, "", "error: build: no graded calculus here\n")
+
+
+def test_a_suite_that_raises_names_its_suite(capsys, monkeypatch):
+    from hopfcalc.report import CheckReport
+
+    def cannot_run():
+        raise ValueError("no solution for the section")
+
+    suites = [("fine", lambda: CheckReport(example="group-c2", suite="fine")), ("broken", cannot_run)]
+    monkeypatch.setitem(EXAMPLES["group-c2"], "suites", lambda params: suites)
+    code, out, err = invoke(capsys, ["verify", "group-c2"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["group-c2:fine: ok (0 checks)", "error: suite:broken: no solution for the section"]
+
+
+def test_a_run_loads_neither_fractions_nor_decimal():
+    import os
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import io, sys, contextlib\n"
+        "import hopfcalc.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    status = hopfcalc.cli.run(['verify', 'group-c2'])\n"
+        "print(status, sorted({'fractions', 'decimal', '_decimal', '_pydecimal'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.stdout == "0 []\n", done.stderr
+
+
 def test_every_registered_example_has_a_parameter_validator():
     from hopfcalc.examples import EXAMPLES
 

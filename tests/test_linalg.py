@@ -58,8 +58,8 @@ def test_basis_and_negation_build_no_fresh_rational(monkeypatch):
         neg = -v
     assert unit.coeff(("e", 5)) is one
     assert neg == expected
-    assert [(ix, c.order, c.coeffs) for ix, c in neg.items()] == [
-        (ix, c.order, c.coeffs) for ix, c in expected.items()
+    assert [(ix, c.order, c.coeffs, c.den) for ix, c in neg.items()] == [
+        (ix, c.order, c.coeffs, c.den) for ix, c in expected.items()
     ]
 
 
@@ -68,7 +68,7 @@ def test_basis_vectors_hold_the_order_one_one():
     for v in (E(("e", 0)), E(("e", 0), 1)):
         assert list(v.terms) == [("e", 0)]
         assert v.terms[("e", 0)] is one
-        assert (one.order, one.coeffs) == (1, (1,))
+        assert (one.order, one.coeffs, one.den) == (1, (1,), 1)
     assert E(("e", 0), 0).is_zero() and E(("e", 0), CycScalar.zero(4)).is_zero()
 
 
@@ -176,7 +176,7 @@ def test_linop_action_runs_once_per_index():
 
 
 def _shape(v):
-    return [(ix, c.order, c.coeffs) for ix, c in v.terms.items()]
+    return [(ix, c.order, c.coeffs, c.den) for ix, c in v.terms.items()]
 
 
 def test_linear_single_term_with_coefficient_one_returns_the_image():

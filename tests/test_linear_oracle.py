@@ -1,10 +1,10 @@
 """Differential test of linalg.combine and linalg.linear against linear_oracle.
 
 The kernel must give what repeated `out = out + v.scale(c)` gave: the same
-terms in the same dict order, each coefficient with the same order and
-coeffs, from the same scalar products and sums operand for operand, and it
-must leave every input vector as it was.  Scalars mix the orders 1, 2, 4
-and 8, and coefficients are biased to 0, 1 and -1.
+terms in the same dict order, each coefficient with the same order,
+numerators and denominator, from the same scalar products and sums operand
+for operand, and it must leave every input vector as it was.  Scalars mix
+the orders 1, 2, 4 and 8, and coefficients are biased to 0, 1 and -1.
 """
 
 from contextlib import contextmanager
@@ -60,7 +60,7 @@ def pairs(draw):
 
 
 def _shape(terms):
-    return [(ix, c.order, c.coeffs) for ix, c in terms.items()]
+    return [(ix, c.order, c.coeffs, c.den) for ix, c in terms.items()]
 
 
 @contextmanager
@@ -71,7 +71,8 @@ def _scalar_trace():
 
     def traced(op):
         def run(a, b):
-            trace[op].append((a.order, a.coeffs, getattr(b, "order", None), getattr(b, "coeffs", b)))
+            shape_b = (b.order, b.coeffs, b.den) if isinstance(b, CycScalar) else b
+            trace[op].append((a.order, a.coeffs, a.den, shape_b))
             return originals[op](a, b)
 
         return run

@@ -186,7 +186,7 @@ def test_connection_form_bijection_roundtrips(radford):
     phi, report = connection_form_bijection(vd, tangent, connection=conn)
     assert report.ok
     # canonical connection gives phi = sum x_j (x) (1 (x) x^j)
-    assert phi.coeffs[("tan", 0)] == ver(E(("h1", 0, 0)), vd.coinv.lift(E(("coh", 0))))
+    assert phi.components[("tan", 0)] == ver(E(("h1", 0, 0)), vd.coinv.lift(E(("coh", 0))))
     back, report2 = connection_form_bijection(vd, tangent, form=phi)
     assert report2.ok
     for ix in vd.target_basis():

@@ -1,12 +1,15 @@
 """Differential test of hopfcalc.scalars against the frozen scalar_oracle.
 
 Every closed-form path of the scalar layer (rational operands, monomials
-c*zeta^k) must give the same order, the same reduced coefficients (all
-Fractions) and the same text as the dense implementation it replaced.
-Operands are biased towards the shapes those paths select on.
+c*zeta^k) must give the same order, the same value in each coefficient
+and the same text as the dense Fraction implementation it replaced, and
+keep its own canonical form: integer numerators over one denominator
+den >= 1 with gcd(den, *numerators) == 1, and zero over 1.  Operands are
+biased towards the shapes those paths select on.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import scalar_oracle as oracle
 from hypothesis import given, settings
@@ -65,9 +68,16 @@ def assert_same(new, old):
         return
     assert isinstance(new, CycScalar)
     assert new.order == old.order
-    assert new.coeffs == old.coeffs
-    assert all(type(c) is Fraction for c in new.coeffs)
+    assert [Fraction(n, new.den) for n in new.coeffs] == list(old.coeffs)
+    assert_canonical(new)
     assert new.to_text() == old.to_text()
+
+
+def assert_canonical(s):
+    assert all(type(n) is int for n in s.coeffs)
+    assert type(s.den) is int and s.den >= 1
+    # lowest terms, which also puts zero over 1
+    assert gcd(s.den, *s.coeffs) == 1
 
 
 BINARY = [
@@ -93,3 +103,15 @@ def test_scalars_match_the_frozen_oracle(pair, exponent, step):
         assert_same(outcome(pow, x, exponent), outcome(pow, x_old, exponent))
         assert_same(x.to_order(x.order * step), x_old.to_order(x_old.order * step))
         assert x.to_text() == x_old.to_text()
+
+
+@settings(max_examples=100, deadline=None)
+@given(operand(3), st.sampled_from([3, 2, 6, -4]))
+def test_a_denominator_cancelled_again_returns_to_one(pair, k):
+    x, x_old = pair
+    if not isinstance(x, CycScalar):
+        x, x_old = CycScalar.from_rational(x, 3), oracle.CycScalar.from_rational(x_old, 3)
+    part, part_old = x / k, x_old / k
+    for new, old in ((part * k, part_old * k), (part + part * (k - 1), part_old + part_old * (k - 1))):
+        assert_same(new, old)
+        assert (new.coeffs, new.den) == (x.coeffs, x.den)

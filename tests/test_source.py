@@ -504,3 +504,47 @@ def test_verdict_scan_sees_every_form():
         "    return f'{ok} passes', 'fail'\n"
     )
     assert sorted(_verdict_overrides(ast.parse(text))) == [2, 3, 3, 4, 5, 6, 6, 7, 10]
+
+
+def _fractions_imports(tree):
+    """Line numbers that import the fractions module or a name from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "fractions" for a in node.names):
+            yield node.lineno
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "fractions":
+            yield node.lineno
+
+
+def _representation_reads(tree):
+    """Line numbers that touch a scalar's numerators or denominator."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("coeffs", "den"):
+            yield node.lineno
+
+
+def test_scalars_alone_knows_the_scalar_representation():
+    # integer numerators over one denominator is private to scalars.py, and
+    # no module pays for importing fractions (and decimal through it)
+    imports = [f"{path.name}:{line}" for path, tree in _modules() for line in _fractions_imports(tree)]
+    reads = [
+        f"{path.name}:{line}"
+        for path, tree in _modules()
+        if path.name != "scalars.py"
+        for line in _representation_reads(tree)
+    ]
+    assert imports == [] and reads == []
+
+
+def test_representation_scan_sees_every_form():
+    text = (
+        "import fractions\n"
+        "import os, fractions as fr\n"
+        "from fractions import Fraction\n"
+        "def f(c, s):\n"
+        "    return c.coeffs[1:], s.den, getattr(c, 'order')\n"
+        "def g(c):\n"
+        "    c.den = 1\n"
+    )
+    tree = ast.parse(text)
+    assert sorted(_fractions_imports(tree)) == [1, 2, 3]
+    assert sorted(_representation_reads(tree)) == [5, 5, 7]
