@@ -8,7 +8,6 @@ re-verified by the checkers in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from hopfcalc.hopf import (
@@ -30,6 +29,7 @@ from hopfcalc.linalg import (
     combine,
     linear,
     memoise_fields,
+    record,
     tensor_index,
 )
 from hopfcalc.report import FAIL, PASS, CheckReport, witness
@@ -40,7 +40,7 @@ E = FreeVector.basis
 _VERIFY_WINDOW = 2
 
 
-@dataclass
+@record
 class Measure:
     act: Callable[[Index, Index], FreeVector]  # (H-basis, B-basis) -> B
 
@@ -48,7 +48,7 @@ class Measure:
         memoise_fields(self, "act")
 
 
-@dataclass
+@record
 class Cocycle:
     sigma: Callable[[Index, Index], FreeVector]  # (H, H) -> B
     sigma_inv: Callable[[Index, Index], FreeVector]
@@ -170,7 +170,7 @@ def check_twisted_module_algebra(
     return report
 
 
-@dataclass
+@record
 class CrossedProduct:
     base: AlgebraPresentation
     hopf: HopfData
@@ -240,7 +240,7 @@ def build_crossed_product(
     return CrossedProduct(base=b, hopf=h, measure=m, cocycle=s, algebra=algebra, comodule=comodule)
 
 
-@dataclass
+@record
 class CleftData:
     total: ComoduleAlgebra
     cleaving: LinOp
@@ -422,7 +422,7 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
     return section, report
 
 
-@dataclass
+@record
 class HopfGaloisResult:
     report: CheckReport
     balanced_dim: int

@@ -10,7 +10,6 @@ Form indices: ``("hor", b_form, h)`` for the horizontal summand and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from hopfcalc.crossed import CleftData, CrossedProduct, cleft_to_crossed
@@ -34,6 +33,7 @@ from hopfcalc.linalg import (
     linear,
     memoise,
     memoise_fields,
+    record,
     tensor_index,
 )
 from hopfcalc.report import FAIL, SAMPLED, CheckReport, witness
@@ -57,7 +57,7 @@ def ver(b_vec: FreeVector, h_form_vec: FreeVector) -> FreeVector:
     )
 
 
-@dataclass
+@record
 class CrossedFodc:
     crossed: CrossedProduct
     b_calc: Fodc
@@ -380,7 +380,7 @@ def necessity_dsigma(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class GradedDc:
     """Differential graded data truncated at a finite top degree.
 
@@ -760,7 +760,7 @@ def de_rham_cohomology(dc: GradedDc, max_degree: int, window: int | None = None)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class SmashClassification:
     report: CheckReport
     theta_hat_inv: Optional[Callable[[Index], FreeVector]] = None

@@ -5,7 +5,6 @@ both drive these."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from hopfcalc.crossed import (
@@ -32,13 +31,13 @@ from hopfcalc.hopf import (
     check_radford_shape,
     TorusData,
 )
-from hopfcalc.linalg import FreeVector, LinOp, combine, linear, memoise, tensor_index
+from hopfcalc.linalg import FreeVector, LinOp, combine, linear, memoise, record, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
 
 
-@dataclass
+@record
 class RadfordInstance:
     data: RadfordData
     group: HopfData              # k[C_r]
@@ -174,7 +173,7 @@ def radford_injected_calculus(inst: RadfordInstance):
     return calc, TwistedCalculusAction(act=act)
 
 
-@dataclass
+@record
 class TorusInstance:
     torus: TorusData
     cleft: CleftData
@@ -207,7 +206,7 @@ class TorusInstance:
         return E(("uv", s, s), th ** (s * kp))
 
 
-@dataclass
+@record
 class GroupC2Instance:
     hopf: HopfData
     calc: "Fodc"
@@ -235,7 +234,7 @@ def group_c2_instance(ideal: str = "zero") -> GroupC2Instance:
     return GroupC2Instance(hopf=h, calc=calc, graded=truncate_dc_degree2(calc))
 
 
-@dataclass
+@record
 class RadfordCalculusInstance:
     instance: RadfordInstance
     b_calc: "Fodc"
@@ -290,7 +289,7 @@ def radford_calculus_instance(r: int = 2, n: int = 2, q: CycScalar | None = None
     )
 
 
-@dataclass
+@record
 class TorusCalculusInstance:
     instance: TorusInstance
     b_calc: "Fodc"
@@ -328,7 +327,7 @@ def torus_calculus_instance(theta_order: int = 8, window: int = 4, q: CycScalar 
     )
 
 
-@dataclass
+@record
 class SmashDemoInstance:
     comodule: ComoduleAlgebra
     cleft: CleftData

@@ -11,7 +11,6 @@ crossed product construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from hopfcalc.crossed import Cocycle, Measure
@@ -34,6 +33,7 @@ from hopfcalc.linalg import (
     format_index,
     linear,
     memoise_fields,
+    record,
     tensor_index,
 )
 from hopfcalc.report import CheckReport
@@ -43,7 +43,7 @@ Index = tuple
 E = FreeVector.basis
 
 
-@dataclass
+@record
 class Fodc:
     algebra: AlgebraPresentation
     forms: BasisFamily
@@ -312,7 +312,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class IdealCalculusSpec:
     hopf: HopfData
     ideal_gens: list
@@ -567,7 +567,7 @@ def universal_fodc(a: AlgebraPresentation, name: str = "") -> Fodc:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class TwistedCalculusAction:
     """The action of the Hopf algebra on 1-forms derived from presentations."""
 

@@ -10,7 +10,6 @@ on a window otherwise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from hopfcalc.linalg import (
@@ -26,6 +25,7 @@ from hopfcalc.linalg import (
     index_sort_key,
     linear,
     memoise_fields,
+    record,
     tensor_index,
 )
 from hopfcalc.report import FAIL, PASS, CheckReport
@@ -64,7 +64,7 @@ class BasisFamily:
         return cls(window_fn=fn)
 
 
-@dataclass
+@record
 class AlgebraPresentation:
     name: str
     basis: BasisFamily
@@ -102,7 +102,7 @@ def tensor_algebra(left: AlgebraPresentation, right: AlgebraPresentation, name: 
     )
 
 
-@dataclass
+@record
 class HopfData:
     algebra: AlgebraPresentation
     comul: Callable[[Index], FreeVector]
@@ -162,7 +162,7 @@ class HopfData:
         return [(c, t) for t, c in acc.items() if not c.is_zero()]
 
 
-@dataclass
+@record
 class CoinvariantFamily:
     """Coinvariant subalgebra, either computed by kernel or declared."""
 
@@ -171,7 +171,7 @@ class CoinvariantFamily:
     declared: bool = True
 
 
-@dataclass
+@record
 class ComoduleAlgebra:
     algebra: AlgebraPresentation
     hopf: HopfData
@@ -352,7 +352,7 @@ def compute_coinvariants(m: ComoduleAlgebra, name: str = "") -> CoinvariantFamil
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class CoalgebraData:
     comul: Callable[[Index], FreeVector]
     counit: Callable[[Index], CycScalar]
@@ -565,7 +565,7 @@ def build_laurent_hopf(scalar_order: int = 1) -> HopfData:
     )
 
 
-@dataclass
+@record
 class RadfordData:
     hopf: HopfData
     h1: AlgebraPresentation
@@ -691,7 +691,7 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
     return RadfordData(hopf=hopf, h1=h1, h1_embed=h1_embed, r=r, n=n, m=m, q=q)
 
 
-@dataclass
+@record
 class TorusData:
     comodule: ComoduleAlgebra
     theta_root: CycScalar

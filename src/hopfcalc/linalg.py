@@ -35,6 +35,7 @@ __all__ = [
     "linear",
     "memoise",
     "memoise_fields",
+    "record",
 ]
 
 Index = tuple
@@ -282,7 +283,7 @@ def memoise(fn):
     """fn with its value kept per argument tuple; None and memos pass through.
 
     A structure map on basis indices is a fixed table, so each entry is
-    computed once.  A call that raises stores nothing.  Dataclass fields
+    computed once.  A call that raises stores nothing.  Record fields
     are memoised by `memoise_fields`, and every `LinOp` memoises its
     action, so a map handed to either needs no wrapper of its own.
     """
@@ -304,6 +305,48 @@ def memoise_fields(obj, *names) -> None:
     """Memoise the named structure maps of obj in place: fields, or methods such as `HopfData.sweedler`."""
     for name in names:
         setattr(obj, name, memoise(getattr(obj, name)))
+
+
+def record(cls):
+    """cls with an `__init__` that takes its annotated fields, in order, by
+    position or keyword, fills the rest from their class-attribute defaults
+    and then runs `__post_init__` if cls has one.
+
+    The `__init__` is a closure over the field names, not source compiled
+    per class, so defining a record compiles nothing at import time.  A
+    list, dict or set default would be shared by every instance and is
+    refused; such an attribute is set in `__post_init__` instead.
+    """
+    own = vars(cls)
+    names = tuple(own.get("__annotations__", ()))
+    defaults = {name: own[name] for name in names if name in own}
+    for name, value in defaults.items():
+        if isinstance(value, (list, dict, set)):
+            raise ValueError(f"mutable default {type(value).__name__} for {cls.__name__}.{name}")
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
+        rest = names[len(args):]
+        for name in kwargs:
+            if name not in rest:
+                problem = "multiple values for" if name in names else "an unexpected keyword"
+                raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        missing = [name for name in rest if name not in kwargs and name not in defaults]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing arguments: {', '.join(map(repr, missing))}")
+        for name, value in zip(names, args):
+            setattr(self, name, value)
+        for name in rest:
+            setattr(self, name, kwargs[name] if name in kwargs else defaults[name])
+        if post_init:
+            self.__post_init__()
+
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    __init__.__module__ = cls.__module__
+    cls.__init__ = __init__
+    return cls
 
 
 class LinOp:

@@ -8,7 +8,6 @@ connections and connection 1-forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -26,6 +25,7 @@ from hopfcalc.linalg import (
     linear,
     memoise,
     memoise_fields,
+    record,
     tensor_index,
 )
 from hopfcalc.report import CheckReport, witness
@@ -98,7 +98,7 @@ def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantFor
     return coinv
 
 
-@dataclass
+@record
 class VerticalData:
     cf: CrossedFodc
     coinv: CoinvariantForms
@@ -340,13 +340,13 @@ def check_atiyah_exact(
     return report
 
 
-@dataclass
+@record
 class Connection:
     c: Callable[[FreeVector], FreeVector]
     name: str = "connection"
 
 
-@dataclass
+@record
 class ConnectionForm:
     components: dict  # tangent label -> form vector in Omega^1(B # H)
 
@@ -451,13 +451,13 @@ def check_connection(vd: VerticalData, connection: Connection, window: int | Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class VComodule:
     labels: list[Index]
     coaction: Callable[[Index], FreeVector]  # v -> v (x) H pairs
 
 
-@dataclass
+@record
 class CovariantDerivativeData:
     e_span: TrackedSpan                      # the bundle E, labelled ("ebas", i)
     nabla: Callable[[Index], FreeVector]     # E label -> balanced classes
@@ -690,7 +690,7 @@ def _unit_b_index(cp) -> Index:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class TangentSpace:
     labels: list[Index]             # ("tan", i), dual to the coinvariant labels
     coinv: CoinvariantForms

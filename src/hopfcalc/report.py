@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
-from hopfcalc.linalg import FreeVector, format_index
+from hopfcalc.linalg import FreeVector, format_index, record
 
 PASS = "pass"
 FAIL = "fail"
@@ -23,7 +22,7 @@ def witness(*parts) -> str:
     )
 
 
-@dataclass
+@record
 class Check:
     identity: str
     status: str
@@ -33,15 +32,17 @@ class Check:
         return {"identity": self.identity, "status": self.status, "witness": self.witness}
 
 
-@dataclass
+@record
 class CheckReport:
     """Checks of one suite.  A windowed suite checks an infinite basis on a
     window only, so each identity it passes is window-verified, not proved."""
 
     example: str = ""
     suite: str = ""
-    checks: list[Check] = field(default_factory=list)
     windowed: bool = False
+
+    def __post_init__(self):
+        self.checks: list[Check] = []
 
     def add(self, identity: str, status: str, witness: str | None = None) -> Check:
         if status not in _STATUSES:

@@ -390,22 +390,44 @@ def test_a_suite_that_raises_names_its_suite(capsys, monkeypatch):
     assert err.splitlines() == ["group-c2:fine: ok (0 checks)", "error: suite:broken: no solution for the section"]
 
 
-def test_a_run_loads_neither_fractions_nor_decimal():
+def _loaded_after(argv, names):
+    """Exit status of `cli.run(argv)` in a fresh interpreter, and which of
+    the named modules are in its sys.modules afterwards."""
     import os
     import subprocess
     import sys
 
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     code = (
-        "import io, sys, contextlib\n"
+        "import io, json, sys, contextlib\n"
         "import hopfcalc.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    status = hopfcalc.cli.run(['verify', 'group-c2'])\n"
-        "print(status, sorted({'fractions', 'decimal', '_decimal', '_pydecimal'} & set(sys.modules)))\n"
+        f"    status = hopfcalc.cli.run({list(argv)!r})\n"
+        f"print(json.dumps([status, sorted({set(names)!r} & set(sys.modules))]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert done.stdout == "0 []\n", done.stderr
+    assert done.returncode == 0, done.stderr
+    return tuple(json.loads(done.stdout))
+
+
+# dataclasses would bring inspect, ast, dis and tokenize with it
+_RECORD_MACHINERY = ("dataclasses", "inspect")
+
+
+def test_a_run_loads_neither_fractions_nor_decimal():
+    names = ("fractions", "decimal", "_decimal", "_pydecimal", "hopfcalc.qpb") + _RECORD_MACHINERY
+    assert _loaded_after(["verify", "group-c2"], names) == (0, [])
+
+
+def test_listing_examples_loads_no_calculus_module():
+    names = ("hopfcalc.fodc", "hopfcalc.crossed_calc", "hopfcalc.qpb") + _RECORD_MACHINERY
+    assert _loaded_after(["list-examples"], names) == (0, [])
+
+
+def test_a_run_that_loads_qpb_loads_no_dataclass_machinery():
+    names = ("hopfcalc.qpb",) + _RECORD_MACHINERY
+    assert _loaded_after(["verify", "radford", "--suite", "connection"], names) == (0, ["hopfcalc.qpb"])
 
 
 def test_every_registered_example_has_a_parameter_validator():

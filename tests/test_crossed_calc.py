@@ -386,9 +386,8 @@ def test_wedge_sign_is_pinned_by_graded_leibniz(radford_calc):
 
 def _graded_verdicts(good, **maps):
     """(identity, status, witness) of check_graded_dc on good with some maps replaced."""
-    import dataclasses
-
-    report = check_graded_dc(dataclasses.replace(good, **maps))
+    fields = {name: getattr(good, name) for name in type(good).__annotations__}
+    report = check_graded_dc(type(good)(**{**fields, **maps}))
     return [(c.identity, c.status, c.witness) for c in report.checks]
 
 

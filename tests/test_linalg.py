@@ -1,4 +1,3 @@
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import pytest
@@ -15,6 +14,7 @@ from hopfcalc.linalg import (
     intersection_dim,
     linear,
     memoise_fields,
+    record,
     tensor_index,
 )
 from hopfcalc.scalars import CycScalar, root_of_unity
@@ -81,7 +81,7 @@ def test_equality_compares_key_sets_and_ignores_insertion_order():
     assert FreeVector({0: one}) != FreeVector({0: one, 1: one})
 
 
-@dataclass
+@record
 class _Maps:
     act: Callable[[tuple, tuple], FreeVector]
     coact: Optional[Callable[[tuple], FreeVector]] = None
@@ -132,6 +132,86 @@ def test_reassigned_map_field_takes_effect():
     assert maps.act(B3[0], B3[1]) == E(B3[1])
     maps.act = lambda h, b: FreeVector.zero()
     assert maps.act(B3[0], B3[1]).is_zero()
+
+
+@record
+class _Point:
+    x: int
+    y: int = 0
+    label: str = "p"
+
+    def __post_init__(self):
+        self.posts = getattr(self, "posts", 0) + 1
+
+
+def test_record_takes_fields_by_position_or_keyword_with_defaults():
+    p = _Point(1, 2, "q")
+    assert (p.x, p.y, p.label) == (1, 2, "q")
+    p = _Point(y=5, x=4)
+    assert (p.x, p.y, p.label) == (4, 5, "p")
+    p = _Point(7)
+    assert (p.x, p.y, p.label) == (7, 0, "p")
+    assert vars(p) == {"x": 7, "y": 0, "label": "p", "posts": 1}
+
+
+def test_record_runs_post_init_once():
+    assert _Point(1).posts == 1
+    assert _Point(1, label="r").posts == 1
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((), {}, r"missing arguments: 'x'"),
+        ((1,), {"z": 2}, r"unexpected keyword argument 'z'"),
+        ((1,), {"x": 2}, r"multiple values for argument 'x'"),
+        ((1, 2, "q", 4), {}, r"takes 3 arguments but 4 were given"),
+    ],
+)
+def test_record_refuses_a_bad_call(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        _Point(*args, **kwargs)
+
+
+@pytest.mark.parametrize("default", [[], {}, set()])
+def test_record_refuses_a_mutable_default_when_the_class_is_made(default):
+    with pytest.raises(ValueError, match="mutable default"):
+
+        @record
+        class _Shared:
+            items: object = default
+
+
+def test_each_report_gets_its_own_checks_list():
+    from hopfcalc.report import CheckReport
+
+    first, second = CheckReport(), CheckReport()
+    first.add("a", "pass")
+    assert first.checks is not second.checks
+    assert (len(first.checks), second.checks) == (1, [])
+
+
+def test_every_record_init_is_its_own_and_named_for_its_class():
+    # perfbench/layertrace.py wraps a class's __init__ from vars(cls) and
+    # keys its callbacks by qualified name
+    import importlib
+    import types
+
+    records = [
+        cls
+        for name in ("hopf", "fodc", "crossed", "crossed_calc", "qpb", "examples", "report")
+        for cls in vars(importlib.import_module(f"hopfcalc.{name}")).values()
+        if isinstance(cls, type)
+        and cls.__module__ == f"hopfcalc.{name}"
+        and "__annotations__" in vars(cls)
+    ]
+    assert len(records) == 32
+    inits = [vars(cls)["__init__"] for cls in records + [_Maps, _Point]]
+    assert all(isinstance(init, types.FunctionType) for init in inits)
+    assert len({id(init) for init in inits}) == len(inits)
+    assert [init.__qualname__ for init in inits] == [
+        f"{cls.__qualname__}.__init__" for cls in records + [_Maps, _Point]
+    ]
 
 
 def test_zero_map_kernel_full():

@@ -144,10 +144,9 @@ def test_tangent_space_and_fields(radford):
 def test_field_uniqueness_fails_without_the_lifted_coinvariant_forms(radford):
     # with no coinvariant labels only the horizontal forms remain, and they
     # span 8 of the 16 forms, so a field is no longer fixed by its values
-    import dataclasses
-
     _, vd = radford
-    bare = dataclasses.replace(vd, coinv=CoinvariantForms(vd.coinv.h_calc))
+    fields = {name: getattr(vd, name) for name in type(vd).__annotations__}
+    bare = type(vd)(**dict(fields, coinv=CoinvariantForms(vd.coinv.h_calc)))
     _, _, report = tangent_and_fields(bare)
     assert report.get("field.unique").status == "fail"
     assert report.get("field.unique").witness is not None

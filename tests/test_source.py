@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import pathlib
 import re
 
@@ -98,9 +97,9 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
     )
     index_maps = {
         cls: [
-            f.name
-            for f in dataclasses.fields(cls)
-            if any("Index" in params for params in _INDEX_MAP.findall(str(f.type)))
+            name
+            for name, annotation in cls.__annotations__.items()
+            if any("Index" in params for params in _INDEX_MAP.findall(annotation))
         ]
         for cls in classes
     }
@@ -119,7 +118,8 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
             assert isinstance(getattr(obj.action, "memo", None), dict), f"LinOp {obj.name}"
             ops.add(obj.name)
             continue
-        if id(obj) in seen or not dataclasses.is_dataclass(obj):
+        fields = vars(type(obj)).get("__annotations__")
+        if id(obj) in seen or not fields or not type(obj).__module__.startswith("hopfcalc."):
             continue
         seen.add(id(obj))
         if type(obj) in checked:
@@ -128,7 +128,7 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
                 if fn is not None:
                     assert isinstance(getattr(fn, "memo", None), dict), f"{type(obj).__name__}.{name}"
                     checked[type(obj)].add(name)
-        stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+        stack.extend(getattr(obj, name) for name in fields)
     assert checked == {cls: set(names) for cls, names in index_maps.items()}
     assert ops == {"S", "S^-1", "d", "d#", "d_B"}
 
@@ -506,13 +506,26 @@ def test_verdict_scan_sees_every_form():
     assert sorted(_verdict_overrides(ast.parse(text))) == [2, 3, 3, 4, 5, 6, 6, 7, 10]
 
 
-def _fractions_imports(tree):
-    """Line numbers that import the fractions module or a name from it."""
+# modules that no part of hopfcalc may import: fractions (and decimal
+# through it) since scalars are integer numerators over one denominator,
+# and dataclasses (and inspect, ast, dis and tokenize through it) since
+# records get their __init__ from linalg.record
+_REFUSED_IMPORTS = frozenset({"fractions", "dataclasses"})
+
+
+def _refused_imports(tree):
+    """(line, module) of each import of a refused module or of a name from it."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "fractions" for a in node.names):
-            yield node.lineno
-        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "fractions":
-            yield node.lineno
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        for module in modules:
+            top = module.partition(".")[0]
+            if top in _REFUSED_IMPORTS:
+                yield node.lineno, top
 
 
 def _representation_reads(tree):
@@ -524,8 +537,8 @@ def _representation_reads(tree):
 
 def test_scalars_alone_knows_the_scalar_representation():
     # integer numerators over one denominator is private to scalars.py, and
-    # no module pays for importing fractions (and decimal through it)
-    imports = [f"{path.name}:{line}" for path, tree in _modules() for line in _fractions_imports(tree)]
+    # no module pays for importing fractions or dataclasses
+    imports = [f"{path.name}:{line} {module}" for path, tree in _modules() for line, module in _refused_imports(tree)]
     reads = [
         f"{path.name}:{line}"
         for path, tree in _modules()
@@ -544,7 +557,18 @@ def test_representation_scan_sees_every_form():
         "    return c.coeffs[1:], s.den, getattr(c, 'order')\n"
         "def g(c):\n"
         "    c.den = 1\n"
+        "import dataclasses\n"
+        "import os, dataclasses as dc\n"
+        "from dataclasses import dataclass, field\n"
+        "import fractional, dataclasses_json\n"
     )
     tree = ast.parse(text)
-    assert sorted(_fractions_imports(tree)) == [1, 2, 3]
+    assert sorted(_refused_imports(tree)) == [
+        (1, "fractions"),
+        (2, "fractions"),
+        (3, "fractions"),
+        (8, "dataclasses"),
+        (9, "dataclasses"),
+        (10, "dataclasses"),
+    ]
     assert sorted(_representation_reads(tree)) == [5, 5, 7]
