@@ -152,9 +152,7 @@ def run(argv=None) -> int:
         except ValueError as err:
             sys.stderr.write(f"error: suite:{name}: {err}\n")
             return 2
-        report.example = example
-        report.suite = name
-        reports.append(report)
+        reports.append({"example": example, "suite": name} | report.as_dict())
         for check in report.checks:
             counts[check.status] = counts.get(check.status, 0) + 1
         sys.stderr.write(
@@ -169,7 +167,7 @@ def run(argv=None) -> int:
         "command": "verify",
         "example": example,
         "params": params,
-        "reports": [r.as_dict() for r in reports],
+        "reports": reports,
         "summary": counts,
         "ok": failed == 0,
     }

@@ -86,9 +86,7 @@ def check_twisted_module_algebra(
 ) -> CheckReport:
     """Verify the measure axioms, twisted associativity, the cocycle law,
     normalization and the convolution identities, with witnesses."""
-    report = CheckReport(
-        example=b.name, suite="twisted-module-algebra", windowed=not (b.basis.is_finite and h.algebra.basis.is_finite)
-    )
+    report = CheckReport(windowed=not (b.basis.is_finite and h.algebra.basis.is_finite))
     b_basis = b.basis.enumerate(window)
     h_basis = h.algebra.basis.enumerate(window)
 
@@ -179,9 +177,6 @@ class CrossedProduct:
     algebra: AlgebraPresentation
     comodule: ComoduleAlgebra
 
-    def pair(self, b_ix, h_ix) -> Index:
-        return tensor_index(b_ix, h_ix)
-
 
 def build_crossed_product(
     b: AlgebraPresentation,
@@ -189,7 +184,6 @@ def build_crossed_product(
     m: Measure,
     s: Cocycle,
     window: int | None = None,
-    name: str = "",
 ) -> CrossedProduct:
     """Crossed product algebra on pair indices; the twisted-module and
     cocycle hypotheses are enforced before anything is assembled."""
@@ -197,7 +191,6 @@ def build_crossed_product(
     if not pre.ok:
         failed = pre.failed[0]
         raise ValueError(f"crossed product hypothesis failed: {failed.identity} at {failed.witness}")
-
 
     def mult(i, j):
         (_, bi, hi), (_, bj, hj) = i, j
@@ -211,7 +204,6 @@ def build_crossed_product(
         return [tensor_index(bi, hi) for bi in b.basis.enumerate(w) for hi in h.algebra.basis.enumerate(w)]
 
     algebra = AlgebraPresentation(
-        name=name or f"{b.name}#{h.name}",
         basis=BasisFamily.spanned(pairs, b.basis, h.algebra.basis),
         mult=mult,
         unit=b.unit.tensor(h.algebra.unit),
@@ -222,11 +214,7 @@ def build_crossed_product(
         _, bi, hi = i
         return combine((E(tensor_index(tensor_index(bi, h1), h2)), c) for (_, h1, h2), c in h.comul(hi).terms.items())
 
-    coinv = CoinvariantFamily(
-        algebra=b,
-        embed=lambda bi: FreeVector.basis(bi).tensor(h.algebra.unit),
-        declared=not (b.basis.is_finite and h.algebra.basis.is_finite),
-    )
+    coinv = CoinvariantFamily(algebra=b, embed=lambda bi: FreeVector.basis(bi).tensor(h.algebra.unit))
     comodule = ComoduleAlgebra(algebra=algebra, hopf=h, coaction=coaction, coinvariants=coinv)
 
     probe = algebra.basis.enumerate(None if algebra.basis.is_finite else _VERIFY_WINDOW)
@@ -300,11 +288,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     b = a.coinvariants.algebra
     embed = a.coinvariants.embed
     express = _base_expressor(a.coinvariants, window)
-    report = CheckReport(
-        example=a.algebra.name,
-        suite="cleft-to-crossed",
-        windowed=not (a.algebra.basis.is_finite and h.algebra.basis.is_finite),
-    )
+    report = CheckReport(windowed=not (a.algebra.basis.is_finite and h.algebra.basis.is_finite))
 
     def measure_act(hi, bi):
         return express(
@@ -333,7 +317,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
 
     measure = Measure(act=measure_act)
     cocycle = cocycle_from_sigma(sigma, b, h, window=window)
-    crossed = build_crossed_product(b, h, measure, cocycle, window=window, name=f"{b.name}#s{h.name}")
+    crossed = build_crossed_product(b, h, measure, cocycle, window=window)
 
     theta = LinOp(_split_ix(a, j_inv, express, E), name="theta")
 
@@ -377,7 +361,7 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
     j = cleft.cleaving
     j_inv = cleft.ensure_inverse(window)
     embed = a.coinvariants.embed
-    report = CheckReport(example=a.algebra.name, suite="equivariant-section", windowed=not a.algebra.basis.is_finite)
+    report = CheckReport(windowed=not a.algebra.basis.is_finite)
     section = LinOp(_split_ix(a, j_inv, _base_expressor(a.coinvariants, window), j), name="s")
     a_basis = a.algebra.basis.enumerate(window)
     b_basis = a.coinvariants.algebra.basis.enumerate(window)
@@ -434,15 +418,15 @@ class HopfGaloisResult:
         return self.rank == self.balanced_dim == self.target_dim
 
 
-def check_hopf_galois(a: ComoduleAlgebra, coinv: CoinvariantFamily | None = None) -> HopfGaloisResult:
+def check_hopf_galois(a: ComoduleAlgebra) -> HopfGaloisResult:
     """Assemble A (x)_B A and decide bijectivity of a (x) a' -> a a'_0 (x) a'_1
     by exact rank.  Finite-dimensional A only."""
     if not a.algebra.basis.is_finite:
         raise ValueError("Galois check needs a finite-dimensional comodule algebra")
-    coinv = coinv or a.coinvariants
+    coinv = a.coinvariants
     if coinv is None:
         raise ValueError("no coinvariant data supplied")
-    report = CheckReport(example=a.algebra.name, suite="hopf-galois")
+    report = CheckReport()
     a_basis = a.algebra.basis.enumerate()
     h_basis = a.hopf.algebra.basis.enumerate()
     b_vectors = [coinv.embed(ix) for ix in coinv.algebra.basis.enumerate()]

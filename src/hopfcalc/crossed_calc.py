@@ -189,7 +189,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
     differential and differentiability of the coaction, plus the smash
     reduction when the cocycle is trivial."""
     cp = cf.crossed
-    report = CheckReport(example=cp.algebra.name, suite="crossed-fodc", windowed=not cp.algebra.basis.is_finite)
+    report = CheckReport(windowed=not cp.algebra.basis.is_finite)
     h = cp.hopf
     b = cp.base
     a_basis = cp.algebra.basis.enumerate(window)
@@ -349,7 +349,7 @@ def necessity_dsigma(
     of cleaving values: it equals d_B(sigma(h1 (x) h'1)) (x) h2 h'2, so any
     nonzero differential of a cocycle value is a concrete Leibniz failure."""
     h = cp.hopf
-    report = CheckReport(example=cp.algebra.name, suite="necessity-dsigma", windowed=not h.algebra.basis.is_finite)
+    report = CheckReport(windowed=not h.algebra.basis.is_finite)
     h_basis = h.algebra.basis.enumerate(window)
 
     @memoise
@@ -397,7 +397,6 @@ class GradedDc:
     right_coaction: Optional[Callable[[int, Index], FreeVector]] = None
     left_coaction: Optional[Callable[[int, Index], FreeVector]] = None
     action: Optional[Callable[[Index, int, Index], FreeVector]] = None
-    name: str = ""
 
     def __post_init__(self):
         memoise_fields(self, "wedge", "d", "right_coaction", "left_coaction", "action")
@@ -485,7 +484,6 @@ def truncate_dc_degree2(f: Fodc, window: int | None = None):
         hopf=f.hopf,
         right_coaction=right_coaction,
         left_coaction=left_coaction,
-        name=f"{f.name}|deg<=1",
     )
 
 
@@ -504,7 +502,6 @@ def truncate_twisted_base(f: Fodc, measure, action: TwistedCalculusAction) -> Gr
         wedge=wedge,
         d=d,
         action=act,
-        name=f"{f.name}|deg<=1",
     )
 
 
@@ -620,7 +617,6 @@ def build_higher_forms(
         hopf=h,
         right_coaction=right_coaction,
         left_coaction=None,
-        name=f"Omega({cp.algebra.name})",
     )
 
 
@@ -628,9 +624,7 @@ def check_graded_dc(dc: GradedDc, window: int | None = None) -> CheckReport:
     """d squared, graded Leibniz, wedge associativity and the unit on all
     basis elements of total degree at most two.  Each side is the memoised
     map at a basis index, extended linearly over the other slot."""
-    report = CheckReport(
-        example=dc.name or dc.algebra.name, suite="graded-dc", windowed=not dc.algebra.basis.is_finite
-    )
+    report = CheckReport(windowed=not dc.algebra.basis.is_finite)
 
     max_total = 2
     degrees = list(range(0, max_total + 1))
@@ -698,7 +692,7 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
     """Degree-0/1 part of the graded construction against the first order
     construction, map for map."""
     cp = cf.crossed
-    report = CheckReport(example=dc.name, suite="first-order-comparison", windowed=not cp.algebra.basis.is_finite)
+    report = CheckReport(windowed=not cp.algebra.basis.is_finite)
     a_basis = cp.algebra.basis.enumerate(window)
 
     def form_to_graded_ix(ix):
@@ -785,7 +779,7 @@ def classify_smash(
     and checked to intertwine the differentials."""
     a = cleft.total
     h = a.hopf
-    report = CheckReport(example=a.algebra.name, suite="smash-classification", windowed=not a.algebra.basis.is_finite)
+    report = CheckReport(windowed=not a.algebra.basis.is_finite)
     rng = random.Random(seed)
 
     h_basis = h.algebra.basis.enumerate(window)
@@ -865,7 +859,6 @@ def classify_smash(
         left_act=b_fodc_left,
         right_act=b_fodc_right,
         d=LinOp(b_fodc_d, name="d_B"),
-        name=f"pullback({b.name})",
     )
 
     # sampled torsion-freeness of the form module

@@ -68,7 +68,7 @@ def radford_instance(r: int = 2, n: int = 2, q: CycScalar | None = None) -> Radf
 
     measure = Measure(act=act)
     cocycle = cocycle_from_sigma(sigma, data.h1, group)
-    crossed = build_crossed_product(data.h1, group, measure, cocycle, name=f"H1#k[C{r}]")
+    crossed = build_crossed_product(data.h1, group, measure, cocycle)
 
     def to_full(v: FreeVector) -> FreeVector:
         return combine(
@@ -87,7 +87,7 @@ def check_packaged_n(n: int) -> None:
         raise ValueError(f"the packaged calculi need nilpotency order n = 2, got n = {n}")
 
 
-def _rank_one_calculus(inst: RadfordInstance, tag: str, twist, d_ix, d_name: str, name: str) -> "Fodc":
+def _rank_one_calculus(inst: RadfordInstance, tag: str, twist, d_ix, d_name: str) -> "Fodc":
     """A free rank-one left module over the base on forms (tag, l, m), one
     per basis element a^(lr) x^m, with right action b . w = w twist(b)."""
     from hopfcalc.fodc import Fodc
@@ -110,7 +110,6 @@ def _rank_one_calculus(inst: RadfordInstance, tag: str, twist, d_ix, d_name: str
         left_act=left_act,
         right_act=right_act,
         d=LinOp(d_ix, name=d_name),
-        name=f"{name}({b.name})",
     )
 
 
@@ -134,7 +133,7 @@ def radford_base_calculus(inst: RadfordInstance) -> "Fodc":
             return FreeVector.zero()
         return E(("om", l, 0))
 
-    return _rank_one_calculus(inst, "om", twist, d_ix, "d_B", "base-calculus")
+    return _rank_one_calculus(inst, "om", twist, d_ix, "d_B")
 
 
 def radford_injected_calculus(inst: RadfordInstance):
@@ -161,7 +160,7 @@ def radford_injected_calculus(inst: RadfordInstance):
             return E(("omx", 0, 0))  # d(a^r) = omega
         return E(("omx", 0, 1), CycScalar.from_rational(-1))  # d(a^r x) = -x omega
 
-    calc = _rank_one_calculus(inst, "omx", twist, d_ix, "d_inj", "injected-calculus")
+    calc = _rank_one_calculus(inst, "omx", twist, d_ix, "d_inj")
 
     def act(g_ix, f_ix):
         # g^i . (b omega) = q^i (g^i . b) omega, diagonal on the monomial basis
@@ -178,8 +177,6 @@ class TorusInstance:
     torus: TorusData
     cleft: CleftData
     crossed: CrossedProduct
-    theta: LinOp
-    theta_inv: LinOp
     derivation_report: "CheckReport"
     theta_root: CycScalar
 
@@ -300,7 +297,7 @@ class TorusCalculusInstance:
     window: int
 
 
-def torus_calculus_instance(theta_order: int = 8, window: int = 4, q: CycScalar | None = None) -> TorusCalculusInstance:
+def torus_calculus_instance(theta_order: int = 8, window: int = 4) -> TorusCalculusInstance:
     from hopfcalc.crossed_calc import (
         build_crossed_fodc,
         build_higher_forms,
@@ -310,11 +307,10 @@ def torus_calculus_instance(theta_order: int = 8, window: int = 4, q: CycScalar 
     from hopfcalc.fodc import build_laurent_q_calculus, zero_fodc
 
     inst = torus_instance(theta_order, window)
-    if q is None:
-        # the deformation parameter of the structure calculus is independent
-        # of the angle; reuse the angle root when its order allows, else a
-        # fourth root of unity
-        q = inst.theta_root if theta_order >= 3 else root_of_unity(4)
+    # the deformation parameter of the structure calculus is independent of
+    # the angle; reuse the angle root when its order allows, else a fourth
+    # root of unity
+    q = inst.theta_root if theta_order >= 3 else root_of_unity(4)
     h_calc = build_laurent_q_calculus(q, hopf=inst.crossed.hopf)
     b_calc = zero_fodc(inst.crossed.base)
     cf = build_crossed_fodc(inst.crossed, b_calc, h_calc, window=window)
@@ -352,7 +348,6 @@ def smash_demo_instance(q_order: int = 8) -> SmashDemoInstance:
         return ("st", mm, nn)
 
     algebra = AlgebraPresentation(
-        name="B(x)H",
         basis=BasisFamily(window_fn=lambda w: [ix(mm, nn) for mm in range(-w, w + 1) for nn in range(-w, w + 1)]),
         mult=lambda i, jj: E(ix(i[1] + jj[1], i[2] + jj[2])),
         unit=E(ix(0, 0)),
@@ -360,13 +355,12 @@ def smash_demo_instance(q_order: int = 8) -> SmashDemoInstance:
     )
 
     base = AlgebraPresentation(
-        name="k[s,s^-1]",
         basis=BasisFamily(window_fn=lambda w: [("s", k) for k in range(-w, w + 1)]),
         mult=lambda i, jj: E(("s", i[1] + jj[1])),
         unit=E(("s", 0)),
         scalar_order=so,
     )
-    coinv = CoinvariantFamily(algebra=base, embed=lambda i: E(ix(i[1], 0)), declared=True)
+    coinv = CoinvariantFamily(algebra=base, embed=lambda i: E(ix(i[1], 0)))
     comodule = ComoduleAlgebra(
         algebra=algebra,
         hopf=hopf,
@@ -420,7 +414,6 @@ def smash_demo_instance(q_order: int = 8) -> SmashDemoInstance:
         hopf=hopf,
         right_coaction=right_coaction,
         algebra_coaction=comodule.coaction,
-        name="tensor-calculus(B(x)H)",
     )
     return SmashDemoInstance(comodule=comodule, cleft=cleft, a_calc=a_calc, h_calc=h_calc, q=q)
 
@@ -512,16 +505,16 @@ def radford_suites(params: dict) -> list:
     def higher():
         rc = calc()
         if rc.higher is None:
-            rep = CheckReport(example="radford", suite="higher-forms")
+            rep = CheckReport()
             rep.record("truncation-obstruction", True, witness=rc.obstruction)
             return rep
         rep = check_graded_dc(rc.higher)
-        rep.extend(compare_first_order(rc.cf, rc.higher), prefix="")
+        rep.extend(compare_first_order(rc.cf, rc.higher))
         return rep
 
     def qpb_suite():
         vd = vdata()
-        rep = CheckReport(example="radford", suite="qpb")
+        rep = CheckReport()
         rep.extend(vd.coinv.report)
         rep.extend(vd.report)
         rc = calc()
@@ -541,7 +534,7 @@ def radford_suites(params: dict) -> list:
         tangent, _, trep = tangent_and_fields(vd)
         phi, rep1 = connection_form_bijection(vd, tangent, connection=conn)
         _, rep2 = connection_form_bijection(vd, tangent, form=phi)
-        rep = CheckReport(example="radford", suite="bijection")
+        rep = CheckReport()
         rep.extend(trep)
         rep.extend(rep1, prefix="forward.")
         rep.extend(rep2, prefix="backward.")
@@ -625,7 +618,7 @@ def torus_suites(params: dict) -> list:
     def cleft_derivation():
         tc = calc()
         inst = tc.instance
-        rep = CheckReport(example="torus", suite="cleft-derivation", windowed=True)
+        rep = CheckReport(windowed=True)
         rep.extend(inst.derivation_report)
 
         def measure_matches(pair):
@@ -685,7 +678,7 @@ def torus_suites(params: dict) -> list:
 
     def qpb_suite():
         vd = vdata()
-        rep = CheckReport(example="torus", suite="qpb")
+        rep = CheckReport()
         rep.extend(vd.coinv.report)
         rep.extend(vd.report)
         rep.extend(check_atiyah_exact(vd, window=min(window, 3)))
@@ -711,7 +704,6 @@ def torus_suites(params: dict) -> list:
             left_act=lambda a, f: FreeVector.basis(("dw", a[1] + f[1])),
             right_act=lambda f, a: FreeVector.basis(("dw", a[1] + f[1])),
             d=LinOp(dd, name="d_cl"),
-            name="classical-base",
         )
         th = inst.theta_root
         action = TwistedCalculusAction(act=lambda t, f: FreeVector.basis(f, th ** (-t[1] * (f[1] + 1))))
@@ -729,7 +721,7 @@ def torus_suites(params: dict) -> list:
 
     def refusal():
         tc = calc()
-        rep = CheckReport(example="torus", suite="classification-refusal", windowed=True)
+        rep = CheckReport(windowed=True)
         try:
             # the refusal fires on the cleaving map before any calculus is touched
             classify_smash(None, tc.h_calc, tc.instance.cleft, window=2)
@@ -929,13 +921,5 @@ def torus_instance(theta_order: int = 8, window: int = 4) -> TorusInstance:
     theta = root_of_unity(theta_order)
     torus = build_torus_comodule(theta)
     cleft = CleftData(total=torus.comodule, cleaving=torus.cleaving, cleaving_inv=torus.cleaving_inv)
-    crossed, theta_map, theta_inv, report = cleft_to_crossed(cleft, window=window)
-    return TorusInstance(
-        torus=torus,
-        cleft=cleft,
-        crossed=crossed,
-        theta=theta_map,
-        theta_inv=theta_inv,
-        derivation_report=report,
-        theta_root=theta,
-    )
+    crossed, _, _, report = cleft_to_crossed(cleft, window=window)
+    return TorusInstance(torus=torus, cleft=cleft, crossed=crossed, derivation_report=report, theta_root=theta)

@@ -4,7 +4,7 @@ A calculus is a bimodule of 1-forms over an algebra with a Leibniz
 differential that generates them.  The module provides the generic
 checker, the quotient-by-ideal construction of covariant calculi on a
 finite-dimensional Hopf algebra, the one-parameter calculus on Laurent
-polynomials, the universal calculus, and the compatibility layer that
+polynomials, and the compatibility layer that
 turns a calculus on a twisted module algebra into data usable by the
 crossed product construction.
 """
@@ -26,7 +26,6 @@ from hopfcalc.linalg import (
     NoSolution,
     QuotientSpace,
     Subspace,
-    TrackedSpan,
     combine,
     flatten_left,
     flatten_right,
@@ -55,7 +54,6 @@ class Fodc:
     left_coaction: Optional[Callable[[Index], FreeVector]] = None   # form -> H (x) form
     algebra_coaction: Optional[Callable[[Index], FreeVector]] = None
     algebra_left_coaction: Optional[Callable[[Index], FreeVector]] = None
-    name: str = ""
     covariance_note: str = ""
 
     def __post_init__(self):
@@ -71,7 +69,7 @@ class Fodc:
         return self.hopf.coaction_legs(self.left_coaction(form_ix), h_legs, left=True)
 
 
-def zero_fodc(algebra: AlgebraPresentation, name: str = "") -> Fodc:
+def zero_fodc(algebra: AlgebraPresentation) -> Fodc:
     """The zero calculus: no forms, zero differential."""
     return Fodc(
         algebra=algebra,
@@ -79,26 +77,14 @@ def zero_fodc(algebra: AlgebraPresentation, name: str = "") -> Fodc:
         left_act=lambda a, f: FreeVector.zero(),
         right_act=lambda f, a: FreeVector.zero(),
         d=LinOp.zero(),
-        name=name or f"zero({algebra.name})",
     )
 
 
-def presentation_solver(f: Fodc, window: int | None = None) -> LinearSolver:
-    """Solver expressing forms as combinations of a d(a') over window pairs."""
-    a_basis = f.algebra.basis.enumerate(window)
-    domain = [("pr", a, b) for a in a_basis for b in a_basis]
-
-    def present(pr_ix):
-        _, a, b = pr_ix
-        return linear(f.left_act, a, f.d(b))
-
-    return LinearSolver(LinOp(present, name="present"), domain)
-
-
 class PresentationSolver:
-    """Adaptive variant: on a windowed calculus, forms produced by actions
-    can leave any fixed window, so failed presentations retry on an
-    enlarged window (up to three times the requested one)."""
+    """Forms as combinations of a d(a') over the pairs of a window.  On a
+    windowed calculus, forms produced by actions can leave any fixed
+    window, so a failed presentation retries on an enlarged window (up to
+    three times the requested one)."""
 
     def __init__(self, f: Fodc, window: int | None = None):
         self.f = f
@@ -106,7 +92,18 @@ class PresentationSolver:
         self.windowed = not (f.algebra.basis.is_finite and f.forms.is_finite)
         self.cap = 3 * window if (self.windowed and window) else None
         self.window = window
-        self.solver = presentation_solver(f, window)
+        self.solver = self._solver(window)
+
+    def _solver(self, window: int | None) -> LinearSolver:
+        f = self.f
+        a_basis = f.algebra.basis.enumerate(window)
+        domain = [("pr", a, b) for a in a_basis for b in a_basis]
+
+        def present(pr_ix):
+            _, a, b = pr_ix
+            return linear(f.left_act, a, f.d(b))
+
+        return LinearSolver(LinOp(present, name="present"), domain)
 
     def kernel(self):
         return self.solver.kernel()
@@ -119,7 +116,7 @@ class PresentationSolver:
                 if not (self.windowed and self.window < self.cap):
                     raise
             self.window = min(self.window + self.base_window, self.cap)
-            self.solver = presentation_solver(self.f, self.window)
+            self.solver = self._solver(self.window)
 
 
 def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
@@ -127,9 +124,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
     coactions are present) colinearity of the differential and covariance
     of the actions."""
     alg = f.algebra
-    report = CheckReport(
-        example=f.name or alg.name, suite="fodc", windowed=not (alg.basis.is_finite and f.forms.is_finite)
-    )
+    report = CheckReport(windowed=not (alg.basis.is_finite and f.forms.is_finite))
     a_basis = alg.basis.enumerate(window)
     f_basis = f.forms.enumerate(window)
 
@@ -187,7 +182,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
     report.sweep("leibniz", ((a, b) for a in a_basis for b in a_basis), leibniz)
 
     if f_basis:
-        solver = presentation_solver(f, window)
+        solver = PresentationSolver(f, window)
         missing = None
         for beta in f_basis:
             try:
@@ -460,7 +455,6 @@ def woronowicz_from_ideal(spec: IdealCalculusSpec) -> Fodc:
         left_coaction=left_coaction,
         algebra_coaction=h.comul,
         algebra_left_coaction=h.comul,
-        name=f"woronowicz({alg.name})",
         covariance_note=note,
     )
 
@@ -522,43 +516,6 @@ def build_laurent_q_calculus(q: CycScalar, hopf: HopfData | None = None) -> Fodc
         left_coaction=left_coaction,
         algebra_coaction=h.comul,
         algebra_left_coaction=h.comul,
-        name="laurent-q-calculus",
-    )
-
-
-# ---------------------------------------------------------------------------
-# the universal first-order calculus
-# ---------------------------------------------------------------------------
-
-
-def universal_fodc(a: AlgebraPresentation, name: str = "") -> Fodc:
-    """Kernel-of-multiplication calculus with d(a) = 1 (x) a - a (x) 1."""
-    if not a.basis.is_finite:
-        raise ValueError("universal calculus needs a finite-dimensional algebra")
-    basis = a.basis.enumerate()
-    pair_domain = [tensor_index(i, j) for i in basis for j in basis]
-    mult_op = LinOp(lambda p: a.mult(p[1], p[2]), name="m")
-    kernel = LinearSolver(mult_op, pair_domain).kernel()
-    span = TrackedSpan((("u1", i), v) for i, v in enumerate(kernel.basis()))
-
-    def left_act(a_ix, f_ix):
-        terms = span.vectors[f_ix].terms.items()
-        return span.express(combine((a.mult(a_ix, x).tensor(E(y)), c) for (_, x, y), c in terms))
-
-    def right_act(f_ix, a_ix):
-        terms = span.vectors[f_ix].terms.items()
-        return span.express(combine((E(x).tensor(a.mult(y, a_ix)), c) for (_, x, y), c in terms))
-
-    def d_ix(a_ix):
-        return span.express(a.unit.tensor(E(a_ix)) - E(a_ix).tensor(a.unit))
-
-    return Fodc(
-        algebra=a,
-        forms=BasisFamily(indices=span.labels),
-        left_act=left_act,
-        right_act=right_act,
-        d=LinOp(d_ix, name="d_u"),
-        name=name or f"universal({a.name})",
     )
 
 
@@ -583,7 +540,6 @@ def check_sigma_twisted_module_calculus(
     m: Measure,
     s: Cocycle,
     window: int | None = None,
-    action: TwistedCalculusAction | None = None,
 ) -> tuple[TwistedCalculusAction, CheckReport]:
     """Derive the form action h.(b d b') = (h1.b) d(h2.b'), prove it
     well-defined on the declared presentations, then verify the
@@ -591,14 +547,9 @@ def check_sigma_twisted_module_calculus(
     the twisted-bimodule laws they imply.
 
     A well-definedness failure is an error carrying two conflicting
-    presentations; everything else lands in the report.  A pre-built
-    action may be supplied instead (used by the necessity analysis)."""
+    presentations; everything else lands in the report."""
     b = b_calc.algebra
-    report = CheckReport(
-        example=b_calc.name or b.name,
-        suite="twisted-module-calculus",
-        windowed=not (b.basis.is_finite and h.algebra.basis.is_finite and b_calc.forms.is_finite),
-    )
+    report = CheckReport(windowed=not (b.basis.is_finite and h.algebra.basis.is_finite and b_calc.forms.is_finite))
     b_basis = b.basis.enumerate(window)
     h_basis = h.algebra.basis.enumerate(window)
     f_basis = b_calc.forms.enumerate(window)
@@ -613,22 +564,20 @@ def check_sigma_twisted_module_calculus(
         """h acting on a presentation, a sum of a d(b) over its ("pr", a, b) indices."""
         return combine((twisted_of_pair(h_ix, a_ix, b_ix), c) for (_, a_ix, b_ix), c in presentation.terms.items())
 
-    if action is None:
-        solver = PresentationSolver(b_calc, window)
+    solver = PresentationSolver(b_calc, window)
+    for kappa in solver.kernel().basis():
+        for h_ix in h_basis:
+            image = twisted_of(h_ix, kappa)
+            if not image.is_zero():
+                raise ValueError(
+                    "derived action is not well-defined: the vanishing presentation "
+                    f"{kappa.to_text()} maps to {image.to_text()} under {format_index(h_ix)}"
+                )
 
-        for kappa in solver.kernel().basis():
-            for h_ix in h_basis:
-                image = twisted_of(h_ix, kappa)
-                if not image.is_zero():
-                    raise ValueError(
-                        "derived action is not well-defined: the vanishing presentation "
-                        f"{kappa.to_text()} maps to {image.to_text()} under {format_index(h_ix)}"
-                    )
+    def act(h_ix, f_ix):
+        return twisted_of(h_ix, solver.solve(E(f_ix)))
 
-        def act(h_ix, f_ix):
-            return twisted_of(h_ix, solver.solve(E(f_ix)))
-
-        action = TwistedCalculusAction(act=act)
+    action = TwistedCalculusAction(act=act)
 
     def compatible(item):
         h_ix, a_ix, b_ix = item
@@ -730,7 +679,7 @@ def sigma_forces_zero_differential(
     window are eliminated exactly; membership of each D_k is then decided
     by rank.
     """
-    report = CheckReport(example=b.name, suite="forced-zero", windowed=True)
+    report = CheckReport(windowed=True)
     if len(b.unit.terms) != 1 or not next(iter(b.unit.terms.values())).is_one():
         raise ValueError("forced-zero derivation needs a monomial unit")
     unit_ix = next(iter(b.unit.terms))

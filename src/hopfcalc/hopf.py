@@ -17,7 +17,6 @@ from hopfcalc.linalg import (
     LinearSolver,
     LinOp,
     NoSolution,
-    TrackedSpan,
     combine,
     flatten_left,
     flatten_right,
@@ -66,7 +65,6 @@ class BasisFamily:
 
 @record
 class AlgebraPresentation:
-    name: str
     basis: BasisFamily
     mult: Callable[[Index, Index], FreeVector]
     unit: FreeVector
@@ -83,7 +81,7 @@ class AlgebraPresentation:
         return out
 
 
-def tensor_algebra(left: AlgebraPresentation, right: AlgebraPresentation, name: str = "") -> AlgebraPresentation:
+def tensor_algebra(left: AlgebraPresentation, right: AlgebraPresentation) -> AlgebraPresentation:
     """Componentwise product on pair indices (no braiding)."""
 
     def mult(i, j):
@@ -94,7 +92,6 @@ def tensor_algebra(left: AlgebraPresentation, right: AlgebraPresentation, name: 
         return [tensor_index(i, j) for i in left.basis.enumerate(w) for j in right.basis.enumerate(w)]
 
     return AlgebraPresentation(
-        name=name or f"{left.name}(x){right.name}",
         basis=BasisFamily.spanned(pairs, left.basis, right.basis),
         mult=mult,
         unit=left.unit.tensor(right.unit),
@@ -109,7 +106,6 @@ class HopfData:
     counit: Callable[[Index], CycScalar]
     antipode: LinOp
     antipode_inv: LinOp
-    name: str = ""
 
     def __post_init__(self):
         memoise_fields(self, "comul", "counit", "sweedler")
@@ -164,11 +160,10 @@ class HopfData:
 
 @record
 class CoinvariantFamily:
-    """Coinvariant subalgebra, either computed by kernel or declared."""
+    """Coinvariant subalgebra: its presentation and its embedding."""
 
     algebra: AlgebraPresentation
     embed: Callable[[Index], FreeVector]
-    declared: bool = True
 
 
 @record
@@ -191,8 +186,12 @@ class ComoduleAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def check_algebra_axioms(alg: AlgebraPresentation, report: CheckReport, window: int | None = None, prefix: str = ""):
+def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
+    """Per-axiom pass/fail with a witness basis element on failure."""
+    alg = h.algebra
+    report = CheckReport(windowed=not alg.basis.is_finite)
     basis = alg.basis.enumerate(window)
+    one = CycScalar.one(alg.scalar_order)
 
     def assoc(triple):
         i, j, k = triple
@@ -200,24 +199,14 @@ def check_algebra_axioms(alg: AlgebraPresentation, report: CheckReport, window: 
         right = linear(alg.mult, i, alg.mult(j, k))
         return left == right, (i, j, k)
 
-    report.sweep(prefix + "algebra.assoc", ((i, j, k) for i in basis for j in basis for k in basis), assoc)
+    report.sweep("algebra.assoc", ((i, j, k) for i in basis for j in basis for k in basis), assoc)
 
     def unital(ix):
         e = FreeVector.basis(ix)
         ok = linear(alg.mult, alg.unit, ix) == e and linear(alg.mult, ix, alg.unit) == e
         return ok, (ix,)
 
-    report.sweep(prefix + "algebra.unit", basis, unital)
-
-
-def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
-    """Per-axiom pass/fail with a witness basis element on failure."""
-    alg = h.algebra
-    report = CheckReport(example=h.name or alg.name, suite="hopf-axioms", windowed=not alg.basis.is_finite)
-    basis = alg.basis.enumerate(window)
-    one = CycScalar.one(alg.scalar_order)
-
-    check_algebra_axioms(alg, report, window)
+    report.sweep("algebra.unit", basis, unital)
 
     def coassoc(ix):
         # (comul (x) id) and (id (x) comul) applied to comul(ix)
@@ -279,7 +268,7 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
 
 def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> CheckReport:
     alg, h = m.algebra, m.hopf
-    report = CheckReport(example=alg.name, suite="comodule-algebra", windowed=not alg.basis.is_finite)
+    report = CheckReport(windowed=not alg.basis.is_finite)
     basis = alg.basis.enumerate(window)
 
     def coassoc(ix):
@@ -319,32 +308,6 @@ def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> Che
 
         report.sweep("comodule.coinvariants", fam.algebra.basis.enumerate(window), coinvariant)
     return report
-
-
-def compute_coinvariants(m: ComoduleAlgebra, name: str = "") -> CoinvariantFamily:
-    """Exact coinvariants of a finite-dimensional comodule algebra."""
-    basis = m.algebra.basis.enumerate()
-    unit_h = m.hopf.algebra.unit
-
-    def defect(ix):
-        return m.coaction(ix) - FreeVector.basis(ix).tensor(unit_h)
-
-    vectors = LinearSolver(LinOp(defect), basis).kernel().basis()
-    span = TrackedSpan((("coinv", i), v) for i, v in enumerate(vectors))
-    if span.dim != len(vectors):
-        raise RuntimeError("coinvariant basis is not independent")
-
-    def mult(i, j):
-        return span.express(linear(m.algebra.mult, span.vectors[i], span.vectors[j]))
-
-    algebra = AlgebraPresentation(
-        name=name or f"{m.algebra.name}^co",
-        basis=BasisFamily(indices=span.labels),
-        mult=mult,
-        unit=span.express(m.algebra.unit),
-        scalar_order=m.algebra.scalar_order,
-    )
-    return CoinvariantFamily(algebra=algebra, embed=span.vectors.__getitem__, declared=False)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +443,7 @@ def cyclic_cayley(n: int):
     return elements, table
 
 
-def build_group_algebra(elements, table, name: str = "", scalar_order: int = 1) -> HopfData:
+def build_group_algebra(elements, table, scalar_order: int = 1) -> HopfData:
     """Group Hopf algebra from a Cayley table; validates the table first."""
     elements = list(elements)
     eset = set(elements)
@@ -519,7 +482,6 @@ def build_group_algebra(elements, table, name: str = "", scalar_order: int = 1) 
         return FreeVector.basis(ix(table[(i[1], j[1])]), one)
 
     algebra = AlgebraPresentation(
-        name=name or f"k[G{len(elements)}]",
         basis=basis,
         mult=mult,
         unit=FreeVector.basis(ix(identity), one),
@@ -531,13 +493,12 @@ def build_group_algebra(elements, table, name: str = "", scalar_order: int = 1) 
         counit=lambda i: one,
         antipode=LinOp(lambda i: FreeVector.basis(ix(inverse[i[1]]), one), name="S"),
         antipode_inv=LinOp(lambda i: FreeVector.basis(ix(inverse[i[1]]), one), name="S^-1"),
-        name=algebra.name,
     )
 
 
 def build_cyclic_group_algebra(n: int, scalar_order: int = 1) -> HopfData:
     elements, table = cyclic_cayley(n)
-    return build_group_algebra(elements, table, name=f"k[C{n}]", scalar_order=scalar_order)
+    return build_group_algebra(elements, table, scalar_order=scalar_order)
 
 
 def build_laurent_hopf(scalar_order: int = 1) -> HopfData:
@@ -549,7 +510,6 @@ def build_laurent_hopf(scalar_order: int = 1) -> HopfData:
 
     basis = BasisFamily(window_fn=lambda w: [ix(n) for n in range(-w, w + 1)])
     algebra = AlgebraPresentation(
-        name="k[t,t^-1]",
         basis=basis,
         mult=lambda i, j: FreeVector.basis(ix(i[1] + j[1]), one),
         unit=FreeVector.basis(ix(0), one),
@@ -561,7 +521,6 @@ def build_laurent_hopf(scalar_order: int = 1) -> HopfData:
         counit=lambda i: one,
         antipode=LinOp(lambda i: FreeVector.basis(ix(-i[1]), one), name="S"),
         antipode_inv=LinOp(lambda i: FreeVector.basis(ix(-i[1]), one), name="S^-1"),
-        name="k[t,t^-1]",
     )
 
 
@@ -614,9 +573,7 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
             return FreeVector.zero()
         return FreeVector.basis(ix(l + k, mi + s), q ** (mi * k))
 
-    algebra = AlgebraPresentation(
-        name=f"H({r},{n})", basis=basis, mult=mult, unit=FreeVector.basis(ix(0, 0), one), scalar_order=so
-    )
+    algebra = AlgebraPresentation(basis=basis, mult=mult, unit=FreeVector.basis(ix(0, 0), one), scalar_order=so)
     square = tensor_algebra(algebra, algebra)
 
     a, x = ix(1, 0), ix(0, 1)
@@ -664,7 +621,6 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
         counit=counit,
         antipode=antipode,
         antipode_inv=antipode_inv,
-        name=f"H({r},{n},q)",
     )
 
     def h1_ix(l, mm):
@@ -677,7 +633,6 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
         return FreeVector.basis(h1_ix(l + k, mi + s), q ** (r * mi * k))
 
     h1 = AlgebraPresentation(
-        name=f"H({r},{n})_1",
         basis=BasisFamily(indices=[h1_ix(l, mm) for l in range(n) for mm in range(n)]),
         mult=h1_mult,
         unit=FreeVector.basis(h1_ix(0, 0), one),
@@ -723,9 +678,7 @@ def build_torus_comodule(theta_root: CycScalar) -> TorusData:
         (_, mi, ni), (_, pj, qj) = i, j
         return FreeVector.basis(ix(mi + pj, ni + qj), theta_root ** (ni * pj))
 
-    algebra = AlgebraPresentation(
-        name="T_theta", basis=basis, mult=mult, unit=FreeVector.basis(ix(0, 0), one), scalar_order=so
-    )
+    algebra = AlgebraPresentation(basis=basis, mult=mult, unit=FreeVector.basis(ix(0, 0), one), scalar_order=so)
 
     def coaction(i):
         _, mm, nn = i
@@ -735,7 +688,6 @@ def build_torus_comodule(theta_root: CycScalar) -> TorusData:
         return ("w", k)
 
     base = AlgebraPresentation(
-        name="k[w,w^-1]",
         basis=BasisFamily(window_fn=lambda w: [w_ix(k) for k in range(-w, w + 1)]),
         mult=lambda i, j: FreeVector.basis(w_ix(i[1] + j[1]), one),
         unit=FreeVector.basis(w_ix(0), one),
@@ -746,7 +698,7 @@ def build_torus_comodule(theta_root: CycScalar) -> TorusData:
         k = i[1]
         return FreeVector.basis(ix(k, k), theta_root ** (k * (k - 1) // 2))
 
-    coinv = CoinvariantFamily(algebra=base, embed=base_embed, declared=True)
+    coinv = CoinvariantFamily(algebra=base, embed=base_embed)
     comodule = ComoduleAlgebra(algebra=algebra, hopf=hopf, coaction=coaction, coinvariants=coinv)
 
     def cleaving(i):
@@ -783,7 +735,8 @@ _PLAIN_LINE = re.compile(r"^\s*(\S+)\s+(.*?)\s*:\s*(.*)$")
 def parse_structure_constants(text: str) -> HopfData:
     """Hopf data from the line-oriented structure-constant format.
 
-    Header: ``HOPF <name>``, ``DIM <d>``, ``SCALAR_ORDER <M>``; then one
+    Header: ``HOPF <name>`` (required, not kept), ``DIM <d>``,
+    ``SCALAR_ORDER <M>``; then one
     line per nonzero constant: ``MUL i j -> k : <scalar>``,
     ``COMUL i -> j k : <scalar>``, ``COUNIT i : <scalar>``,
     ``ANTIPODE i -> j : <scalar>``.  Unknown directives, DIM or
@@ -791,7 +744,7 @@ def parse_structure_constants(text: str) -> HopfData:
     and coefficients outside Q(zeta_SCALAR_ORDER) are errors naming the line.
     The unit and the inverse antipode are solved for, not declared.
     """
-    name, dim, so = None, None, None
+    named, dim, so = False, None, None
     mul, comul_t, counit_t, antipode_t = {}, {}, {}, {}
     entries = []  # (line number, basis positions, coefficient)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -803,7 +756,7 @@ def parse_structure_constants(text: str) -> HopfData:
             raise ValueError(f"line {lineno}: unknown directive {word!r}")
         try:
             if word == "HOPF":
-                name = line.split(None, 1)[1]
+                named = bool(line.split(None, 1)[1])
                 continue
             if word in ("DIM", "SCALAR_ORDER"):
                 value = int(line.split(None, 1)[1])
@@ -837,7 +790,7 @@ def parse_structure_constants(text: str) -> HopfData:
             entries.append((lineno, positions, row[key]))
         except (AttributeError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"line {lineno}: malformed {word} line {line!r}: {exc}") from exc
-    if name is None or dim is None or so is None:
+    if not named or dim is None or so is None:
         raise ValueError("missing header (HOPF / DIM / SCALAR_ORDER)")
     for lineno, positions, c in entries:
         for p in positions:
@@ -885,9 +838,7 @@ def parse_structure_constants(text: str) -> HopfData:
     except NoSolution:
         raise ValueError("multiplication table has no unit element") from None
 
-    algebra = AlgebraPresentation(
-        name=name, basis=BasisFamily(indices=basis_ix), mult=mult, unit=unit, scalar_order=so
-    )
+    algebra = AlgebraPresentation(basis=BasisFamily(indices=basis_ix), mult=mult, unit=unit, scalar_order=so)
     try:
         inverse = LinearSolver(antipode, basis_ix)
         inv_values = {b: inverse.solve(FreeVector.basis(b)) for b in basis_ix}
@@ -899,30 +850,7 @@ def parse_structure_constants(text: str) -> HopfData:
         counit=counit,
         antipode=antipode,
         antipode_inv=LinOp(lambda b: inv_values[b], name="S^-1"),
-        name=name,
     )
-
-
-def render_structure_constants(h: HopfData) -> str:
-    """Inverse of parse_structure_constants for finite-dimensional data."""
-    basis = h.algebra.basis.enumerate()
-    pos = {ixx: i for i, ixx in enumerate(basis)}
-    lines = [f"HOPF {h.name or h.algebra.name}", f"DIM {len(basis)}", f"SCALAR_ORDER {h.algebra.scalar_order}"]
-    for i in basis:
-        for j in basis:
-            for k, c in h.algebra.mult(i, j).items():
-                lines.append(f"MUL {pos[i]} {pos[j]} -> {pos[k]} : {c.to_text()}")
-    for i in basis:
-        for pair, c in h.comul(i).items():
-            lines.append(f"COMUL {pos[i]} -> {pos[pair[1]]} {pos[pair[2]]} : {c.to_text()}")
-    for i in basis:
-        c = h.counit(i)
-        if not c.is_zero():
-            lines.append(f"COUNIT {pos[i]} : {c.to_text()}")
-    for i in basis:
-        for j, c in h.antipode(i).items():
-            lines.append(f"ANTIPODE {pos[i]} -> {pos[j]} : {c.to_text()}")
-    return "\n".join(lines) + "\n"
 
 
 _VEC_TERM = re.compile(r"^\s*(?:\(\s*(?P<paren>[^()]*)\s*\)|(?P<atom>[^*\s]+))\s*(?:\*\s*(?P<idx>\d+))?\s*$")

@@ -112,9 +112,6 @@ class FreeVector:
     def support(self):
         return sorted(self.terms.keys(), key=index_sort_key)
 
-    def coeff(self, ix) -> CycScalar:
-        return self.terms.get(ix, CycScalar.zero())
-
     def leading_index(self):
         return min(self.terms.keys(), key=index_sort_key) if self.terms else None
 
@@ -518,9 +515,6 @@ class TrackedSpan:
 
     def kernel(self) -> Subspace:
         return Subspace(self._kernel)
-
-    def image(self) -> Subspace:
-        return Subspace(self._ech.basis())
 
     @property
     def dim(self) -> int:

@@ -43,9 +43,7 @@ class CoinvariantForms(TrackedSpan):
     def __init__(self, h_calc: Fodc, forms: Iterable[FreeVector] = ()):
         super().__init__((("coh", i), v) for i, v in enumerate(forms))
         self.h_calc = h_calc
-        self.report = CheckReport(
-            example=h_calc.name, suite="coinvariant-forms", windowed=not h_calc.forms.is_finite
-        )
+        self.report = CheckReport(windowed=not h_calc.forms.is_finite)
 
     def maurer_cartan(self, h_vec: FreeVector) -> FreeVector:
         """h -> S(h_1) d(h_2), over the coinvariant labels."""
@@ -55,9 +53,9 @@ class CoinvariantForms(TrackedSpan):
         )
 
 
-def _bundle_report(cf: CrossedFodc, suite: str) -> CheckReport:
+def _bundle_report(cf: CrossedFodc) -> CheckReport:
     """A report on the bundle of cf: windowed when its total algebra is infinite."""
-    return CheckReport(example=cf.crossed.algebra.name, suite=suite, windowed=not cf.crossed.algebra.basis.is_finite)
+    return CheckReport(windowed=not cf.crossed.algebra.basis.is_finite)
 
 
 def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantForms:
@@ -103,7 +101,6 @@ class VerticalData:
     cf: CrossedFodc
     coinv: CoinvariantForms
     ver: LinOp
-    p: LinOp
     g: LinOp
     report: CheckReport
 
@@ -129,7 +126,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     mutually inverse and ver to be left-linear and right colinear."""
     coinv = coinvariant_forms(cf.h_calc, window)
     h = cf.crossed.hopf
-    report = _bundle_report(cf, "vertical-map")
+    report = _bundle_report(cf)
 
     def p_ix(ver_ix):
         """b (x) gamma -> (b (x) gamma_-2) (x) [S(gamma_-1) gamma_0]."""
@@ -146,7 +143,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
 
     p, g = LinOp(p_ix, name="p"), LinOp(g_ix, name="g")
     ver_map = LinOp(lambda form_ix: p(form_ix) if form_ix[0] == "ver" else FreeVector.zero(), name="ver")
-    vd = VerticalData(cf=cf, coinv=coinv, ver=ver_map, p=p, g=g, report=report)
+    vd = VerticalData(cf=cf, coinv=coinv, ver=ver_map, g=g, report=report)
 
     b_basis = cf.crossed.base.basis.enumerate(window)
     h_forms = cf.h_calc.forms.enumerate(window)
@@ -254,7 +251,7 @@ def check_atiyah_exact(
     horizontal forms and ver is surjective (through the section g); with
     graded data the same is done for the degree-2 vertical map."""
     cf = vd.cf
-    report = _bundle_report(cf, "atiyah")
+    report = _bundle_report(cf)
     form_basis = cf.forms.enumerate(window)
 
     solver = LinearSolver(vd.ver, form_basis)
@@ -343,7 +340,6 @@ def check_atiyah_exact(
 @record
 class Connection:
     c: Callable[[FreeVector], FreeVector]
-    name: str = "connection"
 
 
 @record
@@ -356,8 +352,8 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
     verified left-linear, right colinear, a splitting, and strong."""
     cf = vd.cf
     h = cf.crossed.hopf
-    report = _bundle_report(cf, "canonical-connection")
-    connection = Connection(c=vd.g, name="canonical")
+    report = _bundle_report(cf)
+    connection = Connection(c=vd.g)
     target = _check_splitting(report, vd, vd.g, window)
     coh_coaction = vd.record_rho_stable(report)
 
@@ -415,14 +411,14 @@ def _check_splitting(report: CheckReport, vd: VerticalData, c_map, window: int |
     return target
 
 
-def check_connection(vd: VerticalData, connection: Connection, window: int | None = None) -> CheckReport:
-    """A supplied connection: splitting, left-linearity and colinearity;
-    also the induced idempotent with horizontal kernel."""
+def check_connection(vd: VerticalData, connection: Connection) -> CheckReport:
+    """A supplied connection on a finite bundle: splitting, left-linearity
+    and colinearity; also the induced idempotent with horizontal kernel."""
     cf = vd.cf
-    report = _bundle_report(cf, "connection-check")
-    _check_splitting(report, vd, connection.c, window)
+    report = _bundle_report(cf)
+    _check_splitting(report, vd, connection.c, None)
 
-    form_basis = cf.forms.enumerate(window)
+    form_basis = cf.forms.enumerate()
 
     def projector(form_ix):
         v = vd.ver(form_ix)
@@ -433,16 +429,13 @@ def check_connection(vd: VerticalData, connection: Connection, window: int | Non
 
     report.sweep("connection.projector", form_basis, projector)
 
-    if not report.windowed:
-        solver = LinearSolver(
-            LinOp(lambda ix: connection.c(vd.ver(ix))), form_basis
-        )
-        hor_dim = len(cf.horizontal_window(window))
-        report.record(
-            "connection.projector-kernel-rank",
-            solver.kernel().dim == hor_dim,
-            witness=f"kernel dim {solver.kernel().dim}, horizontal dim {hor_dim}",
-        )
+    kernel_dim = LinearSolver(LinOp(lambda ix: connection.c(vd.ver(ix))), form_basis).kernel().dim
+    hor_dim = len(cf.horizontal_window(None))
+    report.record(
+        "connection.projector-kernel-rank",
+        kernel_dim == hor_dim,
+        witness=f"kernel dim {kernel_dim}, horizontal dim {hor_dim}",
+    )
     return report
 
 
@@ -462,14 +455,13 @@ class CovariantDerivativeData:
     e_span: TrackedSpan                      # the bundle E, labelled ("ebas", i)
     nabla: Callable[[Index], FreeVector]     # E label -> balanced classes
     sigma_e: Callable[[Index, Index], FreeVector]
-    balanced: QuotientSpace
     report: CheckReport
 
     def __post_init__(self):
         memoise_fields(self, "nabla", "sigma_e")
 
 
-def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | None = None) -> CovariantDerivativeData:
+def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDerivativeData:
     """Associated bundle E = (A (x) V)^coH with its covariant derivative
     d_B on the base leg and the bimodule braiding through the measure."""
     cf = vd.cf
@@ -477,7 +469,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
     h = cp.hopf
     if not cp.algebra.basis.is_finite:
         raise ValueError("associated bundles are computed for finite-dimensional total algebras")
-    report = _bundle_report(cf, "covariant-derivative")
+    report = _bundle_report(cf)
     embed = cp.comodule.coinvariants.embed
     a_basis = cp.algebra.basis.enumerate()
     pair_v = [tensor_index(a, v) for a in a_basis for v in v_comodule.labels]
@@ -562,7 +554,6 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule, window: int | 
         e_span=e_span,
         nabla=nabla,
         sigma_e=sigma_e,
-        balanced=balanced,
         report=report,
     )
     # the checks below read the memoised maps
@@ -722,7 +713,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
                 "coinvariant forms grow with the window "
                 f"({coinv.dim} -> {probe.dim}); tangent space refused"
             )
-    report = _bundle_report(cf, "tangent-space")
+    report = _bundle_report(cf)
     labels = [("tan", i) for i in range(coinv.dim)]
 
     coaction_raw = vd.record_rho_stable(report)
@@ -834,7 +825,6 @@ def connection_form_bijection(
     tangent: TangentSpace,
     connection: Connection | None = None,
     form: ConnectionForm | None = None,
-    window: int | None = None,
 ):
     """Translate between connections and connection 1-forms and verify the
     defining property of the output and both round trips.
@@ -845,7 +835,7 @@ def connection_form_bijection(
         raise ValueError("give exactly one of connection / form")
     cf = vd.cf
     h = cf.crossed.hopf
-    report = _bundle_report(cf, "connection-form-bijection")
+    report = _bundle_report(cf)
     unit_pair = tensor_index(_unit_b_index(cf.crossed), _unit_index(h))
 
     def to_form(c_map) -> ConnectionForm:
@@ -864,7 +854,7 @@ def connection_form_bijection(
                 if not weight.is_zero()
             )
 
-        return Connection(c=c_map, name="from-form")
+        return Connection(c=c_map)
 
     def verify_form(phi: ConnectionForm, tag: str):
         def ver_projection(tan):
@@ -891,7 +881,7 @@ def connection_form_bijection(
         report.record(f"{tag}.coinvariant", lhs_total == rhs_total)
 
     if connection is not None:
-        check = check_connection(vd, connection, window)
+        check = check_connection(vd, connection)
         if not check.ok:
             failed = check.failed[0]
             raise ValueError(
@@ -901,7 +891,7 @@ def connection_form_bijection(
         phi = to_form(connection.c)
         verify_form(phi, "output-form")
         back = to_connection(phi)
-        target = vd.target_basis(window)
+        target = vd.target_basis()
 
         def roundtrip(ix):
             return back.c(E(ix)) == connection.c(E(ix)), (ix,)
@@ -914,7 +904,7 @@ def connection_form_bijection(
         failed = report.failed[0]
         raise ValueError(f"input form fails {failed.identity} at {failed.witness}")
     back = to_connection(form)
-    check = check_connection(vd, back, window)
+    check = check_connection(vd, back)
     report.extend(check, prefix="output.")
     phi2 = to_form(back.c)
 

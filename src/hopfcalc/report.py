@@ -37,8 +37,6 @@ class CheckReport:
     """Checks of one suite.  A windowed suite checks an infinite basis on a
     window only, so each identity it passes is window-verified, not proved."""
 
-    example: str = ""
-    suite: str = ""
     windowed: bool = False
 
     def __post_init__(self):
@@ -67,9 +65,13 @@ class CheckReport:
         return self.record(identity, True)
 
     def extend(self, other: "CheckReport", prefix: str = ""):
+        """Append other's checks, each renamed with prefix; an unprefixed
+        check is shared, since no check changes after `add`."""
+        if not prefix:
+            self.checks.extend(other.checks)
+            return
         for check in other.checks:
-            name = f"{prefix}{check.identity}" if prefix else check.identity
-            self.checks.append(Check(name, check.status, check.witness))
+            self.checks.append(Check(prefix + check.identity, check.status, check.witness))
 
     @property
     def failed(self) -> list[Check]:
@@ -86,17 +88,8 @@ class CheckReport:
         raise KeyError(identity)
 
     def as_dict(self):
-        return {
-            "example": self.example,
-            "suite": self.suite,
-            "checks": [c.as_dict() for c in self.checks],
-        }
-
-    def summary(self) -> dict:
-        out = {}
-        for c in self.checks:
-            out[c.status] = out.get(c.status, 0) + 1
-        return out
+        """The report's JSON body; the CLI adds the example and suite names."""
+        return {"checks": [c.as_dict() for c in self.checks]}
 
 
 def render_json(payload: dict) -> str:

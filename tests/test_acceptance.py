@@ -228,7 +228,6 @@ def test_criterion_08_necessity_witnesses(radford, torus):
         left_act=lambda a, f: E(("dw", a[1] + f[1])),
         right_act=lambda f, a: E(("dw", a[1] + f[1])),
         d=LinOp(dd),
-        name="classical-base",
     )
     action = TwistedCalculusAction(act=lambda t, f: E(f, th ** (-t[1] * (f[1] + 1))))
     defect_t = leibniz_defect(

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcalc.cli import run
 from hopfcalc.examples import EXAMPLES
-from hopfcalc.hopf import build_cyclic_group_algebra, render_structure_constants
 from hopfcalc.report import render_json
 
 C4_HOPF = pathlib.Path(__file__).resolve().parents[1] / "sample-data" / "c4.hopf"
@@ -131,7 +135,7 @@ def test_cohomology_without_a_graded_calculus_is_refused(capsys, argv):
 
 
 def test_user_hopf_roundtrip(tmp_path, capsys):
-    text = render_structure_constants(build_cyclic_group_algebra(4))
+    text = C4_HOPF.read_text()
     path = tmp_path / "c4.hopf"
     path.write_text(text)
     code, out, err = invoke(capsys, ["verify", "user-hopf", "--file", str(path)])
@@ -141,7 +145,7 @@ def test_user_hopf_roundtrip(tmp_path, capsys):
 
 
 def test_user_hopf_broken_antipode_fails(tmp_path, capsys):
-    text = render_structure_constants(build_cyclic_group_algebra(4))
+    text = C4_HOPF.read_text()
     # corrupt the antipode: send generator 1 to itself instead of its inverse
     text = text.replace("ANTIPODE 1 -> 3 : 1", "ANTIPODE 1 -> 1 : 1")
     text = text.replace("ANTIPODE 3 -> 1 : 1", "ANTIPODE 3 -> 3 : 1")
@@ -196,7 +200,7 @@ def test_radford_r3_runs_with_truncation_obstruction_reported(capsys):
 
 
 def test_user_hopf_with_ideal_file_builds_the_quotient_calculus(tmp_path, capsys):
-    text = render_structure_constants(build_cyclic_group_algebra(4))
+    text = C4_HOPF.read_text()
     hopf_path = tmp_path / "c4.hopf"
     hopf_path.write_text(text)
     ideal_path = tmp_path / "ideal.txt"
@@ -243,7 +247,7 @@ def test_cohomology_torus_windowed(capsys):
 
 
 def test_zero_denominator_in_hopf_file_is_a_usage_error(tmp_path, capsys):
-    text = render_structure_constants(build_cyclic_group_algebra(4))
+    text = C4_HOPF.read_text()
     text = text.replace("MUL 3 3 -> 2 : 1", "MUL 3 3 -> 2 : 1/0")
     assert "1/0" in text
     path = tmp_path / "zero-denominator.hopf"
@@ -383,7 +387,7 @@ def test_a_suite_that_raises_names_its_suite(capsys, monkeypatch):
     def cannot_run():
         raise ValueError("no solution for the section")
 
-    suites = [("fine", lambda: CheckReport(example="group-c2", suite="fine")), ("broken", cannot_run)]
+    suites = [("fine", lambda: CheckReport()), ("broken", cannot_run)]
     monkeypatch.setitem(EXAMPLES["group-c2"], "suites", lambda params: suites)
     code, out, err = invoke(capsys, ["verify", "group-c2"])
     assert (code, out) == (2, "")
@@ -521,3 +525,103 @@ def test_each_run_builds_its_instance_once(capsys, monkeypatch, argv, builder):
     code, out, err = invoke(capsys, argv)
     assert code == 0
     assert len(calls) == 1
+
+
+# -- fuzzing the command line ------------------------------------------------
+
+C4_IDEAL = C4_HOPF.with_name("c4-ideal.txt")
+# words a mutation writes over a word of a sample line: positions in and out
+# of range, scalars in and out of Q(zeta_4), malformed terms and separators
+_WORDS = ["0", "1", "2", "3", "4", "-1", "1/2", "1/0", "z4^1", "z8^1", "1*1", "1*4", "(1/2)*3", "-", "+", "->", ":", "x", ""]
+# suites of several examples, and one that no example has; None runs them all
+_SUITES = [None, "hopf-axioms", "comodule", "fodc", "graded", "higher-forms", "section", "ideal-calculus", "no-such-suite"]
+
+
+@st.composite
+def _mutated(draw, text):
+    """text with up to three of its lines dropped, repeated, given a new word
+    or given a new coefficient after its colon."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "repeat", "word", "coefficient"]))
+        if kind == "drop":
+            del lines[k]
+        elif kind == "repeat":
+            lines.insert(k, lines[k])
+        elif kind == "coefficient" and ":" in lines[k]:
+            lines[k] = lines[k].rpartition(":")[0] + ": " + draw(st.sampled_from(["0", "-1", "2", "1/2"]))
+        else:
+            words = lines[k].split(" ")
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(_WORDS))
+            lines[k] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _flag_invocations(draw):
+    """verify or cohomology argv over the flags of every example.  The
+    window is always at most 1, which validation refuses for torus and
+    smash-demo before anything is built, and radford has r <= 3."""
+    command = draw(st.sampled_from(["verify", "cohomology"]))
+    example = draw(st.sampled_from(sorted(EXAMPLES) + ["no-such-example"]))
+    argv = [command, example, "--window", str(draw(st.integers(-1, 1)))]
+    for flag, values in (
+        ("--r", st.integers(0, 3)),
+        ("--n", st.integers(0, 3)),
+        ("--q-power", st.integers(-4, 8)),
+        ("--M", st.integers(-2, 9)),
+        ("--seed", st.integers(0, 3)),
+        ("--ideal", st.sampled_from(["zero", "full"])),
+    ):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    if command == "cohomology" and draw(st.booleans()):
+        argv += ["--max-degree", str(draw(st.integers(-1, 3)))]
+    if command == "verify":
+        suite = draw(st.sampled_from(_SUITES))
+        if suite is not None:
+            argv += ["--suite", suite]
+    return argv
+
+
+def _run_and_check(argv, files=None):
+    """Run the CLI on argv with each of files written to a temporary path
+    after its flag, and check the exit contract: 0, 1 or 2 with no
+    exception; only a usage error leaves stdout empty, and only a failed
+    check exits 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag, text in (files or {}).items():
+            path = pathlib.Path(tmp) / flag.strip("-")
+            path.write_text(text)
+            argv = argv + [flag, str(path)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+    assert code in (0, 1, 2)
+    assert (out.getvalue() == "") == (code == 2)
+    if code != 2:
+        payload = json.loads(out.getvalue())
+        failed = [c for r in payload.get("reports", []) for c in r["checks"] if c["status"] == "fail"]
+        assert bool(failed) == (code == 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_flag_invocations())
+def test_fuzzed_flags_exit_with_a_defined_status(argv):
+    _run_and_check(argv)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    _mutated(C4_HOPF.read_text()),
+    st.none() | _mutated(C4_IDEAL.read_text()),
+    st.sampled_from([None, "hopf-axioms", "ideal-calculus", "fodc"]),
+)
+def test_fuzzed_hopf_files_exit_with_a_defined_status(hopf_text, ideal_text, suite):
+    files = {"--file": hopf_text}
+    if ideal_text is not None:
+        files["--ideal-file"] = ideal_text
+    _run_and_check(["verify", "user-hopf"] + (["--suite", suite] if suite else []), files)

@@ -57,7 +57,6 @@ def torus_classical_base(inst):
         left_act=lambda a, f: E(("dw", a[1] + f[1])),
         right_act=lambda f, a: E(("dw", a[1] + f[1])),
         d=LinOp(dd, name="d_cl"),
-        name="classical-base",
     )
     th = inst.theta_root
     action = TwistedCalculusAction(act=lambda t, f: E(f, th ** (-t[1] * (f[1] + 1))))
@@ -310,7 +309,6 @@ def test_trivial_cocycle_crossed_calculus_reduces_to_smash_formulas():
         return E(ix(k)) if k < 2 else FreeVector.zero()
 
     b = AlgebraPresentation(
-        name="k[y]/(y2)",
         basis=BasisFamily(indices=[ix(0), ix(1)]),
         mult=mult,
         unit=E(ix(0)),
@@ -341,7 +339,6 @@ def test_trivial_cocycle_crossed_calculus_reduces_to_smash_formulas():
         left_act=lambda a, f: truncated(a[1] + f[1]),
         right_act=dy_right,
         d=LinOp(dy_d, name="d_B"),
-        name="dual-number-calculus",
     )
     assert check_fodc(b_calc).ok
     h_calc = woronowicz_from_ideal(IdealCalculusSpec(hopf=h, ideal_gens=[]))

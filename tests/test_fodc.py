@@ -9,7 +9,6 @@ from hopfcalc.fodc import (
     check_fodc,
     check_sigma_twisted_module_calculus,
     sigma_forces_zero_differential,
-    universal_fodc,
     woronowicz_from_ideal,
     zero_fodc,
 )
@@ -19,7 +18,7 @@ from hopfcalc.hopf import (
     build_cyclic_group_algebra,
     build_radford,
 )
-from hopfcalc.linalg import FreeVector, LinearSolver, LinOp, tensor_index
+from hopfcalc.linalg import FreeVector, LinearSolver, LinOp, Subspace, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
@@ -67,7 +66,7 @@ def test_c2_differential_kernel_dimension():
     # frozen oracle: eliminating the 2x2 matrix of d by hand leaves rank 1
     h, calc = c2_universal_ideal_calculus()
     solver = LinearSolver(calc.d, h.algebra.basis.enumerate())
-    kernel, image = solver.kernel(), solver.image()
+    kernel, image = solver.kernel(), Subspace(solver.vectors.values())
     assert kernel.dim == 1 and image.dim == 1
     assert kernel.contains(h.algebra.unit)
 
@@ -123,31 +122,11 @@ def test_corrupted_right_action_fails_bimodule_law_with_witness():
         left_act=good.left_act,
         right_act=bad_right,
         d=good.d,
-        name="corrupted",
     )
     report = check_fodc(bad, window=2)
     failed = report.get("bimodule.right-assoc")
     assert failed.status == "fail"
     assert failed.witness
-
-
-def test_universal_calculus_on_c2():
-    h = build_cyclic_group_algebra(2)
-    calc = universal_fodc(h.algebra)
-    assert len(calc.forms.enumerate()) == 2
-    assert calc.d(h.algebra.unit).is_zero()
-    assert check_fodc(calc).ok
-
-
-def test_universal_calculus_on_ground_field():
-    ground = AlgebraPresentation(
-        name="k",
-        basis=BasisFamily(indices=[("k", 0)]),
-        mult=lambda i, j: E(("k", 0)),
-        unit=E(("k", 0)),
-    )
-    calc = universal_fodc(ground)
-    assert calc.forms.enumerate() == []
 
 
 def test_zero_calculus_passes_every_check():
@@ -192,7 +171,6 @@ def test_incompatible_action_data_is_an_error_with_conflicting_presentations():
         return E(ix(k)) if k < 3 else FreeVector.zero()
 
     b = AlgebraPresentation(
-        name="k[y]/(y3)",
         basis=BasisFamily(indices=[ix(0), ix(1), ix(2)]),
         mult=mult,
         unit=E(ix(0)),
@@ -223,7 +201,6 @@ def test_incompatible_action_data_is_an_error_with_conflicting_presentations():
         left_act=lambda a, f: truncated(a[1] + f[1]),
         right_act=lambda f, a: truncated(a[1] + f[1]),
         d=LinOp(d_ix),
-        name="truncated-on-nilpotent",
     )
     assert check_fodc(calc).ok
     with pytest.raises(ValueError, match="not well-defined"):
@@ -275,7 +252,6 @@ def test_nonzero_base_differential_fails_dsigma_on_the_torus(torus_calc_shared):
         left_act=lambda a, f: E(("dw", a[1] + f[1])),
         right_act=lambda f, a: E(("dw", a[1] + f[1])),
         d=LinOp(dd, name="d_cl"),
-        name="classical-base",
     )
     _, report = check_sigma_twisted_module_calculus(
         classical, inst.crossed.hopf, inst.crossed.measure, inst.crossed.cocycle, window=2

@@ -1,8 +1,10 @@
+import pathlib
+
 import pytest
+from structure_text import render_structure_constants
 
 from hopfcalc.hopf import (
     BasisFamily,
-    ComoduleAlgebra,
     NotInvertible,
     build_cyclic_group_algebra,
     build_group_algebra,
@@ -11,12 +13,10 @@ from hopfcalc.hopf import (
     build_torus_comodule,
     check_comodule_algebra,
     check_hopf_axioms,
-    compute_coinvariants,
     convolution_inverse,
     cyclic_cayley,
     parse_basis_combination,
     parse_structure_constants,
-    render_structure_constants,
     tensor_square_coalgebra,
     CoalgebraData,
 )
@@ -95,7 +95,6 @@ def test_radford_with_identity_antipode_fails_at_x():
         counit=broken.counit,
         antipode=LinOp(lambda ix: E(ix), name="id"),
         antipode_inv=LinOp(lambda ix: E(ix), name="id"),
-        name=broken.name,
     )
     report = check_hopf_axioms(broken)
     bad = report.get("hopf.antipode")
@@ -178,27 +177,24 @@ def test_torus_cleaving_inverse_via_solver():
         assert g(("t", n)) == torus.cleaving_inv(("t", n))
 
 
-def test_compute_coinvariants_of_group_algebra_over_itself():
-    h = build_cyclic_group_algebra(2)
-    m = ComoduleAlgebra(algebra=h.algebra, hopf=h, coaction=h.comul)
-    fam = compute_coinvariants(m)
-    assert len(fam.algebra.basis.enumerate()) == 1
-    only = fam.embed(fam.algebra.basis.enumerate()[0])
-    assert linear(m.coaction, only) == only.tensor(h.algebra.unit)
-
-
 def test_structure_constants_round_trip():
     h = build_cyclic_group_algebra(2)
-    text = render_structure_constants(h)
+    text = render_structure_constants(h, "k[C2]")
     back = parse_structure_constants(text)
     assert check_hopf_axioms(back).ok
     assert back.algebra.unit == E(("u", 0))
-    assert sum(line.startswith("MUL ") for line in render_structure_constants(back).splitlines()) == 4
+    assert render_structure_constants(back, "k[C2]") == text
+
+
+def test_shipped_sample_data_is_the_rendered_c4():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    text = (root / "sample-data" / "c4.hopf").read_text()
+    assert render_structure_constants(build_cyclic_group_algebra(4), "k[C4]") == text
 
 
 def test_structure_constants_radford_round_trip():
     data = build_radford(2, 2, root_of_unity(4))
-    back = parse_structure_constants(render_structure_constants(data.hopf))
+    back = parse_structure_constants(render_structure_constants(data.hopf, "H(2,2,q)"))
     assert check_hopf_axioms(back).ok
 
 

@@ -173,7 +173,7 @@ def test_tangent_space_refused_when_coinvariants_grow(torus):
     )
     fat_coinv = coinvariant_forms(fat, window=2)
     assert fat_coinv.dim == 5
-    vd_fat = VerticalData(cf=vd.cf, coinv=fat_coinv, ver=vd.ver, p=vd.p, g=vd.g, report=vd.report)
+    vd_fat = VerticalData(cf=vd.cf, coinv=fat_coinv, ver=vd.ver, g=vd.g, report=vd.report)
     with pytest.raises(ValueError, match="grow"):
         tangent_and_fields(vd_fat, window=2)
 
@@ -195,7 +195,7 @@ def test_connection_form_bijection_roundtrips(radford):
 def test_connection_form_bijection_rejects_invalid_input(radford):
     rc, vd = radford
     tangent, _, _ = tangent_and_fields(vd)
-    broken = Connection(c=lambda v: FreeVector.zero(), name="zero")
+    broken = Connection(c=lambda v: FreeVector.zero())
     with pytest.raises(ValueError, match="fails"):
         connection_form_bijection(vd, tangent, connection=broken)
 
@@ -264,7 +264,6 @@ def test_atiyah_exactness_on_a_plain_smash_product():
         return ("y", k)
 
     b = AlgebraPresentation(
-        name="k[y]/(y2)",
         basis=BasisFamily(indices=[ix(0), ix(1)]),
         mult=lambda i, j: E(ix(i[1] + j[1])) if i[1] + j[1] < 2 else FreeVector.zero(),
         unit=E(ix(0)),
@@ -291,7 +290,6 @@ def test_atiyah_exactness_on_a_plain_smash_product():
         left_act=lambda a, f: truncated(a[1] + f[1]),
         right_act=dy_right,
         d=LinOp(lambda bx: E(("dy", 0)) if bx[1] == 1 else FreeVector.zero()),
-        name="dual-number-calculus",
     )
     h_calc = woronowicz_from_ideal(IdealCalculusSpec(hopf=h, ideal_gens=[]))
     cf = build_crossed_fodc(smash, b_calc, h_calc)

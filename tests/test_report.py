@@ -70,9 +70,9 @@ def test_add_keeps_the_status_it_is_given():
 
 
 def test_unwindowed_report_stamps_pass_and_writes_no_window_flag():
-    rep = CheckReport(example="ex", suite="s")
+    rep = CheckReport()
     assert rep.sweep("swept", range(3), lambda k: (True, parts_of(k))).status == PASS
     assert rep.record("recorded", True).status == PASS
-    windowed = CheckReport(example="ex", suite="s", windowed=True)
+    windowed = CheckReport(windowed=True)
     windowed.record("recorded", True)
-    assert set(rep.as_dict()) == set(windowed.as_dict()) == {"example", "suite", "checks"}
+    assert set(rep.as_dict()) == set(windowed.as_dict()) == {"checks"}

@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import re
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hopfcalc"
 
@@ -572,3 +573,159 @@ def test_representation_scan_sees_every_form():
         (10, "dataclasses"),
     ]
     assert sorted(_representation_reads(tree)) == [5, 5, 7]
+
+
+# definitions that nothing in src/ reads or sets, kept on purpose; an entry
+# goes when its definition goes or gains a reader, and none is added
+_UNREAD_KEPT = frozenset({
+    "HopfGaloisResult.bijective",  # the Galois verdict, which the acceptance tests read
+    "RadfordInstance.to_full",  # the crossed product inside H(r,n,q), which the tests compare against
+    "SmashClassification.theta_hat_inv",  # the comparison map of a passing classification
+    "CovariantDerivativeData.e_span",  # the associated bundle whose rank the tests pin
+    "RadfordCalculusInstance.b_graded",  # the one route to a GradedDc.action in the memo test
+})
+_UNSET_KEPT = frozenset({
+    "cli.run(argv)",  # the console entry point passes none; tests pass their argv
+    "qpb.tangent_and_fields(window)",  # a test drives its windowed refusal
+})
+
+
+def _is_record(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list
+    )
+
+
+def _attribute_reads(tree) -> Counter:
+    """How often each name is read as `x.name` in tree."""
+    return Counter(
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def _unread_members(trees: dict) -> list:
+    """Class.member for each annotated field of a record class and each
+    public method of a class that no attribute read names, outside the
+    method's own body."""
+    everywhere = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    found = []
+    for tree in trees.values():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if _is_record(cls) and isinstance(node, ast.AnnAssign) and not everywhere[node.target.id]:
+                    found.append(f"{cls.name}.{node.target.id}")
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    if everywhere[node.name] == _attribute_reads(node)[node.name]:
+                        found.append(f"{cls.name}.{node.name}")
+    return found
+
+
+def _calls_by_name(trees: dict) -> dict:
+    """Every call, under the name it calls: `f(...)` and `x.f(...)` under f."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, position, name) -> bool:
+    """Whether call sets a parameter: by keyword, by position, or through * or **."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _unset_parameters(trees: dict) -> list:
+    """module.function(param) for each defaulted parameter of a module-level
+    function or method that no call passes.  A nested function is exempt:
+    it is handed on as a callback, and its caller is not found by name."""
+    calls = _calls_by_name(trees)
+    found = []
+    for module, tree in trees.items():
+        functions = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            functions += [(cls.name, node) for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for owner, fn in functions:
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            bound = 0 if owner is None or static else 1
+            positional = fn.args.posonlyargs + fn.args.args
+            first_default = len(positional) - len(fn.args.defaults)
+            params = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first_default]
+            params += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            callee = owner if fn.name == "__init__" else fn.name
+            for position, name in params:
+                if not any(_passes(call, position, name) for call in calls.get(callee, ())):
+                    qualified = f"{owner}.{fn.name}" if owner else fn.name
+                    found.append(f"{module}.{qualified}({name})")
+    return found
+
+
+def test_every_field_method_and_parameter_is_used_in_src():
+    # no field, method or parameter that no output and no caller reads: the
+    # report names, never-set knobs and test-only members all went, and
+    # what stays on purpose is named above
+    trees = {path.stem: tree for path, tree in _modules()}
+    assert sorted(_unread_members(trees)) == sorted(_UNREAD_KEPT)
+    assert sorted(_unset_parameters(trees)) == sorted(_UNSET_KEPT)
+
+
+def test_no_record_carries_a_name_of_its_own():
+    # the CLI names each report it prints; a name kept on a record, a
+    # presentation or a report would reach no output
+    named = [
+        f"{cls.name}.{node.target.id}"
+        for _, tree in _modules()
+        for cls in tree.body
+        if _is_record(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and node.target.id in ("name", "example", "suite")
+    ]
+    assert named == []
+
+
+def test_unused_definition_scan_sees_every_form():
+    text = (
+        "@record\n"
+        "class R:\n"
+        "    read: int\n"
+        "    unread: int\n"
+        "    def called(self, x, flag=False, other=None):\n"
+        "        return self.read\n"
+        "    def recursive(self):\n"
+        "        return self.recursive()\n"
+        "    def _private(self):\n"
+        "        return 0\n"
+        "class Plain:\n"
+        "    note: int\n"
+        "    def __init__(self, a, b=1):\n"
+        "        self.a = a\n"
+        "    def never(self):\n"
+        "        return 0\n"
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return a\n"
+        "def s(a=0, *, b=1):\n"
+        "    return a\n"
+        "def h(r, args, opts):\n"
+        "    f(1, 2)\n"
+        "    f(1, d=0)\n"
+        "    s(*args, **opts)\n"
+        "    r.called(1, True)\n"
+        "    Plain(1)\n"
+        "    def nested(w=None):\n"
+        "        return w\n"
+        "    return nested\n"
+    )
+    trees = {"m": ast.parse(text)}
+    assert sorted(_unread_members(trees)) == ["Plain.never", "R.recursive", "R.unread"]
+    assert sorted(_unset_parameters(dict(trees, n=ast.parse("def k(x=0):\n    return x\n")))) == [
+        "m.Plain.__init__(b)",
+        "m.R.called(other)",
+        "m.f(c)",
+        "m.f(e)",
+        "n.k(x)",
+    ]
