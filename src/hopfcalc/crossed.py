@@ -27,6 +27,7 @@ from hopfcalc.linalg import (
     QuotientSpace,
     Subspace,
     combine,
+    first_non_associative,
     linear,
     memoise_fields,
     record,
@@ -220,11 +221,9 @@ def build_crossed_product(
     probe = algebra.basis.enumerate(None if algebra.basis.is_finite else _VERIFY_WINDOW)
     if len(probe) > 12:
         probe = probe[:: max(1, len(probe) // 12)]
-    for i in probe:
-        for j in probe:
-            for k in probe:
-                if not linear(algebra.mult, algebra.mult(i, j), k) == linear(algebra.mult, i, algebra.mult(j, k)):
-                    raise ValueError(f"crossed product not associative at {witness(i, j, k)}")
+    hit = first_non_associative(probe, probe, probe, algebra.mult, algebra.mult, algebra.mult, algebra.mult)
+    if hit is not None:
+        raise ValueError(f"crossed product not associative at {witness(*hit)}")
     return CrossedProduct(base=b, hopf=h, measure=m, cocycle=s, algebra=algebra, comodule=comodule)
 
 

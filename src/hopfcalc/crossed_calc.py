@@ -28,6 +28,7 @@ from hopfcalc.linalg import (
     Subspace,
     TrackedSpan,
     combine,
+    first_non_associative,
     format_index,
     intersection_dim,
     linear,
@@ -657,26 +658,17 @@ def check_graded_dc(dc: GradedDc, window: int | None = None) -> CheckReport:
         graded_leibniz,
     )
 
-    def assoc(item):
-        n1, i, n2, j, n3, k = item
-        lhs = linear(dc.wedge, n1 + n2, dc.wedge(n1, i, n2, j), n3, k)
-        rhs = linear(dc.wedge, n1, i, n2 + n3, dc.wedge(n2, j, n3, k))
-        return lhs == rhs, (i, j, k)
+    def assoc(block):
+        n1, n2, n3 = block
+        hit = first_non_associative(
+            bases[n1], bases[n2], bases[n3],
+            lambda i, j: dc.wedge(n1, i, n2, j), lambda t, k: dc.wedge(n1 + n2, t, n3, k),
+            lambda j, k: dc.wedge(n2, j, n3, k), lambda i, t: dc.wedge(n1, i, n2 + n3, t),
+        )
+        return hit is None, hit
 
-    report.sweep(
-        "wedge-assoc",
-        (
-            (n1, i, n2, j, n3, k)
-            for n1 in degrees
-            for n2 in degrees
-            for n3 in degrees
-            if n1 + n2 + n3 <= max_total
-            for i in bases[n1]
-            for j in bases[n2]
-            for k in bases[n3]
-        ),
-        assoc,
-    )
+    blocks = [(n1, n2, n3) for n1 in degrees for n2 in degrees for n3 in degrees if n1 + n2 + n3 <= max_total]
+    report.sweep("wedge-assoc", blocks, assoc)
 
     def unit_neutral(item):
         deg, ix = item

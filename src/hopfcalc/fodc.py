@@ -27,6 +27,7 @@ from hopfcalc.linalg import (
     QuotientSpace,
     Subspace,
     combine,
+    first_non_associative,
     flatten_left,
     flatten_right,
     format_index,
@@ -35,7 +36,7 @@ from hopfcalc.linalg import (
     record,
     tensor_index,
 )
-from hopfcalc.report import CheckReport
+from hopfcalc.report import CheckReport, witness
 from hopfcalc.scalars import CycScalar, multiplicative_order
 
 Index = tuple
@@ -128,41 +129,13 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
     a_basis = alg.basis.enumerate(window)
     f_basis = f.forms.enumerate(window)
 
-    def left_assoc(item):
-        a, b, beta = item
-        lhs = linear(f.left_act, a, f.left_act(b, beta))
-        rhs = linear(f.left_act, alg.mult(a, b), beta)
-        return lhs == rhs, (a, b, beta)
-
-    report.sweep(
-        "bimodule.left-assoc",
-        ((a, b, beta) for a in a_basis for b in a_basis for beta in f_basis),
-        left_assoc,
-    )
-
-    def right_assoc(item):
-        beta, a, b = item
-        lhs = linear(f.right_act, f.right_act(beta, a), b)
-        rhs = linear(f.right_act, beta, alg.mult(a, b))
-        return lhs == rhs, (beta, a, b)
-
-    report.sweep(
-        "bimodule.right-assoc",
-        ((beta, a, b) for beta in f_basis for a in a_basis for b in a_basis),
-        right_assoc,
-    )
-
-    def compat(item):
-        a, beta, b = item
-        lhs = linear(f.right_act, f.left_act(a, beta), b)
-        rhs = linear(f.left_act, a, f.right_act(beta, b))
-        return lhs == rhs, (a, beta, b)
-
-    report.sweep(
-        "bimodule.compat",
-        ((a, beta, b) for a in a_basis for beta in f_basis for b in a_basis),
-        compat,
-    )
+    for identity, *sweep in (
+        ("bimodule.left-assoc", a_basis, a_basis, f_basis, alg.mult, f.left_act, f.left_act, f.left_act),
+        ("bimodule.right-assoc", f_basis, a_basis, a_basis, f.right_act, f.right_act, alg.mult, f.right_act),
+        ("bimodule.compat", a_basis, f_basis, a_basis, f.left_act, f.right_act, f.right_act, f.left_act),
+    ):
+        hit = first_non_associative(*sweep)
+        report.record(identity, hit is None, hit and witness(*hit))
 
     def unit_acts(beta):
         ok = (

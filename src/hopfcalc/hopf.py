@@ -18,6 +18,7 @@ from hopfcalc.linalg import (
     LinOp,
     NoSolution,
     combine,
+    first_non_associative,
     flatten_left,
     flatten_right,
     format_index,
@@ -27,7 +28,7 @@ from hopfcalc.linalg import (
     record,
     tensor_index,
 )
-from hopfcalc.report import FAIL, PASS, CheckReport
+from hopfcalc.report import FAIL, PASS, CheckReport, witness
 from hopfcalc.scalars import CycScalar, multiplicative_order, parse_scalar
 
 Index = tuple
@@ -193,13 +194,8 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
     basis = alg.basis.enumerate(window)
     one = CycScalar.one(alg.scalar_order)
 
-    def assoc(triple):
-        i, j, k = triple
-        left = linear(alg.mult, alg.mult(i, j), k)
-        right = linear(alg.mult, i, alg.mult(j, k))
-        return left == right, (i, j, k)
-
-    report.sweep("algebra.assoc", ((i, j, k) for i in basis for j in basis for k in basis), assoc)
+    hit = first_non_associative(basis, basis, basis, alg.mult, alg.mult, alg.mult, alg.mult)
+    report.record("algebra.assoc", hit is None, hit and witness(*hit))
 
     def unital(ix):
         e = FreeVector.basis(ix)
@@ -728,8 +724,18 @@ def _in_field(c: CycScalar, scalar_order: int) -> bool:
     return not scalar_order % c.order or c.is_rational()
 
 
-_ARROW_LINE = re.compile(r"^\s*(\S+)\s+(.*?)\s*->\s*(.*?)\s*:\s*(.*)$")
-_PLAIN_LINE = re.compile(r"^\s*(\S+)\s+(.*?)\s*:\s*(.*)$")
+# each directive: the pattern of its line, with every basis position or
+# header value a group, then the coefficient; and the shape an error quotes
+_I = r"([+-]?\d+)"
+_LINES = {
+    "HOPF": (r"HOPF\s+\S.*", "HOPF <name>"),
+    "DIM": (rf"DIM\s+{_I}", "DIM <d>"),
+    "SCALAR_ORDER": (rf"SCALAR_ORDER\s+{_I}", "SCALAR_ORDER <M>"),
+    "MUL": (rf"MUL\s+{_I}\s+{_I}\s*->\s*{_I}\s*:\s*(.*)", "MUL i j -> k : c"),
+    "COMUL": (rf"COMUL\s+{_I}\s*->\s*{_I}\s+{_I}\s*:\s*(.*)", "COMUL i -> j k : c"),
+    "COUNIT": (rf"COUNIT\s+{_I}\s*:\s*(.*)", "COUNIT i : c"),
+    "ANTIPODE": (rf"ANTIPODE\s+{_I}\s*->\s*{_I}\s*:\s*(.*)", "ANTIPODE i -> j : c"),
+}
 
 
 def parse_structure_constants(text: str) -> HopfData:
@@ -752,43 +758,37 @@ def parse_structure_constants(text: str) -> HopfData:
         if not line or line.startswith("#"):
             continue
         word = line.split(None, 1)[0]
-        if word not in ("HOPF", "DIM", "SCALAR_ORDER", "MUL", "COMUL", "COUNIT", "ANTIPODE"):
+        if word not in _LINES:
             raise ValueError(f"line {lineno}: unknown directive {word!r}")
+        pattern, shape = _LINES[word]
+        m = re.fullmatch(pattern, line)
         try:
+            if m is None:
+                raise ValueError(f"expected {shape!r}")
             if word == "HOPF":
-                named = bool(line.split(None, 1)[1])
+                named = True
                 continue
             if word in ("DIM", "SCALAR_ORDER"):
-                value = int(line.split(None, 1)[1])
+                value = int(m.group(1))
                 if value < 1:
                     raise ValueError(f"{word} must be at least 1, got {value}")
                 dim, so = (value, so) if word == "DIM" else (dim, value)
                 continue
+            *positions, coefficient = m.groups()
+            positions = tuple(map(int, positions))
             if word == "MUL":
-                m = _ARROW_LINE.match(line)
-                i, j = (int(p) for p in m.group(2).split())
-                row, key = mul.setdefault((i, j), {}), int(m.group(3))
-                positions = (i, j, key)
+                row, key = mul.setdefault(positions[:2], {}), positions[2]
             elif word == "COMUL":
-                m = _ARROW_LINE.match(line)
-                i = int(m.group(2))
-                j, k = (int(p) for p in m.group(3).split())
-                row, key = comul_t.setdefault(i, {}), (j, k)
-                positions = (i, j, k)
+                row, key = comul_t.setdefault(positions[0], {}), positions[1:]
             elif word == "COUNIT":
-                m = _PLAIN_LINE.match(line)
-                row, key = counit_t, int(m.group(2))
-                positions = (key,)
+                row, key = counit_t, positions[0]
             else:
-                m = _ARROW_LINE.match(line)
-                i = int(m.group(2))
-                row, key = antipode_t.setdefault(i, {}), int(m.group(3))
-                positions = (i, key)
+                row, key = antipode_t.setdefault(positions[0], {}), positions[1]
             if key in row:
                 raise ValueError(f"repeated {word} entry {' '.join(map(str, positions))}")
-            row[key] = parse_scalar(m.groups()[-1])
+            row[key] = parse_scalar(coefficient)
             entries.append((lineno, positions, row[key]))
-        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: malformed {word} line {line!r}: {exc}") from exc
     if not named or dim is None or so is None:
         raise ValueError("missing header (HOPF / DIM / SCALAR_ORDER)")

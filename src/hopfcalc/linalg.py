@@ -33,6 +33,7 @@ __all__ = [
     "intersection_dim",
     "combine",
     "linear",
+    "first_non_associative",
     "memoise",
     "memoise_fields",
     "record",
@@ -274,6 +275,40 @@ def _images(fn, cells, slots, picks):
         for k, (cells[k], ck) in zip(slots, pick):
             c = ck if c is None else c * ck
         yield fn(*cells), c
+
+
+def first_non_associative(xs, ys, zs, first, then, inner, outer):
+    """The first (x, y, z), looping over the lists xs, ys and zs, at which
+    then(first(x, y), z) != outer(x, inner(y, z)), with then and outer
+    extended linearly; None if there is none.  first is evaluated once per
+    (x, y), and then(m, .) and inner(y, .) once per term m and y, as rows
+    {z: value} of their nonzero values, kept for the call.  Both sides of a
+    row (x, y) are built and compared only at the z of those rows: at every
+    other z both are zero.
+    """
+    then_rows, inner_rows = {}, {}
+
+    def row(fn, a):
+        return {z: v for z in zs if (v := fn(a, z)).terms}
+
+    for x in xs:
+        for y in ys:
+            terms = first(x, y).terms
+            for m in terms:
+                if m not in then_rows:
+                    then_rows[m] = row(then, m)
+            rows = [(then_rows[m], c) for m, c in terms.items()]
+            if len(rows) == 1 and rows[0][1].is_one():
+                lhs = rows[0][0]
+            else:
+                live = {z for r, _ in rows for z in r}
+                lhs = {z: v for z in live if (v := combine((r.get(z, _ZERO), c) for r, c in rows)).terms}
+            if y not in inner_rows:
+                inner_rows[y] = row(inner, y)
+            rhs = {z: v for z, w in inner_rows[y].items() if (v := linear(outer, x, w)).terms}
+            if lhs != rhs:
+                return next((x, y, z) for z in zs if lhs.get(z, _ZERO) != rhs.get(z, _ZERO))
+    return None
 
 
 def memoise(fn):

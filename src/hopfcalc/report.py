@@ -81,12 +81,6 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.failed
 
-    def get(self, identity: str) -> Check:
-        for c in self.checks:
-            if c.identity == identity:
-                return c
-        raise KeyError(identity)
-
     def as_dict(self):
         """The report's JSON body; the CLI adds the example and suite names."""
         return {"checks": [c.as_dict() for c in self.checks]}

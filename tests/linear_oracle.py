@@ -71,3 +71,17 @@ def reference_linear(fn, *args):
 
     walk((), (), args)
     return out
+
+
+def reference_first_non_associative(xs, ys, zs, first, then, inner, outer):
+    """The per-triple loop that the associativity sweeps ran before
+    `linalg.first_non_associative`: for every (x, y, z) in the order of
+    nested loops, both sides in full, each through `reference_linear`."""
+    for x in xs:
+        for y in ys:
+            for z in zs:
+                lhs = reference_linear(then, first(x, y), z)
+                rhs = reference_linear(outer, x, inner(y, z))
+                if lhs.terms != rhs.terms:
+                    return x, y, z
+    return None

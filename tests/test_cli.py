@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 import tempfile
 
 import pytest
@@ -285,6 +286,13 @@ def test_negative_max_degree_is_a_usage_error(capsys, monkeypatch):
         (26, "COUNIT 2 : z3", "not in Q(zeta_1)"),
         (2, "DIM four", "malformed DIM line"),
         (20, "COMUL 0 -> 0 0 0 : 1", "malformed COMUL line"),
+        (2, "DIM 4 5", "malformed DIM line 'DIM 4 5': expected 'DIM <d>'"),
+        (21, "COMUL 1 -> 1 : 1", "malformed COMUL line 'COMUL 1 -> 1 : 1': expected 'COMUL i -> j k : c'"),
+        (5, "MUL 0 1 x 1 : 1", "malformed MUL line 'MUL 0 1 x 1 : 1': expected 'MUL i j -> k : c'"),
+        (3, "SCALAR_ORDER", "malformed SCALAR_ORDER line 'SCALAR_ORDER': expected 'SCALAR_ORDER <M>'"),
+        (26, "COUNIT 2 1", "malformed COUNIT line 'COUNIT 2 1': expected 'COUNIT i : c'"),
+        (1, "HOPF", "malformed HOPF line 'HOPF': expected 'HOPF <name>'"),
+        (30, "ANTIPODE 3 : 1", "malformed ANTIPODE line 'ANTIPODE 3 : 1': expected 'ANTIPODE i -> j : c'"),
     ],
 )
 def test_malformed_hopf_file_is_a_usage_error_naming_the_line(tmp_path, capsys, line, text, message):
@@ -591,14 +599,14 @@ def _run_and_check(argv, files=None):
     """Run the CLI on argv with each of files written to a temporary path
     after its flag, and check the exit contract: 0, 1 or 2 with no
     exception; only a usage error leaves stdout empty, and only a failed
-    check exits 1."""
+    check exits 1.  Returns stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         for flag, text in (files or {}).items():
             path = pathlib.Path(tmp) / flag.strip("-")
             path.write_text(text)
             argv = argv + [flag, str(path)]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
     assert code in (0, 1, 2)
     assert (out.getvalue() == "") == (code == 2)
@@ -606,12 +614,21 @@ def _run_and_check(argv, files=None):
         payload = json.loads(out.getvalue())
         failed = [c for r in payload.get("reports", []) for c in r["checks"] if c["status"] == "fail"]
         assert bool(failed) == (code == 1)
+    return err.getvalue()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_flag_invocations())
 def test_fuzzed_flags_exit_with_a_defined_status(argv):
     _run_and_check(argv)
+
+
+# why a `.hopf` line is malformed: the shape of its directive, a header
+# value below 1, a repeated entry or a coefficient that is not a scalar
+_MALFORMED_LINE = re.compile(
+    r"error: build: line \d+: malformed (\w+) line '.*': (expected '\1 [^']*'|\1 must be at least 1, got -?\d+"
+    r"|repeated \1 entry [\d -]+|empty scalar|bad scalar term .*|order must be a positive integer)\n"
+)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -624,4 +641,6 @@ def test_fuzzed_hopf_files_exit_with_a_defined_status(hopf_text, ideal_text, sui
     files = {"--file": hopf_text}
     if ideal_text is not None:
         files["--ideal-file"] = ideal_text
-    _run_and_check(["verify", "user-hopf"] + (["--suite", suite] if suite else []), files)
+    err = _run_and_check(["verify", "user-hopf"] + (["--suite", suite] if suite else []), files)
+    if "malformed" in err:
+        assert _MALFORMED_LINE.fullmatch(err), err

@@ -7,15 +7,16 @@ for operand, and it must leave every input vector as it was.  Scalars mix
 the orders 1, 2, 4 and 8, and coefficients are biased to 0, 1 and -1.
 """
 
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from linear_oracle import reference_combine, reference_linear
+from linear_oracle import reference_combine, reference_first_non_associative, reference_linear
 
-from hopfcalc.linalg import FreeVector, combine, linear
+from hopfcalc.linalg import FreeVector, combine, first_non_associative, linear
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 ORDERS = [1, 2, 4, 8]
@@ -169,3 +170,81 @@ def test_a_basis_argument_is_the_same_as_fixing_the_index(order, data):
     e = FreeVector.basis(k)
     assert _shape(linear(fn, v, k).terms) == _shape(linear(fn, v, e).terms)
     assert _shape(linear(fn, k, v).terms) == _shape(linear(fn, e, v).terms)
+
+
+# nonzero scalars of Q(zeta_4): units, and two that are not
+Q4_NONZERO = [CycScalar.from_rational(c, 4) for c in (1, -1, 2)] + [
+    root_of_unity(4), -root_of_unity(4), CycScalar.one(4) + root_of_unity(4)
+]
+SLOTS = ("first", "then", "inner", "outer")
+
+
+def _twisted_matrix_units(draw):
+    """The products of an associative algebra with zero products: the n x n
+    matrix units e_ij, each rescaled by a scalar u_ij, maybe tensored with
+    k[t]/(t^2) in the basis 1, 1 + t, whose square is -1 + 2(1 + t).  A
+    product of two basis elements is zero, one term or two."""
+    n = draw(st.integers(1, 3))
+    factor = [0, 1] if n < 3 and draw(st.booleans()) else [0]
+    u = {(i, j): draw(st.sampled_from(Q4_NONZERO)) for i in range(n) for j in range(n)}
+    one, two = CycScalar.one(4), CycScalar.from_rational(2, 4)
+    poly = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {0: -one, 1: two}}
+    basis = [(i, j, a) for i in range(n) for j in range(n) for a in factor]
+    table = {}
+    for i, j, a in basis:
+        for k, l, b in basis:
+            if j == k:
+                c = u[i, j] * u[j, l] * u[i, l].inverse()
+                table[(i, j, a), (k, l, b)] = FreeVector({(i, l, e): c * x for e, x in poly[a, b].items()})
+    return basis, {slot: table for slot in SLOTS}
+
+
+@st.composite
+def associativity_tables(draw):
+    """(xs, ys, zs, tables, associative): four sparse bilinear tables over a
+    small index set, one per slot of first_non_associative, with a missing
+    entry for a zero product.  Either all four are the products of
+    `_twisted_matrix_units`, which are associative, or each entry is drawn
+    at random; either way one entry that the sweep reads may then be
+    corrupted."""
+    if draw(st.booleans()):
+        basis, tables = _twisted_matrix_units(draw)
+        associative = True
+    else:
+        basis = list(range(draw(st.integers(1, 4))))
+        associative = False
+    entries = st.dictionaries(st.sampled_from(basis), st.sampled_from(Q4_NONZERO), max_size=2).map(FreeVector)
+    if not associative:
+        tables = {
+            slot: {(a, b): draw(entries) for a in basis for b in basis if draw(st.booleans())} for slot in SLOTS
+        }
+    xs, ys, zs = (draw(st.lists(st.sampled_from(basis), min_size=1, unique=True)) for _ in range(3))
+    if draw(st.booleans()):
+        slot = draw(st.sampled_from(SLOTS))
+        left, right = {"first": (xs, ys), "then": (basis, zs), "inner": (ys, zs), "outer": (xs, basis)}[slot]
+        key = (draw(st.sampled_from(left)), draw(st.sampled_from(right)))
+        tables = {**tables, slot: {**tables[slot], key: draw(entries)}}
+        associative = False
+    return xs, ys, zs, tables, associative
+
+
+@settings(max_examples=200, deadline=None)
+@given(associativity_tables())
+def test_first_non_associative_matches_the_per_triple_loop(case):
+    xs, ys, zs, tables, associative = case
+    calls = Counter()
+
+    def slot_map(slot):
+        def fn(a, b):
+            calls[slot, a, b] += 1
+            return tables[slot].get((a, b), FreeVector.zero())
+
+        return fn
+
+    got = first_non_associative(xs, ys, zs, *map(slot_map, SLOTS))
+    # each row of then and inner is evaluated once, and first once per (x, y)
+    assert all(n == 1 for (slot, *_), n in calls.items() if slot in ("then", "inner"))
+    assert sum(n for (slot, *_), n in calls.items() if slot == "first") <= len(xs) * len(ys)
+    assert got == reference_first_non_associative(xs, ys, zs, *map(slot_map, SLOTS))
+    if associative:
+        assert got is None

@@ -1,4 +1,5 @@
 import pytest
+from conftest import find_check
 
 from hopfcalc.crossed import equivariant_section
 from hopfcalc.crossed_calc import build_crossed_fodc, hor, ver
@@ -58,7 +59,7 @@ def test_coinvariant_forms_span_matches_quotient_dimension():
     # ideal quotient: compare ranks
     inst = group_c2_instance("zero")
     coinv = coinvariant_forms(inst.calc)
-    assert coinv.report.get("maurer-cartan.surjective").status == "pass"
+    assert find_check(coinv.report, "maurer-cartan.surjective").status == "pass"
     assert coinv.dim == 1  # dim of the augmentation quotient
 
 
@@ -92,8 +93,8 @@ def test_atiyah_exactness_radford_exact_ranks(radford):
     rc, vd = radford
     report = check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded)
     assert report.ok
-    assert "kernel dim 8, horizontal dim 8" in report.get("atiyah.kernel-rank").witness
-    assert report.get("atiyah.degree-2.kernel-is-wedge").status == "pass"
+    assert "kernel dim 8, horizontal dim 8" in find_check(report, "atiyah.kernel-rank").witness
+    assert find_check(report, "atiyah.degree-2.kernel-is-wedge").status == "pass"
 
 
 def test_atiyah_exactness_torus_window(torus):
@@ -116,7 +117,7 @@ def test_canonical_connection_radford(radford):
 def test_canonical_connection_strong_identity(radford):
     rc, vd = radford
     conn, report = canonical_connection(vd)
-    assert report.get("connection.strong").status == "pass"
+    assert find_check(report, "connection.strong").status == "pass"
     # by hand: (Id - c ver) d(x (x) a) = d_B x (x) a
     d_val = rc.cf.d(tensor_index(("h1", 0, 1), ("g", 1)))
     got = d_val - conn.c(vd.ver(d_val))
@@ -148,11 +149,11 @@ def test_field_uniqueness_fails_without_the_lifted_coinvariant_forms(radford):
     fields = {name: getattr(vd, name) for name in type(vd).__annotations__}
     bare = type(vd)(**dict(fields, coinv=CoinvariantForms(vd.coinv.h_calc)))
     _, _, report = tangent_and_fields(bare)
-    assert report.get("field.unique").status == "fail"
-    assert report.get("field.unique").witness is not None
+    assert find_check(report, "field.unique").status == "fail"
+    assert find_check(report, "field.unique").witness is not None
     assert report.checks[-1].identity == "field.unique"
     _, _, full = tangent_and_fields(vd)
-    assert full.get("field.unique").status == "pass"
+    assert find_check(full, "field.unique").status == "pass"
 
 
 def test_tangent_space_refused_when_coinvariants_grow(torus):
@@ -216,7 +217,7 @@ def test_covariant_derivative_two_dimensional_comodule(radford):
         "derivative.sigma-unique",
         "derivative.via-connection",
     ):
-        assert data.report.get(name).status == "pass"
+        assert find_check(data.report, name).status == "pass"
 
 
 def test_covariant_derivative_zero_base_calculus_gives_zero(radford):
@@ -296,7 +297,7 @@ def test_atiyah_exactness_on_a_plain_smash_product():
     vd = vertical_map(cf)
     report = check_atiyah_exact(vd)
     assert report.ok
-    assert report.get("atiyah.kernel-rank").witness == "kernel dim 4, horizontal dim 4"
+    assert find_check(report, "atiyah.kernel-rank").witness == "kernel dim 4, horizontal dim 4"
 
 
 def test_atiyah_degree_two_on_torus_window(torus):
@@ -305,4 +306,4 @@ def test_atiyah_degree_two_on_torus_window(torus):
     tc, vd = torus
     report = check_atiyah_exact(vd, higher=tc.higher, h_graded=tc.h_graded, window=2)
     assert report.ok
-    assert "kernel dim 0, wedge dim 0" in report.get("atiyah.degree-2.kernel-is-wedge").witness
+    assert "kernel dim 0, wedge dim 0" in find_check(report, "atiyah.degree-2.kernel-is-wedge").witness
