@@ -400,7 +400,7 @@ class GradedDc:
     action: Optional[Callable[[Index, int, Index], FreeVector]] = None
 
     def __post_init__(self):
-        memoise_fields(self, "wedge", "d", "right_coaction", "left_coaction", "action")
+        memoise_fields(self, "wedge", "d", "right_coaction", "left_coaction", "action", "lambda_terms")
 
     def lambda_terms(self, deg: int, ix: Index, legs: int):
         """Iterated left coaction in degree deg: (coeff, (h_1, ..., h_legs, form)) tuples."""

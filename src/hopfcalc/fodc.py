@@ -59,7 +59,7 @@ class Fodc:
 
     def __post_init__(self):
         memoise_fields(self, "left_act", "right_act", "right_coaction", "left_coaction",
-                       "algebra_coaction", "algebra_left_coaction")
+                       "algebra_coaction", "algebra_left_coaction", "lambda_terms")
 
     @property
     def bicovariant(self) -> bool:

@@ -22,6 +22,12 @@ take closed forms (as in GAP's sparse cyclotomics):
 - monomial * monomial is c_a*c_b times one row of the power table;
 - the inverse of c*zeta^k is (1/c)*zeta^(-k), and its n-th power is
   c^n*zeta^(k*n).
+Roots of unity +-zeta^k over 1, most scalars of the Radford examples,
+also carry their exponent in the slot root_exp (see _unit_exps; -2 marks
+zero, -1 any other value), a cache of the value that _make and __init__
+set.  A product, negation, inverse or power of such units is one entry
+of the per-order table _units, with no new scalar built, and is_zero and
+is_one read the slot.
 Every other case takes the dense path: lcm coercion, convolution folded
 through the power table, and a fraction-free extended Euclid for
 inverses.  The result order is the lcm of the operand orders on every
@@ -118,7 +124,7 @@ def _reduce_mod_phi(order, poly) -> tuple:
 class CycScalar:
     """An element of Q(zeta_M): integer numerators `coeffs` over `den`, reduced mod Phi_M."""
 
-    __slots__ = ("order", "coeffs", "den")
+    __slots__ = ("order", "coeffs", "den", "root_exp")
 
     def __init__(self, order: int, coeffs):
         """coeffs are ints or rationals with .numerator and .denominator, low power first."""
@@ -131,6 +137,7 @@ class CycScalar:
         _set_order(self, order)
         _set_coeffs(self, nums)
         _set_den(self, den)
+        _set_root_exp(self, _unit_exps(order).get(nums, -1) if den == 1 else -1)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycScalar is immutable")
@@ -179,10 +186,10 @@ class CycScalar:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.root_exp == -2
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and self.den == 1 and _rational_in(self, self.order)
+        return self.root_exp == 0
 
     def is_rational(self) -> bool:
         """Whether the value lies in Q, whatever its order."""
@@ -199,6 +206,10 @@ class CycScalar:
     __radd__ = __add__
 
     def __neg__(self):
+        e = self.root_exp
+        if e >= 0:
+            units = _units(self.order)
+            return units[(e + len(units) // 2) % len(units)]
         return _make(self.order, tuple(map(neg, self.coeffs)), self.den)
 
     def __sub__(self, other):
@@ -213,6 +224,9 @@ class CycScalar:
     def __mul__(self, other):
         if not isinstance(other, CycScalar):
             return _scale(self, other.numerator, other.denominator)
+        if self.root_exp >= 0 and other.root_exp >= 0:
+            units, step_a, step_b = _unit_products(self.order, other.order)
+            return units[(self.root_exp * step_a + other.root_exp * step_b) % len(units)]
         if _rational_in(other, self.order):
             return _scale(self, other.coeffs[0], other.den)
         if _rational_in(self, other.order):
@@ -246,6 +260,9 @@ class CycScalar:
     def inverse(self) -> "CycScalar":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
+        if self.root_exp >= 0:
+            units = _units(self.order)
+            return units[-self.root_exp % len(units)]
         k = _monomial(self.coeffs)
         if k >= 0:
             n, d = self.den, self.coeffs[k]
@@ -278,6 +295,9 @@ class CycScalar:
         return CycScalar.from_rational(other) / self
 
     def __pow__(self, exponent: int):
+        if self.root_exp >= 0:
+            units = _units(self.order)
+            return units[self.root_exp * exponent % len(units)]
         if exponent < 0:
             return self.inverse() ** (-exponent)
         k = _monomial(self.coeffs)
@@ -293,7 +313,12 @@ class CycScalar:
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, CycScalar) and not hasattr(other, "denominator"):
+        if isinstance(other, CycScalar):
+            e, f = self.root_exp, other.root_exp
+            if e >= 0 and f >= 0:
+                # zeta_Na^e == zeta_Nb^f exactly when e / Na == f / Nb
+                return e * len(_units(other.order)) == f * len(_units(self.order))
+        elif not hasattr(other, "denominator"):
             return NotImplemented
         a, b = self._common(other)
         return a.coeffs == b.coeffs and a.den == b.den
@@ -328,6 +353,7 @@ class CycScalar:
 _set_order = CycScalar.order.__set__
 _set_coeffs = CycScalar.coeffs.__set__
 _set_den = CycScalar.den.__set__
+_set_root_exp = CycScalar.root_exp.__set__
 _new = object.__new__
 
 
@@ -337,7 +363,35 @@ def _make(order, coeffs: tuple, den: int = 1) -> CycScalar:
     _set_order(out, order)
     _set_coeffs(out, coeffs)
     _set_den(out, den)
+    _set_root_exp(out, _unit_exps(order).get(coeffs, -1) if den == 1 else -1)
     return out
+
+
+@lru_cache(maxsize=None)
+def _unit_exps(order: int) -> dict:
+    """root_exp by numerators over 1 at order: -2 for zero, e for +-zeta^k = zeta_N^e.
+
+    N is order for even order and 2 * order for odd order, so that the
+    values +-zeta^k form the cyclic group mu_N and -1 is zeta_N^(N/2)."""
+    deg = _phi_degree(order)
+    step, half = (1, order // 2) if order % 2 == 0 else (2, order)
+    exps = {(0,) * deg: -2}
+    for k in range(deg):
+        for sign, shift in ((1, 0), (-1, half)):
+            exps[(0,) * k + (sign,) + (0,) * (deg - k - 1)] = (step * k + shift) % (2 * half)
+    return exps
+
+
+@lru_cache(maxsize=None)
+def _units(order: int) -> tuple:
+    """The N canonical values zeta_N^e at order, e = 0 .. N-1 (N as in _unit_exps)."""
+    if order % 2 == 0:
+        powers = [(e, 1) for e in range(order)]
+    else:
+        # zeta_2M = -zeta_M^((M+1)/2), so zeta_2M^e is zeta_M^(e/2) for even e
+        # and -zeta_M^((e+M)/2) for odd e
+        powers = [((e + e % 2 * order) // 2, (-1) ** e) for e in range(2 * order)]
+    return tuple(_make(order, tuple([sign * x for x in _reduce_mod_phi(order, [0] * k + [1])])) for k, sign in powers)
 
 
 def _canonical(nums, den: int) -> tuple:
@@ -387,17 +441,20 @@ def _cached_const(order, value):
     return CycScalar.from_rational(value, order)
 
 
+@lru_cache(maxsize=None)
+def _unit_products(order_a: int, order_b: int) -> tuple:
+    """(_units(L), N_L / N_a, N_L / N_b) for L = lcm(order_a, order_b): the
+    product of zeta_Na^e and zeta_Nb^f is entry e * N_L/N_a + f * N_L/N_b."""
+    units = _units(lcm(order_a, order_b))
+    return units, len(units) // len(_units(order_a)), len(units) // len(_units(order_b))
+
+
 def root_of_unity(order: int, power: int = 1) -> CycScalar:
     """zeta_order^power, reduced mod Phi_order."""
     if order < 1:
         raise ValueError("order must be a positive integer")
-    return _root(order, power % order)
-
-
-@lru_cache(maxsize=None)
-def _root(order: int, power: int) -> CycScalar:
-    """Memo of root_of_unity: at most `order` entries per order."""
-    return CycScalar(order, _reduce_mod_phi(order, [0] * power + [1]))
+    units = _units(order)
+    return units[power * len(units) // order % len(units)]
 
 
 def multiplicative_order(s: CycScalar, bound: int | None = None) -> int | None:

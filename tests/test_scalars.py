@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hopfcalc.scalars import (
     CycScalar,
-    _root,
+    _units,
     cyclotomic_polynomial,
     multiplicative_order,
     parse_scalar,
@@ -67,10 +67,10 @@ def test_roots_have_expected_order():
 
 
 def test_root_of_unity_memo_is_bounded_by_the_order():
-    _root.cache_clear()
+    _units.cache_clear()
     for k in range(-1000, 1001):
         assert root_of_unity(8, k) == root_of_unity(8, k % 8)
-    assert _root.cache_info().currsize <= 8
+    assert _units.cache_info().currsize == 1 and len(_units(8)) == 8
 
 
 def test_multiplicative_order():

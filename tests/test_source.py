@@ -75,8 +75,9 @@ _INDEX_MAP = re.compile(r"Callable\[\[([^\]]*)\]")
 
 
 def test_every_structure_map_field_is_memoised(radford_calc_shared):
-    # every field that maps basis indices, and the action of every LinOp,
-    # must come back memoised from a built instance
+    # every field that maps basis indices, every method that is a table on
+    # them, and the action of every LinOp must come back memoised from a
+    # built instance
     from hopfcalc.crossed import Cocycle, Measure
     from hopfcalc.crossed_calc import CrossedFodc, GradedDc
     from hopfcalc.fodc import Fodc, TwistedCalculusAction
@@ -105,6 +106,8 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
         for cls in classes
     }
     assert all(index_maps.values())
+    for cls, name in ((HopfData, "sweedler"), (Fodc, "lambda_terms"), (GradedDc, "lambda_terms")):
+        index_maps[cls].append(name)
 
     v_comodule = VComodule(
         labels=[("v", 0), ("v", 1)],
@@ -530,15 +533,16 @@ def _refused_imports(tree):
 
 
 def _representation_reads(tree):
-    """Line numbers that touch a scalar's numerators or denominator."""
+    """Line numbers that touch a scalar's numerators, denominator or root exponent."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in ("coeffs", "den"):
+        if isinstance(node, ast.Attribute) and node.attr in ("coeffs", "den", "root_exp"):
             yield node.lineno
 
 
 def test_scalars_alone_knows_the_scalar_representation():
-    # integer numerators over one denominator is private to scalars.py, and
-    # no module pays for importing fractions or dataclasses
+    # integer numerators over one denominator, and the root exponent cached
+    # beside them, are private to scalars.py, and no module pays for
+    # importing fractions or dataclasses
     imports = [f"{path.name}:{line} {module}" for path, tree in _modules() for line, module in _refused_imports(tree)]
     reads = [
         f"{path.name}:{line}"
@@ -558,6 +562,7 @@ def test_representation_scan_sees_every_form():
         "    return c.coeffs[1:], s.den, getattr(c, 'order')\n"
         "def g(c):\n"
         "    c.den = 1\n"
+        "    return c.root_exp >= 0\n"
         "import dataclasses\n"
         "import os, dataclasses as dc\n"
         "from dataclasses import dataclass, field\n"
@@ -568,11 +573,11 @@ def test_representation_scan_sees_every_form():
         (1, "fractions"),
         (2, "fractions"),
         (3, "fractions"),
-        (8, "dataclasses"),
         (9, "dataclasses"),
         (10, "dataclasses"),
+        (11, "dataclasses"),
     ]
-    assert sorted(_representation_reads(tree)) == [5, 5, 7]
+    assert sorted(_representation_reads(tree)) == [5, 5, 7, 8]
 
 
 # definitions that nothing in src/ reads or sets, kept on purpose; an entry
