@@ -282,9 +282,8 @@ def first_non_associative(xs, ys, zs, first, then, inner, outer):
     then(first(x, y), z) != outer(x, inner(y, z)), with then and outer
     extended linearly; None if there is none.  first is evaluated once per
     (x, y), and then(m, .) and inner(y, .) once per term m and y, as rows
-    {z: value} of their nonzero values, kept for the call; outer(x, t) once
-    per x and t, in a row kept while x is current.  Both sides of a row
-    (x, y) are built and compared only at the z of those rows: at every
+    {z: value} of their nonzero values, kept for the call.  Both sides of a
+    row (x, y) are built and compared only at the z of those rows: at every
     other z both are zero.
     """
     then_rows, inner_rows = {}, {}
@@ -292,18 +291,7 @@ def first_non_associative(xs, ys, zs, first, then, inner, outer):
     def row(fn, a):
         return {z: v for z in zs if (v := fn(a, z)).terms}
 
-    def outer_image(w):
-        """outer(x, w) for the current x, from outer_row."""
-        for t in w.terms:
-            if t not in outer_row:
-                outer_row[t] = outer(x, t)
-        if len(w.terms) == 1:
-            (t, c), = w.terms.items()
-            return outer_row[t].scale(c)
-        return combine((outer_row[t], c) for t, c in w.terms.items())
-
     for x in xs:
-        outer_row = {}
         for y in ys:
             terms = first(x, y).terms
             for m in terms:
@@ -317,7 +305,7 @@ def first_non_associative(xs, ys, zs, first, then, inner, outer):
                 lhs = {z: v for z in live if (v := combine((r.get(z, _ZERO), c) for r, c in rows)).terms}
             if y not in inner_rows:
                 inner_rows[y] = row(inner, y)
-            rhs = {z: v for z, w in inner_rows[y].items() if (v := outer_image(w)).terms}
+            rhs = {z: v for z, w in inner_rows[y].items() if (v := linear(outer, x, w)).terms}
             if lhs != rhs:
                 return next((x, y, z) for z in zs if lhs.get(z, _ZERO) != rhs.get(z, _ZERO))
     return None

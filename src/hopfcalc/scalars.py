@@ -25,9 +25,10 @@ take closed forms (as in GAP's sparse cyclotomics):
 Roots of unity +-zeta^k over 1, most scalars of the Radford examples,
 also carry their exponent in the slot root_exp (see _unit_exps; -2 marks
 zero, -1 any other value), a cache of the value that _make and __init__
-set.  A product, negation, inverse or power of such units is one entry
-of the per-order table _units, with no new scalar built, and is_zero and
-is_one read the slot.
+set.  The negation of a unit, and the product of two units of one order,
+is one entry of the per-order table _units, with no new scalar built;
+root_of_unity indexes that table, so the monomial inverse and power of a
+unit land on its entries too.  is_zero and is_one read the slot.
 Every other case takes the dense path: lcm coercion, convolution folded
 through the power table, and a fraction-free extended Euclid for
 inverses.  The result order is the lcm of the operand orders on every
@@ -224,9 +225,9 @@ class CycScalar:
     def __mul__(self, other):
         if not isinstance(other, CycScalar):
             return _scale(self, other.numerator, other.denominator)
-        if self.root_exp >= 0 and other.root_exp >= 0:
-            units, step_a, step_b = _unit_products(self.order, other.order)
-            return units[(self.root_exp * step_a + other.root_exp * step_b) % len(units)]
+        if self.root_exp >= 0 and other.root_exp >= 0 and self.order == other.order:
+            units = _units(self.order)
+            return units[(self.root_exp + other.root_exp) % len(units)]
         if _rational_in(other, self.order):
             return _scale(self, other.coeffs[0], other.den)
         if _rational_in(self, other.order):
@@ -260,9 +261,6 @@ class CycScalar:
     def inverse(self) -> "CycScalar":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
-        if self.root_exp >= 0:
-            units = _units(self.order)
-            return units[-self.root_exp % len(units)]
         k = _monomial(self.coeffs)
         if k >= 0:
             n, d = self.den, self.coeffs[k]
@@ -295,9 +293,6 @@ class CycScalar:
         return CycScalar.from_rational(other) / self
 
     def __pow__(self, exponent: int):
-        if self.root_exp >= 0:
-            units = _units(self.order)
-            return units[self.root_exp * exponent % len(units)]
         if exponent < 0:
             return self.inverse() ** (-exponent)
         k = _monomial(self.coeffs)
@@ -313,12 +308,7 @@ class CycScalar:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, CycScalar):
-            e, f = self.root_exp, other.root_exp
-            if e >= 0 and f >= 0:
-                # zeta_Na^e == zeta_Nb^f exactly when e / Na == f / Nb
-                return e * len(_units(other.order)) == f * len(_units(self.order))
-        elif not hasattr(other, "denominator"):
+        if not isinstance(other, CycScalar) and not hasattr(other, "denominator"):
             return NotImplemented
         a, b = self._common(other)
         return a.coeffs == b.coeffs and a.den == b.den
@@ -385,13 +375,20 @@ def _unit_exps(order: int) -> dict:
 @lru_cache(maxsize=None)
 def _units(order: int) -> tuple:
     """The N canonical values zeta_N^e at order, e = 0 .. N-1 (N as in _unit_exps)."""
+    phi = cyclotomic_polynomial(order)
+    # zeta^k for k = 0 .. order-1, each the last times zeta: a shift, and
+    # zeta^deg = -(phi_0 + ... + phi_(deg-1) zeta^(deg-1)) for the top term
+    powers = [(1,) + _zero_tail(order)]
+    for _ in range(order - 1):
+        p = powers[-1]
+        c, p = p[-1], (0,) + p[:-1]
+        powers.append(tuple([x - c * f for x, f in zip(p, phi)]) if c else p)
     if order % 2 == 0:
-        powers = [(e, 1) for e in range(order)]
-    else:
-        # zeta_2M = -zeta_M^((M+1)/2), so zeta_2M^e is zeta_M^(e/2) for even e
-        # and -zeta_M^((e+M)/2) for odd e
-        powers = [((e + e % 2 * order) // 2, (-1) ** e) for e in range(2 * order)]
-    return tuple(_make(order, tuple([sign * x for x in _reduce_mod_phi(order, [0] * k + [1])])) for k, sign in powers)
+        return tuple(_make(order, p) for p in powers)
+    # zeta_2M = -zeta_M^((M+1)/2), so zeta_2M^e is zeta_M^(e/2) for even e
+    # and -zeta_M^((e+M)/2 mod M) for odd e
+    return tuple(_make(order, powers[e // 2] if e % 2 == 0 else tuple(map(neg, powers[(e + order) // 2 % order])))
+                 for e in range(2 * order))
 
 
 def _canonical(nums, den: int) -> tuple:
@@ -439,14 +436,6 @@ def _scale(s: CycScalar, n: int, d: int) -> CycScalar:
 @lru_cache(maxsize=None)
 def _cached_const(order, value):
     return CycScalar.from_rational(value, order)
-
-
-@lru_cache(maxsize=None)
-def _unit_products(order_a: int, order_b: int) -> tuple:
-    """(_units(L), N_L / N_a, N_L / N_b) for L = lcm(order_a, order_b): the
-    product of zeta_Na^e and zeta_Nb^f is entry e * N_L/N_a + f * N_L/N_b."""
-    units = _units(lcm(order_a, order_b))
-    return units, len(units) // len(_units(order_a)), len(units) // len(_units(order_b))
 
 
 def root_of_unity(order: int, power: int = 1) -> CycScalar:

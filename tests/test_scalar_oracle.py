@@ -147,7 +147,7 @@ def units(order):
 
 
 def test_every_unit_pair_matches_the_frozen_oracle():
-    # the root_exp closed forms read one slot and index one table: every
+    # the unit paths (root_exp slot, _units table, monomial closed forms): every
     # product, negation, inverse and comparison of two units, at one order
     # and across orders, against the Fraction oracle
     generators = {order: units(order)[-2:] for order in range(1, 13)}

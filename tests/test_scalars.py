@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hopfcalc.scalars import (
     CycScalar,
+    _reduce_mod_phi,
     _units,
     cyclotomic_polynomial,
     multiplicative_order,
@@ -71,6 +72,15 @@ def test_root_of_unity_memo_is_bounded_by_the_order():
     for k in range(-1000, 1001):
         assert root_of_unity(8, k) == root_of_unity(8, k % 8)
     assert _units.cache_info().currsize == 1 and len(_units(8)) == 8
+
+
+def test_unit_table_rows_are_the_reduced_powers():
+    # _units builds each power of zeta from the last by one shift; Phi_105
+    # has a coefficient -2, and the odd orders also take the signed half
+    for order in (7, 15, 30, 105):
+        for k in range(order):
+            assert root_of_unity(order, k).coeffs == _reduce_mod_phi(order, [0] * k + [1])
+            assert (-root_of_unity(order, k)).coeffs == tuple(-x for x in _reduce_mod_phi(order, [0] * k + [1]))
 
 
 def test_multiplicative_order():
