@@ -17,7 +17,9 @@ from hopfcalc.hopf import (
     CoinvariantFamily,
     ComoduleAlgebra,
     HopfData,
+    colinear,
     convolution_inverse,
+    multiplicative,
     tensor_square_coalgebra,
 )
 from hopfcalc.linalg import (
@@ -307,12 +309,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     # exact on any basis: the cleaving map is evaluated at the unit alone
     report.add("cleaving.unital", PASS if j(h.algebra.unit) == a.algebra.unit else FAIL)
 
-    def j_colinear(hx):
-        lhs = linear(a.coaction, j(hx))
-        rhs = combine((j(h1).tensor(E(h2)), c) for c, (h1, h2) in h.sweedler(hx, 2))
-        return lhs == rhs, (hx,)
-
-    report.sweep("cleaving.colinear", h_basis, j_colinear)
+    report.sweep("cleaving.colinear", h_basis, colinear(j, h.comul, a.coaction))
 
     measure = Measure(act=measure_act)
     cocycle = cocycle_from_sigma(sigma, b, h, window=window)
@@ -332,20 +329,12 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     report.sweep("theta.left-inverse", a_basis, lambda ix: (theta_inv(theta(ix)) == E(ix), (ix,)))
     report.sweep("theta.right-inverse", pair_basis, lambda ix: (theta(theta_inv(ix)) == E(ix), (ix,)))
 
-    def theta_multiplicative(pair):
-        i, k = pair
-        lhs = theta(a.algebra.mult(i, k))
-        rhs = linear(crossed.algebra.mult, theta(i), theta(k))
-        return lhs == rhs, (i, k)
-
-    report.sweep("theta.algebra-map", ((i, k) for i in a_basis for k in a_basis), theta_multiplicative)
-
-    def theta_colinear(ix):
-        lhs = combine((theta(a0).tensor(E(h1)), c) for (_, a0, h1), c in a.coaction(ix).terms.items())
-        rhs = linear(crossed.comodule.coaction, theta(ix))
-        return lhs == rhs, (ix,)
-
-    report.sweep("theta.colinear", a_basis, theta_colinear)
+    report.sweep(
+        "theta.algebra-map",
+        ((i, k) for i in a_basis for k in a_basis),
+        multiplicative(theta, a.algebra.mult, crossed.algebra.mult),
+    )
+    report.sweep("theta.colinear", a_basis, colinear(theta, a.coaction, crossed.comodule.coaction))
     return crossed, theta, theta_inv, report
 
 

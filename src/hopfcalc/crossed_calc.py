@@ -18,8 +18,9 @@ from hopfcalc.fodc import (
     PresentationSolver,
     TwistedCalculusAction,
     check_sigma_twisted_module_calculus,
+    leibniz,
 )
-from hopfcalc.hopf import AlgebraPresentation, BasisFamily, HopfData
+from hopfcalc.hopf import AlgebraPresentation, BasisFamily, HopfData, colinear, multiplicative
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
@@ -197,13 +198,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
     b_basis = b.basis.enumerate(window)
     h_basis = h.algebra.basis.enumerate(window)
 
-    def leibniz(pair):
-        i, j = pair
-        lhs = cf.d(cp.algebra.mult(i, j))
-        rhs = linear(cf.right_act, cf.d(i), j) + linear(cf.left_act, i, cf.d(j))
-        return lhs == rhs, (i, j)
-
-    report.sweep("leibniz", ((i, j) for i in a_basis for j in a_basis), leibniz)
+    report.sweep("leibniz", ((i, j) for i in a_basis for j in a_basis), leibniz(cf, cp.algebra.mult))
 
     one_h = h.algebra.unit
     embed = cp.comodule.coinvariants.embed
@@ -244,12 +239,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
         ver_generation,
     )
 
-    def d_colinear(pair_ix):
-        lhs = linear(cf.right_coaction, cf.d(pair_ix))
-        rhs = combine((cf.d(a0).tensor(E(h1)), c) for (_, a0, h1), c in cp.comodule.coaction(pair_ix).terms.items())
-        return lhs == rhs, (pair_ix,)
-
-    report.sweep("d-colinear", a_basis, d_colinear)
+    report.sweep("d-colinear", a_basis, colinear(cf.d, cp.comodule.coaction, cf.right_coaction))
 
     def rho_hat_terms(form_ix):
         """(index, coefficient) terms of rho_hat at one basis form."""
@@ -473,7 +463,7 @@ def truncate_dc_degree2(f: Fodc, window: int | None = None):
 
     def left_coaction(deg, ix):
         if deg == 0:
-            return f.algebra_left_coaction(ix)
+            return f.hopf.comul(ix)
         return f.left_coaction(ix)
 
     return GradedDc(
@@ -779,14 +769,13 @@ def classify_smash(
     j = cleft.cleaving
     j_inv = cleft.ensure_inverse(window)
 
-    for hx in h_basis:
-        for hy in h_basis:
-            lhs = j(h.algebra.mult(hx, hy))
-            rhs = linear(a.algebra.mult, j(hx), j(hy))
-            if not lhs == rhs:
-                raise ValueError(
-                    f"not a trivial extension: the cleaving map is not an algebra morphism at {witness(hx, hy)}"
-                )
+    j_multiplicative = multiplicative(j, h.algebra.mult, a.algebra.mult)
+    for pair in ((hx, hy) for hx in h_basis for hy in h_basis):
+        ok, parts = j_multiplicative(pair)
+        if not ok:
+            raise ValueError(
+                f"not a trivial extension: the cleaving map is not an algebra morphism at {witness(*parts)}"
+            )
     if not j(h.algebra.unit) == a.algebra.unit:
         raise ValueError("not a trivial extension: the cleaving map is not unital")
 

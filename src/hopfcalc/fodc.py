@@ -18,6 +18,13 @@ from hopfcalc.hopf import (
     AlgebraPresentation,
     BasisFamily,
     HopfData,
+    bicomodule,
+    coassociative,
+    colinear,
+    counital,
+    flipped,
+    monomial_unit,
+    tensor_mult,
 )
 from hopfcalc.linalg import (
     FreeVector,
@@ -28,8 +35,6 @@ from hopfcalc.linalg import (
     Subspace,
     combine,
     first_non_associative,
-    flatten_left,
-    flatten_right,
     format_index,
     linear,
     memoise_fields,
@@ -54,12 +59,11 @@ class Fodc:
     right_coaction: Optional[Callable[[Index], FreeVector]] = None  # form -> form (x) H
     left_coaction: Optional[Callable[[Index], FreeVector]] = None   # form -> H (x) form
     algebra_coaction: Optional[Callable[[Index], FreeVector]] = None
-    algebra_left_coaction: Optional[Callable[[Index], FreeVector]] = None
     covariance_note: str = ""
 
     def __post_init__(self):
         memoise_fields(self, "left_act", "right_act", "right_coaction", "left_coaction",
-                       "algebra_coaction", "algebra_left_coaction", "lambda_terms")
+                       "algebra_coaction", "lambda_terms")
 
     @property
     def bicovariant(self) -> bool:
@@ -79,6 +83,19 @@ def zero_fodc(algebra: AlgebraPresentation) -> Fodc:
         right_act=lambda f, a: FreeVector.zero(),
         d=LinOp.zero(),
     )
+
+
+def leibniz(calc, mult):
+    """Test of d(a b) == d(a) b + a d(b) at a pair (a, b) of basis items of
+    the algebra whose product is mult, for a calculus calc with d and actions."""
+
+    def test(pair):
+        a, b = pair
+        lhs = calc.d(mult(a, b))
+        rhs = linear(calc.right_act, calc.d(a), b) + linear(calc.left_act, a, calc.d(b))
+        return lhs == rhs, (a, b)
+
+    return test
 
 
 class PresentationSolver:
@@ -146,13 +163,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
 
     report.sweep("bimodule.unit", f_basis, unit_acts)
 
-    def leibniz(pair):
-        a, b = pair
-        lhs = f.d(alg.mult(a, b))
-        rhs = linear(f.right_act, f.d(a), b) + linear(f.left_act, a, f.d(b))
-        return lhs == rhs, (a, b)
-
-    report.sweep("leibniz", ((a, b) for a in a_basis for b in a_basis), leibniz)
+    report.sweep("leibniz", ((a, b) for a in a_basis for b in a_basis), leibniz(f, alg.mult))
 
     if f_basis:
         solver = PresentationSolver(f, window)
@@ -171,106 +182,34 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
     else:
         report.record("surjectivity", True)
 
+    # the left side is the right side of H^cop, read through flipped maps; a
+    # calculus with a left coaction lives on H, whose left coaction is comul
+    h = f.hopf
+    sides = []
     if f.right_coaction is not None:
-        h = f.hopf
-
-        def rho_coassoc(beta):
-            pairs = f.right_coaction(beta).terms.items()
-            lhs = combine((f.right_coaction(fx).tensor(E(hx)), c) for (_, fx, hx), c in pairs)
-            rhs = combine((E(fx).tensor(h.comul(hx)), c) for (_, fx, hx), c in pairs)
-            counit_part = combine((E(fx), c * h.counit(hx)) for (_, fx, hx), c in pairs)
-            return flatten_left(lhs) == flatten_right(rhs) and counit_part == E(beta), (beta,)
-
-        report.sweep("covariance.right-comodule", f_basis, rho_coassoc)
-
-        if f.algebra_coaction is not None:
-
-            def actions_colinear(item):
-                a, beta = item
-                lhs = linear(f.right_coaction, f.left_act(a, beta))
-                a_pairs = f.algebra_coaction(a).terms.items()
-                f_pairs = f.right_coaction(beta).terms.items()
-                rhs = combine(
-                    (f.left_act(a0, f0).tensor(h.algebra.mult(a1, f1)), ca * cf)
-                    for (_, a0, a1), ca in a_pairs
-                    for (_, f0, f1), cf in f_pairs
-                )
-                lhs2 = linear(f.right_coaction, f.right_act(beta, a))
-                rhs2 = combine(
-                    (f.right_act(f0, a0).tensor(h.algebra.mult(f1, a1)), cf * ca)
-                    for (_, f0, f1), cf in f_pairs
-                    for (_, a0, a1), ca in a_pairs
-                )
-                return lhs == rhs and lhs2 == rhs2, (a, beta)
-
-            report.sweep(
-                "covariance.actions-right",
-                ((a, beta) for a in a_basis for beta in f_basis),
-                actions_colinear,
-            )
-
-            def d_colinear(a):
-                lhs = linear(f.right_coaction, f.d(a))
-                rhs = combine((f.d(a0).tensor(E(a1)), ca) for (_, a0, a1), ca in f.algebra_coaction(a).terms.items())
-                return lhs == rhs, (a,)
-
-            report.sweep("covariance.d-right-colinear", a_basis, d_colinear)
-
+        sides.append(("right", f.right_coaction, f.algebra_coaction, h.comul))
     if f.left_coaction is not None:
-        h = f.hopf
+        cop = flipped(h.comul)
+        sides.append(("left", flipped(f.left_coaction), cop, cop))
+    for side, rho, rho_a, comul in sides:
+        report.sweep(f"covariance.{side}-comodule", f_basis, coassociative(rho, comul), counital(rho, h.counit))
+        if rho_a is None:
+            continue
+        left_legs = tensor_mult(f.left_act, h.algebra.mult)
+        right_legs = tensor_mult(f.right_act, h.algebra.mult)
 
-        def lambda_comodule(beta):
-            pairs = f.left_coaction(beta).terms.items()
-            lhs = combine((h.comul(hx).tensor(E(fx)), c) for (_, hx, fx), c in pairs)
-            rhs = combine((E(hx).tensor(f.left_coaction(fx)), c) for (_, hx, fx), c in pairs)
-            counit_part = combine((E(fx), c * h.counit(hx)) for (_, hx, fx), c in pairs)
-            return flatten_left(lhs) == flatten_right(rhs) and counit_part == E(beta), (beta,)
+        def actions(item):
+            # rho(a . beta) = a_0 . beta_0 (x) a_1 beta_1, and alike for beta . a
+            a, beta = item
+            left = linear(rho, f.left_act(a, beta)) == linear(left_legs, rho_a(a), rho(beta))
+            right = linear(rho, f.right_act(beta, a)) == linear(right_legs, rho(beta), rho_a(a))
+            return left and right, item
 
-        report.sweep("covariance.left-comodule", f_basis, lambda_comodule)
-
-        if f.algebra_left_coaction is not None:
-
-            def actions_left_colinear(item):
-                a, beta = item
-                lhs = linear(f.left_coaction, f.left_act(a, beta))
-                a_pairs = f.algebra_left_coaction(a).terms.items()
-                f_pairs = f.left_coaction(beta).terms.items()
-                rhs = combine(
-                    (h.algebra.mult(am1, fm1).tensor(f.left_act(a0, f0)), ca * cf)
-                    for (_, am1, a0), ca in a_pairs
-                    for (_, fm1, f0), cf in f_pairs
-                )
-                lhs2 = linear(f.left_coaction, f.right_act(beta, a))
-                rhs2 = combine(
-                    (h.algebra.mult(fm1, am1).tensor(f.right_act(f0, a0)), cf * ca)
-                    for (_, fm1, f0), cf in f_pairs
-                    for (_, am1, a0), ca in a_pairs
-                )
-                return lhs == rhs and lhs2 == rhs2, (a, beta)
-
-            report.sweep(
-                "covariance.actions-left",
-                ((a, beta) for a in a_basis for beta in f_basis),
-                actions_left_colinear,
-            )
-
-            def d_left_colinear(a):
-                lhs = linear(f.left_coaction, f.d(a))
-                pairs = f.algebra_left_coaction(a).terms.items()
-                rhs = combine((E(am1).tensor(f.d(a0)), ca) for (_, am1, a0), ca in pairs)
-                return lhs == rhs, (a,)
-
-            report.sweep("covariance.d-left-colinear", a_basis, d_left_colinear)
+        report.sweep(f"covariance.actions-{side}", ((a, beta) for a in a_basis for beta in f_basis), actions)
+        report.sweep(f"covariance.d-{side}-colinear", a_basis, colinear(f.d, rho_a, rho))
 
     if f.bicovariant:
-
-        def bicomodule(beta):
-            rho, lam = f.right_coaction(beta).terms.items(), f.left_coaction(beta).terms.items()
-            lhs = combine((f.left_coaction(f0).tensor(E(f1)), c) for (_, f0, f1), c in rho)  # (lambda (x) id) rho
-            rhs = combine((E(fm1).tensor(f.right_coaction(f0)), c) for (_, fm1, f0), c in lam)  # (id (x) rho) lambda
-            return flatten_left(lhs) == flatten_right(rhs), (beta,)
-
-        report.sweep("covariance.bicomodule", f_basis, bicomodule)
+        report.sweep("covariance.bicomodule", f_basis, bicomodule(f.left_coaction, f.right_coaction))
 
     return report
 
@@ -427,7 +366,6 @@ def woronowicz_from_ideal(spec: IdealCalculusSpec) -> Fodc:
         right_coaction=right_coaction,
         left_coaction=left_coaction,
         algebra_coaction=h.comul,
-        algebra_left_coaction=h.comul,
         covariance_note=note,
     )
 
@@ -488,7 +426,6 @@ def build_laurent_q_calculus(q: CycScalar, hopf: HopfData | None = None) -> Fodc
         right_coaction=right_coaction,
         left_coaction=left_coaction,
         algebra_coaction=h.comul,
-        algebra_left_coaction=h.comul,
     )
 
 
@@ -653,9 +590,7 @@ def sigma_forces_zero_differential(
     by rank.
     """
     report = CheckReport(windowed=True)
-    if len(b.unit.terms) != 1 or not next(iter(b.unit.terms.values())).is_one():
-        raise ValueError("forced-zero derivation needs a monomial unit")
-    unit_ix = next(iter(b.unit.terms))
+    unit_ix = monomial_unit(b, "forced-zero derivation")
 
     word_basis = set(b.basis.enumerate(2 * window))
 

@@ -24,12 +24,13 @@ from hopfcalc.linalg import (
     format_index,
     index_sort_key,
     linear,
+    memoise,
     memoise_fields,
     record,
     tensor_index,
 )
 from hopfcalc.report import FAIL, PASS, CheckReport, witness
-from hopfcalc.scalars import CycScalar, multiplicative_order, parse_scalar
+from hopfcalc.scalars import CycScalar, multiplicative_order, parse_scalar, signed_terms
 
 Index = tuple
 E = FreeVector.basis
@@ -82,19 +83,30 @@ class AlgebraPresentation:
         return out
 
 
+def monomial_unit(algebra: AlgebraPresentation, needed_by: str) -> Index:
+    """The basis index e of a unit that is e itself, with coefficient one;
+    a ValueError saying that needed_by needs a monomial unit otherwise."""
+    terms = algebra.unit.terms
+    if len(terms) != 1 or not next(iter(terms.values())).is_one():
+        raise ValueError(f"{needed_by} needs a monomial unit")
+    return next(iter(terms))
+
+
+def tensor_mult(left_mult, right_mult):
+    """Componentwise product on pair indices (no braiding): left_mult on the
+    left legs, right_mult on the right ones."""
+    return lambda i, j: left_mult(i[1], j[1]).tensor(right_mult(i[2], j[2]))
+
+
 def tensor_algebra(left: AlgebraPresentation, right: AlgebraPresentation) -> AlgebraPresentation:
     """Componentwise product on pair indices (no braiding)."""
-
-    def mult(i, j):
-        (_, il, ir), (_, jl, jr) = i, j
-        return left.mult(il, jl).tensor(right.mult(ir, jr))
 
     def pairs(w):
         return [tensor_index(i, j) for i in left.basis.enumerate(w) for j in right.basis.enumerate(w)]
 
     return AlgebraPresentation(
         basis=BasisFamily.spanned(pairs, left.basis, right.basis),
-        mult=mult,
+        mult=tensor_mult(left.mult, right.mult),
         unit=left.unit.tensor(right.unit),
         scalar_order=max(left.scalar_order, right.scalar_order),
     )
@@ -183,6 +195,84 @@ class ComoduleAlgebra:
 
 
 # ---------------------------------------------------------------------------
+# comodule laws
+# ---------------------------------------------------------------------------
+#
+# Each law is written once, here.  A builder returns the test of its law at
+# one basis item, or at one pair of them, in the form `CheckReport.sweep`
+# takes: (ok, the item as witness parts).  A left coaction X -> H (x) X is a
+# right coaction of the co-opposite H^cop, whose comultiplication is the
+# flipped one, so a left-side law is the right-side builder applied to
+# `flipped` maps.
+
+
+def _swap(ix: Index) -> Index:
+    return tensor_index(ix[2], ix[1])
+
+
+def flipped(coaction: Callable[[Index], FreeVector]) -> Callable[[Index], FreeVector]:
+    """The map read with its two tensor legs swapped: H (x) X as X (x) H."""
+    return memoise(lambda ix: coaction(ix).map_indices(_swap))
+
+
+def _legs_commute(outer_left, inner_left, outer_right, inner_right):
+    """Test of (outer_left (x) id) inner_left == (id (x) outer_right) inner_right
+    at a basis item, both sides read as flat triples."""
+
+    def test(x):
+        lhs = combine((outer_left(l).tensor(E(r)), c) for (_, l, r), c in inner_left(x).terms.items())
+        rhs = combine((E(l).tensor(outer_right(r)), c) for (_, l, r), c in inner_right(x).terms.items())
+        return flatten_left(lhs) == flatten_right(rhs), (x,)
+
+    return test
+
+
+def coassociative(rho, comul):
+    """Test of (rho (x) id) rho == (id (x) comul) rho at a basis item: rho is
+    a right comodule structure over comul (with rho = comul, coassociativity)."""
+    return _legs_commute(rho, rho, comul, rho)
+
+
+def counital(rho, counit):
+    """Test of (id (x) counit) rho == id at a basis item."""
+
+    def test(x):
+        out = combine((E(x0), c * counit(hx)) for (_, x0, hx), c in rho(x).terms.items())
+        return out == E(x), (x,)
+
+    return test
+
+
+def colinear(phi, source, target):
+    """Test of target(phi(x)) == (phi (x) id) source(x) at a basis item x:
+    phi is a map of right comodules from the coaction source to target."""
+
+    def test(x):
+        lhs = linear(target, phi(x))
+        rhs = combine((phi(x0).tensor(E(hx)), c) for (_, x0, hx), c in source(x).terms.items())
+        return lhs == rhs, (x,)
+
+    return test
+
+
+def multiplicative(phi, source_mult, target_mult):
+    """Test of phi(i j) == phi(i) phi(j) at a pair (i, j) of basis items,
+    the products taken by source_mult and target_mult."""
+
+    def test(pair):
+        i, j = pair
+        return linear(phi, source_mult(i, j)) == linear(target_mult, phi(i), phi(j)), (i, j)
+
+    return test
+
+
+def bicomodule(lam, rho):
+    """Test of (lam (x) id) rho == (id (x) rho) lam at a basis item: a left
+    coaction lam and a right coaction rho commute."""
+    return _legs_commute(lam, rho, rho, lam)
+
+
+# ---------------------------------------------------------------------------
 # axiom checkers
 # ---------------------------------------------------------------------------
 
@@ -204,33 +294,14 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
 
     report.sweep("algebra.unit", basis, unital)
 
-    def coassoc(ix):
-        # (comul (x) id) and (id (x) comul) applied to comul(ix)
-        pairs = h.comul(ix).terms.items()
-        lhs = combine((h.comul(i).tensor(E(j)), c) for (_, i, j), c in pairs)
-        rhs = combine((E(i).tensor(h.comul(j)), c) for (_, i, j), c in pairs)
-        return flatten_left(lhs) == flatten_right(rhs), (ix,)
-
-    report.sweep("coalgebra.coassoc", basis, coassoc)
-
-    def counit_law(ix):
-        pairs = h.comul(ix).terms.items()
-        left = combine((E(j), c * h.counit(i)) for (_, i, j), c in pairs)
-        right = combine((E(i), c * h.counit(j)) for (_, i, j), c in pairs)
-        e = FreeVector.basis(ix)
-        return left == e and right == e, (ix,)
-
-    report.sweep("coalgebra.counit", basis, counit_law)
-
+    report.sweep("coalgebra.coassoc", basis, coassociative(h.comul, h.comul))
+    report.sweep("coalgebra.counit", basis, counital(flipped(h.comul), h.counit), counital(h.comul, h.counit))
     square = tensor_algebra(alg, alg)
-
-    def comul_is_algebra_map(pair):
-        i, j = pair
-        lhs = linear(h.comul, alg.mult(i, j))
-        rhs = linear(square.mult, h.comul(i), h.comul(j))
-        return lhs == rhs, (i, j)
-
-    report.sweep("bialgebra.comul-mult", ((i, j) for i in basis for j in basis), comul_is_algebra_map)
+    report.sweep(
+        "bialgebra.comul-mult",
+        ((i, j) for i in basis for j in basis),
+        multiplicative(h.comul, alg.mult, square.mult),
+    )
     # the unit identities evaluate at the unit alone, so they are exact on any basis
     comul_unit = linear(h.comul, alg.unit) == alg.unit.tensor(alg.unit)
     report.add("bialgebra.comul-unit", PASS if comul_unit else FAIL)
@@ -267,29 +338,14 @@ def check_comodule_algebra(m: ComoduleAlgebra, window: int | None = None) -> Che
     report = CheckReport(windowed=not alg.basis.is_finite)
     basis = alg.basis.enumerate(window)
 
-    def coassoc(ix):
-        pairs = m.coaction(ix).terms.items()
-        lhs = combine((m.coaction(a).tensor(E(hh)), c) for (_, a, hh), c in pairs)  # (rho (x) id) rho
-        rhs = combine((E(a).tensor(h.comul(hh)), c) for (_, a, hh), c in pairs)  # (id (x) comul) rho
-        return flatten_left(lhs) == flatten_right(rhs), (ix,)
-
-    report.sweep("comodule.coassoc", basis, coassoc)
-
-    def counital(ix):
-        out = combine((E(a), c * h.counit(hh)) for (_, a, hh), c in m.coaction(ix).terms.items())
-        return out == FreeVector.basis(ix), (ix,)
-
-    report.sweep("comodule.counit", basis, counital)
-
+    report.sweep("comodule.coassoc", basis, coassociative(m.coaction, h.comul))
+    report.sweep("comodule.counit", basis, counital(m.coaction, h.counit))
     mixed = tensor_algebra(alg, h.algebra)
-
-    def algebra_map(pair):
-        i, j = pair
-        lhs = linear(m.coaction, alg.mult(i, j))
-        rhs = linear(mixed.mult, m.coaction(i), m.coaction(j))
-        return lhs == rhs, (i, j)
-
-    report.sweep("comodule.algebra-map", ((i, j) for i in basis for j in basis), algebra_map)
+    report.sweep(
+        "comodule.algebra-map",
+        ((i, j) for i in basis for j in basis),
+        multiplicative(m.coaction, alg.mult, mixed.mult),
+    )
     # exact on any basis: the coaction is evaluated at the unit alone
     unital = linear(m.coaction, alg.unit) == alg.unit.tensor(h.algebra.unit)
     report.add("comodule.unit", PASS if unital else FAIL)
@@ -864,25 +920,7 @@ def parse_basis_combination(text: str, basis: list, scalar_order: int):
     coefficient outside Q(zeta_scalar_order) are errors.
     """
     terms = []
-    sign = 1
-    depth = 0
-    chunk = ""
-    chunks = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and chunk.strip() and not chunk.rstrip().endswith(("^", "*", "/")):
-            chunks.append((sign, chunk))
-            sign = 1 if ch == "+" else -1
-            chunk = ""
-        elif ch == "-" and depth == 0 and not chunk.strip():
-            sign = -sign
-        else:
-            chunk += ch
-    chunks.append((sign, chunk))
-    for sgn, part in chunks:
+    for sgn, part in signed_terms(text):
         m = _VEC_TERM.match(part)
         if not m:
             raise ValueError(f"bad vector term {part!r}")

@@ -13,6 +13,7 @@ from typing import Callable, Iterable
 
 from hopfcalc.crossed_calc import CrossedFodc, GradedDc, hor, ver
 from hopfcalc.fodc import Fodc
+from hopfcalc.hopf import monomial_unit
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
@@ -471,6 +472,8 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
         raise ValueError("associated bundles are computed for finite-dimensional total algebras")
     report = _bundle_report(cf)
     embed = cp.comodule.coinvariants.embed
+    unit_b = monomial_unit(cp.base, "base algebra")
+    unit_h = monomial_unit(h.algebra, "structure Hopf algebra")
     a_basis = cp.algebra.basis.enumerate()
     pair_v = [tensor_index(a, v) for a in a_basis for v in v_comodule.labels]
 
@@ -483,7 +486,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
             for (_, v0, v1), c2 in v_comodule.coaction(v_ix).terms.items()
             for t_ix, ct in h.algebra.mult(h2, v1).terms.items()
         )
-        return out - E(("e", bx, hx, v_ix, _unit_index(h)))
+        return out - E(("e", bx, hx, v_ix, unit_h))
 
     kernel = LinearSolver(LinOp(coaction_defect), pair_v).kernel()
     e_span = TrackedSpan((("ebas", i), v) for i, v in enumerate(kernel.basis()))
@@ -528,7 +531,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
     @memoise
     def unit_section(hx, v_ix):
         """Coordinates of 1 (x) hx (x) v_ix over the associated bundle basis."""
-        return e_span.express(E(tensor_index(tensor_index(_unit_b_index(cp), hx), v_ix)))
+        return e_span.express(E(tensor_index(tensor_index(unit_b, hx), v_ix)))
 
     def nabla(e_label):
         return combine(
@@ -662,20 +665,6 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
     return data
 
 
-def _unit_index(h) -> Index:
-    terms = list(h.algebra.unit.terms)
-    if len(terms) != 1:
-        raise ValueError("structure Hopf algebra needs a monomial unit")
-    return terms[0]
-
-
-def _unit_b_index(cp) -> Index:
-    terms = list(cp.base.unit.terms)
-    if len(terms) != 1:
-        raise ValueError("base algebra needs a monomial unit")
-    return terms[0]
-
-
 # ---------------------------------------------------------------------------
 # tangent space, fundamental fields, connection forms
 # ---------------------------------------------------------------------------
@@ -778,7 +767,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
 
     report.sweep("field.vertical", ((t, hx) for t in labels for hx in hor_basis), vanishes_horizontally)
 
-    unit_pair = tensor_index(_unit_b_index(cf.crossed), _unit_index(h))
+    unit_pair = monomial_unit(cf.crossed.algebra, "crossed product")
 
     def normalization(item):
         tan, coh = item
@@ -836,7 +825,7 @@ def connection_form_bijection(
     cf = vd.cf
     h = cf.crossed.hopf
     report = _bundle_report(cf)
-    unit_pair = tensor_index(_unit_b_index(cf.crossed), _unit_index(h))
+    unit_pair = monomial_unit(cf.crossed.algebra, "crossed product")
 
     def to_form(c_map) -> ConnectionForm:
         components = {}
@@ -874,7 +863,7 @@ def connection_form_bijection(
             for (_, f0, h2), c2 in linear(cf.right_coaction, phi.components[tan]).terms.items()
             for t_ix, ct in h.algebra.mult(h1, h2).terms.items()
         )
-        unit_ix = _unit_index(h)
+        unit_ix = monomial_unit(h.algebra, "structure Hopf algebra")
         rhs_total = combine(
             (E(("cfw", tan, f_ix, unit_ix)), c) for tan in tangent.labels for f_ix, c in phi.components[tan].terms.items()
         )

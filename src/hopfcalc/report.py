@@ -55,13 +55,15 @@ class CheckReport:
             return self.add(identity, FAIL, witness)
         return self.add(identity, WINDOWED if self.windowed else PASS, witness)
 
-    def sweep(self, identity: str, items, test):
-        """Run test over items; test returns (ok, witness parts), and the
+    def sweep(self, identity: str, items, *tests):
+        """Run the tests over items, each returning (ok, witness parts); an
+        item holds when every test holds there, taken in order, and the
         parts of the first failure are formatted into the witness."""
         for item in items:
-            ok, parts = test(item)
-            if not ok:
-                return self.add(identity, FAIL, witness(*parts))
+            for test in tests:
+                ok, parts = test(item)
+                if not ok:
+                    return self.add(identity, FAIL, witness(*parts))
         return self.record(identity, True)
 
     def extend(self, other: "CheckReport", prefix: str = ""):

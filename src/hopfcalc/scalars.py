@@ -43,7 +43,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, neg, sub
 
-__all__ = ["CycScalar", "root_of_unity", "parse_scalar", "multiplicative_order"]
+__all__ = ["CycScalar", "root_of_unity", "parse_scalar", "signed_terms", "multiplicative_order"]
 
 
 def _poly_trim(p):
@@ -463,29 +463,36 @@ _TERM_RE = re.compile(
 )
 
 
+def signed_terms(text: str) -> list[tuple[int, str]]:
+    """(sign, chunk) pairs of text split at each + or - outside parentheses.
+
+    A sign right after '*', '^' or '/' stays in its chunk, as in z4^-1, and
+    a '-' before any text of a chunk flips the chunk's sign."""
+    terms, chunk, sign, depth = [], "", 1, 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch in "+-" and depth == 0 and chunk.strip() and not chunk.rstrip().endswith(("*", "^", "/")):
+            terms.append((sign, chunk))
+            sign = 1 if ch == "+" else -1
+            chunk = ""
+        elif ch == "-" and depth == 0 and not chunk.strip():
+            sign = -sign
+        else:
+            chunk += ch
+    terms.append((sign, chunk))
+    return terms
+
+
 def parse_scalar(text: str) -> CycScalar:
     """Parse the textual scalar grammar '<rat>[*z<M>^<k>] +/- ...'."""
     text = text.strip()
     if not text:
         raise ValueError("empty scalar")
-    # split on top-level + / - while keeping signs attached
-    terms = []
-    current, sign = "", 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "+-" and current.strip() and not current.rstrip().endswith(("*", "^", "/")):
-            terms.append((sign, current))
-            sign = 1 if ch == "+" else -1
-            current = ""
-        elif ch == "-" and not current.strip():
-            sign = -sign
-        else:
-            current += ch
-        i += 1
-    terms.append((sign, current))
     total = CycScalar.zero()
-    for sgn, chunk in terms:
+    for sgn, chunk in signed_terms(text):
         m = _TERM_RE.match(chunk)
         if not m:
             raise ValueError(f"bad scalar term {chunk!r}")

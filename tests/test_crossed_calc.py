@@ -213,7 +213,6 @@ def test_zero_calculus_is_truncatable():
     calc.right_coaction = lambda f: FreeVector.zero()
     calc.left_coaction = lambda f: FreeVector.zero()
     calc.algebra_coaction = h.comul
-    calc.algebra_left_coaction = h.comul
     assert truncate_dc_degree2(calc).max_degree == 1
 
 

@@ -5,6 +5,7 @@ from conftest import find_check
 from structure_text import render_structure_constants
 
 from hopfcalc.hopf import (
+    AlgebraPresentation,
     BasisFamily,
     NotInvertible,
     build_cyclic_group_algebra,
@@ -16,6 +17,7 @@ from hopfcalc.hopf import (
     check_hopf_axioms,
     convolution_inverse,
     cyclic_cayley,
+    monomial_unit,
     parse_basis_combination,
     parse_structure_constants,
     tensor_square_coalgebra,
@@ -283,3 +285,12 @@ def test_coaction_legs_split_the_h_factor_in_order():
                 left.extend((c * c2, tup + (second,)) for c2, tup in h.sweedler(first, legs))
             assert h.coaction_legs(value, legs) == right
             assert h.coaction_legs(value, legs, left=True) == left
+
+
+@pytest.mark.parametrize("unit", [FreeVector.basis(("e", 0), 2), FreeVector.basis(("e", 0)) + FreeVector.basis(("e", 1))])
+def test_only_a_basis_element_with_coefficient_one_is_a_monomial_unit(unit):
+    algebra = AlgebraPresentation(basis=BasisFamily(indices=[("e", 0), ("e", 1)]), mult=None, unit=unit)
+    with pytest.raises(ValueError, match="^base algebra needs a monomial unit$"):
+        monomial_unit(algebra, "base algebra")
+    algebra.unit = FreeVector.basis(("e", 1))
+    assert monomial_unit(algebra, "base algebra") == ("e", 1)

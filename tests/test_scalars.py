@@ -12,6 +12,7 @@ from hopfcalc.scalars import (
     multiplicative_order,
     parse_scalar,
     root_of_unity,
+    signed_terms,
 )
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
@@ -146,3 +147,16 @@ def test_inverses(a):
     if not a.is_zero():
         assert (a * a.inverse()).is_one()
         assert (a / a).is_one()
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("1 - z4^-1", [(1, "1 "), (-1, " z4^-1")]),
+        ("-(1 + z4)*2 + 3", [(-1, "(1 + z4)*2 "), (1, " 3")]),
+        ("--1/2*z8", [(1, "1/2*z8")]),
+        ("1*-1 - -2", [(1, "1*-1 "), (1, " 2")]),
+    ],
+)
+def test_signed_terms_split_at_top_level_signs_only(text, terms):
+    assert signed_terms(text) == terms

@@ -734,3 +734,63 @@ def test_unused_definition_scan_sees_every_form():
         "m.f(e)",
         "n.k(x)",
     ]
+
+
+# the comodule laws are written once, as the builders in hopf.py; the
+# counit's law stays a closure, since its values are scalars, which
+# `linear` does not extend over and `multiplicative` does not take
+_LAW_BUILDERS = frozenset({"_legs_commute"})
+_KEPT_LAW_COPIES = frozenset({"hopf.py:counit_is_algebra_map"})
+
+
+def _calls(node, name) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+
+def _law_copies(node, builders):
+    """(line, name) of each flatten_left(...) == flatten_right(...) comparison,
+    either way round, and of each function named *_colinear or *algebra_map,
+    outside the functions named in builders."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if child.name in builders:
+                continue
+            if child.name.endswith(("_colinear", "algebra_map")):
+                yield child.lineno, child.name
+        if isinstance(child, ast.Compare):
+            sides = [child.left, *child.comparators]
+            if any(_calls(a, "flatten_left") and _calls(b, "flatten_right") for a in sides for b in sides):
+                yield child.lineno, "flatten"
+        yield from _law_copies(child, builders)
+
+
+def test_each_comodule_law_is_written_once():
+    # a left-side law is the right-side builder of flipped maps, so no module
+    # spells out coassociativity, colinearity or an algebra-map law again
+    found = [
+        f"{path.name}:{name}" if name != "flatten" else f"{path.name}:{line}"
+        for path, tree in _modules()
+        for line, name in _law_copies(tree, _LAW_BUILDERS if path.name == "hopf.py" else ())
+    ]
+    assert sorted(found) == sorted(_KEPT_LAW_COPIES)
+
+
+def test_law_copy_scan_sees_every_form():
+    text = (
+        "def f(v, w):\n"
+        "    def d_colinear(a):\n"
+        "        return a\n"
+        "    def comul_is_algebra_map(pair):\n"
+        "        return pair\n"
+        "    def colinear(x):\n"
+        "        return flatten_left(v) == w\n"
+        "    ok = flatten_left(v) == flatten_right(w)\n"
+        "    return ok and linalg.flatten_right(w) == linalg.flatten_left(v)\n"
+        "def _legs_commute(v, w):\n"
+        "    return flatten_left(v) == flatten_right(w)\n"
+    )
+    tree = ast.parse(text)
+    assert list(_law_copies(tree, {"_legs_commute"})) == [
+        (2, "d_colinear"), (4, "comul_is_algebra_map"), (8, "flatten"), (9, "flatten")
+    ]
+    assert (11, "flatten") in _law_copies(tree, ())
