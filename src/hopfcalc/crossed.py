@@ -221,8 +221,6 @@ def build_crossed_product(
     comodule = ComoduleAlgebra(algebra=algebra, hopf=h, coaction=coaction, coinvariants=coinv)
 
     probe = algebra.basis.enumerate(None if algebra.basis.is_finite else _VERIFY_WINDOW)
-    if len(probe) > 12:
-        probe = probe[:: max(1, len(probe) // 12)]
     hit = first_non_associative(probe, probe, probe, algebra.mult, algebra.mult, algebra.mult, algebra.mult)
     if hit is not None:
         raise ValueError(f"crossed product not associative at {witness(*hit)}")

@@ -280,35 +280,59 @@ def _images(fn, cells, slots, picks):
 def first_non_associative(xs, ys, zs, first, then, inner, outer):
     """The first (x, y, z), looping over the lists xs, ys and zs, at which
     then(first(x, y), z) != outer(x, inner(y, z)), with then and outer
-    extended linearly; None if there is none.  first is evaluated once per
-    (x, y), and then(m, .) and inner(y, .) once per term m and y, as rows
-    {z: value} of their nonzero values, kept for the call.  Both sides of a
-    row (x, y) are built and compared only at the z of those rows: at every
-    other z both are zero.
+    extended linearly; None if there is none.
+
+    Each side of a row (x, y) is one dict {(z, w): coefficient} over every
+    z at once, and the two sides are compared with one `==`; only when they
+    differ are the z searched, in order, for the witness.  first is
+    evaluated once per (x, y), then(m, .) once per term m, kept as such a
+    dict, inner(y, .) once per y, kept as its terms (z, t, c), and
+    outer(x, t) once per x and t.  The sums are those of `combine`: each
+    product is formed as `x * c`, none by a coefficient of one, and an
+    entry whose sum reaches zero is deleted.
     """
     then_rows, inner_rows = {}, {}
-
-    def row(fn, a):
-        return {z: v for z in zs if (v := fn(a, z)).terms}
-
     for x in xs:
+        outer_terms = {}
         for y in ys:
             terms = first(x, y).terms
             for m in terms:
                 if m not in then_rows:
-                    then_rows[m] = row(then, m)
-            rows = [(then_rows[m], c) for m, c in terms.items()]
-            if len(rows) == 1 and rows[0][1].is_one():
-                lhs = rows[0][0]
+                    then_rows[m] = {(z, w): c for z in zs for w, c in then(m, z).terms.items()}
+            if len(terms) == 1 and next(iter(terms.values())).is_one():
+                lhs = then_rows[m]  # the one term's row, not copied
             else:
-                live = {z for r, _ in rows for z in r}
-                lhs = {z: v for z in live if (v := combine((r.get(z, _ZERO), c) for r, c in rows)).terms}
-            if y not in inner_rows:
-                inner_rows[y] = row(inner, y)
-            rhs = {z: v for z, w in inner_rows[y].items() if (v := linear(outer, x, w)).terms}
+                lhs = {}
+                for m, c in terms.items():
+                    _add_into(lhs, then_rows[m], None if c.is_one() else c)
+            row = inner_rows.get(y)
+            if row is None:
+                row = inner_rows[y] = [
+                    (z, t, None if c.is_one() else c) for z in zs for t, c in inner(y, z).terms.items()
+                ]
+            rhs = {}
+            for z, t, c in row:
+                image = outer_terms.get(t)
+                if image is None:
+                    image = outer_terms[t] = outer(x, t).terms
+                for w, v in image.items():
+                    if c is not None:
+                        v = v * c
+                    prev = rhs.get(key := (z, w))
+                    if prev is not None:
+                        v = prev + v
+                        if v.is_zero():
+                            del rhs[key]
+                            continue
+                    rhs[key] = v
             if lhs != rhs:
-                return next((x, y, z) for z in zs if lhs.get(z, _ZERO) != rhs.get(z, _ZERO))
+                return next((x, y, z) for z in zs if _slice(lhs, z) != _slice(rhs, z))
     return None
+
+
+def _slice(side: dict, z) -> dict:
+    """The entries {(z, w): c} of one side of a row at z."""
+    return {key: c for key, c in side.items() if key[0] == z}
 
 
 def memoise(fn):

@@ -1,6 +1,7 @@
 import pytest
 from conftest import find_check
 
+import hopfcalc.crossed
 from hopfcalc.crossed import (
     CleftData,
     Cocycle,
@@ -22,7 +23,7 @@ from hopfcalc.hopf import (
     check_comodule_algebra,
     convolution_inverse,
 )
-from hopfcalc.linalg import FreeVector, LinOp, linear, tensor_index
+from hopfcalc.linalg import FreeVector, LinOp, first_non_associative, linear, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
@@ -170,6 +171,21 @@ def test_torus_cleft_derivation_matches_closed_forms_on_window(torus_calc_shared
             for w_ix, c in got.terms.items():
                 embedded = embedded + torus.base_embed(w_ix).scale(c)
             assert embedded == inst.closed_sigma_in_total(k, s)
+
+
+def test_the_torus_associativity_probe_covers_its_whole_window(monkeypatch):
+    # exact on the window: every element of it, not a stride through it
+    swept = []
+
+    def recording(xs, ys, zs, *maps):
+        swept.append((xs, ys, zs))
+        return first_non_associative(xs, ys, zs, *maps)
+
+    monkeypatch.setattr(hopfcalc.crossed, "first_non_associative", recording)
+    inst = torus_instance(8, 2)
+    window = inst.crossed.algebra.basis.enumerate(hopfcalc.crossed._VERIFY_WINDOW)
+    assert len(window) == 25
+    assert swept == [(window, window, window)]
 
 
 def test_torus_theta_is_an_isomorphism_on_window(torus_calc_shared):

@@ -199,14 +199,40 @@ def _twisted_matrix_units(draw):
     return basis, {slot: table for slot in SLOTS}
 
 
+def _cancelling_row(draw, tables, basis, x, y, zs):
+    """tables with both sides of the row (x, y) zero, one of them as a sum
+    of two terms that cancel at every (z, w): either first(x, y) = c a - c b
+    with then(a, z) = then(b, z) at every z, or inner(y, z) = c a - c b at
+    one z with outer(x, a) = outer(x, b); the other side has no term."""
+    a, b = draw(st.lists(st.sampled_from(basis), min_size=2, max_size=2, unique=True))
+    c = draw(st.sampled_from(Q4_NONZERO))
+    pair = FreeVector({a: c, b: -c})
+    nonzero = st.dictionaries(st.sampled_from(basis), st.sampled_from(Q4_NONZERO), min_size=1, max_size=2)
+    tables = {slot: dict(table) for slot, table in tables.items()}
+    first, then, inner, outer = (tables[slot] for slot in SLOTS)
+    for z in zs:
+        inner.pop((y, z), None)
+    if draw(st.booleans()):
+        first[x, y] = pair
+        for k, z in enumerate(zs):
+            # at least one nonzero row entry, so that something cancels
+            then[a, z] = then[b, z] = FreeVector(draw(nonzero if k == 0 else nonzero | st.just({})))
+    else:
+        first.pop((x, y), None)
+        inner[y, draw(st.sampled_from(zs))] = pair
+        outer[x, a] = outer[x, b] = FreeVector(draw(nonzero))
+    return tables
+
+
 @st.composite
 def associativity_tables(draw):
     """(xs, ys, zs, tables, associative): four sparse bilinear tables over a
     small index set, one per slot of first_non_associative, with a missing
     entry for a zero product.  Either all four are the products of
     `_twisted_matrix_units`, which are associative, or each entry is drawn
-    at random; either way one entry that the sweep reads may then be
-    corrupted."""
+    at random, and the first row may then be made a row whose sums cancel
+    (`_cancelling_row`); either way one entry that the sweep reads may then
+    be corrupted."""
     if draw(st.booleans()):
         basis, tables = _twisted_matrix_units(draw)
         associative = True
@@ -219,6 +245,8 @@ def associativity_tables(draw):
             slot: {(a, b): draw(entries) for a in basis for b in basis if draw(st.booleans())} for slot in SLOTS
         }
     xs, ys, zs = (draw(st.lists(st.sampled_from(basis), min_size=1, unique=True)) for _ in range(3))
+    if not associative and len(basis) > 1 and draw(st.booleans()):
+        tables = _cancelling_row(draw, tables, basis, xs[0], ys[0], zs)
     if draw(st.booleans()):
         slot = draw(st.sampled_from(SLOTS))
         left, right = {"first": (xs, ys), "then": (basis, zs), "inner": (ys, zs), "outer": (xs, basis)}[slot]
@@ -242,8 +270,9 @@ def test_first_non_associative_matches_the_per_triple_loop(case):
         return fn
 
     got = first_non_associative(xs, ys, zs, *map(slot_map, SLOTS))
-    # each row of then and inner is evaluated once, and first once per (x, y)
-    assert all(n == 1 for (slot, *_), n in calls.items() if slot in ("then", "inner"))
+    # each row of then and inner is evaluated once, outer at most once per
+    # (x, t), and first once per (x, y)
+    assert all(n == 1 for (slot, *_), n in calls.items() if slot in ("then", "inner", "outer"))
     assert sum(n for (slot, *_), n in calls.items() if slot == "first") <= len(xs) * len(ys)
     assert got == reference_first_non_associative(xs, ys, zs, *map(slot_map, SLOTS))
     if associative:

@@ -736,11 +736,20 @@ def test_unused_definition_scan_sees_every_form():
     ]
 
 
-# the comodule laws are written once, as the builders in hopf.py; the
-# counit's law stays a closure, since its values are scalars, which
-# `linear` does not extend over and `multiplicative` does not take
-_LAW_BUILDERS = frozenset({"_legs_commute"})
-_KEPT_LAW_COPIES = frozenset({"hopf.py:counit_is_algebra_map"})
+# the comodule laws are written once, as the builders in hopf.py; a closure
+# named like one of them elsewhere is a copy.  The counit's law stays a
+# closure, since its values are scalars, which `linear` does not extend over
+# and `multiplicative` does not take; the three `colinear` closures of
+# crossed.py and qpb.py stay, since their targets carry a diagonal or
+# regrouped coaction, and building them from a `hopf` builder would change
+# the number of scalar products
+_LAW_BUILDERS = frozenset({"_legs_commute", "coassociative", "counital", "colinear", "multiplicative", "bicomodule"})
+_KEPT_LAW_COPIES = (
+    "crossed.py:colinear",
+    "hopf.py:counit_is_algebra_map",
+    "qpb.py:colinear",
+    "qpb.py:colinear",
+)
 
 
 def _calls(node, name) -> bool:
@@ -749,13 +758,13 @@ def _calls(node, name) -> bool:
 
 def _law_copies(node, builders):
     """(line, name) of each flatten_left(...) == flatten_right(...) comparison,
-    either way round, and of each function named *_colinear or *algebra_map,
-    outside the functions named in builders."""
+    either way round, and of each function named *_colinear or *algebra_map
+    or exactly like a law builder, outside the functions named in builders."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if child.name in builders:
                 continue
-            if child.name.endswith(("_colinear", "algebra_map")):
+            if child.name.endswith(("_colinear", "algebra_map")) or child.name in _LAW_BUILDERS:
                 yield child.lineno, child.name
         if isinstance(child, ast.Compare):
             sides = [child.left, *child.comparators]
@@ -791,6 +800,6 @@ def test_law_copy_scan_sees_every_form():
     )
     tree = ast.parse(text)
     assert list(_law_copies(tree, {"_legs_commute"})) == [
-        (2, "d_colinear"), (4, "comul_is_algebra_map"), (8, "flatten"), (9, "flatten")
+        (2, "d_colinear"), (4, "comul_is_algebra_map"), (6, "colinear"), (8, "flatten"), (9, "flatten")
     ]
     assert (11, "flatten") in _law_copies(tree, ())
