@@ -179,6 +179,7 @@ class CrossedProduct:
     cocycle: Cocycle
     algebra: AlgebraPresentation
     comodule: ComoduleAlgebra
+    hypotheses: CheckReport  # the twisted-module checks that admitted it
 
 
 def build_crossed_product(
@@ -189,7 +190,8 @@ def build_crossed_product(
     window: int | None = None,
 ) -> CrossedProduct:
     """Crossed product algebra on pair indices; the twisted-module and
-    cocycle hypotheses are enforced before anything is assembled."""
+    cocycle hypotheses are enforced before anything is assembled, and
+    their report is kept as `hypotheses`."""
     pre = check_twisted_module_algebra(b, h, m, s, window=window)
     if not pre.ok:
         failed = pre.failed[0]
@@ -224,7 +226,9 @@ def build_crossed_product(
     hit = first_non_associative(probe, probe, probe, algebra.mult, algebra.mult, algebra.mult, algebra.mult)
     if hit is not None:
         raise ValueError(f"crossed product not associative at {witness(*hit)}")
-    return CrossedProduct(base=b, hopf=h, measure=m, cocycle=s, algebra=algebra, comodule=comodule)
+    return CrossedProduct(
+        base=b, hopf=h, measure=m, cocycle=s, algebra=algebra, comodule=comodule, hypotheses=pre
+    )
 
 
 @record

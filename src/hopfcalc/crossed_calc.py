@@ -70,6 +70,7 @@ class CrossedFodc:
     right_act: Callable[[Index, Index], FreeVector]
     right_coaction: Callable[[Index], FreeVector]
     d: LinOp
+    hypotheses: CheckReport  # the twisted module-calculus checks that derived b_action
 
     def __post_init__(self):
         memoise_fields(self, "left_act", "right_act", "right_coaction")
@@ -155,7 +156,8 @@ def build_crossed_fodc(
 ) -> CrossedFodc:
     """First order crossed product calculus.  The structure Hopf calculus
     must be bicovariant and the base calculus must pass the twisted
-    module-calculus checks; the derived form action feeds the left action."""
+    module-calculus checks, whose report is kept as `hypotheses`; the
+    derived form action feeds the left action."""
     if h_calc.left_coaction is None or h_calc.right_coaction is None:
         raise ValueError("hypothesis failed: the structure calculus must be bicovariant")
     action, report = check_sigma_twisted_module_calculus(
@@ -183,6 +185,7 @@ def build_crossed_fodc(
         right_act=right_act,
         right_coaction=right_coaction,
         d=LinOp(d_ix, name="d#"),
+        hypotheses=report,
     )
 
 

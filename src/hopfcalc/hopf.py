@@ -909,7 +909,8 @@ def parse_structure_constants(text: str) -> HopfData:
     )
 
 
-_VEC_TERM = re.compile(r"^\s*(?:\(\s*(?P<paren>[^()]*)\s*\)|(?P<atom>[^*\s]+))\s*(?:\*\s*(?P<idx>\d+))?\s*$")
+# a pattern string, as the _LINES ones are: compiled by the first parse, not at import
+_VEC_TERM = r"^\s*(?:\(\s*(?P<paren>[^()]*)\s*\)|(?P<atom>[^*\s]+))\s*(?:\*\s*(?P<idx>\d+))?\s*$"
 
 
 def parse_basis_combination(text: str, basis: list, scalar_order: int):
@@ -921,7 +922,7 @@ def parse_basis_combination(text: str, basis: list, scalar_order: int):
     """
     terms = []
     for sgn, part in signed_terms(text):
-        m = _VEC_TERM.match(part)
+        m = re.match(_VEC_TERM, part)
         if not m:
             raise ValueError(f"bad vector term {part!r}")
         if m.group("paren") is not None:

@@ -284,13 +284,19 @@ def first_non_associative(xs, ys, zs, first, then, inner, outer):
 
     Each side of a row (x, y) is one dict {(z, w): coefficient} over every
     z at once, and the two sides are compared with one `==`; only when they
-    differ are the z searched, in order, for the witness.  first is
-    evaluated once per (x, y), then(m, .) once per term m, kept as such a
-    dict, inner(y, .) once per y, kept as its terms (z, t, c), and
-    outer(x, t) once per x and t.  The sums are those of `combine`: each
-    product is formed as `x * c`, none by a coefficient of one, and an
-    entry whose sum reaches zero is deleted.
+    differ is the first z with a differing entry taken as the witness.  The
+    key (z, w) is the int id(w) * len(zs) + the position of z, where an
+    index gets its id, a small int, the first time a row or image stores
+    it, so no key of a row hashes an index.  first is evaluated once per
+    (x, y), then(m, .) once per term m, kept as such a dict, inner(y, .)
+    once per y, kept as its terms (position of z, t, id(t), c), and
+    outer(x, t) once per x and t, kept by id(t) as its pairs
+    (id(w) * len(zs), c).  The sums are those of `combine`: each product is
+    formed as `x * c`, none by a coefficient of one, and an entry whose sum
+    reaches zero is deleted.
     """
+    n = len(zs)
+    ids = {}
     then_rows, inner_rows = {}, {}
     for x in xs:
         outer_terms = {}
@@ -298,7 +304,11 @@ def first_non_associative(xs, ys, zs, first, then, inner, outer):
             terms = first(x, y).terms
             for m in terms:
                 if m not in then_rows:
-                    then_rows[m] = {(z, w): c for z in zs for w, c in then(m, z).terms.items()}
+                    then_rows[m] = {
+                        ids.setdefault(w, len(ids)) * n + k: c
+                        for k, z in enumerate(zs)
+                        for w, c in then(m, z).terms.items()
+                    }
             if len(terms) == 1 and next(iter(terms.values())).is_one():
                 lhs = then_rows[m]  # the one term's row, not copied
             else:
@@ -308,17 +318,21 @@ def first_non_associative(xs, ys, zs, first, then, inner, outer):
             row = inner_rows.get(y)
             if row is None:
                 row = inner_rows[y] = [
-                    (z, t, None if c.is_one() else c) for z in zs for t, c in inner(y, z).terms.items()
+                    (k, t, ids.setdefault(t, len(ids)), None if c.is_one() else c)
+                    for k, z in enumerate(zs) for t, c in inner(y, z).terms.items()
                 ]
             rhs = {}
-            for z, t, c in row:
-                image = outer_terms.get(t)
+            for k, t, tid, c in row:
+                image = outer_terms.get(tid)
                 if image is None:
-                    image = outer_terms[t] = outer(x, t).terms
-                for w, v in image.items():
+                    image = outer_terms[tid] = [
+                        (ids.setdefault(w, len(ids)) * n, v) for w, v in outer(x, t).terms.items()
+                    ]
+                for key, v in image:
                     if c is not None:
                         v = v * c
-                    prev = rhs.get(key := (z, w))
+                    key += k
+                    prev = rhs.get(key)
                     if prev is not None:
                         v = prev + v
                         if v.is_zero():
@@ -326,13 +340,9 @@ def first_non_associative(xs, ys, zs, first, then, inner, outer):
                             continue
                     rhs[key] = v
             if lhs != rhs:
-                return next((x, y, z) for z in zs if _slice(lhs, z) != _slice(rhs, z))
+                k = min(key % n for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
+                return x, y, zs[k]
     return None
-
-
-def _slice(side: dict, z) -> dict:
-    """The entries {(z, w): c} of one side of a row at z."""
-    return {key: c for key, c in side.items() if key[0] == z}
 
 
 def memoise(fn):

@@ -562,20 +562,24 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
     # the checks below read the memoised maps
     nabla, sigma_e = data.nabla, data.sigma_e
 
-    def balanced_left_act(b_ix, cls_vec: FreeVector) -> FreeVector:
+    # the B-actions on the balanced tensor, on class indices ("bcls", i)
+    # through each class's representative
+    @memoise
+    def balanced_left_act(b_ix, cls_ix):
         return balanced.project(
             combine(
                 (E(tensor_index(f2, el)), c * c2)
-                for (_, f_ix, el), c in balanced.lift(cls_vec).terms.items()
+                for (_, f_ix, el), c in balanced.representatives[cls_ix[1]].terms.items()
                 for f2, c2 in cf.b_calc.left_act(b_ix, f_ix).terms.items()
             )
         )
 
-    def balanced_right_act(cls_vec: FreeVector, b_ix) -> FreeVector:
+    @memoise
+    def balanced_right_act(cls_ix, b_ix):
         return balanced.project(
             combine(
                 (E(tensor_index(f_ix, el2)), c * c2)
-                for (_, f_ix, el), c in balanced.lift(cls_vec).terms.items()
+                for (_, f_ix, el), c in balanced.representatives[cls_ix[1]].terms.items()
                 for el2, c2 in b_act_right(el, b_ix).terms.items()
             )
         )
@@ -583,7 +587,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
     def left_leibniz(item):
         b_ix, e_label = item
         lhs = linear(nabla, b_act_left(b_ix, e_label))
-        rhs = linear(balanced_class, cf.b_calc.d(b_ix), e_label) + balanced_left_act(b_ix, nabla(e_label))
+        rhs = linear(balanced_class, cf.b_calc.d(b_ix), e_label) + linear(balanced_left_act, b_ix, nabla(e_label))
         return lhs == rhs, (b_ix, e_label)
 
     report.sweep(
@@ -595,7 +599,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
     def right_leibniz(item):
         e_label, b_ix = item
         lhs = linear(nabla, b_act_right(e_label, b_ix))
-        rhs = linear(sigma_e, e_label, cf.b_calc.d(b_ix)) + balanced_right_act(nabla(e_label), b_ix)
+        rhs = linear(sigma_e, e_label, cf.b_calc.d(b_ix)) + linear(balanced_right_act, nabla(e_label), b_ix)
         return lhs == rhs, (e_label, b_ix)
 
     report.sweep(
@@ -606,9 +610,9 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
 
     def sigma_bimodule(item):
         b_ix, e_label, f_ix = item
-        lhs = balanced_left_act(b_ix, sigma_e(e_label, f_ix))
+        lhs = linear(balanced_left_act, b_ix, sigma_e(e_label, f_ix))
         ok1 = lhs == linear(sigma_e, b_act_left(b_ix, e_label), f_ix)
-        lhs2 = balanced_right_act(sigma_e(e_label, f_ix), b_ix)
+        lhs2 = linear(balanced_right_act, sigma_e(e_label, f_ix), b_ix)
         ok2 = lhs2 == linear(sigma_e, e_label, cf.b_calc.right_act(f_ix, b_ix))
         return ok1 and ok2, (b_ix, e_label, f_ix)
 
@@ -633,7 +637,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
     # uniqueness: sigma rebuilt from the right Leibniz law matches the formula
     def sigma_unique(item):
         e_label, b_ix = item
-        rebuilt = linear(nabla, b_act_right(e_label, b_ix)) - balanced_right_act(nabla(e_label), b_ix)
+        rebuilt = linear(nabla, b_act_right(e_label, b_ix)) - linear(balanced_right_act, nabla(e_label), b_ix)
         direct = linear(sigma_e, e_label, cf.b_calc.d(b_ix))
         return rebuilt == direct, (e_label, b_ix)
 

@@ -457,7 +457,8 @@ def multiplicative_order(s: CycScalar, bound: int | None = None) -> int | None:
     return None
 
 
-_TERM_RE = re.compile(
+# a pattern string: compiled by the first parse, into `re`'s cache, not at import
+_TERM_RE = (
     r"^\s*(?:(?P<p>-?\d+)(?:/(?P<q>\d+))?\s*(?:\*\s*(?P<zr>z(?P<mr>\d+)(?:\^(?P<kr>-?\d+))?))?"
     r"|(?P<z>z(?P<m>\d+)(?:\^(?P<k>-?\d+))?))\s*$"
 )
@@ -493,7 +494,7 @@ def parse_scalar(text: str) -> CycScalar:
         raise ValueError("empty scalar")
     total = CycScalar.zero()
     for sgn, chunk in signed_terms(text):
-        m = _TERM_RE.match(chunk)
+        m = re.match(_TERM_RE, chunk)
         if not m:
             raise ValueError(f"bad scalar term {chunk!r}")
         if m.group("z"):

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcalc.cli import run
-from hopfcalc.examples import EXAMPLES
+from hopfcalc.crossed import Measure
+from hopfcalc.examples import EXAMPLES, radford_injected_calculus
 from hopfcalc.report import render_json
+from hopfcalc.scalars import CycScalar
 
 C4_HOPF = pathlib.Path(__file__).resolve().parents[1] / "sample-data" / "c4.hopf"
 
@@ -400,6 +402,39 @@ def test_a_suite_that_raises_names_its_suite(capsys, monkeypatch):
     code, out, err = invoke(capsys, ["verify", "group-c2"])
     assert (code, out) == (2, "")
     assert err.splitlines() == ["group-c2:fine: ok (0 checks)", "error: suite:broken: no solution for the section"]
+
+
+def _doubled_measure(act):
+    return Measure(act=lambda g, b: act(g, b).scale(CycScalar.from_rational(2)))
+
+
+def _injected_base_calculus(inst):
+    calc, _ = radford_injected_calculus(inst)
+    return calc
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, refusal",
+    [
+        ("Measure", _doubled_measure, "crossed product hypothesis failed: measure.unit at g(0)"),
+        (
+            "radford_base_calculus",
+            _injected_base_calculus,
+            "hypothesis failed: twisted module calculus check dsigma at g(1) ; g(1) ; (1)*omx(0,0)",
+        ),
+    ],
+)
+def test_radford_hypothesis_suites_fail_through_the_builders_refusal(capsys, monkeypatch, name, corrupt, refusal):
+    """The twisted-module and twisted-calculus suites return the reports the
+    builders kept, so a failed hypothesis refuses the instance: the suite
+    that builds it names the refusal, and no report is written."""
+    import hopfcalc.examples
+
+    monkeypatch.setattr(hopfcalc.examples, name, corrupt)
+    runs = [(["verify", "radford"], "hopf-axioms"), (["verify", "radford", "--suite", "twisted-calculus"], "twisted-calculus")]
+    for argv, suite in runs:
+        code, out, err = invoke(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: suite:{suite}: {refusal}\n")
 
 
 def _loaded_after(argv, names):

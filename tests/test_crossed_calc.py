@@ -1,6 +1,7 @@
 import pytest
 from conftest import find_check
 
+from hopfcalc.crossed import check_twisted_module_algebra
 from hopfcalc.crossed_calc import (
     NotTruncatable,
     build_crossed_fodc,
@@ -24,7 +25,7 @@ from hopfcalc.examples import (
     smash_demo_instance,
     torus_calculus_instance,
 )
-from hopfcalc.fodc import Fodc, TwistedCalculusAction, check_fodc, zero_fodc
+from hopfcalc.fodc import Fodc, TwistedCalculusAction, check_fodc, check_sigma_twisted_module_calculus, zero_fodc
 from hopfcalc.hopf import BasisFamily, build_cyclic_group_algebra
 from hopfcalc.linalg import FreeVector, LinOp, linear, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
@@ -469,3 +470,36 @@ def test_three_fold_quotient_is_not_degree_two_truncatable():
     assert defect == hor(E(("omx", 0, 0)), E(("g", 0)))
     vanishing = leibniz_defect(inst.crossed, inj, inj_action, rc3.h_calc, ("g", 1), ("g", 1))
     assert vanishing.is_zero()
+
+
+# -- hypothesis reports kept by the builders ---------------------------------
+
+RADFORD_PARAMS = {"r": 2, "n": 2, "q_power": 1, "ideal": "zero"}
+
+
+def test_radford_hypothesis_suites_are_fresh_checks_of_the_same_instance(monkeypatch):
+    """The twisted-module and twisted-calculus suites return the reports
+    that the builders kept; each equals, check for check, the check run
+    again on the instance the suites verify."""
+    import hopfcalc.examples
+
+    rc = radford_calculus_instance(2, 2)
+    monkeypatch.setattr(hopfcalc.examples, "_radford_calc", lambda params: rc)
+    suites = dict(hopfcalc.examples.radford_suites(RADFORD_PARAMS))
+    inst = rc.instance
+    fresh_module = check_twisted_module_algebra(inst.data.h1, inst.group, inst.measure, inst.cocycle)
+    _, fresh_calculus = check_sigma_twisted_module_calculus(rc.b_calc, inst.group, inst.measure, inst.cocycle)
+    for name, fresh in (("twisted-module", fresh_module), ("twisted-calculus", fresh_calculus)):
+        got = suites[name]()
+        assert got.checks
+        assert got.as_dict() == fresh.as_dict()
+
+
+def test_every_radford_suite_reports_the_same_when_run_twice():
+    """A suite that returns a kept report must not extend it: the second
+    run of every thunk gives the report of the first."""
+    from hopfcalc.examples import radford_suites
+
+    suites = radford_suites(RADFORD_PARAMS)
+    first = [(name, thunk().as_dict()) for name, thunk in suites]
+    assert first == [(name, thunk().as_dict()) for name, thunk in suites]

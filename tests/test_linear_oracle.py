@@ -224,6 +224,37 @@ def _cancelling_row(draw, tables, basis, x, y, zs):
     return tables
 
 
+def _one_target_under_every_z(draw, tables, basis, x, y, zs):
+    """tables whose row (x, y) reaches one index w under every z, on both
+    sides: first(x, y) = m, then(m, z) = c c_z w, inner(y, z) = c_z t and
+    outer(x, t) = c w, except that then(m, z) may be doubled at one z."""
+    m, t, w = (draw(st.sampled_from(basis)) for _ in range(3))
+    c = draw(st.sampled_from(Q4_NONZERO))
+    off = draw(st.integers(-1, len(zs) - 1))
+    tables = {slot: dict(table) for slot, table in tables.items()}
+    first, then, inner, outer = (tables[slot] for slot in SLOTS)
+    first[x, y] = FreeVector({m: CycScalar.one(4)})
+    outer[x, t] = FreeVector({w: c})
+    for k, z in enumerate(zs):
+        cz = draw(st.sampled_from(Q4_NONZERO))
+        inner[y, z] = FreeVector({t: cz})
+        then[m, z] = FreeVector({w: c * cz * CycScalar.from_rational(2 if k == off else 1, 4)})
+    return tables
+
+
+def _nested(ix):
+    """ix inside a nested tuple index, as the package's tensor indices are."""
+    return ("@", ("n", ix), (ix, ("t",)))
+
+
+def _nest_tables(tables):
+    return {
+        slot: {(_nested(a), _nested(b)): FreeVector({_nested(i): c for i, c in v.terms.items()})
+               for (a, b), v in table.items()}
+        for slot, table in tables.items()
+    }
+
+
 @st.composite
 def associativity_tables(draw):
     """(xs, ys, zs, tables, associative): four sparse bilinear tables over a
@@ -231,8 +262,10 @@ def associativity_tables(draw):
     entry for a zero product.  Either all four are the products of
     `_twisted_matrix_units`, which are associative, or each entry is drawn
     at random, and the first row may then be made a row whose sums cancel
-    (`_cancelling_row`); either way one entry that the sweep reads may then
-    be corrupted."""
+    (`_cancelling_row`) or one that reaches a single w under every z
+    (`_one_target_under_every_z`); either way one entry that the sweep
+    reads may then be corrupted.  zs comes in a drawn order, not in the
+    order of the basis, and every index may be nested in tuples."""
     if draw(st.booleans()):
         basis, tables = _twisted_matrix_units(draw)
         associative = True
@@ -245,14 +278,20 @@ def associativity_tables(draw):
             slot: {(a, b): draw(entries) for a in basis for b in basis if draw(st.booleans())} for slot in SLOTS
         }
     xs, ys, zs = (draw(st.lists(st.sampled_from(basis), min_size=1, unique=True)) for _ in range(3))
-    if not associative and len(basis) > 1 and draw(st.booleans()):
-        tables = _cancelling_row(draw, tables, basis, xs[0], ys[0], zs)
+    zs = draw(st.permutations(zs))
+    if not associative and len(basis) > 1:
+        row = draw(st.sampled_from([None, _cancelling_row, _one_target_under_every_z]))
+        if row is not None:
+            tables = row(draw, tables, basis, xs[0], ys[0], zs)
     if draw(st.booleans()):
         slot = draw(st.sampled_from(SLOTS))
         left, right = {"first": (xs, ys), "then": (basis, zs), "inner": (ys, zs), "outer": (xs, basis)}[slot]
         key = (draw(st.sampled_from(left)), draw(st.sampled_from(right)))
         tables = {**tables, slot: {**tables[slot], key: draw(entries)}}
         associative = False
+    if draw(st.booleans()):
+        xs, ys, zs = ([_nested(ix) for ix in ixs] for ixs in (xs, ys, zs))
+        tables = _nest_tables(tables)
     return xs, ys, zs, tables, associative
 
 

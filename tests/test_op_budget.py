@@ -16,7 +16,7 @@ from hopfcalc.cli import run
 from hopfcalc.linalg import linear
 from hopfcalc.scalars import CycScalar
 
-BUDGET = {"products": 13_211, "linear": 9_602}
+BUDGET = {"products": 12_005, "linear": 8_916}
 MODULES = [importlib.import_module(f"hopfcalc.{info.name}") for info in pkgutil.iter_modules(hopfcalc.__path__)]
 
 
