@@ -19,6 +19,7 @@ from hopfcalc.hopf import (
     HopfData,
     colinear,
     convolution_inverse,
+    left_linear,
     multiplicative,
     tensor_square_coalgebra,
 )
@@ -345,7 +346,6 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
     B (x) A -> A; verified to split, to be left base-linear and right
     colinear.  Returns (section, report)."""
     a = cleft.total
-    h = a.hopf
     if a.coinvariants is None:
         raise ValueError("section needs a coinvariant presentation of the base")
     j = cleft.cleaving
@@ -356,43 +356,30 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
     a_basis = a.algebra.basis.enumerate(window)
     b_basis = a.coinvariants.algebra.basis.enumerate(window)
 
+    def base_act(b_ix, a_ix):
+        return linear(a.algebra.mult, embed(b_ix), a_ix)
+
     def splits(a_ix):
-        total = combine(
-            (linear(a.algebra.mult, embed(b_ix), a2_ix), c) for (_, b_ix, a2_ix), c in section(a_ix).terms.items()
-        )
+        total = combine((base_act(b_ix, a2_ix), c) for (_, b_ix, a2_ix), c in section(a_ix).terms.items())
         return total == E(a_ix), (a_ix,)
 
     report.sweep("section.splits-multiplication", a_basis, splits)
 
-    def base_linear(item):
-        b_ix, a_ix = item
-        lhs = section(linear(a.algebra.mult, embed(b_ix), a_ix))
-        rhs = combine(
-            (a.coinvariants.algebra.mult(b_ix, b2_ix).tensor(E(a2_ix)), c)
-            for (_, b2_ix, a2_ix), c in section(a_ix).terms.items()
-        )
-        return lhs == rhs, (b_ix, a_ix)
+    # the target B (x) A: b (b' (x) a) = b b' (x) a, coacting on its right leg
+    def target_act(b_ix, t_ix):
+        _, b2_ix, a2_ix = t_ix
+        return a.coinvariants.algebra.mult(b_ix, b2_ix).tensor(E(a2_ix))
+
+    def target_coaction(t_ix):
+        _, b_ix, a2_ix = t_ix
+        return a.coaction(a2_ix).map_indices(lambda ix: tensor_index(tensor_index(b_ix, ix[1]), ix[2]))
 
     report.sweep(
         "section.left-base-linear",
         ((b_ix, a_ix) for b_ix in b_basis for a_ix in a_basis),
-        base_linear,
+        left_linear(section, base_act, target_act),
     )
-
-    def colinear(a_ix):
-        lhs = combine(
-            (E(("sc", b_ix, a0, h1)), c * c2)
-            for (_, b_ix, a2_ix), c in section(a_ix).terms.items()
-            for (_, a0, h1), c2 in a.coaction(a2_ix).terms.items()
-        )
-        rhs = combine(
-            (E(("sc", b_ix, a2_ix, h1)), c * c2)
-            for (_, a0, h1), c in a.coaction(a_ix).terms.items()
-            for (_, b_ix, a2_ix), c2 in section(a0).terms.items()
-        )
-        return lhs == rhs, (a_ix,)
-
-    report.sweep("section.right-colinear", a_basis, colinear)
+    report.sweep("section.right-colinear", a_basis, colinear(section, a.coaction, target_coaction))
     return section, report
 
 

@@ -195,7 +195,7 @@ class ComoduleAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# comodule laws
+# comodule and module laws
 # ---------------------------------------------------------------------------
 #
 # Each law is written once, here.  A builder returns the test of its law at
@@ -262,6 +262,17 @@ def multiplicative(phi, source_mult, target_mult):
     def test(pair):
         i, j = pair
         return linear(phi, source_mult(i, j)) == linear(target_mult, phi(i), phi(j)), (i, j)
+
+    return test
+
+
+def left_linear(phi, source_act, target_act):
+    """Test of phi(a x) == a phi(x) at a pair (a, x) of basis items, the
+    left actions taken by source_act and target_act."""
+
+    def test(pair):
+        a, x = pair
+        return linear(phi, source_act(a, x)) == linear(target_act, a, phi(x)), (a, x)
 
     return test
 

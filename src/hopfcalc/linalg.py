@@ -649,10 +649,6 @@ class QuotientSpace:
             raise ValueError("vector outside the presented space")
         return -track
 
-    def lift(self, class_vector: FreeVector) -> FreeVector:
-        """A representative vector for a combination of class indices."""
-        return combine((self.representatives[i], c) for (_, i), c in class_vector.terms.items())
-
 
 def intersection_dim(u: Subspace, v: Subspace) -> int:
     combined = Subspace(u.basis())

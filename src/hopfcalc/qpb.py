@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 
 from hopfcalc.crossed_calc import CrossedFodc, GradedDc, hor, ver
 from hopfcalc.fodc import Fodc
-from hopfcalc.hopf import monomial_unit
+from hopfcalc.hopf import colinear, left_linear, monomial_unit
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
@@ -105,9 +105,30 @@ class VerticalData:
     g: LinOp
     report: CheckReport
 
+    def __post_init__(self):
+        memoise_fields(self, "target_coaction")
+
     def target_basis(self, window: int | None = None) -> list[Index]:
         pairs = self.cf.crossed.algebra.basis.enumerate(window)
         return [tensor_index(a, c) for a in pairs for c in self.coinv.labels]
+
+    def target_act(self, pair_ix, t_ix) -> FreeVector:
+        """The left action of the total algebra on targets (pair (x) label)."""
+        _, inner_pair, label = t_ix
+        moved = self.cf.crossed.algebra.mult(pair_ix, inner_pair)
+        return combine((E(tensor_index(jx, label)), cj) for jx, cj in moved.terms.items())
+
+    def target_coaction(self, t_ix) -> FreeVector:
+        """The diagonal coaction ((b (x) h) (x) gamma) -> ((b (x) h_1) (x) gamma_0) (x) h_2 gamma_1."""
+        _, (_, bx, hx), label = t_ix
+        h = self.cf.crossed.hopf
+        table, _ = self._rho_on_coinvariants
+        return combine(
+            (E(tensor_index(tensor_index(tensor_index(bx, h1), lab), t)), c2 * c3 * ct)
+            for c2, (h1, h2) in h.sweedler(hx, 2)
+            for (_, lab, h3), c3 in table[label].terms.items()
+            for t, ct in h.algebra.mult(h2, h3).terms.items()
+        )
 
     @cached_property
     def _rho_on_coinvariants(self):
@@ -151,8 +172,8 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
 
     def gp_identity(item):
         bx, hf = item
-        v = ver(E(bx), E(hf))
-        return g(p(v)) == v, (bx, hf)
+        ver_ix = ("ver", bx, hf)
+        return g(p(ver_ix)) == E(ver_ix), (bx, hf)
 
     report.sweep("vertical.g-after-p", ((bx, hf) for bx in b_basis for hf in h_forms), gp_identity)
 
@@ -160,8 +181,8 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
 
     def pg_identity(item):
         pair_ix, label = item
-        v = E(tensor_index(pair_ix, label))
-        return p(g(v)) == v, (pair_ix, label)
+        t_ix = tensor_index(pair_ix, label)
+        return p(g(t_ix)) == E(t_ix), (pair_ix, label)
 
     report.sweep(
         "vertical.p-after-g",
@@ -170,54 +191,14 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     )
 
     form_basis = cf.forms.enumerate(window)
-
-    def left_linear(item):
-        pair_ix, form_ix = item
-        lhs = ver_map(cf.left_act(pair_ix, form_ix))
-        rhs = combine(
-            (E(tensor_index(jx, label)), c * cj)
-            for (_, inner_pair, label), c in ver_map(form_ix).terms.items()
-            for jx, cj in cf.crossed.algebra.mult(pair_ix, inner_pair).terms.items()
-        )
-        return lhs == rhs, (pair_ix, form_ix)
-
     report.sweep(
         "vertical.left-linear",
         ((pair_ix, form_ix) for pair_ix in a_basis for form_ix in form_basis),
-        left_linear,
+        left_linear(ver_map, cf.left_act, vd.target_act),
     )
-
-    # right colinearity: the target carries the diagonal coaction
-    coh_coaction = vd.record_rho_stable(report)
-
-    def colinear(form_ix):
-        # (ver (x) id) rho' against the diagonal coaction applied to ver
-        lhs = combine((ver_map(f0).tensor(E(h1)), c) for (_, f0, h1), c in cf.right_coaction(form_ix).terms.items())
-        rhs = combine(
-            (E(tensor_index(tensor_index(tensor_index(bx, h1), lab), t_ix)), c * c2 * c3 * ct)
-            for (_, (_, bx, hx), label), c in ver_map(form_ix).terms.items()
-            for c2, (h1, h2) in h.sweedler(hx, 2)
-            for (_, lab, h3), c3 in coh_coaction[label].terms.items()
-            for t_ix, ct in h.algebra.mult(h2, h3).terms.items()
-        )
-        return lhs.map_indices(_flatten_target) == rhs.map_indices(_flatten_target), (form_ix,)
-
-    report.sweep("vertical.right-colinear", form_basis, colinear)
+    vd.record_rho_stable(report)
+    report.sweep("vertical.right-colinear", form_basis, colinear(ver_map, cf.right_coaction, vd.target_coaction))
     return vd
-
-
-def _flatten_target(ix):
-    # ((pair (x) coh) (x) h) and (((pair) (x) coh) (x) h) to a flat triple
-    if ix[0] == "@" and ix[1][0] == "@":
-        return ("vt", ix[1][1], ix[1][2], ix[2])
-    return ix
-
-
-def _left_multiple(cf: CrossedFodc, pair_ix, t_ix) -> FreeVector:
-    """The product of pair_ix with a target basis element (pair (x) label)."""
-    _, inner_pair, label = t_ix
-    moved = cf.crossed.algebra.mult(pair_ix, inner_pair)
-    return combine((E(tensor_index(jx, label)), cj) for jx, cj in moved.terms.items())
 
 
 def _coinvariant_coaction(coinv: CoinvariantForms):
@@ -340,7 +321,10 @@ def check_atiyah_exact(
 
 @record
 class Connection:
-    c: Callable[[FreeVector], FreeVector]
+    """A connection, as its map on the target basis indices (pair (x) label)
+    into the 1-forms."""
+
+    c: Callable[[Index], FreeVector]
 
 
 @record
@@ -356,23 +340,8 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
     report = _bundle_report(cf)
     connection = Connection(c=vd.g)
     target = _check_splitting(report, vd, vd.g, window)
-    coh_coaction = vd.record_rho_stable(report)
-
-    def colinear(t_ix):
-        _, pair_ix, label = t_ix
-        _, bx, hx = pair_ix
-        lhs = linear(cf.right_coaction, vd.g(t_ix)).map_indices(lambda ix: ("vt2", ix[1], ix[2]))
-        rhs = combine(
-            (E(("vt2", f_ix, t_ix2)), c2 * c3 * ct * cfm)
-            for c2, (h1, h2) in h.sweedler(hx, 2)
-            for (_, lab, h3), c3 in coh_coaction[label].terms.items()
-            for inner in [vd.g(tensor_index(tensor_index(bx, h1), lab))]
-            for t_ix2, ct in h.algebra.mult(h2, h3).terms.items()
-            for f_ix, cfm in inner.terms.items()
-        )
-        return lhs == rhs, (t_ix,)
-
-    report.sweep("connection.right-colinear", target, colinear)
+    vd.record_rho_stable(report)
+    report.sweep("connection.right-colinear", target, colinear(vd.g, vd.target_coaction, cf.right_coaction))
 
     b_basis = cf.crossed.base.basis.enumerate(window)
     h_basis = h.algebra.basis.enumerate(window)
@@ -394,20 +363,13 @@ def _check_splitting(report: CheckReport, vd: VerticalData, c_map, window: int |
     target = vd.target_basis(window)
 
     def splitting(ix):
-        return vd.ver(c_map(E(ix))) == E(ix), (ix,)
+        return vd.ver(c_map(ix)) == E(ix), (ix,)
 
     report.sweep("connection.splits-ver", target, splitting)
-
-    def left_linear(item):
-        pair_ix, t_ix = item
-        lhs = c_map(_left_multiple(cf, pair_ix, t_ix))
-        rhs = linear(cf.left_act, pair_ix, c_map(E(t_ix)))
-        return lhs == rhs, (pair_ix, t_ix)
-
     report.sweep(
         "connection.left-linear",
         ((p, t) for p in cf.crossed.algebra.basis.enumerate(window) for t in target),
-        left_linear,
+        left_linear(c_map, vd.target_act, cf.left_act),
     )
     return target
 
@@ -423,14 +385,14 @@ def check_connection(vd: VerticalData, connection: Connection) -> CheckReport:
 
     def projector(form_ix):
         v = vd.ver(form_ix)
-        pi = connection.c(v)
-        idempotent = connection.c(vd.ver(pi)) == pi
+        pi = linear(connection.c, v)
+        idempotent = linear(connection.c, vd.ver(pi)) == pi
         horizontal_killed = pi.is_zero() if v.is_zero() else True
         return idempotent and horizontal_killed, (form_ix,)
 
     report.sweep("connection.projector", form_basis, projector)
 
-    kernel_dim = LinearSolver(LinOp(lambda ix: connection.c(vd.ver(ix))), form_basis).kernel().dim
+    kernel_dim = LinearSolver(LinOp(lambda ix: linear(connection.c, vd.ver(ix))), form_basis).kernel().dim
     hor_dim = len(cf.horizontal_window(None))
     report.record(
         "connection.projector-kernel-rank",
@@ -834,20 +796,20 @@ def connection_form_bijection(
     def to_form(c_map) -> ConnectionForm:
         components = {}
         for i, tan in enumerate(tangent.labels):
-            components[tan] = c_map(E(tensor_index(unit_pair, ("coh", i))))
+            components[tan] = c_map(tensor_index(unit_pair, ("coh", i)))
         return ConnectionForm(components=components)
 
     def to_connection(phi: ConnectionForm) -> Connection:
-        def c_map(target_vec: FreeVector) -> FreeVector:
+        def c_ix(t_ix):
+            _, pair_ix, label = t_ix
             return combine(
-                (linear(cf.left_act, pair_ix, phi.components[tan]), c * weight)
-                for (_, pair_ix, label), c in target_vec.terms.items()
+                (linear(cf.left_act, pair_ix, phi.components[tan]), weight)
                 for tan in tangent.labels
                 for weight in [tangent.pair(tan, label)]
                 if not weight.is_zero()
             )
 
-        return Connection(c=c_map)
+        return Connection(c=LinOp(c_ix, name="c"))
 
     def verify_form(phi: ConnectionForm, tag: str):
         def ver_projection(tan):
@@ -887,7 +849,7 @@ def connection_form_bijection(
         target = vd.target_basis()
 
         def roundtrip(ix):
-            return back.c(E(ix)) == connection.c(E(ix)), (ix,)
+            return back.c(ix) == connection.c(ix), (ix,)
 
         report.sweep("roundtrip.connection", target, roundtrip)
         return phi, report

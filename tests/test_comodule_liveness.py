@@ -1,4 +1,4 @@
-"""Every comodule law can fail.
+"""Every comodule and module law can fail.
 
 Each test builds a fresh instance, corrupts one entry of a memoised
 structure map after construction (`linalg.memoise` keeps the table in
@@ -6,14 +6,17 @@ structure map after construction (`linalg.memoise` keeps the table in
 of the suite fail and at which witness.  The laws are the builders of
 `hopf`, and a left-side law is a right-side builder applied to `flipped`
 maps, so the left coaction corruptions below fail only when the flip
-really reads the left coaction.  The witnesses are pinned, so a change of
-sweep order or of a law shows here.
+really reads the left coaction.  The bundle laws (the vertical map, the
+canonical connection and the equivariant section are each left-linear and
+right-colinear) are builder calls as well, with the target's action and
+coaction passed as maps.  The witnesses are pinned, so a change of sweep
+order or of a law shows here.
 """
 
 import pytest
 
 import hopfcalc.crossed
-from hopfcalc.crossed import CleftData, cleft_to_crossed
+from hopfcalc.crossed import CleftData, cleft_to_crossed, equivariant_section
 from hopfcalc.crossed_calc import classify_smash, verify_crossed_fodc
 from hopfcalc.examples import group_c2_instance, radford_calculus_instance, radford_instance, smash_demo_instance
 from hopfcalc.fodc import check_fodc
@@ -234,3 +237,43 @@ def test_a_cleaving_map_that_is_not_multiplicative_is_refused():
     corrupt(inst.cleft.cleaving.action, (("t", 1),), ("st", 0, 0))
     with pytest.raises(ValueError, match=r"not an algebra morphism at t\(-2\) ; t\(1\)$"):
         classify_smash(inst.a_calc, inst.h_calc, inst.cleft, window=2)
+
+
+# the bundle laws: the vertical map and the canonical connection are
+# left-linear and right-colinear, and so is the equivariant section
+VER_F = ("ver", ("h1", 0, 0), F0)
+
+
+def _bundle_failures(cf):
+    from hopfcalc.qpb import canonical_connection, vertical_map
+
+    vd = vertical_map(cf)
+    return failures(vd.report), failures(canonical_connection(vd)[1])
+
+
+def test_a_corrupted_form_coaction_fails_both_bundle_colinearities(radford_calc):
+    cf = radford_calc.cf
+    corrupt(cf.right_coaction, (VER_F,), tensor_index(VER_F, G1))
+    assert _bundle_failures(cf) == (
+        {"vertical.right-colinear": "ver(h1(0,0),w1(0,g(0)))"},
+        {"connection.right-colinear": "((h1(0,0) (x) g(0)) (x) coh(0))"},
+    )
+
+
+def test_a_corrupted_form_action_fails_both_bundle_left_linearities(radford_calc):
+    cf = radford_calc.cf
+    corrupt(cf.left_act, (_pair(0, 1), VER_F), VER_F)
+    assert _bundle_failures(cf) == (
+        {"vertical.left-linear": "(h1(0,0) (x) g(1)) ; ver(h1(0,0),w1(0,g(0)))"},
+        {"connection.left-linear": "(h1(0,0) (x) g(1)) ; ((h1(0,0) (x) g(0)) (x) coh(0))"},
+    )
+
+
+def test_a_corrupted_coaction_fails_the_section_laws():
+    cleft = _radford_cleft()
+    corrupt(cleft.total.coaction, (_pair(1, 1),), tensor_index(_pair(0, 1), G1))
+    assert failures(equivariant_section(cleft)[1]) == {
+        "section.splits-multiplication": "(h1(0,1) (x) g(1))",
+        "section.left-base-linear": "h1(0,1) ; (h1(0,0) (x) g(1))",
+        "section.right-colinear": "(h1(0,1) (x) g(1))",
+    }

@@ -319,7 +319,7 @@ def test_quotient_space_with_vector_ambient():
     assert q.dim == 1
     cls = q.project(space[0])
     assert cls == -q.project(space[1])
-    assert q.project(q.lift(cls)) == cls
+    assert q.project(q.representatives[0]) == E(("cls", 0))
 
 
 def test_intersection_dim():
@@ -398,10 +398,11 @@ def test_elimination_kernel_properties():
         space = list(columns.values())
         sub = Subspace([combo(space) for _ in range(data.draw(st.integers(0, 2)))])
         q = QuotientSpace(space, sub)
-        for cls in q.class_indices():
-            assert q.project(q.lift(E(cls))) == E(cls)
-        c = combo([E(cls) for cls in q.class_indices()])
-        assert q.project(q.lift(c)) == c
+        for rep, cls in zip(q.representatives, q.class_indices()):
+            assert q.project(rep) == E(cls)
+        weights = [entry() for _ in q.representatives]
+        classes = [E(cls) for cls in q.class_indices()]
+        assert q.project(combine(zip(q.representatives, weights))) == combine(zip(classes, weights))
         assert all(q.project(g).is_zero() for g in sub.basis())
 
     check()
