@@ -5,7 +5,10 @@ human summary on stderr.
 Exit status: 0 when no check failed, 1 on check failures, 2 on usage
 errors.  An error names its stage: `error: params:` for refused
 parameters, `error: build:` when the instance cannot be built, and
-`error: suite:<name>:` when a suite cannot run.
+`error: suite:<name>:` when a suite cannot run.  `cohomology` builds
+before anything runs, and `verify user-hopf` reads its files before any
+suite; `verify radford`, `torus` and `smash-demo` build their instance
+inside their first suite, so their build errors name that suite.
 """
 
 from __future__ import annotations

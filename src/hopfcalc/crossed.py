@@ -435,7 +435,7 @@ def check_hopf_galois(a: ComoduleAlgebra) -> HopfGaloisResult:
     def can_on_class(cls_ix):
         return can(balanced.representatives[cls_ix[1]])
 
-    rank = LinearSolver(LinOp(can_on_class), balanced.class_indices()).rank
+    rank = LinearSolver(LinOp(can_on_class), balanced.labels).rank
     target_dim = len(a_basis) * len(h_basis)
     report.record(
         "hopf-galois.bijective",

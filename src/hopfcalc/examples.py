@@ -9,7 +9,6 @@ from typing import Callable
 
 from hopfcalc.crossed import (
     CleftData,
-    Cocycle,
     CrossedProduct,
     Measure,
     build_crossed_product,
@@ -40,10 +39,7 @@ E = FreeVector.basis
 @record
 class RadfordInstance:
     data: RadfordData
-    group: HopfData              # k[C_r]
-    measure: Measure
-    cocycle: Cocycle
-    crossed: CrossedProduct
+    crossed: CrossedProduct      # of h1 by k[C_r]
     to_full: Callable[[FreeVector], FreeVector]  # crossed pair -> element of H_(r,n,q)
 
 
@@ -76,9 +72,7 @@ def radford_instance(r: int = 2, n: int = 2, q: CycScalar | None = None) -> Radf
             for (_, b_ix, g_ix), c in v.terms.items()
         )
 
-    return RadfordInstance(
-        data=data, group=group, measure=measure, cocycle=cocycle, crossed=crossed, to_full=to_full
-    )
+    return RadfordInstance(data=data, crossed=crossed, to_full=to_full)
 
 
 def check_packaged_n(n: int) -> None:
@@ -178,16 +172,15 @@ class TorusInstance:
     cleft: CleftData
     crossed: CrossedProduct
     derivation_report: "CheckReport"
-    theta_root: CycScalar
 
     def closed_measure(self, k: int, l: int) -> FreeVector:
         """t^k acting on w^l: the closed form e^{-i theta k l} w^l."""
-        return E(("w", l), self.theta_root ** (-k * l))
+        return E(("w", l), self.torus.theta_root ** (-k * l))
 
     def closed_sigma_in_total(self, k: int, s: int) -> FreeVector:
         """The four-branch closed form of the derived cocycle, as an element
         of the torus algebra (monomials in u and v)."""
-        th = self.theta_root
+        th = self.torus.theta_root
         if k >= 0 and s >= 0:
             return self.torus.comodule.algebra.unit
         if k <= 0 and s <= 0:
@@ -232,12 +225,13 @@ def group_c2_instance(ideal: str = "zero") -> GroupC2Instance:
 
 
 @record
-class RadfordCalculusInstance:
-    instance: RadfordInstance
-    b_calc: "Fodc"
-    h_calc: "Fodc"                      # bicovariant, on k[C_r]
+class CalculusInstance:
+    """The covariant calculus on a crossed product B #_sigma H built from a
+    calculus on B and a bicovariant calculus on H, with its higher forms
+    when the structure calculus has a degree-two-trivial prolongation."""
+
+    instance: "RadfordInstance | TorusInstance"
     cf: "CrossedFodc"
-    b_graded: "GradedDc | None"
     h_graded: "GradedDc | None"
     higher: "GradedDc | None"           # graded forms on the crossed product
     truncation_witness: str | None = None
@@ -248,7 +242,10 @@ class RadfordCalculusInstance:
         return f"no degree-two-trivial prolongation: {self.truncation_witness}"
 
 
-def radford_calculus_instance(r: int = 2, n: int = 2, q: CycScalar | None = None, ideal: str = "zero") -> RadfordCalculusInstance:
+def _calculus_instance(
+    inst: "RadfordInstance | TorusInstance", b_calc: "Fodc", h_calc: "Fodc", window: int | None = None
+) -> CalculusInstance:
+    """The crossed product calculus of b_calc and h_calc on inst.crossed, then its higher forms."""
     from hopfcalc.crossed_calc import (
         NotTruncatable,
         build_crossed_fodc,
@@ -256,71 +253,39 @@ def radford_calculus_instance(r: int = 2, n: int = 2, q: CycScalar | None = None
         truncate_dc_degree2,
         truncate_twisted_base,
     )
-    from hopfcalc.fodc import IdealCalculusSpec, woronowicz_from_ideal
 
-    inst = radford_instance(r, n, q)
-    h_calc = woronowicz_from_ideal(IdealCalculusSpec(hopf=inst.group, ideal_gens=augmentation_ideal(ideal, r)))
-    if h_calc.left_coaction is None:
-        raise ValueError(f"structure calculus not bicovariant: {h_calc.covariance_note}")
-    b_calc = radford_base_calculus(inst)
-    cf = build_crossed_fodc(inst.crossed, b_calc, h_calc)
-    b_graded = h_graded = higher = witness = None
+    cf = build_crossed_fodc(inst.crossed, b_calc, h_calc, window=window)
     try:
-        h_graded = truncate_dc_degree2(h_calc)
+        h_graded = truncate_dc_degree2(h_calc, window=window)
     except NotTruncatable as obstruction:
         # honest outcome: the structure calculus admits no prolongation with
         # vanishing degree two and a differentiable coproduct
-        witness = obstruction.witness
-    else:
-        b_graded = truncate_twisted_base(b_calc, inst.measure, cf.b_action)
-        higher = build_higher_forms(inst.crossed, b_graded, h_graded)
-    return RadfordCalculusInstance(
-        instance=inst,
-        b_calc=b_calc,
-        h_calc=h_calc,
-        cf=cf,
-        b_graded=b_graded,
-        h_graded=h_graded,
-        higher=higher,
-        truncation_witness=witness,
-    )
+        return CalculusInstance(
+            instance=inst, cf=cf, h_graded=None, higher=None, truncation_witness=obstruction.witness
+        )
+    b_graded = truncate_twisted_base(b_calc, inst.crossed.measure, cf.b_action)
+    higher = build_higher_forms(inst.crossed, b_graded, h_graded, window=window)
+    return CalculusInstance(instance=inst, cf=cf, h_graded=h_graded, higher=higher)
 
 
-@record
-class TorusCalculusInstance:
-    instance: TorusInstance
-    b_calc: "Fodc"
-    h_calc: "Fodc"
-    cf: "CrossedFodc"
-    higher: "GradedDc"
-    h_graded: "GradedDc"
-    window: int
+def radford_calculus_instance(r: int = 2, n: int = 2, q: CycScalar | None = None, ideal: str = "zero") -> CalculusInstance:
+    from hopfcalc.fodc import IdealCalculusSpec, woronowicz_from_ideal
+
+    inst = radford_instance(r, n, q)
+    h_calc = woronowicz_from_ideal(IdealCalculusSpec(hopf=inst.crossed.hopf, ideal_gens=augmentation_ideal(ideal, r)))
+    return _calculus_instance(inst, radford_base_calculus(inst), h_calc)
 
 
-def torus_calculus_instance(theta_order: int = 8, window: int = 4) -> TorusCalculusInstance:
-    from hopfcalc.crossed_calc import (
-        build_crossed_fodc,
-        build_higher_forms,
-        truncate_dc_degree2,
-        truncate_twisted_base,
-    )
+def torus_calculus_instance(theta_order: int = 8, window: int = 4) -> CalculusInstance:
     from hopfcalc.fodc import build_laurent_q_calculus, zero_fodc
 
     inst = torus_instance(theta_order, window)
     # the deformation parameter of the structure calculus is independent of
     # the angle; reuse the angle root when its order allows, else a fourth
     # root of unity
-    q = inst.theta_root if theta_order >= 3 else root_of_unity(4)
+    q = inst.torus.theta_root if theta_order >= 3 else root_of_unity(4)
     h_calc = build_laurent_q_calculus(q, hopf=inst.crossed.hopf)
-    b_calc = zero_fodc(inst.crossed.base)
-    cf = build_crossed_fodc(inst.crossed, b_calc, h_calc, window=window)
-    h_graded = truncate_dc_degree2(h_calc, window=window)
-    b_graded = truncate_twisted_base(b_calc, inst.crossed.measure, cf.b_action)
-    higher = build_higher_forms(inst.crossed, b_graded, h_graded, window=window)
-    return TorusCalculusInstance(
-        instance=inst, b_calc=b_calc, h_calc=h_calc, cf=cf, higher=higher,
-        h_graded=h_graded, window=window,
-    )
+    return _calculus_instance(inst, zero_fodc(inst.crossed.base), h_calc, window=window)
 
 
 @record
@@ -423,7 +388,7 @@ def smash_demo_instance(q_order: int = 8) -> SmashDemoInstance:
 # ---------------------------------------------------------------------------
 
 
-def _radford_calc(params: dict) -> RadfordCalculusInstance:
+def _radford_calc(params: dict) -> CalculusInstance:
     """The radford instance of the CLI params; its suites and its `graded` entry both build here."""
     r = params["r"]
     q = root_of_unity(r * params["n"], params["q_power"])
@@ -435,11 +400,11 @@ class NoGradedCalculus(ValueError):
     mathematical outcome, not a usage error.  The message is the witness."""
 
 
-def _radford_graded(params: dict):
-    rc = _radford_calc(params)
-    if rc.higher is None:
-        raise NoGradedCalculus(rc.obstruction)
-    return rc.higher, None
+def _graded(calc: CalculusInstance, window: int | None):
+    """The `graded` entry of a crossed calculus: its higher forms and their window."""
+    if calc.higher is None:
+        raise NoGradedCalculus(calc.obstruction)
+    return calc.higher, window
 
 
 def radford_suites(params: dict) -> list:
@@ -471,7 +436,7 @@ def radford_suites(params: dict) -> list:
     def hopf_axioms():
         rc = calc()
         rep = check_hopf_axioms(rc.instance.data.hopf)
-        rep.extend(check_hopf_axioms(rc.instance.group), prefix="group.")
+        rep.extend(check_hopf_axioms(rc.instance.crossed.hopf), prefix="group.")
         return rep
 
     # the builders check these hypotheses on the same maps, with no window,
@@ -487,8 +452,8 @@ def radford_suites(params: dict) -> list:
 
     def fodc_suite():
         rc = calc()
-        rep = check_fodc(rc.b_calc)
-        rep.extend(check_fodc(rc.h_calc), prefix="structure.")
+        rep = check_fodc(rc.cf.b_calc)
+        rep.extend(check_fodc(rc.cf.h_calc), prefix="structure.")
         return rep
 
     def twisted_calculus():
@@ -550,7 +515,7 @@ def radford_suites(params: dict) -> list:
         rc = calc()
         inst = rc.instance
         inj, inj_action = radford_injected_calculus(inst)
-        return necessity_dsigma(inst.crossed, inj, inj_action, rc.h_calc)
+        return necessity_dsigma(inst.crossed, inj, inj_action, rc.cf.h_calc)
 
     def section():
         rc = calc()
@@ -581,7 +546,7 @@ def radford_suites(params: dict) -> list:
 
 
 def torus_suites(params: dict) -> list:
-    from hopfcalc.crossed import check_twisted_module_algebra, equivariant_section
+    from hopfcalc.crossed import equivariant_section
     from hopfcalc.crossed_calc import (
         check_graded_dc,
         classify_smash,
@@ -639,14 +604,10 @@ def torus_suites(params: dict) -> list:
         )
         return rep
 
-    # its own report, not `crossed.hypotheses`: checked at min(window, 3), the builder at the instance window
+    # the builder checks these hypotheses on the same maps, at the instance
+    # window, and refuses the instance when one fails
     def twisted_module():
-        tc = calc()
-        inst = tc.instance
-        return check_twisted_module_algebra(
-            inst.crossed.base, inst.crossed.hopf, inst.crossed.measure, inst.crossed.cocycle,
-            window=min(window, 3),
-        )
+        return calc().instance.crossed.hypotheses
 
     def forced_zero():
         tc = calc()
@@ -659,7 +620,7 @@ def torus_suites(params: dict) -> list:
         return sigma_forces_zero_differential(inst.crossed.base, sigma_values, window=window)
 
     def fodc_suite():
-        return check_fodc(calc().h_calc, window=min(window, 3))
+        return check_fodc(calc().cf.h_calc, window=min(window, 3))
 
     def crossed_fodc():
         return verify_crossed_fodc(calc().cf, window=min(window, 3))
@@ -701,13 +662,13 @@ def torus_suites(params: dict) -> list:
             right_act=lambda f, a: FreeVector.basis(("dw", a[1] + f[1])),
             d=LinOp(dd, name="d_cl"),
         )
-        th = inst.theta_root
+        th = inst.torus.theta_root
         action = TwistedCalculusAction(act=lambda t, f: FreeVector.basis(f, th ** (-t[1] * (f[1] + 1))))
-        rep = necessity_dsigma(inst.crossed, classical, action, calc().h_calc, window=2)
+        rep = necessity_dsigma(inst.crossed, classical, action, tc.cf.h_calc, window=2)
 
         from hopfcalc.crossed_calc import hor, leibniz_defect
 
-        defect = leibniz_defect(inst.crossed, classical, action, calc().h_calc, ("t", 1), ("t", -1))
+        defect = leibniz_defect(inst.crossed, classical, action, tc.cf.h_calc, ("t", 1), ("t", -1))
         rep.record(
             "necessity-witness-at-unit-windings",
             defect == hor(FreeVector.basis(("dw", 0)), FreeVector.basis(("t", 0))),
@@ -720,7 +681,7 @@ def torus_suites(params: dict) -> list:
         rep = CheckReport(windowed=True)
         try:
             # the refusal fires on the cleaving map before any calculus is touched
-            classify_smash(None, tc.h_calc, tc.instance.cleft, window=2)
+            classify_smash(None, tc.cf.h_calc, tc.instance.cleft, window=2)
         except ValueError as err:
             rep.record(
                 "classification.refuses-non-trivial-extension",
@@ -878,14 +839,14 @@ EXAMPLES = {
         "description": "crossed product of the nilpotent component of the Radford family by its cyclic quotient, with the full calculus and bundle suite",
         "params": {"r": "int (default 2)", "n": "int (must be 2 for the calculus suites)", "q-power": "int (default 1)", "ideal": "zero|full"},
         "suites": radford_suites,
-        "graded": _radford_graded,
+        "graded": lambda params: _graded(_radford_calc(params), None),
         "validate": validate_radford,
     },
     "torus": {
         "description": "noncommutative torus at a rational angle as a cleft extension of Laurent polynomials",
         "params": {"M": "int angle denominator (default 8)", "window": "int (default 4)"},
         "suites": torus_suites,
-        "graded": lambda params: (torus_calculus_instance(params["M"], params["window"]).higher, params["window"]),
+        "graded": lambda params: _graded(torus_calculus_instance(params["M"], params["window"]), params["window"]),
         "validate": validate_torus,
     },
     "group-c2": {
@@ -914,8 +875,7 @@ def torus_instance(theta_order: int = 8, window: int = 4) -> TorusInstance:
     """Noncommutative torus with angle 2 pi / theta_order, cleft over the
     Laurent Hopf algebra; measure and cocycle are derived from the
     cleaving map, not copied from closed forms."""
-    theta = root_of_unity(theta_order)
-    torus = build_torus_comodule(theta)
+    torus = build_torus_comodule(root_of_unity(theta_order))
     cleft = CleftData(total=torus.comodule, cleaving=torus.cleaving, cleaving_inv=torus.cleaving_inv)
     crossed, _, _, report = cleft_to_crossed(cleft, window=window)
-    return TorusInstance(torus=torus, cleft=cleft, crossed=crossed, derivation_report=report, theta_root=theta)
+    return TorusInstance(torus=torus, cleft=cleft, crossed=crossed, derivation_report=report)

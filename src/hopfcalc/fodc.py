@@ -584,13 +584,18 @@ def sigma_forces_zero_differential(
     D(sigma value) = 0 put every D_k in the relation span, so any
     calculus with d of every cocycle value zero kills the whole base.
 
-    The algebra unit must be a basis element.  All relation instances
-    and their one-sided B-multiples whose words stay inside twice the
-    window are eliminated exactly; membership of each D_k is then decided
-    by rank.
+    The algebra unit must be a basis element inside the window.  All
+    relation instances and their two-sided B-multiples e_p . rel . e_q
+    by window basis elements, whose words stay inside twice the window,
+    are eliminated exactly (p or q the unit gives the one-sided
+    multiples and the relation itself); membership of each D_k is then
+    decided by rank.
     """
     report = CheckReport(windowed=True)
     unit_ix = monomial_unit(b, "forced-zero derivation")
+    window_basis = b.basis.enumerate(window)
+    if unit_ix not in window_basis:
+        raise ValueError(f"forced-zero derivation needs the unit {format_index(unit_ix)} inside window {window}")
 
     word_basis = set(b.basis.enumerate(2 * window))
 
@@ -616,7 +621,6 @@ def sigma_forces_zero_differential(
         )
 
     relations = []
-    window_basis = b.basis.enumerate(window)
     for k1 in window_basis:
         for k2 in window_basis:
             product = b.mult(k1, k2)
@@ -633,17 +637,9 @@ def sigma_forces_zero_differential(
             relations.append(rel)
 
     span = Subspace()
-    pads = b.basis.enumerate(window)
     for rel in relations:
-        span.add(rel)
-        for p in pads:
-            padded = pad(rel, p, unit_ix)
-            if padded is not None:
-                span.add(padded)
-            padded = pad(rel, unit_ix, p)
-            if padded is not None:
-                span.add(padded)
-            for q in pads:
+        for p in window_basis:
+            for q in window_basis:
                 padded = pad(rel, p, q)
                 if padded is not None:
                     span.add(padded)

@@ -500,68 +500,26 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
 # ---------------------------------------------------------------------------
 
 
-def cyclic_cayley(n: int):
-    elements = list(range(n))
-    table = {(i, j): (i + j) % n for i in elements for j in elements}
-    return elements, table
-
-
-def build_group_algebra(elements, table, scalar_order: int = 1) -> HopfData:
-    """Group Hopf algebra from a Cayley table; validates the table first."""
-    elements = list(elements)
-    eset = set(elements)
-    for i in elements:
-        for j in elements:
-            if (i, j) not in table or table[(i, j)] not in eset:
-                raise ValueError(f"Cayley table not closed at ({i}, {j})")
-    for i in elements:
-        for j in elements:
-            for k in elements:
-                if table[(table[(i, j)], k)] != table[(i, table[(j, k)])]:
-                    raise ValueError(f"Cayley table not associative at ({i}, {j}, {k})")
-    identity = None
-    for e in elements:
-        if all(table[(e, x)] == x and table[(x, e)] == x for x in elements):
-            identity = e
-            break
-    if identity is None:
-        raise ValueError("Cayley table has no identity element")
-    inverse = {}
-    for x in elements:
-        for y in elements:
-            if table[(x, y)] == identity and table[(y, x)] == identity:
-                inverse[x] = y
-                break
-        else:
-            raise ValueError(f"element {x} has no inverse")
-
-    def ix(g):
-        return ("g", g)
-
-    basis = BasisFamily(indices=[ix(g) for g in elements])
+def build_cyclic_group_algebra(n: int, scalar_order: int = 1) -> HopfData:
+    """Group Hopf algebra of the cyclic group of order n on the basis g^i, 0 <= i < n."""
     one = CycScalar.one(scalar_order)
 
-    def mult(i, j):
-        return FreeVector.basis(ix(table[(i[1], j[1])]), one)
+    def ix(i):
+        return ("g", i % n)
 
     algebra = AlgebraPresentation(
-        basis=basis,
-        mult=mult,
-        unit=FreeVector.basis(ix(identity), one),
+        basis=BasisFamily(indices=[ix(i) for i in range(n)]),
+        mult=lambda i, j: FreeVector.basis(ix(i[1] + j[1]), one),
+        unit=FreeVector.basis(ix(0), one),
         scalar_order=scalar_order,
     )
     return HopfData(
         algebra=algebra,
         comul=lambda i: FreeVector.basis(tensor_index(i, i), one),
         counit=lambda i: one,
-        antipode=LinOp(lambda i: FreeVector.basis(ix(inverse[i[1]]), one), name="S"),
-        antipode_inv=LinOp(lambda i: FreeVector.basis(ix(inverse[i[1]]), one), name="S^-1"),
+        antipode=LinOp(lambda i: FreeVector.basis(ix(-i[1]), one), name="S"),
+        antipode_inv=LinOp(lambda i: FreeVector.basis(ix(-i[1]), one), name="S^-1"),
     )
-
-
-def build_cyclic_group_algebra(n: int, scalar_order: int = 1) -> HopfData:
-    elements, table = cyclic_cayley(n)
-    return build_group_algebra(elements, table, scalar_order=scalar_order)
 
 
 def build_laurent_hopf(scalar_order: int = 1) -> HopfData:

@@ -616,38 +616,31 @@ class LinearSolver(TrackedSpan):
         return f"image of {self.f.name or 'the map'}"
 
 
-class QuotientSpace:
+class QuotientSpace(TrackedSpan):
     """Quotient of a subspace by a smaller subspace, with chosen representatives.
 
     Used where the ambient space is itself presented by vectors (for
-    instance the augmentation ideal inside a Hopf algebra).  Classes are
-    tagged ``(cls_tag, position)``.
+    instance the augmentation ideal inside a Hopf algebra).  It is the
+    span of the presenting vectors reduced modulo `sub`, each independent
+    one labelled by its class ``(cls_tag, position)``.
     """
 
     def __init__(self, space_vectors: Iterable[FreeVector], sub: Subspace, cls_tag: str = "cls"):
+        super().__init__()
         self.sub = sub
-        self.cls_tag = cls_tag
-        self._rep_ech = _Echelon()
-        self.representatives = []
         for v in space_vectors:
-            reduced = sub.reduce(v)
-            if self._rep_ech.insert(reduced, FreeVector.basis((cls_tag, len(self.representatives)))):
-                self.representatives.append(reduced)
+            self.add((cls_tag, self.dim), sub.reduce(v))
+
+    # the name under which perfbench/layertrace.py reads the rank
+    _rep_ech = property(lambda self: self._ech)
 
     @property
-    def dim(self) -> int:
-        return len(self.representatives)
-
-    def class_indices(self) -> list[Index]:
-        return [(self.cls_tag, i) for i in range(self.dim)]
+    def representatives(self) -> list[FreeVector]:
+        return list(self.vectors.values())
 
     def project(self, v: FreeVector) -> FreeVector:
-        """Class of v as a combination of class indices; v must lie in the space."""
-        reduced = self.sub.reduce(v)
-        residual, track = self._rep_ech.reduce(reduced, FreeVector.zero())
-        if not residual.is_zero():
-            raise ValueError("vector outside the presented space")
-        return -track
+        """Class of v as a combination of class labels; NoSolution outside the space."""
+        return self.express(self.sub.reduce(v))
 
 
 def intersection_dim(u: Subspace, v: Subspace) -> int:

@@ -80,7 +80,7 @@ def test_criterion_01_radford_end_to_end(radford):
     for i in range(2):
         for j in range(2):
             expected = a_sq if i == j == 1 else one_b
-            assert inst.cocycle.sigma(("g", i), ("g", j)) == expected
+            assert inst.crossed.cocycle.sigma(("g", i), ("g", j)) == expected
 
     from hopfcalc.crossed_calc import verify_crossed_fodc
 
@@ -114,7 +114,7 @@ def test_criterion_01_radford_end_to_end(radford):
 def test_criterion_02_torus_closed_forms_and_forced_zero(torus):
     tc = torus
     inst = tc.instance
-    th = inst.theta_root
+    th = inst.torus.theta_root
     assert th == root_of_unity(8)
 
     for k in range(-WINDOW, WINDOW + 1):
@@ -211,11 +211,11 @@ def test_criterion_08_necessity_witnesses(radford, torus):
     rc, _ = radford
     inst = rc.instance
     inj, inj_action = radford_injected_calculus(inst)
-    defect = leibniz_defect(inst.crossed, inj, inj_action, rc.h_calc, ("g", 1), ("g", 1))
+    defect = leibniz_defect(inst.crossed, inj, inj_action, rc.cf.h_calc, ("g", 1), ("g", 1))
     assert defect == hor(E(("omx", 0, 0)), E(("g", 0)))
 
     tc = torus
-    th = tc.instance.theta_root
+    th = tc.instance.torus.theta_root
 
     def dd(ix):
         l = ix[1]
@@ -232,7 +232,7 @@ def test_criterion_08_necessity_witnesses(radford, torus):
     )
     action = TwistedCalculusAction(act=lambda t, f: E(f, th ** (-t[1] * (f[1] + 1))))
     defect_t = leibniz_defect(
-        tc.instance.crossed, classical, action, tc.h_calc, ("t", 1), ("t", -1)
+        tc.instance.crossed, classical, action, tc.cf.h_calc, ("t", 1), ("t", -1)
     )
     assert defect_t == hor(E(("dw", 0)), E(("t", 0)))
     passed(8, "nonzero differentials of cocycle values produce concrete Leibniz failures at the stated pairs")
@@ -260,7 +260,7 @@ def test_criterion_10_smash_classification(torus):
 
     tc = torus
     with pytest.raises(ValueError, match="not a trivial extension"):
-        classify_smash(demo.a_calc, tc.h_calc, tc.instance.cleft, window=2)
+        classify_smash(demo.a_calc, tc.cf.h_calc, tc.instance.cleft, window=2)
     passed(10, "smash demo passes the three classification conditions; the torus is refused")
 
 

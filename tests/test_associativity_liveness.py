@@ -119,7 +119,7 @@ def test_a_corrupted_crossed_product_fails_the_probe_at_the_reference_witness(mo
 
     monkeypatch.setattr(hopfcalc.crossed, "AlgebraPresentation", corrupted)
     with pytest.raises(ValueError, match="not associative") as raised:
-        build_crossed_product(inst.data.h1, inst.group, inst.measure, inst.cocycle)
+        build_crossed_product(inst.crossed.base, inst.crossed.hopf, inst.crossed.measure, inst.crossed.cocycle)
     algebra, = built
     probe = algebra.basis.enumerate()
     assert str(raised.value) == f"crossed product not associative at {reference_witness(probe, probe, probe, *[algebra.mult] * 4)}"

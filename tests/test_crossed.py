@@ -64,7 +64,8 @@ def test_trivial_cocycle_module_algebra_passes():
 
 def test_radford_twisted_module_algebra_passes_exhaustively():
     inst = radford_instance(2, 2)
-    report = check_twisted_module_algebra(inst.data.h1, inst.group, inst.measure, inst.cocycle)
+    cp = inst.crossed
+    report = check_twisted_module_algebra(cp.base, cp.hopf, cp.measure, cp.cocycle)
     assert report.ok
 
 
@@ -127,11 +128,11 @@ def test_radford_crossed_comodule_and_coinvariants():
     # the coinvariants, computed as the kernel of rho - id (x) 1, coincide with B (x) 1
     from hopfcalc.linalg import LinearSolver, Subspace
 
-    m, unit_h = inst.crossed.comodule, inst.group.algebra.unit
+    m, unit_h = inst.crossed.comodule, inst.crossed.hopf.algebra.unit
     lhs = LinearSolver(LinOp(lambda ix: m.coaction(ix) - E(ix).tensor(unit_h)), m.algebra.basis.enumerate()).kernel()
     assert lhs.dim == 4
     rhs = Subspace(
-        [E(b).tensor(inst.group.algebra.unit) for b in inst.data.h1.basis.enumerate()]
+        [E(b).tensor(inst.crossed.hopf.algebra.unit) for b in inst.data.h1.basis.enumerate()]
     )
     assert lhs == rhs
 
@@ -140,7 +141,7 @@ def test_canonical_cleaving_inverse_formula():
     """The convolution inverse of h -> 1 (x) h is
     sigma^-1(S(h_2) (x) h_3) (x) S(h_1), reproduced by the solver."""
     inst = radford_instance(2, 2)
-    h = inst.group
+    h = inst.crossed.hopf
     crossed_alg = inst.crossed.algebra
 
     j = LinOp(lambda g_ix: FreeVector.basis(tensor_index(("h1", 0, 0), g_ix)))
@@ -152,7 +153,7 @@ def test_canonical_cleaving_inverse_formula():
         for c, (h1, h2, h3) in h.sweedler(g_ix, 3):
             s_h1 = h.antipode(h1)
             s_h2 = h.antipode(h2)
-            inv_part = linear(inst.cocycle.sigma_inv, s_h2, E(h3))
+            inv_part = linear(inst.crossed.cocycle.sigma_inv, s_h2, E(h3))
             expected = expected + inv_part.tensor(s_h1).scale(c)
         assert got(g_ix) == expected
 
@@ -281,7 +282,8 @@ def test_other_primitive_root_gives_a_valid_instance():
     from hopfcalc.hopf import check_hopf_axioms
 
     assert check_hopf_axioms(inst.data.hopf).ok
-    report = check_twisted_module_algebra(inst.data.h1, inst.group, inst.measure, inst.cocycle)
+    cp = inst.crossed
+    report = check_twisted_module_algebra(cp.base, cp.hopf, cp.measure, cp.cocycle)
     assert report.ok
 
 

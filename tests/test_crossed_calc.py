@@ -60,25 +60,25 @@ def torus_classical_base(inst):
         right_act=lambda f, a: E(("dw", a[1] + f[1])),
         d=LinOp(dd, name="d_cl"),
     )
-    th = inst.theta_root
+    th = inst.torus.theta_root
     action = TwistedCalculusAction(act=lambda t, f: E(f, th ** (-t[1] * (f[1] + 1))))
     return calc, action
 
 
 def test_crossed_fodc_requires_bicovariant_structure_calculus(radford_calc):
-    inst = radford_calc.instance
+    cf = radford_calc.cf
     stripped = Fodc(
-        algebra=radford_calc.h_calc.algebra,
-        forms=radford_calc.h_calc.forms,
-        left_act=radford_calc.h_calc.left_act,
-        right_act=radford_calc.h_calc.right_act,
-        d=radford_calc.h_calc.d,
-        hopf=radford_calc.h_calc.hopf,
-        right_coaction=radford_calc.h_calc.right_coaction,
+        algebra=cf.h_calc.algebra,
+        forms=cf.h_calc.forms,
+        left_act=cf.h_calc.left_act,
+        right_act=cf.h_calc.right_act,
+        d=cf.h_calc.d,
+        hopf=cf.h_calc.hopf,
+        right_coaction=cf.h_calc.right_coaction,
         left_coaction=None,
     )
     with pytest.raises(ValueError, match="bicovariant"):
-        build_crossed_fodc(inst.crossed, radford_calc.b_calc, stripped)
+        build_crossed_fodc(cf.crossed, cf.b_calc, stripped)
 
 
 def test_crossed_differential_splits_into_both_summands(radford_calc):
@@ -141,7 +141,7 @@ def test_torus_left_action_display(torus_calc):
     factor at the shifted grade, and the translated form."""
     cf = torus_calc.cf
     inst = torus_calc.instance
-    th = inst.theta_root
+    th = inst.torus.theta_root
     for l, k, m, n in [(0, 1, 2, 0), (1, -2, 1, 1), (2, 3, -1, -2), (0, -1, 0, 0)]:
         got = cf.left_act(tensor_index(("w", l), ("t", k)), ("ver", ("w", m), ("dt", n)))
         sigma = inst.crossed.cocycle.sigma(("t", k), ("t", n + 1))
@@ -153,8 +153,8 @@ def test_torus_left_action_display(torus_calc):
 def test_torus_right_action_display(torus_calc):
     cf = torus_calc.cf
     inst = torus_calc.instance
-    th = inst.theta_root
-    q = torus_calc.h_calc.right_act(("dt", 0), ("t", 1)).terms[("dt", 1)]
+    th = inst.torus.theta_root
+    q = torus_calc.cf.h_calc.right_act(("dt", 0), ("t", 1)).terms[("dt", 1)]
     for m, n, l, k in [(0, 0, 1, 1), (1, -1, 2, 0), (-2, 2, 0, -3)]:
         got = cf.right_act(("ver", ("w", m), ("dt", n)), tensor_index(("w", l), ("t", k)))
         sigma = inst.crossed.cocycle.sigma(("t", n + 1), ("t", k))
@@ -172,9 +172,9 @@ def test_torus_form_coaction_grades_by_winding(torus_calc):
 def test_necessity_torus_witness_at_opposite_windings(torus_calc):
     inst = torus_calc.instance
     calc, action = torus_classical_base(inst)
-    defect = leibniz_defect(inst.crossed, calc, action, torus_calc.h_calc, ("t", 1), ("t", -1))
+    defect = leibniz_defect(inst.crossed, calc, action, torus_calc.cf.h_calc, ("t", 1), ("t", -1))
     assert defect == hor(E(("dw", 0)), E(("t", 0)))
-    report = necessity_dsigma(inst.crossed, calc, action, torus_calc.h_calc, window=2)
+    report = necessity_dsigma(inst.crossed, calc, action, torus_calc.cf.h_calc, window=2)
     assert report.ok
     assert "Leibniz fails" in find_check(report, "necessity-witness").witness
 
@@ -183,9 +183,9 @@ def test_necessity_radford_witness_at_group_generator(radford_calc):
     inst = radford_calc.instance
     calc, action = radford_injected_calculus(inst)
     assert check_fodc(calc).ok
-    defect = leibniz_defect(inst.crossed, calc, action, radford_calc.h_calc, ("g", 1), ("g", 1))
+    defect = leibniz_defect(inst.crossed, calc, action, radford_calc.cf.h_calc, ("g", 1), ("g", 1))
     assert defect == hor(E(("omx", 0, 0)), E(("g", 0)))
-    report = necessity_dsigma(inst.crossed, calc, action, radford_calc.h_calc)
+    report = necessity_dsigma(inst.crossed, calc, action, radford_calc.cf.h_calc)
     assert report.ok
     assert "(g(1), g(1))" in find_check(report, "necessity-witness").witness
 
@@ -193,14 +193,14 @@ def test_necessity_radford_witness_at_group_generator(radford_calc):
 def test_necessity_vacuous_for_cocycle_killing_differential(radford_calc):
     inst = radford_calc.instance
     report = necessity_dsigma(
-        inst.crossed, radford_calc.b_calc, radford_calc.cf.b_action, radford_calc.h_calc
+        inst.crossed, radford_calc.cf.b_calc, radford_calc.cf.b_action, radford_calc.cf.h_calc
     )
     assert report.ok
     assert "vacuous" in find_check(report, "necessity-witness").witness
 
 
 def test_truncation_obstruction_vanishes_for_laurent_calculus(torus_calc):
-    assert truncate_dc_degree2(torus_calc.h_calc, window=2).max_degree == 1
+    assert truncate_dc_degree2(torus_calc.cf.h_calc, window=2).max_degree == 1
 
 
 def test_truncation_obstruction_vanishes_for_group_calculus():
@@ -292,7 +292,7 @@ def test_smash_demo_classification_passes():
 def test_classify_smash_refuses_the_torus(torus_calc):
     demo = smash_demo_instance(8)
     with pytest.raises(ValueError, match="not a trivial extension"):
-        classify_smash(demo.a_calc, torus_calc.h_calc, torus_calc.instance.cleft, window=2)
+        classify_smash(demo.a_calc, torus_calc.cf.h_calc, torus_calc.instance.cleft, window=2)
 
 
 def test_trivial_cocycle_crossed_calculus_reduces_to_smash_formulas():
@@ -448,7 +448,7 @@ def test_corrupted_degree_zero_product_fails_wedge_unit(radford_calc):
 def test_truncation_raises_with_the_witness_the_instance_records():
     rc3 = radford_calculus_instance(3, 2)
     with pytest.raises(NotTruncatable) as raised:
-        truncate_dc_degree2(rc3.h_calc)
+        truncate_dc_degree2(rc3.cf.h_calc)
     assert raised.value.witness == rc3.truncation_witness
     assert rc3.truncation_witness in str(raised.value)
     assert issubclass(NotTruncatable, ValueError)
@@ -466,9 +466,9 @@ def test_three_fold_quotient_is_not_degree_two_truncatable():
     # the necessity witness moves to the pair whose cocycle value is a^r
     inst = rc3.instance
     inj, inj_action = radford_injected_calculus(inst)
-    defect = leibniz_defect(inst.crossed, inj, inj_action, rc3.h_calc, ("g", 1), ("g", 2))
+    defect = leibniz_defect(inst.crossed, inj, inj_action, rc3.cf.h_calc, ("g", 1), ("g", 2))
     assert defect == hor(E(("omx", 0, 0)), E(("g", 0)))
-    vanishing = leibniz_defect(inst.crossed, inj, inj_action, rc3.h_calc, ("g", 1), ("g", 1))
+    vanishing = leibniz_defect(inst.crossed, inj, inj_action, rc3.cf.h_calc, ("g", 1), ("g", 1))
     assert vanishing.is_zero()
 
 
@@ -477,22 +477,31 @@ def test_three_fold_quotient_is_not_degree_two_truncatable():
 RADFORD_PARAMS = {"r": 2, "n": 2, "q_power": 1, "ideal": "zero"}
 
 
-def test_radford_hypothesis_suites_are_fresh_checks_of_the_same_instance(monkeypatch):
-    """The twisted-module and twisted-calculus suites return the reports
-    that the builders kept; each equals, check for check, the check run
-    again on the instance the suites verify."""
+def test_hypothesis_suites_are_fresh_checks_of_the_same_instance(monkeypatch):
+    """Radford's twisted-module and twisted-calculus suites and torus's
+    twisted-module suite return the reports that the builders kept; each
+    equals, check for check, the check run again on the instance the
+    suites verify, at its window."""
     import hopfcalc.examples
 
     rc = radford_calculus_instance(2, 2)
     monkeypatch.setattr(hopfcalc.examples, "_radford_calc", lambda params: rc)
     suites = dict(hopfcalc.examples.radford_suites(RADFORD_PARAMS))
-    inst = rc.instance
-    fresh_module = check_twisted_module_algebra(inst.data.h1, inst.group, inst.measure, inst.cocycle)
-    _, fresh_calculus = check_sigma_twisted_module_calculus(rc.b_calc, inst.group, inst.measure, inst.cocycle)
+    cp = rc.instance.crossed
+    fresh_module = check_twisted_module_algebra(cp.base, cp.hopf, cp.measure, cp.cocycle)
+    _, fresh_calculus = check_sigma_twisted_module_calculus(rc.cf.b_calc, cp.hopf, cp.measure, cp.cocycle)
     for name, fresh in (("twisted-module", fresh_module), ("twisted-calculus", fresh_calculus)):
         got = suites[name]()
         assert got.checks
         assert got.as_dict() == fresh.as_dict()
+
+    tc = torus_calculus_instance(8, 2)
+    monkeypatch.setattr(hopfcalc.examples, "torus_calculus_instance", lambda theta_order, window: tc)
+    got = dict(hopfcalc.examples.torus_suites({"M": 8, "window": 2}))["twisted-module"]()
+    cp = tc.instance.crossed
+    assert got is cp.hypotheses
+    assert got.checks
+    assert got.as_dict() == check_twisted_module_algebra(cp.base, cp.hopf, cp.measure, cp.cocycle, window=2).as_dict()
 
 
 def test_every_radford_suite_reports_the_same_when_run_twice():

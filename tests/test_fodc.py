@@ -141,7 +141,7 @@ def test_radford_base_calculus_is_a_twisted_module_calculus():
     calc = radford_base_calculus(inst)
     assert check_fodc(calc).ok
     action, report = check_sigma_twisted_module_calculus(
-        calc, inst.group, inst.measure, inst.cocycle
+        calc, inst.crossed.hopf, inst.crossed.measure, inst.crossed.cocycle
     )
     assert report.ok
     # d kills the cocycle values because d(a^r) = 0
@@ -155,7 +155,7 @@ def test_zero_base_calculus_trivially_twisted():
     inst = radford_instance(2, 2)
     calc = zero_fodc(inst.data.h1)
     action, report = check_sigma_twisted_module_calculus(
-        calc, inst.group, inst.measure, inst.cocycle
+        calc, inst.crossed.hopf, inst.crossed.measure, inst.crossed.cocycle
     )
     assert report.ok
 
@@ -225,6 +225,18 @@ def test_forced_zero_needs_the_cocycle_relations(torus_calc_shared):
     inst = torus_calc_shared.instance
     report = sigma_forces_zero_differential(inst.crossed.base, [], window=2)
     assert not report.ok
+
+
+def test_forced_zero_refuses_a_unit_outside_the_window():
+    # the multiples e_p . rel . e_q by window elements hold the relation
+    # itself and its one-sided multiples only when the unit is among them
+    base = AlgebraPresentation(
+        basis=BasisFamily(window_fn=lambda w: [("s", k) for k in range(1, w + 1)]),
+        mult=lambda i, j: E(("s", i[1] + j[1])),
+        unit=E(("s", 0)),
+    )
+    with pytest.raises(ValueError, match=r"needs the unit s\(0\) inside window 2"):
+        sigma_forces_zero_differential(base, [], window=2)
 
 
 def test_parse_ideal_generators_feeds_the_quotient():

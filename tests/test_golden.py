@@ -6,6 +6,7 @@ absolute paths and the absolute directory is written back as `sample-data`
 in the output, so the bytes do not depend on the checkout location.
 """
 
+import hashlib
 import json
 import os
 
@@ -16,6 +17,7 @@ from hopfcalc import cli
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 DATA = os.path.join(ROOT, "sample-data")
+REFERENCE = os.path.join(ROOT, "perfbench", "reference.json")
 
 INVOCATIONS = {
     "verify-radford": "verify radford",
@@ -45,3 +47,17 @@ def test_golden_report(name, capsys):
     status, got = run_invocation(INVOCATIONS[name], capsys)
     assert status == 0
     assert got == want
+
+
+def test_every_benchmark_output_is_pinned_by_a_golden():
+    # perfbench/reference.json pins the exit status and stdout sha256 of the
+    # benchmark invocations; each must be the golden of the same invocation,
+    # so a change to those outputs fails here too
+    with open(REFERENCE, encoding="utf-8") as handle:
+        reference = json.load(handle)
+    golden_of = {command: name for name, command in INVOCATIONS.items()}
+    assert reference and set(reference) <= set(golden_of)
+    for command, pinned in reference.items():
+        with open(os.path.join(GOLDEN, f"{golden_of[command]}.json"), "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        assert (pinned["status"], pinned["sha256"]) == (0, digest), command

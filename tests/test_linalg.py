@@ -205,7 +205,7 @@ def test_every_record_init_is_its_own_and_named_for_its_class():
         and cls.__module__ == f"hopfcalc.{name}"
         and "__annotations__" in vars(cls)
     ]
-    assert len(records) == 32
+    assert len(records) == 31
     inits = [vars(cls)["__init__"] for cls in records + [_Maps, _Point]]
     assert all(isinstance(init, types.FunctionType) for init in inits)
     assert len({id(init) for init in inits}) == len(inits)
@@ -320,6 +320,9 @@ def test_quotient_space_with_vector_ambient():
     cls = q.project(space[0])
     assert cls == -q.project(space[1])
     assert q.project(q.representatives[0]) == E(("cls", 0))
+    assert q.labels == [("cls", 0)]
+    with pytest.raises(NoSolution):
+        q.project(E(("e", 3)))
 
 
 def test_intersection_dim():
@@ -398,10 +401,10 @@ def test_elimination_kernel_properties():
         space = list(columns.values())
         sub = Subspace([combo(space) for _ in range(data.draw(st.integers(0, 2)))])
         q = QuotientSpace(space, sub)
-        for rep, cls in zip(q.representatives, q.class_indices()):
+        for rep, cls in zip(q.representatives, q.labels):
             assert q.project(rep) == E(cls)
         weights = [entry() for _ in q.representatives]
-        classes = [E(cls) for cls in q.class_indices()]
+        classes = [E(cls) for cls in q.labels]
         assert q.project(combine(zip(q.representatives, weights))) == combine(zip(classes, weights))
         assert all(q.project(g).is_zero() for g in sub.basis())
 

@@ -162,15 +162,16 @@ def test_tangent_space_refused_when_coinvariants_grow(torus):
 
     # a left coaction that makes every form coinvariant: the coinvariant
     # space then grows with the window and the dual basis must be refused
+    h_calc = tc.cf.h_calc
     fat = Fodc(
-        algebra=tc.h_calc.algebra,
-        forms=tc.h_calc.forms,
-        left_act=tc.h_calc.left_act,
-        right_act=tc.h_calc.right_act,
-        d=tc.h_calc.d,
-        hopf=tc.h_calc.hopf,
-        right_coaction=tc.h_calc.right_coaction,
-        left_coaction=lambda f: tc.h_calc.hopf.algebra.unit.tensor(E(f)),
+        algebra=h_calc.algebra,
+        forms=h_calc.forms,
+        left_act=h_calc.left_act,
+        right_act=h_calc.right_act,
+        d=h_calc.d,
+        hopf=h_calc.hopf,
+        right_coaction=h_calc.right_coaction,
+        left_coaction=lambda f: h_calc.hopf.algebra.unit.tensor(E(f)),
     )
     fat_coinv = coinvariant_forms(fat, window=2)
     assert fat_coinv.dim == 5
@@ -223,7 +224,7 @@ def test_covariant_derivative_two_dimensional_comodule(radford):
 def test_covariant_derivative_zero_base_calculus_gives_zero(radford):
     rc, vd = radford
     inst = rc.instance
-    cf0 = build_crossed_fodc(inst.crossed, zero_fodc(inst.data.h1), rc.h_calc)
+    cf0 = build_crossed_fodc(inst.crossed, zero_fodc(inst.data.h1), rc.cf.h_calc)
     vd0 = vertical_map(cf0)
     V = VComodule(labels=[("v", 0)], coaction=lambda v: E(tensor_index(v, ("g", 0))))
     data = covariant_derivative(vd0, V)

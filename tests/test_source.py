@@ -79,7 +79,7 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
     # them, and the action of every LinOp must come back memoised from a
     # built instance
     from hopfcalc.crossed import Cocycle, Measure
-    from hopfcalc.crossed_calc import CrossedFodc, GradedDc
+    from hopfcalc.crossed_calc import CrossedFodc, GradedDc, truncate_twisted_base
     from hopfcalc.fodc import Fodc, TwistedCalculusAction
     from hopfcalc.hopf import AlgebraPresentation, ComoduleAlgebra, HopfData
     from hopfcalc.linalg import FreeVector, LinOp, tensor_index
@@ -113,8 +113,11 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
         labels=[("v", 0), ("v", 1)],
         coaction=lambda vx: FreeVector.basis(tensor_index(vx, ("g", 1 - vx[1]))),
     )
-    derivative = covariant_derivative(vertical_map(radford_calc_shared.cf), v_comodule)
-    seen, stack, checked = set(), [radford_calc_shared, derivative], {cls: set() for cls in classes}
+    cf = radford_calc_shared.cf
+    derivative = covariant_derivative(vertical_map(cf), v_comodule)
+    # the graded base carries the one GradedDc.action
+    b_graded = truncate_twisted_base(cf.b_calc, cf.crossed.measure, cf.b_action)
+    seen, stack, checked = set(), [radford_calc_shared, derivative, b_graded], {cls: set() for cls in classes}
     ops = set()
     while stack:
         obj = stack.pop()
@@ -587,7 +590,6 @@ _UNREAD_KEPT = frozenset({
     "RadfordInstance.to_full",  # the crossed product inside H(r,n,q), which the tests compare against
     "SmashClassification.theta_hat_inv",  # the comparison map of a passing classification
     "CovariantDerivativeData.e_span",  # the associated bundle whose rank the tests pin
-    "RadfordCalculusInstance.b_graded",  # the one route to a GradedDc.action in the memo test
 })
 _UNSET_KEPT = frozenset({
     "cli.run(argv)",  # the console entry point passes none; tests pass their argv
