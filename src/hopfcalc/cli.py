@@ -144,7 +144,7 @@ def run(argv=None) -> int:
     if wanted is not None:
         suites = [(name, fn) for name, fn in suites if name == wanted]
         if not suites:
-            sys.stderr.write(f"error: unknown suite {wanted!r} for example {example!r}\n")
+            sys.stderr.write(f"error: params: unknown suite {wanted!r} for example {example!r}\n")
             return 2
 
     reports = []

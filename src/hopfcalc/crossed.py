@@ -194,9 +194,7 @@ def build_crossed_product(
     cocycle hypotheses are enforced before anything is assembled, and
     their report is kept as `hypotheses`."""
     pre = check_twisted_module_algebra(b, h, m, s, window=window)
-    if not pre.ok:
-        failed = pre.failed[0]
-        raise ValueError(f"crossed product hypothesis failed: {failed.identity} at {failed.witness}")
+    pre.require("crossed product hypothesis failed:")
 
     def mult(i, j):
         (_, bi, hi), (_, bj, hj) = i, j

@@ -163,11 +163,7 @@ def build_crossed_fodc(
     action, report = check_sigma_twisted_module_calculus(
         b_calc, cp.hopf, cp.measure, cp.cocycle, window=window
     )
-    if not report.ok:
-        failed = report.failed[0]
-        raise ValueError(
-            f"hypothesis failed: twisted module calculus check {failed.identity} at {failed.witness}"
-        )
+    report.require("hypothesis failed: twisted module calculus check")
 
     left_act, right_act, d_ix, right_coaction = _assemble(cp, b_calc, h_calc, action)
 
@@ -390,10 +386,9 @@ class GradedDc:
     hopf: Optional[HopfData] = None
     right_coaction: Optional[Callable[[int, Index], FreeVector]] = None
     left_coaction: Optional[Callable[[int, Index], FreeVector]] = None
-    action: Optional[Callable[[Index, int, Index], FreeVector]] = None
 
     def __post_init__(self):
-        memoise_fields(self, "wedge", "d", "right_coaction", "left_coaction", "action", "lambda_terms")
+        memoise_fields(self, "wedge", "d", "right_coaction", "left_coaction", "lambda_terms")
 
     def lambda_terms(self, deg: int, ix: Index, legs: int):
         """Iterated left coaction in degree deg: (coeff, (h_1, ..., h_legs, form)) tuples."""
@@ -481,70 +476,22 @@ def truncate_dc_degree2(f: Fodc, window: int | None = None):
     )
 
 
-def truncate_twisted_base(f: Fodc, measure, action: TwistedCalculusAction) -> GradedDc:
-    """Degree-2 truncation of the base calculus with the graded module
-    action: the measure in degree zero, the derived form action in one."""
-    basis, wedge, d = _degree_one_maps(f)
-
-    def act(h_ix, deg, ix):
-        return measure.act(h_ix, ix) if deg == 0 else action.act(h_ix, ix)
-
-    return GradedDc(
-        algebra=f.algebra,
-        max_degree=1,
-        basis=basis,
-        wedge=wedge,
-        d=d,
-        action=act,
-    )
-
-
-def build_higher_forms(
-    cp: CrossedProduct,
-    b_dc: GradedDc,
-    h_dc: GradedDc,
-    window: int | None = None,
-) -> GradedDc:
-    """Higher order crossed product forms: the graded sum of base and
-    structure components with the twisted wedge and the signed sum
-    differential.  The base data must satisfy the graded twisted-module
-    laws and kill the cocycle values."""
-    h = cp.hopf
-    b = cp.base
+def build_higher_forms(cf: CrossedFodc, h_dc: GradedDc) -> GradedDc:
+    """Higher order crossed product forms: the graded sum of the base
+    calculus of cf, truncated above degree one, and the structure
+    components, with the twisted wedge and the signed sum differential.
+    The graded module action is the measure in degree zero and the derived
+    form action in degree one; the base laws it needs are the hypotheses
+    that cf's builders checked."""
+    cp = cf.crossed
     s = cp.cocycle
-    if b_dc.action is None:
-        raise ValueError("hypothesis failed: base graded data carries no module action")
     if h_dc.left_coaction is None or h_dc.right_coaction is None:
         raise ValueError("hypothesis failed: structure graded data is not bicovariant")
+    b_basis, b_wedge, b_d = _degree_one_maps(cf.b_calc)
+    b_max_degree = 1
 
-    h_basis = h.algebra.basis.enumerate(window)
-    b_basis = b.basis.enumerate(window)
-
-    # graded twisted-module hypotheses on the base data
-    for hx in h_basis:
-        for bx in b_basis:
-            lhs = linear(b_dc.action, hx, 1, b_dc.d(0, bx))
-            rhs = linear(b_dc.d, 0, cp.measure.act(hx, bx))
-            if not lhs == rhs:
-                raise ValueError(f"hypothesis failed: graded action not d-equivariant at {witness(hx, bx)}")
-    for hx in h_basis:
-        for hy in h_basis:
-            if not linear(b_dc.d, 0, s.sigma(hx, hy)).is_zero():
-                raise ValueError(f"hypothesis failed: d of a cocycle value at {witness(hx, hy)}")
-    for hx in h_basis:
-        for deg1 in range(0, b_dc.max_degree + 1):
-            for i in b_dc.basis(deg1, window):
-                for deg2 in range(0, b_dc.max_degree + 1 - deg1):
-                    for j in b_dc.basis(deg2, window):
-                        lhs = linear(b_dc.action, hx, deg1 + deg2, b_dc.wedge(deg1, i, deg2, j))
-                        rhs = combine(
-                            (linear(b_dc.wedge, deg1, b_dc.action(x1, deg1, i), deg2, b_dc.action(x2, deg2, j)), c)
-                            for c, (x1, x2) in h.sweedler(hx, 2)
-                        )
-                        if not lhs == rhs:
-                            raise ValueError(
-                                f"hypothesis failed: graded action not multiplicative at {witness(hx, i, j)}"
-                            )
+    def b_act(h_ix, deg, ix):
+        return cp.measure.act(h_ix, ix) if deg == 0 else cf.b_action.act(h_ix, ix)
 
     def gix(bdeg, b_part, hdeg, h_part):
         # total degree zero is the crossed product algebra itself
@@ -554,11 +501,11 @@ def build_higher_forms(
 
     def basis(deg, w=None):
         out = []
-        for bdeg in range(0, min(deg, b_dc.max_degree) + 1):
+        for bdeg in range(0, min(deg, b_max_degree) + 1):
             hdeg = deg - bdeg
             if hdeg > h_dc.max_degree:
                 continue
-            for bp in b_dc.basis(bdeg, w):
+            for bp in b_basis(bdeg, w):
                 for hp in h_dc.basis(hdeg, w):
                     out.append(gix(bdeg, bp, hdeg, hp))
         return out
@@ -572,8 +519,8 @@ def build_higher_forms(
     @memoise
     def bpart(bdeg1, bp1, bdeg2, bp2, g_m2, g_m1, k_m1):
         """bp1 wedge (g_m2 . bp2) wedge sigma(g_m1, k_m1) in the base forms."""
-        moved = linear(b_dc.wedge, bdeg2, b_dc.action(g_m2, bdeg2, bp2), 0, s.sigma(g_m1, k_m1))
-        return linear(b_dc.wedge, bdeg1, bp1, bdeg2, moved)
+        moved = linear(b_wedge, bdeg2, b_act(g_m2, bdeg2, bp2), 0, s.sigma(g_m1, k_m1))
+        return linear(b_wedge, bdeg1, bp1, bdeg2, moved)
 
     def wedge(deg1, ix1, deg2, ix2):
         bdeg1, bp1, hdeg1, hp1 = split(deg1, ix1)
@@ -591,7 +538,7 @@ def build_higher_forms(
         bdeg, bp, hdeg, hp = split(deg, ix)
         sign = _SIGN[bdeg % 2]
         return combine(
-            [(E(gix(bdeg + 1, bq, hdeg, hp)), cb) for bq, cb in b_dc.d(bdeg, bp).terms.items()]
+            [(E(gix(bdeg + 1, bq, hdeg, hp)), cb) for bq, cb in b_d(bdeg, bp).terms.items()]
             + [(E(gix(bdeg, bp, hdeg + 1, hq)), ch * sign) for hq, ch in h_dc.d(hdeg, hp).terms.items()]
         )
 
@@ -604,11 +551,11 @@ def build_higher_forms(
 
     return GradedDc(
         algebra=cp.algebra,
-        max_degree=b_dc.max_degree + h_dc.max_degree,
+        max_degree=b_max_degree + h_dc.max_degree,
         basis=basis,
         wedge=wedge,
         d=d,
-        hopf=h,
+        hopf=cp.hopf,
         right_coaction=right_coaction,
         left_coaction=None,
     )

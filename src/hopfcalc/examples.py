@@ -196,6 +196,31 @@ class TorusInstance:
         return E(("uv", s, s), th ** (s * kp))
 
 
+def torus_classical_calculus(inst: TorusInstance):
+    """The classical one-variable calculus on the torus coinvariants, with
+    the diagonal twisted action; its differential does NOT kill the
+    cocycle values.
+
+    Returns (Fodc, TwistedCalculusAction), as radford_injected_calculus."""
+    from hopfcalc.fodc import Fodc, TwistedCalculusAction
+
+    def dd(ix):
+        l = ix[1]
+        if l == 0:
+            return FreeVector.zero()
+        return FreeVector({("dw", l - 1): CycScalar.from_rational(l)})
+
+    calc = Fodc(
+        algebra=inst.crossed.base,
+        forms=BasisFamily(window_fn=lambda w: [("dw", k) for k in range(-w, w + 1)]),
+        left_act=lambda a, f: E(("dw", a[1] + f[1])),
+        right_act=lambda f, a: E(("dw", a[1] + f[1])),
+        d=LinOp(dd, name="d_cl"),
+    )
+    th = inst.torus.theta_root
+    return calc, TwistedCalculusAction(act=lambda t, f: E(f, th ** (-t[1] * (f[1] + 1))))
+
+
 @record
 class GroupC2Instance:
     hopf: HopfData
@@ -251,7 +276,6 @@ def _calculus_instance(
         build_crossed_fodc,
         build_higher_forms,
         truncate_dc_degree2,
-        truncate_twisted_base,
     )
 
     cf = build_crossed_fodc(inst.crossed, b_calc, h_calc, window=window)
@@ -263,8 +287,7 @@ def _calculus_instance(
         return CalculusInstance(
             instance=inst, cf=cf, h_graded=None, higher=None, truncation_witness=obstruction.witness
         )
-    b_graded = truncate_twisted_base(b_calc, inst.crossed.measure, cf.b_action)
-    higher = build_higher_forms(inst.crossed, b_graded, h_graded, window=window)
+    higher = build_higher_forms(cf, h_graded)
     return CalculusInstance(instance=inst, cf=cf, h_graded=h_graded, higher=higher)
 
 
@@ -478,10 +501,7 @@ def radford_suites(params: dict) -> list:
         rep.extend(vd.coinv.report)
         rep.extend(vd.report)
         rc = calc()
-        if rc.higher is None:
-            rep.extend(check_atiyah_exact(vd))
-        else:
-            rep.extend(check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded))
+        rep.extend(check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded))
         return rep
 
     def connection():
@@ -554,12 +574,7 @@ def torus_suites(params: dict) -> list:
         necessity_dsigma,
         verify_crossed_fodc,
     )
-    from hopfcalc.fodc import (
-        Fodc,
-        TwistedCalculusAction,
-        check_fodc,
-        sigma_forces_zero_differential,
-    )
+    from hopfcalc.fodc import check_fodc, sigma_forces_zero_differential
     from hopfcalc.hopf import check_comodule_algebra, check_hopf_axioms
     from hopfcalc.qpb import canonical_connection, check_atiyah_exact, vertical_map
     from hopfcalc.report import CheckReport
@@ -648,22 +663,7 @@ def torus_suites(params: dict) -> list:
     def necessity():
         tc = calc()
         inst = tc.instance
-
-        def dd(ix):
-            l = ix[1]
-            if l == 0:
-                return FreeVector.zero()
-            return FreeVector({("dw", l - 1): CycScalar.from_rational(l)})
-
-        classical = Fodc(
-            algebra=inst.crossed.base,
-            forms=BasisFamily(window_fn=lambda w: [("dw", k) for k in range(-w, w + 1)]),
-            left_act=lambda a, f: FreeVector.basis(("dw", a[1] + f[1])),
-            right_act=lambda f, a: FreeVector.basis(("dw", a[1] + f[1])),
-            d=LinOp(dd, name="d_cl"),
-        )
-        th = inst.torus.theta_root
-        action = TwistedCalculusAction(act=lambda t, f: FreeVector.basis(f, th ** (-t[1] * (f[1] + 1))))
+        classical, action = torus_classical_calculus(inst)
         rep = necessity_dsigma(inst.crossed, classical, action, tc.cf.h_calc, window=2)
 
         from hopfcalc.crossed_calc import hor, leibniz_defect

@@ -837,11 +837,7 @@ def connection_form_bijection(
 
     if connection is not None:
         check = check_connection(vd, connection)
-        if not check.ok:
-            failed = check.failed[0]
-            raise ValueError(
-                f"input connection fails {failed.identity} at {failed.witness}"
-            )
+        check.require("input connection fails")
         report.extend(check, prefix="input.")
         phi = to_form(connection.c)
         verify_form(phi, "output-form")
@@ -855,9 +851,7 @@ def connection_form_bijection(
         return phi, report
 
     verify_form(form, "input-form")
-    if not report.ok:
-        failed = report.failed[0]
-        raise ValueError(f"input form fails {failed.identity} at {failed.witness}")
+    report.require("input form fails")
     back = to_connection(form)
     check = check_connection(vd, back)
     report.extend(check, prefix="output.")

@@ -83,6 +83,12 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.failed
 
+    def require(self, refusal: str):
+        """Raise ValueError naming the first failed check after refusal."""
+        failed = self.failed
+        if failed:
+            raise ValueError(f"{refusal} {failed[0].identity} at {failed[0].witness}")
+
     def as_dict(self):
         """The report's JSON body; the CLI adds the example and suite names."""
         return {"checks": [c.as_dict() for c in self.checks]}

@@ -27,15 +27,12 @@ from hopfcalc.examples import (
     radford_injected_calculus,
     smash_demo_instance,
     torus_calculus_instance,
+    torus_classical_calculus,
     torus_instance,
 )
-from hopfcalc.fodc import (
-    Fodc,
-    TwistedCalculusAction,
-    sigma_forces_zero_differential,
-)
-from hopfcalc.hopf import BasisFamily, check_hopf_axioms
-from hopfcalc.linalg import FreeVector, LinOp, tensor_index
+from hopfcalc.fodc import sigma_forces_zero_differential
+from hopfcalc.hopf import check_hopf_axioms
+from hopfcalc.linalg import FreeVector, tensor_index
 from hopfcalc.qpb import (
     VComodule,
     canonical_connection,
@@ -215,22 +212,7 @@ def test_criterion_08_necessity_witnesses(radford, torus):
     assert defect == hor(E(("omx", 0, 0)), E(("g", 0)))
 
     tc = torus
-    th = tc.instance.torus.theta_root
-
-    def dd(ix):
-        l = ix[1]
-        if l == 0:
-            return FreeVector.zero()
-        return FreeVector({("dw", l - 1): CycScalar.from_rational(l)})
-
-    classical = Fodc(
-        algebra=tc.instance.crossed.base,
-        forms=BasisFamily(window_fn=lambda w: [("dw", k) for k in range(-w, w + 1)]),
-        left_act=lambda a, f: E(("dw", a[1] + f[1])),
-        right_act=lambda f, a: E(("dw", a[1] + f[1])),
-        d=LinOp(dd),
-    )
-    action = TwistedCalculusAction(act=lambda t, f: E(f, th ** (-t[1] * (f[1] + 1))))
+    classical, action = torus_classical_calculus(tc.instance)
     defect_t = leibniz_defect(
         tc.instance.crossed, classical, action, tc.cf.h_calc, ("t", 1), ("t", -1)
     )

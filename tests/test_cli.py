@@ -66,8 +66,8 @@ def test_unknown_flag_is_a_usage_error(capsys):
 
 def test_unknown_suite_is_a_usage_error(capsys):
     code, out, err = invoke(capsys, ["verify", "group-c2", "--suite", "nope"])
-    assert code == 2
-    assert "unknown suite" in err
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: params: unknown suite 'nope' for example 'group-c2'"]
 
 
 def test_group_c2_verify_passes_and_emits_json(capsys):

@@ -24,8 +24,9 @@ from hopfcalc.examples import (
     radford_instance,
     smash_demo_instance,
     torus_calculus_instance,
+    torus_classical_calculus,
 )
-from hopfcalc.fodc import Fodc, TwistedCalculusAction, check_fodc, check_sigma_twisted_module_calculus, zero_fodc
+from hopfcalc.fodc import Fodc, check_fodc, check_sigma_twisted_module_calculus, zero_fodc
 from hopfcalc.hopf import BasisFamily, build_cyclic_group_algebra
 from hopfcalc.linalg import FreeVector, LinOp, linear, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
@@ -41,28 +42,6 @@ def radford_calc(radford_calc_shared):
 @pytest.fixture(scope="module")
 def torus_calc(torus_calc_shared):
     return torus_calc_shared
-
-
-def torus_classical_base(inst):
-    """Classical one-variable calculus on the coinvariants, with the
-    diagonal twisted action; its differential does not kill the cocycle."""
-
-    def dd(ix):
-        l = ix[1]
-        if l == 0:
-            return FreeVector.zero()
-        return FreeVector({("dw", l - 1): CycScalar.from_rational(l)})
-
-    calc = Fodc(
-        algebra=inst.crossed.base,
-        forms=BasisFamily(window_fn=lambda w: [("dw", n) for n in range(-w, w + 1)]),
-        left_act=lambda a, f: E(("dw", a[1] + f[1])),
-        right_act=lambda f, a: E(("dw", a[1] + f[1])),
-        d=LinOp(dd, name="d_cl"),
-    )
-    th = inst.torus.theta_root
-    action = TwistedCalculusAction(act=lambda t, f: E(f, th ** (-t[1] * (f[1] + 1))))
-    return calc, action
 
 
 def test_crossed_fodc_requires_bicovariant_structure_calculus(radford_calc):
@@ -171,7 +150,7 @@ def test_torus_form_coaction_grades_by_winding(torus_calc):
 
 def test_necessity_torus_witness_at_opposite_windings(torus_calc):
     inst = torus_calc.instance
-    calc, action = torus_classical_base(inst)
+    calc, action = torus_classical_calculus(inst)
     defect = leibniz_defect(inst.crossed, calc, action, torus_calc.cf.h_calc, ("t", 1), ("t", -1))
     assert defect == hor(E(("dw", 0)), E(("t", 0)))
     report = necessity_dsigma(inst.crossed, calc, action, torus_calc.cf.h_calc, window=2)
@@ -215,6 +194,24 @@ def test_zero_calculus_is_truncatable():
     calc.left_coaction = lambda f: FreeVector.zero()
     calc.algebra_coaction = h.comul
     assert truncate_dc_degree2(calc).max_degree == 1
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: radford_calculus_instance(2, 2), lambda: torus_calculus_instance(theta_order=8, window=2)],
+    ids=["radford", "torus-window-2"],
+)
+def test_higher_forms_rest_on_the_hypotheses_their_builders_checked(build):
+    # build_higher_forms checks no base law of its own: d-equivariance of the
+    # graded action is H-lin, d of the cocycle values is dsigma, and the
+    # graded action is multiplicative by measure.multiplicative in degrees
+    # (0, 0) and by the sandwich with a unit and measure.unit in (0, 1), (1, 0)
+    cf = build().cf
+    for report, identities in (
+        (cf.hypotheses, ("H-lin", "dsigma", "twisted-bimodule.sandwich")),
+        (cf.crossed.hypotheses, ("measure.unit", "measure.multiplicative")),
+    ):
+        for identity in identities:
+            assert find_check(report, identity).status in ("pass", "window-verified"), identity
 
 
 def test_higher_forms_pass_graded_checks(radford_calc):

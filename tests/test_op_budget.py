@@ -16,7 +16,7 @@ from hopfcalc.cli import run
 from hopfcalc.linalg import linear
 from hopfcalc.scalars import CycScalar
 
-BUDGET = {"products": 11_772, "linear": 8_906}
+BUDGET = {"products": 11_626, "linear": 8_694}
 MODULES = [importlib.import_module(f"hopfcalc.{info.name}") for info in pkgutil.iter_modules(hopfcalc.__path__)]
 
 

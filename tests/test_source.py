@@ -79,7 +79,7 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
     # them, and the action of every LinOp must come back memoised from a
     # built instance
     from hopfcalc.crossed import Cocycle, Measure
-    from hopfcalc.crossed_calc import CrossedFodc, GradedDc, truncate_twisted_base
+    from hopfcalc.crossed_calc import CrossedFodc, GradedDc
     from hopfcalc.fodc import Fodc, TwistedCalculusAction
     from hopfcalc.hopf import AlgebraPresentation, ComoduleAlgebra, HopfData
     from hopfcalc.linalg import FreeVector, LinOp, tensor_index
@@ -115,9 +115,7 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
     )
     cf = radford_calc_shared.cf
     derivative = covariant_derivative(vertical_map(cf), v_comodule)
-    # the graded base carries the one GradedDc.action
-    b_graded = truncate_twisted_base(cf.b_calc, cf.crossed.measure, cf.b_action)
-    seen, stack, checked = set(), [radford_calc_shared, derivative, b_graded], {cls: set() for cls in classes}
+    seen, stack, checked = set(), [radford_calc_shared, derivative], {cls: set() for cls in classes}
     ops = set()
     while stack:
         obj = stack.pop()
@@ -285,6 +283,39 @@ def test_sentinel_scan_sees_every_form():
         "    e = isinstance(x, ValueError)\n"
     )
     assert sorted(_sentinel_uses(ast.parse(text))) == [1, 3, 4, 5, 6]
+
+
+def _first_failure_reads(tree):
+    """Lines that index a `.failed` list, as a hand-written refusal does."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "failed":
+            yield node.lineno
+
+
+def test_refusals_name_the_first_failure_through_require():
+    # `CheckReport.require` is the one place that turns a failed report into
+    # the refusal naming its first failed check
+    found = [
+        f"{path.name}:{line}"
+        for path, tree in _modules()
+        if path.name != "report.py"
+        for line in _first_failure_reads(tree)
+    ]
+    assert found == []
+
+
+def test_first_failure_scan_sees_every_form():
+    text = (
+        "def f(report, failed, i):\n"
+        "    a = report.failed[0]\n"
+        "    b = self.pre.failed[0].identity\n"
+        "    c = check(x).failed[-1]\n"
+        "    d = report.failed[i].witness\n"
+        "    e = failed[0]\n"
+        "    g = report.failed\n"
+        "    return report.ok and not report.failed\n"
+    )
+    assert sorted(_first_failure_reads(ast.parse(text))) == [2, 3, 4, 5]
 
 
 def _params_defaults(tree):
