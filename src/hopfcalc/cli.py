@@ -3,12 +3,11 @@ cohomology, emitting one canonical JSON document on stdout and a short
 human summary on stderr.
 
 Exit status: 0 when no check failed, 1 on check failures, 2 on usage
-errors.  An error names its stage: `error: params:` for refused
-parameters, `error: build:` when the instance cannot be built, and
-`error: suite:<name>:` when a suite cannot run.  `cohomology` builds
-before anything runs, and `verify user-hopf` reads its files before any
-suite; `verify radford`, `torus` and `smash-demo` build their instance
-inside their first suite, so their build errors name that suite.
+errors.  Both commands run in three stages: the parameters are checked,
+then the example's instance is built, then each suite or the cohomology
+reads that instance.  An error names its stage: `error: params:` for
+refused parameters or an unknown suite, `error: build:` when the instance
+cannot be built, and `error: suite:<name>:` when a suite cannot run.
 """
 
 from __future__ import annotations
@@ -99,28 +98,37 @@ def run(argv=None) -> int:
         return 0
 
     params = _params_of(args)
-    example = args.example
+    example, spec = args.example, EXAMPLES[args.example]
+    wanted = getattr(args, "suite", None)
     try:
         if args.command == "cohomology" and args.max_degree < 0:
             raise ValueError(f"--max-degree must be at least 0, got {args.max_degree}")
-        EXAMPLES[example]["validate"](params)
+        spec["validate"](params)
+        suites = spec["suites"](params) if args.command == "verify" else []
+        if wanted is not None:
+            suites = [(name, fn) for name, fn in suites if name == wanted]
+            if not suites:
+                raise ValueError(f"unknown suite {wanted!r} for example {example!r}")
     except ValueError as err:
         sys.stderr.write(f"error: params: {err}\n")
         return 2
 
+    payload = {"schema": SCHEMA, "command": args.command, "example": example, "params": params}
+    try:
+        instance = spec["build"](params)
+        dc = spec["graded"](instance) if args.command == "cohomology" else None
+    except NoGradedCalculus as obstructed:
+        # no graded calculus to take cohomology of: reported, as verify reports it
+        payload["obstruction"] = str(obstructed)
+        sys.stdout.write(render_json(payload))
+        sys.stderr.write(f"cohomology: {obstructed}\n")
+        return 0
+    except ValueError as err:
+        sys.stderr.write(f"error: build: {err}\n")
+        return 2
+
     if args.command == "cohomology":
-        payload = {"schema": SCHEMA, "command": "cohomology", "example": example, "params": params}
-        try:
-            dims, window = cohomology_dims(example, params)
-        except NoGradedCalculus as obstructed:
-            # no graded calculus to take cohomology of: reported, as verify reports it
-            payload["obstruction"] = str(obstructed)
-            sys.stdout.write(render_json(payload))
-            sys.stderr.write(f"cohomology: {obstructed}\n")
-            return 0
-        except ValueError as err:
-            sys.stderr.write(f"error: build: {err}\n")
-            return 2
+        dims, window = cohomology_dims(dc, params)
         payload["dims"] = {f"H{i}": d for i, d in enumerate(dims)}
         if window is not None:
             payload["window"] = window
@@ -134,24 +142,11 @@ def run(argv=None) -> int:
         )
         return 0
 
-    # verify
-    try:
-        suites = EXAMPLES[example]["suites"](params)
-    except ValueError as err:
-        sys.stderr.write(f"error: build: {err}\n")
-        return 2
-    wanted = getattr(args, "suite", None)
-    if wanted is not None:
-        suites = [(name, fn) for name, fn in suites if name == wanted]
-        if not suites:
-            sys.stderr.write(f"error: params: unknown suite {wanted!r} for example {example!r}\n")
-            return 2
-
     reports = []
     counts: dict[str, int] = {}
     for name, fn in suites:
         try:
-            report = fn()
+            report = fn(instance)
         except ValueError as err:
             sys.stderr.write(f"error: suite:{name}: {err}\n")
             return 2
@@ -165,15 +160,7 @@ def run(argv=None) -> int:
         )
 
     failed = counts.get(FAIL, 0)
-    payload = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "example": example,
-        "params": params,
-        "reports": reports,
-        "summary": counts,
-        "ok": failed == 0,
-    }
+    payload |= {"reports": reports, "summary": counts, "ok": failed == 0}
     sys.stdout.write(render_json(payload))
     sys.stderr.write(("all checks passed" if failed == 0 else f"{failed} checks FAILED") + "\n")
     return 0 if failed == 0 else 1

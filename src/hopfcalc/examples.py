@@ -412,26 +412,26 @@ def smash_demo_instance(q_order: int = 8) -> SmashDemoInstance:
 
 
 def _radford_calc(params: dict) -> CalculusInstance:
-    """The radford instance of the CLI params; its suites and its `graded` entry both build here."""
+    """The radford instance of the CLI params."""
     r = params["r"]
     q = root_of_unity(r * params["n"], params["q_power"])
     return radford_calculus_instance(r, params["n"], q, ideal=params["ideal"])
 
 
 class NoGradedCalculus(ValueError):
-    """Raised by a `graded` entry whose params admit no graded calculus: a
+    """Raised by a `graded` entry whose instance has no graded calculus: a
     mathematical outcome, not a usage error.  The message is the witness."""
 
 
-def _graded(calc: CalculusInstance, window: int | None):
-    """The `graded` entry of a crossed calculus: its higher forms and their window."""
+def _higher_forms(calc: CalculusInstance):
+    """The `graded` entry of a crossed calculus: its higher forms."""
     if calc.higher is None:
         raise NoGradedCalculus(calc.obstruction)
-    return calc.higher, window
+    return calc.higher
 
 
 def radford_suites(params: dict) -> list:
-    """(suite-name, thunk) pairs for the Radford family example."""
+    """(suite-name, suite) pairs for the Radford family example; each suite takes the built instance."""
     from hopfcalc.crossed import check_hopf_galois, equivariant_section
     from hopfcalc.crossed_calc import (
         check_graded_dc,
@@ -452,41 +452,20 @@ def radford_suites(params: dict) -> list:
     )
     from hopfcalc.report import CheckReport
 
-    calc = memoise(lambda: _radford_calc(params))
-    vdata = memoise(lambda: vertical_map(calc().cf))
-    canonical = memoise(lambda: canonical_connection(vdata()))
+    vdata = memoise(lambda rc: vertical_map(rc.cf))
+    canonical = memoise(lambda rc: canonical_connection(vdata(rc)))
 
-    def hopf_axioms():
-        rc = calc()
+    def hopf_axioms(rc):
         rep = check_hopf_axioms(rc.instance.data.hopf)
         rep.extend(check_hopf_axioms(rc.instance.crossed.hopf), prefix="group.")
         return rep
 
-    # the builders check these hypotheses on the same maps, with no window,
-    # and refuse the instance when one fails
-    def twisted_module():
-        return calc().instance.crossed.hypotheses
-
-    def comodule():
-        return check_comodule_algebra(calc().instance.crossed.comodule)
-
-    def galois():
-        return check_hopf_galois(calc().instance.crossed.comodule).report
-
-    def fodc_suite():
-        rc = calc()
+    def fodc_suite(rc):
         rep = check_fodc(rc.cf.b_calc)
         rep.extend(check_fodc(rc.cf.h_calc), prefix="structure.")
         return rep
 
-    def twisted_calculus():
-        return calc().cf.hypotheses
-
-    def crossed_fodc():
-        return verify_crossed_fodc(calc().cf)
-
-    def higher():
-        rc = calc()
+    def higher(rc):
         if rc.higher is None:
             rep = CheckReport()
             rep.record("truncation-obstruction", True, witness=rc.obstruction)
@@ -495,22 +474,17 @@ def radford_suites(params: dict) -> list:
         rep.extend(compare_first_order(rc.cf, rc.higher))
         return rep
 
-    def qpb_suite():
-        vd = vdata()
+    def qpb_suite(rc):
+        vd = vdata(rc)
         rep = CheckReport()
         rep.extend(vd.coinv.report)
         rep.extend(vd.report)
-        rc = calc()
         rep.extend(check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded))
         return rep
 
-    def connection():
-        _, rep = canonical()
-        return rep
-
-    def bijection():
-        vd = vdata()
-        conn, _ = canonical()
+    def bijection(rc):
+        vd = vdata(rc)
+        conn, _ = canonical(rc)
         tangent, _, trep = tangent_and_fields(vd)
         phi, rep1 = connection_form_bijection(vd, tangent, connection=conn)
         _, rep2 = connection_form_bijection(vd, tangent, form=phi)
@@ -520,8 +494,7 @@ def radford_suites(params: dict) -> list:
         rep.extend(rep2, prefix="backward.")
         return rep
 
-    def derivative():
-        vd = vdata()
+    def derivative(rc):
         group_dim = params["r"]
         v = VComodule(
             labels=[("v", 0), ("v", 1)],
@@ -529,35 +502,34 @@ def radford_suites(params: dict) -> list:
                 tensor_index(vx, ("g", 1 % group_dim if vx[1] == 0 else 0))
             ),
         )
-        return covariant_derivative(vd, v).report
+        return covariant_derivative(vdata(rc), v).report
 
-    def necessity():
-        rc = calc()
+    def necessity(rc):
         inst = rc.instance
         inj, inj_action = radford_injected_calculus(inst)
         return necessity_dsigma(inst.crossed, inj, inj_action, rc.cf.h_calc)
 
-    def section():
-        rc = calc()
-        inst = rc.instance
+    def section(rc):
         cleft = CleftData(
-            total=inst.crossed.comodule,
+            total=rc.instance.crossed.comodule,
             cleaving=LinOp(lambda g_ix: FreeVector.basis(tensor_index(("h1", 0, 0), g_ix))),
         )
         _, rep = equivariant_section(cleft)
         return rep
 
+    # the builders check the twisted-module and twisted-calculus hypotheses
+    # on the same maps, with no window, and refuse the instance when one fails
     return [
         ("hopf-axioms", hopf_axioms),
-        ("twisted-module", twisted_module),
-        ("comodule", comodule),
-        ("hopf-galois", galois),
+        ("twisted-module", lambda rc: rc.instance.crossed.hypotheses),
+        ("comodule", lambda rc: check_comodule_algebra(rc.instance.crossed.comodule)),
+        ("hopf-galois", lambda rc: check_hopf_galois(rc.instance.crossed.comodule).report),
         ("fodc", fodc_suite),
-        ("twisted-calculus", twisted_calculus),
-        ("crossed-fodc", crossed_fodc),
+        ("twisted-calculus", lambda rc: rc.cf.hypotheses),
+        ("crossed-fodc", lambda rc: verify_crossed_fodc(rc.cf)),
         ("higher-forms", higher),
         ("qpb", qpb_suite),
-        ("connection", connection),
+        ("connection", lambda rc: canonical(rc)[1]),
         ("bijection", bijection),
         ("derivative", derivative),
         ("necessity", necessity),
@@ -580,18 +552,9 @@ def torus_suites(params: dict) -> list:
     from hopfcalc.report import CheckReport
 
     window = params["window"]
-    calc = memoise(lambda: torus_calculus_instance(params["M"], window))
-    vdata = memoise(lambda: vertical_map(calc().cf, window=window))
+    vdata = memoise(lambda tc: vertical_map(tc.cf, window=window))
 
-    def hopf_axioms():
-        tc = calc()
-        return check_hopf_axioms(tc.instance.crossed.hopf, window=window)
-
-    def comodule():
-        return check_comodule_algebra(calc().instance.torus.comodule, window=window)
-
-    def cleft_derivation():
-        tc = calc()
+    def cleft_derivation(tc):
         inst = tc.instance
         rep = CheckReport(windowed=True)
         rep.extend(inst.derivation_report)
@@ -619,49 +582,31 @@ def torus_suites(params: dict) -> list:
         )
         return rep
 
-    # the builder checks these hypotheses on the same maps, at the instance
-    # window, and refuses the instance when one fails
-    def twisted_module():
-        return calc().instance.crossed.hypotheses
-
-    def forced_zero():
-        tc = calc()
-        inst = tc.instance
+    def forced_zero(tc):
+        crossed = tc.instance.crossed
         sigma_values = [
-            inst.crossed.cocycle.sigma(("t", k), ("t", s))
+            crossed.cocycle.sigma(("t", k), ("t", s))
             for k in range(-window, window + 1)
             for s in range(-window, window + 1)
         ]
-        return sigma_forces_zero_differential(inst.crossed.base, sigma_values, window=window)
+        return sigma_forces_zero_differential(crossed.base, sigma_values, window=window)
 
-    def fodc_suite():
-        return check_fodc(calc().cf.h_calc, window=min(window, 3))
-
-    def crossed_fodc():
-        return verify_crossed_fodc(calc().cf, window=min(window, 3))
-
-    def higher():
-        tc = calc()
+    def higher(tc):
         # associativity sweeps are cubic in the window size; one shell is
         # already 9^3 base triples
         rep = check_graded_dc(tc.higher, window=1)
         rep.extend(compare_first_order(tc.cf, tc.higher, window=2))
         return rep
 
-    def qpb_suite():
-        vd = vdata()
+    def qpb_suite(tc):
+        vd = vdata(tc)
         rep = CheckReport()
         rep.extend(vd.coinv.report)
         rep.extend(vd.report)
         rep.extend(check_atiyah_exact(vd, window=min(window, 3)))
         return rep
 
-    def connection():
-        _, rep = canonical_connection(vdata(), window=min(window, 3))
-        return rep
-
-    def necessity():
-        tc = calc()
+    def necessity(tc):
         inst = tc.instance
         classical, action = torus_classical_calculus(inst)
         rep = necessity_dsigma(inst.crossed, classical, action, tc.cf.h_calc, window=2)
@@ -676,8 +621,7 @@ def torus_suites(params: dict) -> list:
         )
         return rep
 
-    def refusal():
-        tc = calc()
+    def refusal(tc):
         rep = CheckReport(windowed=True)
         try:
             # the refusal fires on the cleaving map before any calculus is touched
@@ -692,24 +636,22 @@ def torus_suites(params: dict) -> list:
         rep.record("classification.refuses-non-trivial-extension", False, witness="no refusal")
         return rep
 
-    def section():
-        _, rep = equivariant_section(calc().instance.cleft, window=min(window, 3))
-        return rep
-
+    # the builder checks the twisted-module hypotheses on the same maps, at
+    # the instance window, and refuses the instance when one fails
     return [
-        ("hopf-axioms", hopf_axioms),
-        ("comodule", comodule),
+        ("hopf-axioms", lambda tc: check_hopf_axioms(tc.instance.crossed.hopf, window=window)),
+        ("comodule", lambda tc: check_comodule_algebra(tc.instance.torus.comodule, window=window)),
         ("cleft-derivation", cleft_derivation),
-        ("twisted-module", twisted_module),
+        ("twisted-module", lambda tc: tc.instance.crossed.hypotheses),
         ("forced-zero", forced_zero),
-        ("fodc", fodc_suite),
-        ("crossed-fodc", crossed_fodc),
+        ("fodc", lambda tc: check_fodc(tc.cf.h_calc, window=min(window, 3))),
+        ("crossed-fodc", lambda tc: verify_crossed_fodc(tc.cf, window=min(window, 3))),
         ("higher-forms", higher),
         ("qpb", qpb_suite),
-        ("connection", connection),
+        ("connection", lambda tc: canonical_connection(vdata(tc), window=min(window, 3))[1]),
         ("necessity", necessity),
         ("classification-refusal", refusal),
-        ("section", section),
+        ("section", lambda tc: equivariant_section(tc.instance.cleft, window=min(window, 3))[1]),
     ]
 
 
@@ -718,12 +660,10 @@ def group_c2_suites(params: dict) -> list:
     from hopfcalc.fodc import check_fodc
     from hopfcalc.hopf import check_hopf_axioms
 
-    inst = memoise(lambda: group_c2_instance(params["ideal"]))
-
     return [
-        ("hopf-axioms", lambda: check_hopf_axioms(inst().hopf)),
-        ("fodc", lambda: check_fodc(inst().calc)),
-        ("graded", lambda: check_graded_dc(inst().graded)),
+        ("hopf-axioms", lambda inst: check_hopf_axioms(inst.hopf)),
+        ("fodc", lambda inst: check_fodc(inst.calc)),
+        ("graded", lambda inst: check_graded_dc(inst.graded)),
     ]
 
 
@@ -733,19 +673,18 @@ def smash_demo_suites(params: dict) -> list:
     from hopfcalc.hopf import check_comodule_algebra
 
     window = params["window"]
-    inst = memoise(lambda: smash_demo_instance(params["M"]))
 
-    def fodc_suite():
-        rep = check_fodc(inst().a_calc, window=2)
-        rep.extend(check_fodc(inst().h_calc, window=2), prefix="structure.")
+    def fodc_suite(inst):
+        rep = check_fodc(inst.a_calc, window=2)
+        rep.extend(check_fodc(inst.h_calc, window=2), prefix="structure.")
         return rep
 
     return [
-        ("comodule", lambda: check_comodule_algebra(inst().comodule, window=window)),
+        ("comodule", lambda inst: check_comodule_algebra(inst.comodule, window=window)),
         ("fodc", fodc_suite),
         (
             "classification",
-            lambda: classify_smash(inst().a_calc, inst().h_calc, inst().cleft, window=window, seed=params["seed"]).report,
+            lambda inst: classify_smash(inst.a_calc, inst.h_calc, inst.cleft, window=window, seed=params["seed"]).report,
         ),
     ]
 
@@ -759,27 +698,33 @@ def _read_param_file(params: dict, key: str) -> str:
         raise ValueError(f"--{key.replace('_', '-')} {path}: {err.strerror}") from err
 
 
-def user_hopf_suites(params: dict) -> list:
-    """Both files are read and checked here, before any suite runs."""
-    from hopfcalc.fodc import IdealCalculusSpec, check_fodc, parse_ideal_generators, woronowicz_from_ideal
-    from hopfcalc.hopf import check_hopf_axioms, parse_structure_constants
+def user_hopf_spec(params: dict) -> "IdealCalculusSpec":
+    """The structure constants of --file and the ideal generators of
+    --ideal-file, none without it, each file read and parsed here."""
+    from hopfcalc.fodc import IdealCalculusSpec, parse_ideal_generators
+    from hopfcalc.hopf import parse_structure_constants
 
     hopf = parse_structure_constants(_read_param_file(params, "file"))
-    suites = [("hopf-axioms", lambda: check_hopf_axioms(hopf))]
-    if params.get("ideal_file"):
-        text = _read_param_file(params, "ideal_file")
-        gens = parse_ideal_generators(text, hopf)
+    gens = parse_ideal_generators(_read_param_file(params, "ideal_file"), hopf) if "ideal_file" in params else []
+    return IdealCalculusSpec(hopf=hopf, ideal_gens=gens)
 
-        def quotient_calculus():
-            calc = woronowicz_from_ideal(IdealCalculusSpec(hopf=hopf, ideal_gens=gens))
-            report = check_fodc(calc)
-            report.record(
-                "covariance.bicovariant",
-                True,
-                witness=calc.covariance_note or f"bicovariant, {len(calc.forms.enumerate())} forms",
-            )
-            return report
 
+def user_hopf_suites(params: dict) -> list:
+    from hopfcalc.fodc import check_fodc, woronowicz_from_ideal
+    from hopfcalc.hopf import check_hopf_axioms
+
+    def quotient_calculus(spec):
+        calc = woronowicz_from_ideal(spec)
+        report = check_fodc(calc)
+        report.record(
+            "covariance.bicovariant",
+            True,
+            witness=calc.covariance_note or f"bicovariant, {len(calc.forms.enumerate())} forms",
+        )
+        return report
+
+    suites = [("hopf-axioms", lambda spec: check_hopf_axioms(spec.hopf))]
+    if "ideal_file" in params:
         suites.append(("ideal-calculus", quotient_calculus))
     return suites
 
@@ -824,13 +769,15 @@ def validate_smash_demo(params: dict) -> None:
 def validate_user_hopf(params: dict) -> None:
     if not params.get("file"):
         raise ValueError("--file is required: the user-hopf example reads its structure constants from it")
+    if params.get("ideal_file") == "":
+        raise ValueError("--ideal-file is empty: give a path with one ideal generator per line, or leave the flag out")
 
 
-def cohomology_dims(example: str, params: dict) -> tuple[list[int], int | None]:
-    """De Rham dimensions of the example's graded calculus, on its window if any."""
+def cohomology_dims(dc: "GradedDc", params: dict) -> tuple[list[int], int | None]:
+    """De Rham dimensions of a graded calculus, on the --window of an infinite one."""
     from hopfcalc.crossed_calc import de_rham_cohomology
 
-    dc, window = EXAMPLES[example]["graded"](params)
+    window = None if dc.algebra.basis.is_finite else params["window"]
     return de_rham_cohomology(dc, params["max_degree"], window=window), window
 
 
@@ -838,33 +785,38 @@ EXAMPLES = {
     "radford": {
         "description": "crossed product of the nilpotent component of the Radford family by its cyclic quotient, with the full calculus and bundle suite",
         "params": {"r": "int (default 2)", "n": "int (must be 2 for the calculus suites)", "q-power": "int (default 1)", "ideal": "zero|full"},
+        "build": _radford_calc,
         "suites": radford_suites,
-        "graded": lambda params: _graded(_radford_calc(params), None),
+        "graded": _higher_forms,
         "validate": validate_radford,
     },
     "torus": {
         "description": "noncommutative torus at a rational angle as a cleft extension of Laurent polynomials",
         "params": {"M": "int angle denominator (default 8)", "window": "int (default 4)"},
+        "build": lambda params: torus_calculus_instance(params["M"], params["window"]),
         "suites": torus_suites,
-        "graded": lambda params: _graded(torus_calculus_instance(params["M"], params["window"]), params["window"]),
+        "graded": _higher_forms,
         "validate": validate_torus,
     },
     "group-c2": {
         "description": "group algebra of order two with the quotient calculus of a chosen ideal",
         "params": {"ideal": "zero|full"},
+        "build": lambda params: group_c2_instance(params["ideal"]),
         "suites": group_c2_suites,
-        "graded": lambda params: (group_c2_instance(params["ideal"]).graded, None),
+        "graded": lambda inst: inst.graded,
         "validate": lambda params: None,
     },
     "smash-demo": {
         "description": "commutative two-torus as a genuine tensor product, classified as a smash product calculus",
         "params": {"M": "int deformation order (default 8)", "window": "int (default 4)", "seed": "int"},
+        "build": lambda params: smash_demo_instance(params["M"]),
         "suites": smash_demo_suites,
         "validate": validate_smash_demo,
     },
     "user-hopf": {
         "description": "axiom check of user-supplied structure constants, plus the quotient calculus of user-supplied ideal generators",
         "params": {"file": "path to a structure-constant file", "ideal-file": "optional path with one ideal generator per line"},
+        "build": user_hopf_spec,
         "suites": user_hopf_suites,
         "validate": validate_user_hopf,
     },

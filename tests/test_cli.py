@@ -262,12 +262,10 @@ def test_zero_denominator_in_hopf_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_negative_max_degree_is_a_usage_error(capsys, monkeypatch):
-    import hopfcalc.cli
-
     def no_build(*args):
         raise AssertionError("an instance was built for an invalid --max-degree")
 
-    monkeypatch.setattr(hopfcalc.cli, "cohomology_dims", no_build)
+    monkeypatch.setitem(EXAMPLES["radford"], "build", no_build)
     code, out, err = invoke(capsys, ["cohomology", "radford", "--max-degree", "-1"])
     assert code == 2
     assert out == ""
@@ -351,25 +349,37 @@ def test_malformed_ideal_file_is_a_usage_error_naming_the_line(tmp_path, capsys,
         (["verify", "smash-demo", "--window", "0"], "--window"),
         (["verify", "smash-demo", "--M", "2"], "--M"),
         (["verify", "user-hopf"], "--file"),
+        # an empty path used to drop the ideal-calculus suite without a word
+        (["verify", "user-hopf", "--file", str(C4_HOPF), "--ideal-file", ""], "--ideal-file"),
         (["cohomology", "radford", "--n", "3"], "--n"),
         (["cohomology", "torus", "--window", "1"], "--window"),
     ],
 )
 def test_invalid_parameters_are_refused_before_any_instance(capsys, monkeypatch, argv, flag):
-    import hopfcalc.cli
-    from hopfcalc.examples import EXAMPLES
-
     def no_build(*args):
         raise AssertionError("an instance was built for invalid parameters")
 
-    monkeypatch.setattr(hopfcalc.cli, "cohomology_dims", no_build)
-    monkeypatch.setitem(EXAMPLES[argv[1]], "suites", no_build)
+    monkeypatch.setitem(EXAMPLES[argv[1]], "build", no_build)
     code, out, err = invoke(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: params: ")
     assert flag in err
     assert "suite" not in err and f"{argv[1]}:" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", name, "--suite", "nope"] for name in sorted(EXAMPLES) if name != "user-hopf"]
+    + [["verify", "user-hopf", "--file", "/nonexistent", "--suite", "nope"]],
+)
+def test_an_unknown_suite_is_refused_before_any_build(capsys, monkeypatch, argv):
+    def no_build(*args):
+        raise AssertionError("an instance was built for an unknown suite")
+
+    monkeypatch.setitem(EXAMPLES[argv[1]], "build", no_build)
+    code, out, err = invoke(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: params: unknown suite 'nope' for example {argv[1]!r}\n")
 
 
 def test_a_user_file_that_cannot_be_built_names_the_build_stage(tmp_path, capsys):
@@ -383,7 +393,7 @@ def test_a_user_file_that_cannot_be_built_names_the_build_stage(tmp_path, capsys
 
 
 def test_a_graded_calculus_that_cannot_be_built_names_the_build_stage(capsys, monkeypatch):
-    def refuse(params):
+    def refuse(instance):
         raise ValueError("no graded calculus here")
 
     monkeypatch.setitem(EXAMPLES["group-c2"], "graded", refuse)
@@ -394,10 +404,10 @@ def test_a_graded_calculus_that_cannot_be_built_names_the_build_stage(capsys, mo
 def test_a_suite_that_raises_names_its_suite(capsys, monkeypatch):
     from hopfcalc.report import CheckReport
 
-    def cannot_run():
+    def cannot_run(instance):
         raise ValueError("no solution for the section")
 
-    suites = [("fine", lambda: CheckReport()), ("broken", cannot_run)]
+    suites = [("fine", lambda instance: CheckReport()), ("broken", cannot_run)]
     monkeypatch.setitem(EXAMPLES["group-c2"], "suites", lambda params: suites)
     code, out, err = invoke(capsys, ["verify", "group-c2"])
     assert (code, out) == (2, "")
@@ -426,15 +436,35 @@ def _injected_base_calculus(inst):
 )
 def test_radford_hypothesis_suites_fail_through_the_builders_refusal(capsys, monkeypatch, name, corrupt, refusal):
     """The twisted-module and twisted-calculus suites return the reports the
-    builders kept, so a failed hypothesis refuses the instance: the suite
-    that builds it names the refusal, and no report is written."""
+    builders kept, so a failed hypothesis refuses the instance: the build
+    stage names the refusal, whichever suite is asked for, and no report is
+    written."""
     import hopfcalc.examples
 
     monkeypatch.setattr(hopfcalc.examples, name, corrupt)
-    runs = [(["verify", "radford"], "hopf-axioms"), (["verify", "radford", "--suite", "twisted-calculus"], "twisted-calculus")]
-    for argv, suite in runs:
+    for argv in (["verify", "radford"], ["verify", "radford", "--suite", "twisted-calculus"]):
         code, out, err = invoke(capsys, argv)
-        assert (code, out, err) == (2, "", f"error: suite:{suite}: {refusal}\n")
+        assert (code, out, err) == (2, "", f"error: build: {refusal}\n")
+
+
+def test_a_torus_structure_calculus_without_left_coaction_is_refused_by_the_build(capsys, monkeypatch):
+    import hopfcalc.fodc
+
+    laurent = hopfcalc.fodc.build_laurent_q_calculus
+
+    def right_covariant_only(q, hopf):
+        calc = laurent(q, hopf=hopf)
+        calc.left_coaction = None
+        return calc
+
+    monkeypatch.setattr(hopfcalc.fodc, "build_laurent_q_calculus", right_covariant_only)
+    refusal = "error: build: hypothesis failed: the structure calculus must be bicovariant\n"
+    for argv in (
+        ["verify", "torus", "--window", "2"],
+        ["verify", "torus", "--window", "2", "--suite", "section"],
+        ["cohomology", "torus", "--window", "2"],
+    ):
+        assert invoke(capsys, argv) == (2, "", refusal)
 
 
 def _loaded_after(argv, names):

@@ -474,27 +474,25 @@ def test_three_fold_quotient_is_not_degree_two_truncatable():
 RADFORD_PARAMS = {"r": 2, "n": 2, "q_power": 1, "ideal": "zero"}
 
 
-def test_hypothesis_suites_are_fresh_checks_of_the_same_instance(monkeypatch):
+def test_hypothesis_suites_are_fresh_checks_of_the_same_instance():
     """Radford's twisted-module and twisted-calculus suites and torus's
     twisted-module suite return the reports that the builders kept; each
     equals, check for check, the check run again on the instance the
     suites verify, at its window."""
-    import hopfcalc.examples
+    from hopfcalc.examples import radford_suites, torus_suites
 
     rc = radford_calculus_instance(2, 2)
-    monkeypatch.setattr(hopfcalc.examples, "_radford_calc", lambda params: rc)
-    suites = dict(hopfcalc.examples.radford_suites(RADFORD_PARAMS))
+    suites = dict(radford_suites(RADFORD_PARAMS))
     cp = rc.instance.crossed
     fresh_module = check_twisted_module_algebra(cp.base, cp.hopf, cp.measure, cp.cocycle)
     _, fresh_calculus = check_sigma_twisted_module_calculus(rc.cf.b_calc, cp.hopf, cp.measure, cp.cocycle)
     for name, fresh in (("twisted-module", fresh_module), ("twisted-calculus", fresh_calculus)):
-        got = suites[name]()
+        got = suites[name](rc)
         assert got.checks
         assert got.as_dict() == fresh.as_dict()
 
     tc = torus_calculus_instance(8, 2)
-    monkeypatch.setattr(hopfcalc.examples, "torus_calculus_instance", lambda theta_order, window: tc)
-    got = dict(hopfcalc.examples.torus_suites({"M": 8, "window": 2}))["twisted-module"]()
+    got = dict(torus_suites({"M": 8, "window": 2}))["twisted-module"](tc)
     cp = tc.instance.crossed
     assert got is cp.hypotheses
     assert got.checks
@@ -503,9 +501,10 @@ def test_hypothesis_suites_are_fresh_checks_of_the_same_instance(monkeypatch):
 
 def test_every_radford_suite_reports_the_same_when_run_twice():
     """A suite that returns a kept report must not extend it: the second
-    run of every thunk gives the report of the first."""
+    run of every suite on the instance gives the report of the first."""
     from hopfcalc.examples import radford_suites
 
+    rc = radford_calculus_instance(2, 2)
     suites = radford_suites(RADFORD_PARAMS)
-    first = [(name, thunk().as_dict()) for name, thunk in suites]
-    assert first == [(name, thunk().as_dict()) for name, thunk in suites]
+    first = [(name, fn(rc).as_dict()) for name, fn in suites]
+    assert first == [(name, fn(rc).as_dict()) for name, fn in suites]

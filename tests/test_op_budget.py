@@ -1,4 +1,4 @@
-"""Operation counts of one in-process `verify radford` against fixed budgets.
+"""Operation counts of one in-process invocation against fixed budgets.
 
 A count has no timing noise: the same invocation makes the same scalar
 products and the same `linalg.linear` calls under every PYTHONHASHSEED, and
@@ -11,16 +11,24 @@ import importlib
 import pkgutil
 from collections import Counter
 
+import pytest
+
 import hopfcalc
 from hopfcalc.cli import run
 from hopfcalc.linalg import linear
 from hopfcalc.scalars import CycScalar
 
-BUDGET = {"products": 11_626, "linear": 8_694}
+# invocation -> budget; the torus and smash-demo counts were the same under
+# PYTHONHASHSEED 0, 1 and 17
+BUDGETS = {
+    "verify radford": {"products": 11_626, "linear": 8_694},
+    "verify torus --M 8 --window 2": {"products": 83_595, "linear": 31_622},
+    "verify smash-demo --window 2": {"products": 85_992, "linear": 49_626},
+}
 MODULES = [importlib.import_module(f"hopfcalc.{info.name}") for info in pkgutil.iter_modules(hopfcalc.__path__)]
 
 
-def test_verify_radford_stays_within_its_operation_budget(monkeypatch, capsys):
+def _assert_within_budget(monkeypatch, command):
     counts = Counter()
     mul = CycScalar.__mul__
 
@@ -36,6 +44,16 @@ def test_verify_radford_stays_within_its_operation_budget(monkeypatch, capsys):
     for module in MODULES:
         if getattr(module, "linear", None) is linear:
             monkeypatch.setattr(module, "linear", counted_linear)
-    assert run(["verify", "radford"]) == 0
-    assert counts["products"] <= BUDGET["products"]
-    assert counts["linear"] <= BUDGET["linear"]
+    assert run(command.split()) == 0
+    budget = BUDGETS[command]
+    assert counts["products"] <= budget["products"]
+    assert counts["linear"] <= budget["linear"]
+
+
+def test_verify_radford_stays_within_its_operation_budget(monkeypatch, capsys):
+    _assert_within_budget(monkeypatch, "verify radford")
+
+
+@pytest.mark.parametrize("command", ["verify torus --M 8 --window 2", "verify smash-demo --window 2"])
+def test_windowed_examples_stay_within_their_operation_budgets(monkeypatch, capsys, command):
+    _assert_within_budget(monkeypatch, command)
