@@ -2,17 +2,23 @@
 cohomology, emitting one canonical JSON document on stdout and a short
 human summary on stderr.
 
+`COMMANDS` declares each flag once, with its `params` key, type and
+default.  A flag goes before or after the example, as `--flag value` or
+`--flag=value`, written in full; its last repeat wins.  `-h` or `--help`
+anywhere prints the usage on stdout and exits 0.
+
 Exit status: 0 when no check failed, 1 on check failures, 2 on usage
 errors.  Both commands run in three stages: the parameters are checked,
 then the example's instance is built, then each suite or the cohomology
-reads that instance.  An error names its stage: `error: params:` for
-refused parameters or an unknown suite, `error: build:` when the instance
-cannot be built, and `error: suite:<name>:` when a suite cannot run.
+reads that instance.  An error names its stage: `error: params:` for a
+command line that `COMMANDS` refuses, refused parameters or an unknown
+suite, `error: build:` when the instance cannot be built, and
+`error: suite:<name>:` when a suite cannot run.
 """
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 
 from hopfcalc.examples import EXAMPLES, NoGradedCalculus, cohomology_dims
@@ -21,90 +27,122 @@ from hopfcalc.report import FAIL, render_json
 SCHEMA = 1
 MAX_DEGREE = 2
 
+# flag -> (params key, int, str or a tuple of choices, default); a flag whose
+# default is None enters params only when it is given
+_FLAGS = {
+    "--r": ("r", int, 2),
+    "--n": ("n", int, 2),
+    "--q-power": ("q_power", int, 1),
+    "--M": ("M", int, 8),
+    "--ideal": ("ideal", ("zero", "full"), "zero"),
+    "--window": ("window", int, 4),
+    "--seed": ("seed", int, 0),
+    "--file": ("file", str, None),
+    "--ideal-file": ("ideal_file", str, None),
+}
+COMMANDS = {
+    "list-examples": {},
+    "verify": _FLAGS | {"--suite": ("suite", str, None)},
+    "cohomology": _FLAGS | {"--max-degree": ("max_degree", int, MAX_DEGREE)},
+}
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hopf-calc",
-        description="exact verification of crossed product calculi and their bundle structure",
+
+def _choose(what: str, value: str | None, choices) -> str:
+    if value not in choices:
+        given = "missing" if value is None else f"invalid choice {value!r}"
+        raise ValueError(f"{what}: {given} (choose from {', '.join(choices)})")
+    return value
+
+
+def _is_flag(token: str, flags: dict) -> bool:
+    """A declared flag, alone or as `flag=value`, or any other dash word
+    that is not a negative number and holds no space; everything else is a
+    value or a positional, as argparse reads them."""
+    return token.partition("=")[0] in flags or (
+        token[:1] == "-" and token != "-" and " " not in token and not re.fullmatch(r"-\d+|-\d*\.\d+", token)
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list-examples", help="registry names and parameter schemas")
-
-    def add_common(p, examples):
-        p.add_argument("example", choices=sorted(examples))
-        p.add_argument("--r", type=int, default=2)
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--q-power", dest="q_power", type=int, default=1)
-        p.add_argument("--M", type=int, default=8, help="angle denominator / deformation order")
-        p.add_argument("--ideal", choices=["zero", "full"], default="zero")
-        p.add_argument("--window", type=int, default=4)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--file", type=str, default=None)
-        p.add_argument("--ideal-file", dest="ideal_file", type=str, default=None)
-
-    verify = sub.add_parser("verify", help="run the verification suites of an example")
-    add_common(verify, EXAMPLES)
-    verify.add_argument("--suite", type=str, default=None, help="run a single named suite")
-
-    cohomology = sub.add_parser("cohomology", help="exact de Rham dimensions of an example")
-    add_common(cohomology, [name for name, spec in EXAMPLES.items() if "graded" in spec])
-    cohomology.add_argument("--max-degree", dest="max_degree", type=int, default=MAX_DEGREE)
-    return parser
 
 
-def _params_of(args) -> dict:
-    params = {
-        "r": args.r,
-        "n": args.n,
-        "q_power": args.q_power,
-        "M": args.M,
-        "ideal": args.ideal,
-        "window": args.window,
-        "seed": args.seed,
+def _parse(argv: list) -> tuple[str, str | None, dict, str | None]:
+    """(command, example, params, suite) of a command line; a ValueError for
+    anything that `COMMANDS` does not declare."""
+    command = _choose("command", argv[0] if argv else None, COMMANDS)
+    flags = COMMANDS[command]
+    values = {key: default for key, kind, default in flags.values()}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not _is_flag(token, flags):
+            positionals.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            raise ValueError(f"{flag}: unknown flag for {command}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None or _is_flag(text, flags):
+                raise ValueError(f"{flag}: expected a value")
+        key, kind, _ = flags[flag]
+        if isinstance(kind, tuple):
+            values[key] = _choose(flag, text, kind)
+        else:
+            try:
+                values[key] = kind(text)
+            except ValueError:
+                raise ValueError(f"{flag}: invalid {kind.__name__} value {text!r}") from None
+    example = None
+    if flags:
+        offered = sorted(name for name, spec in EXAMPLES.items() if command == "verify" or "graded" in spec)
+        example = _choose("example", positionals.pop(0) if positionals else None, offered)
+    if positionals:
+        raise ValueError(f"unexpected argument {positionals[0]!r}")
+    suite = values.pop("suite", None)
+    return command, example, {key: value for key, value in values.items() if value is not None}, suite
+
+
+def _usage() -> str:
+    return "usage: hopf-calc list-examples\n" + "".join(
+        f"       hopf-calc {command} EXAMPLE"
+        + "".join(f" [{flag} {'|'.join(kind) if isinstance(kind, tuple) else kind.__name__.upper()}]" for flag, (_, kind, _) in flags.items())
+        + "\n"
+        for command, flags in COMMANDS.items()
+        if flags
+    )
+
+
+def _list_examples() -> int:
+    payload = {
+        "schema": SCHEMA,
+        "command": "list-examples",
+        "examples": [
+            {
+                "name": name,
+                "description": spec["description"],
+                "params": spec["params"] | ({"max-degree": f"int (default {MAX_DEGREE})"} if "graded" in spec else {}),
+            }
+            for name, spec in sorted(EXAMPLES.items())
+        ],
     }
-    if args.file is not None:
-        params["file"] = args.file
-    if args.ideal_file is not None:
-        params["ideal_file"] = args.ideal_file
-    if getattr(args, "max_degree", None) is not None:
-        params["max_degree"] = args.max_degree
-    return params
+    sys.stdout.write(render_json(payload))
+    sys.stderr.write(f"{len(EXAMPLES)} examples registered\n")
+    return 0
 
 
 def run(argv=None) -> int:
     """Entry point returning the exit status; JSON goes to stdout."""
-    parser = _parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-
-    if args.command == "list-examples":
-        payload = {
-            "schema": SCHEMA,
-            "command": "list-examples",
-            "examples": [
-                {
-                    "name": name,
-                    "description": spec["description"],
-                    "params": spec["params"] | ({"max-degree": f"int (default {MAX_DEGREE})"} if "graded" in spec else {}),
-                }
-                for name, spec in sorted(EXAMPLES.items())
-            ],
-        }
-        sys.stdout.write(render_json(payload))
-        sys.stderr.write(f"{len(EXAMPLES)} examples registered\n")
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_usage())
         return 0
-
-    params = _params_of(args)
-    example, spec = args.example, EXAMPLES[args.example]
-    wanted = getattr(args, "suite", None)
     try:
-        if args.command == "cohomology" and args.max_degree < 0:
-            raise ValueError(f"--max-degree must be at least 0, got {args.max_degree}")
+        command, example, params, wanted = _parse(argv)
+        if command == "list-examples":
+            return _list_examples()
+        spec = EXAMPLES[example]
+        if command == "cohomology" and params["max_degree"] < 0:
+            raise ValueError(f"--max-degree must be at least 0, got {params['max_degree']}")
         spec["validate"](params)
-        suites = spec["suites"](params) if args.command == "verify" else []
+        suites = spec["suites"](params) if command == "verify" else []
         if wanted is not None:
             suites = [(name, fn) for name, fn in suites if name == wanted]
             if not suites:
@@ -113,10 +151,10 @@ def run(argv=None) -> int:
         sys.stderr.write(f"error: params: {err}\n")
         return 2
 
-    payload = {"schema": SCHEMA, "command": args.command, "example": example, "params": params}
+    payload = {"schema": SCHEMA, "command": command, "example": example, "params": params}
     try:
         instance = spec["build"](params)
-        dc = spec["graded"](instance) if args.command == "cohomology" else None
+        dc = spec["graded"](instance) if command == "cohomology" else None
     except NoGradedCalculus as obstructed:
         # no graded calculus to take cohomology of: reported, as verify reports it
         payload["obstruction"] = str(obstructed)
@@ -127,7 +165,7 @@ def run(argv=None) -> int:
         sys.stderr.write(f"error: build: {err}\n")
         return 2
 
-    if args.command == "cohomology":
+    if command == "cohomology":
         dims, window = cohomology_dims(dc, params)
         payload["dims"] = {f"H{i}": d for i, d in enumerate(dims)}
         if window is not None:

@@ -5,11 +5,13 @@ import pathlib
 import re
 import tempfile
 
+import cli_oracle
+import hypothesis
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcalc.cli import run
+from hopfcalc.cli import _parse, run
 from hopfcalc.crossed import Measure
 from hopfcalc.examples import EXAMPLES, radford_injected_calculus
 from hopfcalc.report import render_json
@@ -35,18 +37,14 @@ def test_list_examples_contains_registry(capsys):
 
 
 def test_advertised_defaults_are_the_cli_defaults(capsys):
-    # list-examples shows "(default N)"; the parser is what fills params
-    import re
-
-    from hopfcalc.cli import _parser
-
+    # list-examples shows "(default N)"; the flag table is what fills params
     code, out, err = invoke(capsys, ["list-examples"])
     assert code == 0
     shown = 0
     for example in json.loads(out)["examples"]:
         # cohomology offers only the examples with a graded calculus
         command = "cohomology" if "graded" in EXAMPLES[example["name"]] else "verify"
-        defaults = vars(_parser().parse_args([command, example["name"]]))
+        _, _, defaults, _ = _parse([command, example["name"]])
         for key, text in example["params"].items():
             for value in re.findall(r"\(default (\S+)\)", text):
                 assert value == str(defaults[key.replace("-", "_")]), (example["name"], key)
@@ -68,6 +66,54 @@ def test_unknown_suite_is_a_usage_error(capsys):
     code, out, err = invoke(capsys, ["verify", "group-c2", "--suite", "nope"])
     assert (code, out) == (2, "")
     assert err.splitlines() == ["error: params: unknown suite 'nope' for example 'group-c2'"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "command: missing (choose from list-examples, verify, cohomology)"),
+        (["frobnicate"], "command: invalid choice 'frobnicate' (choose from list-examples, verify, cohomology)"),
+        (["verify"], "example: missing (choose from group-c2, radford, smash-demo, torus, user-hopf)"),
+        (["verify", "moebius"], "example: invalid choice 'moebius' (choose from group-c2, radford, smash-demo, torus, user-hopf)"),
+        (["cohomology", "smash-demo"], "example: invalid choice 'smash-demo' (choose from group-c2, radford, torus)"),
+        (["verify", "group-c2", "--frobenius", "1"], "--frobenius: unknown flag for verify"),
+        (["verify", "torus", "--win", "4"], "--win: unknown flag for verify"),
+        (["verify", "group-c2", "--max-degree", "1"], "--max-degree: unknown flag for verify"),
+        (["cohomology", "group-c2", "--suite=fodc"], "--suite: unknown flag for cohomology"),
+        (["list-examples", "--r", "3"], "--r: unknown flag for list-examples"),
+        (["verify", "group-c2", "--r"], "--r: expected a value"),
+        (["verify", "user-hopf", "--file", "--ideal", "zero"], "--file: expected a value"),
+        (["verify", "radford", "--r", "two"], "--r: invalid int value 'two'"),
+        (["verify", "radford", "--r=1.5"], "--r: invalid int value '1.5'"),
+        (["verify", "group-c2", "--ideal", "half"], "--ideal: invalid choice 'half' (choose from zero, full)"),
+        (["verify", "group-c2", "radford"], "unexpected argument 'radford'"),
+        (["list-examples", "radford"], "unexpected argument 'radford'"),
+    ],
+)
+def test_a_refused_command_line_names_the_params_stage(capsys, argv, message):
+    assert invoke(capsys, argv) == (2, "", f"error: params: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "radford", "--r", "3", "--n", "2"],
+        ["verify", "--n=2", "radford", "--r=3"],
+        ["verify", "--r", "1", "radford", "--r", "3"],
+    ],
+)
+def test_flags_go_before_or_after_the_example_and_the_last_repeat_wins(argv):
+    params = {"r": 3, "n": 2, "q_power": 1, "M": 8, "ideal": "zero", "window": 4, "seed": 0}
+    assert _parse(argv) == ("verify", "radford", params, None)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h", "verify"], ["verify", "radford", "--r", "3", "-h"], ["cohomology", "moebius", "--help"]])
+def test_help_anywhere_prints_the_usage(capsys, argv):
+    code, out, err = invoke(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: hopf-calc list-examples\n")
+    for flag in ("--suite STR", "--max-degree INT", "--ideal zero|full", "--ideal-file STR"):
+        assert flag in out
 
 
 def test_group_c2_verify_passes_and_emits_json(capsys):
@@ -343,6 +389,9 @@ def test_malformed_ideal_file_is_a_usage_error_naming_the_line(tmp_path, capsys,
         (["verify", "radford", "--n", "3"], "--n"),
         (["verify", "radford", "--q-power", "2"], "--q-power"),
         (["verify", "radford", "--r", "0"], "--r"),
+        # a negative value is a value, not a flag, and reaches the validator
+        (["verify", "radford", "--r", "-1"], "--r"),
+        (["verify", "radford", "--r=-1"], "--r"),
         (["verify", "torus", "--window", "0"], "--window"),
         (["verify", "torus", "--window", "-1"], "--window"),
         (["verify", "torus", "--M", "0"], "--M"),
@@ -490,16 +539,27 @@ def _loaded_after(argv, names):
 
 # dataclasses would bring inspect, ast, dis and tokenize with it
 _RECORD_MACHINERY = ("dataclasses", "inspect")
+# the flag table parses the command line; argparse would bring gettext,
+# and building its parser brings locale
+_ARGPARSE = ("argparse", "gettext", "locale")
 
 
 def test_a_run_loads_neither_fractions_nor_decimal():
-    names = ("fractions", "decimal", "_decimal", "_pydecimal", "hopfcalc.qpb") + _RECORD_MACHINERY
+    names = ("fractions", "decimal", "_decimal", "_pydecimal", "hopfcalc.qpb") + _RECORD_MACHINERY + _ARGPARSE
     assert _loaded_after(["verify", "group-c2"], names) == (0, [])
 
 
 def test_listing_examples_loads_no_calculus_module():
-    names = ("hopfcalc.fodc", "hopfcalc.crossed_calc", "hopfcalc.qpb") + _RECORD_MACHINERY
+    names = ("hopfcalc.fodc", "hopfcalc.crossed_calc", "hopfcalc.qpb") + _RECORD_MACHINERY + _ARGPARSE
     assert _loaded_after(["list-examples"], names) == (0, [])
+
+
+def test_cohomology_loads_no_argparse():
+    assert _loaded_after(["cohomology", "radford"], _ARGPARSE) == (0, [])
+
+
+def test_help_loads_no_argparse():
+    assert _loaded_after(["verify", "--help"], _ARGPARSE) == (0, [])
 
 
 def test_a_run_that_loads_qpb_loads_no_dataclass_machinery():
@@ -709,3 +769,85 @@ def test_fuzzed_hopf_files_exit_with_a_defined_status(hopf_text, ideal_text, sui
     err = _run_and_check(["verify", "user-hopf"] + (["--suite", suite] if suite else []), files)
     if "malformed" in err:
         assert _MALFORMED_LINE.fullmatch(err), err
+
+
+# -- the flag table against the argparse parser it replaced -------------------
+
+# flag -> values that parse, and values that do not (or parse as a flag):
+# negative ints are values, "-x" reads as a flag, "-1.5", "-.5" and "-a b" as values
+_INTS = (["0", "1", "2", "3", "8", "-1", "-12", " 3"], ["x", "1.5", "-1.5", "", "-x"])
+_STRS = (["fodc", "graded", "no-such-suite", "c4.hopf", "-1", "-1.5", "-.5", "a b", "-a b", ""], ["-x"])
+_ORACLE_FLAGS = {
+    "--r": _INTS,
+    "--n": _INTS,
+    "--q-power": _INTS,
+    "--M": _INTS,
+    "--window": _INTS,
+    "--seed": _INTS,
+    "--max-degree": _INTS,
+    "--ideal": (["zero", "full"], ["half", "", "-x"]),
+    "--file": _STRS,
+    "--ideal-file": _STRS,
+    "--suite": _STRS,
+    # a flag that no command declares
+    "--frobenius": (["1"], ["1"]),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """argv of any command with any example or none, and flags before and
+    after it in either form, repeated, with good and bad values; sometimes
+    a flag with no value, or an extra positional.  No abbreviation, no
+    `-h` and no `--`."""
+    command = draw(st.sampled_from(["verify", "cohomology"] * 3 + ["list-examples", "frobnicate"]))
+    own = [flag for flag in _ORACLE_FLAGS if flag not in ("--suite", "--max-degree", "--frobenius")]
+    own += {"verify": ["--suite"], "cohomology": ["--max-degree"]}.get(command, [])
+    groups = []
+    for _ in range(draw(st.integers(0, 5))):
+        # mostly flags of the command, sometimes one of another command or none
+        flag = draw(st.sampled_from(sorted(_ORACLE_FLAGS) if draw(st.integers(0, 5)) == 0 else own))
+        good, bad = _ORACLE_FLAGS[flag]
+        value = draw(st.sampled_from(bad if draw(st.integers(0, 5)) == 0 else good))
+        groups.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    for word, chance in ((draw(st.sampled_from(sorted(_ORACLE_FLAGS))), 6), ("extra", 8)):
+        if draw(st.integers(0, chance - 1)) == 0:
+            groups.insert(draw(st.integers(0, len(groups))), [word])
+    example = draw(st.sampled_from(sorted(EXAMPLES) + ["no-such-example", None]))
+    if example is not None:
+        groups.insert(draw(st.integers(0, len(groups))), [example])
+    return [command] + [word for group in groups for word in group]
+
+
+def _oracle_parse(argv):
+    """(command, example, params, suite) as the argparse parser gave them,
+    or None where it refused."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = cli_oracle._parser().parse_args(argv)
+    except SystemExit:
+        return None
+    if args.command == "list-examples":
+        return "list-examples", None, {}, None
+    return args.command, args.example, cli_oracle._params_of(args), getattr(args, "suite", None)
+
+
+def _table_parse(argv):
+    try:
+        return _parse(argv)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(_command_lines())
+@hypothesis.example(["list-examples"])
+@hypothesis.example([])
+def test_the_flag_table_parses_as_argparse_did(argv):
+    assert _table_parse(argv) == _oracle_parse(argv), argv
+
+
+@pytest.mark.parametrize("word", ["-1", "-1.5", "-.5", "-1.", "-1e3", "-", "-a b", "-x", "--x", "--r", "=", ""])
+def test_a_dash_word_after_a_flag_is_its_value_as_argparse_read_it(word):
+    for argv in (["verify", "user-hopf", "--file", word], ["verify", "--suite", word, "radford"]):
+        assert _table_parse(argv) == _oracle_parse(argv), argv

@@ -8,6 +8,8 @@ raises one states why.
 """
 
 import importlib
+import json
+import pathlib
 import pkgutil
 from collections import Counter
 
@@ -18,10 +20,16 @@ from hopfcalc.cli import run
 from hopfcalc.linalg import linear
 from hopfcalc.scalars import CycScalar
 
-# invocation -> budget; the torus and smash-demo counts were the same under
-# PYTHONHASHSEED 0, 1 and 17
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# invocation -> budget, with every perfbench/reference.json invocation among
+# them; the counts were the same under PYTHONHASHSEED 0, 1 and 17
 BUDGETS = {
     "verify radford": {"products": 11_626, "linear": 8_694},
+    "cohomology radford --max-degree 3": {"products": 1_245, "linear": 1_314},
+    "verify user-hopf --file sample-data/c4.hopf --ideal-file sample-data/c4-ideal.txt": {"products": 575, "linear": 328},
+    "verify group-c2 --ideal zero": {"products": 175, "linear": 153},
+    "verify group-c2 --ideal full": {"products": 52, "linear": 63},
+    "cohomology group-c2 --ideal zero --max-degree 1": {"products": 75, "linear": 10},
     "verify torus --M 8 --window 2": {"products": 83_595, "linear": 31_622},
     "verify smash-demo --window 2": {"products": 85_992, "linear": 49_626},
 }
@@ -44,7 +52,7 @@ def _assert_within_budget(monkeypatch, command):
     for module in MODULES:
         if getattr(module, "linear", None) is linear:
             monkeypatch.setattr(module, "linear", counted_linear)
-    assert run(command.split()) == 0
+    assert run([str(ROOT / word) if word.startswith("sample-data/") else word for word in command.split()]) == 0
     budget = BUDGETS[command]
     assert counts["products"] <= budget["products"]
     assert counts["linear"] <= budget["linear"]
@@ -52,6 +60,25 @@ def _assert_within_budget(monkeypatch, command):
 
 def test_verify_radford_stays_within_its_operation_budget(monkeypatch, capsys):
     _assert_within_budget(monkeypatch, "verify radford")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "cohomology radford --max-degree 3",
+        "verify user-hopf --file sample-data/c4.hopf --ideal-file sample-data/c4-ideal.txt",
+        "verify group-c2 --ideal zero",
+        "verify group-c2 --ideal full",
+        "cohomology group-c2 --ideal zero --max-degree 1",
+    ],
+)
+def test_benchmarked_invocations_stay_within_their_operation_budgets(monkeypatch, capsys, command):
+    _assert_within_budget(monkeypatch, command)
+
+
+def test_every_benchmarked_invocation_has_a_budget():
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))
+    assert set(reference) <= set(BUDGETS)
 
 
 @pytest.mark.parametrize("command", ["verify torus --M 8 --window 2", "verify smash-demo --window 2"])
