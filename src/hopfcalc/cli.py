@@ -7,22 +7,36 @@ default.  A flag goes before or after the example, as `--flag value` or
 `--flag=value`, written in full; its last repeat wins.  `-h` or `--help`
 anywhere prints the usage on stdout and exits 0.
 
-Exit status: 0 when no check failed, 1 on check failures, 2 on usage
-errors.  Both commands run in three stages: the parameters are checked,
+Exit status: 0 when no check failed, 1 on check failures, 2 on usage or
+output errors.  Both commands run in three stages: the parameters are checked,
 then the example's instance is built, then each suite or the cohomology
 reads that instance.  An error names its stage: `error: params:` for a
 command line that `COMMANDS` refuses, refused parameters or an unknown
-suite, `error: build:` when the instance cannot be built, and
-`error: suite:<name>:` when a suite cannot run.
+suite, `error: build:` when the instance cannot be built,
+`error: suite:<name>:` when a suite cannot run, and `error: output:` when
+stdout refuses the document, which is written and flushed before `run`
+returns, so that nothing is left for shut-down to write.
+
+Process lifecycle: importing this module freezes the heap (`gc.freeze`).
+Every object alive then, the interpreter's, `site`'s and hopfcalc's
+modules, lives until the process exits, so no collection in the run or at
+shut-down need traverse or free it.  The freeze is here and not in
+`hopfcalc`, whose importers keep their own heap, nor in `run`, which tests
+call many times in one process and whose instances must be freed.
 """
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
 
 from hopfcalc.examples import EXAMPLES, NoGradedCalculus, cohomology_dims
 from hopfcalc.report import FAIL, render_json
+
+# every object alive now lives until the process exits: frozen, it is left
+# out of each collection, the run's and shut-down's, and the OS takes it back
+gc.freeze()
 
 SCHEMA = 1
 MAX_DEGREE = 2
@@ -110,6 +124,24 @@ def _usage() -> str:
     )
 
 
+def _emit(text: str, note: str, status: int) -> int:
+    """status, after text goes to stdout, flushed so that no write is left
+    for shut-down, and note to stderr; 2, after one `error: output:` line,
+    when stdout refuses text."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as err:
+        sys.stderr.write(f"error: output: {err.strerror}\n")
+        try:  # closed, stdout drops what shut-down would fail to flush again
+            sys.stdout.close()
+        except OSError:
+            pass
+        return 2
+    sys.stderr.write(note)
+    return status
+
+
 def _list_examples() -> int:
     payload = {
         "schema": SCHEMA,
@@ -123,17 +155,14 @@ def _list_examples() -> int:
             for name, spec in sorted(EXAMPLES.items())
         ],
     }
-    sys.stdout.write(render_json(payload))
-    sys.stderr.write(f"{len(EXAMPLES)} examples registered\n")
-    return 0
+    return _emit(render_json(payload), f"{len(EXAMPLES)} examples registered\n", 0)
 
 
 def run(argv=None) -> int:
     """Entry point returning the exit status; JSON goes to stdout."""
     argv = sys.argv[1:] if argv is None else argv
     if "-h" in argv or "--help" in argv:
-        sys.stdout.write(_usage())
-        return 0
+        return _emit(_usage(), "", 0)
     try:
         command, example, params, wanted = _parse(argv)
         if command == "list-examples":
@@ -158,9 +187,7 @@ def run(argv=None) -> int:
     except NoGradedCalculus as obstructed:
         # no graded calculus to take cohomology of: reported, as verify reports it
         payload["obstruction"] = str(obstructed)
-        sys.stdout.write(render_json(payload))
-        sys.stderr.write(f"cohomology: {obstructed}\n")
-        return 0
+        return _emit(render_json(payload), f"cohomology: {obstructed}\n", 0)
     except ValueError as err:
         sys.stderr.write(f"error: build: {err}\n")
         return 2
@@ -171,14 +198,8 @@ def run(argv=None) -> int:
         if window is not None:
             payload["window"] = window
             payload["note"] = "dimensions computed on the stated window only"
-        sys.stdout.write(render_json(payload))
-        sys.stderr.write(
-            "cohomology "
-            + " ".join(f"H{i}={d}" for i, d in enumerate(dims))
-            + (f" (window {window})" if window is not None else "")
-            + "\n"
-        )
-        return 0
+        line = " ".join(f"H{i}={d}" for i, d in enumerate(dims)) + (f" (window {window})" if window is not None else "")
+        return _emit(render_json(payload), f"cohomology {line}\n", 0)
 
     reports = []
     counts: dict[str, int] = {}
@@ -199,9 +220,8 @@ def run(argv=None) -> int:
 
     failed = counts.get(FAIL, 0)
     payload |= {"reports": reports, "summary": counts, "ok": failed == 0}
-    sys.stdout.write(render_json(payload))
-    sys.stderr.write(("all checks passed" if failed == 0 else f"{failed} checks FAILED") + "\n")
-    return 0 if failed == 0 else 1
+    line = "all checks passed" if failed == 0 else f"{failed} checks FAILED"
+    return _emit(render_json(payload), line + "\n", 0 if failed == 0 else 1)
 
 
 def main():  # pragma: no cover - console entry point

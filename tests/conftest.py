@@ -1,6 +1,7 @@
 import pytest
 
 from hopfcalc.examples import radford_calculus_instance, torus_calculus_instance
+from hopfcalc.linalg import FreeVector
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +20,8 @@ def find_check(report, identity):
         if check.identity == identity:
             return check
     raise KeyError(identity)
+
+
+def corrupt(fn, args, extra):
+    """Add the basis vector extra to the memoised value of fn at args."""
+    fn.memo[args] = fn(*args) + FreeVector.basis(extra)

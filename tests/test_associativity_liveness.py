@@ -8,7 +8,7 @@ per-triple reference loop gives on the same corrupted maps.
 """
 
 import pytest
-from conftest import find_check
+from conftest import corrupt, find_check
 from linear_oracle import reference_first_non_associative
 
 import hopfcalc.crossed
@@ -17,15 +17,7 @@ from hopfcalc.crossed_calc import check_graded_dc
 from hopfcalc.examples import group_c2_instance, radford_calculus_instance, radford_instance
 from hopfcalc.fodc import check_fodc
 from hopfcalc.hopf import AlgebraPresentation, check_hopf_axioms
-from hopfcalc.linalg import FreeVector
 from hopfcalc.report import witness
-
-E = FreeVector.basis
-
-
-def corrupt(fn, args, extra):
-    """Add the basis vector extra to the memoised value of fn at args."""
-    fn.memo[args] = fn(*args) + E(extra)
 
 
 def reference_witness(*sweep):

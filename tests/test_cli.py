@@ -1,8 +1,12 @@
 import contextlib
+import errno
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 
 import cli_oracle
@@ -516,14 +520,20 @@ def test_a_torus_structure_calculus_without_left_coaction_is_refused_by_the_buil
         assert invoke(capsys, argv) == (2, "", refusal)
 
 
+def _fresh(*args, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
+    """`python *args` run to its exit in a fresh interpreter with src/ on
+    the path and the environment variables env, its stderr (and, by
+    default, its stdout) captured as bytes.  Stdout is block-buffered, as
+    in a plain shell, unless env sets PYTHONUNBUFFERED."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"} | env
+    env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
+
+
 def _loaded_after(argv, names):
     """Exit status of `cli.run(argv)` in a fresh interpreter, and which of
     the named modules are in its sys.modules afterwards."""
-    import os
-    import subprocess
-    import sys
-
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
     code = (
         "import io, json, sys, contextlib\n"
         "import hopfcalc.cli\n"
@@ -531,8 +541,7 @@ def _loaded_after(argv, names):
         f"    status = hopfcalc.cli.run({list(argv)!r})\n"
         f"print(json.dumps([status, sorted({set(names)!r} & set(sys.modules))]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    done = _fresh("-c", code)
     assert done.returncode == 0, done.stderr
     return tuple(json.loads(done.stdout))
 
@@ -565,6 +574,62 @@ def test_help_loads_no_argparse():
 def test_a_run_that_loads_qpb_loads_no_dataclass_machinery():
     names = ("hopfcalc.qpb",) + _RECORD_MACHINERY
     assert _loaded_after(["verify", "radford", "--suite", "connection"], names) == (0, ["hopfcalc.qpb"])
+
+
+def test_importing_the_cli_freezes_the_heap_and_a_run_does_not():
+    # what the import leaves alive lives until exit, so shut-down need not
+    # collect it; each run's instances stay collectable
+    code = (
+        "import contextlib, gc, io, hopfcalc.cli\n"
+        "frozen = gc.get_freeze_count()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    hopfcalc.cli.run(['verify', 'group-c2'])\n"
+        "print(frozen, gc.get_freeze_count() - frozen)\n"
+    )
+    frozen, grown = map(int, _fresh("-c", code).stdout.split())
+    assert frozen > 0 and grown == 0
+
+
+def test_importing_the_library_leaves_the_callers_heap_unfrozen():
+    code = "import gc, hopfcalc, hopfcalc.linalg, hopfcalc.examples, hopfcalc.qpb\nprint(gc.get_freeze_count())\n"
+    assert _fresh("-c", code).stdout == b"0\n"
+
+
+@pytest.mark.parametrize(
+    "golden, argv", [("verify-radford", "verify radford"), ("cohomology-radford", "cohomology radford --max-degree 3")]
+)
+def test_the_console_entry_point_writes_the_whole_document(golden, argv):
+    # through main() and the interpreter's shut-down, with the frozen heap
+    want = (pathlib.Path(__file__).resolve().parent / "golden" / f"{golden}.json").read_bytes()
+    done = _fresh("-m", "hopfcalc.cli", *argv.split())
+    assert (done.returncode, done.stdout) == (0, want)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}])
+@pytest.mark.parametrize(
+    "argv", [["list-examples"], ["verify", "group-c2"], ["cohomology", "radford"], ["verify", "radford", "--help"]]
+)
+def test_an_unwritable_stdout_names_the_output_stage(argv, unbuffered):
+    # a buffered stdout still holds the document after the failed flush,
+    # and interpreter shut-down would fail to flush it again, with status 120
+    with open("/dev/full", "wb") as full:
+        done = _fresh("-m", "hopfcalc.cli", *argv, stdout=full, **unbuffered)
+    lines = done.stderr.decode().splitlines()
+    assert done.returncode == 2
+    assert [line for line in lines if not re.fullmatch(r"group-c2:[\w-]+: ok \(\d+ checks\)", line)] == [
+        f"error: output: {os.strerror(errno.ENOSPC)}"
+    ]
+
+
+def test_a_refused_write_names_the_output_stage(capsys, monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr("sys.stdout", Closed())
+    assert run(["list-examples"]) == 2
+    assert capsys.readouterr().err == f"error: output: {os.strerror(errno.EPIPE)}\n"
 
 
 def test_every_registered_example_has_a_parameter_validator():

@@ -14,6 +14,7 @@ order or of a law shows here.
 """
 
 import pytest
+from conftest import corrupt
 
 import hopfcalc.crossed
 from hopfcalc.crossed import CleftData, cleft_to_crossed, equivariant_section
@@ -24,11 +25,6 @@ from hopfcalc.hopf import check_comodule_algebra, check_hopf_axioms
 from hopfcalc.linalg import FreeVector, LinOp, format_index, tensor_index
 
 E = FreeVector.basis
-
-
-def corrupt(fn, args, extra):
-    """Add the basis vector extra to the memoised value of fn at args."""
-    fn.memo[args] = fn(*args) + E(extra)
 
 
 def failures(report):

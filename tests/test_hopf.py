@@ -1,7 +1,7 @@
 import pathlib
 
 import pytest
-from conftest import find_check
+from conftest import corrupt, find_check
 from structure_text import render_structure_constants
 
 from hopfcalc.hopf import (
@@ -97,6 +97,32 @@ def test_radford_with_identity_antipode_fails_at_x():
     bad = find_check(report, "hopf.antipode")
     assert bad.status == "fail"
     assert "ax(0,1)" in bad.witness
+
+
+# k[C4] from sample-data: the unit u(0), g = u(1) and its inverse u(3)
+ONE, G, G_INV = ("u", 0), ("u", 1), ("u", 3)
+
+
+# One corrupted table entry breaks one side of a two-sided law at each basis
+# element it reaches, while the other side holds there, so the law fails only
+# if both sides are required:
+# - 1 g != g, while g 1 = g;
+# - the product g^-1 g breaks S(g) g at g, and g^-1 S(g^-1) at g^-1;
+# - S^-1(g) breaks S^-1 S at g^-1, and S S^-1 at g.
+@pytest.mark.parametrize(
+    "identity, table, args, extra",
+    [
+        ("algebra.unit", lambda h: h.algebra.mult, (ONE, G), ONE),
+        ("hopf.antipode", lambda h: h.algebra.mult, (G_INV, G), G),
+        ("hopf.antipode-inverse", lambda h: h.antipode_inv.action, (G,), G),
+    ],
+)
+def test_a_law_broken_on_one_side_only_fails(identity, table, args, extra):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    h = parse_structure_constants((root / "sample-data" / "c4.hopf").read_text())
+    corrupt(table(h), args, extra)
+    check = find_check(check_hopf_axioms(h), identity)
+    assert (check.status, check.witness) == ("fail", "u(1)")
 
 
 def test_radford_rejects_non_primitive_root():

@@ -843,3 +843,74 @@ def test_law_copy_scan_sees_every_form():
         (13, "left_linear"),
     ]
     assert (11, "flatten") in _law_copies(tree, ())
+
+
+# process-lifecycle calls: the heap is frozen once, when cli.py is imported;
+# a collection, an unfreeze or disabling the collector in a library would
+# reach into its caller's process, and os._exit skips the flush of stdout
+_LIFECYCLE = frozenset({"gc.freeze", "gc.collect", "gc.disable", "gc.unfreeze", "os._exit"})
+
+
+def _lifecycle_calls(tree):
+    """(line, name, at module level) of each call of a _LIFECYCLE function,
+    through the module or an alias of it or of the function."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.partition(".")[0]
+                aliases[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom):
+            aliases |= {alias.asname or alias.name: f"{node.module}.{alias.name}" for alias in node.names}
+
+    def walk(node, top):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name):
+                    name = aliases.get(func.id)
+                elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    name = f"{aliases.get(func.value.id)}.{func.attr}"
+                else:
+                    name = None
+                if name in _LIFECYCLE:
+                    yield child.lineno, name, top
+            nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda))
+            yield from walk(child, top and not nested)
+
+    return list(walk(tree, True))
+
+
+def test_the_cli_alone_freezes_the_heap_and_nothing_collects_it():
+    found = [(path.name, name, top) for path, tree in _modules() for _, name, top in _lifecycle_calls(tree)]
+    assert found == [("cli.py", "gc.freeze", True)]
+
+
+def test_lifecycle_scan_sees_every_form():
+    text = (
+        "import gc, os.path\n"
+        "from gc import collect as sweep, unfreeze\n"
+        "import os as system\n"
+        "gc.freeze()\n"
+        "def f():\n"
+        "    gc.freeze()\n"
+        "    gc.disable()\n"
+        "    sweep()\n"
+        "    system._exit(0)\n"
+        "class C:\n"
+        "    unfreeze()\n"
+        "if True:\n"
+        "    gc.collect(2)\n"
+        "late = lambda: os._exit(1)\n"
+        "gc.get_freeze_count(), gc.enable(), system.getpid(), collect(), freeze()\n"
+    )
+    assert _lifecycle_calls(ast.parse(text)) == [
+        (4, "gc.freeze", True),
+        (6, "gc.freeze", False),
+        (7, "gc.disable", False),
+        (8, "gc.collect", False),
+        (9, "os._exit", False),
+        (11, "gc.unfreeze", False),
+        (13, "gc.collect", True),
+        (14, "os._exit", False),
+    ]
