@@ -15,7 +15,8 @@ command line that `COMMANDS` refuses, refused parameters or an unknown
 suite, `error: build:` when the instance cannot be built,
 `error: suite:<name>:` when a suite cannot run, and `error: output:` when
 stdout refuses the document, which is written and flushed before `run`
-returns, so that nothing is left for shut-down to write.
+returns, so that nothing is left for shut-down to write.  A stderr that
+refuses a line is closed (`_say`): stdout and the status stay as they were.
 
 Process lifecycle: importing this module freezes the heap (`gc.freeze`).
 Every object alive then, the interpreter's, `site`'s and hopfcalc's
@@ -124,6 +125,24 @@ def _usage() -> str:
     )
 
 
+def _close(stream) -> None:
+    """Close a stream that refused a write, which shut-down would fail to flush again."""
+    try:
+        stream.close()
+    except OSError:
+        pass
+
+
+def _say(text: str) -> None:
+    """text to stderr unless it is closed; a stderr that refuses text is closed."""
+    if not sys.stderr.closed:
+        try:
+            sys.stderr.write(text)
+            sys.stderr.flush()
+        except OSError:
+            _close(sys.stderr)
+
+
 def _emit(text: str, note: str, status: int) -> int:
     """status, after text goes to stdout, flushed so that no write is left
     for shut-down, and note to stderr; 2, after one `error: output:` line,
@@ -132,13 +151,10 @@ def _emit(text: str, note: str, status: int) -> int:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as err:
-        sys.stderr.write(f"error: output: {err.strerror}\n")
-        try:  # closed, stdout drops what shut-down would fail to flush again
-            sys.stdout.close()
-        except OSError:
-            pass
+        _say(f"error: output: {err.strerror}\n")
+        _close(sys.stdout)
         return 2
-    sys.stderr.write(note)
+    _say(note)
     return status
 
 
@@ -177,7 +193,7 @@ def run(argv=None) -> int:
             if not suites:
                 raise ValueError(f"unknown suite {wanted!r} for example {example!r}")
     except ValueError as err:
-        sys.stderr.write(f"error: params: {err}\n")
+        _say(f"error: params: {err}\n")
         return 2
 
     payload = {"schema": SCHEMA, "command": command, "example": example, "params": params}
@@ -189,7 +205,7 @@ def run(argv=None) -> int:
         payload["obstruction"] = str(obstructed)
         return _emit(render_json(payload), f"cohomology: {obstructed}\n", 0)
     except ValueError as err:
-        sys.stderr.write(f"error: build: {err}\n")
+        _say(f"error: build: {err}\n")
         return 2
 
     if command == "cohomology":
@@ -207,12 +223,12 @@ def run(argv=None) -> int:
         try:
             report = fn(instance)
         except ValueError as err:
-            sys.stderr.write(f"error: suite:{name}: {err}\n")
+            _say(f"error: suite:{name}: {err}\n")
             return 2
         reports.append({"example": example, "suite": name} | report.as_dict())
         for check in report.checks:
             counts[check.status] = counts.get(check.status, 0) + 1
-        sys.stderr.write(
+        _say(
             f"{example}:{name}: "
             + ("ok" if report.ok else "FAILED")
             + f" ({len(report.checks)} checks)\n"

@@ -36,6 +36,7 @@ from hopfcalc.linalg import (
     memoise,
     memoise_fields,
     record,
+    sum_terms,
     tensor_index,
 )
 from hopfcalc.report import FAIL, SAMPLED, CheckReport, witness
@@ -43,8 +44,6 @@ from hopfcalc.scalars import CycScalar
 
 Index = tuple
 E = FreeVector.basis
-# (-1)**n as _SIGN[n % 2], built once rather than per basis item
-_SIGN = (CycScalar.one(), CycScalar.from_rational(-1))
 
 
 def hor(b_form_vec: FreeVector, h_vec: FreeVector) -> FreeVector:
@@ -522,30 +521,37 @@ def build_higher_forms(cf: CrossedFodc, h_dc: GradedDc) -> GradedDc:
         moved = linear(b_wedge, bdeg2, b_act(g_m2, bdeg2, bp2), 0, s.sigma(g_m1, k_m1))
         return linear(b_wedge, bdeg1, bp1, bdeg2, moved)
 
-    def wedge(deg1, ix1, deg2, ix2):
+    def wedge_terms(deg1, ix1, deg2, ix2):
+        """(index, coefficient) terms of the wedge, the sign (-1)**(hdeg1 * bdeg2) by negation."""
         bdeg1, bp1, hdeg1, hp1 = split(deg1, ix1)
         bdeg2, bp2, hdeg2, hp2 = split(deg2, ix2)
-        sign = _SIGN[hdeg1 * bdeg2 % 2]
-        return combine(
-            (E(gix(bdeg1 + bdeg2, bp, hdeg1 + hdeg2, hp)), c * c2 * cb * ch * sign)
-            for c, (g_m2, g_m1, g0) in h_dc.lambda_terms(hdeg1, hp1, 2)
-            for c2, (k_m1, k0) in h_dc.lambda_terms(hdeg2, hp2, 1)
-            for bp, cb in bpart(bdeg1, bp1, bdeg2, bp2, g_m2, g_m1, k_m1).terms.items()
-            for hp, ch in h_dc.wedge(hdeg1, g0, hdeg2, k0).terms.items()
-        )
+        bdeg, hdeg, odd = bdeg1 + bdeg2, hdeg1 + hdeg2, hdeg1 * bdeg2 % 2
+        for c, (g_m2, g_m1, g0) in h_dc.lambda_terms(hdeg1, hp1, 2):
+            for c2, (k_m1, k0) in h_dc.lambda_terms(hdeg2, hp2, 1):
+                b_terms = bpart(bdeg1, bp1, bdeg2, bp2, g_m2, g_m1, k_m1).terms
+                h_terms = h_dc.wedge(hdeg1, g0, hdeg2, k0).terms if b_terms else None
+                if not h_terms:
+                    continue
+                # each product once, for a pair of legs and then a base term
+                c12 = c * c2
+                for bp, cb in b_terms.items():
+                    c12b = c12 * cb
+                    for hp, ch in h_terms.items():
+                        x = c12b * ch
+                        yield gix(bdeg, bp, hdeg, hp), -x if odd else x
 
     def d(deg, ix):
         bdeg, bp, hdeg, hp = split(deg, ix)
-        sign = _SIGN[bdeg % 2]
-        return combine(
-            [(E(gix(bdeg + 1, bq, hdeg, hp)), cb) for bq, cb in b_d(bdeg, bp).terms.items()]
-            + [(E(gix(bdeg, bp, hdeg + 1, hq)), ch * sign) for hq, ch in h_dc.d(hdeg, hp).terms.items()]
+        odd = bdeg % 2
+        return sum_terms(
+            [(gix(bdeg + 1, bq, hdeg, hp), cb) for bq, cb in b_d(bdeg, bp).terms.items()]
+            + [(gix(bdeg, bp, hdeg + 1, hq), -ch if odd else ch) for hq, ch in h_dc.d(hdeg, hp).terms.items()]
         )
 
     def right_coaction(deg, ix):
         bdeg, bp, hdeg, hp = split(deg, ix)
-        return combine(
-            (E(tensor_index(gix(bdeg, bp, hdeg, h0), h1)), c)
+        return sum_terms(
+            (tensor_index(gix(bdeg, bp, hdeg, h0), h1), c)
             for (_, h0, h1), c in h_dc.right_coaction(hdeg, hp).terms.items()
         )
 
@@ -553,7 +559,7 @@ def build_higher_forms(cf: CrossedFodc, h_dc: GradedDc) -> GradedDc:
         algebra=cp.algebra,
         max_degree=b_max_degree + h_dc.max_degree,
         basis=basis,
-        wedge=wedge,
+        wedge=lambda *ixs: sum_terms(wedge_terms(*ixs)),
         d=d,
         hopf=cp.hopf,
         right_coaction=right_coaction,
@@ -578,12 +584,13 @@ def check_graded_dc(dc: GradedDc, window: int | None = None) -> CheckReport:
     report.sweep("d-squared", ((n, ix) for n in degrees for ix in bases[n]), d_squared)
 
     def graded_leibniz(item):
+        # d(i ^ j) = di ^ j + (-1)**deg1 i ^ dj, each side one sum of memoised
+        # images; for odd deg1 the last sum moves left, so nothing is negated
         deg1, i, deg2, j = item
-        lhs = linear(dc.d, deg1 + deg2, dc.wedge(deg1, i, deg2, j))
-        rhs = linear(dc.wedge, deg1 + 1, dc.d(deg1, i), deg2, j) + linear(
-            dc.wedge, deg1, i, deg2 + 1, dc.d(deg2, j)
-        ).scale(_SIGN[deg1 % 2])
-        return lhs == rhs, (i, j)
+        lhs = [(dc.d(deg1 + deg2, m), c) for m, c in dc.wedge(deg1, i, deg2, j).terms.items()]
+        rhs = [(dc.wedge(deg1 + 1, m, deg2, j), c) for m, c in dc.d(deg1, i).terms.items()]
+        (lhs if deg1 % 2 else rhs).extend((dc.wedge(deg1, i, deg2 + 1, m), c) for m, c in dc.d(deg2, j).terms.items())
+        return combine(lhs) == combine(rhs), (i, j)
 
     report.sweep(
         "graded-leibniz",

@@ -32,6 +32,7 @@ __all__ = [
     "index_sort_key",
     "intersection_dim",
     "combine",
+    "sum_terms",
     "linear",
     "first_non_associative",
     "memoise",
@@ -161,9 +162,7 @@ class FreeVector:
             return True
         if not isinstance(other, FreeVector):
             return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(c == other.terms[ix] for ix, c in self.terms.items())
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -208,6 +207,23 @@ def _add_into(data: dict, terms: dict, c: Optional[CycScalar]) -> None:
         data[ix] = x
 
 
+def _sub_into(data: dict, terms: dict, c: CycScalar) -> dict:
+    """data minus c times terms, in place, with the terms, order and scalars
+    of `data - v.scale(c)` on vectors; no product by a c of one."""
+    scaled = not c.is_one()
+    for ix, x in terms.items():
+        if scaled:
+            x = x * c
+        prev = data.get(ix)
+        if prev is None:
+            data[ix] = -x
+        elif (x := prev - x).is_zero():
+            del data[ix]
+        else:
+            data[ix] = x
+    return data
+
+
 def combine(pairs: Iterable[tuple[FreeVector, CycScalar]]) -> FreeVector:
     """The sum of v.scale(c) over the (v, c) pairs.
 
@@ -233,6 +249,26 @@ def combine(pairs: Iterable[tuple[FreeVector, CycScalar]]) -> FreeVector:
                 data = dict(first.terms)
             _add_into(data, v.terms, c)
     return first if data is None else _wrap(data)
+
+
+def sum_terms(terms: Iterable[tuple[Index, CycScalar]]) -> FreeVector:
+    """The sum of c * E(ix) over the (ix, c) terms, with the terms, order and
+    scalars of `combine` of the pairs (E(ix), c), E = FreeVector.basis, but
+    no product: a c of one enters as E(ix)'s own one, any other as it is."""
+    data = {}
+    for ix, c in terms:
+        if c.is_one():
+            c = _ONE
+        elif c.is_zero():
+            continue
+        prev = data.get(ix)
+        if prev is not None:
+            c = prev + c
+            if c.is_zero():
+                del data[ix]
+                continue
+        data[ix] = c
+    return _wrap(data) if data else _ZERO
 
 
 def linear(fn: Callable[..., FreeVector], *args) -> FreeVector:
@@ -444,6 +480,10 @@ class _Echelon:
     the row through every row operation, such as the domain combination
     that a solver's image row comes from.  Inserts either all carry a
     track or none do.
+
+    A row operation is `v - row.scale(c)` done in place (`_sub_into`) on a
+    copy: `reduce` copies v and its track once, `insert` each row and track
+    it rewrites, for memoised maps share the vectors given and handed out.
     """
 
     def __init__(self):
@@ -452,18 +492,23 @@ class _Echelon:
 
     def reduce(self, v: FreeVector, track: Optional[FreeVector] = None):
         """(v minus its components along the rows, track reduced alike)."""
+        rows, terms, data = self.rows, v.terms, None
         while True:
-            hit = None
-            for ix in v.terms:
-                if ix in self.rows:
-                    hit = ix
+            for hit in terms:
+                if hit in rows:
                     break
-            if hit is None:
-                return v, track
-            c = v.terms[hit]
-            v = v - self.rows[hit].scale(c)
+            else:
+                break
+            c = terms[hit]
+            if data is None:  # the first step copies, the later ones write into the copies
+                data = terms = dict(terms)
+                track_data = None if track is None else dict(track.terms)
+            _sub_into(data, rows[hit].terms, c)
             if track is not None:
-                track = track - self.tracks[hit].scale(c)
+                _sub_into(track_data, self.tracks[hit].terms, c)
+        if data is None:
+            return v, track
+        return _wrap(data), None if track is None else _wrap(track_data)
 
     def insert(self, v: FreeVector, track: Optional[FreeVector] = None) -> bool:
         """Grow the rows by v; False if v was dependent."""
@@ -476,12 +521,12 @@ class _Echelon:
         if track is not None:
             track = track.scale(inv)
         # keep reduced form: eliminate the new pivot from existing rows
-        for p in list(self.rows):
-            c = self.rows[p].terms.get(pivot)
+        for p, old in self.rows.items():
+            c = old.terms.get(pivot)
             if c is not None:
-                self.rows[p] = self.rows[p] - row.scale(c)
+                self.rows[p] = _wrap(_sub_into(dict(old.terms), row.terms, c))
                 if track is not None:
-                    self.tracks[p] = self.tracks[p] - track.scale(c)
+                    self.tracks[p] = _wrap(_sub_into(dict(self.tracks[p].terms), track.terms, c))
         self.rows[pivot] = row
         if track is not None:
             self.tracks[pivot] = track

@@ -4,8 +4,13 @@ The reference is the literal loop `out = out + v.scale(c)` over a copy of
 the `FreeVector.__add__` and `FreeVector.scale` bodies that preceded the
 kernel, so that the kernel is compared against code it does not share.
 `OracleVector` wraps a vector's `terms` dict without copying it, as `scale`
-by one and `0 + v` did: the first addend is adopted by reference.
+by one and `0 + v` did: the first addend is adopted by reference.  Its
+negation, difference, `is_zero` and `leading_index` are those of
+`FreeVector`, for the elimination reference in `echelon_oracle`.
 """
+
+from hopfcalc.linalg import index_sort_key, linear
+from hopfcalc.scalars import CycScalar
 
 
 class OracleVector:
@@ -40,6 +45,18 @@ class OracleVector:
             if not x.is_zero():
                 data[ix] = x
         return OracleVector(data)
+
+    def __neg__(self):
+        return OracleVector({ix: -c for ix, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def is_zero(self):
+        return not self.terms
+
+    def leading_index(self):
+        return min(self.terms.keys(), key=index_sort_key) if self.terms else None
 
 
 def reference_combine(pairs):
@@ -84,4 +101,28 @@ def reference_first_non_associative(xs, ys, zs, first, then, inner, outer):
                 rhs = reference_linear(outer, x, inner(y, z))
                 if lhs.terms != rhs.terms:
                     return x, y, z
+    return None
+
+
+def reference_graded_leibniz(dc, window=None, max_total=2):
+    """The per-item loop that the graded-Leibniz sweep of `check_graded_dc`
+    ran before it built each side in one dict: over the items in the
+    sweep's order, both sides through `linalg.linear`, `FreeVector.scale`
+    and `+`, compared as `FreeVector.__eq__` then compared them.  The first
+    (i, j) at which d(i ^ j) != di ^ j + (-1)**deg1 i ^ dj, or None."""
+    sign = (CycScalar.one(), CycScalar.from_rational(-1))
+    degrees = range(max_total + 1)
+    bases = {n: dc.basis(n, window) for n in degrees}
+    for n1 in degrees:
+        for n2 in degrees:
+            if n1 + n2 > max_total:
+                continue
+            for i in bases[n1]:
+                for j in bases[n2]:
+                    lhs = linear(dc.d, n1 + n2, dc.wedge(n1, i, n2, j))
+                    rhs = linear(dc.wedge, n1 + 1, dc.d(n1, i), n2, j) + linear(
+                        dc.wedge, n1, i, n2 + 1, dc.d(n2, j)
+                    ).scale(sign[n1 % 2])
+                    if lhs.terms.keys() != rhs.terms.keys() or any(c != rhs.terms[ix] for ix, c in lhs.terms.items()):
+                        return i, j
     return None

@@ -520,15 +520,15 @@ def test_a_torus_structure_calculus_without_left_coaction_is_refused_by_the_buil
         assert invoke(capsys, argv) == (2, "", refusal)
 
 
-def _fresh(*args, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
+def _fresh(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
     """`python *args` run to its exit in a fresh interpreter with src/ on
-    the path and the environment variables env, its stderr (and, by
-    default, its stdout) captured as bytes.  Stdout is block-buffered, as
-    in a plain shell, unless env sets PYTHONUNBUFFERED."""
+    the path and the environment variables env, its stdout and stderr
+    captured as bytes unless given.  Stdout is block-buffered, as in a
+    plain shell, unless env sets PYTHONUNBUFFERED."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"} | env
     env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=stderr, env=env, timeout=120)
 
 
 def _loaded_after(argv, names):
@@ -620,6 +620,31 @@ def test_an_unwritable_stdout_names_the_output_stage(argv, unbuffered):
     assert [line for line in lines if not re.fullmatch(r"group-c2:[\w-]+: ok \(\d+ checks\)", line)] == [
         f"error: output: {os.strerror(errno.ENOSPC)}"
     ]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}])
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["verify", "group-c2", "--ideal", "zero"], 0),
+        (["verify", "user-hopf", "--file", "BROKEN"], 1),
+        (["verify", "group-c2", "--bogus"], 2),
+        (["verify", "radford", "--suite", "nothing"], 2),
+    ],
+)
+def test_an_unwritable_stderr_changes_neither_stdout_nor_the_status(tmp_path, capsys, argv, status, unbuffered):
+    # each stderr line, progress, summary or error, is dropped from the
+    # first one that stderr refuses
+    broken = tmp_path / "broken.hopf"
+    text = C4_HOPF.read_text().replace("ANTIPODE 1 -> 3 : 1", "ANTIPODE 1 -> 1 : 1")
+    broken.write_text(text.replace("ANTIPODE 3 -> 1 : 1", "ANTIPODE 3 -> 3 : 1"))
+    argv = [str(broken) if word == "BROKEN" else word for word in argv]
+    want_status, want, _ = invoke(capsys, argv)
+    with open("/dev/full", "w") as full:
+        done = _fresh("-m", "hopfcalc.cli", *argv, stderr=full, **unbuffered)
+    assert want_status == status
+    assert (done.returncode, done.stdout) == (status, want.encode())
 
 
 def test_a_refused_write_names_the_output_stage(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import pytest
 from conftest import find_check
+from linear_oracle import reference_graded_leibniz
 
 from hopfcalc.crossed import check_twisted_module_algebra
 from hopfcalc.crossed_calc import (
@@ -29,6 +30,7 @@ from hopfcalc.examples import (
 from hopfcalc.fodc import Fodc, check_fodc, check_sigma_twisted_module_calculus, zero_fodc
 from hopfcalc.hopf import BasisFamily, build_cyclic_group_algebra
 from hopfcalc.linalg import FreeVector, LinOp, linear, tensor_index
+from hopfcalc.report import witness
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
@@ -379,11 +381,44 @@ def test_wedge_sign_is_pinned_by_graded_leibniz(radford_calc):
     assert find_check(report, "wedge-assoc").status == "pass"
 
 
+def _replaced(good, **maps):
+    """good with some of its maps replaced."""
+    fields = {name: getattr(good, name) for name in type(good).__annotations__}
+    return type(good)(**{**fields, **maps})
+
+
 def _graded_verdicts(good, **maps):
     """(identity, status, witness) of check_graded_dc on good with some maps replaced."""
-    fields = {name: getattr(good, name) for name in type(good).__annotations__}
-    report = check_graded_dc(type(good)(**{**fields, **maps}))
+    report = check_graded_dc(_replaced(good, **maps))
     return [(c.identity, c.status, c.witness) for c in report.checks]
+
+
+# A wedge entry of degree two doubled, a term of the differential dropped,
+# and a degree-zero product with the unit doubled: three corrupted calculi.
+WEDGE_ENTRY = (1, ("gf", 1, ("om", 0, 0), ("g", 0)), 1, ("gf", 0, ("h1", 0, 0), ("w1", 0, ("g", 1))))
+D_ARGS = (0, ("@", ("h1", 0, 1), ("g", 1)))
+UNIT_PRODUCT = (0, ("@", ("h1", 0, 0), ("g", 0)), 0, ("@", ("h1", 0, 1), ("g", 1)))
+
+
+def _doubled_wedge_entry(good, args=WEDGE_ENTRY):
+    def wedge(*at):
+        out = good.wedge(*at)
+        return out.scale(CycScalar.from_rational(2)) if at == args else out
+
+    return {"wedge": wedge}
+
+
+def _dropped_d_term(good):
+    def d(*at):
+        # drop the base-degree-one term of d(a), keeping its structure term
+        out = good.d(*at)
+        return FreeVector({k: c for k, c in out.terms.items() if k[1] == 0}) if at == D_ARGS else out
+
+    return {"d": d}
+
+
+def _doubled_unit_product(good):
+    return _doubled_wedge_entry(good, UNIT_PRODUCT)
 
 
 # Each sweep stops at its first failing item, so the witnesses below pin the
@@ -392,14 +427,8 @@ def _graded_verdicts(good, **maps):
 
 def test_corrupted_degree_two_wedge_entry_fails_associativity(radford_calc):
     good = radford_calc.higher
-    i, j = ("gf", 1, ("om", 0, 0), ("g", 0)), ("gf", 0, ("h1", 0, 0), ("w1", 0, ("g", 1)))
-    assert not good.wedge(1, i, 1, j).is_zero()
-
-    def wedge(deg1, ix1, deg2, ix2):
-        out = good.wedge(deg1, ix1, deg2, ix2)
-        return out.scale(CycScalar.from_rational(2)) if (deg1, ix1, deg2, ix2) == (1, i, 1, j) else out
-
-    assert _graded_verdicts(good, wedge=wedge) == [
+    assert not good.wedge(*WEDGE_ENTRY).is_zero()
+    assert _graded_verdicts(good, **_doubled_wedge_entry(good)) == [
         ("d-squared", "pass", None),
         ("graded-leibniz", "fail", "(h1(0,1) (x) g(0)) ; gf(0,h1(0,0),w1(0,g(1)))"),
         ("wedge-assoc", "fail", "(h1(0,0) (x) g(1)) ; gf(1,om(0,0),g(0)) ; gf(0,h1(0,0),w1(0,g(1)))"),
@@ -409,15 +438,8 @@ def test_corrupted_degree_two_wedge_entry_fails_associativity(radford_calc):
 
 def test_corrupted_differential_fails_d_squared(radford_calc):
     good = radford_calc.higher
-    a = ("@", ("h1", 0, 1), ("g", 1))
-
-    def d(deg, ix):
-        # drop the base-degree-one term of d(a), keeping its structure term
-        out = good.d(deg, ix)
-        return FreeVector({k: c for k, c in out.terms.items() if k[1] == 0}) if (deg, ix) == (0, a) else out
-
-    assert len(good.d(0, a).terms) == 2
-    assert _graded_verdicts(good, d=d) == [
+    assert len(good.d(*D_ARGS).terms) == 2
+    assert _graded_verdicts(good, **_dropped_d_term(good)) == [
         ("d-squared", "fail", "(h1(0,1) (x) g(1))"),
         ("graded-leibniz", "fail", "(h1(0,0) (x) g(1)) ; (h1(0,1) (x) g(0))"),
         ("wedge-assoc", "pass", None),
@@ -427,19 +449,33 @@ def test_corrupted_differential_fails_d_squared(radford_calc):
 
 def test_corrupted_degree_zero_product_fails_wedge_unit(radford_calc):
     good = radford_calc.higher
-    unit, a = ("@", ("h1", 0, 0), ("g", 0)), ("@", ("h1", 0, 1), ("g", 1))
-    assert good.algebra.unit == E(unit)
-
-    def wedge(deg1, ix1, deg2, ix2):
-        out = good.wedge(deg1, ix1, deg2, ix2)
-        return out.scale(CycScalar.from_rational(2)) if (deg1, ix1, deg2, ix2) == (0, unit, 0, a) else out
-
-    assert _graded_verdicts(good, wedge=wedge) == [
+    assert good.algebra.unit == E(UNIT_PRODUCT[1])
+    assert _graded_verdicts(good, **_doubled_unit_product(good)) == [
         ("d-squared", "pass", None),
         ("graded-leibniz", "fail", "(h1(0,0) (x) g(0)) ; (h1(0,1) (x) g(1))"),
         ("wedge-assoc", "fail", "(h1(0,0) (x) g(0)) ; (h1(0,0) (x) g(0)) ; (h1(0,1) (x) g(1))"),
         ("wedge-unit", "fail", "(h1(0,1) (x) g(1))"),
     ]
+
+
+def _leibniz_verdict(dc, window=None):
+    check = find_check(check_graded_dc(dc, window), "graded-leibniz")
+    return check.status, check.witness
+
+
+@pytest.mark.parametrize("corruption", [None, _doubled_wedge_entry, _dropped_d_term, _doubled_unit_product])
+def test_graded_leibniz_matches_the_per_item_loop_on_radford(radford_calc, corruption):
+    good = radford_calc.higher
+    dc = _replaced(good, **corruption(good)) if corruption else good
+    hit = reference_graded_leibniz(dc)
+    assert _leibniz_verdict(dc) == (("pass", None) if hit is None else ("fail", witness(*hit)))
+    assert (hit is None) == (corruption is None)
+
+
+def test_graded_leibniz_matches_the_per_item_loop_on_torus(torus_calc):
+    dc = torus_calc.higher
+    assert reference_graded_leibniz(dc, window=1) is None
+    assert _leibniz_verdict(dc, window=1) == ("window-verified", None)
 
 
 def test_truncation_raises_with_the_witness_the_instance_records():

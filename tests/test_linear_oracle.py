@@ -1,10 +1,13 @@
-"""Differential test of linalg.combine and linalg.linear against linear_oracle.
+"""Differential test of linalg.combine, linalg.sum_terms and linalg.linear
+against linear_oracle.
 
 The kernel must give what repeated `out = out + v.scale(c)` gave: the same
 terms in the same dict order, each coefficient with the same order,
 numerators and denominator, from the same scalar products and sums operand
-for operand, and it must leave every input vector as it was.  Scalars mix
-the orders 1, 2, 4 and 8, and coefficients are biased to 0, 1 and -1.
+for operand, and it must leave every input vector as it was.  `sum_terms`
+gives what that loop gave over basis vectors, with no product at all.
+Scalars mix the orders 1, 2, 4 and 8, and coefficients are biased to 0, 1
+and -1.
 """
 
 from collections import Counter
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from linear_oracle import reference_combine, reference_first_non_associative, reference_linear
 
-from hopfcalc.linalg import FreeVector, combine, first_non_associative, linear
+from hopfcalc.linalg import FreeVector, combine, first_non_associative, linear, sum_terms
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 ORDERS = [1, 2, 4, 8]
@@ -101,6 +104,34 @@ def _agrees(run_kernel, run_reference, inputs):
 @given(pairs())
 def test_combine_matches_repeated_addition(items):
     _agrees(lambda: combine(items), lambda: reference_combine(items), [v for v, _ in items])
+
+
+@st.composite
+def index_terms(draw):
+    """(index, coefficient) terms over a few indices, some cancelled and
+    maybe brought back, as `pairs` draws its addends."""
+    coeffs = draw(st.lists(scalars(), min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        ix, c = draw(st.integers(0, 3)), draw(st.sampled_from(coeffs))
+        out.append((ix, c))
+        if draw(st.booleans()):
+            out.append((ix, -c))
+            if draw(st.booleans()):
+                out.append((ix, c))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_terms())
+def test_sum_terms_matches_repeated_addition_of_basis_vectors(terms):
+    with _scalar_trace() as ops:
+        got = sum_terms(terms)
+    want = reference_combine((FreeVector.basis(ix), c) for ix, c in terms)
+    assert _shape(got.terms) == _shape(want.terms)
+    assert ops["*"] == []
+    if not got.terms:
+        assert got is FreeVector.zero()
 
 
 @st.composite
