@@ -7,13 +7,12 @@ order and graded differential calculi, the bundle structure of crossed
 products, and de Rham cohomology by exact rank.
 """
 
-from hopfcalc.linalg import FreeVector, LinOp, Subspace
+from hopfcalc.linalg import FreeVector, Subspace
 from hopfcalc.scalars import CycScalar, parse_scalar, root_of_unity
 
 __all__ = [
     "CycScalar",
     "FreeVector",
-    "LinOp",
     "Subspace",
     "parse_scalar",
     "root_of_unity",

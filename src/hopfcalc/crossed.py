@@ -26,14 +26,15 @@ from hopfcalc.hopf import (
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
-    LinOp,
     QuotientSpace,
     Subspace,
     combine,
     first_non_associative,
     linear,
+    memoise,
     memoise_fields,
     record,
+    sum_terms,
     tensor_index,
 )
 from hopfcalc.report import FAIL, PASS, CheckReport, witness
@@ -76,8 +77,7 @@ def cocycle_from_sigma(sigma, b: AlgebraPresentation, h: HopfData, window: int |
     # built first, so that the inversion below fills the memoised sigma;
     # sigma_inv is only called after g is bound
     cocycle = Cocycle(sigma=sigma, sigma_inv=lambda i, j: g(tensor_index(i, j)))
-    f = LinOp(lambda pair: cocycle.sigma(pair[1], pair[2]), name="sigma")
-    g = convolution_inverse(f, sq, c_basis, b, window=window)
+    g = convolution_inverse(lambda pair: cocycle.sigma(pair[1], pair[2]), sq, c_basis, b, window=window)
     return cocycle
 
 
@@ -216,7 +216,7 @@ def build_crossed_product(
 
     def coaction(i):
         _, bi, hi = i
-        return combine((E(tensor_index(tensor_index(bi, h1), h2)), c) for (_, h1, h2), c in h.comul(hi).terms.items())
+        return sum_terms((tensor_index(tensor_index(bi, h1), h2), c) for (_, h1, h2), c in h.comul(hi).terms.items())
 
     coinv = CoinvariantFamily(algebra=b, embed=lambda bi: FreeVector.basis(bi).tensor(h.algebra.unit))
     comodule = ComoduleAlgebra(algebra=algebra, hopf=h, coaction=coaction, coinvariants=coinv)
@@ -233,10 +233,13 @@ def build_crossed_product(
 @record
 class CleftData:
     total: ComoduleAlgebra
-    cleaving: LinOp
-    cleaving_inv: Optional[LinOp] = None
+    cleaving: Callable[[Index], FreeVector]
+    cleaving_inv: Optional[Callable[[Index], FreeVector]] = None
 
-    def ensure_inverse(self, window: int | None = None) -> LinOp:
+    def __post_init__(self):
+        memoise_fields(self, "cleaving", "cleaving_inv")
+
+    def ensure_inverse(self, window: int | None = None) -> Callable[[Index], FreeVector]:
         if self.cleaving_inv is None:
             h = self.total.hopf
             self.cleaving_inv = convolution_inverse(
@@ -257,12 +260,12 @@ def _base_expressor(fam: CoinvariantFamily, window: int | None) -> Callable[[Fre
         if window is None:
             raise ValueError("windowed base presentation needs a window")
         domain = fam.algebra.basis.enumerate(3 * window)
-    return LinearSolver(LinOp(lambda ix: fam.embed(ix), name="embed"), domain).solve
+    return LinearSolver(fam.embed, domain).named("embed").solve
 
 
 def _split_ix(
     a: ComoduleAlgebra,
-    j_inv: LinOp,
+    j_inv: Callable[[Index], FreeVector],
     express: Callable[[FreeVector], FreeVector],
     right: Callable[[Index], FreeVector],
 ) -> Callable[[Index], FreeVector]:
@@ -300,7 +303,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     def sigma(hi, hj):
         return express(
             combine(
-                (a.algebra.product(j(h1), j(k1), j_inv(h.algebra.mult(h2, k2))), c1 * c2)
+                (a.algebra.product(j(h1), j(k1), linear(j_inv, h.algebra.mult(h2, k2))), c1 * c2)
                 for c1, (h1, h2) in h.sweedler(hi, 2)
                 for c2, (k1, k2) in h.sweedler(hj, 2)
             )
@@ -308,7 +311,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
 
     h_basis = h.algebra.basis.enumerate(window)
     # exact on any basis: the cleaving map is evaluated at the unit alone
-    report.add("cleaving.unital", PASS if j(h.algebra.unit) == a.algebra.unit else FAIL)
+    report.add("cleaving.unital", PASS if linear(j, h.algebra.unit) == a.algebra.unit else FAIL)
 
     report.sweep("cleaving.colinear", h_basis, colinear(j, h.comul, a.coaction))
 
@@ -316,19 +319,19 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     cocycle = cocycle_from_sigma(sigma, b, h, window=window)
     crossed = build_crossed_product(b, h, measure, cocycle, window=window)
 
-    theta = LinOp(_split_ix(a, j_inv, express, E), name="theta")
+    theta = memoise(_split_ix(a, j_inv, express, E))
 
     def theta_inv_ix(pair_ix):
         _, bi, hi = pair_ix
         return linear(a.algebra.mult, embed(bi), j(hi))
 
-    theta_inv = LinOp(theta_inv_ix, name="theta^-1")
+    theta_inv = memoise(theta_inv_ix)
 
     a_basis = a.algebra.basis.enumerate(window)
     pair_basis = crossed.algebra.basis.enumerate(window)
 
-    report.sweep("theta.left-inverse", a_basis, lambda ix: (theta_inv(theta(ix)) == E(ix), (ix,)))
-    report.sweep("theta.right-inverse", pair_basis, lambda ix: (theta(theta_inv(ix)) == E(ix), (ix,)))
+    report.sweep("theta.left-inverse", a_basis, lambda ix: (linear(theta_inv, theta(ix)) == E(ix), (ix,)))
+    report.sweep("theta.right-inverse", pair_basis, lambda ix: (linear(theta, theta_inv(ix)) == E(ix), (ix,)))
 
     report.sweep(
         "theta.algebra-map",
@@ -350,7 +353,7 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
     j_inv = cleft.ensure_inverse(window)
     embed = a.coinvariants.embed
     report = CheckReport(windowed=not a.algebra.basis.is_finite)
-    section = LinOp(_split_ix(a, j_inv, _base_expressor(a.coinvariants, window), j), name="s")
+    section = memoise(_split_ix(a, j_inv, _base_expressor(a.coinvariants, window), j))
     a_basis = a.algebra.basis.enumerate(window)
     b_basis = a.coinvariants.algebra.basis.enumerate(window)
 
@@ -421,19 +424,19 @@ def check_hopf_galois(a: ComoduleAlgebra) -> HopfGaloisResult:
         _, i, k = pair_ix
         return combine((a.algebra.mult(i, k0).tensor(E(k1)), c) for c, (k0, k1) in a.coaction_terms(k, 1))
 
-    can = LinOp(can_raw, name="can")
+    can = memoise(can_raw)
 
     # can must kill the balanced relations to be defined on the quotient
     report.sweep(
         "hopf-galois.well-defined",
         relations.basis(),
-        lambda rel: (can(rel).is_zero(), (rel,)),
+        lambda rel: (linear(can, rel).is_zero(), (rel,)),
     )
 
     def can_on_class(cls_ix):
-        return can(balanced.representatives[cls_ix[1]])
+        return linear(can, balanced.representatives[cls_ix[1]])
 
-    rank = LinearSolver(LinOp(can_on_class), balanced.labels).rank
+    rank = LinearSolver(can_on_class, balanced.labels).rank
     target_dim = len(a_basis) * len(h_basis)
     report.record(
         "hopf-galois.bijective",

@@ -24,7 +24,6 @@ from hopfcalc.hopf import AlgebraPresentation, BasisFamily, HopfData, colinear, 
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
-    LinOp,
     NoSolution,
     Subspace,
     TrackedSpan,
@@ -68,11 +67,11 @@ class CrossedFodc:
     left_act: Callable[[Index, Index], FreeVector]
     right_act: Callable[[Index, Index], FreeVector]
     right_coaction: Callable[[Index], FreeVector]
-    d: LinOp
+    d: Callable[[Index], FreeVector]
     hypotheses: CheckReport  # the twisted module-calculus checks that derived b_action
 
     def __post_init__(self):
-        memoise_fields(self, "left_act", "right_act", "right_coaction")
+        memoise_fields(self, "left_act", "right_act", "right_coaction", "d")
 
     def horizontal_window(self, window: int | None) -> list[Index]:
         return [
@@ -141,10 +140,10 @@ def _assemble(cp: CrossedProduct, b_calc: Fodc, h_calc: Fodc, action: TwistedCal
     def right_coaction(form_ix):
         if form_ix[0] == "hor":
             _, bf, hx = form_ix
-            return combine((E(tensor_index(("hor", bf, h1), h2)), c) for c, (h1, h2) in h.sweedler(hx, 2))
+            return sum_terms((tensor_index(("hor", bf, h1), h2), c) for c, (h1, h2) in h.sweedler(hx, 2))
         _, bx, hf = form_ix
-        return combine(
-            (E(tensor_index(("ver", bx, f0), f1)), c) for (_, f0, f1), c in h_calc.right_coaction(hf).terms.items()
+        return sum_terms(
+            (tensor_index(("ver", bx, f0), f1), c) for (_, f0, f1), c in h_calc.right_coaction(hf).terms.items()
         )
 
     return left_act, right_act, d_ix, right_coaction
@@ -179,7 +178,7 @@ def build_crossed_fodc(
         left_act=left_act,
         right_act=right_act,
         right_coaction=right_coaction,
-        d=LinOp(d_ix, name="d#"),
+        d=d_ix,
         hypotheses=report,
     )
 
@@ -204,7 +203,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
     def hor_generation(item):
         bx, by, hx = item
         first = linear(cf.left_act, embed(bx), cf.d(tensor_index(by, hx)))
-        second = linear(cf.left_act, b.mult(bx, by).tensor(one_h), cf.d(b.unit.tensor(E(hx))))
+        second = linear(cf.left_act, b.mult(bx, by).tensor(one_h), linear(cf.d, b.unit.tensor(E(hx))))
         expected = hor(linear(cf.b_calc.left_act, bx, cf.b_calc.d(by)), E(hx))
         return first - second == expected, (bx, by, hx)
 
@@ -221,7 +220,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
                 linear(
                     cf.left_act,
                     linear(b.mult, bx, cp.cocycle.sigma_inv(x1, y1)).tensor(E(x2)),
-                    cf.d(b.unit.tensor(E(y2))),
+                    linear(cf.d, b.unit.tensor(E(y2))),
                 ),
                 c1 * c2,
             )
@@ -252,8 +251,8 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
     def rho_hat(form_vec: FreeVector) -> FreeVector:
         """Differential of the coaction: values in
         Omega^1(A) (x) H  (+)  A (x) Omega^1(H), tagged oA / oH."""
-        return combine(
-            (E(key), c * c2) for form_ix, c in form_vec.terms.items() for key, c2 in rho_hat_terms(form_ix)
+        return sum_terms(
+            (key, c * c2) for form_ix, c in form_vec.terms.items() for key, c2 in rho_hat_terms(form_ix)
         )
 
     def rho_differentiable(pair_ix):
@@ -344,7 +343,7 @@ def necessity_dsigma(
     @memoise
     def expected_defect(hx, hy):
         return combine(
-            (hor(b_calc.d(cp.cocycle.sigma(x1, y1)), h.algebra.mult(x2, y2)), c1 * c2)
+            (hor(linear(b_calc.d, cp.cocycle.sigma(x1, y1)), h.algebra.mult(x2, y2)), c1 * c2)
             for c1, (x1, x2) in h.sweedler(hx, 2)
             for c2, (y1, y2) in h.sweedler(hy, 2)
         )
@@ -681,7 +680,7 @@ def de_rham_cohomology(dc: GradedDc, max_degree: int, window: int | None = None)
     prev_image_rank = 0
     for n in range(0, max_degree + 1):
         basis_n = dc.basis(n, window)
-        solver = LinearSolver(LinOp(lambda ix, n=n: dc.d(n, ix)), basis_n)
+        solver = LinearSolver(lambda ix, n=n: dc.d(n, ix), basis_n)
         kernel_dim = solver.kernel().dim
         dims.append(kernel_dim - prev_image_rank)
         prev_image_rank = solver.rank
@@ -733,7 +732,7 @@ def classify_smash(
             raise ValueError(
                 f"not a trivial extension: the cleaving map is not an algebra morphism at {witness(*parts)}"
             )
-    if not j(h.algebra.unit) == a.algebra.unit:
+    if not linear(j, h.algebra.unit) == a.algebra.unit:
         raise ValueError("not a trivial extension: the cleaving map is not unital")
 
     crossed, theta, theta_inv, derivation = cleft_to_crossed(cleft, window=window)
@@ -757,7 +756,7 @@ def classify_smash(
             shell_basis = b.basis.enumerate(None if finite_base else current)
             for bx in shell_basis:
                 for by in shell_basis:
-                    v = linear(a_calc.left_act, embed(bx), a_calc.d(embed(by)))
+                    v = linear(a_calc.left_act, embed(bx), linear(a_calc.d, embed(by)))
                     if not v.is_zero():
                         pb.add(("pb", pb.dim), v)
             shell_counts[current] = pb.dim
@@ -789,14 +788,14 @@ def classify_smash(
         return express_pb(linear(a_calc.right_act, pb.vectors[pb_ix], embed(b_ix)), "the right action")
 
     def b_fodc_d(b_ix):
-        return express_pb(a_calc.d(embed(b_ix)), "the differential")
+        return express_pb(linear(a_calc.d, embed(b_ix)), "the differential")
 
     b_fodc = Fodc(
         algebra=b,
         forms=BasisFamily.spanned(pb_window, b.basis),
         left_act=b_fodc_left,
         right_act=b_fodc_right,
-        d=LinOp(b_fodc_d, name="d_B"),
+        d=b_fodc_d,
     )
 
     # sampled torsion-freeness of the form module
@@ -812,12 +811,8 @@ def classify_smash(
     for sample in samples:
         if sample.is_zero():
             continue
-        left_solver = LinearSolver(
-            LinOp(lambda fx, sample=sample: linear(a_calc.left_act, sample, fx)), form_basis
-        )
-        right_solver = LinearSolver(
-            LinOp(lambda fx, sample=sample: linear(a_calc.right_act, fx, sample)), form_basis
-        )
+        left_solver = LinearSolver(lambda fx, sample=sample: linear(a_calc.left_act, sample, fx), form_basis)
+        right_solver = LinearSolver(lambda fx, sample=sample: linear(a_calc.right_act, fx, sample), form_basis)
         if left_solver.kernel().dim or right_solver.kernel().dim:
             torsion_ok, torsion_witness = False, witness(sample)
             break
@@ -828,7 +823,7 @@ def classify_smash(
     h_pres = PresentationSolver(h_calc, window)
 
     def j_hat_pair(hx, hy):
-        return linear(a_calc.left_act, j(hx), a_calc.d(j(hy)))
+        return linear(a_calc.left_act, j(hx), linear(a_calc.d, j(hy)))
 
     cond1_ok, cond1_witness = True, None
     def j_hat_of(presentation):
@@ -844,7 +839,7 @@ def classify_smash(
         return j_hat_of(h_pres.solve(E(h_form_ix)))
 
     if cond1_ok:
-        inj = LinearSolver(LinOp(j_hat), h_form_basis)
+        inj = LinearSolver(j_hat, h_form_basis)
         if inj.kernel().dim:
             cond1_ok, cond1_witness = False, "differential of the cleaving map has a kernel"
     report.record("classification-(1)", cond1_ok, witness=cond1_witness)
@@ -870,8 +865,8 @@ def classify_smash(
         hx, bx = pair
         total = combine(
             (
-                linear(a_calc.right_act, linear(a_calc.right_act, a_calc.d(j(h1)), embed(bx)), j_inv(h2))
-                + linear(a_calc.left_act, linear(a.algebra.mult, j(h1), embed(bx)), a_calc.d(j_inv(h2))),
+                linear(a_calc.right_act, linear(a_calc.right_act, linear(a_calc.d, j(h1)), embed(bx)), j_inv(h2))
+                + linear(a_calc.left_act, linear(a.algebra.mult, j(h1), embed(bx)), linear(a_calc.d, j_inv(h2))),
                 c,
             )
             for c, (h1, h2) in h.sweedler(hx, 2)
@@ -892,10 +887,10 @@ def classify_smash(
         _, bx, fx = form_ix
         return linear(a_calc.left_act, embed(bx), j_hat(fx))
 
-    theta_hat_inv = LinOp(theta_hat_inv_ix, name="theta_hat^-1")
+    theta_hat_inv = memoise(theta_hat_inv_ix)
     smash_forms = smash_cf.forms.enumerate(window)
 
-    bij = LinearSolver(theta_hat_inv, smash_forms)
+    bij = LinearSolver(theta_hat_inv, smash_forms).named("theta_hat^-1")
     injective = bij.kernel().dim == 0
     surj_ok, surj_witness = True, None
     for fx in form_basis:
@@ -911,17 +906,17 @@ def classify_smash(
     )
 
     def intertwines(pair_ix):
-        lhs = theta_hat_inv(smash_cf.d(pair_ix))
-        rhs = a_calc.d(theta_inv(pair_ix))
+        lhs = linear(theta_hat_inv, smash_cf.d(pair_ix))
+        rhs = linear(a_calc.d, theta_inv(pair_ix))
         return lhs == rhs, (pair_ix,)
 
     report.sweep("comparison.intertwines-d", crossed.algebra.basis.enumerate(window), intertwines)
 
     def bimodule_map(item):
         pair_ix, form_ix = item
-        lhs = theta_hat_inv(smash_cf.left_act(pair_ix, form_ix))
+        lhs = linear(theta_hat_inv, smash_cf.left_act(pair_ix, form_ix))
         rhs = linear(a_calc.left_act, theta_inv(pair_ix), theta_hat_inv(form_ix))
-        lhs2 = theta_hat_inv(smash_cf.right_act(form_ix, pair_ix))
+        lhs2 = linear(theta_hat_inv, smash_cf.right_act(form_ix, pair_ix))
         rhs2 = linear(a_calc.right_act, theta_hat_inv(form_ix), theta_inv(pair_ix))
         return lhs == rhs and lhs2 == rhs2, (pair_ix, form_ix)
 

@@ -30,7 +30,7 @@ from hopfcalc.hopf import (
     check_radford_shape,
     TorusData,
 )
-from hopfcalc.linalg import FreeVector, LinOp, combine, linear, memoise, record, tensor_index
+from hopfcalc.linalg import FreeVector, combine, linear, memoise, record, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
@@ -81,7 +81,7 @@ def check_packaged_n(n: int) -> None:
         raise ValueError(f"the packaged calculi need nilpotency order n = 2, got n = {n}")
 
 
-def _rank_one_calculus(inst: RadfordInstance, tag: str, twist, d_ix, d_name: str) -> "Fodc":
+def _rank_one_calculus(inst: RadfordInstance, tag: str, twist, d_ix) -> "Fodc":
     """A free rank-one left module over the base on forms (tag, l, m), one
     per basis element a^(lr) x^m, with right action b . w = w twist(b)."""
     from hopfcalc.fodc import Fodc
@@ -103,7 +103,7 @@ def _rank_one_calculus(inst: RadfordInstance, tag: str, twist, d_ix, d_name: str
         forms=BasisFamily(indices=[(tag, l, mm) for _, l, mm in b.basis.indices]),
         left_act=left_act,
         right_act=right_act,
-        d=LinOp(d_ix, name=d_name),
+        d=d_ix,
     )
 
 
@@ -127,7 +127,7 @@ def radford_base_calculus(inst: RadfordInstance) -> "Fodc":
             return FreeVector.zero()
         return E(("om", l, 0))
 
-    return _rank_one_calculus(inst, "om", twist, d_ix, "d_B")
+    return _rank_one_calculus(inst, "om", twist, d_ix)
 
 
 def radford_injected_calculus(inst: RadfordInstance):
@@ -154,7 +154,7 @@ def radford_injected_calculus(inst: RadfordInstance):
             return E(("omx", 0, 0))  # d(a^r) = omega
         return E(("omx", 0, 1), CycScalar.from_rational(-1))  # d(a^r x) = -x omega
 
-    calc = _rank_one_calculus(inst, "omx", twist, d_ix, "d_inj")
+    calc = _rank_one_calculus(inst, "omx", twist, d_ix)
 
     def act(g_ix, f_ix):
         # g^i . (b omega) = q^i (g^i . b) omega, diagonal on the monomial basis
@@ -215,7 +215,7 @@ def torus_classical_calculus(inst: TorusInstance):
         forms=BasisFamily(window_fn=lambda w: [("dw", k) for k in range(-w, w + 1)]),
         left_act=lambda a, f: E(("dw", a[1] + f[1])),
         right_act=lambda f, a: E(("dw", a[1] + f[1])),
-        d=LinOp(dd, name="d_cl"),
+        d=dd,
     )
     th = inst.torus.theta_root
     return calc, TwistedCalculusAction(act=lambda t, f: E(f, th ** (-t[1] * (f[1] + 1))))
@@ -325,7 +325,7 @@ def smash_demo_instance(q_order: int = 8) -> SmashDemoInstance:
     B (x) H, carrying the product of the classical calculus on the base
     and the one-parameter calculus on the structure Hopf algebra.  The
     cleaving map is an algebra morphism, so this is a trivial extension."""
-    from hopfcalc.fodc import Fodc, build_laurent_q_calculus
+    from hopfcalc.fodc import Fodc, build_laurent_q_calculus, q_integers
 
     q = root_of_unity(q_order)
     so = q.order
@@ -357,25 +357,17 @@ def smash_demo_instance(q_order: int = 8) -> SmashDemoInstance:
     )
     cleft = CleftData(
         total=comodule,
-        cleaving=LinOp(lambda t: E(ix(0, t[1])), name="j"),
-        cleaving_inv=LinOp(lambda t: E(ix(0, -t[1])), name="j^-1"),
+        cleaving=lambda t: E(ix(0, t[1])),
+        cleaving_inv=lambda t: E(ix(0, -t[1])),
     )
 
     h_calc = build_laurent_q_calculus(q, hopf=hopf)
-    denom_inv = (q - one).inverse()
-
-    def q_int(nn):
-        return (q ** nn - one) * denom_inv
+    q_int = q_integers(q)
 
     def d_ix(i):
         _, mm, nn = i
-        out = FreeVector.zero()
-        if mm:
-            out = out + E(("ds", mm - 1, nn), CycScalar.from_rational(mm))
-        c = q_int(nn)
-        if not c.is_zero():
-            out = out + E(("dtA", mm, nn - 1), c)
-        return out
+        # each coefficient as it is, a zero one dropped
+        return FreeVector({("ds", mm - 1, nn): CycScalar.from_rational(mm), ("dtA", mm, nn - 1): q_int(nn)})
 
     def left_act(i, f):
         _, mm, nn = i
@@ -398,7 +390,7 @@ def smash_demo_instance(q_order: int = 8) -> SmashDemoInstance:
         ),
         left_act=left_act,
         right_act=right_act,
-        d=LinOp(d_ix, name="d_A"),
+        d=d_ix,
         hopf=hopf,
         right_coaction=right_coaction,
         algebra_coaction=comodule.coaction,
@@ -512,7 +504,7 @@ def radford_suites(params: dict) -> list:
     def section(rc):
         cleft = CleftData(
             total=rc.instance.crossed.comodule,
-            cleaving=LinOp(lambda g_ix: FreeVector.basis(tensor_index(("h1", 0, 0), g_ix))),
+            cleaving=lambda g_ix: FreeVector.basis(tensor_index(("h1", 0, 0), g_ix)),
         )
         _, rep = equivariant_section(cleft)
         return rep

@@ -29,7 +29,6 @@ from hopfcalc.hopf import (
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
-    LinOp,
     NoSolution,
     QuotientSpace,
     Subspace,
@@ -39,6 +38,7 @@ from hopfcalc.linalg import (
     linear,
     memoise_fields,
     record,
+    sum_terms,
     tensor_index,
 )
 from hopfcalc.report import CheckReport, witness
@@ -54,7 +54,7 @@ class Fodc:
     forms: BasisFamily
     left_act: Callable[[Index, Index], FreeVector]
     right_act: Callable[[Index, Index], FreeVector]
-    d: LinOp
+    d: Callable[[Index], FreeVector]
     hopf: Optional[HopfData] = None
     right_coaction: Optional[Callable[[Index], FreeVector]] = None  # form -> form (x) H
     left_coaction: Optional[Callable[[Index], FreeVector]] = None   # form -> H (x) form
@@ -62,7 +62,7 @@ class Fodc:
     covariance_note: str = ""
 
     def __post_init__(self):
-        memoise_fields(self, "left_act", "right_act", "right_coaction", "left_coaction",
+        memoise_fields(self, "left_act", "right_act", "d", "right_coaction", "left_coaction",
                        "algebra_coaction", "lambda_terms")
 
     @property
@@ -81,7 +81,7 @@ def zero_fodc(algebra: AlgebraPresentation) -> Fodc:
         forms=BasisFamily(indices=[]),
         left_act=lambda a, f: FreeVector.zero(),
         right_act=lambda f, a: FreeVector.zero(),
-        d=LinOp.zero(),
+        d=lambda ix: FreeVector.zero(),
     )
 
 
@@ -91,7 +91,7 @@ def leibniz(calc, mult):
 
     def test(pair):
         a, b = pair
-        lhs = calc.d(mult(a, b))
+        lhs = linear(calc.d, mult(a, b))
         rhs = linear(calc.right_act, calc.d(a), b) + linear(calc.left_act, a, calc.d(b))
         return lhs == rhs, (a, b)
 
@@ -121,7 +121,7 @@ class PresentationSolver:
             _, a, b = pr_ix
             return linear(f.left_act, a, f.d(b))
 
-        return LinearSolver(LinOp(present, name="present"), domain)
+        return LinearSolver(present, domain).named("present")
 
     def kernel(self):
         return self.solver.kernel()
@@ -293,16 +293,16 @@ def woronowicz_from_ideal(spec: IdealCalculusSpec) -> Fodc:
     form_basis = [("w1", p, hx) for p in range(dim_q) for hx in basis]
 
     def d_ix(a_ix):
-        return combine(
-            (E(("w1", p, h2)), c * cp)
+        return sum_terms(
+            (("w1", p, h2), c * cp)
             for c, (h1, h2) in h.sweedler(a_ix, 2)
             for (_, p), cp in reduce_to_class(E(h1)).terms.items()
         )
 
     def left_act(a_ix, form_ix):
         _, p, hx = form_ix
-        return combine(
-            (E(("w1", pp, t_ix)), c * cp * ct)
+        return sum_terms(
+            (("w1", pp, t_ix), c * cp * ct)
             for c, (a1, a2) in h.sweedler(a_ix, 2)
             for (_, pp), cp in quotient.project(linear(alg.mult, a1, quotient.representatives[p])).terms.items()
             for t_ix, ct in alg.mult(a2, hx).terms.items()
@@ -314,7 +314,7 @@ def woronowicz_from_ideal(spec: IdealCalculusSpec) -> Fodc:
 
     def right_coaction(form_ix):
         _, p, hx = form_ix
-        return combine((E(tensor_index(("w1", p, h1), h2)), c) for c, (h1, h2) in h.sweedler(hx, 2))
+        return sum_terms((tensor_index(("w1", p, h1), h2), c) for c, (h1, h2) in h.sweedler(hx, 2))
 
     # adjoint stability of the ideal decides bicovariance
     ad_stable = True
@@ -361,7 +361,7 @@ def woronowicz_from_ideal(spec: IdealCalculusSpec) -> Fodc:
         forms=BasisFamily(indices=form_basis),
         left_act=left_act,
         right_act=right_act,
-        d=LinOp(d_ix, name="d"),
+        d=d_ix,
         hopf=h,
         right_coaction=right_coaction,
         left_coaction=left_coaction,
@@ -383,6 +383,13 @@ def check_deformation_parameter(q: CycScalar) -> None:
         raise ValueError("deformation parameter must be a root of unity")
 
 
+def q_integers(q: CycScalar) -> Callable[[int], CycScalar]:
+    """The map m -> (q**m - 1)/(q - 1), the q-integers of q != 1."""
+    one = CycScalar.one(q.order)
+    denom_inv = (q - one).inverse()
+    return lambda m: (q ** m - one) * denom_inv
+
+
 def build_laurent_q_calculus(q: CycScalar, hopf: HopfData | None = None) -> Fodc:
     """Bicovariant calculus on k[t,t^-1]: dt t^n = q^n t^n dt, with the
     differential given by the scaled difference quotient."""
@@ -390,11 +397,7 @@ def build_laurent_q_calculus(q: CycScalar, hopf: HopfData | None = None) -> Fodc
     from hopfcalc.hopf import build_laurent_hopf
 
     h = hopf or build_laurent_hopf(scalar_order=q.order)
-    one = CycScalar.one(q.order)
-    denom_inv = (q - one).inverse()
-
-    def q_int(m: int) -> CycScalar:
-        return (q ** m - one) * denom_inv
+    q_int = q_integers(q)
 
     def d_ix(a_ix):
         n = a_ix[1]
@@ -421,7 +424,7 @@ def build_laurent_q_calculus(q: CycScalar, hopf: HopfData | None = None) -> Fodc
         forms=BasisFamily(window_fn=lambda w: [("dt", n) for n in range(-w, w + 1)]),
         left_act=left_act,
         right_act=right_act,
-        d=LinOp(d_ix, name="d"),
+        d=d_ix,
         hopf=h,
         right_coaction=right_coaction,
         left_coaction=left_coaction,
@@ -466,7 +469,7 @@ def check_sigma_twisted_module_calculus(
 
     def twisted_of_pair(h_ix, a_ix, b_ix):
         return combine(
-            (linear(b_calc.left_act, m.act(h1, a_ix), b_calc.d(m.act(h2, b_ix))), c)
+            (linear(b_calc.left_act, m.act(h1, a_ix), linear(b_calc.d, m.act(h2, b_ix))), c)
             for c, (h1, h2) in h.sweedler(h_ix, 2)
         )
 
@@ -502,7 +505,7 @@ def check_sigma_twisted_module_calculus(
 
     def equivariant(pair):
         h_ix, b_ix = pair
-        lhs = b_calc.d(m.act(h_ix, b_ix))
+        lhs = linear(b_calc.d, m.act(h_ix, b_ix))
         rhs = linear(action.act, h_ix, b_calc.d(b_ix))
         return lhs == rhs, (h_ix, b_ix)
 
@@ -510,14 +513,14 @@ def check_sigma_twisted_module_calculus(
 
     def d_sigma_zero(pair):
         h_ix, k_ix = pair
-        value = b_calc.d(s.sigma(h_ix, k_ix))
+        value = linear(b_calc.d, s.sigma(h_ix, k_ix))
         return value.is_zero(), (h_ix, k_ix, value)
 
     report.sweep("dsigma", ((hx, kx) for hx in h_basis for kx in h_basis), d_sigma_zero)
 
     def d_sigma_inv_zero(pair):
         h_ix, k_ix = pair
-        return b_calc.d(s.sigma_inv(h_ix, k_ix)).is_zero(), (h_ix, k_ix)
+        return linear(b_calc.d, s.sigma_inv(h_ix, k_ix)).is_zero(), (h_ix, k_ix)
 
     report.sweep("dsigma-inverse", ((hx, kx) for hx in h_basis for kx in h_basis), d_sigma_inv_zero)
 
@@ -606,15 +609,15 @@ def sigma_forces_zero_differential(
         """Formal differential of an algebra element, or None off-window."""
         if not word_basis.issuperset(v.terms):
             return None
-        return combine((E(word(unit_ix, ix, unit_ix)), c) for ix, c in v.terms.items())
+        return sum_terms((word(unit_ix, ix, unit_ix), c) for ix, c in v.terms.items())
 
     def pad(rel: FreeVector, p, q):
         """e_p . rel . e_q expanded in words, or None if it leaves the window."""
         parts = [(c, b.mult(p, i), k, b.mult(j, q)) for (_, i, k, j), c in rel.terms.items()]
         if any(left.terms and not word_basis.issuperset({*left.terms, *right.terms}) for _, left, _, right in parts):
             return None
-        return combine(
-            (E(word(li, k, rj)), c * cl * cr)
+        return sum_terms(
+            (word(li, k, rj), c * cl * cr)
             for c, left, k, right in parts
             for li, cl in left.terms.items()
             for rj, cr in right.terms.items()

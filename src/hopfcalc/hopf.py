@@ -15,7 +15,6 @@ from typing import Callable, Optional
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
-    LinOp,
     NoSolution,
     combine,
     first_non_associative,
@@ -27,6 +26,7 @@ from hopfcalc.linalg import (
     memoise,
     memoise_fields,
     record,
+    sum_terms,
     tensor_index,
 )
 from hopfcalc.report import FAIL, PASS, CheckReport, witness
@@ -117,11 +117,11 @@ class HopfData:
     algebra: AlgebraPresentation
     comul: Callable[[Index], FreeVector]
     counit: Callable[[Index], CycScalar]
-    antipode: LinOp
-    antipode_inv: LinOp
+    antipode: Callable[[Index], FreeVector]
+    antipode_inv: Callable[[Index], FreeVector]
 
     def __post_init__(self):
-        memoise_fields(self, "comul", "counit", "sweedler")
+        memoise_fields(self, "comul", "counit", "sweedler", "antipode", "antipode_inv")
 
     def counit_vec(self, v: FreeVector) -> CycScalar:
         out = CycScalar.zero(self.algebra.scalar_order)
@@ -237,7 +237,7 @@ def counital(rho, counit):
     """Test of (id (x) counit) rho == id at a basis item."""
 
     def test(x):
-        out = combine((E(x0), c * counit(hx)) for (_, x0, hx), c in rho(x).terms.items())
+        out = sum_terms((x0, c * counit(hx)) for (_, x0, hx), c in rho(x).terms.items())
         return out == E(x), (x,)
 
     return test
@@ -337,7 +337,7 @@ def check_hopf_axioms(h: HopfData, window: int | None = None) -> CheckReport:
 
     def antipode_inverse(ix):
         e = FreeVector.basis(ix)
-        ok = h.antipode_inv(h.antipode(e)) == e and h.antipode(h.antipode_inv(e)) == e
+        ok = linear(h.antipode_inv, h.antipode(ix)) == e and linear(h.antipode, h.antipode_inv(ix)) == e
         return ok, (ix,)
 
     report.sweep("hopf.antipode-inverse", basis, antipode_inverse)
@@ -389,8 +389,8 @@ def tensor_square_coalgebra(h: HopfData) -> CoalgebraData:
 
     def comul(pair_ix):
         _, i, j = pair_ix
-        return combine(
-            (E(tensor_index(tensor_index(i1, j1), tensor_index(i2, j2))), ci * cj)
+        return sum_terms(
+            (tensor_index(tensor_index(i1, j1), tensor_index(i2, j2)), ci * cj)
             for (_, i1, i2), ci in h.comul(i).terms.items()
             for (_, j1, j2), cj in h.comul(j).terms.items()
         )
@@ -411,11 +411,13 @@ def _coalgebra_pairs(coa: CoalgebraData, ix):
     return [(c, (p[1], p[2])) for p, c in coa.comul(ix).terms.items()]
 
 
-def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraPresentation, window: int | None = None):
-    """Convolution inverse of f: C -> A on the given coalgebra basis.
+def convolution_inverse(f, coa: CoalgebraData, c_basis, algebra: AlgebraPresentation, window: int | None = None):
+    """Convolution inverse of f: C -> A, a map on basis indices, on the
+    given coalgebra basis; returned as a map on basis indices.
 
-    Group-like bases are inverted pointwise (valid on any window);
-    otherwise one global linear system is solved and verified.
+    Group-like bases are inverted pointwise (valid on any window), and the
+    map is memoised; otherwise one global linear system is solved and
+    verified, and the map reads its table of solutions.
     Raises NotInvertible carrying an unsolvable element.
     """
     c_basis = list(c_basis)
@@ -435,7 +437,7 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
             while True:
                 domain = algebra.basis.enumerate(grown)
                 try:
-                    sol = LinearSolver(LinOp(lambda j: linear(algebra.mult, fv, j)), domain).solve(algebra.unit)
+                    sol = LinearSolver(lambda j: linear(algebra.mult, fv, j), domain).solve(algebra.unit)
                     break
                 except NoSolution:
                     if grown is None or grown >= 4 * (window or 1):
@@ -445,7 +447,7 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
                 raise NotInvertible(ix)
             return sol
 
-        g = LinOp(invert_at, name=f"{f.name}^-1")
+        g = memoise(invert_at)
         for ix in c_basis:
             g(ix)
     else:
@@ -468,7 +470,7 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
             (algebra.unit.map_indices(lambda a: (side, ci, a)), coa.counit(ci)) for ci in c_basis for side in ("L", "R")
         )
         try:
-            sol = LinearSolver(LinOp(column), unknowns).solve(target)
+            sol = LinearSolver(column, unknowns).solve(target)
         except NoSolution:
             # attribute the failure to a single basis element when possible
             for ci in c_basis:
@@ -478,12 +480,12 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
                     return FreeVector({ix: c for ix, c in column(u_ix).terms.items() if ix[1] == ci})
 
                 try:
-                    LinearSolver(LinOp(local_column), unknowns).solve(local_target)
+                    LinearSolver(local_column, unknowns).solve(local_target)
                 except NoSolution:
                     raise NotInvertible(ci) from None
             raise NotInvertible(None) from None
-        values = {ci: combine((E(ak), c) for (_, cj, ak), c in sol.terms.items() if cj == ci) for ci in c_basis}
-        g = LinOp(lambda ix: values[ix], name=f"{f.name}^-1")
+        values = {ci: sum_terms((ak, c) for (_, cj, ak), c in sol.terms.items() if cj == ci) for ci in c_basis}
+        g = values.__getitem__
 
     # verify both convolution identities on every checked basis element
     for ci in c_basis:
@@ -500,36 +502,14 @@ def convolution_inverse(f: LinOp, coa: CoalgebraData, c_basis, algebra: AlgebraP
 # ---------------------------------------------------------------------------
 
 
-def build_cyclic_group_algebra(n: int, scalar_order: int = 1) -> HopfData:
-    """Group Hopf algebra of the cyclic group of order n on the basis g^i, 0 <= i < n."""
+def _group_hopf(basis: BasisFamily, ix: Callable[[int], Index], scalar_order: int) -> HopfData:
+    """Group Hopf algebra on basis: the group written additively, ix(k) the
+    index of its element k, and i[1] the element of an index i."""
     one = CycScalar.one(scalar_order)
 
-    def ix(i):
-        return ("g", i % n)
+    def inverse(i):
+        return FreeVector.basis(ix(-i[1]), one)
 
-    algebra = AlgebraPresentation(
-        basis=BasisFamily(indices=[ix(i) for i in range(n)]),
-        mult=lambda i, j: FreeVector.basis(ix(i[1] + j[1]), one),
-        unit=FreeVector.basis(ix(0), one),
-        scalar_order=scalar_order,
-    )
-    return HopfData(
-        algebra=algebra,
-        comul=lambda i: FreeVector.basis(tensor_index(i, i), one),
-        counit=lambda i: one,
-        antipode=LinOp(lambda i: FreeVector.basis(ix(-i[1]), one), name="S"),
-        antipode_inv=LinOp(lambda i: FreeVector.basis(ix(-i[1]), one), name="S^-1"),
-    )
-
-
-def build_laurent_hopf(scalar_order: int = 1) -> HopfData:
-    """Laurent polynomial Hopf algebra on one group-like invertible generator."""
-    one = CycScalar.one(scalar_order)
-
-    def ix(n):
-        return ("t", n)
-
-    basis = BasisFamily(window_fn=lambda w: [ix(n) for n in range(-w, w + 1)])
     algebra = AlgebraPresentation(
         basis=basis,
         mult=lambda i, j: FreeVector.basis(ix(i[1] + j[1]), one),
@@ -540,9 +520,27 @@ def build_laurent_hopf(scalar_order: int = 1) -> HopfData:
         algebra=algebra,
         comul=lambda i: FreeVector.basis(tensor_index(i, i), one),
         counit=lambda i: one,
-        antipode=LinOp(lambda i: FreeVector.basis(ix(-i[1]), one), name="S"),
-        antipode_inv=LinOp(lambda i: FreeVector.basis(ix(-i[1]), one), name="S^-1"),
+        antipode=inverse,
+        antipode_inv=inverse,
     )
+
+
+def build_cyclic_group_algebra(n: int, scalar_order: int = 1) -> HopfData:
+    """Group Hopf algebra of the cyclic group of order n on the basis g^i, 0 <= i < n."""
+
+    def ix(i):
+        return ("g", i % n)
+
+    return _group_hopf(BasisFamily(indices=[ix(i) for i in range(n)]), ix, scalar_order)
+
+
+def build_laurent_hopf(scalar_order: int = 1) -> HopfData:
+    """Laurent polynomial Hopf algebra on one group-like invertible generator."""
+
+    def ix(n):
+        return ("t", n)
+
+    return _group_hopf(BasisFamily(window_fn=lambda w: [ix(n) for n in range(-w, w + 1)]), ix, scalar_order)
 
 
 @record
@@ -615,12 +613,9 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
     def counit(i):
         return one if i[2] == 0 else CycScalar.zero(so)
 
-    # solve the antipode axiom on the generators
-    def right_mult_by(jx):
-        return LinOp(lambda i: algebra.mult(i, jx))
-
-    s_a = LinearSolver(right_mult_by(a), basis_ix).solve(algebra.unit)
-    s_x = LinearSolver(right_mult_by(ix(r, 0)), basis_ix).solve(-FreeVector.basis(x))
+    # solve the antipode axiom on the generators, each column a right multiple
+    s_a = LinearSolver(lambda i: algebra.mult(i, a), basis_ix).solve(algebra.unit)
+    s_x = LinearSolver(lambda i: algebra.mult(i, ix(r, 0)), basis_ix).solve(-FreeVector.basis(x))
 
     def antipode_ix(i):
         _, l, mm = i
@@ -631,17 +626,17 @@ def build_radford(r: int, n: int, q: CycScalar) -> RadfordData:
             out = linear(algebra.mult, out, s_a)
         return out
 
-    antipode = LinOp(antipode_ix, name="S")
+    # one memo, shared by the solver and HopfData
+    antipode = memoise(antipode_ix)
     inverse = LinearSolver(antipode, basis_ix)
     inv_values = {i: inverse.solve(FreeVector.basis(i)) for i in basis_ix}
-    antipode_inv = LinOp(lambda i: inv_values[i], name="S^-1")
 
     hopf = HopfData(
         algebra=algebra,
         comul=comul,
         counit=counit,
         antipode=antipode,
-        antipode_inv=antipode_inv,
+        antipode_inv=inv_values.__getitem__,
     )
 
     def h1_ix(l, mm):
@@ -673,8 +668,11 @@ class TorusData:
     theta_root: CycScalar
     base: AlgebraPresentation  # coinvariants presented as Laurent in w = uv
     base_embed: Callable[[Index], FreeVector]
-    cleaving: LinOp
-    cleaving_inv: LinOp
+    cleaving: Callable[[Index], FreeVector]
+    cleaving_inv: Callable[[Index], FreeVector]
+
+    def __post_init__(self):
+        memoise_fields(self, "base_embed", "cleaving", "cleaving_inv")
 
 
 def build_torus_comodule(theta_root: CycScalar) -> TorusData:
@@ -735,8 +733,8 @@ def build_torus_comodule(theta_root: CycScalar) -> TorusData:
         theta_root=theta_root,
         base=base,
         base_embed=base_embed,
-        cleaving=LinOp(cleaving, name="j"),
-        cleaving_inv=LinOp(cleaving_inv, name="j^-1"),
+        cleaving=cleaving,
+        cleaving_inv=cleaving_inv,
     )
 
 
@@ -845,7 +843,7 @@ def parse_structure_constants(text: str) -> HopfData:
         row = antipode_t.get(a[1], {})
         return FreeVector({ix(j): c for j, c in row.items()})
 
-    antipode = LinOp(antipode_ix, name="S")
+    antipode = memoise(antipode_ix)
 
     # solve for the unit: u with u*e_i = e_i*u = e_i for every i
     one = CycScalar.one(so)
@@ -859,7 +857,7 @@ def parse_structure_constants(text: str) -> HopfData:
 
     target = combine((E((side, b, b), one), one) for b in basis_ix for side in ("L", "R"))
     try:
-        unit = LinearSolver(LinOp(unit_column), basis_ix).solve(target)
+        unit = LinearSolver(unit_column, basis_ix).solve(target)
     except NoSolution:
         raise ValueError("multiplication table has no unit element") from None
 
@@ -874,7 +872,7 @@ def parse_structure_constants(text: str) -> HopfData:
         comul=comul,
         counit=counit,
         antipode=antipode,
-        antipode_inv=LinOp(lambda b: inv_values[b], name="S^-1"),
+        antipode_inv=inv_values.__getitem__,
     )
 
 

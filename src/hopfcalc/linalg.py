@@ -19,7 +19,6 @@ from hopfcalc.scalars import CycScalar
 
 __all__ = [
     "FreeVector",
-    "LinOp",
     "Subspace",
     "NoSolution",
     "TrackedSpan",
@@ -385,9 +384,10 @@ def memoise(fn):
     """fn with its value kept per argument tuple; None and memos pass through.
 
     A structure map on basis indices is a fixed table, so each entry is
-    computed once.  A call that raises stores nothing.  Record fields
-    are memoised by `memoise_fields`, and every `LinOp` memoises its
-    action, so a map handed to either needs no wrapper of its own.
+    computed once; it is called as fn(ix) at an index and extended to
+    vectors by `linear`.  A call that raises stores nothing.  Record
+    fields are memoised by `memoise_fields` and a `LinearSolver` memoises
+    its map, so a map handed to either needs no wrapper of its own.
     """
     if fn is None or hasattr(fn, "memo"):
         return fn
@@ -449,28 +449,6 @@ def record(cls):
     __init__.__module__ = cls.__module__
     cls.__init__ = __init__
     return cls
-
-
-class LinOp:
-    """A linear operator given by its action on basis indices.
-
-    The action is memoised (`memoise`), so each basis image is computed
-    once, whether it is reached through op(ix), op(vector) or a
-    `LinearSolver`.
-    """
-
-    def __init__(self, action: Callable[[Index], FreeVector], name: str = ""):
-        self.action = memoise(action)
-        self.name = name
-
-    def __call__(self, arg) -> FreeVector:
-        if isinstance(arg, FreeVector):
-            return linear(self.action, arg)
-        return self.action(arg)
-
-    @staticmethod
-    def zero() -> "LinOp":
-        return LinOp(lambda ix: FreeVector.zero(), name="0")
 
 
 class _Echelon:
@@ -639,17 +617,29 @@ class TrackedSpan:
 
 
 class LinearSolver(TrackedSpan):
-    """The span of f's columns labelled by its sorted domain: one
-    elimination of f, reused across many solves."""
+    """The span of the columns f(ix) of f, a map on basis indices, labelled
+    by its sorted domain: one elimination of f, reused across many solves.
 
-    def __init__(self, f: LinOp, domain: Iterable[Index]):
-        self.f = f
-        super().__init__((ix, f.action(ix)) for ix in sorted(domain, key=index_sort_key))
+    f is memoised (`memoise`), so each column is computed once, whether
+    the elimination or the post-condition of `solve`, `linear(f, solution)`,
+    reads it.  `named` gives f a name for the `NoSolution` text.
+    """
+
+    name = ""
+
+    def __init__(self, f: Callable[[Index], FreeVector], domain: Iterable[Index]):
+        self.f = f = memoise(f)
+        super().__init__((ix, f(ix)) for ix in sorted(domain, key=index_sort_key))
+
+    def named(self, name: str) -> "LinearSolver":
+        """This solver, with f called name where a solve fails."""
+        self.name = name
+        return self
 
     def solve(self, target: FreeVector) -> FreeVector:
         """Some v on the domain with f(v) = target; NoSolution if there is none."""
         solution = self.express(target)
-        if self.f(solution) != target:
+        if linear(self.f, solution) != target:
             raise RuntimeError("solver post-condition violated")
         return solution
 
@@ -658,7 +648,7 @@ class LinearSolver(TrackedSpan):
         return self.dim
 
     def _where(self) -> str:
-        return f"image of {self.f.name or 'the map'}"
+        return f"image of {self.name or 'the map'}"
 
 
 class QuotientSpace(TrackedSpan):

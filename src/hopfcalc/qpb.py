@@ -17,7 +17,6 @@ from hopfcalc.hopf import colinear, left_linear, monomial_unit
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
-    LinOp,
     NoSolution,
     QuotientSpace,
     Subspace,
@@ -27,6 +26,7 @@ from hopfcalc.linalg import (
     memoise,
     memoise_fields,
     record,
+    sum_terms,
     tensor_index,
 )
 from hopfcalc.report import CheckReport, witness
@@ -70,7 +70,7 @@ def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantFor
     def defect(f_ix):
         return h_calc.left_coaction(f_ix) - unit_h.tensor(E(f_ix))
 
-    kernel = LinearSolver(LinOp(defect), h_calc.forms.enumerate(window)).kernel()
+    kernel = LinearSolver(defect, h_calc.forms.enumerate(window)).kernel()
     coinv = CoinvariantForms(h_calc, kernel.basis())
     report = coinv.report
 
@@ -101,12 +101,12 @@ def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantFor
 class VerticalData:
     cf: CrossedFodc
     coinv: CoinvariantForms
-    ver: LinOp
-    g: LinOp
+    ver: Callable[[Index], FreeVector]
+    g: Callable[[Index], FreeVector]
     report: CheckReport
 
     def __post_init__(self):
-        memoise_fields(self, "target_coaction")
+        memoise_fields(self, "ver", "g", "target_coaction")
 
     def target_basis(self, window: int | None = None) -> list[Index]:
         pairs = self.cf.crossed.algebra.basis.enumerate(window)
@@ -116,15 +116,15 @@ class VerticalData:
         """The left action of the total algebra on targets (pair (x) label)."""
         _, inner_pair, label = t_ix
         moved = self.cf.crossed.algebra.mult(pair_ix, inner_pair)
-        return combine((E(tensor_index(jx, label)), cj) for jx, cj in moved.terms.items())
+        return sum_terms((tensor_index(jx, label), cj) for jx, cj in moved.terms.items())
 
     def target_coaction(self, t_ix) -> FreeVector:
         """The diagonal coaction ((b (x) h) (x) gamma) -> ((b (x) h_1) (x) gamma_0) (x) h_2 gamma_1."""
         _, (_, bx, hx), label = t_ix
         h = self.cf.crossed.hopf
         table, _ = self._rho_on_coinvariants
-        return combine(
-            (E(tensor_index(tensor_index(tensor_index(bx, h1), lab), t)), c2 * c3 * ct)
+        return sum_terms(
+            (tensor_index(tensor_index(tensor_index(bx, h1), lab), t), c2 * c3 * ct)
             for c2, (h1, h2) in h.sweedler(hx, 2)
             for (_, lab, h3), c3 in table[label].terms.items()
             for t, ct in h.algebra.mult(h2, h3).terms.items()
@@ -153,8 +153,8 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     def p_ix(ver_ix):
         """b (x) gamma -> (b (x) gamma_-2) (x) [S(gamma_-1) gamma_0]."""
         _, bx, hf = ver_ix
-        return combine(
-            (E(tensor_index(tensor_index(bx, g_m2), label)), cl * cc)
+        return sum_terms(
+            (tensor_index(tensor_index(bx, g_m2), label), cl * cc)
             for cl, (g_m2, g_m1, g0) in cf.h_calc.lambda_terms(hf, 2)
             for label, cc in coinv.express(linear(cf.h_calc.left_act, h.antipode(g_m1), g0)).terms.items()
         )
@@ -163,8 +163,10 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
         _, (_, bx, hx), label = t_ix
         return ver(E(bx), linear(cf.h_calc.left_act, hx, coinv.vectors[label]))
 
-    p, g = LinOp(p_ix, name="p"), LinOp(g_ix, name="g")
-    ver_map = LinOp(lambda form_ix: p(form_ix) if form_ix[0] == "ver" else FreeVector.zero(), name="ver")
+    def ver_map(form_ix):
+        return p(form_ix) if form_ix[0] == "ver" else FreeVector.zero()
+
+    p, g = memoise(p_ix), memoise(g_ix)
     vd = VerticalData(cf=cf, coinv=coinv, ver=ver_map, g=g, report=report)
 
     b_basis = cf.crossed.base.basis.enumerate(window)
@@ -173,7 +175,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     def gp_identity(item):
         bx, hf = item
         ver_ix = ("ver", bx, hf)
-        return g(p(ver_ix)) == E(ver_ix), (bx, hf)
+        return linear(g, p(ver_ix)) == E(ver_ix), (bx, hf)
 
     report.sweep("vertical.g-after-p", ((bx, hf) for bx in b_basis for hf in h_forms), gp_identity)
 
@@ -182,7 +184,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     def pg_identity(item):
         pair_ix, label = item
         t_ix = tensor_index(pair_ix, label)
-        return p(g(t_ix)) == E(t_ix), (pair_ix, label)
+        return linear(p, g(t_ix)) == E(t_ix), (pair_ix, label)
 
     report.sweep(
         "vertical.p-after-g",
@@ -194,10 +196,10 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     report.sweep(
         "vertical.left-linear",
         ((pair_ix, form_ix) for pair_ix in a_basis for form_ix in form_basis),
-        left_linear(ver_map, cf.left_act, vd.target_act),
+        left_linear(vd.ver, cf.left_act, vd.target_act),
     )
     vd.record_rho_stable(report)
-    report.sweep("vertical.right-colinear", form_basis, colinear(ver_map, cf.right_coaction, vd.target_coaction))
+    report.sweep("vertical.right-colinear", form_basis, colinear(vd.ver, cf.right_coaction, vd.target_coaction))
     return vd
 
 
@@ -212,8 +214,8 @@ def _coinvariant_coaction(coinv: CoinvariantForms):
         for (_, f0, h1), c in linear(coinv.h_calc.right_coaction, coinv.vectors[label]).terms.items():
             by_h.setdefault(h1, {})[f0] = c
         try:
-            table[label] = combine(
-                (E(tensor_index(lab, h1)), cc)
+            table[label] = sum_terms(
+                (tensor_index(lab, h1), cc)
                 for h1, component in by_h.items()
                 for lab, cc in coinv.express(FreeVector(component)).terms.items()
             )
@@ -258,7 +260,7 @@ def check_atiyah_exact(
     target = vd.target_basis(window)
 
     def onto(ix):
-        return vd.ver(vd.g(ix)) == E(ix), (ix,)
+        return linear(vd.ver, vd.g(ix)) == E(ix), (ix,)
 
     report.sweep("atiyah.surjective-via-section", target, onto)
 
@@ -273,26 +275,26 @@ def check_atiyah_exact(
     def defect(ixf):
         return h_graded.left_coaction(degree, ixf) - unit_h.tensor(E(ixf))
 
-    coh_n = LinearSolver(LinOp(defect), h_graded.basis(degree, window)).kernel()
+    coh_n = LinearSolver(defect, h_graded.basis(degree, window)).kernel()
     coh_span = TrackedSpan((("cohn", i), v) for i, v in enumerate(coh_n.basis()))
 
     def ver_n(gix):
         _, bdeg, bp, hp = gix
         if bdeg != 0:
             return FreeVector.zero()
-        return combine(
-            (E(tensor_index(tensor_index(bp, g_m2), label)), c * cc)
+        return sum_terms(
+            (tensor_index(tensor_index(bp, g_m2), label), c * cc)
             for c, (g_m2, g_m1, g0) in h_graded.lambda_terms(degree, hp, 2)
             for label, cc in coh_span.express(linear(h_graded.wedge, 0, h.antipode(g_m1), degree, g0)).terms.items()
         )
 
-    kernel_n = LinearSolver(LinOp(ver_n), basis_n).kernel()
+    kernel_n = LinearSolver(ver_n, basis_n).kernel()
 
     # horizontal part at degree n: Omega^1(B) wedge Omega^(n-1)
     wedge_span = Subspace()
     lower = higher.basis(degree - 1, window)
     for bf in vd.cf.b_calc.forms.enumerate(window):
-        base_form = combine((E(("gf", 1, bf, u_ix)), cu) for u_ix, cu in unit_h.terms.items())
+        base_form = sum_terms((("gf", 1, bf, u_ix), cu) for u_ix, cu in unit_h.terms.items())
         for low in lower:
             wedge_span.add(linear(higher.wedge, 1, base_form, degree - 1, low))
 
@@ -310,7 +312,7 @@ def check_atiyah_exact(
         _, pair_ix, label = ix
         _, bx, hx = pair_ix
         moved = linear(h_graded.wedge, 0, hx, degree, coh_span.vectors[label])
-        return combine((E(("gf", 0, bx, hp)), ch) for hp, ch in moved.terms.items())
+        return sum_terms((("gf", 0, bx, hp), ch) for hp, ch in moved.terms.items())
 
     def onto_n(ix):
         return linear(ver_n, g_n(ix)) == E(ix), (ix,)
@@ -325,6 +327,9 @@ class Connection:
     into the 1-forms."""
 
     c: Callable[[Index], FreeVector]
+
+    def __post_init__(self):
+        memoise_fields(self, "c")
 
 
 @record
@@ -349,7 +354,7 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
     def strong(item):
         bx, hx = item
         d_val = cf.d(tensor_index(bx, hx))
-        got = d_val - vd.g(vd.ver(d_val))
+        got = d_val - linear(vd.g, linear(vd.ver, d_val))
         expected = hor(cf.b_calc.d(bx), E(hx))
         return got == expected, (bx, hx)
 
@@ -363,7 +368,7 @@ def _check_splitting(report: CheckReport, vd: VerticalData, c_map, window: int |
     target = vd.target_basis(window)
 
     def splitting(ix):
-        return vd.ver(c_map(ix)) == E(ix), (ix,)
+        return linear(vd.ver, c_map(ix)) == E(ix), (ix,)
 
     report.sweep("connection.splits-ver", target, splitting)
     report.sweep(
@@ -386,13 +391,13 @@ def check_connection(vd: VerticalData, connection: Connection) -> CheckReport:
     def projector(form_ix):
         v = vd.ver(form_ix)
         pi = linear(connection.c, v)
-        idempotent = linear(connection.c, vd.ver(pi)) == pi
+        idempotent = linear(connection.c, linear(vd.ver, pi)) == pi
         horizontal_killed = pi.is_zero() if v.is_zero() else True
         return idempotent and horizontal_killed, (form_ix,)
 
     report.sweep("connection.projector", form_basis, projector)
 
-    kernel_dim = LinearSolver(LinOp(lambda ix: linear(connection.c, vd.ver(ix))), form_basis).kernel().dim
+    kernel_dim = LinearSolver(lambda ix: linear(connection.c, vd.ver(ix)), form_basis).kernel().dim
     hor_dim = len(cf.horizontal_window(None))
     report.record(
         "connection.projector-kernel-rank",
@@ -442,22 +447,22 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
     def coaction_defect(ix):
         _, pair_ix, v_ix = ix
         _, bx, hx = pair_ix
-        out = combine(
-            (E(("e", bx, h1, v0, t_ix)), c1 * c2 * ct)
+        out = sum_terms(
+            (("e", bx, h1, v0, t_ix), c1 * c2 * ct)
             for c1, (h1, h2) in h.sweedler(hx, 2)
             for (_, v0, v1), c2 in v_comodule.coaction(v_ix).terms.items()
             for t_ix, ct in h.algebra.mult(h2, v1).terms.items()
         )
         return out - E(("e", bx, hx, v_ix, unit_h))
 
-    kernel = LinearSolver(LinOp(coaction_defect), pair_v).kernel()
+    kernel = LinearSolver(coaction_defect, pair_v).kernel()
     e_span = TrackedSpan((("ebas", i), v) for i, v in enumerate(kernel.basis()))
 
     # left and right B-actions on E
     @memoise
     def b_act_left(b_ix, e_label):
-        out = combine(
-            (E(tensor_index(jx, v_ix)), c * cj)
+        out = sum_terms(
+            (tensor_index(jx, v_ix), c * cj)
             for (_, pair_ix, v_ix), c in e_span.vectors[e_label].terms.items()
             for jx, cj in linear(cp.algebra.mult, embed(b_ix), pair_ix).terms.items()
         )
@@ -465,8 +470,8 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
 
     @memoise
     def b_act_right(e_label, b_ix):
-        out = combine(
-            (E(tensor_index(jx, v_ix)), c * cj)
+        out = sum_terms(
+            (tensor_index(jx, v_ix), c * cj)
             for (_, pair_ix, v_ix), c in e_span.vectors[e_label].terms.items()
             for jx, cj in linear(cp.algebra.mult, pair_ix, embed(b_ix)).terms.items()
         )
@@ -481,8 +486,8 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
         for bx in b_basis:
             moved_form = cf.b_calc.right_act(bf, bx)
             for el in e_span.labels:
-                left = combine((E(tensor_index(f2, el)), c2) for f2, c2 in moved_form.terms.items())
-                right = combine((E(tensor_index(bf, el2)), c2) for el2, c2 in b_act_left(bx, el).terms.items())
+                left = sum_terms((tensor_index(f2, el), c2) for f2, c2 in moved_form.terms.items())
+                right = sum_terms((tensor_index(bf, el2), c2) for el2, c2 in b_act_left(bx, el).terms.items())
                 relations.add(left - right)
     balanced = QuotientSpace(big, relations, cls_tag="bcls")
 
@@ -529,8 +534,8 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
     @memoise
     def balanced_left_act(b_ix, cls_ix):
         return balanced.project(
-            combine(
-                (E(tensor_index(f2, el)), c * c2)
+            sum_terms(
+                (tensor_index(f2, el), c * c2)
                 for (_, f_ix, el), c in balanced.representatives[cls_ix[1]].terms.items()
                 for f2, c2 in cf.b_calc.left_act(b_ix, f_ix).terms.items()
             )
@@ -539,8 +544,8 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
     @memoise
     def balanced_right_act(cls_ix, b_ix):
         return balanced.project(
-            combine(
-                (E(tensor_index(f_ix, el2)), c * c2)
+            sum_terms(
+                (tensor_index(f_ix, el2), c * c2)
                 for (_, f_ix, el), c in balanced.representatives[cls_ix[1]].terms.items()
                 for el2, c2 in b_act_right(el, b_ix).terms.items()
             )
@@ -615,7 +620,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
             (f_ix, v_ix, c * cfm)
             for (_, pair_ix, v_ix), c in e_span.vectors[e_label].terms.items()
             for d_val in [cf.d(pair_ix)]
-            for f_ix, cfm in (d_val - vd.g(vd.ver(d_val))).terms.items()
+            for f_ix, cfm in (d_val - linear(vd.g, linear(vd.ver, d_val))).terms.items()
         ]
         if any(f_ix[0] != "hor" for f_ix, _, _ in horizontal):
             return False, (e_label,)
@@ -675,13 +680,13 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
 
     def matrix(i_label, k_label):
         """M[i][k] in rho(x^i) = sum_k x^k (x) M[i][k]."""
-        return combine((E(h_ix), c) for (_, lab, h_ix), c in coaction_raw[i_label].terms.items() if lab == k_label)
+        return sum_terms((h_ix, c) for (_, lab, h_ix), c in coaction_raw[i_label].terms.items() if lab == k_label)
 
     tangent_coaction = {
-        tan: combine(
-            (E(tensor_index(("tan", i), h_ix)), c)
+        tan: sum_terms(
+            (tensor_index(("tan", i), h_ix), c)
             for i, coh in enumerate(coinv.labels)
-            for h_ix, c in h.antipode_inv(matrix(coh, ("coh", j))).terms.items()
+            for h_ix, c in linear(h.antipode_inv, matrix(coh, ("coh", j))).terms.items()
         )
         for j, tan in enumerate(labels)
     }
@@ -702,8 +707,8 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
     def coaction_defining_equation(item):
         tan, coh = item
         # alpha_0(gamma) alpha_1 == alpha(gamma_0) S^-1(gamma_1)
-        lhs = combine(
-            (E(h_ix), c * tangent.pair(tan0, coh)) for (_, tan0, h_ix), c in tangent_coaction[tan].terms.items()
+        lhs = sum_terms(
+            (h_ix, c * tangent.pair(tan0, coh)) for (_, tan0, h_ix), c in tangent_coaction[tan].terms.items()
         )
         rhs = combine(
             (h.antipode_inv(h_ix), c * tangent.pair(tan, lab)) for (_, lab, h_ix), c in coaction_raw[coh].terms.items()
@@ -718,9 +723,9 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
 
     def contract(tan_label, form_vec: FreeVector) -> FreeVector:
         """The vertical part of form_vec paired with one tangent vector."""
-        return combine(
-            (E(pair_ix), c * tangent.pair(tan_label, label))
-            for (_, pair_ix, label), c in vd.ver(form_vec).terms.items()
+        return sum_terms(
+            (pair_ix, c * tangent.pair(tan_label, label))
+            for (_, pair_ix, label), c in linear(vd.ver, form_vec).terms.items()
         )
 
     fields = {tan: (lambda form_vec, tan=tan: contract(tan, form_vec)) for tan in labels}
@@ -809,11 +814,11 @@ def connection_form_bijection(
                 if not weight.is_zero()
             )
 
-        return Connection(c=LinOp(c_ix, name="c"))
+        return Connection(c=c_ix)
 
     def verify_form(phi: ConnectionForm, tag: str):
         def ver_projection(tan):
-            got = combine((E(ix), c) for ix, c in phi.components[tan].terms.items() if ix[0] == "ver")
+            got = sum_terms((ix, c) for ix, c in phi.components[tan].terms.items() if ix[0] == "ver")
             want = ver(cf.crossed.base.unit, vd.coinv.lift(E(("coh", tan[1]))))
             return got == want, (tan,)
 
@@ -822,16 +827,16 @@ def connection_form_bijection(
         # coinvariance: sum_j x_j0 (x) phi_j0 (x) x_j1 phi_j1 equals
         # sum_j x_j (x) phi_j (x) 1; the tangent leg mixes components,
         # so both sides are assembled in full
-        lhs_total = combine(
-            (E(("cfw", tan0, f0, t_ix)), c * c2 * ct)
+        lhs_total = sum_terms(
+            (("cfw", tan0, f0, t_ix), c * c2 * ct)
             for tan in tangent.labels
             for (_, tan0, h1), c in tangent.coaction[tan].terms.items()
             for (_, f0, h2), c2 in linear(cf.right_coaction, phi.components[tan]).terms.items()
             for t_ix, ct in h.algebra.mult(h1, h2).terms.items()
         )
         unit_ix = monomial_unit(h.algebra, "structure Hopf algebra")
-        rhs_total = combine(
-            (E(("cfw", tan, f_ix, unit_ix)), c) for tan in tangent.labels for f_ix, c in phi.components[tan].terms.items()
+        rhs_total = sum_terms(
+            (("cfw", tan, f_ix, unit_ix), c) for tan in tangent.labels for f_ix, c in phi.components[tan].terms.items()
         )
         report.record(f"{tag}.coinvariant", lhs_total == rhs_total)
 

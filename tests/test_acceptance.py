@@ -32,7 +32,7 @@ from hopfcalc.examples import (
 )
 from hopfcalc.fodc import sigma_forces_zero_differential
 from hopfcalc.hopf import check_hopf_axioms
-from hopfcalc.linalg import FreeVector, tensor_index
+from hopfcalc.linalg import FreeVector, linear, tensor_index
 from hopfcalc.qpb import (
     VComodule,
     canonical_connection,
@@ -92,7 +92,7 @@ def test_criterion_01_radford_end_to_end(radford):
         + E(("h1", 1, 1)).scale(de)
     )
     group_part = E(("g", 0)).scale(e_) + E(("g", 1)).scale(f_)
-    got = rc.cf.d(chi.tensor(group_part))
+    got = linear(rc.cf.d, chi.tensor(group_part))
     w1 = ("w1", 0, ("g", 1))
     expected = (
         hor(E(("om", 0, 0)), E(("g", 0))).scale(be * e_)
@@ -179,7 +179,7 @@ def test_criterion_05_connection_form_bijection(radford):
     assert backward.ok
     assert find_check(backward, "roundtrip.form").status == "pass"
     for ix in vd.target_basis():
-        assert back.c(E(ix)) == conn.c(E(ix))
+        assert back.c(ix) == conn.c(ix)
     passed(5, "connection / connection-form round trips are exact identities on the full bases")
 
 

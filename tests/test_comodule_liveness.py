@@ -22,7 +22,7 @@ from hopfcalc.crossed_calc import classify_smash, verify_crossed_fodc
 from hopfcalc.examples import group_c2_instance, radford_calculus_instance, radford_instance, smash_demo_instance
 from hopfcalc.fodc import check_fodc
 from hopfcalc.hopf import check_comodule_algebra, check_hopf_axioms
-from hopfcalc.linalg import FreeVector, LinOp, format_index, tensor_index
+from hopfcalc.linalg import FreeVector, format_index, tensor_index
 
 E = FreeVector.basis
 
@@ -155,7 +155,7 @@ def test_a_corrupted_form_coaction_fails_the_covariance_laws(field, at, extra, f
 )
 def test_a_corrupted_differential_fails_leibniz_and_both_colinearities(at, extra, failed):
     f = group_c2_instance("zero").calc
-    corrupt(f.d.action, (at,), extra)
+    corrupt(f.d, (at,), extra)
     witness = format_index(at)
     assert failures(check_fodc(f)) == {
         **failed,
@@ -178,7 +178,7 @@ def test_a_corrupted_crossed_form_coaction_fails_d_colinear(radford_calc):
 
 def test_a_corrupted_crossed_differential_fails_leibniz_and_d_colinear(radford_calc):
     cf = radford_calc.cf
-    corrupt(cf.d.action, (_pair(0, 1),), cf.forms.enumerate()[0])
+    corrupt(cf.d, (_pair(0, 1),), cf.forms.enumerate()[0])
     assert failures(verify_crossed_fodc(cf)) == {
         "leibniz": "(h1(0,0) (x) g(1)) ; (h1(0,0) (x) g(1))",
         "generation-horizontal": "h1(0,0) ; h1(0,1) ; g(1)",
@@ -190,7 +190,7 @@ def test_a_corrupted_crossed_differential_fails_leibniz_and_d_colinear(radford_c
 
 def _radford_cleft():
     inst = radford_instance()
-    return CleftData(total=inst.crossed.comodule, cleaving=LinOp(lambda g_ix: E(tensor_index(("h1", 0, 0), g_ix))))
+    return CleftData(total=inst.crossed.comodule, cleaving=lambda g_ix: E(tensor_index(("h1", 0, 0), g_ix)))
 
 
 def test_a_doubled_coaction_fails_cleaving_colinear():
@@ -230,7 +230,7 @@ def test_a_corrupted_crossed_product_fails_the_comparison_map_laws(monkeypatch, 
 
 def test_a_cleaving_map_that_is_not_multiplicative_is_refused():
     inst = smash_demo_instance()
-    corrupt(inst.cleft.cleaving.action, (("t", 1),), ("st", 0, 0))
+    corrupt(inst.cleft.cleaving, (("t", 1),), ("st", 0, 0))
     with pytest.raises(ValueError, match=r"not an algebra morphism at t\(-2\) ; t\(1\)$"):
         classify_smash(inst.a_calc, inst.h_calc, inst.cleft, window=2)
 

@@ -23,7 +23,7 @@ from hopfcalc.hopf import (
     check_comodule_algebra,
     convolution_inverse,
 )
-from hopfcalc.linalg import FreeVector, LinOp, first_non_associative, linear, tensor_index
+from hopfcalc.linalg import FreeVector, first_non_associative, linear, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
@@ -129,7 +129,7 @@ def test_radford_crossed_comodule_and_coinvariants():
     from hopfcalc.linalg import LinearSolver, Subspace
 
     m, unit_h = inst.crossed.comodule, inst.crossed.hopf.algebra.unit
-    lhs = LinearSolver(LinOp(lambda ix: m.coaction(ix) - E(ix).tensor(unit_h)), m.algebra.basis.enumerate()).kernel()
+    lhs = LinearSolver(lambda ix: m.coaction(ix) - E(ix).tensor(unit_h), m.algebra.basis.enumerate()).kernel()
     assert lhs.dim == 4
     rhs = Subspace(
         [E(b).tensor(inst.crossed.hopf.algebra.unit) for b in inst.data.h1.basis.enumerate()]
@@ -144,9 +144,11 @@ def test_canonical_cleaving_inverse_formula():
     h = inst.crossed.hopf
     crossed_alg = inst.crossed.algebra
 
-    j = LinOp(lambda g_ix: FreeVector.basis(tensor_index(("h1", 0, 0), g_ix)))
     got = convolution_inverse(
-        j, CoalgebraData(comul=h.comul, counit=h.counit), h.algebra.basis.enumerate(), crossed_alg
+        lambda g_ix: FreeVector.basis(tensor_index(("h1", 0, 0), g_ix)),
+        CoalgebraData(comul=h.comul, counit=h.counit),
+        h.algebra.basis.enumerate(),
+        crossed_alg,
     )
     for g_ix in h.algebra.basis.enumerate():
         expected = FreeVector.zero()
@@ -297,9 +299,7 @@ def test_crossed_decomposition_is_also_a_coalgebra_map():
     data = inst.data
     full = data.hopf
     h1_labels = data.h1.basis.enumerate()
-    h1_solver = LinearSolver(
-        LinOp(lambda ix: data.h1_embed(ix), name="h1"), h1_labels
-    )
+    h1_solver = LinearSolver(data.h1_embed, h1_labels)
 
     def h1_comul(b_ix):
         """Coproduct of a component element, with both legs expressed in

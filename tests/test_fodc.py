@@ -19,7 +19,7 @@ from hopfcalc.hopf import (
     build_cyclic_group_algebra,
     build_radford,
 )
-from hopfcalc.linalg import FreeVector, LinearSolver, LinOp, Subspace, tensor_index
+from hopfcalc.linalg import FreeVector, LinearSolver, Subspace, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
@@ -201,7 +201,7 @@ def test_incompatible_action_data_is_an_error_with_conflicting_presentations():
         forms=BasisFamily(indices=[("dy", 0), ("dy", 1)]),
         left_act=lambda a, f: truncated(a[1] + f[1]),
         right_act=lambda f, a: truncated(a[1] + f[1]),
-        d=LinOp(d_ix),
+        d=d_ix,
     )
     assert check_fodc(calc).ok
     with pytest.raises(ValueError, match="not well-defined"):
@@ -264,7 +264,7 @@ def test_nonzero_base_differential_fails_dsigma_on_the_torus(torus_calc_shared):
         forms=BasisFamily(window_fn=lambda w: [("dw", n) for n in range(-w, w + 1)]),
         left_act=lambda a, f: E(("dw", a[1] + f[1])),
         right_act=lambda f, a: E(("dw", a[1] + f[1])),
-        d=LinOp(dd, name="d_cl"),
+        d=dd,
     )
     _, report = check_sigma_twisted_module_calculus(
         classical, inst.crossed.hopf, inst.crossed.measure, inst.crossed.cocycle, window=2

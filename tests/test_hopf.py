@@ -21,7 +21,7 @@ from hopfcalc.hopf import (
     tensor_square_coalgebra,
     CoalgebraData,
 )
-from hopfcalc.linalg import FreeVector, LinOp, linear, tensor_index
+from hopfcalc.linalg import FreeVector, linear, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
@@ -90,8 +90,8 @@ def test_radford_with_identity_antipode_fails_at_x():
         algebra=broken.algebra,
         comul=broken.comul,
         counit=broken.counit,
-        antipode=LinOp(lambda ix: E(ix), name="id"),
-        antipode_inv=LinOp(lambda ix: E(ix), name="id"),
+        antipode=lambda ix: E(ix),
+        antipode_inv=lambda ix: E(ix),
     )
     report = check_hopf_axioms(broken)
     bad = find_check(report, "hopf.antipode")
@@ -114,7 +114,7 @@ ONE, G, G_INV = ("u", 0), ("u", 1), ("u", 3)
     [
         ("algebra.unit", lambda h: h.algebra.mult, (ONE, G), ONE),
         ("hopf.antipode", lambda h: h.algebra.mult, (G_INV, G), G),
-        ("hopf.antipode-inverse", lambda h: h.antipode_inv.action, (G,), G),
+        ("hopf.antipode-inverse", lambda h: h.antipode_inv, (G,), G),
     ],
 )
 def test_a_law_broken_on_one_side_only_fails(identity, table, args, extra):
@@ -132,17 +132,15 @@ def test_radford_rejects_non_primitive_root():
 
 def test_convolution_inverse_on_group_algebra_is_group_inverse():
     h = build_cyclic_group_algebra(4)
-    identity = LinOp(lambda ix: E(ix))
-    g = convolution_inverse(identity, coalgebra_of(h), h.algebra.basis.enumerate(), h.algebra)
+    g = convolution_inverse(lambda ix: E(ix), coalgebra_of(h), h.algebra.basis.enumerate(), h.algebra)
     for k in range(4):
         assert g(("g", k)) == E(("g", (-k) % 4))
 
 
 def test_convolution_inverse_zero_map_not_invertible():
     h = build_cyclic_group_algebra(2)
-    zero = LinOp(lambda ix: FreeVector.zero())
     with pytest.raises(NotInvertible) as raised:
-        convolution_inverse(zero, coalgebra_of(h), h.algebra.basis.enumerate(), h.algebra)
+        convolution_inverse(lambda ix: FreeVector.zero(), coalgebra_of(h), h.algebra.basis.enumerate(), h.algebra)
     assert raised.value.element == ("g", 0)
     assert issubclass(NotInvertible, ValueError)
 
@@ -150,7 +148,7 @@ def test_convolution_inverse_zero_map_not_invertible():
 def test_convolution_inverse_general_solver_on_radford():
     data = build_radford(2, 2, root_of_unity(4))
     h = data.hopf
-    s = convolution_inverse(LinOp(lambda ix: E(ix)), coalgebra_of(h), h.algebra.basis.enumerate(), h.algebra)
+    s = convolution_inverse(lambda ix: E(ix), coalgebra_of(h), h.algebra.basis.enumerate(), h.algebra)
     # the convolution inverse of the identity is the antipode
     for ix in h.algebra.basis.enumerate():
         assert s(ix) == h.antipode(ix)

@@ -5,7 +5,6 @@ import pytest
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
-    LinOp,
     NoSolution,
     QuotientSpace,
     Subspace,
@@ -215,44 +214,49 @@ def test_every_record_init_is_its_own_and_named_for_its_class():
 
 
 def test_zero_map_kernel_full():
-    solver = LinearSolver(LinOp.zero(), B3)
+    solver = LinearSolver(lambda ix: FreeVector.zero(), B3)
     assert solver.kernel().dim == 3 and Subspace(solver.vectors.values()).dim == 0
 
 
 def test_identity_kernel_trivial():
-    solver = LinearSolver(LinOp(FreeVector.basis), B3)
+    solver = LinearSolver(FreeVector.basis, B3)
     assert solver.kernel().dim == 0 and Subspace(solver.vectors.values()).dim == 3
 
 
 def test_rank_nullity():
     # map collapsing e0,e1 to the same target
-    f = LinOp(lambda ix: E(("t", 0)) if ix[1] < 2 else E(("t", 1)))
+    def f(ix):
+        return E(("t", 0)) if ix[1] < 2 else E(("t", 1))
+
     solver = LinearSolver(f, B3)
     ker, img = solver.kernel(), Subspace(solver.vectors.values())
     assert ker.dim + img.dim == 3
     assert ker.dim == 1
     # kernel vectors actually map to zero
     for v in ker.basis():
-        assert f(v).is_zero()
+        assert linear(f, v).is_zero()
 
 
-def test_linop_action_runs_once_per_index():
+def test_a_solver_evaluates_each_column_once():
+    # the elimination reads each column once, in sorted order, and every
+    # post-condition of solve reads the same memo
     def image(ix):
         return E(("t", ix[1])).scale(root_of_unity(4, ix[1]))
 
     calls = []
 
-    def action(ix):
+    def f(ix):
         calls.append(ix)
         return image(ix)
 
-    f = LinOp(action)
+    solver = LinearSolver(f, reversed(B3))
     v = E(B3[0]) + E(B3[2]).scale(CycScalar.from_rational(3))
     for _ in range(2):
-        assert f(B3[1]) == image(B3[1])
-        assert f(v) == linear(image, v)
-    assert calls == [B3[1], B3[0], B3[2]]
-    assert LinOp(f.action).action is f.action
+        assert solver.solve(linear(image, v)) == v
+        assert solver.solve(E(("t", 1), root_of_unity(4))) == E(B3[1])
+    assert calls == B3
+    assert LinearSolver(solver.f, B3).f is solver.f
+    assert calls == B3
 
 
 def _shape(v):
@@ -286,14 +290,16 @@ def test_linear_single_term_matches_the_general_path(c, image):
 
 def test_solve_identity():
     v = E(("e", 1)) + E(("e", 2)).scale(root_of_unity(8))
-    assert LinearSolver(LinOp(FreeVector.basis), B3).solve(v) == v
+    assert LinearSolver(FreeVector.basis, B3).solve(v) == v
 
 
 def test_solve_zero_map_has_no_solution():
     with pytest.raises(NoSolution) as raised:
-        LinearSolver(LinOp.zero(), B3).solve(E(("t", 0)))
+        LinearSolver(lambda ix: FreeVector.zero(), B3).named("the zero map").solve(E(("t", 0)))
     assert raised.value.target == E(("t", 0))
-    assert str(raised.value) == "no solution: (1)*t(0) is not in the image of 0"
+    assert str(raised.value) == "no solution: (1)*t(0) is not in the image of the zero map"
+    with pytest.raises(NoSolution, match=r"is not in the image of the map$"):
+        LinearSolver(lambda ix: FreeVector.zero(), B3).solve(E(("t", 0)))
     assert issubclass(NoSolution, ValueError)
 
 
@@ -306,9 +312,11 @@ def test_express_outside_the_span_raises():
 
 
 def test_solution_verified_by_reapplication():
-    f = LinOp(lambda ix: E(("t", 0)).scale(CycScalar.from_rational(ix[1] + 1)))
+    def f(ix):
+        return E(("t", 0)).scale(CycScalar.from_rational(ix[1] + 1))
+
     sol = LinearSolver(f, B3).solve(E(("t", 0)).scale(CycScalar.from_rational(5)))
-    assert f(sol) == E(("t", 0)).scale(CycScalar.from_rational(5))
+    assert linear(f, sol) == E(("t", 0)).scale(CycScalar.from_rational(5))
 
 
 def test_quotient_space_with_vector_ambient():
@@ -339,11 +347,15 @@ def test_subspace_membership_matches_solv():
     assert s.dim == 2
 
 
-def test_linop_linearity_on_random_vectors():
+def test_linear_extension_is_linear_on_random_vectors():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    f = LinOp(lambda ix: E(("t", ix[1] % 2), root_of_unity(4, ix[1])) + E(("u", 0)))
+    def image(ix):
+        return E(("t", ix[1] % 2), root_of_unity(4, ix[1])) + E(("u", 0))
+
+    def f(v):
+        return linear(image, v)
 
     small = st.integers(min_value=-3, max_value=3)
 
@@ -383,14 +395,14 @@ def test_elimination_kernel_properties():
 
         domain = [("e", j) for j in range(n_cols)]
         columns = {ix: FreeVector({("t", i): entry() for i in range(n_rows)}) for ix in domain}
-        f = LinOp(lambda ix: columns[ix])
+        f = columns.__getitem__
 
         solver = LinearSolver(f, domain)
-        target = f(combo([E(ix) for ix in domain]))
-        assert f(solver.solve(target)) == target
+        target = linear(f, combo([E(ix) for ix in domain]))
+        assert linear(f, solver.solve(target)) == target
         assert solver.lift(solver.solve(target)) == target
         kernel = solver.kernel()
-        assert all(f(v).is_zero() for v in kernel.basis())
+        assert all(linear(f, v).is_zero() for v in kernel.basis())
         assert solver.rank + kernel.dim == len(domain)
 
         span = TrackedSpan((ix, columns[ix]) for ix in domain)

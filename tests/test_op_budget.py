@@ -24,13 +24,13 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # invocation -> budget, with every perfbench/reference.json invocation among
 # them; the counts were the same under PYTHONHASHSEED 0, 1 and 17
 BUDGETS = {
-    "verify radford": {"products": 10_918, "linear": 6_582},
-    "cohomology radford --max-degree 3": {"products": 1_233, "linear": 1_314},
-    "verify user-hopf --file sample-data/c4.hopf --ideal-file sample-data/c4-ideal.txt": {"products": 575, "linear": 328},
-    "verify group-c2 --ideal zero": {"products": 175, "linear": 105},
-    "verify group-c2 --ideal full": {"products": 52, "linear": 51},
-    "cohomology group-c2 --ideal zero --max-degree 1": {"products": 75, "linear": 10},
-    "verify torus --M 8 --window 2": {"products": 80_689, "linear": 30_650},
+    "verify radford": {"products": 10_690, "linear": 6_562},
+    "cohomology radford --max-degree 3": {"products": 1_231, "linear": 1_314},
+    "verify user-hopf --file sample-data/c4.hopf --ideal-file sample-data/c4-ideal.txt": {"products": 567, "linear": 320},
+    "verify group-c2 --ideal zero": {"products": 173, "linear": 101},
+    "verify group-c2 --ideal full": {"products": 52, "linear": 47},
+    "cohomology group-c2 --ideal zero --max-degree 1": {"products": 73, "linear": 10},
+    "verify torus --M 8 --window 2": {"products": 78_648, "linear": 30_640},
     "verify smash-demo --window 2": {"products": 85_992, "linear": 49_626},
 }
 MODULES = [importlib.import_module(f"hopfcalc.{info.name}") for info in pkgutil.iter_modules(hopfcalc.__path__)]

@@ -74,16 +74,24 @@ def test_terms_mutation_scan_sees_every_form():
 _INDEX_MAP = re.compile(r"Callable\[\[([^\]]*)\]")
 
 
-def test_every_structure_map_field_is_memoised(radford_calc_shared):
-    # every field that maps basis indices, every method that is a table on
-    # them, and the action of every LinOp must come back memoised from a
-    # built instance
-    from hopfcalc.crossed import Cocycle, Measure
+def test_every_structure_map_field_is_memoised(radford_calc_shared, torus_calc_shared):
+    # every field that maps basis indices (d, the antipodes, the cleaving
+    # maps, ver, g and c among them) and every method that is a table on
+    # them must come back memoised from a built instance
+    from hopfcalc.crossed import CleftData, Cocycle, Measure
     from hopfcalc.crossed_calc import CrossedFodc, GradedDc
     from hopfcalc.fodc import Fodc, TwistedCalculusAction
-    from hopfcalc.hopf import AlgebraPresentation, ComoduleAlgebra, HopfData
-    from hopfcalc.linalg import FreeVector, LinOp, tensor_index
-    from hopfcalc.qpb import CovariantDerivativeData, VComodule, covariant_derivative, vertical_map
+    from hopfcalc.hopf import AlgebraPresentation, ComoduleAlgebra, HopfData, TorusData
+    from hopfcalc.linalg import FreeVector, tensor_index
+    from hopfcalc.qpb import (
+        Connection,
+        CovariantDerivativeData,
+        VComodule,
+        VerticalData,
+        canonical_connection,
+        covariant_derivative,
+        vertical_map,
+    )
 
     classes = (
         AlgebraPresentation,
@@ -96,6 +104,10 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
         TwistedCalculusAction,
         GradedDc,
         CovariantDerivativeData,
+        CleftData,
+        TorusData,
+        VerticalData,
+        Connection,
     )
     index_maps = {
         cls: [
@@ -106,23 +118,25 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
         for cls in classes
     }
     assert all(index_maps.values())
-    for cls, name in ((HopfData, "sweedler"), (Fodc, "lambda_terms"), (GradedDc, "lambda_terms")):
+    for cls, name in (
+        (HopfData, "sweedler"),
+        (Fodc, "lambda_terms"),
+        (GradedDc, "lambda_terms"),
+        (VerticalData, "target_coaction"),
+    ):
         index_maps[cls].append(name)
 
     v_comodule = VComodule(
         labels=[("v", 0), ("v", 1)],
         coaction=lambda vx: FreeVector.basis(tensor_index(vx, ("g", 1 - vx[1]))),
     )
-    cf = radford_calc_shared.cf
-    derivative = covariant_derivative(vertical_map(cf), v_comodule)
-    seen, stack, checked = set(), [radford_calc_shared, derivative], {cls: set() for cls in classes}
-    ops = set()
+    vd = vertical_map(radford_calc_shared.cf)
+    connection, _ = canonical_connection(vd)
+    derivative = covariant_derivative(vd, v_comodule)
+    roots = [radford_calc_shared, torus_calc_shared, vd, connection, derivative]
+    seen, stack, checked = set(), roots, {cls: set() for cls in classes}
     while stack:
         obj = stack.pop()
-        if isinstance(obj, LinOp):
-            assert isinstance(getattr(obj.action, "memo", None), dict), f"LinOp {obj.name}"
-            ops.add(obj.name)
-            continue
         fields = vars(type(obj)).get("__annotations__")
         if id(obj) in seen or not fields or not type(obj).__module__.startswith("hopfcalc."):
             continue
@@ -135,7 +149,6 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared):
                     checked[type(obj)].add(name)
         stack.extend(getattr(obj, name) for name in fields)
     assert checked == {cls: set(names) for cls, names in index_maps.items()}
-    assert ops == {"S", "S^-1", "d", "d#", "d_B"}
 
 
 def _is_scaled_accumulation(node) -> bool:
@@ -239,6 +252,55 @@ def test_only_the_forced_zero_refusals_build_their_own_sums():
         if early
     ]
     assert exempt == []
+
+
+def _basis_pair_sums(tree):
+    """Lines of `combine` calls over (E(ix), c) pairs: a literal basis
+    vector with its default coefficient, which `sum_terms` adds as the
+    term (ix, c) with no product by the basis vector's one."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) != "combine":
+            continue
+        for arg in node.args:
+            if isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
+                pairs = [arg.elt]
+            else:
+                pairs = arg.elts if isinstance(arg, (ast.List, ast.Tuple)) else []
+            if any(
+                isinstance(pair, ast.Tuple)
+                and pair.elts
+                and _is_basis_call(pair.elts[0])
+                and len(pair.elts[0].args) == 1
+                and not pair.elts[0].keywords
+                for pair in pairs
+            ):
+                yield node.lineno
+
+
+def test_sums_of_basis_vectors_are_sums_of_terms():
+    found = [f"{path.name}:{line}" for path, tree in _modules() for line in _basis_pair_sums(tree)]
+    assert found == []
+
+
+def test_basis_pair_sum_scan_sees_every_form():
+    text = (
+        "def f(v, ix, c, terms):\n"
+        "    a = combine((E(i), c) for i, c in terms)\n"
+        "    b = combine([(FreeVector.basis(i), c) for i, c in terms])\n"
+        "    d = linalg.combine([(v, c), (E(ix), c)])\n"
+        "    e = combine((E(i, c), c) for i, c in terms)\n"
+        "    g = combine((E(i).tensor(v), c) for i, c in terms)\n"
+        "    h = combine((w, c) for w in [E(ix)])\n"
+        "    k = sum_terms((i, c) for i, c in terms)\n"
+        "    return combine(\n"
+        "        (E(i), c)\n"
+        "        for i, c in terms\n"
+        "    )\n"
+    )
+    assert sorted(_basis_pair_sums(ast.parse(text))) == [2, 3, 4, 9]
 
 
 _FAILURES = {"NoSolution", "NotInvertible", "NotTruncatable"}
@@ -490,7 +552,7 @@ def test_twin_and_adapter_scan_sees_every_form():
         "        return linear(p_ix, w)\n"
         "    a = linalg.linear(lambda t: dc.d(1, t), v)\n"
         "    b = linear(dc.wedge, 1, v, 1, k)\n"
-        "    c = LinOp(lambda t: linear(dc.d, 1, t))\n"
+        "    c = LinearSolver(lambda t: linear(dc.d, 1, t), basis)\n"
         "    return linear(dc.d, 1, combine((lambda t: t)(v)))\n"
     )
     assert sorted(_twins_and_adapters(ast.parse(text))) == [2, 3, 7, 9]
@@ -634,26 +696,33 @@ def _is_record(node) -> bool:
     )
 
 
-def _attribute_reads(tree) -> Counter:
-    """How often each name is read as `x.name` in tree."""
+def _attribute_reads(tree, of_self: bool) -> Counter:
+    """How often each name is read in tree as `self.name` (of_self) or as any other `x.name`."""
     return Counter(
-        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and (isinstance(node.value, ast.Name) and node.value.id == "self") == of_self
     )
 
 
 def _unread_members(trees: dict) -> list:
     """Class.member for each annotated field of a record class and each
     public method of a class that no attribute read names, outside the
-    method's own body."""
-    everywhere = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    method's own body.  A read `self.member` counts only for the class
+    whose method makes it."""
+    elsewhere = sum((_attribute_reads(tree, False) for tree in trees.values()), Counter())
     found = []
     for tree in trees.values():
         for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            reads = elsewhere + _attribute_reads(cls, True)
             for node in cls.body:
-                if _is_record(cls) and isinstance(node, ast.AnnAssign) and not everywhere[node.target.id]:
+                if _is_record(cls) and isinstance(node, ast.AnnAssign) and not reads[node.target.id]:
                     found.append(f"{cls.name}.{node.target.id}")
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                    if everywhere[node.name] == _attribute_reads(node)[node.name]:
+                    own = _attribute_reads(node, False) + _attribute_reads(node, True)
+                    if reads[node.name] == own[node.name]:
                         found.append(f"{cls.name}.{node.name}")
     return found
 
@@ -744,6 +813,9 @@ def test_unused_definition_scan_sees_every_form():
         "        self.a = a\n"
         "    def never(self):\n"
         "        return 0\n"
+        "class Other:\n"
+        "    def peek(self):\n"
+        "        return self.unread\n"
         "def f(a, b=1, c=2, *, d=3, e=4):\n"
         "    return a\n"
         "def s(a=0, *, b=1):\n"
@@ -759,7 +831,8 @@ def test_unused_definition_scan_sees_every_form():
         "    return nested\n"
     )
     trees = {"m": ast.parse(text)}
-    assert sorted(_unread_members(trees)) == ["Plain.never", "R.recursive", "R.unread"]
+    # Other reads its own self.unread, which is no read of R.unread
+    assert sorted(_unread_members(trees)) == ["Other.peek", "Plain.never", "R.recursive", "R.unread"]
     assert sorted(_unset_parameters(dict(trees, n=ast.parse("def k(x=0):\n    return x\n")))) == [
         "m.Plain.__init__(b)",
         "m.R.called(other)",
