@@ -13,10 +13,10 @@ from typing import Callable, Optional
 from hopfcalc.hopf import (
     AlgebraPresentation,
     BasisFamily,
-    CoalgebraData,
     CoinvariantFamily,
     ComoduleAlgebra,
     HopfData,
+    WindowSolver,
     colinear,
     convolution_inverse,
     left_linear,
@@ -244,23 +244,12 @@ class CleftData:
             h = self.total.hopf
             self.cleaving_inv = convolution_inverse(
                 self.cleaving,
-                CoalgebraData(comul=h.comul, counit=h.counit),
+                h,
                 h.algebra.basis.enumerate(window),
                 self.total.algebra,
                 window=window,
             )
         return self.cleaving_inv
-
-
-def _base_expressor(fam: CoinvariantFamily, window: int | None) -> Callable[[FreeVector], FreeVector]:
-    """Coordinates of a coinvariant element of A over the declared base presentation."""
-    if fam.algebra.basis.is_finite:
-        domain = fam.algebra.basis.enumerate()
-    else:
-        if window is None:
-            raise ValueError("windowed base presentation needs a window")
-        domain = fam.algebra.basis.enumerate(3 * window)
-    return LinearSolver(fam.embed, domain).named("embed").solve
 
 
 def _split_ix(
@@ -292,7 +281,7 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     j_inv = cleft.ensure_inverse(window)
     b = a.coinvariants.algebra
     embed = a.coinvariants.embed
-    express = _base_expressor(a.coinvariants, window)
+    express = WindowSolver(embed, b.basis, window).named("embed").solve
     report = CheckReport(windowed=not (a.algebra.basis.is_finite and h.algebra.basis.is_finite))
 
     def measure_act(hi, bi):
@@ -353,7 +342,8 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
     j_inv = cleft.ensure_inverse(window)
     embed = a.coinvariants.embed
     report = CheckReport(windowed=not a.algebra.basis.is_finite)
-    section = memoise(_split_ix(a, j_inv, _base_expressor(a.coinvariants, window), j))
+    express = WindowSolver(embed, a.coinvariants.algebra.basis, window).named("embed").solve
+    section = memoise(_split_ix(a, j_inv, express, j))
     a_basis = a.algebra.basis.enumerate(window)
     b_basis = a.coinvariants.algebra.basis.enumerate(window)
 
@@ -436,7 +426,7 @@ def check_hopf_galois(a: ComoduleAlgebra) -> HopfGaloisResult:
     def can_on_class(cls_ix):
         return linear(can, balanced.representatives[cls_ix[1]])
 
-    rank = LinearSolver(can_on_class, balanced.labels).rank
+    rank = LinearSolver(can_on_class, balanced.labels).dim
     target_dim = len(a_basis) * len(h_basis)
     report.record(
         "hopf-galois.bijective",

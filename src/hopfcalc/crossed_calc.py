@@ -15,18 +15,17 @@ from typing import Callable, Optional
 from hopfcalc.crossed import CleftData, CrossedProduct, cleft_to_crossed
 from hopfcalc.fodc import (
     Fodc,
-    PresentationSolver,
     TwistedCalculusAction,
     check_sigma_twisted_module_calculus,
     leibniz,
+    presentation_solver,
 )
-from hopfcalc.hopf import AlgebraPresentation, BasisFamily, HopfData, colinear, multiplicative
+from hopfcalc.hopf import AlgebraPresentation, BasisFamily, HopfData, WindowSolver, colinear, multiplicative
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
     NoSolution,
     Subspace,
-    TrackedSpan,
     combine,
     first_non_associative,
     format_index,
@@ -683,7 +682,7 @@ def de_rham_cohomology(dc: GradedDc, max_degree: int, window: int | None = None)
         solver = LinearSolver(lambda ix, n=n: dc.d(n, ix), basis_n)
         kernel_dim = solver.kernel().dim
         dims.append(kernel_dim - prev_image_rank)
-        prev_image_rank = solver.rank
+        prev_image_rank = solver.dim
     return dims
 
 
@@ -742,44 +741,21 @@ def classify_smash(
     b_basis = b.basis.enumerate(window)
 
     # pullback calculus on the base: the span of b d_A(b') inside Omega^1(A),
-    # grown shell by shell so actions can leave any fixed window
-    finite_base = b.basis.is_finite
-    max_shell = None if finite_base else 4 * (window or 1)
-    pb = TrackedSpan()
-    grown = [0]
-    shell_counts: dict[int, int] = {}
-
-    def grow_to(shell):
-        while grown[0] < shell:
-            grown[0] += 1
-            current = grown[0]
-            shell_basis = b.basis.enumerate(None if finite_base else current)
-            for bx in shell_basis:
-                for by in shell_basis:
-                    v = linear(a_calc.left_act, embed(bx), linear(a_calc.d, embed(by)))
-                    if not v.is_zero():
-                        pb.add(("pb", pb.dim), v)
-            shell_counts[current] = pb.dim
-            if finite_base:
-                break
-
-    grow_to(1 if finite_base else (window or 1))
+    # widened when an action leaves the window; its forms are the independent
+    # pairs ("pb", b, b') of a window
+    pairs = b.basis.pairs("pb")
+    pb = WindowSolver(lambda ix: linear(a_calc.left_act, embed(ix[1]), linear(a_calc.d, embed(ix[2]))), pairs, window)
 
     def express_pb(v: FreeVector, what: str):
-        while True:
-            try:
-                return pb.express(v)
-            except NoSolution:
-                if finite_base or grown[0] >= max_shell:
-                    raise ValueError(f"pullback forms are not closed under {what}") from None
-            grow_to(grown[0] + 1)
+        try:
+            return pb.express(v)
+        except NoSolution:
+            raise ValueError(f"pullback forms are not closed under {what}") from None
 
-    def pb_window(w=None):
-        if finite_base:
-            grow_to(1)
-            return list(pb.labels)
-        grow_to(w or window or 1)
-        return list(pb.labels[: shell_counts[min(grown[0], w or window or 1)]])
+    def pb_window(w=window):
+        pb.grow(w)
+        inside = set(pairs.enumerate(w))
+        return [label for label in pb.labels if label in inside]
 
     def b_fodc_left(b_ix, pb_ix):
         return express_pb(linear(a_calc.left_act, embed(b_ix), pb.vectors[pb_ix]), "the left action")
@@ -820,7 +796,7 @@ def classify_smash(
 
     # (1) the cleaving map is differentiable with injective differential
     h_form_basis = h_calc.forms.enumerate(window)
-    h_pres = PresentationSolver(h_calc, window)
+    h_pres = presentation_solver(h_calc, window)
 
     def j_hat_pair(hx, hy):
         return linear(a_calc.left_act, j(hx), linear(a_calc.d, j(hy)))

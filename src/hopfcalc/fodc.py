@@ -18,6 +18,7 @@ from hopfcalc.hopf import (
     AlgebraPresentation,
     BasisFamily,
     HopfData,
+    WindowSolver,
     bicomodule,
     coassociative,
     colinear,
@@ -28,7 +29,6 @@ from hopfcalc.hopf import (
 )
 from hopfcalc.linalg import (
     FreeVector,
-    LinearSolver,
     NoSolution,
     QuotientSpace,
     Subspace,
@@ -98,43 +98,15 @@ def leibniz(calc, mult):
     return test
 
 
-class PresentationSolver:
-    """Forms as combinations of a d(a') over the pairs of a window.  On a
-    windowed calculus, forms produced by actions can leave any fixed
-    window, so a failed presentation retries on an enlarged window (up to
-    three times the requested one)."""
+def presentation_solver(f: Fodc, window: int | None) -> WindowSolver:
+    """Forms as combinations of a d(a') over the pairs ("pr", a, a') of a
+    window, widened while a form produced by an action falls outside it."""
 
-    def __init__(self, f: Fodc, window: int | None = None):
-        self.f = f
-        self.base_window = window
-        self.windowed = not (f.algebra.basis.is_finite and f.forms.is_finite)
-        self.cap = 3 * window if (self.windowed and window) else None
-        self.window = window
-        self.solver = self._solver(window)
+    def present(pr_ix):
+        _, a, b = pr_ix
+        return linear(f.left_act, a, f.d(b))
 
-    def _solver(self, window: int | None) -> LinearSolver:
-        f = self.f
-        a_basis = f.algebra.basis.enumerate(window)
-        domain = [("pr", a, b) for a in a_basis for b in a_basis]
-
-        def present(pr_ix):
-            _, a, b = pr_ix
-            return linear(f.left_act, a, f.d(b))
-
-        return LinearSolver(present, domain).named("present")
-
-    def kernel(self):
-        return self.solver.kernel()
-
-    def solve(self, v: FreeVector) -> FreeVector:
-        while True:
-            try:
-                return self.solver.solve(v)
-            except NoSolution:
-                if not (self.windowed and self.window < self.cap):
-                    raise
-            self.window = min(self.window + self.base_window, self.cap)
-            self.solver = self._solver(self.window)
+    return WindowSolver(present, f.algebra.basis.pairs("pr"), window).named("present")
 
 
 def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
@@ -166,7 +138,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
     report.sweep("leibniz", ((a, b) for a in a_basis for b in a_basis), leibniz(f, alg.mult))
 
     if f_basis:
-        solver = PresentationSolver(f, window)
+        solver = presentation_solver(f, window)
         missing = None
         for beta in f_basis:
             try:
@@ -477,7 +449,7 @@ def check_sigma_twisted_module_calculus(
         """h acting on a presentation, a sum of a d(b) over its ("pr", a, b) indices."""
         return combine((twisted_of_pair(h_ix, a_ix, b_ix), c) for (_, a_ix, b_ix), c in presentation.terms.items())
 
-    solver = PresentationSolver(b_calc, window)
+    solver = presentation_solver(b_calc, window)
     for kappa in solver.kernel().basis():
         for h_ix in h_basis:
             image = twisted_of(h_ix, kappa)

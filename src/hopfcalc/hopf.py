@@ -64,6 +64,53 @@ class BasisFamily:
             return cls(indices=fn(None))
         return cls(window_fn=fn)
 
+    def pairs(self, tag: str) -> BasisFamily:
+        """The family of the indices (tag, i, j), i and j in the same window of this one."""
+
+        def pairs(w):
+            ixs = self.enumerate(w)
+            return [(tag, i, j) for i in ixs for j in ixs]
+
+        return BasisFamily.spanned(pairs, self)
+
+
+# a windowed solve widens its window up to this many base windows
+_GROWTH = 3
+
+
+class WindowSolver(LinearSolver):
+    """The `LinearSolver` of f over family.enumerate(window), widened on a miss.
+
+    When `express` (and so `solve`) finds a target outside the span, the
+    columns of the indices that the next window adds, one base window
+    further out, go in after the old ones, up to `_GROWTH` base windows;
+    so every label and vector handed out stays valid, and each column is
+    evaluated once.  A finite family is one window and never grows.
+    """
+
+    def __init__(self, f: Callable[[Index], FreeVector], family: BasisFamily, window: int | None):
+        super().__init__(f, family.enumerate(window))
+        self.family, self.base, self.window = family, window, window
+
+    def grow(self, window: int) -> None:
+        """Add the columns of the indices that window adds to the current one."""
+        if self.family.is_finite or window <= self.window:
+            return
+        old = set(self.family.enumerate(self.window))
+        for ix in self.family.enumerate(window):
+            if ix not in old:
+                self.add(ix, self.f(ix))
+        self.window = window
+
+    def express(self, v: FreeVector) -> FreeVector:
+        while True:
+            try:
+                return super().express(v)
+            except NoSolution:
+                if self.family.is_finite or self.window >= _GROWTH * self.base:
+                    raise
+            self.grow(self.window + self.base)
+
 
 @record
 class AlgebraPresentation:
@@ -415,10 +462,10 @@ def convolution_inverse(f, coa: CoalgebraData, c_basis, algebra: AlgebraPresenta
     """Convolution inverse of f: C -> A, a map on basis indices, on the
     given coalgebra basis; returned as a map on basis indices.
 
-    Group-like bases are inverted pointwise (valid on any window), and the
-    map is memoised; otherwise one global linear system is solved and
-    verified, and the map reads its table of solutions.
-    Raises NotInvertible carrying an unsolvable element.
+    Group-like bases are inverted pointwise, each value one solve of a
+    `WindowSolver` over A's window, so the memoised map is total; otherwise
+    one global linear system is solved and verified, and the map reads its
+    table of solutions.  Raises NotInvertible carrying an unsolvable element.
     """
     c_basis = list(c_basis)
     a_basis = algebra.basis.enumerate(window)
@@ -430,19 +477,13 @@ def convolution_inverse(f, coa: CoalgebraData, c_basis, algebra: AlgebraPresenta
 
     if group_like:
         # pointwise inversion works for any index, so the returned map is
-        # total: off-window values are solved on demand on a grown window
+        # total: off-window values are solved on demand
         def invert_at(ix):
             fv = f(ix)
-            grown = window
-            while True:
-                domain = algebra.basis.enumerate(grown)
-                try:
-                    sol = LinearSolver(lambda j: linear(algebra.mult, fv, j), domain).solve(algebra.unit)
-                    break
-                except NoSolution:
-                    if grown is None or grown >= 4 * (window or 1):
-                        raise NotInvertible(ix) from None
-                    grown += window
+            try:
+                sol = WindowSolver(lambda j: linear(algebra.mult, fv, j), algebra.basis, window).solve(algebra.unit)
+            except NoSolution:
+                raise NotInvertible(ix) from None
             if not linear(algebra.mult, sol, fv) == algebra.unit:
                 raise NotInvertible(ix)
             return sol

@@ -643,10 +643,6 @@ class LinearSolver(TrackedSpan):
             raise RuntimeError("solver post-condition violated")
         return solution
 
-    @property
-    def rank(self) -> int:
-        return self.dim
-
     def _where(self) -> str:
         return f"image of {self.name or 'the map'}"
 
@@ -660,7 +656,7 @@ class QuotientSpace(TrackedSpan):
     one labelled by its class ``(cls_tag, position)``.
     """
 
-    def __init__(self, space_vectors: Iterable[FreeVector], sub: Subspace, cls_tag: str = "cls"):
+    def __init__(self, space_vectors: Iterable[FreeVector], sub: Subspace, cls_tag: str):
         super().__init__()
         self.sub = sub
         for v in space_vectors:

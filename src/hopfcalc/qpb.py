@@ -624,12 +624,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
         ]
         if any(f_ix[0] != "hor" for f_ix, _, _ in horizontal):
             return False, (e_label,)
-        try:
-            got = combine(
-                (linear(balanced_class, bf, unit_section(hx, v_ix)), c) for (_, bf, hx), v_ix, c in horizontal
-            )
-        except NoSolution:
-            return False, (e_label,)
+        got = combine((linear(balanced_class, bf, unit_section(hx, v_ix)), c) for (_, bf, hx), v_ix, c in horizontal)
         return got == nabla(e_label), (e_label,)
 
     report.sweep("derivative.via-connection", e_span.labels, connection_route)

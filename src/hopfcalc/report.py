@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from hopfcalc.linalg import FreeVector, format_index, record
+from hopfcalc.linalg import FreeVector, NoSolution, format_index, record
 
 PASS = "pass"
 FAIL = "fail"
@@ -58,10 +58,15 @@ class CheckReport:
     def sweep(self, identity: str, items, *tests):
         """Run the tests over items, each returning (ok, witness parts); an
         item holds when every test holds there, taken in order, and the
-        parts of the first failure are formatted into the witness."""
+        parts of the first failure are formatted into the witness.  A test
+        that raises NoSolution, a value it solves for being outside the
+        span it is solved in, fails at its item, with the item as witness."""
         for item in items:
             for test in tests:
-                ok, parts = test(item)
+                try:
+                    ok, parts = test(item)
+                except NoSolution:
+                    ok, parts = False, (item,)
                 if not ok:
                     return self.add(identity, FAIL, witness(*parts))
         return self.record(identity, True)

@@ -193,6 +193,21 @@ def _radford_cleft():
     return CleftData(total=inst.crossed.comodule, cleaving=lambda g_ix: E(tensor_index(("h1", 0, 0), g_ix)))
 
 
+# a coaction that leaves the image of the base makes the checks that solve
+# over the base fail at their item, and the report is kept
+def test_a_coaction_leaving_the_base_fails_cleaving_colinear_and_the_comparison_map():
+    cleft = _radford_cleft()
+    j_g = _pair(0, 1)
+    corrupt(cleft.total.coaction, (j_g,), tensor_index(j_g, G0))
+    assert failures(cleft_to_crossed(cleft)[3]) == {
+        "cleaving.colinear": "g(1)",
+        "theta.left-inverse": "(h1(0,0) (x) g(1))",
+        "theta.right-inverse": "(h1(0,0) (x) g(1))",
+        "theta.algebra-map": "((h1(0,0) (x) g(0)),(h1(0,0) (x) g(1)))",
+        "theta.colinear": "(h1(0,0) (x) g(1))",
+    }
+
+
 def test_a_doubled_coaction_fails_cleaving_colinear():
     cleft = _radford_cleft()
     j_g = _pair(0, 1)
@@ -272,4 +287,32 @@ def test_a_corrupted_coaction_fails_the_section_laws():
         "section.splits-multiplication": "(h1(0,1) (x) g(1))",
         "section.left-base-linear": "h1(0,1) ; (h1(0,0) (x) g(1))",
         "section.right-colinear": "(h1(0,1) (x) g(1))",
+    }
+
+
+def test_a_coaction_leaving_the_base_fails_the_section_laws():
+    cleft = _radford_cleft()
+    corrupt(cleft.total.coaction, (_pair(1, 0),), tensor_index(_pair(1, 0), G1))
+    assert failures(equivariant_section(cleft)[1]) == {
+        "section.splits-multiplication": "(h1(0,1) (x) g(0))",
+        "section.left-base-linear": "(h1(0,0),(h1(0,1) (x) g(0)))",
+        "section.right-colinear": "(h1(0,1) (x) g(0))",
+    }
+
+
+# sigma_e reads the form action b_action.act; the right Leibniz law is the
+# uniqueness identity with its terms rearranged, so it fails with it, and
+# the two sigma laws read the same corrupted value
+def test_a_corrupted_form_action_fails_sigma_unique(radford_calc):
+    from hopfcalc.qpb import VComodule, covariant_derivative, vertical_map
+
+    cf = radford_calc.cf
+    om = ("om", 0, 0)
+    corrupt(cf.b_action.act, (G0, om), om)
+    v = VComodule(labels=[("v", 0), ("v", 1)], coaction=lambda vx: E(tensor_index(vx, G1 if vx[1] == 0 else G0)))
+    assert failures(covariant_derivative(vertical_map(cf), v).report) == {
+        "derivative.right-leibniz": "ebas(0) ; h1(0,1)",
+        "derivative.sigma-bimodule": "h1(0,1) ; ebas(0) ; om(0,0)",
+        "derivative.sigma-balanced": "ebas(0) ; h1(0,1) ; om(0,0)",
+        "derivative.sigma-unique": "ebas(0) ; h1(0,1)",
     }

@@ -8,6 +8,7 @@ from hopfcalc.hopf import (
     AlgebraPresentation,
     BasisFamily,
     NotInvertible,
+    WindowSolver,
     build_cyclic_group_algebra,
     build_laurent_hopf,
     build_radford,
@@ -21,7 +22,7 @@ from hopfcalc.hopf import (
     tensor_square_coalgebra,
     CoalgebraData,
 )
-from hopfcalc.linalg import FreeVector, linear, tensor_index
+from hopfcalc.linalg import FreeVector, LinearSolver, NoSolution, linear, tensor_index
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
@@ -285,6 +286,64 @@ def test_spanned_family_keeps_the_window_enumeration_of_infinite_parts():
     assert len(family.enumerate(2)) == 2 * 5
     with pytest.raises(ValueError):
         family.enumerate()
+
+
+def test_pairs_family_lists_the_pairs_of_one_window():
+    laurent = build_laurent_hopf().algebra.basis
+    assert laurent.pairs("pr").enumerate(1) == sorted(
+        ("pr", i, j) for i in laurent.enumerate(1) for j in laurent.enumerate(1)
+    )
+    finite = build_cyclic_group_algebra(2).algebra.basis
+    assert finite.pairs("pb").indices == [("pb", i, j) for i in finite.indices for j in finite.indices]
+
+
+def test_window_solver_on_a_finite_family_is_the_linear_solver_of_its_basis():
+    family = build_cyclic_group_algebra(4).algebra.basis
+
+    def f(ix):  # g(i) -> t(i mod 2): a kernel of dimension two
+        return E(("t", ix[1] % 2))
+
+    solver, ref = WindowSolver(f, family, None), LinearSolver(f, family.enumerate())
+    assert solver._ech.rows == ref._ech.rows and solver._ech.tracks == ref._ech.tracks
+    assert solver.labels == ref.labels and solver.kernel() == ref.kernel()
+    with pytest.raises(NoSolution):
+        solver.solve(E(("t", 2)))
+    assert solver.labels == ref.labels
+
+
+def _doubling(calls):
+    """t(n) -> s(2n) on the Laurent window family, counting each evaluation."""
+
+    def f(ix):
+        calls.append(ix)
+        return E(("s", 2 * ix[1]))
+
+    return f
+
+
+def test_window_solver_widens_by_base_windows_and_keeps_what_it_handed_out():
+    calls = []
+    solver = WindowSolver(_doubling(calls), build_laurent_hopf().algebra.basis, 1)
+    labels, vectors = list(solver.labels), dict(solver.vectors)
+    assert labels == [("t", -1), ("t", 0), ("t", 1)]
+    assert solver.solve(E(("s", 4))) == E(("t", 2))
+    assert solver.window == 2
+    assert solver.labels[:3] == labels and solver.labels[3:] == [("t", -2), ("t", 2)]
+    assert all(solver.vectors[label] is v for label, v in vectors.items())
+    assert solver.solve(E(("s", -6))) == E(("t", -3)) and solver.window == 3
+    assert solver.solve(E(("s", 2))) == E(("t", 1))
+    # each column once, in the order the windows added them
+    assert calls == [("t", n) for n in (-1, 0, 1, -2, 2, -3, 3)]
+
+
+def test_window_solver_stops_at_three_base_windows():
+    calls = []
+    solver = WindowSolver(_doubling(calls), build_laurent_hopf().algebra.basis, 2)
+    with pytest.raises(NoSolution, match="is not in the image of the map$"):
+        solver.solve(E(("s", 14)))
+    assert solver.window == 6 and len(calls) == 13
+    solver.grow(7)
+    assert solver.solve(E(("s", 14))) == E(("t", 7)) and len(calls) == 15
 
 
 def test_coaction_legs_split_the_h_factor_in_order():

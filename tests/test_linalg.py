@@ -323,7 +323,7 @@ def test_quotient_space_with_vector_ambient():
     # span{e0-e1, e1-e2} mod span{e0-e2} has dimension 1
     space = [E(("e", 0)) - E(("e", 1)), E(("e", 1)) - E(("e", 2))]
     sub = Subspace([E(("e", 0)) - E(("e", 2))])
-    q = QuotientSpace(space, sub)
+    q = QuotientSpace(space, sub, "cls")
     assert q.dim == 1
     cls = q.project(space[0])
     assert cls == -q.project(space[1])
@@ -403,7 +403,7 @@ def test_elimination_kernel_properties():
         assert solver.lift(solver.solve(target)) == target
         kernel = solver.kernel()
         assert all(linear(f, v).is_zero() for v in kernel.basis())
-        assert solver.rank + kernel.dim == len(domain)
+        assert solver.dim + kernel.dim == len(domain)
 
         span = TrackedSpan((ix, columns[ix]) for ix in domain)
         assert span.labels == solver.labels and span.kernel() == kernel
@@ -412,7 +412,7 @@ def test_elimination_kernel_properties():
 
         space = list(columns.values())
         sub = Subspace([combo(space) for _ in range(data.draw(st.integers(0, 2)))])
-        q = QuotientSpace(space, sub)
+        q = QuotientSpace(space, sub, "cls")
         for rep, cls in zip(q.representatives, q.labels):
             assert q.project(rep) == E(cls)
         weights = [entry() for _ in q.representatives]

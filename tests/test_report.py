@@ -1,5 +1,5 @@
 from hopfcalc import report
-from hopfcalc.linalg import FreeVector, format_index
+from hopfcalc.linalg import FreeVector, NoSolution, format_index
 from hopfcalc.report import FAIL, PASS, SAMPLED, WINDOWED, CheckReport
 from hopfcalc.scalars import root_of_unity
 
@@ -43,6 +43,17 @@ def test_failing_sweep_keeps_first_failure_witness(monkeypatch):
     assert check.status == FAIL
     assert check.witness == joined(parts_of(2))
     assert check.witness == "t(2) ; (1)*(a(0) (x) b(2)) + (-1)*e(2) ; 2"
+
+
+def test_a_sweep_item_that_finds_no_solution_fails_with_the_item_as_witness():
+    def test(k):
+        if k == 3:
+            raise NoSolution(E(("e", k)), "image of the map")
+        return True, parts_of(k)
+
+    rep = CheckReport()
+    check = rep.sweep("solves", [("t", k) for k in range(6)], lambda ix: test(ix[1]))
+    assert (check.status, check.witness) == (FAIL, "t(3)")
 
 
 def test_windowed_report_stamps_passing_checks_window_verified():
