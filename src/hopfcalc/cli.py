@@ -12,14 +12,16 @@ output errors.  A check item whose value lies outside the span it is
 solved in (`NoSolution` in `CheckReport.sweep`) is a failed check, with
 exit 1, not an `error: suite:` with exit 2.  Both commands run in three
 stages: the parameters are checked, then the example's instance is built,
-then each suite or the cohomology reads that instance.  An error names its
-stage: `error: params:` for a command line that `COMMANDS` refuses,
-refused parameters or an unknown suite, `error: build:` when the instance
-cannot be built, `error: suite:<name>:` when a suite cannot run, and
-`error: output:` when stdout refuses the document, which is written and
-flushed before `run` returns, so that nothing is left for shut-down to
-write.  A stderr that refuses a line is closed (`_say`): stdout and the
-status stay as they were.
+then each suite or the cohomology reads that instance.  A builder runs
+only the checks whose failure refuses the instance (`CheckReport.require`)
+and keeps their report; every other check of what it built is a suite's.
+An error names its stage: `error: params:` for a command line that
+`COMMANDS` refuses, refused parameters or an unknown suite, `error: build:`
+when the instance cannot be built, `error: suite:<name>:` when a suite
+cannot run, and `error: output:` when stdout refuses the document, which
+is written and flushed before `run` returns, so that nothing is left for
+shut-down to write.  A stderr that refuses a line is closed (`_say`):
+stdout and the status stay as they were.
 
 Process lifecycle: importing this module freezes the heap (`gc.freeze`).
 Every object alive then, the interpreter's, `site`'s and hopfcalc's

@@ -272,7 +272,8 @@ def _split_ix(
 def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     """Derive measure and cocycle from a cleaving map and rebuild the
     crossed product, together with the comparison isomorphism and its
-    inverse.  Returns (CrossedProduct, theta, theta_inv, report)."""
+    inverse.  Returns (CrossedProduct, theta, theta_inv); that they are
+    inverse colinear algebra maps is `check_cleft_derivation`'s to verify."""
     a = cleft.total
     h = a.hopf
     if a.coinvariants is None:
@@ -282,7 +283,6 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
     b = a.coinvariants.algebra
     embed = a.coinvariants.embed
     express = WindowSolver(embed, b.basis, window).named("embed").solve
-    report = CheckReport(windowed=not (a.algebra.basis.is_finite and h.algebra.basis.is_finite))
 
     def measure_act(hi, bi):
         return express(
@@ -298,37 +298,41 @@ def cleft_to_crossed(cleft: CleftData, window: int | None = None):
             )
         )
 
-    h_basis = h.algebra.basis.enumerate(window)
-    # exact on any basis: the cleaving map is evaluated at the unit alone
-    report.add("cleaving.unital", PASS if linear(j, h.algebra.unit) == a.algebra.unit else FAIL)
-
-    report.sweep("cleaving.colinear", h_basis, colinear(j, h.comul, a.coaction))
-
-    measure = Measure(act=measure_act)
     cocycle = cocycle_from_sigma(sigma, b, h, window=window)
-    crossed = build_crossed_product(b, h, measure, cocycle, window=window)
-
-    theta = memoise(_split_ix(a, j_inv, express, E))
+    crossed = build_crossed_product(b, h, Measure(act=measure_act), cocycle, window=window)
 
     def theta_inv_ix(pair_ix):
         _, bi, hi = pair_ix
         return linear(a.algebra.mult, embed(bi), j(hi))
 
-    theta_inv = memoise(theta_inv_ix)
+    return crossed, memoise(_split_ix(a, j_inv, express, E)), memoise(theta_inv_ix)
+
+
+def check_cleft_derivation(
+    cleft: CleftData, crossed: CrossedProduct, theta: Callable, theta_inv: Callable, window: int | None = None
+) -> CheckReport:
+    """Verify that the cleaving map is unital and colinear, and that the
+    comparison maps of `cleft_to_crossed` are inverse colinear algebra maps
+    between the extension and its crossed product."""
+    a = cleft.total
+    h = a.hopf
+    j = cleft.cleaving
+    report = CheckReport(windowed=not (a.algebra.basis.is_finite and h.algebra.basis.is_finite))
+    # exact on any basis: the cleaving map is evaluated at the unit alone
+    report.add("cleaving.unital", PASS if linear(j, h.algebra.unit) == a.algebra.unit else FAIL)
+    report.sweep("cleaving.colinear", h.algebra.basis.enumerate(window), colinear(j, h.comul, a.coaction))
 
     a_basis = a.algebra.basis.enumerate(window)
     pair_basis = crossed.algebra.basis.enumerate(window)
-
     report.sweep("theta.left-inverse", a_basis, lambda ix: (linear(theta_inv, theta(ix)) == E(ix), (ix,)))
     report.sweep("theta.right-inverse", pair_basis, lambda ix: (linear(theta, theta_inv(ix)) == E(ix), (ix,)))
-
     report.sweep(
         "theta.algebra-map",
         ((i, k) for i in a_basis for k in a_basis),
         multiplicative(theta, a.algebra.mult, crossed.algebra.mult),
     )
     report.sweep("theta.colinear", a_basis, colinear(theta, a.coaction, crossed.comodule.coaction))
-    return crossed, theta, theta_inv, report
+    return report
 
 
 def equivariant_section(cleft: CleftData, window: int | None = None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from hopfcalc.crossed import CleftData, CrossedProduct, cleft_to_crossed
+from hopfcalc.crossed import CleftData, CrossedProduct, check_cleft_derivation, cleft_to_crossed
 from hopfcalc.fodc import (
     Fodc,
     TwistedCalculusAction,
@@ -691,29 +691,19 @@ def de_rham_cohomology(dc: GradedDc, max_degree: int, window: int | None = None)
 # ---------------------------------------------------------------------------
 
 
-@record
-class SmashClassification:
-    report: CheckReport
-    theta_hat_inv: Optional[Callable[[Index], FreeVector]] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.report.ok
-
-
 def classify_smash(
     a_calc: Fodc,
     h_calc: Fodc,
     cleft: CleftData,
     window: int | None = None,
     seed: int = 0,
-) -> SmashClassification:
+) -> CheckReport:
     """Decide whether a calculus on a trivial extension is the smash
-    product calculus: differentiability and injectivity of the cleaving
-    map, independence of the two form blocks, and the antisymmetry
-    identity binding the differentials of the cleaving map and its
-    inverse; when everything passes, the inverse comparison map is built
-    and checked to intertwine the differentials."""
+    product calculus, in one report: the derivation checks of its crossed
+    product, differentiability and injectivity of the cleaving map,
+    independence of the two form blocks and the antisymmetry identity of
+    the differentials of the cleaving map and its inverse; when all pass,
+    the inverse comparison map is checked to intertwine the differentials."""
     a = cleft.total
     h = a.hopf
     report = CheckReport(windowed=not a.algebra.basis.is_finite)
@@ -734,7 +724,8 @@ def classify_smash(
     if not linear(j, h.algebra.unit) == a.algebra.unit:
         raise ValueError("not a trivial extension: the cleaving map is not unital")
 
-    crossed, theta, theta_inv, derivation = cleft_to_crossed(cleft, window=window)
+    crossed, theta, theta_inv = cleft_to_crossed(cleft, window=window)
+    derivation = check_cleft_derivation(cleft, crossed, theta, theta_inv, window=window)
     report.extend(derivation, prefix="trivial-extension.")
     b = crossed.base
     embed = a.coinvariants.embed
@@ -852,7 +843,7 @@ def classify_smash(
     report.sweep("classification-(3)", ((hx, bx) for hx in h_basis for bx in b_basis), cond3)
 
     if not report.ok:
-        return SmashClassification(report=report)
+        return report
 
     smash_cf = build_crossed_fodc(crossed, b_fodc, h_calc, window=window)
 
@@ -905,4 +896,4 @@ def classify_smash(
         ),
         bimodule_map,
     )
-    return SmashClassification(report=report, theta_hat_inv=theta_hat_inv)
+    return report

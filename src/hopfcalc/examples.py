@@ -171,7 +171,8 @@ class TorusInstance:
     torus: TorusData
     cleft: CleftData
     crossed: CrossedProduct
-    derivation_report: "CheckReport"
+    theta: Callable[[tuple], FreeVector]  # the comparison map A -> B #_sigma H
+    theta_inv: Callable[[tuple], FreeVector]
 
     def closed_measure(self, k: int, l: int) -> FreeVector:
         """t^k acting on w^l: the closed form e^{-i theta k l} w^l."""
@@ -530,7 +531,7 @@ def radford_suites(params: dict) -> list:
 
 
 def torus_suites(params: dict) -> list:
-    from hopfcalc.crossed import equivariant_section
+    from hopfcalc.crossed import check_cleft_derivation, equivariant_section
     from hopfcalc.crossed_calc import (
         check_graded_dc,
         classify_smash,
@@ -548,8 +549,7 @@ def torus_suites(params: dict) -> list:
 
     def cleft_derivation(tc):
         inst = tc.instance
-        rep = CheckReport(windowed=True)
-        rep.extend(inst.derivation_report)
+        rep = check_cleft_derivation(inst.cleft, inst.crossed, inst.theta, inst.theta_inv, window=window)
 
         def measure_matches(pair):
             k, l = pair
@@ -676,7 +676,7 @@ def smash_demo_suites(params: dict) -> list:
         ("fodc", fodc_suite),
         (
             "classification",
-            lambda inst: classify_smash(inst.a_calc, inst.h_calc, inst.cleft, window=window, seed=params["seed"]).report,
+            lambda inst: classify_smash(inst.a_calc, inst.h_calc, inst.cleft, window=window, seed=params["seed"]),
         ),
     ]
 
@@ -821,5 +821,5 @@ def torus_instance(theta_order: int = 8, window: int = 4) -> TorusInstance:
     cleaving map, not copied from closed forms."""
     torus = build_torus_comodule(root_of_unity(theta_order))
     cleft = CleftData(total=torus.comodule, cleaving=torus.cleaving, cleaving_inv=torus.cleaving_inv)
-    crossed, _, _, report = cleft_to_crossed(cleft, window=window)
-    return TorusInstance(torus=torus, cleft=cleft, crossed=crossed, derivation_report=report)
+    crossed, theta, theta_inv = cleft_to_crossed(cleft, window=window)
+    return TorusInstance(torus=torus, cleft=cleft, crossed=crossed, theta=theta, theta_inv=theta_inv)

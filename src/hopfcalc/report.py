@@ -60,13 +60,15 @@ class CheckReport:
         item holds when every test holds there, taken in order, and the
         parts of the first failure are formatted into the witness.  A test
         that raises NoSolution, a value it solves for being outside the
-        span it is solved in, fails at its item, with the item as witness."""
+        span it is solved in, fails at its item, with the item as witness,
+        or its parts when it holds several indices: a tuple whose first
+        entry is a tuple, since an index starts with its string tag."""
         for item in items:
             for test in tests:
                 try:
                     ok, parts = test(item)
                 except NoSolution:
-                    ok, parts = False, (item,)
+                    ok, parts = False, item if isinstance(item, tuple) and isinstance(item[0], tuple) else (item,)
                 if not ok:
                     return self.add(identity, FAIL, witness(*parts))
         return self.record(identity, True)

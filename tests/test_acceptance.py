@@ -234,11 +234,11 @@ def test_criterion_09_higher_forms(radford):
 
 def test_criterion_10_smash_classification(torus):
     demo = smash_demo_instance(8)
-    result = classify_smash(demo.a_calc, demo.h_calc, demo.cleft, window=2, seed=7)
-    assert result.ok
+    report = classify_smash(demo.a_calc, demo.h_calc, demo.cleft, window=2, seed=7)
+    assert report.ok
     for name in ("classification-(1)", "classification-(2)", "classification-(3)"):
-        assert find_check(result.report, name).status == "window-verified"
-    assert find_check(result.report, "comparison.intertwines-d").status == "window-verified"
+        assert find_check(report, name).status == "window-verified"
+    assert find_check(report, "comparison.intertwines-d").status == "window-verified"
 
     tc = torus
     with pytest.raises(ValueError, match="not a trivial extension"):

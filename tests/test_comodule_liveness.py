@@ -16,8 +16,7 @@ order or of a law shows here.
 import pytest
 from conftest import corrupt
 
-import hopfcalc.crossed
-from hopfcalc.crossed import CleftData, cleft_to_crossed, equivariant_section
+from hopfcalc.crossed import CleftData, check_cleft_derivation, cleft_to_crossed, equivariant_section
 from hopfcalc.crossed_calc import classify_smash, verify_crossed_fodc
 from hopfcalc.examples import group_c2_instance, radford_calculus_instance, radford_instance, smash_demo_instance
 from hopfcalc.fodc import check_fodc
@@ -199,11 +198,11 @@ def test_a_coaction_leaving_the_base_fails_cleaving_colinear_and_the_comparison_
     cleft = _radford_cleft()
     j_g = _pair(0, 1)
     corrupt(cleft.total.coaction, (j_g,), tensor_index(j_g, G0))
-    assert failures(cleft_to_crossed(cleft)[3]) == {
+    assert failures(check_cleft_derivation(cleft, *cleft_to_crossed(cleft))) == {
         "cleaving.colinear": "g(1)",
         "theta.left-inverse": "(h1(0,0) (x) g(1))",
         "theta.right-inverse": "(h1(0,0) (x) g(1))",
-        "theta.algebra-map": "((h1(0,0) (x) g(0)),(h1(0,0) (x) g(1)))",
+        "theta.algebra-map": "(h1(0,0) (x) g(0)) ; (h1(0,0) (x) g(1))",
         "theta.colinear": "(h1(0,0) (x) g(1))",
     }
 
@@ -212,7 +211,7 @@ def test_a_doubled_coaction_fails_cleaving_colinear():
     cleft = _radford_cleft()
     j_g = _pair(0, 1)
     corrupt(cleft.total.coaction, (j_g,), tensor_index(j_g, G1))
-    assert failures(cleft_to_crossed(cleft)[3]) == {
+    assert failures(check_cleft_derivation(cleft, *cleft_to_crossed(cleft))) == {
         "cleaving.colinear": "g(1)",
         "theta.left-inverse": "(h1(0,0) (x) g(1))",
         "theta.right-inverse": "(h1(0,0) (x) g(1))",
@@ -222,7 +221,7 @@ def test_a_doubled_coaction_fails_cleaving_colinear():
 
 
 # the comparison map lands in the crossed product that cleft_to_crossed
-# builds, so its maps are corrupted as it is built
+# builds, so its maps are corrupted before the checks run
 @pytest.mark.parametrize(
     "field, args, extra, failed",
     [
@@ -231,16 +230,11 @@ def test_a_doubled_coaction_fails_cleaving_colinear():
         ("mult", (_pair(0, 1), _pair(1, 0)), _pair(0, 0), {"theta.algebra-map": "(h1(0,0) (x) g(1)) ; (h1(0,1) (x) g(0))"}),
     ],
 )
-def test_a_corrupted_crossed_product_fails_the_comparison_map_laws(monkeypatch, field, args, extra, failed):
-    build = hopfcalc.crossed.build_crossed_product
-
-    def corrupted(*a, **k):
-        crossed = build(*a, **k)
-        corrupt(crossed.comodule.coaction if field == "coaction" else crossed.algebra.mult, args, extra)
-        return crossed
-
-    monkeypatch.setattr(hopfcalc.crossed, "build_crossed_product", corrupted)
-    assert failures(cleft_to_crossed(_radford_cleft())[3]) == failed
+def test_a_corrupted_crossed_product_fails_the_comparison_map_laws(field, args, extra, failed):
+    cleft = _radford_cleft()
+    crossed, theta, theta_inv = cleft_to_crossed(cleft)
+    corrupt(crossed.comodule.coaction if field == "coaction" else crossed.algebra.mult, args, extra)
+    assert failures(check_cleft_derivation(cleft, crossed, theta, theta_inv)) == failed
 
 
 def test_a_cleaving_map_that_is_not_multiplicative_is_refused():
@@ -295,7 +289,7 @@ def test_a_coaction_leaving_the_base_fails_the_section_laws():
     corrupt(cleft.total.coaction, (_pair(1, 0),), tensor_index(_pair(1, 0), G1))
     assert failures(equivariant_section(cleft)[1]) == {
         "section.splits-multiplication": "(h1(0,1) (x) g(0))",
-        "section.left-base-linear": "(h1(0,0),(h1(0,1) (x) g(0)))",
+        "section.left-base-linear": "h1(0,0) ; (h1(0,1) (x) g(0))",
         "section.right-colinear": "(h1(0,1) (x) g(0))",
     }
 

@@ -7,12 +7,13 @@ from hopfcalc.crossed import (
     Cocycle,
     Measure,
     build_crossed_product,
+    check_cleft_derivation,
     check_hopf_galois,
     check_twisted_module_algebra,
     cleft_to_crossed,
     trivial_cocycle,
 )
-from hopfcalc.examples import radford_instance, torus_instance
+from hopfcalc.examples import radford_instance, torus_calculus_instance, torus_instance
 from hopfcalc.hopf import (
     AlgebraPresentation,
     BasisFamily,
@@ -24,6 +25,7 @@ from hopfcalc.hopf import (
     convolution_inverse,
 )
 from hopfcalc.linalg import FreeVector, first_non_associative, linear, tensor_index
+from hopfcalc.report import CheckReport
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 E = FreeVector.basis
@@ -191,9 +193,26 @@ def test_the_torus_associativity_probe_covers_its_whole_window(monkeypatch):
     assert swept == [(window, window, window)]
 
 
+# a builder runs only the checks whose failure refuses what it builds; the
+# derivation checks of the cleft construction belong to a suite, and every
+# check ends in CheckReport.add
+def test_building_the_torus_runs_no_derivation_check(monkeypatch):
+    seen = []
+    add = CheckReport.add
+
+    def recording(report, identity, *args, **kwargs):
+        seen.append(identity)
+        return add(report, identity, *args, **kwargs)
+
+    monkeypatch.setattr(CheckReport, "add", recording)
+    torus_calculus_instance(8, 2)
+    assert "twisted-module" in seen
+    assert [i for i in seen if i.startswith(("theta.", "cleaving."))] == []
+
+
 def test_torus_theta_is_an_isomorphism_on_window(torus_calc_shared):
     inst = torus_calc_shared.instance
-    report = inst.derivation_report
+    report = check_cleft_derivation(inst.cleft, inst.crossed, inst.theta, inst.theta_inv, window=3)
     assert report.ok
     for check in ("theta.left-inverse", "theta.right-inverse", "theta.algebra-map", "theta.colinear"):
         assert find_check(report, check).status == "window-verified"

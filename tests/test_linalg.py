@@ -204,7 +204,7 @@ def test_every_record_init_is_its_own_and_named_for_its_class():
         and cls.__module__ == f"hopfcalc.{name}"
         and "__annotations__" in vars(cls)
     ]
-    assert len(records) == 31
+    assert len(records) == 30
     inits = [vars(cls)["__init__"] for cls in records + [_Maps, _Point]]
     assert all(isinstance(init, types.FunctionType) for init in inits)
     assert len({id(init) for init in inits}) == len(inits)

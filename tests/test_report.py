@@ -54,6 +54,9 @@ def test_a_sweep_item_that_finds_no_solution_fails_with_the_item_as_witness():
     rep = CheckReport()
     check = rep.sweep("solves", [("t", k) for k in range(6)], lambda ix: test(ix[1]))
     assert (check.status, check.witness) == (FAIL, "t(3)")
+    # an item of several indices is its parts, as a failure its test returns
+    pairs = rep.sweep("pairs", [(("t", k), ("@", ("a", 0), ("b", k))) for k in range(6)], lambda p: test(p[0][1]))
+    assert (pairs.status, pairs.witness) == (FAIL, "t(3) ; (a(0) (x) b(3))")
 
 
 def test_windowed_report_stamps_passing_checks_window_verified():

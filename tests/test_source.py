@@ -681,7 +681,6 @@ def test_representation_scan_sees_every_form():
 _UNREAD_KEPT = frozenset({
     "HopfGaloisResult.bijective",  # the Galois verdict, which the acceptance tests read
     "RadfordInstance.to_full",  # the crossed product inside H(r,n,q), which the tests compare against
-    "SmashClassification.theta_hat_inv",  # the comparison map of a passing classification
     "CovariantDerivativeData.e_span",  # the associated bundle whose rank the tests pin
 })
 _UNSET_KEPT = frozenset({
