@@ -42,15 +42,24 @@ __all__ = [
 Index = tuple
 
 
+_SORT_KEYS = {}
+
+
 def index_sort_key(ix):
-    """Total order on heterogeneous indices: ints, then strings, then tuples."""
-    if isinstance(ix, tuple):
-        return (2, tuple(index_sort_key(part) for part in ix))
-    if isinstance(ix, bool):
-        return (0, int(ix))
-    if isinstance(ix, int):
-        return (0, ix)
-    return (1, str(ix))
+    """Total order on heterogeneous indices: ints, then strings, then tuples.
+
+    Each index's key is computed once and kept: equal indices, such as 1
+    and True, have equal keys."""
+    key = _SORT_KEYS.get(ix)
+    if key is None:
+        if isinstance(ix, tuple):
+            key = (2, tuple(index_sort_key(part) for part in ix))
+        elif isinstance(ix, int):
+            key = (0, int(ix))
+        else:
+            key = (1, str(ix))
+        _SORT_KEYS[ix] = key
+    return key
 
 
 def tensor_index(left, right) -> Index:
@@ -278,10 +287,11 @@ def linear(fn: Callable[..., FreeVector], *args) -> FreeVector:
     images are taken in the order of nested loops over the slots, the
     leftmost outermost, each weighted by the product of its slot
     coefficients taken left to right, and summed by `combine`.  With no
-    vector argument this is fn(*args).  With one, a single term is returned
-    as fn(...).scale(c), which has the same terms, order and scalars as
-    `combine` of one pair, and no term gives the zero vector at once, which
-    over a quarter of the calls in a radford verification meet.
+    vector argument this is fn(*args).  When every vector argument has a
+    single term, the one image is returned as fn(...).scale(c), which has
+    the same terms, order and scalars as `combine` of one pair; with one
+    vector argument, no term gives the zero vector at once, which over a
+    quarter of the calls in a radford verification meet.
     """
     k = None
     for i, a in enumerate(args):
@@ -289,6 +299,9 @@ def linear(fn: Callable[..., FreeVector], *args) -> FreeVector:
             if k is not None:
                 slots = [j for j, b in enumerate(args) if type(b) is FreeVector]
                 picks = product(*(args[j].terms.items() for j in slots))
+                if all(len(args[j].terms) == 1 for j in slots):
+                    (image, c), = _images(fn, list(args), slots, picks)
+                    return image.scale(c)
                 return combine(_images(fn, list(args), slots, picks))
             k = i
     if k is None:

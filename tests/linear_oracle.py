@@ -10,6 +10,7 @@ negation, difference, `is_zero` and `leading_index` are those of
 """
 
 from hopfcalc.linalg import index_sort_key, linear
+from hopfcalc.report import witness
 from hopfcalc.scalars import CycScalar
 
 
@@ -104,6 +105,27 @@ def reference_first_non_associative(xs, ys, zs, first, then, inner, outer):
     return None
 
 
+def reference_wedge_witness(dc, bases):
+    """The witness of the first failing triple of the per-triple loop over
+    the degree blocks (p, q, r) of total degree at most two, in the order of
+    the wedge-associativity sweep of `check_graded_dc`; None if none fails."""
+    for p in range(3):
+        for q in range(3):
+            for r in range(3 - p - q):
+                hit = reference_first_non_associative(
+                    bases[p],
+                    bases[q],
+                    bases[r],
+                    lambda i, j: dc.wedge(p, i, q, j),
+                    lambda t, k: dc.wedge(p + q, t, r, k),
+                    lambda j, k: dc.wedge(q, j, r, k),
+                    lambda i, t: dc.wedge(p, i, q + r, t),
+                )
+                if hit is not None:
+                    return witness(*hit)
+    return None
+
+
 def reference_graded_leibniz(dc, window=None, max_total=2):
     """The per-item loop that the graded-Leibniz sweep of `check_graded_dc`
     ran before it built each side in one dict: over the items in the
@@ -126,3 +148,15 @@ def reference_graded_leibniz(dc, window=None, max_total=2):
                     if lhs.terms.keys() != rhs.terms.keys() or any(c != rhs.terms[ix] for ix, c in lhs.terms.items()):
                         return i, j
     return None
+
+
+def reference_index_sort_key(ix):
+    """`linalg.index_sort_key` as it was before it kept each key: the
+    recursive definition, computed afresh at every call."""
+    if isinstance(ix, tuple):
+        return (2, tuple(reference_index_sort_key(part) for part in ix))
+    if isinstance(ix, bool):
+        return (0, int(ix))
+    if isinstance(ix, int):
+        return (0, ix)
+    return (1, str(ix))

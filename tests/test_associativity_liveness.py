@@ -9,7 +9,7 @@ per-triple reference loop gives on the same corrupted maps.
 
 import pytest
 from conftest import corrupt, find_check
-from linear_oracle import reference_first_non_associative
+from linear_oracle import reference_first_non_associative, reference_wedge_witness
 
 import hopfcalc.crossed
 from hopfcalc.crossed import build_crossed_product
@@ -23,26 +23,6 @@ from hopfcalc.report import witness
 def reference_witness(*sweep):
     hit = reference_first_non_associative(*sweep)
     return None if hit is None else witness(*hit)
-
-
-def reference_wedge_witness(dc, bases):
-    """The first failing triple of the per-triple loop over the degree
-    blocks (p, q, r) of total degree at most two, in the sweep's order."""
-    for p in range(3):
-        for q in range(3):
-            for r in range(3 - p - q):
-                found = reference_witness(
-                    bases[p],
-                    bases[q],
-                    bases[r],
-                    lambda i, j: dc.wedge(p, i, q, j),
-                    lambda t, k: dc.wedge(p + q, t, r, k),
-                    lambda j, k: dc.wedge(q, j, r, k),
-                    lambda i, t: dc.wedge(p, i, q + r, t),
-                )
-                if found is not None:
-                    return found
-    return None
 
 
 # (n1, position in the degree-n1 basis, n2, position in the degree-n2 basis)

@@ -1,5 +1,5 @@
-"""Differential test of linalg.combine, linalg.sum_terms and linalg.linear
-against linear_oracle.
+"""Differential test of linalg.combine, linalg.sum_terms, linalg.linear and
+linalg.index_sort_key against linear_oracle.
 
 The kernel must give what repeated `out = out + v.scale(c)` gave: the same
 terms in the same dict order, each coefficient with the same order,
@@ -17,9 +17,15 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from linear_oracle import reference_combine, reference_first_non_associative, reference_linear
+from linear_oracle import (
+    reference_combine,
+    reference_first_non_associative,
+    reference_index_sort_key,
+    reference_linear,
+)
 
-from hopfcalc.linalg import FreeVector, combine, first_non_associative, linear, sum_terms
+from hopfcalc import linalg
+from hopfcalc.linalg import FreeVector, combine, first_non_associative, index_sort_key, linear, sum_terms
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 ORDERS = [1, 2, 4, 8]
@@ -134,12 +140,25 @@ def test_sum_terms_matches_repeated_addition_of_basis_vectors(terms):
         assert got is FreeVector.zero()
 
 
+def one_term_vectors():
+    # a zero coefficient leaves the vector with no term at all
+    return st.tuples(st.integers(0, 3), scalars()).map(lambda term: FreeVector(dict([term])))
+
+
 @st.composite
 def mixed_arguments(draw):
     """One to four arguments, each a vector or a fixed int index, at least
-    one a vector; or the (degree, vector, degree, vector) shape of a wedge."""
-    if draw(st.booleans()):
+    one a vector; or the (degree, vector, degree, vector) shape of a wedge;
+    or two to four vectors of one term each, maybe with an index among them,
+    which `linear` takes as one image."""
+    shape = draw(st.sampled_from(["wedge", "one-term", "mixed"]))
+    if shape == "wedge":
         return [draw(st.integers(0, 3)), draw(vectors()), draw(st.integers(0, 3)), draw(vectors())]
+    if shape == "one-term":
+        args = draw(st.lists(one_term_vectors(), min_size=2, max_size=4))
+        if draw(st.booleans()):
+            args.insert(draw(st.integers(0, len(args))), draw(st.integers(0, 3)))
+        return args
     args = draw(st.lists(st.one_of(vectors(), st.integers(0, 3)), min_size=1, max_size=4))
     if not any(isinstance(a, FreeVector) for a in args):
         args[draw(st.integers(0, len(args) - 1))] = draw(vectors())
@@ -166,6 +185,43 @@ def test_a_call_without_vector_arguments_is_the_map_itself():
 
     assert linear(fn, 1, ("w", 2), "deg") is image
     assert calls == [(1, ("w", 2), "deg")]
+
+
+def test_vector_arguments_of_one_term_each_take_one_image():
+    image = FreeVector({0: root_of_unity(4), 1: CycScalar.one(4)})
+    calls = []
+
+    def fn(*args):
+        calls.append(args)
+        return image
+
+    x, y = FreeVector({2: CycScalar.one()}), FreeVector({3: CycScalar.one()})
+    assert linear(fn, x, 1, y) is image
+    two = FreeVector({3: CycScalar.from_rational(2)})
+    assert _shape(linear(fn, x, 1, two).terms) == _shape(image.scale(CycScalar.from_rational(2)).terms)
+    assert calls == [(2, 1, 3), (2, 1, 3)]
+
+
+indices = st.recursive(
+    st.integers(-3, 3) | st.booleans() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(indices, max_size=6))
+def test_a_kept_sort_key_is_the_recursive_definition(ixs):
+    # keys are kept across calls, so a key met first as an equal index,
+    # such as True for 1 or (0,) for (False,), must be the key of this one;
+    # each example starts from no kept key, so that it decides what is kept
+    kept = linalg._SORT_KEYS
+    linalg._SORT_KEYS = {}
+    try:
+        for ix in ixs + ixs:
+            assert index_sort_key(ix) == reference_index_sort_key(ix)
+    finally:
+        linalg._SORT_KEYS = kept
 
 
 def test_a_cancelled_index_comes_back_at_the_end():
