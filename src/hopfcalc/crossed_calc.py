@@ -578,7 +578,7 @@ def _wedge_generators(dc: GradedDc, bases: dict) -> dict:
         # a word of one term spans the line of its index, so is taken at it
         if len(w.terms) == 1:
             return p + q, dc.wedge(p, *w.terms, q, g)
-        return p + q, combine((dc.wedge(p, m, q, g), c) for m, c in w.terms.items())
+        return p + q, linear(dc.wedge, p, w, q, g)
 
     for n in bases:
         for ix in bases[n]:

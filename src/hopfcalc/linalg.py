@@ -287,11 +287,10 @@ def linear(fn: Callable[..., FreeVector], *args) -> FreeVector:
     images are taken in the order of nested loops over the slots, the
     leftmost outermost, each weighted by the product of its slot
     coefficients taken left to right, and summed by `combine`.  With no
-    vector argument this is fn(*args).  When every vector argument has a
-    single term, the one image is returned as fn(...).scale(c), which has
-    the same terms, order and scalars as `combine` of one pair; with one
-    vector argument, no term gives the zero vector at once, which over a
-    quarter of the calls in a radford verification meet.
+    vector argument this is fn(*args).  With one, a single term is returned
+    as fn(...).scale(c), which has the same terms, order and scalars as
+    `combine` of one pair, and no term gives the zero vector at once, which
+    over a quarter of the calls in a radford verification meet.
     """
     k = None
     for i, a in enumerate(args):
@@ -299,9 +298,6 @@ def linear(fn: Callable[..., FreeVector], *args) -> FreeVector:
             if k is not None:
                 slots = [j for j, b in enumerate(args) if type(b) is FreeVector]
                 picks = product(*(args[j].terms.items() for j in slots))
-                if all(len(args[j].terms) == 1 for j in slots):
-                    (image, c), = _images(fn, list(args), slots, picks)
-                    return image.scale(c)
                 return combine(_images(fn, list(args), slots, picks))
             k = i
     if k is None:

@@ -8,6 +8,8 @@ per-item reference loops on the same corrupted maps, and restores the
 entry, so one instance serves every case.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from linear_oracle import reference_graded_leibniz, reference_wedge_witness
 
@@ -80,26 +82,49 @@ def test_the_certificate_gives_the_verdicts_and_witnesses_of_the_full_sweeps(bui
     assert failures > 0
 
 
-def test_radford_generators_span_every_degree():
-    """The subalgebra generated by the chosen indices, grown by elimination
-    until no product of a row and a generator is new, is every degree of
-    the truncated forms."""
-    dc = radford_calculus_instance(2, 2).higher
-    bases = {n: dc.basis(n, None) for n in DEGREES}
-    gens = _wedge_generators(dc, bases)
-    assert [len(gens[n]) for n in DEGREES] == [3, 2, 0]
-    spans = {n: Subspace(FreeVector.basis(g) for g in gens[n]) for n in DEGREES}
+def _generated_dims(dc, bases, gens):
+    """The dimension, per degree, of the subalgebra generated by gens,
+    grown by elimination until no product of a row and a generator is new."""
+    top = max(bases)
+    spans = {n: Subspace(FreeVector.basis(g) for g in gens[n]) for n in bases}
     grown = True
     while grown:
         grown = False
-        for p in DEGREES:
-            for q in DEGREES:
-                if p + q > 2:
+        for p in bases:
+            for q in bases:
+                if p + q > top:
                     continue
                 for row in spans[p].basis():
                     for g in gens[q]:
                         grown |= spans[p + q].add(linear(dc.wedge, p, row, q, g))
-    assert [spans[n].dim for n in DEGREES] == [len(bases[n]) for n in DEGREES]
+    return [spans[n].dim for n in bases]
+
+
+def test_radford_generators_span_every_degree():
+    dc = radford_calculus_instance(2, 2).higher
+    bases = {n: dc.basis(n, None) for n in DEGREES}
+    gens = _wedge_generators(dc, bases)
+    assert [len(gens[n]) for n in DEGREES] == [3, 2, 0]
+    assert _generated_dims(dc, bases, gens) == [len(bases[n]) for n in DEGREES]
+
+
+def test_a_word_of_several_terms_is_multiplied_in_every_term():
+    """x x = y + z is a word of two terms whose product with x, y x + z x =
+    z - z, is zero, so z is a generator; the leading term alone would give
+    y x = z and leave z out."""
+    y, z = FreeVector.basis("y"), FreeVector.basis("z")
+    table = {("x", "x"): y + z, ("y", "x"): z, ("z", "x"): -z}
+
+    def wedge(p, i, q, j):
+        if i == "e" or j == "e":
+            return FreeVector.basis(j if i == "e" else i)
+        return table.get((i, j), FreeVector.zero())
+
+    dc = SimpleNamespace(wedge=wedge)
+    bases = {0: list("exyz")}
+    gens = _wedge_generators(dc, bases)
+    assert gens == {0: ["e", "x", "z"]}
+    assert _generated_dims(dc, bases, gens) == [4]
 
 
 def test_a_windowed_algebra_builds_no_certificate(monkeypatch, torus_calc_shared):

@@ -149,8 +149,7 @@ def one_term_vectors():
 def mixed_arguments(draw):
     """One to four arguments, each a vector or a fixed int index, at least
     one a vector; or the (degree, vector, degree, vector) shape of a wedge;
-    or two to four vectors of one term each, maybe with an index among them,
-    which `linear` takes as one image."""
+    or two to four vectors of one term each, maybe with an index among them."""
     shape = draw(st.sampled_from(["wedge", "one-term", "mixed"]))
     if shape == "wedge":
         return [draw(st.integers(0, 3)), draw(vectors()), draw(st.integers(0, 3)), draw(vectors())]
@@ -185,21 +184,6 @@ def test_a_call_without_vector_arguments_is_the_map_itself():
 
     assert linear(fn, 1, ("w", 2), "deg") is image
     assert calls == [(1, ("w", 2), "deg")]
-
-
-def test_vector_arguments_of_one_term_each_take_one_image():
-    image = FreeVector({0: root_of_unity(4), 1: CycScalar.one(4)})
-    calls = []
-
-    def fn(*args):
-        calls.append(args)
-        return image
-
-    x, y = FreeVector({2: CycScalar.one()}), FreeVector({3: CycScalar.one()})
-    assert linear(fn, x, 1, y) is image
-    two = FreeVector({3: CycScalar.from_rational(2)})
-    assert _shape(linear(fn, x, 1, two).terms) == _shape(image.scale(CycScalar.from_rational(2)).terms)
-    assert calls == [(2, 1, 3), (2, 1, 3)]
 
 
 indices = st.recursive(
