@@ -26,8 +26,7 @@ from hopfcalc.hopf import (
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
-    QuotientSpace,
-    Subspace,
+    balanced_tensor,
     combine,
     first_non_associative,
     linear,
@@ -391,8 +390,8 @@ class HopfGaloisResult:
 
 
 def check_hopf_galois(a: ComoduleAlgebra) -> HopfGaloisResult:
-    """Assemble A (x)_B A and decide bijectivity of a (x) a' -> a a'_0 (x) a'_1
-    by exact rank.  Finite-dimensional A only."""
+    """Assemble A (x)_B A with `linalg.balanced_tensor` and decide bijectivity
+    of a (x) a' -> a a'_0 (x) a'_1 by exact rank.  Finite-dimensional A only."""
     if not a.algebra.basis.is_finite:
         raise ValueError("Galois check needs a finite-dimensional comodule algebra")
     coinv = a.coinvariants
@@ -402,17 +401,7 @@ def check_hopf_galois(a: ComoduleAlgebra) -> HopfGaloisResult:
     a_basis = a.algebra.basis.enumerate()
     h_basis = a.hopf.algebra.basis.enumerate()
     b_vectors = [coinv.embed(ix) for ix in coinv.algebra.basis.enumerate()]
-
-    relations = Subspace()
-    for bv in b_vectors:
-        for i in a_basis:
-            left_mult = linear(a.algebra.mult, i, bv)
-            for k in a_basis:
-                right_mult = linear(a.algebra.mult, bv, k)
-                rel = left_mult.tensor(E(k)) - E(i).tensor(right_mult)
-                relations.add(rel)
-    big = [E(tensor_index(i, k)) for i in a_basis for k in a_basis]
-    balanced = QuotientSpace(big, relations, cls_tag="bal")
+    balanced = balanced_tensor(a_basis, b_vectors, a_basis, a.algebra.mult, a.algebra.mult, "bal")
 
     def can_raw(pair_ix):
         _, i, k = pair_ix
@@ -423,7 +412,7 @@ def check_hopf_galois(a: ComoduleAlgebra) -> HopfGaloisResult:
     # can must kill the balanced relations to be defined on the quotient
     report.sweep(
         "hopf-galois.well-defined",
-        relations.basis(),
+        balanced.sub.basis(),
         lambda rel: (linear(can, rel).is_zero(), (rel,)),
     )
 

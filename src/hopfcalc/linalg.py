@@ -12,7 +12,7 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable, Optional
 
 from hopfcalc.scalars import CycScalar
@@ -24,6 +24,7 @@ __all__ = [
     "TrackedSpan",
     "LinearSolver",
     "QuotientSpace",
+    "balanced_tensor",
     "tensor_index",
     "flatten_left",
     "flatten_right",
@@ -681,6 +682,20 @@ class QuotientSpace(TrackedSpan):
     def project(self, v: FreeVector) -> FreeVector:
         """Class of v as a combination of class labels; NoSolution outside the space."""
         return self.express(self.sub.reduce(v))
+
+
+def balanced_tensor(lefts, scalars, rights, right_act, left_act, cls_tag: str) -> QuotientSpace:
+    """M (x)_B N on the pairs (m, n), m outermost, modulo its `sub`: the
+    relations m.b (x) n - m (x) b.n, b over scalars (indices or vectors of B)."""
+    relations = Subspace()
+    for b in scalars:
+        for m in lefts:
+            moved = linear(right_act, m, b).terms.items()
+            for n in rights:
+                acted = ((tensor_index(m, n2), -c) for n2, c in linear(left_act, b, n).terms.items())
+                relations.add(sum_terms(chain(((tensor_index(m2, n), c) for m2, c in moved), acted)))
+    pairs = [FreeVector.basis(tensor_index(m, n)) for m in lefts for n in rights]
+    return QuotientSpace(pairs, relations, cls_tag)
 
 
 def intersection_dim(u: Subspace, v: Subspace) -> int:

@@ -18,9 +18,9 @@ from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
     NoSolution,
-    QuotientSpace,
     Subspace,
     TrackedSpan,
+    balanced_tensor,
     combine,
     linear,
     memoise,
@@ -431,7 +431,8 @@ class CovariantDerivativeData:
 
 def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDerivativeData:
     """Associated bundle E = (A (x) V)^coH with its covariant derivative
-    d_B on the base leg and the bimodule braiding through the measure."""
+    d_B on the base leg and the bimodule braiding through the measure, both
+    valued in Omega^1(B) (x)_B E built by `linalg.balanced_tensor`."""
     cf = vd.cf
     cp = cf.crossed
     h = cp.hopf
@@ -477,19 +478,9 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
         )
         return e_span.express(out)
 
-    # balanced tensor Omega^1(B) (x)_B E
     b_forms = cf.b_calc.forms.enumerate()
     b_basis = cp.base.basis.enumerate()
-    big = [E(tensor_index(bf, el)) for bf in b_forms for el in e_span.labels]
-    relations = Subspace()
-    for bf in b_forms:
-        for bx in b_basis:
-            moved_form = cf.b_calc.right_act(bf, bx)
-            for el in e_span.labels:
-                left = sum_terms((tensor_index(f2, el), c2) for f2, c2 in moved_form.terms.items())
-                right = sum_terms((tensor_index(bf, el2), c2) for el2, c2 in b_act_left(bx, el).terms.items())
-                relations.add(left - right)
-    balanced = QuotientSpace(big, relations, cls_tag="bcls")
+    balanced = balanced_tensor(b_forms, b_basis, e_span.labels, cf.b_calc.right_act, b_act_left, "bcls")
 
     @memoise
     def balanced_class(f_ix, el):

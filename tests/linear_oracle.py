@@ -6,12 +6,16 @@ kernel, so that the kernel is compared against code it does not share.
 `OracleVector` wraps a vector's `terms` dict without copying it, as `scale`
 by one and `0 + v` did: the first addend is adopted by reference.  Its
 negation, difference, `is_zero` and `leading_index` are those of
-`FreeVector`, for the elimination reference in `echelon_oracle`.
+`FreeVector`, for the elimination reference in `echelon_oracle`.  The
+balanced tensor products of the Hopf-Galois check and of the covariant
+derivative are kept as their relation loops were written out by hand.
 """
 
-from hopfcalc.linalg import index_sort_key, linear
+from hopfcalc.linalg import FreeVector, QuotientSpace, Subspace, index_sort_key, linear, sum_terms, tensor_index
 from hopfcalc.report import witness
 from hopfcalc.scalars import CycScalar
+
+E = FreeVector.basis
 
 
 class OracleVector:
@@ -160,3 +164,50 @@ def reference_index_sort_key(ix):
     if isinstance(ix, int):
         return (0, ix)
     return (1, str(ix))
+
+
+def reference_galois_quotient(a):
+    """A (x)_B A as `crossed.check_hopf_galois` built it before
+    `linalg.balanced_tensor`: for each coinvariant vector b, each i and each
+    k of A's basis, the relation i.b (x) k - i (x) b.k through
+    `FreeVector.tensor` and `-`, b outermost."""
+    a_basis = a.algebra.basis.enumerate()
+    coinv = a.coinvariants
+    relations = Subspace()
+    for bv in [coinv.embed(ix) for ix in coinv.algebra.basis.enumerate()]:
+        for i in a_basis:
+            left_mult = linear(a.algebra.mult, i, bv)
+            for k in a_basis:
+                right_mult = linear(a.algebra.mult, bv, k)
+                relations.add(left_mult.tensor(E(k)) - E(i).tensor(right_mult))
+    big = [E(tensor_index(i, k)) for i in a_basis for k in a_basis]
+    return QuotientSpace(big, relations, cls_tag="bal")
+
+
+def reference_derivative_quotient(cf, e_span):
+    """Omega^1(B) (x)_B E as `qpb.covariant_derivative` built it before
+    `linalg.balanced_tensor`, on the bundle E spanned by e_span: the form
+    outermost, then b, then the E label, each relation the difference of
+    two `sum_terms` sums, with the left B-action on E rebuilt from e_span."""
+    cp = cf.crossed
+    embed = cp.comodule.coinvariants.embed
+
+    def b_act_left(b_ix, e_label):
+        out = sum_terms(
+            (tensor_index(jx, v_ix), c * cj)
+            for (_, pair_ix, v_ix), c in e_span.vectors[e_label].terms.items()
+            for jx, cj in linear(cp.algebra.mult, embed(b_ix), pair_ix).terms.items()
+        )
+        return e_span.express(out)
+
+    b_forms = cf.b_calc.forms.enumerate()
+    big = [E(tensor_index(bf, el)) for bf in b_forms for el in e_span.labels]
+    relations = Subspace()
+    for bf in b_forms:
+        for bx in cp.base.basis.enumerate():
+            moved_form = cf.b_calc.right_act(bf, bx)
+            for el in e_span.labels:
+                left = sum_terms((tensor_index(f2, el), c2) for f2, c2 in moved_form.terms.items())
+                right = sum_terms((tensor_index(bf, el2), c2) for el2, c2 in b_act_left(bx, el).terms.items())
+                relations.add(left - right)
+    return QuotientSpace(big, relations, cls_tag="bcls")

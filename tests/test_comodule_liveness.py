@@ -310,3 +310,32 @@ def test_a_corrupted_form_action_fails_sigma_unique(radford_calc):
         "derivative.sigma-balanced": "ebas(0) ; h1(0,1) ; om(0,0)",
         "derivative.sigma-unique": "ebas(0) ; h1(0,1)",
     }
+
+
+# the balanced tensor products built by `linalg.balanced_tensor`: a product
+# of the crossed product moves the relations of A (x)_B A, so the Galois map
+# no longer kills them and its rank falls
+def test_a_corrupted_crossed_product_fails_both_galois_checks():
+    from hopfcalc.crossed import check_hopf_galois
+
+    comodule = radford_instance().crossed.comodule
+    corrupt(comodule.algebra.mult, (_pair(0, 1), _pair(1, 0)), _pair(1, 1))
+    assert failures(check_hopf_galois(comodule).report) == {
+        "hopf-galois.well-defined": "(1)*((h1(0,0) (x) g(1)) (x) (h1(0,1) (x) g(0)))",
+        "hopf-galois.bijective": "rank 12, balanced dim 12, target dim 16",
+    }
+
+
+# a right action on Omega^1(B) that stays among the forms only adds relations
+# to Omega^1(B) (x)_B E, and every derivative law holds in the coarser
+# quotient; one that leaves them (om(2,0) is no form of the r = 2 base)
+# breaks the right half of sigma-bimodule, sigma(e (x) f.b) = sigma(e (x) f).b
+def test_a_right_form_action_leaving_the_forms_fails_sigma_bimodule(radford_calc):
+    from hopfcalc.qpb import VComodule, covariant_derivative, vertical_map
+
+    cf = radford_calc.cf
+    corrupt(cf.b_calc.right_act, (("om", 0, 1), ("h1", 1, 0)), ("om", 2, 0))
+    v = VComodule(labels=[("v", 0), ("v", 1)], coaction=lambda vx: E(tensor_index(vx, G1 if vx[1] == 0 else G0)))
+    assert failures(covariant_derivative(vertical_map(cf), v).report) == {
+        "derivative.sigma-bimodule": "h1(1,0) ; ebas(0) ; om(0,1)",
+    }

@@ -9,6 +9,7 @@ from hopfcalc.linalg import (
     QuotientSpace,
     Subspace,
     TrackedSpan,
+    balanced_tensor,
     combine,
     intersection_dim,
     linear,
@@ -331,6 +332,41 @@ def test_quotient_space_with_vector_ambient():
     assert q.labels == [("cls", 0)]
     with pytest.raises(NoSolution):
         q.project(E(("e", 3)))
+
+
+def test_balanced_tensor_of_cyclic_group_algebras_over_a_subgroup():
+    # k[C_n] is free of rank n/d over k[C_d], so k[C_n] (x)_{k[C_d]} k[C_n]
+    # has dimension n * n / d; the subgroup as indices or as vectors gives
+    # the same relations and classes
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    pairs = st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    )
+
+    @settings(max_examples=20, deadline=None)
+    @given(pairs)
+    @example((4, 2)).via("dimension 8")
+    @example((6, 3)).via("dimension 12")
+    @example((6, 2)).via("dimension 18")
+    @example((4, 4)).via("dimension 4")
+    @example((5, 1)).via("dimension 25")
+    def check(case):
+        n, d = case
+        group = [("g", k) for k in range(n)]
+
+        def mult(x, y):
+            return E(("g", (x[1] + y[1]) % n))
+
+        subgroup = [("g", k * n // d) for k in range(d)]
+        by_index = balanced_tensor(group, subgroup, group, mult, mult, "bal")
+        by_vector = balanced_tensor(group, [E(ix) for ix in subgroup], group, mult, mult, "bal")
+        assert by_index.dim == n * n // d
+        assert by_index.sub.basis() == by_vector.sub.basis()
+        assert by_index.labels == by_vector.labels
+
+    check()
 
 
 def test_intersection_dim():

@@ -7,7 +7,8 @@ numerators and denominator, from the same scalar products and sums operand
 for operand, and it must leave every input vector as it was.  `sum_terms`
 gives what that loop gave over basis vectors, with no product at all.
 Scalars mix the orders 1, 2, 4 and 8, and coefficients are biased to 0, 1
-and -1.
+and -1.  `linalg.balanced_tensor` gives, on the radford instances, the
+relations, classes and projections of the two loops it replaced.
 """
 
 from collections import Counter
@@ -19,13 +20,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from linear_oracle import (
     reference_combine,
+    reference_derivative_quotient,
     reference_first_non_associative,
+    reference_galois_quotient,
     reference_index_sort_key,
     reference_linear,
 )
 
+import hopfcalc.crossed
+import hopfcalc.qpb
 from hopfcalc import linalg
-from hopfcalc.linalg import FreeVector, combine, first_non_associative, index_sort_key, linear, sum_terms
+from hopfcalc.crossed import check_hopf_galois
+from hopfcalc.examples import radford_calculus_instance
+from hopfcalc.linalg import FreeVector, combine, first_non_associative, index_sort_key, linear, sum_terms, tensor_index
+from hopfcalc.qpb import VComodule, covariant_derivative, vertical_map
 from hopfcalc.scalars import CycScalar, root_of_unity
 
 ORDERS = [1, 2, 4, 8]
@@ -387,3 +395,36 @@ def test_first_non_associative_matches_the_per_triple_loop(case):
     assert got == reference_first_non_associative(xs, ys, zs, *map(slot_map, SLOTS))
     if associative:
         assert got is None
+
+
+# the Hopf-Galois quotient A (x)_B A and the bundle's Omega^1(B) (x)_B E, each
+# as `balanced_tensor` returns it to its caller and as the caller's own loop
+# built it before
+@pytest.mark.parametrize("r, ideal", [(2, "zero"), (2, "full"), (3, "zero"), (3, "full")])
+def test_balanced_tensors_match_the_relation_loops_they_replace(monkeypatch, r, ideal):
+    built = []
+
+    def recorded(lefts, scalars, rights, *rest):
+        built.append((linalg.balanced_tensor(lefts, scalars, rights, *rest), lefts, rights))
+        return built[-1][0]
+
+    for module in (hopfcalc.crossed, hopfcalc.qpb):
+        monkeypatch.setattr(module, "balanced_tensor", recorded)
+    rc = radford_calculus_instance(r, 2, ideal=ideal)
+    comodule = rc.instance.crossed.comodule
+    check_hopf_galois(comodule)
+    v = VComodule(
+        labels=[("v", 0), ("v", 1)],
+        coaction=lambda vx: FreeVector.basis(tensor_index(vx, ("g", 1 % r if vx[1] == 0 else 0))),
+    )
+    e_span = covariant_derivative(vertical_map(rc.cf), v).e_span
+    wants = [reference_galois_quotient(comodule), reference_derivative_quotient(rc.cf, e_span)]
+    assert len(built) == len(wants)
+    for (got, lefts, rights), want in zip(built, wants):
+        assert got.sub.basis() == want.sub.basis()
+        assert got.labels == want.labels
+        assert got.representatives == want.representatives
+        for m in lefts:
+            for n in rights:
+                pair = FreeVector.basis(tensor_index(m, n))
+                assert got.project(pair) == want.project(pair)

@@ -24,7 +24,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # invocation -> budget, with every perfbench/reference.json invocation among
 # them; the counts were the same under PYTHONHASHSEED 0, 1 and 17
 BUDGETS = {
-    "verify radford": {"products": 7_978, "linear": 6_562},
+    # the balanced tensors of the Hopf-Galois and derivative suites act
+    # through `linalg.linear`, so the derivative's two actions count as
+    # calls; their relations are summed with no product by one
+    "verify radford": {"products": 7_594, "linear": 6_706},
     # the graded laws proved from generators: a fall back to the full
     # sweeps of a passing run makes 7,421 products
     "verify radford --suite higher-forms": {"products": 4_709, "linear": 2_562},

@@ -449,6 +449,38 @@ def test_all_names_what_other_modules_import():
     undefined = [f"{name}.{entry}" for name, (exported, defined) in modules.items() for entry in exported if entry not in defined]
     assert undefined == []
     assert modules["hopfcalc.linalg"][0] and modules["hopfcalc.scalars"][0]
+    assert "balanced_tensor" in modules["hopfcalc.linalg"][0]
+
+
+def _quotient_constructions(tree):
+    """The top-level definitions that call `QuotientSpace(...)` or `linalg.QuotientSpace(...)`."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "QuotientSpace":
+                    yield getattr(top, "name", "<module>")
+
+
+def test_balanced_tensors_are_built_by_linalg_alone():
+    # M (x)_B N is `linalg.balanced_tensor`; the only other quotient is the
+    # H+/I of a calculus from an ideal
+    found = sorted((path.name, name) for path, tree in _modules() for name in _quotient_constructions(tree))
+    assert found == [("fodc.py", "woronowicz_from_ideal"), ("linalg.py", "balanced_tensor")]
+
+
+def test_quotient_construction_scan_sees_every_form():
+    text = (
+        "def f(v, s):\n"
+        "    return QuotientSpace(v, s, 'c')\n"
+        "class C:\n"
+        "    def g(self, v, s):\n"
+        "        return linalg.QuotientSpace(v, s, 'c')\n"
+        "q = QuotientSpace([], s, 'c')\n"
+        "def h(q):\n"
+        "    return q.project(v), QuotientSpace\n"
+    )
+    assert list(_quotient_constructions(ast.parse(text))) == ["f", "C", "<module>"]
 
 
 def _is_basis_call(node) -> bool:
