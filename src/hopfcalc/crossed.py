@@ -19,8 +19,6 @@ from hopfcalc.hopf import (
     WindowSolver,
     colinear,
     convolution_inverse,
-    left_linear,
-    multiplicative,
     tensor_square_coalgebra,
 )
 from hopfcalc.linalg import (
@@ -29,6 +27,7 @@ from hopfcalc.linalg import (
     balanced_tensor,
     combine,
     first_non_associative,
+    first_non_multiplicative,
     linear,
     memoise,
     memoise_fields,
@@ -325,11 +324,8 @@ def check_cleft_derivation(
     pair_basis = crossed.algebra.basis.enumerate(window)
     report.sweep("theta.left-inverse", a_basis, lambda ix: (linear(theta_inv, theta(ix)) == E(ix), (ix,)))
     report.sweep("theta.right-inverse", pair_basis, lambda ix: (linear(theta, theta_inv(ix)) == E(ix), (ix,)))
-    report.sweep(
-        "theta.algebra-map",
-        ((i, k) for i in a_basis for k in a_basis),
-        multiplicative(theta, a.algebra.mult, crossed.algebra.mult),
-    )
+    hit = first_non_multiplicative(a_basis, a_basis, theta, a.algebra.mult, crossed.algebra.mult)
+    report.record("theta.algebra-map", hit is None, hit and witness(*hit))
     report.sweep("theta.colinear", a_basis, colinear(theta, a.coaction, crossed.comodule.coaction))
     return report
 
@@ -368,11 +364,8 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
         _, b_ix, a2_ix = t_ix
         return a.coaction(a2_ix).map_indices(lambda ix: tensor_index(tensor_index(b_ix, ix[1]), ix[2]))
 
-    report.sweep(
-        "section.left-base-linear",
-        ((b_ix, a_ix) for b_ix in b_basis for a_ix in a_basis),
-        left_linear(section, base_act, target_act),
-    )
+    hit = first_non_multiplicative(b_basis, a_basis, section, base_act, target_act, acting=True)
+    report.record("section.left-base-linear", hit is None, hit and witness(*hit))
     report.sweep("section.right-colinear", a_basis, colinear(section, a.coaction, target_coaction))
     return section, report
 

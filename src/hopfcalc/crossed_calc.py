@@ -20,7 +20,7 @@ from hopfcalc.fodc import (
     leibniz,
     presentation_solver,
 )
-from hopfcalc.hopf import AlgebraPresentation, BasisFamily, HopfData, WindowSolver, colinear, multiplicative
+from hopfcalc.hopf import AlgebraPresentation, BasisFamily, HopfData, WindowSolver, colinear
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
@@ -28,6 +28,7 @@ from hopfcalc.linalg import (
     Subspace,
     combine,
     first_non_associative,
+    first_non_multiplicative,
     format_index,
     intersection_dim,
     linear,
@@ -514,10 +515,14 @@ def build_higher_forms(cf: CrossedFodc, h_dc: GradedDc) -> GradedDc:
         return bdeg, bp, deg - bdeg, hp
 
     @memoise
+    def moved(bdeg2, bp2, g_m2, g_m1, k_m1):
+        """(g_m2 . bp2) wedge sigma(g_m1, k_m1) in the base forms."""
+        return linear(b_wedge, bdeg2, b_act(g_m2, bdeg2, bp2), 0, s.sigma(g_m1, k_m1))
+
+    @memoise
     def bpart(bdeg1, bp1, bdeg2, bp2, g_m2, g_m1, k_m1):
         """bp1 wedge (g_m2 . bp2) wedge sigma(g_m1, k_m1) in the base forms."""
-        moved = linear(b_wedge, bdeg2, b_act(g_m2, bdeg2, bp2), 0, s.sigma(g_m1, k_m1))
-        return linear(b_wedge, bdeg1, bp1, bdeg2, moved)
+        return linear(b_wedge, bdeg1, bp1, bdeg2, moved(bdeg2, bp2, g_m2, g_m1, k_m1))
 
     def wedge_terms(deg1, ix1, deg2, ix2):
         """(index, coefficient) terms of the wedge, the sign (-1)**(hdeg1 * bdeg2) by negation."""
@@ -770,13 +775,9 @@ def classify_smash(
     j = cleft.cleaving
     j_inv = cleft.ensure_inverse(window)
 
-    j_multiplicative = multiplicative(j, h.algebra.mult, a.algebra.mult)
-    for pair in ((hx, hy) for hx in h_basis for hy in h_basis):
-        ok, parts = j_multiplicative(pair)
-        if not ok:
-            raise ValueError(
-                f"not a trivial extension: the cleaving map is not an algebra morphism at {witness(*parts)}"
-            )
+    hit = first_non_multiplicative(h_basis, h_basis, j, h.algebra.mult, a.algebra.mult)
+    if hit is not None:
+        raise ValueError(f"not a trivial extension: the cleaving map is not an algebra morphism at {witness(*hit)}")
     if not linear(j, h.algebra.unit) == a.algebra.unit:
         raise ValueError("not a trivial extension: the cleaving map is not unital")
 

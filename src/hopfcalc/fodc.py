@@ -36,6 +36,7 @@ from hopfcalc.linalg import (
     first_non_associative,
     format_index,
     linear,
+    memoise,
     memoise_fields,
     record,
     sum_terms,
@@ -501,19 +502,17 @@ def check_sigma_twisted_module_calculus(
 
     report.sweep("twisted-bimodule.unit", f_basis, bimodule_unit)
 
+    @memoise
+    def acted_pair(h1, a_ix, h2, f_ix):
+        """(h1.a)(h2.f): the part of a sandwich's right side that no b reads."""
+        return linear(b_calc.left_act, m.act(h1, a_ix), action.act(h2, f_ix))
+
     def bimodule_sandwich(item):
         h_ix, a_ix, f_ix, b_ix = item
         inner = linear(b_calc.right_act, b_calc.left_act(a_ix, f_ix), b_ix)
         lhs = linear(action.act, h_ix, inner)
         rhs = combine(
-            (
-                linear(
-                    b_calc.right_act,
-                    linear(b_calc.left_act, m.act(h1, a_ix), action.act(h2, f_ix)),
-                    m.act(h3, b_ix),
-                ),
-                c,
-            )
+            (linear(b_calc.right_act, acted_pair(h1, a_ix, h2, f_ix), m.act(h3, b_ix)), c)
             for c, (h1, h2, h3) in h.sweedler(h_ix, 3)
         )
         return lhs == rhs, (h_ix, a_ix, f_ix, b_ix)

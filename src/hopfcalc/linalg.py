@@ -35,6 +35,7 @@ __all__ = [
     "sum_terms",
     "linear",
     "first_non_associative",
+    "first_non_multiplicative",
     "memoise",
     "memoise_fields",
     "record",
@@ -288,29 +289,44 @@ def linear(fn: Callable[..., FreeVector], *args) -> FreeVector:
     images are taken in the order of nested loops over the slots, the
     leftmost outermost, each weighted by the product of its slot
     coefficients taken left to right, and summed by `combine`.  With no
-    vector argument this is fn(*args).  With one, a single term is returned
-    as fn(...).scale(c), which has the same terms, order and scalars as
-    `combine` of one pair, and no term gives the zero vector at once, which
-    over a quarter of the calls in a radford verification meet.
+    vector argument this is fn(*args).  A slot with no term gives the zero
+    vector at once, with no image and no product, which over a quarter of
+    the calls in a radford verification meet.  When every slot holds one
+    term, the one image is returned as fn(...).scale(c1 * c2 * ...), the
+    product formed left to right once every slot is known to hold one
+    term: the same terms, order and scalars as `combine` of one pair.
     """
-    k = None
-    for i, a in enumerate(args):
-        if type(a) is FreeVector:
-            if k is not None:
-                slots = [j for j, b in enumerate(args) if type(b) is FreeVector]
-                picks = product(*(args[j].terms.items() for j in slots))
-                return combine(_images(fn, list(args), slots, picks))
-            k = i
-    if k is None:
+    kinds = list(map(type, args))
+    n = kinds.count(FreeVector)
+    if not n:
         return fn(*args)
-    terms = args[k].terms
-    if not terms:
-        return _ZERO
+    if n == 1:
+        k = kinds.index(FreeVector)
+        terms = args[k].terms
+        if not terms:
+            return _ZERO
+        cells = list(args)
+        if len(terms) == 1:
+            (cells[k], c), = terms.items()
+            return fn(*cells).scale(c)
+        return combine((fn(*cells), c) for cells[k], c in terms.items())
+    slots, k, single = [], -1, True
+    for _ in range(n):
+        k = kinds.index(FreeVector, k + 1)
+        size = len(args[k].terms)
+        if size != 1:
+            if not size:
+                return _ZERO
+            single = False
+        slots.append(k)
     cells = list(args)
-    if len(terms) == 1:
-        (cells[k], c), = terms.items()
-        return fn(*cells).scale(c)
-    return combine((fn(*cells), c) for cells[k], c in terms.items())
+    if not single:
+        return combine(_images(fn, cells, slots, product(*(args[k].terms.items() for k in slots))))
+    c = None
+    for k in slots:
+        (cells[k], ck), = args[k].terms.items()
+        c = ck if c is None else c * ck
+    return fn(*cells).scale(c)
 
 
 def _images(fn, cells, slots, picks):
@@ -388,6 +404,67 @@ def first_non_associative(xs, ys, zs, first, then, inner, outer):
                 k = min(key % n for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
                 return x, y, zs[k]
     return None
+
+
+def first_non_multiplicative(xs, ys, phi, source, target, acting=False):
+    """The first (x, y), looping over the lists xs and ys, at which
+    phi(source(x, y)) != target(phi(x), phi(y)), or target(x, phi(y))
+    when acting, with phi and target extended linearly; None if there is
+    none.  So phi is an algebra map from the product source to the product
+    target, or, acting, linear for the left actions source and target.
+
+    Each side of a row x is one dict over every y at once, keyed by the
+    int id(w) * len(ys) + the position of y as in `first_non_associative`,
+    and the two are compared with one `==`.  A row that differs, or whose
+    evaluation raises NoSolution, is run again pair by pair, each side
+    through `linear`; its first pair whose sides differ, or whose
+    evaluation raises NoSolution, is returned, as `CheckReport.sweep` fails
+    at it.  The products are those of `linear`: c_x * c_y for each pair of
+    terms of phi(x) and phi(y), and each image entry times its
+    coefficient, none by a coefficient of one.
+    """
+    n = len(ys)
+    ids = {}
+    for x in xs:
+        try:
+            lhs, rhs = {}, {}
+            left = ((x, None),) if acting else phi(x).terms.items()
+            for k, y in enumerate(ys):
+                for m, c in source(x, y).terms.items():
+                    _add_keyed(lhs, phi(m).terms, ids, n, k, c)
+                right = phi(y).terms.items()
+                for a, ca in left:
+                    for b, cb in right:
+                        _add_keyed(rhs, target(a, b).terms, ids, n, k, cb if ca is None else ca * cb)
+            if lhs == rhs:
+                continue
+        except NoSolution:
+            pass
+        for y in ys:
+            try:
+                if linear(phi, source(x, y)) != linear(target, x if acting else phi(x), phi(y)):
+                    return x, y
+            except NoSolution:
+                return x, y
+    return None
+
+
+def _add_keyed(data: dict, terms: dict, ids: dict, n: int, k: int, c: CycScalar) -> None:
+    """Add terms times c, each at the key id(w) * n + k of its index w, into
+    data in place, as `_add_into` adds them; no product by a c of one."""
+    if c.is_one():
+        c = None
+    for w, v in terms.items():
+        if c is not None:
+            v = v * c
+        key = ids.setdefault(w, len(ids)) * n + k
+        prev = data.get(key)
+        if prev is not None:
+            v = prev + v
+            if v.is_zero():
+                del data[key]
+                continue
+        data[key] = v
 
 
 def memoise(fn):

@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 
 from hopfcalc.crossed_calc import CrossedFodc, GradedDc, hor, ver
 from hopfcalc.fodc import Fodc
-from hopfcalc.hopf import colinear, left_linear, monomial_unit
+from hopfcalc.hopf import colinear, monomial_unit
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
@@ -22,6 +22,7 @@ from hopfcalc.linalg import (
     TrackedSpan,
     balanced_tensor,
     combine,
+    first_non_multiplicative,
     linear,
     memoise,
     memoise_fields,
@@ -193,11 +194,8 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     )
 
     form_basis = cf.forms.enumerate(window)
-    report.sweep(
-        "vertical.left-linear",
-        ((pair_ix, form_ix) for pair_ix in a_basis for form_ix in form_basis),
-        left_linear(vd.ver, cf.left_act, vd.target_act),
-    )
+    hit = first_non_multiplicative(a_basis, form_basis, vd.ver, cf.left_act, vd.target_act, acting=True)
+    report.record("vertical.left-linear", hit is None, hit and witness(*hit))
     vd.record_rho_stable(report)
     report.sweep("vertical.right-colinear", form_basis, colinear(vd.ver, cf.right_coaction, vd.target_coaction))
     return vd
@@ -371,11 +369,9 @@ def _check_splitting(report: CheckReport, vd: VerticalData, c_map, window: int |
         return linear(vd.ver, c_map(ix)) == E(ix), (ix,)
 
     report.sweep("connection.splits-ver", target, splitting)
-    report.sweep(
-        "connection.left-linear",
-        ((p, t) for p in cf.crossed.algebra.basis.enumerate(window) for t in target),
-        left_linear(c_map, vd.target_act, cf.left_act),
-    )
+    a_basis = cf.crossed.algebra.basis.enumerate(window)
+    hit = first_non_multiplicative(a_basis, target, c_map, vd.target_act, cf.left_act, acting=True)
+    report.record("connection.left-linear", hit is None, hit and witness(*hit))
     return target
 
 
@@ -742,17 +738,15 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
     a_basis = cf.crossed.algebra.basis.enumerate(window)
     form_basis = cf.forms.enumerate(window)
 
-    def left_linear(item):
-        tan, pair_ix, form_ix = item
-        lhs = fields[tan](cf.left_act(pair_ix, form_ix))
-        rhs = linear(cf.crossed.algebra.mult, pair_ix, fields[tan](E(form_ix)))
-        return lhs == rhs, (tan, pair_ix, form_ix)
-
-    report.sweep(
-        "field.left-linear",
-        ((t, p, f) for t in labels for p in a_basis for f in form_basis),
-        left_linear,
-    )
+    # one row sweep per tangent vector, with its field taken at form indices
+    hit, mult = None, cf.crossed.algebra.mult
+    for tan in labels:
+        field_ix = memoise(lambda ix, field=fields[tan]: field(E(ix)))
+        found = first_non_multiplicative(a_basis, form_basis, field_ix, cf.left_act, mult, acting=True)
+        if found is not None:
+            hit = (tan, *found)
+            break
+    report.record("field.left-linear", hit is None, hit and witness(*hit))
 
     # uniqueness: a left-linear field is fixed by its values on the lifted
     # coinvariant forms and vanishes on the horizontal ones, so these two

@@ -25,8 +25,9 @@ take closed forms (as in GAP's sparse cyclotomics):
 Roots of unity +-zeta^k over 1, most scalars of the Radford examples,
 also carry their exponent in the slot root_exp (see _unit_exps; -2 marks
 zero, -1 any other value), a cache of the value that _make and __init__
-set.  The negation of a unit, and the product of two units of one order,
-is one entry of the per-order table _units, with no new scalar built;
+set.  The negation of a unit, and the product of two units of one order
+or of +-1 of order one and a unit, is one entry of the per-order table
+_units, with no new scalar built;
 root_of_unity indexes that table, so the monomial inverse and power of a
 unit land on its entries too.  is_zero and is_one read the slot.
 Every other case takes the dense path: lcm coercion, convolution folded
@@ -225,9 +226,16 @@ class CycScalar:
     def __mul__(self, other):
         if not isinstance(other, CycScalar):
             return _scale(self, other.numerator, other.denominator)
-        if self.root_exp >= 0 and other.root_exp >= 0 and self.order == other.order:
-            units = _units(self.order)
-            return units[(self.root_exp + other.root_exp) % len(units)]
+        e, f = self.root_exp, other.root_exp
+        if e >= 0 and f >= 0:
+            if self.order == other.order:
+                units = _units(self.order)
+                return units[(e + f) % len(units)]
+            # +-1 of order one, exponent 0 or 1, times a unit of another order
+            if other.order == 1:
+                return -self if f else self
+            if self.order == 1:
+                return -other if e else other
         if _rational_in(other, self.order):
             return _scale(self, other.coeffs[0], other.den)
         if _rational_in(self, other.order):

@@ -8,10 +8,20 @@ by one and `0 + v` did: the first addend is adopted by reference.  Its
 negation, difference, `is_zero` and `leading_index` are those of
 `FreeVector`, for the elimination reference in `echelon_oracle`.  The
 balanced tensor products of the Hopf-Galois check and of the covariant
-derivative are kept as their relation loops were written out by hand.
+derivative are kept as their relation loops were written out by hand, and
+the algebra-map and left-linearity laws as their per-pair sweep.
 """
 
-from hopfcalc.linalg import FreeVector, QuotientSpace, Subspace, index_sort_key, linear, sum_terms, tensor_index
+from hopfcalc.linalg import (
+    FreeVector,
+    NoSolution,
+    QuotientSpace,
+    Subspace,
+    index_sort_key,
+    linear,
+    sum_terms,
+    tensor_index,
+)
 from hopfcalc.report import witness
 from hopfcalc.scalars import CycScalar
 
@@ -106,6 +116,25 @@ def reference_first_non_associative(xs, ys, zs, first, then, inner, outer):
                 rhs = reference_linear(outer, x, inner(y, z))
                 if lhs.terms != rhs.terms:
                     return x, y, z
+    return None
+
+
+def reference_first_non_multiplicative(xs, ys, phi, source, target, acting=False):
+    """The per-pair loop that `CheckReport.sweep` ran over the tests
+    `hopf.multiplicative` and `hopf.left_linear` before
+    `linalg.first_non_multiplicative`: for every (x, y) in the order of
+    nested loops, phi(source(x, y)) against target(phi(x), phi(y)), or
+    target(x, phi(y)) when acting, each side through `reference_linear`;
+    a pair whose evaluation raises NoSolution fails there."""
+    for x in xs:
+        for y in ys:
+            try:
+                lhs = reference_linear(phi, source(x, y))
+                rhs = reference_linear(target, x if acting else phi(x), phi(y))
+            except NoSolution:
+                return x, y
+            if lhs.terms != rhs.terms:
+                return x, y
     return None
 
 

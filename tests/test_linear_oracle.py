@@ -16,12 +16,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from linear_oracle import (
     reference_combine,
     reference_derivative_quotient,
     reference_first_non_associative,
+    reference_first_non_multiplicative,
     reference_galois_quotient,
     reference_index_sort_key,
     reference_linear,
@@ -32,7 +33,17 @@ import hopfcalc.qpb
 from hopfcalc import linalg
 from hopfcalc.crossed import check_hopf_galois
 from hopfcalc.examples import radford_calculus_instance
-from hopfcalc.linalg import FreeVector, combine, first_non_associative, index_sort_key, linear, sum_terms, tensor_index
+from hopfcalc.linalg import (
+    FreeVector,
+    NoSolution,
+    combine,
+    first_non_associative,
+    first_non_multiplicative,
+    index_sort_key,
+    linear,
+    sum_terms,
+    tensor_index,
+)
 from hopfcalc.qpb import VComodule, covariant_derivative, vertical_map
 from hopfcalc.scalars import CycScalar, root_of_unity
 
@@ -174,6 +185,12 @@ def mixed_arguments(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(mixed_arguments(), st.lists(vectors(), min_size=1, max_size=4))
+# two one-term slots before an empty one: no image and no product at all,
+# not even that of the first two coefficients
+@example(
+    [FreeVector({0: CycScalar.from_rational(2, 4)}), FreeVector({1: -root_of_unity(8)}), FreeVector.zero()],
+    [FreeVector({0: CycScalar.one()})],
+)
 def test_linear_matches_the_nested_loops(args, images):
     def fn(*ixs):
         return images[sum((k + 1) * ix for k, ix in enumerate(ixs)) % len(images)]
@@ -395,6 +412,71 @@ def test_first_non_associative_matches_the_per_triple_loop(case):
     assert got == reference_first_non_associative(xs, ys, zs, *map(slot_map, SLOTS))
     if associative:
         assert got is None
+
+
+@st.composite
+def multiplicative_laws(draw):
+    """(xs, ys, tables, acting, bad, lawful): the tables phi, source and
+    target of first_non_multiplicative over `_twisted_matrix_units`, with
+    source and target its product and phi an algebra map, the rescaling
+    e_ij -> (d_i / d_j) e_ij, or, acting, the right product by a drawn
+    basis element, which left products commute with.  One entry of source
+    in the last column of a row may then be redrawn, so that the row can
+    differ only at its last y, and bad holds the arguments at which a map
+    raises NoSolution.  lawful when neither was drawn."""
+    basis, tables = _twisted_matrix_units(draw)
+    mult = tables["first"]
+    acting = draw(st.booleans())
+    if acting:
+        g = draw(st.sampled_from(basis))
+        phi = {a: mult.get((a, g), FreeVector.zero()) for a in basis}
+    else:
+        d = [draw(st.sampled_from(Q4_NONZERO)) for _ in range(3)]
+        phi = {(i, j, a): FreeVector({(i, j, a): d[i] * d[j].inverse()}) for i, j, a in basis}
+    xs, ys = (draw(st.lists(st.sampled_from(basis), min_size=1, unique=True)) for _ in range(2))
+    source = dict(mult)
+    lawful = True
+    if draw(st.booleans()):
+        entries = st.dictionaries(st.sampled_from(basis), st.sampled_from(Q4_NONZERO), max_size=2).map(FreeVector)
+        source[draw(st.sampled_from(xs)), ys[-1]] = draw(entries)
+        lawful = False
+    bad = {
+        "phi": draw(st.sets(st.sampled_from(basis), max_size=1)),
+        "source": draw(st.sets(st.tuples(st.sampled_from(xs), st.sampled_from(ys)), max_size=2)),
+    }
+    if bad["phi"] or bad["source"]:
+        lawful = False
+    return xs, ys, {"phi": phi, "source": source, "target": mult}, acting, bad, lawful
+
+
+@settings(max_examples=200, deadline=None)
+@given(multiplicative_laws())
+def test_first_non_multiplicative_matches_the_per_pair_loop(case):
+    xs, ys, tables, acting, bad, lawful = case
+
+    def phi(a):
+        if a in bad["phi"]:
+            raise NoSolution(FreeVector.zero(), "drawn span")
+        return tables["phi"][a]
+
+    def source(a, b):
+        if (a, b) in bad["source"]:
+            raise NoSolution(FreeVector.zero(), "drawn span")
+        return tables["source"].get((a, b), FreeVector.zero())
+
+    def target(a, b):
+        return tables["target"].get((a, b), FreeVector.zero())
+
+    with _scalar_trace() as kernel_ops:
+        got = first_non_multiplicative(xs, ys, phi, source, target, acting=acting)
+    with _scalar_trace() as reference_ops:
+        want = reference_first_non_multiplicative(xs, ys, phi, source, target, acting=acting)
+    assert got == want
+    if lawful:
+        # a passing sweep forms the products and sums of the per-pair loop,
+        # operand for operand
+        assert got is None
+        assert kernel_ops == reference_ops
 
 
 # the Hopf-Galois quotient A (x)_B A and the bundle's Omega^1(B) (x)_B E, each

@@ -873,21 +873,18 @@ def test_unused_definition_scan_sees_every_form():
     ]
 
 
-# the comodule and module laws are written once, as the builders in hopf.py;
-# a closure named like one of them elsewhere is a copy.  A map into a tensor
+# the comodule laws are written once, as the builders in hopf.py, and the
+# algebra-map and left-linearity laws once, as the row sweep
+# `linalg.first_non_multiplicative`; a closure named like a builder or like
+# the per-pair tests that sweep replaced is a copy.  A map into a tensor
 # product passes its target's action or coaction to the builder as a map of
 # its own, so the bundle laws of qpb.py and crossed.py are builder calls.
-# Two closures stay: the counit's law, since its values are scalars, which
-# `linear` does not extend over and `multiplicative` does not take; and
-# `field.left-linear` of qpb.py, since its witness carries the tangent label
-# beside the pair that `left_linear` reports
+# One closure stays: the counit's law, since its values are scalars, which
+# `linear` does not extend over and `first_non_multiplicative` does not take
 _LAW_BUILDERS = frozenset(
     {"_legs_commute", "coassociative", "counital", "colinear", "multiplicative", "left_linear", "bicomodule"}
 )
-_KEPT_LAW_COPIES = (
-    "hopf.py:counit_is_algebra_map",
-    "qpb.py:left_linear",
-)
+_KEPT_LAW_COPIES = ("hopf.py:counit_is_algebra_map",)
 
 
 def _calls(node, name) -> bool:
