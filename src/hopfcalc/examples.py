@@ -435,18 +435,21 @@ def radford_suites(params: dict) -> list:
     from hopfcalc.fodc import check_fodc
     from hopfcalc.hopf import check_comodule_algebra, check_hopf_axioms
     from hopfcalc.qpb import (
+        Connection,
         VComodule,
-        canonical_connection,
         check_atiyah_exact,
+        check_canonical_connection,
+        check_maurer_cartan,
+        check_tangent_and_fields,
+        check_vertical_map,
         connection_form_bijection,
         covariant_derivative,
-        tangent_and_fields,
+        tangent_space,
         vertical_map,
     )
     from hopfcalc.report import CheckReport
 
     vdata = memoise(lambda rc: vertical_map(rc.cf))
-    canonical = memoise(lambda rc: canonical_connection(vdata(rc)))
 
     def hopf_axioms(rc):
         rep = check_hopf_axioms(rc.instance.data.hopf)
@@ -470,19 +473,18 @@ def radford_suites(params: dict) -> list:
     def qpb_suite(rc):
         vd = vdata(rc)
         rep = CheckReport()
-        rep.extend(vd.coinv.report)
-        rep.extend(vd.report)
+        rep.extend(check_maurer_cartan(vd.coinv))
+        rep.extend(check_vertical_map(vd))
         rep.extend(check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded))
         return rep
 
     def bijection(rc):
         vd = vdata(rc)
-        conn, _ = canonical(rc)
-        tangent, _, trep = tangent_and_fields(vd)
-        phi, rep1 = connection_form_bijection(vd, tangent, connection=conn)
-        _, rep2 = connection_form_bijection(vd, tangent, form=phi)
+        tangent = tangent_space(vd)
         rep = CheckReport()
-        rep.extend(trep)
+        rep.extend(check_tangent_and_fields(vd, tangent))
+        phi, rep1 = connection_form_bijection(vd, tangent, connection=Connection(c=vd.g))
+        _, rep2 = connection_form_bijection(vd, tangent, form=phi)
         rep.extend(rep1, prefix="forward.")
         rep.extend(rep2, prefix="backward.")
         return rep
@@ -522,7 +524,7 @@ def radford_suites(params: dict) -> list:
         ("crossed-fodc", lambda rc: verify_crossed_fodc(rc.cf)),
         ("higher-forms", higher),
         ("qpb", qpb_suite),
-        ("connection", lambda rc: canonical(rc)[1]),
+        ("connection", lambda rc: check_canonical_connection(vdata(rc))),
         ("bijection", bijection),
         ("derivative", derivative),
         ("necessity", necessity),
@@ -541,7 +543,7 @@ def torus_suites(params: dict) -> list:
     )
     from hopfcalc.fodc import check_fodc, sigma_forces_zero_differential
     from hopfcalc.hopf import check_comodule_algebra, check_hopf_axioms
-    from hopfcalc.qpb import canonical_connection, check_atiyah_exact, vertical_map
+    from hopfcalc.qpb import check_atiyah_exact, check_canonical_connection, check_maurer_cartan, check_vertical_map, vertical_map
     from hopfcalc.report import CheckReport
 
     window = params["window"]
@@ -593,8 +595,8 @@ def torus_suites(params: dict) -> list:
     def qpb_suite(tc):
         vd = vdata(tc)
         rep = CheckReport()
-        rep.extend(vd.coinv.report)
-        rep.extend(vd.report)
+        rep.extend(check_maurer_cartan(vd.coinv, window))
+        rep.extend(check_vertical_map(vd, window))
         rep.extend(check_atiyah_exact(vd, window=min(window, 3)))
         return rep
 
@@ -640,7 +642,7 @@ def torus_suites(params: dict) -> list:
         ("crossed-fodc", lambda tc: verify_crossed_fodc(tc.cf, window=min(window, 3))),
         ("higher-forms", higher),
         ("qpb", qpb_suite),
-        ("connection", lambda tc: canonical_connection(vdata(tc), window=min(window, 3))[1]),
+        ("connection", lambda tc: check_canonical_connection(vdata(tc), min(window, 3))),
         ("necessity", necessity),
         ("classification-refusal", refusal),
         ("section", lambda tc: equivariant_section(tc.instance.cleft, window=min(window, 3))[1]),

@@ -401,8 +401,7 @@ def first_non_associative(xs, ys, zs, first, then, inner, outer):
                             continue
                     rhs[key] = v
             if lhs != rhs:
-                k = min(key % n for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
-                return x, y, zs[k]
+                return x, y, zs[_first_position(lhs, rhs, n)]
     return None
 
 
@@ -415,8 +414,9 @@ def first_non_multiplicative(xs, ys, phi, source, target, acting=False):
 
     Each side of a row x is one dict over every y at once, keyed by the
     int id(w) * len(ys) + the position of y as in `first_non_associative`,
-    and the two are compared with one `==`.  A row that differs, or whose
-    evaluation raises NoSolution, is run again pair by pair, each side
+    and the two are compared with one `==`; when they differ, the first y
+    with a differing entry is taken as the witness.  A row whose
+    evaluation raises NoSolution is run again pair by pair, each side
     through `linear`; its first pair whose sides differ, or whose
     evaluation raises NoSolution, is returned, as `CheckReport.sweep` fails
     at it.  The products are those of `linear`: c_x * c_y for each pair of
@@ -438,6 +438,7 @@ def first_non_multiplicative(xs, ys, phi, source, target, acting=False):
                         _add_keyed(rhs, target(a, b).terms, ids, n, k, cb if ca is None else ca * cb)
             if lhs == rhs:
                 continue
+            return x, ys[_first_position(lhs, rhs, n)]
         except NoSolution:
             pass
         for y in ys:
@@ -447,6 +448,11 @@ def first_non_multiplicative(xs, ys, phi, source, target, acting=False):
             except NoSolution:
                 return x, y
     return None
+
+
+def _first_position(lhs: dict, rhs: dict, n: int) -> int:
+    """The least position key % n of a key at which the rows lhs and rhs differ."""
+    return min(key % n for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
 
 
 def _add_keyed(data: dict, terms: dict, ids: dict, n: int, k: int, c: CycScalar) -> None:

@@ -39,13 +39,11 @@ E = FreeVector.basis
 
 class CoinvariantForms(TrackedSpan):
     """Left-coinvariant 1-forms of a bicovariant calculus, labelled
-    ("coh", i), with the surjection from the augmentation ideal; `report`
-    receives the checks of `coinvariant_forms`."""
+    ("coh", i), with the surjection from the augmentation ideal."""
 
     def __init__(self, h_calc: Fodc, forms: Iterable[FreeVector] = ()):
         super().__init__((("coh", i), v) for i, v in enumerate(forms))
         self.h_calc = h_calc
-        self.report = CheckReport(windowed=not h_calc.forms.is_finite)
 
     def maurer_cartan(self, h_vec: FreeVector) -> FreeVector:
         """h -> S(h_1) d(h_2), over the coinvariant labels."""
@@ -61,8 +59,7 @@ def _bundle_report(cf: CrossedFodc) -> CheckReport:
 
 
 def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantForms:
-    """Kernel of (lambda - unit (x) id) on the form window, plus the map
-    h -> S(h_1) d(h_2), verified to land in it and to span it."""
+    """Kernel of (lambda - unit (x) id) on the form window."""
     if h_calc.left_coaction is None:
         raise ValueError("coinvariant forms need a left coaction")
     h = h_calc.hopf
@@ -72,10 +69,14 @@ def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantFor
         return h_calc.left_coaction(f_ix) - unit_h.tensor(E(f_ix))
 
     kernel = LinearSolver(defect, h_calc.forms.enumerate(window)).kernel()
-    coinv = CoinvariantForms(h_calc, kernel.basis())
-    report = coinv.report
+    return CoinvariantForms(h_calc, kernel.basis())
 
-    # the Cartan-Maurer form lands in the coinvariants and spans them
+
+def check_maurer_cartan(coinv: CoinvariantForms, window: int | None = None) -> CheckReport:
+    """The Cartan-Maurer map h -> S(h_1) d(h_2) lands in the coinvariant
+    forms and spans them."""
+    h = coinv.h_calc.hopf
+    report = CheckReport(windowed=not coinv.h_calc.forms.is_finite)
     h_basis = h.algebra.basis.enumerate(window)
     image = Subspace()
     mc_ok, mc_witness = True, None
@@ -95,7 +96,7 @@ def coinvariant_forms(h_calc: Fodc, window: int | None = None) -> CoinvariantFor
             image.dim == coinv.dim,
             witness=f"image rank {image.dim} of {coinv.dim}",
         )
-    return coinv
+    return report
 
 
 @record
@@ -104,7 +105,6 @@ class VerticalData:
     coinv: CoinvariantForms
     ver: Callable[[Index], FreeVector]
     g: Callable[[Index], FreeVector]
-    report: CheckReport
 
     def __post_init__(self):
         memoise_fields(self, "ver", "g", "target_coaction")
@@ -145,38 +145,40 @@ class VerticalData:
 
 
 def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
-    """ver = p after the vertical projection; p and g are verified to be
-    mutually inverse and ver to be left-linear and right colinear."""
+    """ver, which sends b (x) gamma to (b (x) gamma_-2) (x) [S(gamma_-1)
+    gamma_0] and kills the horizontal forms, and g, its inverse on the
+    targets (pair (x) label); `check_vertical_map` checks both."""
     coinv = coinvariant_forms(cf.h_calc, window)
     h = cf.crossed.hopf
-    report = _bundle_report(cf)
 
-    def p_ix(ver_ix):
-        """b (x) gamma -> (b (x) gamma_-2) (x) [S(gamma_-1) gamma_0]."""
-        _, bx, hf = ver_ix
+    def ver_map(form_ix):
+        if form_ix[0] != "ver":
+            return FreeVector.zero()
+        _, bx, hf = form_ix
         return sum_terms(
             (tensor_index(tensor_index(bx, g_m2), label), cl * cc)
             for cl, (g_m2, g_m1, g0) in cf.h_calc.lambda_terms(hf, 2)
             for label, cc in coinv.express(linear(cf.h_calc.left_act, h.antipode(g_m1), g0)).terms.items()
         )
 
-    def g_ix(t_ix):
+    def g(t_ix):
         _, (_, bx, hx), label = t_ix
         return ver(E(bx), linear(cf.h_calc.left_act, hx, coinv.vectors[label]))
 
-    def ver_map(form_ix):
-        return p(form_ix) if form_ix[0] == "ver" else FreeVector.zero()
+    return VerticalData(cf=cf, coinv=coinv, ver=ver_map, g=g)
 
-    p, g = memoise(p_ix), memoise(g_ix)
-    vd = VerticalData(cf=cf, coinv=coinv, ver=ver_map, g=g, report=report)
 
+def check_vertical_map(vd: VerticalData, window: int | None = None) -> CheckReport:
+    """ver and g are mutually inverse, and ver is left-linear and right colinear."""
+    cf = vd.cf
+    report = _bundle_report(cf)
     b_basis = cf.crossed.base.basis.enumerate(window)
     h_forms = cf.h_calc.forms.enumerate(window)
 
     def gp_identity(item):
         bx, hf = item
         ver_ix = ("ver", bx, hf)
-        return linear(g, p(ver_ix)) == E(ver_ix), (bx, hf)
+        return linear(vd.g, vd.ver(ver_ix)) == E(ver_ix), (bx, hf)
 
     report.sweep("vertical.g-after-p", ((bx, hf) for bx in b_basis for hf in h_forms), gp_identity)
 
@@ -185,11 +187,11 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     def pg_identity(item):
         pair_ix, label = item
         t_ix = tensor_index(pair_ix, label)
-        return linear(p, g(t_ix)) == E(t_ix), (pair_ix, label)
+        return linear(vd.ver, vd.g(t_ix)) == E(t_ix), (pair_ix, label)
 
     report.sweep(
         "vertical.p-after-g",
-        ((pair_ix, label) for pair_ix in a_basis for label in coinv.labels),
+        ((pair_ix, label) for pair_ix in a_basis for label in vd.coinv.labels),
         pg_identity,
     )
 
@@ -198,7 +200,7 @@ def vertical_map(cf: CrossedFodc, window: int | None = None) -> VerticalData:
     report.record("vertical.left-linear", hit is None, hit and witness(*hit))
     vd.record_rho_stable(report)
     report.sweep("vertical.right-colinear", form_basis, colinear(vd.ver, cf.right_coaction, vd.target_coaction))
-    return vd
+    return report
 
 
 def _coinvariant_coaction(coinv: CoinvariantForms):
@@ -335,13 +337,13 @@ class ConnectionForm:
     components: dict  # tangent label -> form vector in Omega^1(B # H)
 
 
-def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[Connection, CheckReport]:
-    """c(b (x) h (x) gamma) = b (x) h gamma, the section of ver through g;
-    verified left-linear, right colinear, a splitting, and strong."""
+def check_canonical_connection(vd: VerticalData, window: int | None = None) -> CheckReport:
+    """The canonical connection c(b (x) h (x) gamma) = b (x) h gamma, which
+    is g, the section of ver, is a left-linear, right colinear and strong
+    splitting of ver."""
     cf = vd.cf
     h = cf.crossed.hopf
     report = _bundle_report(cf)
-    connection = Connection(c=vd.g)
     target = _check_splitting(report, vd, vd.g, window)
     vd.record_rho_stable(report)
     report.sweep("connection.right-colinear", target, colinear(vd.g, vd.target_coaction, cf.right_coaction))
@@ -357,7 +359,7 @@ def canonical_connection(vd: VerticalData, window: int | None = None) -> tuple[C
         return got == expected, (bx, hx)
 
     report.sweep("connection.strong", ((bx, hx) for bx in b_basis for hx in h_basis), strong)
-    return connection, report
+    return report
 
 
 def _check_splitting(report: CheckReport, vd: VerticalData, c_map, window: int | None) -> list[Index]:
@@ -626,9 +628,7 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
 @record
 class TangentSpace:
     labels: list[Index]             # ("tan", i), dual to the coinvariant labels
-    coinv: CoinvariantForms
     coaction: dict                  # tangent label -> vector over (tan (x) H) pairs
-    report: CheckReport
 
     def pair(self, tan_label: Index, coh_label: Index) -> CycScalar:
         return (
@@ -638,33 +638,22 @@ class TangentSpace:
         )
 
 
-def tangent_and_fields(vd: VerticalData, window: int | None = None):
-    """Dual basis of the coinvariant forms with its induced coaction, and
-    the fundamental vector fields; returns (TangentSpace, fields, report)."""
-    cf = vd.cf
-    h = cf.crossed.hopf
+def tangent_space(vd: VerticalData) -> TangentSpace:
+    """Dual basis of the coinvariant forms with its induced coaction;
+    refused for an infinite family of structure forms, whose coinvariant
+    forms are known on a window only."""
     coinv = vd.coinv
-    if coinv.report.windowed:
-        if window is None:
-            raise ValueError("windowed coinvariant forms need a window")
-        # refuse when the coinvariant space is still growing with the window:
-        # the dual basis only makes sense in finite dimension
-        probe = coinvariant_forms(coinv.h_calc, window + 1)
-        if probe.dim != coinv.dim:
-            raise ValueError(
-                "coinvariant forms grow with the window "
-                f"({coinv.dim} -> {probe.dim}); tangent space refused"
-            )
-    report = _bundle_report(cf)
+    if not coinv.h_calc.forms.is_finite:
+        raise ValueError("the tangent space is computed for a finite family of structure forms")
+    h = vd.cf.crossed.hopf
     labels = [("tan", i) for i in range(coinv.dim)]
-
-    coaction_raw = vd.record_rho_stable(report)
+    coaction_raw, _ = vd._rho_on_coinvariants
 
     def matrix(i_label, k_label):
         """M[i][k] in rho(x^i) = sum_k x^k (x) M[i][k]."""
         return sum_terms((h_ix, c) for (_, lab, h_ix), c in coaction_raw[i_label].terms.items() if lab == k_label)
 
-    tangent_coaction = {
+    coaction = {
         tan: sum_terms(
             (tensor_index(("tan", i), h_ix), c)
             for i, coh in enumerate(coinv.labels)
@@ -672,51 +661,54 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
         )
         for j, tan in enumerate(labels)
     }
+    return TangentSpace(labels=labels, coaction=coaction)
 
-    tangent = TangentSpace(labels=labels, coinv=coinv, coaction=tangent_coaction, report=report)
+
+def fundamental_field(vd: VerticalData, tangent: TangentSpace, tan_label: Index, form_vec: FreeVector) -> FreeVector:
+    """The fundamental vector field of tan_label at form_vec: the vertical part of form_vec paired with it."""
+    return sum_terms(
+        (pair_ix, c * tangent.pair(tan_label, label))
+        for (_, pair_ix, label), c in linear(vd.ver, form_vec).terms.items()
+    )
+
+
+def check_tangent_and_fields(vd: VerticalData, tangent: TangentSpace) -> CheckReport:
+    """The tangent space is dual to the coinvariant forms and its coaction
+    solves the defining equation; each fundamental field is vertical,
+    normalised, left-linear and fixed by those properties."""
+    cf = vd.cf
+    h = cf.crossed.hopf
+    coinv = vd.coinv
+    report = _bundle_report(cf)
+    labels = tangent.labels
+    pairs = [(t, c) for t in labels for c in coinv.labels]
+    coaction_raw = vd.record_rho_stable(report)
 
     def dual_pairing(item):
         tan, coh = item
         want = CycScalar.one() if tan[1] == coh[1] else CycScalar.zero()
         return tangent.pair(tan, coh) == want, (tan, coh)
 
-    report.sweep(
-        "tangent.dual-pairing",
-        ((t, c) for t in labels for c in coinv.labels),
-        dual_pairing,
-    )
+    report.sweep("tangent.dual-pairing", pairs, dual_pairing)
 
     def coaction_defining_equation(item):
         tan, coh = item
         # alpha_0(gamma) alpha_1 == alpha(gamma_0) S^-1(gamma_1)
         lhs = sum_terms(
-            (h_ix, c * tangent.pair(tan0, coh)) for (_, tan0, h_ix), c in tangent_coaction[tan].terms.items()
+            (h_ix, c * tangent.pair(tan0, coh)) for (_, tan0, h_ix), c in tangent.coaction[tan].terms.items()
         )
         rhs = combine(
             (h.antipode_inv(h_ix), c * tangent.pair(tan, lab)) for (_, lab, h_ix), c in coaction_raw[coh].terms.items()
         )
         return lhs == rhs, (tan, coh)
 
-    report.sweep(
-        "tangent.coaction-defining-equation",
-        ((t, c) for t in labels for c in coinv.labels),
-        coaction_defining_equation,
-    )
+    report.sweep("tangent.coaction-defining-equation", pairs, coaction_defining_equation)
 
-    def contract(tan_label, form_vec: FreeVector) -> FreeVector:
-        """The vertical part of form_vec paired with one tangent vector."""
-        return sum_terms(
-            (pair_ix, c * tangent.pair(tan_label, label))
-            for (_, pair_ix, label), c in linear(vd.ver, form_vec).terms.items()
-        )
-
-    fields = {tan: (lambda form_vec, tan=tan: contract(tan, form_vec)) for tan in labels}
-
-    hor_basis = cf.horizontal_window(window)
+    hor_basis = cf.horizontal_window(None)
 
     def vanishes_horizontally(item):
         tan, hor_ix = item
-        return fields[tan](E(hor_ix)).is_zero(), (tan, hor_ix)
+        return fundamental_field(vd, tangent, tan, E(hor_ix)).is_zero(), (tan, hor_ix)
 
     report.sweep("field.vertical", ((t, hx) for t in labels for hx in hor_basis), vanishes_horizontally)
 
@@ -725,23 +717,19 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
     def normalization(item):
         tan, coh = item
         lifted = ver(cf.crossed.base.unit, coinv.lift(E(coh)))
-        got = fields[tan](lifted)
+        got = fundamental_field(vd, tangent, tan, lifted)
         want = E(unit_pair).scale(tangent.pair(tan, coh))
         return got == want, (tan, coh)
 
-    report.sweep(
-        "field.normalization",
-        ((t, c) for t in labels for c in coinv.labels),
-        normalization,
-    )
+    report.sweep("field.normalization", pairs, normalization)
 
-    a_basis = cf.crossed.algebra.basis.enumerate(window)
-    form_basis = cf.forms.enumerate(window)
+    a_basis = cf.crossed.algebra.basis.enumerate()
+    form_basis = cf.forms.enumerate()
 
     # one row sweep per tangent vector, with its field taken at form indices
     hit, mult = None, cf.crossed.algebra.mult
     for tan in labels:
-        field_ix = memoise(lambda ix, field=fields[tan]: field(E(ix)))
+        field_ix = memoise(lambda ix, tan=tan: fundamental_field(vd, tangent, tan, E(ix)))
         found = first_non_multiplicative(a_basis, form_basis, field_ix, cf.left_act, mult, acting=True)
         if found is not None:
             hit = (tan, *found)
@@ -757,7 +745,7 @@ def tangent_and_fields(vd: VerticalData, window: int | None = None):
         for pair_ix in a_basis:
             spanned.add(linear(cf.left_act, pair_ix, lifted))
     report.sweep("field.unique", form_basis, lambda fx: (spanned.contains(E(fx)), (fx,)))
-    return tangent, fields, report
+    return report
 
 
 def connection_form_bijection(

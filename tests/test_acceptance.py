@@ -34,12 +34,14 @@ from hopfcalc.fodc import sigma_forces_zero_differential
 from hopfcalc.hopf import check_hopf_axioms
 from hopfcalc.linalg import FreeVector, linear, tensor_index
 from hopfcalc.qpb import (
+    Connection,
     VComodule,
-    canonical_connection,
     check_atiyah_exact,
+    check_canonical_connection,
+    check_tangent_and_fields,
     connection_form_bijection,
     covariant_derivative,
-    tangent_and_fields,
+    tangent_space,
     vertical_map,
 )
 from hopfcalc.scalars import CycScalar, root_of_unity
@@ -155,23 +157,23 @@ def test_criterion_03_atiyah_exactness(radford, torus):
 
 def test_criterion_04_canonical_strong_connection(radford, torus):
     rc, vd = radford
-    conn, report = canonical_connection(vd)
+    report = check_canonical_connection(vd)
     assert report.ok
     assert find_check(report, "connection.splits-ver").status == "pass"
     assert find_check(report, "connection.strong").status == "pass"
 
     tc = torus
     vd_t = vertical_map(tc.cf, window=3)
-    conn_t, report_t = canonical_connection(vd_t, window=3)
+    report_t = check_canonical_connection(vd_t, window=3)
     assert report_t.ok
     passed(4, "canonical connection splits the vertical map and is strong, exactly")
 
 
 def test_criterion_05_connection_form_bijection(radford):
     rc, vd = radford
-    conn, _ = canonical_connection(vd)
-    tangent, _, treport = tangent_and_fields(vd)
-    assert treport.ok
+    conn = Connection(c=vd.g)
+    tangent = tangent_space(vd)
+    assert check_tangent_and_fields(vd, tangent).ok
     phi, forward = connection_form_bijection(vd, tangent, connection=conn)
     assert forward.ok
     assert find_check(forward, "roundtrip.connection").status == "pass"

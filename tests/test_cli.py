@@ -750,6 +750,61 @@ def test_each_run_builds_its_instance_once(capsys, monkeypatch, argv, builder):
     assert len(calls) == 1
 
 
+# smash-demo is left out: its `classification` suite builds a crossed product
+# whose hypotheses it `require`s and does not print, as the rule allows of a
+# check whose failure refuses what is built
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radford"],
+        ["torus", "--M", "8", "--window", "2"],
+        ["group-c2", "--ideal", "zero"],
+        ["group-c2", "--ideal", "full"],
+        ["user-hopf", "--file", str(C4_HOPF), "--ideal-file", str(C4_HOPF.with_name("c4-ideal.txt"))],
+    ],
+)
+def test_every_check_a_suite_records_is_in_its_report(monkeypatch, argv):
+    # each suite runs as `verify ... --suite NAME` runs it, with fresh suite
+    # closures on the built instance; a check recorded while it runs and
+    # missing from the report it returns, which is the report printed, was
+    # run by a builder that handed it back beside what it built
+    from hopfcalc.report import CheckReport
+
+    _, example, params, _ = _parse(["verify", *argv])
+    instance = EXAMPLES[example]["build"](params)
+    recorded, copied_from = [], {}
+    add, extend = CheckReport.add, CheckReport.extend
+
+    def recording_add(self, *args):
+        check = add(self, *args)
+        recorded.append(check)
+        return check
+
+    def tracing_extend(self, other, prefix=""):
+        start = len(self.checks)
+        extend(self, other, prefix)
+        for copy, check in zip(self.checks[start:], other.checks):
+            if copy is not check:
+                copied_from[id(copy)] = (copy, check)
+
+    monkeypatch.setattr(CheckReport, "add", recording_add)
+    monkeypatch.setattr(CheckReport, "extend", tracing_extend)
+    unprinted = {}
+    for name, _ in EXAMPLES[example]["suites"](params):
+        suite = dict(EXAMPLES[example]["suites"](params))[name]
+        recorded.clear()
+        copied_from.clear()
+        printed = set()
+        for check in suite(instance).checks:
+            while check is not None:
+                printed.add(id(check))
+                check = copied_from.get(id(check), (None, None))[1]
+        missing = [check.identity for check in recorded if id(check) not in printed]
+        if missing:
+            unprinted[name] = missing
+    assert unprinted == {}
+
+
 # -- fuzzing the command line ------------------------------------------------
 
 C4_IDEAL = C4_HOPF.with_name("c4-ideal.txt")

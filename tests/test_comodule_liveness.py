@@ -250,10 +250,10 @@ VER_F = ("ver", ("h1", 0, 0), F0)
 
 
 def _bundle_failures(cf):
-    from hopfcalc.qpb import canonical_connection, vertical_map
+    from hopfcalc.qpb import check_canonical_connection, check_vertical_map, vertical_map
 
     vd = vertical_map(cf)
-    return failures(vd.report), failures(canonical_connection(vd)[1])
+    return failures(check_vertical_map(vd)), failures(check_canonical_connection(vd))
 
 
 def test_a_corrupted_form_coaction_fails_both_bundle_colinearities(radford_calc):

@@ -31,12 +31,17 @@ BUDGETS = {
     # the graded laws proved from generators: a fall back to the full
     # sweeps of a passing run makes 6,981 products
     "verify radford --suite higher-forms": {"products": 4_269, "linear": 2_242},
+    # a bundle suite builds the vertical map and runs the checks it prints,
+    # and no other suite's: the bijection runs no connection.* sweep
+    "verify radford --suite bijection": {"products": 1_759, "linear": 1_755},
     "cohomology radford --max-degree 3": {"products": 1_099, "linear": 1_218},
     "verify user-hopf --file sample-data/c4.hopf --ideal-file sample-data/c4-ideal.txt": {"products": 567, "linear": 288},
     "verify group-c2 --ideal zero": {"products": 171, "linear": 93},
     "verify group-c2 --ideal full": {"products": 52, "linear": 39},
     "cohomology group-c2 --ideal zero --max-degree 1": {"products": 73, "linear": 10},
-    "verify torus --M 8 --window 2": {"products": 77_441, "linear": 24_620},
+    "verify torus --M 8 --window 2": {"products": 77_437, "linear": 24_612},
+    # the connection suite runs no vertical.* or maurer-cartan.* sweep
+    "verify torus --M 8 --window 2 --suite connection": {"products": 47_027, "linear": 16_256},
     "verify smash-demo --window 2": {"products": 84_790, "linear": 45_896},
     # the torus build alone: a check of the built instance that moves back
     # into a builder shows here
@@ -73,6 +78,13 @@ def test_verify_radford_stays_within_its_operation_budget(monkeypatch, capsys):
 
 def test_radford_higher_forms_stay_within_the_budget_of_their_generator_proof(monkeypatch, capsys):
     _assert_within_budget(monkeypatch, "verify radford --suite higher-forms")
+
+
+@pytest.mark.parametrize(
+    "command", ["verify radford --suite bijection", "verify torus --M 8 --window 2 --suite connection"]
+)
+def test_a_bundle_suite_runs_only_the_checks_it_prints(monkeypatch, capsys, command):
+    _assert_within_budget(monkeypatch, command)
 
 
 @pytest.mark.parametrize(

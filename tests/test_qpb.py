@@ -15,12 +15,16 @@ from hopfcalc.qpb import (
     CoinvariantForms,
     Connection,
     VComodule,
-    canonical_connection,
     check_atiyah_exact,
+    check_canonical_connection,
+    check_maurer_cartan,
+    check_tangent_and_fields,
+    check_vertical_map,
     coinvariant_forms,
     connection_form_bijection,
     covariant_derivative,
-    tangent_and_fields,
+    fundamental_field,
+    tangent_space,
     vertical_map,
 )
 from hopfcalc.scalars import CycScalar, root_of_unity
@@ -46,7 +50,7 @@ def test_coinvariant_forms_of_group_calculus():
     inst = group_c2_instance("zero")
     coinv = coinvariant_forms(inst.calc)
     assert coinv.dim == 1
-    assert coinv.report.ok
+    assert check_maurer_cartan(coinv).ok
     # the surjection from the augmentation ideal hits the single coinvariant:
     # S(a) d(a) = -[a-1] (x) 1 on the shifted generator
     got = coinv.maurer_cartan(E(("g", 1)) - E(("g", 0)))
@@ -59,7 +63,7 @@ def test_coinvariant_forms_span_matches_quotient_dimension():
     # ideal quotient: compare ranks
     inst = group_c2_instance("zero")
     coinv = coinvariant_forms(inst.calc)
-    assert find_check(coinv.report, "maurer-cartan.surjective").status == "pass"
+    assert find_check(check_maurer_cartan(coinv), "maurer-cartan.surjective").status == "pass"
     assert coinv.dim == 1  # dim of the augmentation quotient
 
 
@@ -78,15 +82,16 @@ def test_vertical_map_values(radford):
     # vertical forms land in the tensor target through the inverse pair
     got = vd.ver(("ver", ("h1", 0, 1), ("w1", 0, ("g", 1))))
     assert not got.is_zero()
-    assert vd.report.ok
+    assert check_vertical_map(vd).ok
 
 
 def test_vertical_map_torus_shifts_the_grade(torus):
     tc, vd = torus
     got = vd.ver(("ver", ("w", 2), ("dt", 3)))
     assert got == E(tensor_index(tensor_index(("w", 2), ("t", 4)), ("coh", 0)))
-    assert vd.report.ok
-    assert all(c.status == "window-verified" for c in vd.report.checks)
+    report = check_vertical_map(vd, window=2)
+    assert report.ok
+    assert all(c.status == "window-verified" for c in report.checks)
 
 
 def test_atiyah_exactness_radford_exact_ranks(radford):
@@ -106,36 +111,36 @@ def test_atiyah_exactness_torus_window(torus):
 
 def test_canonical_connection_radford(radford):
     rc, vd = radford
-    conn, report = canonical_connection(vd)
-    assert report.ok
+    assert check_canonical_connection(vd).ok
     # c(1 (x) 1 (x) gamma) = 1 (x) gamma
     unit_pair = tensor_index(("h1", 0, 0), ("g", 0))
-    got = conn.c(tensor_index(unit_pair, ("coh", 0)))
+    got = Connection(c=vd.g).c(tensor_index(unit_pair, ("coh", 0)))
     assert got == ver(E(("h1", 0, 0)), vd.coinv.lift(E(("coh", 0))))
 
 
 def test_canonical_connection_strong_identity(radford):
     rc, vd = radford
-    conn, report = canonical_connection(vd)
-    assert find_check(report, "connection.strong").status == "pass"
+    assert find_check(check_canonical_connection(vd), "connection.strong").status == "pass"
     # by hand: (Id - c ver) d(x (x) a) = d_B x (x) a
     d_val = rc.cf.d(tensor_index(("h1", 0, 1), ("g", 1)))
-    got = d_val - linear(conn.c, linear(vd.ver, d_val))
+    got = d_val - linear(Connection(c=vd.g).c, linear(vd.ver, d_val))
     assert got == hor(E(("om", 0, 0)), E(("g", 1)))
 
 
 def test_canonical_connection_torus(torus):
     tc, vd = torus
-    conn, report = canonical_connection(vd, window=2)
-    assert report.ok
+    assert check_canonical_connection(vd, window=2).ok
 
 
 def test_tangent_space_and_fields(radford):
     rc, vd = radford
-    tangent, fields, report = tangent_and_fields(vd)
-    assert report.ok
+    tangent = tangent_space(vd)
+    assert check_tangent_and_fields(vd, tangent).ok
     assert len(tangent.labels) == 1
-    only = fields[("tan", 0)]
+
+    def only(form_vec):
+        return fundamental_field(vd, tangent, ("tan", 0), form_vec)
+
     # vertical property and normalization
     assert only(E(("hor", ("om", 0, 0), ("g", 0)))).is_zero()
     lifted = ver(E(("h1", 0, 0)), vd.coinv.lift(E(("coh", 0))))
@@ -148,20 +153,22 @@ def test_field_uniqueness_fails_without_the_lifted_coinvariant_forms(radford):
     _, vd = radford
     fields = {name: getattr(vd, name) for name in type(vd).__annotations__}
     bare = type(vd)(**dict(fields, coinv=CoinvariantForms(vd.coinv.h_calc)))
-    _, _, report = tangent_and_fields(bare)
+    report = check_tangent_and_fields(bare, tangent_space(bare))
     assert find_check(report, "field.unique").status == "fail"
     assert find_check(report, "field.unique").witness is not None
     assert report.checks[-1].identity == "field.unique"
-    _, _, full = tangent_and_fields(vd)
+    full = check_tangent_and_fields(vd, tangent_space(vd))
     assert find_check(full, "field.unique").status == "pass"
 
 
-def test_tangent_space_refused_when_coinvariants_grow(torus):
+def test_tangent_space_refused_for_an_infinite_form_family(torus):
     tc, vd = torus
     from hopfcalc.qpb import VerticalData
 
-    # a left coaction that makes every form coinvariant: the coinvariant
-    # space then grows with the window and the dual basis must be refused
+    # the torus structure forms dt(k) run over every integer k, so their
+    # coinvariant forms are known on a window only; a left coaction that
+    # makes every form coinvariant finds as many as the window holds, and
+    # neither family gets a dual basis
     h_calc = tc.cf.h_calc
     fat = Fodc(
         algebra=h_calc.algebra,
@@ -175,15 +182,16 @@ def test_tangent_space_refused_when_coinvariants_grow(torus):
     )
     fat_coinv = coinvariant_forms(fat, window=2)
     assert fat_coinv.dim == 5
-    vd_fat = VerticalData(cf=vd.cf, coinv=fat_coinv, ver=vd.ver, g=vd.g, report=vd.report)
-    with pytest.raises(ValueError, match="grow"):
-        tangent_and_fields(vd_fat, window=2)
+    assert not h_calc.forms.is_finite
+    for coinv in (vd.coinv, fat_coinv):
+        with pytest.raises(ValueError, match="finite family of structure forms"):
+            tangent_space(VerticalData(cf=vd.cf, coinv=coinv, ver=vd.ver, g=vd.g))
 
 
 def test_connection_form_bijection_roundtrips(radford):
     rc, vd = radford
-    conn, _ = canonical_connection(vd)
-    tangent, _, _ = tangent_and_fields(vd)
+    conn = Connection(c=vd.g)
+    tangent = tangent_space(vd)
     phi, report = connection_form_bijection(vd, tangent, connection=conn)
     assert report.ok
     # canonical connection gives phi = sum x_j (x) (1 (x) x^j)
@@ -196,7 +204,7 @@ def test_connection_form_bijection_roundtrips(radford):
 
 def test_connection_form_bijection_rejects_invalid_input(radford):
     rc, vd = radford
-    tangent, _, _ = tangent_and_fields(vd)
+    tangent = tangent_space(vd)
     broken = Connection(c=lambda v: FreeVector.zero())
     with pytest.raises(ValueError, match="fails"):
         connection_form_bijection(vd, tangent, connection=broken)

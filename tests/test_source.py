@@ -88,7 +88,6 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared, torus_calc_s
         CovariantDerivativeData,
         VComodule,
         VerticalData,
-        canonical_connection,
         covariant_derivative,
         vertical_map,
     )
@@ -131,7 +130,7 @@ def test_every_structure_map_field_is_memoised(radford_calc_shared, torus_calc_s
         coaction=lambda vx: FreeVector.basis(tensor_index(vx, ("g", 1 - vx[1]))),
     )
     vd = vertical_map(radford_calc_shared.cf)
-    connection, _ = canonical_connection(vd)
+    connection = Connection(c=vd.g)
     derivative = covariant_derivative(vd, v_comodule)
     roots = [radford_calc_shared, torus_calc_shared, vd, connection, derivative]
     seen, stack, checked = set(), roots, {cls: set() for cls in classes}
@@ -717,7 +716,6 @@ _UNREAD_KEPT = frozenset({
 })
 _UNSET_KEPT = frozenset({
     "cli.run(argv)",  # the console entry point passes none; tests pass their argv
-    "qpb.tangent_and_fields(window)",  # a test drives its windowed refusal
 })
 
 
