@@ -98,58 +98,48 @@ def check_twisted_module_algebra(
 
     report.sweep("measure.unit", h_basis, measure_unit)
 
-    def measure_mult(triple):
-        hi, bi, bj = triple
-        lhs = linear(m.act, hi, b.mult(bi, bj))
-        rhs = combine((linear(b.mult, m.act(h1, bi), m.act(h2, bj)), c) for c, (h1, h2) in h.sweedler(hi, 2))
-        return lhs == rhs, (hi, bi, bj)
+    def mult_lhs(hi, bi, bj):
+        return ((m.act(hi, t).terms, c) for t, c in b.mult(bi, bj).terms.items())
 
-    report.sweep(
-        "measure.multiplicative",
-        ((hi, bi, bj) for hi in h_basis for bi in b_basis for bj in b_basis),
-        measure_mult,
-    )
+    def mult_rhs(hi, bi, bj):
+        for c, (h1, h2) in h.sweedler(hi, 2):
+            right = m.act(h2, bj).scale(c).terms.items()
+            for s1, c1 in m.act(h1, bi).terms.items():
+                for s2, c2 in right:
+                    yield b.mult(s1, s2).terms, c1 * c2
+
+    report.sweep_rows("measure.multiplicative", [(hi, bi) for hi in h_basis for bi in b_basis], b_basis, (mult_lhs, mult_rhs))
 
     def unit_acts(bi):
         return linear(m.act, h.algebra.unit, bi) == E(bi), (bi,)
 
     report.sweep("measure.unit-action", b_basis, unit_acts)
 
-    def twisted_assoc(triple):
-        hi, hj, bi = triple
-        lhs = linear(m.act, hi, m.act(hj, bi))
-        rhs = combine(
-            (b.product(s.sigma(x1, y1), linear(m.act, h.algebra.mult(x2, y2), bi), s.sigma_inv(x3, y3)), c1 * c2)
-            for c1, (x1, x2, x3) in h.sweedler(hi, 3)
-            for c2, (y1, y2, y3) in h.sweedler(hj, 3)
-        )
-        return lhs == rhs, (hi, hj, bi)
+    def twisted_lhs(hi, hj, bi):
+        return ((m.act(hi, t).terms, c) for t, c in m.act(hj, bi).terms.items())
 
-    report.sweep(
-        "twisted-module",
-        ((hi, hj, bi) for hi in h_basis for hj in h_basis for bi in b_basis),
-        twisted_assoc,
-    )
+    def twisted_rhs(hi, hj, bi):
+        for c1, (x1, x2, x3) in h.sweedler(hi, 3):
+            for c2, (y1, y2, y3) in h.sweedler(hj, 3):
+                middle = linear(m.act, h.algebra.mult(x2, y2), bi)
+                yield b.product(s.sigma(x1, y1), middle, s.sigma_inv(x3, y3)).terms, c1 * c2
 
-    def cocycle_law(triple):
-        hi, hj, hk = triple
-        lhs = combine(
-            (
-                linear(b.mult, linear(m.act, x1, s.sigma(y1, z1)), linear(s.sigma, x2, h.algebra.mult(y2, z2))),
-                c1 * c2 * c3,
-            )
-            for c1, (x1, x2) in h.sweedler(hi, 2)
-            for c2, (y1, y2) in h.sweedler(hj, 2)
-            for c3, (z1, z2) in h.sweedler(hk, 2)
-        )
-        rhs = combine(
-            (linear(b.mult, s.sigma(x1, y1), linear(s.sigma, h.algebra.mult(x2, y2), hk)), c1 * c2)
-            for c1, (x1, x2) in h.sweedler(hi, 2)
-            for c2, (y1, y2) in h.sweedler(hj, 2)
-        )
-        return lhs == rhs, (hi, hj, hk)
+    h_pairs = [(hi, hj) for hi in h_basis for hj in h_basis]
+    report.sweep_rows("twisted-module", h_pairs, b_basis, (twisted_lhs, twisted_rhs))
 
-    report.sweep("cocycle", ((hi, hj, hk) for hi in h_basis for hj in h_basis for hk in h_basis), cocycle_law)
+    def cocycle_lhs(hi, hj, hk):
+        for c1, (x1, x2) in h.sweedler(hi, 2):
+            for c2, (y1, y2) in h.sweedler(hj, 2):
+                for c3, (z1, z2) in h.sweedler(hk, 2):
+                    acted = linear(m.act, x1, s.sigma(y1, z1))
+                    yield linear(b.mult, acted, linear(s.sigma, x2, h.algebra.mult(y2, z2))).terms, c1 * c2 * c3
+
+    def cocycle_rhs(hi, hj, hk):
+        for c1, (x1, x2) in h.sweedler(hi, 2):
+            for c2, (y1, y2) in h.sweedler(hj, 2):
+                yield linear(b.mult, s.sigma(x1, y1), linear(s.sigma, h.algebra.mult(x2, y2), hk)).terms, c1 * c2
+
+    report.sweep_rows("cocycle", h_pairs, h_basis, (cocycle_lhs, cocycle_rhs))
 
     def normalized(hi):
         want = b.unit.scale(h.counit(hi))

@@ -652,12 +652,15 @@ def check_graded_dc(dc: GradedDc, window: int | None = None) -> CheckReport:
             for j in bases[n2]
         )
 
+    tables = {}  # then's rows, one table per then map, shared by its blocks
+
     def first_hit(block, middles):
         n1, n2, n3 = block
         return first_non_associative(
             bases[n1], middles[n2], bases[n3],
             lambda i, j: dc.wedge(n1, i, n2, j), lambda t, k: dc.wedge(n1 + n2, t, n3, k),
             lambda j, k: dc.wedge(n2, j, n3, k), lambda i, t: dc.wedge(n1, i, n2 + n3, t),
+            tables.setdefault((n1 + n2, n3), ({}, {})),
         )
 
     def assoc(block):
@@ -708,21 +711,19 @@ def compare_first_order(cf: CrossedFodc, dc: GradedDc, window: int | None = None
 
     form_basis = cf.forms.enumerate(window)
 
-    def left_matches(item):
-        pair_ix, form_ix = item
-        lhs = to_graded(cf.left_act(pair_ix, form_ix))
-        rhs = dc.wedge(0, pair_ix, 1, form_to_graded_ix(form_ix))
-        return lhs == rhs, (pair_ix, form_ix)
+    def graded(form_vec):  # a side's one pair; form_to_graded_ix merges no two indices
+        return ({form_to_graded_ix(t): c for t, c in form_vec.terms.items()}, None),
 
-    report.sweep("first-order.left-action", ((p, f) for p in a_basis for f in form_basis), left_matches)
-
-    def right_matches(item):
-        pair_ix, form_ix = item
-        lhs = to_graded(cf.right_act(form_ix, pair_ix))
-        rhs = dc.wedge(1, form_to_graded_ix(form_ix), 0, pair_ix)
-        return lhs == rhs, (pair_ix, form_ix)
-
-    report.sweep("first-order.right-action", ((p, f) for p in a_basis for f in form_basis), right_matches)
+    actions = {
+        "first-order.left-action": (
+            lambda p, f: graded(cf.left_act(p, f)), lambda p, f: ((dc.wedge(0, p, 1, form_to_graded_ix(f)).terms, None),)
+        ),
+        "first-order.right-action": (
+            lambda p, f: graded(cf.right_act(f, p)), lambda p, f: ((dc.wedge(1, form_to_graded_ix(f), 0, p).terms, None),)
+        ),
+    }
+    for identity, law in actions.items():
+        report.sweep_rows(identity, [(p,) for p in a_basis], form_basis, law)
 
     def coaction_matches(form_ix):
         pairs = cf.right_coaction(form_ix).terms.items()

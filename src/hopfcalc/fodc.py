@@ -465,16 +465,18 @@ def check_sigma_twisted_module_calculus(
 
     action = TwistedCalculusAction(act=act)
 
-    def compatible(item):
-        h_ix, a_ix, b_ix = item
-        lhs = linear(action.act, h_ix, linear(b_calc.left_act, a_ix, b_calc.d(b_ix)))
-        rhs = combine(
-            (linear(b_calc.left_act, m.act(h1, a_ix), linear(action.act, h2, b_calc.d(b_ix))), c)
-            for c, (h1, h2) in h.sweedler(h_ix, 2)
-        )
-        return lhs == rhs, (h_ix, a_ix, b_ix)
+    def comp_lhs(h_ix, a_ix, b_ix):
+        inner = linear(b_calc.left_act, a_ix, b_calc.d(b_ix))
+        return ((action.act(h_ix, t).terms, c) for t, c in inner.terms.items())
 
-    report.sweep("comp", ((hx, ax, bx) for hx in h_basis for ax in b_basis for bx in b_basis), compatible)
+    def comp_rhs(h_ix, a_ix, b_ix):
+        for c, (h1, h2) in h.sweedler(h_ix, 2):
+            right = linear(action.act, h2, b_calc.d(b_ix)).scale(c).terms.items()
+            for a1, c1 in m.act(h1, a_ix).terms.items():
+                for f, c2 in right:
+                    yield b_calc.left_act(a1, f).terms, c1 * c2
+
+    report.sweep_rows("comp", [(hx, ax) for hx in h_basis for ax in b_basis], b_basis, (comp_lhs, comp_rhs))
 
     def equivariant(pair):
         h_ix, b_ix = pair
@@ -507,44 +509,33 @@ def check_sigma_twisted_module_calculus(
         """(h1.a)(h2.f): the part of a sandwich's right side that no b reads."""
         return linear(b_calc.left_act, m.act(h1, a_ix), action.act(h2, f_ix))
 
-    def bimodule_sandwich(item):
-        h_ix, a_ix, f_ix, b_ix = item
-        inner = linear(b_calc.right_act, b_calc.left_act(a_ix, f_ix), b_ix)
-        lhs = linear(action.act, h_ix, inner)
-        rhs = combine(
-            (linear(b_calc.right_act, acted_pair(h1, a_ix, h2, f_ix), m.act(h3, b_ix)), c)
-            for c, (h1, h2, h3) in h.sweedler(h_ix, 3)
-        )
-        return lhs == rhs, (h_ix, a_ix, f_ix, b_ix)
+    @memoise
+    def sandwiched(a_ix, f_ix, b_ix):  # a f b: the part of a sandwich's left side that no h reads
+        return linear(b_calc.right_act, b_calc.left_act(a_ix, f_ix), b_ix)
 
-    report.sweep(
-        "twisted-bimodule.sandwich",
-        ((hx, ax, fx, bx) for hx in h_basis for ax in b_basis for fx in f_basis for bx in b_basis),
-        bimodule_sandwich,
-    )
+    def sandwich_lhs(h_ix, a_ix, f_ix, b_ix):
+        return ((action.act(h_ix, t).terms, c) for t, c in sandwiched(a_ix, f_ix, b_ix).terms.items())
 
-    def bimodule_twist(item):
-        h_ix, k_ix, f_ix = item
-        lhs = linear(action.act, h_ix, action.act(k_ix, f_ix))
-        rhs = combine(
-            (
-                linear(
-                    b_calc.right_act,
-                    linear(b_calc.left_act, s.sigma(x1, y1), linear(action.act, h.algebra.mult(x2, y2), f_ix)),
-                    s.sigma_inv(x3, y3),
-                ),
-                c1 * c2,
-            )
-            for c1, (x1, x2, x3) in h.sweedler(h_ix, 3)
-            for c2, (y1, y2, y3) in h.sweedler(k_ix, 3)
-        )
-        return lhs == rhs, (h_ix, k_ix, f_ix)
+    def sandwich_rhs(h_ix, a_ix, f_ix, b_ix):
+        for c, (h1, h2, h3) in h.sweedler(h_ix, 3):
+            right = m.act(h3, b_ix).scale(c).terms.items()
+            for f, c1 in acted_pair(h1, a_ix, h2, f_ix).terms.items():
+                for b2, c2 in right:
+                    yield b_calc.right_act(f, b2).terms, c1 * c2
 
-    report.sweep(
-        "twisted-bimodule.twist",
-        ((hx, kx, fx) for hx in h_basis for kx in h_basis for fx in f_basis),
-        bimodule_twist,
-    )
+    rows = [(hx, ax, fx) for hx in h_basis for ax in b_basis for fx in f_basis]
+    report.sweep_rows("twisted-bimodule.sandwich", rows, b_basis, (sandwich_lhs, sandwich_rhs))
+
+    def twist_lhs(h_ix, k_ix, f_ix):
+        return ((action.act(h_ix, t).terms, c) for t, c in action.act(k_ix, f_ix).terms.items())
+
+    def twist_rhs(h_ix, k_ix, f_ix):
+        for c1, (x1, x2, x3) in h.sweedler(h_ix, 3):
+            for c2, (y1, y2, y3) in h.sweedler(k_ix, 3):
+                acted = linear(b_calc.left_act, s.sigma(x1, y1), linear(action.act, h.algebra.mult(x2, y2), f_ix))
+                yield linear(b_calc.right_act, acted, s.sigma_inv(x3, y3)).terms, c1 * c2
+
+    report.sweep_rows("twisted-bimodule.twist", [(hx, kx) for hx in h_basis for kx in h_basis], f_basis, (twist_lhs, twist_rhs))
     return action, report
 
 

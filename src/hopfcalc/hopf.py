@@ -124,9 +124,9 @@ class AlgebraPresentation:
         memoise_fields(self, "mult")
 
     def product(self, *factors) -> FreeVector:
-        """The product of the factors, each a vector or a basis index."""
-        out = self.unit
-        for factor in factors:
+        """The product of two or more factors, each a vector or a basis index."""
+        out = factors[0]
+        for factor in factors[1:]:
             out = linear(self.mult, out, factor)
         return out
 

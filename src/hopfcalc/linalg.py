@@ -36,6 +36,7 @@ __all__ = [
     "linear",
     "first_non_associative",
     "first_non_multiplicative",
+    "first_unequal",
     "memoise",
     "memoise_fields",
     "record",
@@ -227,7 +228,7 @@ def _sub_into(data: dict, terms: dict, c: CycScalar) -> dict:
         prev = data.get(ix)
         if prev is None:
             data[ix] = -x
-        elif (x := prev - x).is_zero():
+        elif prev is x or (x := prev - x).is_zero():  # a pivot entry c - 1*c, c itself, is x
             del data[ix]
         else:
             data[ix] = x
@@ -338,10 +339,11 @@ def _images(fn, cells, slots, picks):
         yield fn(*cells), c
 
 
-def first_non_associative(xs, ys, zs, first, then, inner, outer):
+def first_non_associative(xs, ys, zs, first, then, inner, outer, table=None):
     """The first (x, y, z), looping over the lists xs, ys and zs, at which
     then(first(x, y), z) != outer(x, inner(y, z)), with then and outer
-    extended linearly; None if there is none.
+    extended linearly; None if there is none.  table, a pair of dicts kept
+    by the caller for one then and zs, shares then's rows between calls.
 
     Each side of a row (x, y) is one dict {(z, w): coefficient} over every
     z at once, and the two sides are compared with one `==`; only when they
@@ -357,8 +359,8 @@ def first_non_associative(xs, ys, zs, first, then, inner, outer):
     reaches zero is deleted.
     """
     n = len(zs)
-    ids = {}
-    then_rows, inner_rows = {}, {}
+    then_rows, ids = table or ({}, {})
+    inner_rows = {}
     for x in xs:
         outer_terms = {}
         for y in ys:
@@ -450,15 +452,51 @@ def first_non_multiplicative(xs, ys, phi, source, target, acting=False):
     return None
 
 
+def first_unequal(rows, zs, *laws):
+    """The first (*row, z), looping over the lists rows, of tuples, and zs,
+    at which a law (left, right) has left(*row, z) != right(*row, z); None
+    if there is none.  A side yields (terms, c) pairs, the terms dict of a
+    vector and its coefficient, None for one.  Each side of a row is one
+    dict over every z, keyed as in `first_non_multiplicative`; the least z
+    at which any law's two differ is the witness.  A row that raises
+    NoSolution is run again z by z, failing as `CheckReport.sweep` does."""
+    ids = {}
+    for row in rows:
+        try:
+            hits = [_first_position(lhs, rhs, len(zs)) for lhs, rhs in _keyed_laws(row, zs, laws, ids) if lhs != rhs]
+            if hits:
+                return (*row, zs[min(hits)])
+        except NoSolution:
+            for z in zs:
+                try:
+                    if any(lhs != rhs for lhs, rhs in _keyed_laws(row, (z,), laws, ids)):
+                        return (*row, z)
+                except NoSolution:
+                    return (*row, z)
+    return None
+
+
+def _keyed_laws(row, zs, laws, ids):
+    """The two sides of each law on row, each one keyed dict over zs."""
+    n = len(zs)
+    for law in laws:
+        sides = {}, {}
+        for data, side in zip(sides, law):
+            for k, z in enumerate(zs):
+                for terms, c in side(*row, z):
+                    _add_keyed(data, terms, ids, n, k, c)
+        yield sides
+
+
 def _first_position(lhs: dict, rhs: dict, n: int) -> int:
     """The least position key % n of a key at which the rows lhs and rhs differ."""
     return min(key % n for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
 
 
-def _add_keyed(data: dict, terms: dict, ids: dict, n: int, k: int, c: CycScalar) -> None:
+def _add_keyed(data: dict, terms: dict, ids: dict, n: int, k: int, c: Optional[CycScalar]) -> None:
     """Add terms times c, each at the key id(w) * n + k of its index w, into
-    data in place, as `_add_into` adds them; no product by a c of one."""
-    if c.is_one():
+    data in place, as `_add_into` adds them; no product by a c of one or None."""
+    if c is not None and c.is_one():
         c = None
     for w, v in terms.items():
         if c is not None:
@@ -772,11 +810,12 @@ def balanced_tensor(lefts, scalars, rights, right_act, left_act, cls_tag: str) -
     relations m.b (x) n - m (x) b.n, b over scalars (indices or vectors of B)."""
     relations = Subspace()
     for b in scalars:
+        acted = [[(n2, -c) for n2, c in linear(left_act, b, n).terms.items()] for n in rights]  # -b.n, once per n
         for m in lefts:
             moved = linear(right_act, m, b).terms.items()
-            for n in rights:
-                acted = ((tensor_index(m, n2), -c) for n2, c in linear(left_act, b, n).terms.items())
-                relations.add(sum_terms(chain(((tensor_index(m2, n), c) for m2, c in moved), acted)))
+            for n, minus_bn in zip(rights, acted):
+                left = ((tensor_index(m2, n), c) for m2, c in moved)
+                relations.add(sum_terms(chain(left, ((tensor_index(m, n2), c) for n2, c in minus_bn))))
     pairs = [FreeVector.basis(tensor_index(m, n)) for m in lefts for n in rights]
     return QuotientSpace(pairs, relations, cls_tag)
 

@@ -564,31 +564,31 @@ def covariant_derivative(vd: VerticalData, v_comodule: VComodule) -> CovariantDe
         right_leibniz,
     )
 
-    def sigma_bimodule(item):
-        b_ix, e_label, f_ix = item
-        lhs = linear(balanced_left_act, b_ix, sigma_e(e_label, f_ix))
-        ok1 = lhs == linear(sigma_e, b_act_left(b_ix, e_label), f_ix)
-        lhs2 = linear(balanced_right_act, sigma_e(e_label, f_ix), b_ix)
-        ok2 = lhs2 == linear(sigma_e, e_label, cf.b_calc.right_act(f_ix, b_ix))
-        return ok1 and ok2, (b_ix, e_label, f_ix)
+    # sigma_e is a bimodule map, in two laws of one sweep
+    def acted_sigma(b_ix, e_label, f_ix):
+        return ((balanced_left_act(b_ix, t).terms, c) for t, c in sigma_e(e_label, f_ix).terms.items())
 
-    report.sweep(
-        "derivative.sigma-bimodule",
-        ((bx, el, fx) for bx in b_basis for el in e_span.labels for fx in b_forms),
-        sigma_bimodule,
-    )
+    def sigma_of_acted(b_ix, e_label, f_ix):
+        return ((sigma_e(t, f_ix).terms, c) for t, c in b_act_left(b_ix, e_label).terms.items())
 
-    def sigma_balance(item):
-        e_label, b_ix, f_ix = item
-        lhs = linear(sigma_e, b_act_right(e_label, b_ix), f_ix)
-        rhs = linear(sigma_e, e_label, cf.b_calc.left_act(b_ix, f_ix))
-        return lhs == rhs, (e_label, b_ix, f_ix)
+    def sigma_acted(b_ix, e_label, f_ix):
+        return ((balanced_right_act(t, b_ix).terms, c) for t, c in sigma_e(e_label, f_ix).terms.items())
 
-    report.sweep(
-        "derivative.sigma-balanced",
-        ((el, bx, fx) for el in e_span.labels for bx in b_basis for fx in b_forms),
-        sigma_balance,
-    )
+    def sigma_of_form_acted(b_ix, e_label, f_ix):
+        return ((sigma_e(e_label, g).terms, c) for g, c in cf.b_calc.right_act(f_ix, b_ix).terms.items())
+
+    rows = [(bx, el) for bx in b_basis for el in e_span.labels]
+    laws = (acted_sigma, sigma_of_acted), (sigma_acted, sigma_of_form_acted)
+    report.sweep_rows("derivative.sigma-bimodule", rows, b_forms, *laws)
+
+    def balance_lhs(e_label, b_ix, f_ix):
+        return ((sigma_e(t, f_ix).terms, c) for t, c in b_act_right(e_label, b_ix).terms.items())
+
+    def balance_rhs(e_label, b_ix, f_ix):
+        return ((sigma_e(e_label, g).terms, c) for g, c in cf.b_calc.left_act(b_ix, f_ix).terms.items())
+
+    rows = [(el, bx) for el in e_span.labels for bx in b_basis]
+    report.sweep_rows("derivative.sigma-balanced", rows, b_forms, (balance_lhs, balance_rhs))
 
     # uniqueness: sigma rebuilt from the right Leibniz law matches the formula
     def sigma_unique(item):

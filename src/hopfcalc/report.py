@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from hopfcalc.linalg import FreeVector, NoSolution, format_index, record
+from hopfcalc.linalg import FreeVector, NoSolution, first_unequal, format_index, record
 
 PASS = "pass"
 FAIL = "fail"
@@ -72,6 +72,11 @@ class CheckReport:
                 if not ok:
                     return self.add(identity, FAIL, witness(*parts))
         return self.record(identity, True)
+
+    def sweep_rows(self, identity: str, rows, zs, *laws):
+        """`sweep` of the laws over each (*row, z), as `linalg.first_unequal` runs them."""
+        hit = first_unequal(rows, zs, *laws)
+        return self.record(identity, hit is None, hit and witness(*hit))
 
     def extend(self, other: "CheckReport", prefix: str = ""):
         """Append other's checks, each renamed with prefix; an unprefixed

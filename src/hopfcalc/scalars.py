@@ -25,11 +25,13 @@ take closed forms (as in GAP's sparse cyclotomics):
 Roots of unity +-zeta^k over 1, most scalars of the Radford examples,
 also carry their exponent in the slot root_exp (see _unit_exps; -2 marks
 zero, -1 any other value), a cache of the value that _make and __init__
-set.  The negation of a unit, and the product of two units of one order
-or of +-1 of order one and a unit, is one entry of the per-order table
-_units, with no new scalar built;
-root_of_unity indexes that table, so the monomial inverse and power of a
-unit land on its entries too.  is_zero and is_one read the slot.
+set.  A product with a one of order one or of the other operand's order
+is that operand; the negation of a unit, and the product of two units of
+one order or of +-1 of order one and a unit, is one entry of the table
+_units, with no new scalar built; root_of_unity indexes that table, so the
+monomial inverse and power of a unit land on its entries too.  Whether two
+units are equal, or cancel in a sum or difference, is read from their
+exponents (_cancels).  is_zero and is_one read the slot.
 Every other case takes the dense path: lcm coercion, convolution folded
 through the power table, and a fraction-free extended Euclid for
 inverses.  The result order is the lcm of the operand orders on every
@@ -200,6 +202,8 @@ class CycScalar:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
+        if _cancels(self, other, 1):
+            return _cached_const(lcm(self.order, other.order), 0)
         a, b = self._common(other)
         if a.den == b.den:
             return _normal(a.order, tuple(map(add, a.coeffs, b.coeffs)), a.den)
@@ -215,6 +219,8 @@ class CycScalar:
         return _make(self.order, tuple(map(neg, self.coeffs)), self.den)
 
     def __sub__(self, other):
+        if _cancels(self, other, 0):
+            return _cached_const(lcm(self.order, other.order), 0)
         a, b = self._common(other)
         if a.den == b.den:
             return _normal(a.order, tuple(map(sub, a.coeffs, b.coeffs)), a.den)
@@ -227,6 +233,10 @@ class CycScalar:
         if not isinstance(other, CycScalar):
             return _scale(self, other.numerator, other.denominator)
         e, f = self.root_exp, other.root_exp
+        if not e and self.order in (1, other.order):
+            return other
+        if not f and other.order in (1, self.order):
+            return self
         if e >= 0 and f >= 0:
             if self.order == other.order:
                 units = _units(self.order)
@@ -318,6 +328,9 @@ class CycScalar:
     def __eq__(self, other):
         if not isinstance(other, CycScalar) and not hasattr(other, "denominator"):
             return NotImplemented
+        same = _cancels(self, other, 0)
+        if same is not None:
+            return same
         a, b = self._common(other)
         return a.coeffs == b.coeffs and a.den == b.den
 
@@ -418,6 +431,16 @@ def _rational_in(s: CycScalar, order: int) -> bool:
     """Whether s is rational (every coefficient past the first is zero) and embeds in Q(zeta_order)."""
     c = s.coeffs
     return not order % s.order and c.count(0) - (c[0] == 0) == len(c) - 1
+
+
+def _cancels(a: CycScalar, b, half: int) -> bool | None:
+    """Whether a + b (half 1) or a - b (half 0) is zero, for units a = zeta_n^e and b = zeta_m^f
+    (n, m as in _unit_exps): whether e/n - f/m is half a turn or a whole one.  None for non-units."""
+    e, f = a.root_exp, getattr(b, "root_exp", -1)
+    if e < 0 or f < 0:
+        return None
+    n, m = len(_units(a.order)), len(_units(b.order))
+    return 2 * (e * m - f * n) % (2 * n * m) == half * n * m
 
 
 def _monomial(coeffs: tuple) -> int:

@@ -240,3 +240,183 @@ def reference_derivative_quotient(cf, e_span):
                 right = sum_terms((tensor_index(bf, el2), c2) for el2, c2 in b_act_left(bx, el).terms.items())
                 relations.add(left - right)
     return QuotientSpace(big, relations, cls_tag="bcls")
+
+
+def reference_first_unequal(rows, zs, *laws):
+    """The per-item loop behind `linalg.first_unequal`: for every (*row, z)
+    in the order of nested loops and every law, each side summed by
+    `reference_combine` over the (terms, c) pairs it yields, a c of None
+    standing for one; the first item at which a law's sides differ, or
+    whose evaluation raises NoSolution, or None."""
+    for row in rows:
+        for z in zs:
+            try:
+                for law in laws:
+                    lhs, rhs = (
+                        reference_combine((OracleVector(t), CycScalar.one() if c is None else c) for t, c in side(*row, z))
+                        for side in law
+                    )
+                    if lhs.terms != rhs.terms:
+                        return (*row, z)
+            except NoSolution:
+                return (*row, z)
+    return None
+
+
+def _first_failing(items, holds):
+    """The witness of the first item at which holds(*item) is False or
+    raises NoSolution, as `CheckReport.sweep` failed there; None if none."""
+    for item in items:
+        try:
+            if not holds(*item):
+                return witness(*item)
+        except NoSolution:
+            return witness(*item)
+    return None
+
+
+def _same(lhs, rhs):
+    return lhs.terms == rhs.terms
+
+
+def reference_twisted_module_laws(b, h, m, s, window=None):
+    """The three per-item sweeps of `crossed.check_twisted_module_algebra`
+    that `linalg.first_unequal` replaced, each side through
+    `reference_linear` and `reference_combine`: {identity: witness or None}."""
+    bs, hs = b.basis.enumerate(window), h.algebra.basis.enumerate(window)
+    lin, comb, mult = reference_linear, reference_combine, h.algebra.mult
+
+    def multiplicative(hi, bi, bj):
+        rhs = comb((lin(b.mult, m.act(h1, bi), m.act(h2, bj)), c) for c, (h1, h2) in h.sweedler(hi, 2))
+        return _same(lin(m.act, hi, b.mult(bi, bj)), rhs)
+
+    def twisted(hi, hj, bi):
+        rhs = comb(
+            (lin(b.mult, lin(b.mult, s.sigma(x1, y1), lin(m.act, mult(x2, y2), bi)), s.sigma_inv(x3, y3)), c1 * c2)
+            for c1, (x1, x2, x3) in h.sweedler(hi, 3)
+            for c2, (y1, y2, y3) in h.sweedler(hj, 3)
+        )
+        return _same(lin(m.act, hi, m.act(hj, bi)), rhs)
+
+    def cocycle(hi, hj, hk):
+        lhs = comb(
+            (lin(b.mult, lin(m.act, x1, s.sigma(y1, z1)), lin(s.sigma, x2, mult(y2, z2))), c1 * c2 * c3)
+            for c1, (x1, x2) in h.sweedler(hi, 2)
+            for c2, (y1, y2) in h.sweedler(hj, 2)
+            for c3, (z1, z2) in h.sweedler(hk, 2)
+        )
+        rhs = comb(
+            (lin(b.mult, s.sigma(x1, y1), lin(s.sigma, mult(x2, y2), hk)), c1 * c2)
+            for c1, (x1, x2) in h.sweedler(hi, 2)
+            for c2, (y1, y2) in h.sweedler(hj, 2)
+        )
+        return _same(lhs, rhs)
+
+    return {
+        "measure.multiplicative": _first_failing([(x, y, z) for x in hs for y in bs for z in bs], multiplicative),
+        "twisted-module": _first_failing([(x, y, z) for x in hs for y in hs for z in bs], twisted),
+        "cocycle": _first_failing([(x, y, z) for x in hs for y in hs for z in hs], cocycle),
+    }
+
+
+def reference_twisted_calculus_laws(b_calc, h, m, s, action, window=None):
+    """The three per-item sweeps of `fodc.check_sigma_twisted_module_calculus`
+    that `linalg.first_unequal` replaced, on the derived action:
+    {identity: witness or None}."""
+    bs, hs, fs = b_calc.algebra.basis.enumerate(window), h.algebra.basis.enumerate(window), b_calc.forms.enumerate(window)
+    lin, comb, left, right = reference_linear, reference_combine, b_calc.left_act, b_calc.right_act
+
+    def comp(hx, ax, bx):
+        rhs = comb((lin(left, m.act(h1, ax), lin(action.act, h2, b_calc.d(bx))), c) for c, (h1, h2) in h.sweedler(hx, 2))
+        return _same(lin(action.act, hx, lin(left, ax, b_calc.d(bx))), rhs)
+
+    def sandwich(hx, ax, fx, bx):
+        rhs = comb(
+            (lin(right, lin(left, m.act(h1, ax), action.act(h2, fx)), m.act(h3, bx)), c)
+            for c, (h1, h2, h3) in h.sweedler(hx, 3)
+        )
+        return _same(lin(action.act, hx, lin(right, left(ax, fx), bx)), rhs)
+
+    def twist(hx, kx, fx):
+        rhs = comb(
+            (lin(right, lin(left, s.sigma(x1, y1), lin(action.act, h.algebra.mult(x2, y2), fx)), s.sigma_inv(x3, y3)), c1 * c2)
+            for c1, (x1, x2, x3) in h.sweedler(hx, 3)
+            for c2, (y1, y2, y3) in h.sweedler(kx, 3)
+        )
+        return _same(lin(action.act, hx, action.act(kx, fx)), rhs)
+
+    return {
+        "comp": _first_failing([(x, a, c) for x in hs for a in bs for c in bs], comp),
+        "twisted-bimodule.sandwich": _first_failing([(x, a, f, c) for x in hs for a in bs for f in fs for c in bs], sandwich),
+        "twisted-bimodule.twist": _first_failing([(x, k, f) for x in hs for k in hs for f in fs], twist),
+    }
+
+
+def reference_first_order_actions(cf, dc, window=None):
+    """The per-item sweeps of the two actions in
+    `crossed_calc.compare_first_order`: each first-order form action, its
+    indices moved to the graded ones, against the graded wedge with degree
+    zero: {identity: witness or None}."""
+    pairs = [(p, f) for p in cf.crossed.algebra.basis.enumerate(window) for f in cf.forms.enumerate(window)]
+
+    def graded(ix):
+        return ("gf", 1 if ix[0] == "hor" else 0, ix[1], ix[2])
+
+    def moved(v):
+        return {graded(ix): c for ix, c in v.terms.items()}
+
+    return {
+        "first-order.left-action": _first_failing(
+            pairs, lambda p, f: moved(cf.left_act(p, f)) == dc.wedge(0, p, 1, graded(f)).terms
+        ),
+        "first-order.right-action": _first_failing(
+            pairs, lambda p, f: moved(cf.right_act(f, p)) == dc.wedge(1, graded(f), 0, p).terms
+        ),
+    }
+
+
+def reference_sigma_laws(cf, data):
+    """The per-item sweeps of `derivative.sigma-bimodule` and
+    `derivative.sigma-balanced` in `qpb.covariant_derivative`, on the bundle
+    and braiding sigma_e of data, with the B-actions on E and on
+    Omega^1(B) (x)_B E rebuilt as that function builds them and the
+    quotient of `reference_derivative_quotient`: {identity: witness or None}."""
+    cp, e_span = cf.crossed, data.e_span
+    embed = cp.comodule.coinvariants.embed
+    balanced = reference_derivative_quotient(cf, e_span)
+
+    def b_act(b_ix, e_label, on_left):
+        return e_span.express(
+            sum_terms(
+                (tensor_index(jx, v_ix), c * cj)
+                for (_, pair_ix, v_ix), c in e_span.vectors[e_label].terms.items()
+                for jx, cj in linear(cp.algebra.mult, *((embed(b_ix), pair_ix) if on_left else (pair_ix, embed(b_ix)))).terms.items()
+            )
+        )
+
+    def balanced_act(b_ix, cls_ix, on_left):
+        rep = balanced.representatives[cls_ix[1]]
+        if on_left:
+            terms = ((tensor_index(f2, el), c * c2) for (_, f_ix, el), c in rep.terms.items()
+                     for f2, c2 in cf.b_calc.left_act(b_ix, f_ix).terms.items())
+        else:
+            terms = ((tensor_index(f_ix, el2), c * c2) for (_, f_ix, el), c in rep.terms.items()
+                     for el2, c2 in b_act(b_ix, el, False).terms.items())
+        return balanced.project(sum_terms(terms))
+
+    def bimodule(bx, el, fx):
+        lhs = reference_linear(lambda cls: balanced_act(bx, cls, True), data.sigma_e(el, fx))
+        if not _same(lhs, reference_linear(lambda e: data.sigma_e(e, fx), b_act(bx, el, True))):
+            return False
+        lhs = reference_linear(lambda cls: balanced_act(bx, cls, False), data.sigma_e(el, fx))
+        return _same(lhs, reference_linear(lambda f: data.sigma_e(el, f), cf.b_calc.right_act(fx, bx)))
+
+    def balance(el, bx, fx):
+        lhs = reference_linear(lambda e: data.sigma_e(e, fx), b_act(bx, el, False))
+        return _same(lhs, reference_linear(lambda f: data.sigma_e(el, f), cf.b_calc.left_act(bx, fx)))
+
+    labels, bs, fs = e_span.labels, cp.base.basis.enumerate(), cf.b_calc.forms.enumerate()
+    return {
+        "derivative.sigma-bimodule": _first_failing([(b, e, f) for b in bs for e in labels for f in fs], bimodule),
+        "derivative.sigma-balanced": _first_failing([(e, b, f) for e in labels for b in bs for f in fs], balance),
+    }

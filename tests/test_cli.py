@@ -531,6 +531,17 @@ def _fresh(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env) -> subp
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=stderr, env=env, timeout=120)
 
 
+def test_the_bytecode_counter_prints_the_phases_of_a_run():
+    # the executed-bytecode figures of the performance notes come from this tool
+    tool = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bytecount.py"
+    done = _fresh(str(tool), "--top", "3", "cohomology", "radford", "--max-degree", "3")
+    assert done.returncode == 0, done.stderr
+    out = done.stdout.decode()
+    assert out.startswith("cohomology radford --max-degree 3: exit status 0, ")
+    phases = out.split("\nper phase:\n")[1].split("\n\n")[0].splitlines()
+    assert {"build", "cohomology"} <= {line.split()[-1] for line in phases}
+
+
 def _loaded_after(argv, names):
     """Exit status of `cli.run(argv)` in a fresh interpreter, and which of
     the named modules are in its sys.modules afterwards."""

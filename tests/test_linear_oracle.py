@@ -23,6 +23,7 @@ from linear_oracle import (
     reference_derivative_quotient,
     reference_first_non_associative,
     reference_first_non_multiplicative,
+    reference_first_unequal,
     reference_galois_quotient,
     reference_index_sort_key,
     reference_linear,
@@ -39,6 +40,7 @@ from hopfcalc.linalg import (
     combine,
     first_non_associative,
     first_non_multiplicative,
+    first_unequal,
     index_sort_key,
     linear,
     sum_terms,
@@ -477,6 +479,59 @@ def test_first_non_multiplicative_matches_the_per_pair_loop(case):
         # operand for operand
         assert got is None
         assert kernel_ops == reference_ops
+
+
+@st.composite
+def keyed_laws(draw):
+    """(rows, zs, laws, bad, lawful): one or two laws of first_unequal over
+    rows of one or two indices.  Each left side yields, at (row, z), up to
+    three drawn (terms, c) pairs, c sometimes None; its right side yields
+    the same sum split into one-term pairs with every coefficient multiplied
+    out and the order reversed.  An entry of one side of each law may then
+    be redrawn, so that two laws can differ in one row at different z, and
+    bad holds the items at which a side raises NoSolution.  lawful when
+    neither was drawn."""
+    basis = list(range(draw(st.integers(1, 4))))
+    width = draw(st.integers(1, 2))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(basis)] * width), min_size=1, max_size=3, unique=True))
+    zs = draw(st.lists(st.sampled_from(basis), min_size=1, unique=True))
+    terms = st.dictionaries(st.sampled_from(basis), st.sampled_from(Q4_NONZERO), min_size=1, max_size=2)
+    pairs = st.lists(st.tuples(terms, st.one_of(st.none(), st.sampled_from(Q4_NONZERO))), max_size=3)
+    items = [(*row, z) for row in rows for z in zs]
+    lawful, laws = True, []
+    for _ in range(draw(st.integers(1, 2))):
+        left = {item: draw(pairs) for item in items}
+        right = {
+            item: [({w: v if c is None else v * c}, None) for t, c in reversed(side) for w, v in t.items()]
+            for item, side in left.items()
+        }
+        if draw(st.booleans()):
+            table = draw(st.sampled_from([left, right]))
+            table[draw(st.sampled_from(items))] = draw(pairs)
+            lawful = False
+        laws.append((left, right))
+    bad = draw(st.sets(st.sampled_from(items), max_size=2))
+    return rows, zs, laws, bad, lawful and not bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_laws())
+def test_first_unequal_matches_the_per_item_loop(case):
+    rows, zs, tables, bad, lawful = case
+
+    def side(table):
+        def fn(*item):
+            if item in bad:
+                raise NoSolution(FreeVector.zero(), "drawn span")
+            return iter(table[item])
+
+        return fn
+
+    laws = [(side(left), side(right)) for left, right in tables]
+    got = first_unequal(rows, zs, *laws)
+    assert got == reference_first_unequal(rows, zs, *laws)
+    if lawful:
+        assert got is None
 
 
 # the Hopf-Galois quotient A (x)_B A and the bundle's Omega^1(B) (x)_B E, each

@@ -148,9 +148,12 @@ def units(order):
 
 def test_every_unit_pair_matches_the_frozen_oracle():
     # the unit paths (root_exp slot, _units table, monomial closed forms): every
-    # product, negation, inverse and comparison of two units, at one order
-    # and across orders, against the Fraction oracle
-    generators = {order: units(order)[-2:] for order in range(1, 13)}
+    # product, sum, difference, negation, inverse and comparison of two units,
+    # at one order and across orders, against the Fraction oracle; the one of
+    # every order stands on both sides of a cross-order product, as __mul__
+    # returns the other operand for a one of order one or of that operand's
+    # order, and a sum or difference that cancels is read from the exponents
+    generators = {order: units(order)[:1] + units(order)[-2:] for order in range(1, 13)}
     for order_a in range(1, 13):
         for a, a_old in units(order_a):
             assert_same(a, a_old)
@@ -160,4 +163,6 @@ def test_every_unit_pair_matches_the_frozen_oracle():
             for b, b_old in units(order_a) + [g for order_b in range(1, 13) for g in generators[order_b]]:
                 assert_same(a * b, a_old * b_old)
                 assert_same(b * a, b_old * a_old)
+                assert_same(a + b, a_old + b_old)
+                assert_same(a - b, a_old - b_old)
                 assert_same(a == b, a_old == b_old)
