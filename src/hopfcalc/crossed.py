@@ -19,6 +19,8 @@ from hopfcalc.hopf import (
     WindowSolver,
     colinear,
     convolution_inverse,
+    left_linear,
+    multiplicative,
     tensor_square_coalgebra,
 )
 from hopfcalc.linalg import (
@@ -27,7 +29,6 @@ from hopfcalc.linalg import (
     balanced_tensor,
     combine,
     first_non_associative,
-    first_non_multiplicative,
     linear,
     memoise,
     memoise_fields,
@@ -314,8 +315,7 @@ def check_cleft_derivation(
     pair_basis = crossed.algebra.basis.enumerate(window)
     report.sweep("theta.left-inverse", a_basis, lambda ix: (linear(theta_inv, theta(ix)) == E(ix), (ix,)))
     report.sweep("theta.right-inverse", pair_basis, lambda ix: (linear(theta, theta_inv(ix)) == E(ix), (ix,)))
-    hit = first_non_multiplicative(a_basis, a_basis, theta, a.algebra.mult, crossed.algebra.mult)
-    report.record("theta.algebra-map", hit is None, hit and witness(*hit))
+    report.sweep_rows("theta.algebra-map", [(x,) for x in a_basis], a_basis, multiplicative(theta, a.algebra.mult, crossed.algebra.mult))
     report.sweep("theta.colinear", a_basis, colinear(theta, a.coaction, crossed.comodule.coaction))
     return report
 
@@ -354,8 +354,7 @@ def equivariant_section(cleft: CleftData, window: int | None = None):
         _, b_ix, a2_ix = t_ix
         return a.coaction(a2_ix).map_indices(lambda ix: tensor_index(tensor_index(b_ix, ix[1]), ix[2]))
 
-    hit = first_non_multiplicative(b_basis, a_basis, section, base_act, target_act, acting=True)
-    report.record("section.left-base-linear", hit is None, hit and witness(*hit))
+    report.sweep_rows("section.left-base-linear", [(x,) for x in b_basis], a_basis, left_linear(section, base_act, target_act))
     report.sweep("section.right-colinear", a_basis, colinear(section, a.coaction, target_coaction))
     return section, report
 

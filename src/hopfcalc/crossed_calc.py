@@ -20,7 +20,7 @@ from hopfcalc.fodc import (
     leibniz,
     presentation_solver,
 )
-from hopfcalc.hopf import AlgebraPresentation, BasisFamily, HopfData, WindowSolver, colinear
+from hopfcalc.hopf import AlgebraPresentation, BasisFamily, HopfData, WindowSolver, colinear, multiplicative
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
@@ -28,7 +28,7 @@ from hopfcalc.linalg import (
     Subspace,
     combine,
     first_non_associative,
-    first_non_multiplicative,
+    first_unequal,
     format_index,
     intersection_dim,
     linear,
@@ -195,7 +195,7 @@ def verify_crossed_fodc(cf: CrossedFodc, window: int | None = None) -> CheckRepo
     b_basis = b.basis.enumerate(window)
     h_basis = h.algebra.basis.enumerate(window)
 
-    report.sweep("leibniz", ((i, j) for i in a_basis for j in a_basis), leibniz(cf, cp.algebra.mult))
+    report.sweep_rows("leibniz", [(i,) for i in a_basis], a_basis, leibniz(cf, cp.algebra.mult))
 
     one_h = h.algebra.unit
     embed = cp.comodule.coinvariants.embed
@@ -776,7 +776,7 @@ def classify_smash(
     j = cleft.cleaving
     j_inv = cleft.ensure_inverse(window)
 
-    hit = first_non_multiplicative(h_basis, h_basis, j, h.algebra.mult, a.algebra.mult)
+    hit = first_unequal([(x,) for x in h_basis], h_basis, multiplicative(j, h.algebra.mult, a.algebra.mult))
     if hit is not None:
         raise ValueError(f"not a trivial extension: the cleaving map is not an algebra morphism at {witness(*hit)}")
     if not linear(j, h.algebra.unit) == a.algebra.unit:

@@ -24,6 +24,7 @@ from hopfcalc.hopf import (
     colinear,
     counital,
     flipped,
+    image_of_product,
     monomial_unit,
     tensor_mult,
 )
@@ -87,16 +88,16 @@ def zero_fodc(algebra: AlgebraPresentation) -> Fodc:
 
 
 def leibniz(calc, mult):
-    """Test of d(a b) == d(a) b + a d(b) at a pair (a, b) of basis items of
-    the algebra whose product is mult, for a calculus calc with d and actions."""
+    """The sides of d(a b) == d(a) b + a d(b) at a row (a,) and b, for a
+    calculus calc with d and actions on the algebra whose product is mult."""
 
-    def test(pair):
-        a, b = pair
-        lhs = linear(calc.d, mult(a, b))
-        rhs = linear(calc.right_act, calc.d(a), b) + linear(calc.left_act, a, calc.d(b))
-        return lhs == rhs, (a, b)
+    def right(a, b):
+        for t, c in calc.d(a).terms.items():
+            yield calc.right_act(t, b).terms, c
+        for t, c in calc.d(b).terms.items():
+            yield calc.left_act(a, t).terms, c
 
-    return test
+    return image_of_product(calc.d, mult), right
 
 
 def presentation_solver(f: Fodc, window: int | None) -> WindowSolver:
@@ -136,7 +137,7 @@ def check_fodc(f: Fodc, window: int | None = None) -> CheckReport:
 
     report.sweep("bimodule.unit", f_basis, unit_acts)
 
-    report.sweep("leibniz", ((a, b) for a in a_basis for b in a_basis), leibniz(f, alg.mult))
+    report.sweep_rows("leibniz", [(a,) for a in a_basis], a_basis, leibniz(f, alg.mult))
 
     if f_basis:
         solver = presentation_solver(f, window)

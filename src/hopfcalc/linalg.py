@@ -35,7 +35,6 @@ __all__ = [
     "sum_terms",
     "linear",
     "first_non_associative",
-    "first_non_multiplicative",
     "first_unequal",
     "memoise",
     "memoise_fields",
@@ -407,57 +406,12 @@ def first_non_associative(xs, ys, zs, first, then, inner, outer, table=None):
     return None
 
 
-def first_non_multiplicative(xs, ys, phi, source, target, acting=False):
-    """The first (x, y), looping over the lists xs and ys, at which
-    phi(source(x, y)) != target(phi(x), phi(y)), or target(x, phi(y))
-    when acting, with phi and target extended linearly; None if there is
-    none.  So phi is an algebra map from the product source to the product
-    target, or, acting, linear for the left actions source and target.
-
-    Each side of a row x is one dict over every y at once, keyed by the
-    int id(w) * len(ys) + the position of y as in `first_non_associative`,
-    and the two are compared with one `==`; when they differ, the first y
-    with a differing entry is taken as the witness.  A row whose
-    evaluation raises NoSolution is run again pair by pair, each side
-    through `linear`; its first pair whose sides differ, or whose
-    evaluation raises NoSolution, is returned, as `CheckReport.sweep` fails
-    at it.  The products are those of `linear`: c_x * c_y for each pair of
-    terms of phi(x) and phi(y), and each image entry times its
-    coefficient, none by a coefficient of one.
-    """
-    n = len(ys)
-    ids = {}
-    for x in xs:
-        try:
-            lhs, rhs = {}, {}
-            left = ((x, None),) if acting else phi(x).terms.items()
-            for k, y in enumerate(ys):
-                for m, c in source(x, y).terms.items():
-                    _add_keyed(lhs, phi(m).terms, ids, n, k, c)
-                right = phi(y).terms.items()
-                for a, ca in left:
-                    for b, cb in right:
-                        _add_keyed(rhs, target(a, b).terms, ids, n, k, cb if ca is None else ca * cb)
-            if lhs == rhs:
-                continue
-            return x, ys[_first_position(lhs, rhs, n)]
-        except NoSolution:
-            pass
-        for y in ys:
-            try:
-                if linear(phi, source(x, y)) != linear(target, x if acting else phi(x), phi(y)):
-                    return x, y
-            except NoSolution:
-                return x, y
-    return None
-
-
 def first_unequal(rows, zs, *laws):
     """The first (*row, z), looping over the lists rows, of tuples, and zs,
     at which a law (left, right) has left(*row, z) != right(*row, z); None
     if there is none.  A side yields (terms, c) pairs, the terms dict of a
     vector and its coefficient, None for one.  Each side of a row is one
-    dict over every z, keyed as in `first_non_multiplicative`; the least z
+    dict over every z, keyed as in `first_non_associative`; the least z
     at which any law's two differ is the witness.  A row that raises
     NoSolution is run again z by z, failing as `CheckReport.sweep` does."""
     ids = {}
@@ -477,38 +431,33 @@ def first_unequal(rows, zs, *laws):
 
 
 def _keyed_laws(row, zs, laws, ids):
-    """The two sides of each law on row, each one keyed dict over zs."""
+    """The two sides of each law on row, each one keyed dict over zs: terms
+    times c are added as `_add_into` adds them, none times a c of one."""
     n = len(zs)
     for law in laws:
         sides = {}, {}
         for data, side in zip(sides, law):
             for k, z in enumerate(zs):
                 for terms, c in side(*row, z):
-                    _add_keyed(data, terms, ids, n, k, c)
+                    if c is not None and c.is_one():
+                        c = None
+                    for w, v in terms.items():
+                        if c is not None:
+                            v = v * c
+                        key = ids.setdefault(w, len(ids)) * n + k
+                        prev = data.get(key)
+                        if prev is not None:
+                            v = prev + v
+                            if v.is_zero():
+                                del data[key]
+                                continue
+                        data[key] = v
         yield sides
 
 
 def _first_position(lhs: dict, rhs: dict, n: int) -> int:
     """The least position key % n of a key at which the rows lhs and rhs differ."""
     return min(key % n for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
-
-
-def _add_keyed(data: dict, terms: dict, ids: dict, n: int, k: int, c: Optional[CycScalar]) -> None:
-    """Add terms times c, each at the key id(w) * n + k of its index w, into
-    data in place, as `_add_into` adds them; no product by a c of one or None."""
-    if c is not None and c.is_one():
-        c = None
-    for w, v in terms.items():
-        if c is not None:
-            v = v * c
-        key = ids.setdefault(w, len(ids)) * n + k
-        prev = data.get(key)
-        if prev is not None:
-            v = prev + v
-            if v.is_zero():
-                del data[key]
-                continue
-        data[key] = v
 
 
 def memoise(fn):

@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 
 from hopfcalc.crossed_calc import CrossedFodc, GradedDc, hor, ver
 from hopfcalc.fodc import Fodc
-from hopfcalc.hopf import colinear, monomial_unit
+from hopfcalc.hopf import colinear, left_linear, monomial_unit
 from hopfcalc.linalg import (
     FreeVector,
     LinearSolver,
@@ -22,7 +22,6 @@ from hopfcalc.linalg import (
     TrackedSpan,
     balanced_tensor,
     combine,
-    first_non_multiplicative,
     linear,
     memoise,
     memoise_fields,
@@ -196,8 +195,7 @@ def check_vertical_map(vd: VerticalData, window: int | None = None) -> CheckRepo
     )
 
     form_basis = cf.forms.enumerate(window)
-    hit = first_non_multiplicative(a_basis, form_basis, vd.ver, cf.left_act, vd.target_act, acting=True)
-    report.record("vertical.left-linear", hit is None, hit and witness(*hit))
+    report.sweep_rows("vertical.left-linear", [(x,) for x in a_basis], form_basis, left_linear(vd.ver, cf.left_act, vd.target_act))
     vd.record_rho_stable(report)
     report.sweep("vertical.right-colinear", form_basis, colinear(vd.ver, cf.right_coaction, vd.target_coaction))
     return report
@@ -372,8 +370,7 @@ def _check_splitting(report: CheckReport, vd: VerticalData, c_map, window: int |
 
     report.sweep("connection.splits-ver", target, splitting)
     a_basis = cf.crossed.algebra.basis.enumerate(window)
-    hit = first_non_multiplicative(a_basis, target, c_map, vd.target_act, cf.left_act, acting=True)
-    report.record("connection.left-linear", hit is None, hit and witness(*hit))
+    report.sweep_rows("connection.left-linear", [(x,) for x in a_basis], target, left_linear(c_map, vd.target_act, cf.left_act))
     return target
 
 
@@ -725,16 +722,15 @@ def check_tangent_and_fields(vd: VerticalData, tangent: TangentSpace) -> CheckRe
 
     a_basis = cf.crossed.algebra.basis.enumerate()
     form_basis = cf.forms.enumerate()
+    mult = cf.crossed.algebra.mult
 
-    # one row sweep per tangent vector, with its field taken at form indices
-    hit, mult = None, cf.crossed.algebra.mult
-    for tan in labels:
-        field_ix = memoise(lambda ix, tan=tan: fundamental_field(vd, tangent, tan, E(ix)))
-        found = first_non_multiplicative(a_basis, form_basis, field_ix, cf.left_act, mult, acting=True)
-        if found is not None:
-            hit = (tan, *found)
-            break
-    report.record("field.left-linear", hit is None, hit and witness(*hit))
+    # one sweep over the rows (tan, a), each at every form: the left-linearity of tan's field at form indices
+    laws = {
+        tan: left_linear(memoise(lambda ix, tan=tan: fundamental_field(vd, tangent, tan, E(ix))), cf.left_act, mult)
+        for tan in labels
+    }
+    sides = tuple(lambda tan, a, form, k=k: laws[tan][k](a, form) for k in (0, 1))
+    report.sweep_rows("field.left-linear", [(tan, a) for tan in labels for a in a_basis], form_basis, sides)
 
     # uniqueness: a left-linear field is fixed by its values on the lifted
     # coinvariant forms and vanishes on the horizontal ones, so these two

@@ -121,8 +121,8 @@ def reference_first_non_associative(xs, ys, zs, first, then, inner, outer):
 
 def reference_first_non_multiplicative(xs, ys, phi, source, target, acting=False):
     """The per-pair loop that `CheckReport.sweep` ran over the tests
-    `hopf.multiplicative` and `hopf.left_linear` before
-    `linalg.first_non_multiplicative`: for every (x, y) in the order of
+    `hopf.multiplicative` and `hopf.left_linear` before those laws were
+    swept by rows: for every (x, y) in the order of
     nested loops, phi(source(x, y)) against target(phi(x), phi(y)), or
     target(x, phi(y)) when acting, each side through `reference_linear`;
     a pair whose evaluation raises NoSolution fails there."""

@@ -15,6 +15,7 @@ order or of a law shows here.
 
 import pytest
 from conftest import corrupt
+from linear_oracle import reference_first_non_multiplicative
 
 from hopfcalc.crossed import CleftData, check_cleft_derivation, cleft_to_crossed, equivariant_section
 from hopfcalc.crossed_calc import classify_smash, verify_crossed_fodc
@@ -22,6 +23,7 @@ from hopfcalc.examples import group_c2_instance, radford_calculus_instance, radf
 from hopfcalc.fodc import check_fodc
 from hopfcalc.hopf import check_comodule_algebra, check_hopf_axioms
 from hopfcalc.linalg import FreeVector, format_index, tensor_index
+from hopfcalc.report import witness
 
 E = FreeVector.basis
 
@@ -272,6 +274,28 @@ def test_a_corrupted_form_action_fails_both_bundle_left_linearities(radford_calc
         {"vertical.left-linear": "(h1(0,0) (x) g(1)) ; ver(h1(0,0),w1(0,g(0)))"},
         {"connection.left-linear": "(h1(0,0) (x) g(1)) ; ((h1(0,0) (x) g(0)) (x) coh(0))"},
     )
+
+
+# the fundamental fields read the form action through the vertical map, so
+# the same corrupted entry fails field.left-linear, at the first (tangent,
+# a, form) of the per-pair loop run for one tangent vector after another
+def test_a_corrupted_form_action_fails_field_left_linear(radford_calc):
+    from hopfcalc.qpb import check_tangent_and_fields, fundamental_field, tangent_space, vertical_map
+
+    cf = radford_calc.cf
+    corrupt(cf.left_act, (_pair(0, 1), VER_F), VER_F)
+    vd = vertical_map(cf)
+    tangent = tangent_space(vd)
+    a_basis, form_basis = cf.crossed.algebra.basis.enumerate(), cf.forms.enumerate()
+    for tan in tangent.labels:
+        def field(ix, tan=tan):
+            return fundamental_field(vd, tangent, tan, E(ix))
+
+        hit = reference_first_non_multiplicative(a_basis, form_basis, field, cf.left_act, cf.crossed.algebra.mult, True)
+        if hit is not None:
+            break
+    assert witness(tan, *hit) == "tan(0) ; (h1(0,0) (x) g(1)) ; ver(h1(0,0),w1(0,g(0)))"
+    assert failures(check_tangent_and_fields(vd, tangent)) == {"field.left-linear": witness(tan, *hit)}
 
 
 def test_a_corrupted_coaction_fails_the_section_laws():

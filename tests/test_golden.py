@@ -9,6 +9,7 @@ in the output, so the bytes do not depend on the checkout location.
 import hashlib
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -61,3 +62,22 @@ def test_every_benchmark_output_is_pinned_by_a_golden():
         with open(os.path.join(GOLDEN, f"{golden_of[command]}.json"), "rb") as handle:
             digest = hashlib.sha256(handle.read()).hexdigest()
         assert (pinned["status"], pinned["sha256"]) == (0, digest), command
+
+
+# identities that a document prints more than once, and how often: each is
+# to be recorded once, so an entry may only shrink and none may be added
+REPEATED_IDENTITIES = {
+    "verify-radford.json": {"leibniz": 2, "vertical.coinvariants-rho-stable": 3},
+    "verify-torus.json": {"leibniz": 2, "vertical.coinvariants-rho-stable": 2},
+}
+
+
+def test_no_identity_repeats_within_a_document():
+    repeated = {}
+    for name in sorted(os.listdir(GOLDEN)):
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as handle:
+            document = json.load(handle)
+        counts = Counter(check["identity"] for report in document.get("reports", ()) for check in report["checks"])
+        if twice := {identity: n for identity, n in counts.items() if n > 1}:
+            repeated[name] = twice
+    assert repeated == REPEATED_IDENTITIES

@@ -27,7 +27,7 @@ BUDGETS = {
     # the balanced tensors of the Hopf-Galois and derivative suites act
     # through `linalg.linear`, so the derivative's two actions count as
     # calls; their relations are summed with no product by one
-    "verify radford": {"products": 6_834, "linear": 3_270},
+    "verify radford": {"products": 6_834, "linear": 3_018},
     # the graded laws proved from generators: a fall back to the full
     # sweeps of a passing run makes 6,769 products
     "verify radford --suite higher-forms": {"products": 4_057, "linear": 1_554},
@@ -35,14 +35,14 @@ BUDGETS = {
     # and no other suite's: the bijection runs no connection.* sweep
     "verify radford --suite bijection": {"products": 1_611, "linear": 1_131},
     "cohomology radford --max-degree 3": {"products": 1_015, "linear": 658},
-    "verify user-hopf --file sample-data/c4.hopf --ideal-file sample-data/c4-ideal.txt": {"products": 567, "linear": 288},
-    "verify group-c2 --ideal zero": {"products": 171, "linear": 93},
-    "verify group-c2 --ideal full": {"products": 52, "linear": 39},
+    "verify user-hopf --file sample-data/c4.hopf --ideal-file sample-data/c4-ideal.txt": {"products": 567, "linear": 240},
+    "verify group-c2 --ideal zero": {"products": 171, "linear": 81},
+    "verify group-c2 --ideal full": {"products": 52, "linear": 27},
     "cohomology group-c2 --ideal zero --max-degree 1": {"products": 73, "linear": 10},
-    "verify torus --M 8 --window 2": {"products": 71_897, "linear": 18_477},
+    "verify torus --M 8 --window 2": {"products": 71_897, "linear": 16_527},
     # the connection suite runs no vertical.* or maurer-cartan.* sweep
     "verify torus --M 8 --window 2 --suite connection": {"products": 42_482, "linear": 11_116},
-    "verify smash-demo --window 2": {"products": 79_500, "linear": 36_966},
+    "verify smash-demo --window 2": {"products": 79_500, "linear": 35_016},
     # the torus build alone: a check of the built instance that moves back
     # into a builder shows here
     "cohomology torus": {"products": 50_401, "linear": 19_229},

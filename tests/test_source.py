@@ -872,13 +872,14 @@ def test_unused_definition_scan_sees_every_form():
 
 
 # the comodule laws are written once, as the builders in hopf.py, and the
-# algebra-map and left-linearity laws once, as the row sweep
-# `linalg.first_non_multiplicative`; a closure named like a builder or like
-# the per-pair tests that sweep replaced is a copy.  A map into a tensor
-# product passes its target's action or coaction to the builder as a map of
-# its own, so the bundle laws of qpb.py and crossed.py are builder calls.
-# One closure stays: the counit's law, since its values are scalars, which
-# `linear` does not extend over and `first_non_multiplicative` does not take
+# algebra-map and left-linearity laws once, as the row laws
+# `hopf.multiplicative` and `hopf.left_linear` that `CheckReport.sweep_rows`
+# sweeps; a closure named like a builder or like the per-pair tests those
+# rows replaced is a copy.  A map into a tensor product passes its target's
+# action or coaction to the builder as a map of its own, so the bundle laws
+# of qpb.py and crossed.py are builder calls.  One closure stays: the
+# counit's law, since its values are scalars, which `linear` does not extend
+# over and a row law, whose sides are terms of vectors, does not take
 _LAW_BUILDERS = frozenset(
     {"_legs_commute", "coassociative", "counital", "colinear", "multiplicative", "left_linear", "bicomodule"}
 )
@@ -942,6 +943,48 @@ def test_law_copy_scan_sees_every_form():
         (13, "left_linear"),
     ]
     assert (11, "flatten") in _law_copies(tree, ())
+
+
+def _row_kernels(tree) -> list:
+    """The top-level functions named first_*: the sweeps that return a first failing item."""
+    return sorted(node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("first_"))
+
+
+def _acting_parameters(tree):
+    """The line of each function or lambda with a parameter named acting."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            if any(a is not None and a.arg == "acting" for a in params):
+                yield node.lineno
+
+
+def test_two_row_kernels_and_no_acting_switch():
+    # every two-sided law is a (left, right) pair swept by
+    # `linalg.first_unequal`, and only the associativity laws have a kernel
+    # of their own; no sweep is switched between two laws by a flag
+    trees = dict(_modules())
+    assert _row_kernels(trees[SRC / "linalg.py"]) == ["first_non_associative", "first_unequal"]
+    assert [f"{path.name}:{line}" for path, tree in trees.items() for line in _acting_parameters(tree)] == []
+
+
+def test_row_kernel_and_acting_scans_see_every_form():
+    text = (
+        "def first_a(x):\n"
+        "    def first_nested(acting):\n"
+        "        return acting\n"
+        "    return lambda y, acting=False: y\n"
+        "def _first_b(*, acting):\n"
+        "    return acting\n"
+        "def c(*acting):\n"
+        "    return acting\n"
+        "def d(**acting):\n"
+        "    return acting\n"
+    )
+    tree = ast.parse(text)
+    assert _row_kernels(tree) == ["first_a"]
+    assert sorted(_acting_parameters(tree)) == [2, 4, 5, 7, 9]
 
 
 # process-lifecycle calls: the heap is frozen once, when cli.py is imported;
