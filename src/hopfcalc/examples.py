@@ -40,6 +40,7 @@ E = FreeVector.basis
 class RadfordInstance:
     data: RadfordData
     crossed: CrossedProduct      # of h1 by k[C_r]
+    cleft: CleftData             # crossed.comodule, cleft by g -> 1#g
     to_full: Callable[[FreeVector], FreeVector]  # crossed pair -> element of H_(r,n,q)
 
 
@@ -65,6 +66,7 @@ def radford_instance(r: int = 2, n: int = 2, q: CycScalar | None = None) -> Radf
     measure = Measure(act=act)
     cocycle = cocycle_from_sigma(sigma, data.h1, group)
     crossed = build_crossed_product(data.h1, group, measure, cocycle)
+    cleft = CleftData(total=crossed.comodule, cleaving=lambda g_ix: E(tensor_index(("h1", 0, 0), g_ix)))
 
     def to_full(v: FreeVector) -> FreeVector:
         return combine(
@@ -72,7 +74,7 @@ def radford_instance(r: int = 2, n: int = 2, q: CycScalar | None = None) -> Radf
             for (_, b_ix, g_ix), c in v.terms.items()
         )
 
-    return RadfordInstance(data=data, crossed=crossed, to_full=to_full)
+    return RadfordInstance(data=data, crossed=crossed, cleft=cleft, to_full=to_full)
 
 
 def check_packaged_n(n: int) -> None:
@@ -423,33 +425,65 @@ def _higher_forms(calc: CalculusInstance):
     return calc.higher
 
 
-def radford_suites(params: dict) -> list:
-    """(suite-name, suite) pairs for the Radford family example; each suite takes the built instance."""
-    from hopfcalc.crossed import check_hopf_galois, equivariant_section
-    from hopfcalc.crossed_calc import (
-        check_graded_dc,
-        compare_first_order,
-        necessity_dsigma,
-        verify_crossed_fodc,
-    )
-    from hopfcalc.fodc import check_fodc
-    from hopfcalc.hopf import check_comodule_algebra, check_hopf_axioms
-    from hopfcalc.qpb import (
-        Connection,
-        VComodule,
-        check_atiyah_exact,
-        check_canonical_connection,
-        check_maurer_cartan,
-        check_tangent_and_fields,
-        check_vertical_map,
-        connection_form_bijection,
-        covariant_derivative,
-        tangent_space,
-        vertical_map,
-    )
+def _crossed_suites(window: int | None) -> tuple[dict, Callable]:
+    """The suites that radford and torus share, by name, and the memoised
+    bundle data they read.  window is None on a finite algebra; a suite
+    whose sweeps grow faster than the window runs at a smaller one."""
+    from hopfcalc.crossed import equivariant_section
+    from hopfcalc.crossed_calc import check_graded_dc, compare_first_order, verify_crossed_fodc
+    from hopfcalc.hopf import check_comodule_algebra
+    from hopfcalc.qpb import check_atiyah_exact, check_canonical_connection, check_maurer_cartan, check_vertical_map, vertical_map
     from hopfcalc.report import CheckReport
 
-    vdata = memoise(lambda rc: vertical_map(rc.cf))
+    def cap(k):
+        return None if window is None else min(window, k)
+
+    vdata = memoise(lambda c: vertical_map(c.cf, window=window))
+
+    def higher(c):
+        if c.higher is None:
+            rep = CheckReport()
+            rep.record("truncation-obstruction", True, witness=c.obstruction)
+            return rep
+        # associativity sweeps are cubic in the window size; one shell is
+        # already 9^3 base triples
+        rep = check_graded_dc(c.higher, window=cap(1))
+        rep.extend(compare_first_order(c.cf, c.higher, window=cap(2)))
+        return rep
+
+    def qpb_suite(c):
+        vd = vdata(c)
+        rep = CheckReport()
+        rep.extend(check_maurer_cartan(vd.coinv, window))
+        rep.extend(check_vertical_map(vd, window))
+        # the degree-2 sequence is checked on a finite instance alone
+        graded = (c.higher, c.h_graded) if window is None else ()
+        rep.extend(check_atiyah_exact(vd, *graded, window=cap(3)))
+        return rep
+
+    # the builders check the twisted-module hypotheses on the same maps, at
+    # the instance window, and refuse the instance when one fails
+    return {
+        "comodule": lambda c: check_comodule_algebra(c.instance.cleft.total, window=window),
+        "twisted-module": lambda c: c.instance.crossed.hypotheses,
+        "crossed-fodc": lambda c: verify_crossed_fodc(c.cf, window=cap(3)),
+        "higher-forms": higher,
+        "qpb": qpb_suite,
+        "connection": lambda c: check_canonical_connection(vdata(c), cap(3)),
+        "section": lambda c: equivariant_section(c.instance.cleft, window=cap(3))[1],
+    }, vdata
+
+
+def radford_suites(params: dict) -> list:
+    """(suite-name, suite) pairs for the Radford family example; each suite takes the built instance."""
+    from hopfcalc.crossed import check_hopf_galois
+    from hopfcalc.crossed_calc import necessity_dsigma
+    from hopfcalc.fodc import check_fodc
+    from hopfcalc.hopf import check_hopf_axioms
+    from hopfcalc.qpb import Connection, VComodule, check_tangent_and_fields, connection_form_bijection, covariant_derivative, tangent_space
+    from hopfcalc.report import CheckReport
+
+    suites, vdata = _crossed_suites(None)
 
     def hopf_axioms(rc):
         rep = check_hopf_axioms(rc.instance.data.hopf)
@@ -459,23 +493,6 @@ def radford_suites(params: dict) -> list:
     def fodc_suite(rc):
         rep = check_fodc(rc.cf.b_calc)
         rep.extend(check_fodc(rc.cf.h_calc), prefix="structure.")
-        return rep
-
-    def higher(rc):
-        if rc.higher is None:
-            rep = CheckReport()
-            rep.record("truncation-obstruction", True, witness=rc.obstruction)
-            return rep
-        rep = check_graded_dc(rc.higher)
-        rep.extend(compare_first_order(rc.cf, rc.higher))
-        return rep
-
-    def qpb_suite(rc):
-        vd = vdata(rc)
-        rep = CheckReport()
-        rep.extend(check_maurer_cartan(vd.coinv))
-        rep.extend(check_vertical_map(vd))
-        rep.extend(check_atiyah_exact(vd, higher=rc.higher, h_graded=rc.h_graded))
         return rep
 
     def bijection(rc):
@@ -504,50 +521,30 @@ def radford_suites(params: dict) -> list:
         inj, inj_action = radford_injected_calculus(inst)
         return necessity_dsigma(inst.crossed, inj, inj_action, rc.cf.h_calc)
 
-    def section(rc):
-        cleft = CleftData(
-            total=rc.instance.crossed.comodule,
-            cleaving=lambda g_ix: FreeVector.basis(tensor_index(("h1", 0, 0), g_ix)),
-        )
-        _, rep = equivariant_section(cleft)
-        return rep
-
-    # the builders check the twisted-module and twisted-calculus hypotheses
-    # on the same maps, with no window, and refuse the instance when one fails
-    return [
-        ("hopf-axioms", hopf_axioms),
-        ("twisted-module", lambda rc: rc.instance.crossed.hypotheses),
-        ("comodule", lambda rc: check_comodule_algebra(rc.instance.crossed.comodule)),
-        ("hopf-galois", lambda rc: check_hopf_galois(rc.instance.crossed.comodule).report),
-        ("fodc", fodc_suite),
-        ("twisted-calculus", lambda rc: rc.cf.hypotheses),
-        ("crossed-fodc", lambda rc: verify_crossed_fodc(rc.cf)),
-        ("higher-forms", higher),
-        ("qpb", qpb_suite),
-        ("connection", lambda rc: check_canonical_connection(vdata(rc))),
-        ("bijection", bijection),
-        ("derivative", derivative),
-        ("necessity", necessity),
-        ("section", section),
-    ]
+    # the builder checks the twisted-calculus hypotheses as it checks the
+    # twisted-module ones
+    suites.update({
+        "hopf-axioms": hopf_axioms,
+        "hopf-galois": lambda rc: check_hopf_galois(rc.instance.crossed.comodule).report,
+        "fodc": fodc_suite,
+        "twisted-calculus": lambda rc: rc.cf.hypotheses,
+        "bijection": bijection,
+        "derivative": derivative,
+        "necessity": necessity,
+    })
+    order = "hopf-axioms twisted-module comodule hopf-galois fodc twisted-calculus crossed-fodc higher-forms qpb connection bijection derivative necessity section"
+    return [(name, suites[name]) for name in order.split()]
 
 
 def torus_suites(params: dict) -> list:
-    from hopfcalc.crossed import check_cleft_derivation, equivariant_section
-    from hopfcalc.crossed_calc import (
-        check_graded_dc,
-        classify_smash,
-        compare_first_order,
-        necessity_dsigma,
-        verify_crossed_fodc,
-    )
+    from hopfcalc.crossed import check_cleft_derivation
+    from hopfcalc.crossed_calc import classify_smash, hor, leibniz_defect, necessity_dsigma
     from hopfcalc.fodc import check_fodc, sigma_forces_zero_differential
-    from hopfcalc.hopf import check_comodule_algebra, check_hopf_axioms
-    from hopfcalc.qpb import check_atiyah_exact, check_canonical_connection, check_maurer_cartan, check_vertical_map, vertical_map
+    from hopfcalc.hopf import check_hopf_axioms
     from hopfcalc.report import CheckReport
 
     window = params["window"]
-    vdata = memoise(lambda tc: vertical_map(tc.cf, window=window))
+    suites, _ = _crossed_suites(window)
 
     def cleft_derivation(tc):
         inst = tc.instance
@@ -585,28 +582,10 @@ def torus_suites(params: dict) -> list:
         ]
         return sigma_forces_zero_differential(crossed.base, sigma_values, window=window)
 
-    def higher(tc):
-        # associativity sweeps are cubic in the window size; one shell is
-        # already 9^3 base triples
-        rep = check_graded_dc(tc.higher, window=1)
-        rep.extend(compare_first_order(tc.cf, tc.higher, window=2))
-        return rep
-
-    def qpb_suite(tc):
-        vd = vdata(tc)
-        rep = CheckReport()
-        rep.extend(check_maurer_cartan(vd.coinv, window))
-        rep.extend(check_vertical_map(vd, window))
-        rep.extend(check_atiyah_exact(vd, window=min(window, 3)))
-        return rep
-
     def necessity(tc):
         inst = tc.instance
         classical, action = torus_classical_calculus(inst)
         rep = necessity_dsigma(inst.crossed, classical, action, tc.cf.h_calc, window=2)
-
-        from hopfcalc.crossed_calc import hor, leibniz_defect
-
         defect = leibniz_defect(inst.crossed, classical, action, tc.cf.h_calc, ("t", 1), ("t", -1))
         rep.record(
             "necessity-witness-at-unit-windings",
@@ -630,23 +609,16 @@ def torus_suites(params: dict) -> list:
         rep.record("classification.refuses-non-trivial-extension", False, witness="no refusal")
         return rep
 
-    # the builder checks the twisted-module hypotheses on the same maps, at
-    # the instance window, and refuses the instance when one fails
-    return [
-        ("hopf-axioms", lambda tc: check_hopf_axioms(tc.instance.crossed.hopf, window=window)),
-        ("comodule", lambda tc: check_comodule_algebra(tc.instance.torus.comodule, window=window)),
-        ("cleft-derivation", cleft_derivation),
-        ("twisted-module", lambda tc: tc.instance.crossed.hypotheses),
-        ("forced-zero", forced_zero),
-        ("fodc", lambda tc: check_fodc(tc.cf.h_calc, window=min(window, 3))),
-        ("crossed-fodc", lambda tc: verify_crossed_fodc(tc.cf, window=min(window, 3))),
-        ("higher-forms", higher),
-        ("qpb", qpb_suite),
-        ("connection", lambda tc: check_canonical_connection(vdata(tc), min(window, 3))),
-        ("necessity", necessity),
-        ("classification-refusal", refusal),
-        ("section", lambda tc: equivariant_section(tc.instance.cleft, window=min(window, 3))[1]),
-    ]
+    suites.update({
+        "hopf-axioms": lambda tc: check_hopf_axioms(tc.instance.crossed.hopf, window=window),
+        "cleft-derivation": cleft_derivation,
+        "forced-zero": forced_zero,
+        "fodc": lambda tc: check_fodc(tc.cf.h_calc, window=min(window, 3)),
+        "necessity": necessity,
+        "classification-refusal": refusal,
+    })
+    order = "hopf-axioms comodule cleft-derivation twisted-module forced-zero fodc crossed-fodc higher-forms qpb connection necessity classification-refusal section"
+    return [(name, suites[name]) for name in order.split()]
 
 
 def group_c2_suites(params: dict) -> list:

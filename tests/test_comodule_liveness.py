@@ -17,7 +17,7 @@ import pytest
 from conftest import corrupt
 from linear_oracle import reference_first_non_multiplicative
 
-from hopfcalc.crossed import CleftData, check_cleft_derivation, cleft_to_crossed, equivariant_section
+from hopfcalc.crossed import check_cleft_derivation, cleft_to_crossed, equivariant_section
 from hopfcalc.crossed_calc import classify_smash, verify_crossed_fodc
 from hopfcalc.examples import group_c2_instance, radford_calculus_instance, radford_instance, smash_demo_instance
 from hopfcalc.fodc import check_fodc
@@ -189,15 +189,10 @@ def test_a_corrupted_crossed_differential_fails_leibniz_and_d_colinear(radford_c
     }
 
 
-def _radford_cleft():
-    inst = radford_instance()
-    return CleftData(total=inst.crossed.comodule, cleaving=lambda g_ix: E(tensor_index(("h1", 0, 0), g_ix)))
-
-
 # a coaction that leaves the image of the base makes the checks that solve
 # over the base fail at their item, and the report is kept
 def test_a_coaction_leaving_the_base_fails_cleaving_colinear_and_the_comparison_map():
-    cleft = _radford_cleft()
+    cleft = radford_instance().cleft
     j_g = _pair(0, 1)
     corrupt(cleft.total.coaction, (j_g,), tensor_index(j_g, G0))
     assert failures(check_cleft_derivation(cleft, *cleft_to_crossed(cleft))) == {
@@ -210,7 +205,7 @@ def test_a_coaction_leaving_the_base_fails_cleaving_colinear_and_the_comparison_
 
 
 def test_a_doubled_coaction_fails_cleaving_colinear():
-    cleft = _radford_cleft()
+    cleft = radford_instance().cleft
     j_g = _pair(0, 1)
     corrupt(cleft.total.coaction, (j_g,), tensor_index(j_g, G1))
     assert failures(check_cleft_derivation(cleft, *cleft_to_crossed(cleft))) == {
@@ -233,7 +228,7 @@ def test_a_doubled_coaction_fails_cleaving_colinear():
     ],
 )
 def test_a_corrupted_crossed_product_fails_the_comparison_map_laws(field, args, extra, failed):
-    cleft = _radford_cleft()
+    cleft = radford_instance().cleft
     crossed, theta, theta_inv = cleft_to_crossed(cleft)
     corrupt(crossed.comodule.coaction if field == "coaction" else crossed.algebra.mult, args, extra)
     assert failures(check_cleft_derivation(cleft, crossed, theta, theta_inv)) == failed
@@ -299,7 +294,7 @@ def test_a_corrupted_form_action_fails_field_left_linear(radford_calc):
 
 
 def test_a_corrupted_coaction_fails_the_section_laws():
-    cleft = _radford_cleft()
+    cleft = radford_instance().cleft
     corrupt(cleft.total.coaction, (_pair(1, 1),), tensor_index(_pair(0, 1), G1))
     assert failures(equivariant_section(cleft)[1]) == {
         "section.splits-multiplication": "(h1(0,1) (x) g(1))",
@@ -309,7 +304,7 @@ def test_a_corrupted_coaction_fails_the_section_laws():
 
 
 def test_a_coaction_leaving_the_base_fails_the_section_laws():
-    cleft = _radford_cleft()
+    cleft = radford_instance().cleft
     corrupt(cleft.total.coaction, (_pair(1, 0),), tensor_index(_pair(1, 0), G1))
     assert failures(equivariant_section(cleft)[1]) == {
         "section.splits-multiplication": "(h1(0,1) (x) g(0))",

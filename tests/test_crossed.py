@@ -21,10 +21,11 @@ from hopfcalc.hopf import (
     CoinvariantFamily,
     ComoduleAlgebra,
     build_cyclic_group_algebra,
+    build_radford,
     check_comodule_algebra,
     convolution_inverse,
 )
-from hopfcalc.linalg import FreeVector, first_non_associative, linear, tensor_index
+from hopfcalc.linalg import FreeVector, combine, first_non_associative, linear, tensor_index
 from hopfcalc.report import CheckReport
 from hopfcalc.scalars import CycScalar, root_of_unity
 
@@ -70,6 +71,21 @@ def test_radford_twisted_module_algebra_passes_exhaustively():
     report = check_twisted_module_algebra(cp.base, cp.hopf, cp.measure, cp.cocycle)
     assert report.ok
 
+
+
+def test_adjoint_action_of_a_radford_algebra_is_a_module_algebra():
+    """h . b = h1 b S(h2) on B = H = H_(2,3,q), with the trivial cocycle:
+    six of the eighteen basis elements have a Sweedler coefficient other
+    than one, so the measure laws are swept with coefficients that matter."""
+    h = build_radford(2, 3, root_of_unity(6)).hopf
+    b = h.algebra
+    assert sum(any(not c.is_one() for c, _ in h.sweedler(ix, 2)) for ix in b.basis.enumerate(None)) == 6
+
+    def adjoint(h_ix, b_ix):
+        return combine((b.product(h1, b_ix, h.antipode(h2)), c) for c, (h1, h2) in h.sweedler(h_ix, 2))
+
+    report = check_twisted_module_algebra(b, h, Measure(act=adjoint), trivial_cocycle(b, h))
+    assert [c.status for c in report.checks] == ["pass"] * 7
 
 def test_broken_measure_is_refused_with_identity():
     b = dual_numbers()

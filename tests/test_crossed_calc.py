@@ -533,6 +533,17 @@ def test_hypothesis_suites_are_fresh_checks_of_the_same_instance():
     assert got.as_dict() == check_twisted_module_algebra(cp.base, cp.hopf, cp.measure, cp.cocycle, window=2).as_dict()
 
 
+
+def test_radford_and_torus_define_each_shared_suite_once():
+    """The suites both crossed-product examples run are one definition,
+    each example passing its window."""
+    from hopfcalc.examples import radford_suites, torus_suites
+
+    radford = dict(radford_suites(RADFORD_PARAMS))
+    torus = dict(torus_suites({"M": 8, "window": 2}))
+    for name in ("comodule", "twisted-module", "crossed-fodc", "higher-forms", "qpb", "connection", "section"):
+        assert radford[name].__code__ is torus[name].__code__, name
+
 def test_every_radford_suite_reports_the_same_when_run_twice():
     """A suite that returns a kept report must not extend it: the second
     run of every suite on the instance gives the report of the first."""

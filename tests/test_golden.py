@@ -64,6 +64,14 @@ def test_every_benchmark_output_is_pinned_by_a_golden():
         assert (pinned["status"], pinned["sha256"]) == (0, digest), command
 
 
+
+def test_torus_at_window_four_is_pinned(capsys):
+    # the torus golden runs at window 2, where min(window, 3) is the window
+    # itself; at window 4 the suites that run on a smaller window differ
+    status, got = run_invocation("verify torus --M 8 --window 4", capsys)
+    assert status == 0
+    assert hashlib.sha256(got).hexdigest() == "9d3d1f2fc739b9ace906274130bf76e0da13ac772f37ccbebe75501f18500438"
+
 # identities that a document prints more than once, and how often: each is
 # to be recorded once, so an entry may only shrink and none may be added
 REPEATED_IDENTITIES = {

@@ -243,14 +243,7 @@ def test_covariant_derivative_zero_base_calculus_gives_zero(radford):
 
 def test_equivariant_section_on_radford(radford):
     rc, vd = radford
-    inst = rc.instance
-    from hopfcalc.crossed import CleftData
-
-    cleft = CleftData(
-        total=inst.crossed.comodule,
-        cleaving=lambda g_ix: FreeVector.basis(tensor_index(("h1", 0, 0), g_ix)),
-    )
-    section, report = equivariant_section(cleft)
+    section, report = equivariant_section(rc.instance.cleft)
     assert report.ok
     assert all(c.status == "pass" for c in report.checks)
 
